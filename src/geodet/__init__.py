@@ -24,6 +24,7 @@ from .errors import (
     IntegrationError,
     NonpositiveOperatorError,
     OutOfScopeError,
+    RouteDisagreementError,
     UsageError,
     WrongRouteError,
 )

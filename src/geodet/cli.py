@@ -326,6 +326,10 @@ def build_report(params: dict) -> dict:
 def _render_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
+    if "error" in report:
+        writer.writerow(("command", "error", "message"))
+        writer.writerow((report["command"], report["error"], report["message"]))
+        return buf.getvalue()
     if report.get("command") == "validate":
         writer.writerow(
             ("check_name", "expected", "computed", "tolerance", "passed", "runtime_ms")
@@ -388,6 +392,14 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render(report: dict, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        return _render_csv(report)
+    return _render_text(report)
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -421,16 +433,10 @@ def main(argv=None) -> int:
             "error": exc.name,
             "message": str(exc),
         }
-        _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", out_path)
+        _emit(_render(report, fmt), out_path)
         return 1
 
-    if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        text = _render_csv(report)
-    else:
-        text = _render_text(report)
-    _emit(text, out_path)
+    _emit(_render(report, fmt), out_path)
 
     if command == "validate" and report["value"] > 0:
         return 1

@@ -37,6 +37,10 @@ class DegenerateOperatorError(GeodetError):
     """The truncated operator is singular; use the deflated determinant instead."""
 
 
+class RouteDisagreementError(GeodetError):
+    """Two independent routes to the same quantity disagree beyond their tolerance."""
+
+
 class IllSeparatedKernelError(GeodetError):
     """No clear spectral gap between near-zero and bulk eigenvalues."""
 

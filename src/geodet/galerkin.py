@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
+from scipy.linalg import eigh, solve_triangular
 from scipy.special import polygamma
 
 from .errors import (
@@ -24,6 +24,7 @@ from .errors import (
     CutLocusError,
     DomainError,
     IllSeparatedKernelError,
+    RouteDisagreementError,
 )
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, exp_jacobian_closed_form
 from .interval import IntervalGrid, mode_quadrature
@@ -138,19 +139,48 @@ def _zeta_tail(K: int, m: int) -> float:
     return float(polygamma(2 * m - 1, K + 1)) / factorial(2 * m - 1)
 
 
-def _tail_log_correction(sys: JacobiSystem, K: int) -> float:
+def _check_schedule(schedule, what: str) -> list:
+    schedule = [int(v) for v in schedule]
+    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise DomainError(f"schedule must be a nonempty increasing list of {what}")
+    return schedule
+
+
+def _tail_log_correction(c: np.ndarray, K: int) -> float:
     """log of the missing factor prod_{k>K} det(I + t^2 Vbar / (pi^2 k^2)).
 
-    Exact (to the _TAIL_ORDERS expansion) for constant potentials; for
-    varying potentials the mean matrix gives the leading 1/k^2 moment and
-    the neglected oscillatory part decays one order faster.
+    ``c`` holds the eigenvalues of t^2 Vbar / pi^2.  Exact (to the
+    _TAIL_ORDERS expansion) for constant potentials; for varying potentials
+    the mean matrix gives the leading 1/k^2 moment and the neglected
+    oscillatory part decays one order faster.
     """
-    vbar = np.linalg.eigvalsh(sys.mean_matrix())
-    c = vbar * sys.t**2 / np.pi**2
     total = 0.0
     for m in range(1, _TAIL_ORDERS + 1):
         total += ((-1) ** (m + 1) / m) * np.sum(c**m) * _zeta_tail(K, m)
     return total
+
+
+def _mode_estimate(sys: JacobiSystem, schedule: list, values: list) -> DeterminantEstimate:
+    """Tail-complete the truncated determinants ``values`` along a mode schedule.
+
+    The completed finest level is the reported value.  The error estimate is
+    the change between the last two completed levels, or the size of the
+    tail itself for a one-level schedule.
+    """
+    vbar = np.linalg.eigvalsh(sys.mean_matrix())
+    c = vbar * sys.t**2 / np.pi**2
+    tails = [np.exp(_tail_log_correction(c, K)) for K in schedule]
+    levels = [(sys.n * K, float(value)) for K, value in zip(schedule, values)]
+    corrected = [float(value * tail) for value, tail in zip(values, tails)]
+    err = abs(corrected[-1] - corrected[-2]) if len(corrected) > 1 else abs(
+        corrected[-1] - levels[-1][1]
+    )
+    return DeterminantEstimate(
+        levels=levels,
+        tail_correction=float(tails[-1]),
+        extrapolated=corrected[-1],
+        error_estimate=err + 1e-15,
+    )
 
 
 def _fourier_level_logdet(sys: JacobiSystem, K: int, assembled=None):
@@ -181,7 +211,8 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
     leading principal submatrices realize the nested mode filtration.
     Constant potentials use the closed-form sine product integrals (the
     matrix is block diagonal across frequencies); varying potentials are
-    integrated by composite Gauss-Legendre sized for the k + l oscillation.
+    integrated by composite Gauss-Legendre sized for the k + l oscillation,
+    one GEMM per fiber pair i <= j.
     """
     if K < 1:
         raise DomainError("mode count must be >= 1")
@@ -200,8 +231,14 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
     Vq = np.stack([sys(s) for s in nodes])  # (Q, n, n)
     amp = np.sqrt(2.0 * t) / (np.pi * np.arange(1, K + 1))
     S = np.sin(np.pi * np.outer(np.arange(1, K + 1), nodes) / t) * amp[:, None]  # (K, Q)
-    # block (k, l) gets int V_ij F_k F_l = sum_q w_q V_ij(q) S[k,q] S[l,q]
-    W = np.einsum("kq,lq,qij,q->kilj", S, S, Vq, weights, optimize=True)
+    # block (k, l) of fibers (i, j) is int V_ij F_k F_l = (S diag(w V_ij) S^T)_kl;
+    # pairs whose samples all vanish (the tangent row of synthetic systems) are skipped
+    W = np.zeros((K, n, K, n))
+    for i in range(n):
+        for j in range(i, n):
+            wv = weights * (0.5 * (Vq[:, i, j] + Vq[:, j, i]))
+            if wv.any():
+                W[:, i, :, j] = W[:, j, :, i] = (S * wv) @ S.T
     M += W.reshape(dim, dim)
     return GalerkinMatrix(dim, 0.5 * (M + M.T), "fourier", K, n)
 
@@ -215,41 +252,22 @@ def fredholm_det(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     finest truncation is (numerically) singular; use
     :func:`fredholm_det_deflated` in that case.
     """
-    schedule = [int(K) for K in schedule]
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("schedule must be a nonempty increasing list of mode counts")
+    schedule = _check_schedule(schedule, "mode counts")
     assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1]).entries
-
-    levels = []
-    corrected = []
-    finest_factors = None
+    values = []
     for K in schedule:
         sign, logdet, factors = _fourier_level_logdet(sys, K, assembled)
-        value = sign * np.exp(logdet)
-        levels.append((sys.n * K, float(value)))
-        corrected.append(float(value * np.exp(_tail_log_correction(sys, K))))
-        finest_factors = factors
+        values.append(sign * np.exp(logdet))
 
-    Kf = schedule[-1]
     if sys.is_constant:
-        smallest = np.min(np.abs(finest_factors))
+        smallest = np.min(np.abs(factors))
     else:
         smallest = np.min(np.abs(np.linalg.eigvalsh(assembled)))
     if smallest < 1e-10:
         raise DegenerateOperatorError(
             "truncated operator is singular; call fredholm_det_deflated"
         )
-
-    extrapolated = corrected[-1]
-    err = abs(corrected[-1] - corrected[-2]) if len(corrected) > 1 else abs(
-        extrapolated - levels[-1][1]
-    )
-    return DeterminantEstimate(
-        levels=levels,
-        tail_correction=float(np.exp(_tail_log_correction(sys, Kf))),
-        extrapolated=extrapolated,
-        error_estimate=err + 1e-15,
-    )
+    return _mode_estimate(sys, schedule, values)
 
 
 def deflated_matrix_determinant(matrix: np.ndarray, kernel_tol: float):
@@ -288,28 +306,14 @@ def fredholm_det_deflated(
     """
     if kernel_tol <= 0:
         raise DomainError("kernel_tol must be positive")
-    schedule = [int(K) for K in schedule]
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("schedule must be a nonempty increasing list of mode counts")
-
+    schedule = _check_schedule(schedule, "mode counts")
     assembled = assemble_hessian_fourier(sys, schedule[-1]).entries
-    levels = []
-    corrected = []
-    kdim = 0
-    for K in schedule:
-        sub = assembled[: sys.n * K, : sys.n * K]
-        value, kdim = deflated_matrix_determinant(sub, kernel_tol)
-        levels.append((sys.n * K, float(value)))
-        corrected.append(float(value * np.exp(_tail_log_correction(sys, K))))
-
-    estimate = DeterminantEstimate(
-        levels=levels,
-        tail_correction=float(np.exp(_tail_log_correction(sys, schedule[-1]))),
-        extrapolated=corrected[-1],
-        error_estimate=(abs(corrected[-1] - corrected[-2]) if len(corrected) > 1 else 0.0)
-        + 1e-15,
-    )
-    return DeflatedDeterminant(estimate, kdim)
+    results = [
+        deflated_matrix_determinant(assembled[: sys.n * K, : sys.n * K], kernel_tol)
+        for K in schedule
+    ]
+    estimate = _mode_estimate(sys, schedule, [value for value, _ in results])
+    return DeflatedDeterminant(estimate, results[-1][1])
 
 
 def _trace_exact(sys: JacobiSystem) -> float:
@@ -330,7 +334,8 @@ def hessian_trace(sys: JacobiSystem, modes: int = 20000) -> float:
     sine modes and completes the sum with the analytic 1/k^2 tail.  Route
     (b) integrates the potential trace against s(t-s)/t, which is the
     Ricci-integral form (for a constant-curvature geodesic it equals
-    -(n-1) kappa r^2 / 6).  Both must agree to 1e-8.
+    -(n-1) kappa r^2 / 6).  Both must agree to 1e-8; otherwise
+    RouteDisagreementError is raised.
     """
     t = sys.t
     if sys.is_constant:
@@ -354,9 +359,8 @@ def hessian_trace(sys: JacobiSystem, modes: int = 20000) -> float:
         tail = mean_trv * t * t / np.pi**2 * _zeta_tail(k_explicit, 1)
     route_a = partial + tail
     route_b = _trace_exact(sys)
-    assert abs(route_a - route_b) < 1e-8 * max(1.0, abs(route_b)), (
-        f"trace routes disagree: {route_a} vs {route_b}"
-    )
+    if not abs(route_a - route_b) < 1e-8 * max(1.0, abs(route_b)):
+        raise RouteDisagreementError(f"trace routes disagree: {route_a} vs {route_b}")
     return route_a
 
 
@@ -372,65 +376,119 @@ def bernoulli_cosine_sum(s: float, K: int) -> float:
 
 # ---------------------------------------------------------------------------
 # piecewise-linear (hat field) filtration
+#
+# Over the interior hats of a partition the Hessian form is D + B: D the H1
+# Gram of the hats (tridiagonal, blocks a_j I and c_j I) and B the L2 pairing
+# against the potential (block tridiagonal with n x n blocks).  The
+# determinant det(D + B)/det(D) is a block LDL^T recurrence -- the discrete
+# Jacobi equation along the piecewise geodesic -- and tr(D^{-1} B) needs only
+# the nodal Green's function of D, so a level costs O(N n^3).
 
 
-def _hat_matrices(sys: JacobiSystem, partition: Partition, quad_order: int = 8):
-    """Stiffness D and potential Gram B over the interior hat fields.
+def _hat_stiffness(deltas: np.ndarray):
+    """Scalar diagonal a_j and off-diagonal c_j of the hat stiffness D.
 
-    Node-major ordering: index (j-1)*n + i for node j = 1..N-1, fiber i.
-    D is the H1 Gram of the hats (tridiagonal blocks of identities), B the
-    L2 pairing against the potential, via per-segment Gauss quadrature
-    (closed-form mass matrix when the potential is constant).
+    a_j = 1/delta_j + 1/delta_{j+1} and c_j = -1/delta_{j+1}; D is a_j I and
+    c_j I in blocks.
     """
-    n, t = sys.n, sys.t
-    nodes = np.asarray(partition.times) * t
+    inv = 1.0 / deltas
+    return inv[:-1] + inv[1:], -inv[1:-1]
+
+
+def _hat_blocks(sys: JacobiSystem, nodes: np.ndarray, quad_order: int = 8):
+    """Diagonal (N-1, n, n) and off-diagonal (N-2, n, n) blocks of B.
+
+    ``nodes`` are the partition times on [0, t]; off-diagonal block j couples
+    interior nodes j and j + 1.  Constant potentials use the closed-form hat
+    mass blocks, varying ones a Gauss-Legendre rule of ``quad_order`` nodes
+    per segment with the potential sampled once per node.
+    """
     deltas = np.diff(nodes)
-    N = len(deltas)
-    dim = n * (N - 1)
-    D = np.zeros((dim, dim))
-    B = np.zeros((dim, dim))
-    eye = np.eye(n)
-
-    def blk(j):
-        return slice((j - 1) * n, j * n)
-
-    for j in range(1, N):
-        D[blk(j), blk(j)] += (1.0 / deltas[j - 1] + 1.0 / deltas[j]) * eye
-        if j + 1 < N:
-            D[blk(j), blk(j + 1)] += -(1.0 / deltas[j]) * eye
-            D[blk(j + 1), blk(j)] += -(1.0 / deltas[j]) * eye
-
     if sys.is_constant:
         V = sys(0.0)
-        for j in range(1, N):
-            B[blk(j), blk(j)] += (deltas[j - 1] + deltas[j]) / 3.0 * V
-            if j + 1 < N:
-                B[blk(j), blk(j + 1)] += deltas[j] / 6.0 * V
-                B[blk(j + 1), blk(j)] += deltas[j] / 6.0 * V
-    else:
-        x, w = leggauss(quad_order)
-        for seg in range(N):
-            a, b = nodes[seg], nodes[seg + 1]
-            h = b - a
-            sq = 0.5 * (b + a) + 0.5 * h * x
-            wq = 0.5 * h * w
-            up = (sq - a) / h  # hat rising on this segment (node seg+1)
-            down = (b - sq) / h  # hat falling (node seg)
-            for q in range(quad_order):
-                Vq = sys(sq[q])
-                if seg >= 1:
-                    B[blk(seg), blk(seg)] += wq[q] * down[q] * down[q] * Vq
-                if seg + 1 < N:
-                    B[blk(seg + 1), blk(seg + 1)] += wq[q] * up[q] * up[q] * Vq
-                if seg >= 1 and seg + 1 < N:
-                    B[blk(seg), blk(seg + 1)] += wq[q] * down[q] * up[q] * Vq
-                    B[blk(seg + 1), blk(seg)] += wq[q] * up[q] * down[q] * Vq
-    return D, B
+        diag = ((deltas[:-1] + deltas[1:]) / 3.0)[:, None, None] * V
+        return diag, (deltas[1:-1] / 6.0)[:, None, None] * V
+    x, w = leggauss(quad_order)
+    a, b, h = nodes[:-1, None], nodes[1:, None], deltas[:, None]
+    sq = 0.5 * (b + a) + 0.5 * h * x  # (N, quad_order)
+    wq = 0.5 * h * w
+    up = (sq - a) / h  # hat rising on the segment (its right node)
+    down = (b - sq) / h  # hat falling (its left node)
+    Vq = np.stack([sys(s) for s in sq.ravel()]).reshape(sq.shape + (sys.n, sys.n))
+
+    def moment(f):
+        return np.einsum("sq,sqij->sij", wq * f, Vq)
+
+    return moment(up * up)[:-1] + moment(down * down)[1:], moment(down * up)[1:-1]
+
+
+def _block_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix from diagonal blocks and upper off-diagonal blocks."""
+    m, n = diag.shape[:2]
+    out = np.zeros((m, n, m, n))
+    j = np.arange(m)
+    out[j, :, j, :] = diag
+    out[j[:-1], :, j[1:], :] = off
+    out[j[1:], :, j[:-1], :] = off.transpose(0, 2, 1)
+    return out.reshape(m * n, m * n)
+
+
+def _hat_slogdet(a, c, diag: np.ndarray, off: np.ndarray):
+    """(sign, log|det|) of det(D + B)/det(D) by the block LDL^T recurrence.
+
+    The pivots of D + B are S_0 = A_0 and S_j = A_j - C_{j-1}^T S_{j-1}^{-1}
+    C_{j-1}, with A_j = a_j I + B_jj and C_j = c_j I + B_{j,j+1}; those of D
+    are the scalars d_j = a_j - c_{j-1}^2 / d_{j-1}, and the ratio is the
+    product of det(S_j / d_j).  S_j and d_j are O(1/mesh) while their
+    difference E_j = S_j - d_j I is O(mesh), so the recurrence carries E_j:
+    with rho = c_{j-1}/d_{j-1}, R = (I + E_{j-1}/d_{j-1})^{-1} and
+    Z = R B_{j-1,j},
+
+        E_j = B_jj + rho^2 R E_{j-1} - rho (Z + Z^T) - B_{j-1,j}^T Z / d_{j-1},
+
+    which never subtracts two large numbers.
+    """
+    n = diag.shape[1]
+    eye = np.eye(n)
+    scaled = np.empty_like(diag)
+    E, d = diag[0], a[0]
+    scaled[0] = eye + E / d
+    for j in range(1, len(a)):
+        rho = c[j - 1] / d
+        try:
+            Y = np.linalg.solve(scaled[j - 1], np.concatenate((E, off[j - 1]), axis=1))
+        except np.linalg.LinAlgError:
+            raise DegenerateOperatorError("piecewise truncation is singular") from None
+        RE, Z = Y[:, :n], Y[:, n:]
+        E = diag[j] + rho * rho * RE - rho * (Z + Z.T) - off[j - 1].T @ Z / d
+        d = a[j] - rho * c[j - 1]
+        scaled[j] = eye + E / d
+    signs, logdets = np.linalg.slogdet(scaled)
+    if not np.all(signs):
+        raise DegenerateOperatorError("piecewise truncation is singular")
+    return float(np.prod(signs)), float(np.sum(logdets))
+
+
+def _hat_trace(nodes: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
+    """tr(D^{-1} B) from the nodal Green's function of the hat stiffness.
+
+    D^{-1} = G (x) I with G_jk = s_min (t - s_max)/t at the interior nodes,
+    exact for hats; B is block tridiagonal, so only the diagonal and first
+    off-diagonal of G enter.
+    """
+    s, t = nodes[1:-1], nodes[-1]
+    g_diag = s * (t - s) / t
+    g_off = s[:-1] * (t - s[1:]) / t
+    return float(
+        np.sum(g_diag * np.trace(diag, axis1=1, axis2=2))
+        + 2.0 * np.sum(g_off * np.trace(off, axis1=1, axis2=2))
+    )
 
 
 def assemble_hessian_piecewise(sys: JacobiSystem, partition: Partition) -> GalerkinMatrix:
     """Hessian form over interior piecewise-linear fields, H1-orthonormalized.
 
+    Node-major ordering: index (j-1)*n + i for node j = 1..N-1, fiber i.
     The raw hat basis has H1 Gram D with det D = prod delta_j^{-n}; the
     returned matrix is L^{-1} (D + B) L^{-T} with D = L L^T, i.e. the form
     expressed in an H1-orthonormal basis of the hat space.  Zero potential
@@ -438,42 +496,43 @@ def assemble_hessian_piecewise(sys: JacobiSystem, partition: Partition) -> Galer
     """
     if partition.N < 2:
         raise DomainError("need at least two segments")
-    D, B = _hat_matrices(sys, partition)
-    if not B.any():
-        return GalerkinMatrix(D.shape[0], np.eye(D.shape[0]), "piecewise", partition.N, sys.n)
-    L = np.linalg.cholesky(D)
-    tmp = solve_triangular(L, B, lower=True)
-    M = np.eye(D.shape[0]) + solve_triangular(L, tmp.T, lower=True).T
-    return GalerkinMatrix(D.shape[0], 0.5 * (M + M.T), "piecewise", partition.N, sys.n)
+    nodes = np.asarray(partition.times) * sys.t
+    diag, off = _hat_blocks(sys, nodes)
+    dim = sys.n * (partition.N - 1)
+    if not (diag.any() or off.any()):
+        return GalerkinMatrix(dim, np.eye(dim), "piecewise", partition.N, sys.n)
+    eye = np.eye(sys.n)
+    a, c = _hat_stiffness(np.diff(nodes))
+    L = np.linalg.cholesky(_block_tridiagonal(a[:, None, None] * eye, c[:, None, None] * eye))
+    tmp = solve_triangular(L, _block_tridiagonal(diag, off), lower=True)
+    M = np.eye(dim) + solve_triangular(L, tmp.T, lower=True).T
+    return GalerkinMatrix(dim, 0.5 * (M + M.T), "piecewise", partition.N, sys.n)
 
 
 def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     """Fredholm determinant through the piecewise-linear filtration.
 
     ``schedule`` lists segment counts N (uniform partitions).  Each level's
-    raw determinant is completed by the trace-defect factor
-    exp(Tr_exact - Tr_discrete), which removes the first-order error of the
-    hat space (both the unresolved tail and the per-mode stiffness bias),
-    leaving O(mesh^2); the extrapolated value applies one mesh^2 Richardson
-    step when the schedule doubles.
+    raw determinant det(D + B)/det(D) is completed by the trace-defect
+    factor exp(Tr_exact - Tr_discrete), which removes the first-order error
+    of the hat space (both the unresolved tail and the per-mode stiffness
+    bias), leaving O(mesh^2); the extrapolated value applies one mesh^2
+    Richardson step when the schedule doubles.  An exactly singular
+    truncation raises DegenerateOperatorError.
     """
-    schedule = [int(N) for N in schedule]
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("schedule must be a nonempty increasing list of segment counts")
+    schedule = _check_schedule(schedule, "segment counts")
     tr_exact = _trace_exact(sys)
     levels = []
     corrected = []
     tail = 1.0
     for N in schedule:
-        part = Partition.uniform(N)
-        D, B = _hat_matrices(sys, part)
-        cho = cho_factor(D, lower=True)
-        tr_disc = float(np.trace(cho_solve(cho, B)))
-        M = assemble_hessian_piecewise(sys, part)
-        sign, logdet = np.linalg.slogdet(M.entries)
+        nodes = np.asarray(Partition.uniform(N).times) * sys.t
+        diag, off = _hat_blocks(sys, nodes)
+        a, c = _hat_stiffness(np.diff(nodes))
+        sign, logdet = _hat_slogdet(a, c, diag, off)
         raw = float(sign * np.exp(logdet))
-        levels.append((M.dimension, raw))
-        tail = float(np.exp(tr_exact - tr_disc))
+        levels.append((sys.n * (N - 1), raw))
+        tail = float(np.exp(tr_exact - _hat_trace(nodes, diag, off)))
         corrected.append(raw * tail)
     if len(corrected) > 1 and schedule[-1] == 2 * schedule[-2]:
         extrapolated = corrected[-1] + (corrected[-1] - corrected[-2]) / 3.0

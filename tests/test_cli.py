@@ -75,6 +75,23 @@ def test_module_error_surfaces_named_exit_1(capsys):
     assert "message" in report
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_module_error_follows_format(capsys, fmt):
+    code, out, _ = run_cli(
+        capsys,
+        "det-fredholm", "--kappa", "1", "--r", "3.141592653589793", "--n", "2",
+        "--format", fmt,
+    )
+    assert code == 1
+    assert "DegenerateOperatorError" in out
+    if fmt == "text":
+        assert out.startswith("error: DegenerateOperatorError: ")
+    else:
+        lines = out.strip().splitlines()
+        assert lines[0] == "command,error,message"
+        assert lines[1].startswith("det-fredholm,DegenerateOperatorError,")
+
+
 def test_heat_limit_command(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -13,6 +13,7 @@ from geodet import (
     IllSeparatedKernelError,
     JacobiSystem,
     Partition,
+    RouteDisagreementError,
     assemble_hessian_fourier,
     assemble_hessian_piecewise,
     bernoulli_cosine_sum,
@@ -25,6 +26,7 @@ from geodet import (
     jacobi_endomorphism,
     phi0_chain,
 )
+from geodet import galerkin
 from geodet.galerkin import deflated_matrix_determinant
 from geodet.interval import IntervalGrid, mode_quadrature
 
@@ -67,6 +69,27 @@ def test_varying_potential_matches_refined_quadrature():
     S = np.sin(PI * np.outer(ks, nodes)) * amp[:, None]
     oracle = np.eye(K) + (S * (weights * nodes)[None, :]) @ S.T
     assert np.max(np.abs(M - oracle)) < 1e-10
+
+
+def varying_potential(n):
+    """A smooth symmetric n x n potential with every fiber pair populated."""
+    rng = np.random.default_rng(n)
+    A, B = (0.5 * (X + X.T) for X in rng.normal(size=(2, n, n)))
+    return lambda s: A + B * np.sin(3.0 * s) + np.eye(n) * s * s
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fourier_gemm_assembly_matches_einsum(n):
+    K, t = 24, 1.3
+    sys = JacobiSystem(n, t, varying_potential(n))
+    M = assemble_hessian_fourier(sys, K).entries
+    nodes, weights = mode_quadrature(IntervalGrid(0.0, t), 2 * K)
+    Vq = np.stack([sys(s) for s in nodes])
+    amp = np.sqrt(2.0 * t) / (PI * np.arange(1, K + 1))
+    S = np.sin(PI * np.outer(np.arange(1, K + 1), nodes) / t) * amp[:, None]
+    W = np.einsum("kq,lq,qij,q->kilj", S, S, Vq, weights).reshape(n * K, n * K)
+    ref = np.eye(n * K) + W
+    assert np.max(np.abs(M - 0.5 * (ref + ref.T))) < 1e-14
 
 
 def test_assembled_matrix_is_symmetric():
@@ -145,6 +168,14 @@ def test_csv_export_shape():
 
 # ---------------------------------------------------------------------------
 # trace identities
+
+
+def test_hessian_trace_route_disagreement_is_named(monkeypatch):
+    sys = sphere_system(1.0, PI / 2, 3)
+    exact = galerkin._trace_exact
+    monkeypatch.setattr(galerkin, "_trace_exact", lambda s: exact(s) + 1e-6)
+    with pytest.raises(RouteDisagreementError):
+        hessian_trace(sys)
 
 
 def test_hessian_trace_flat_is_zero():
@@ -243,6 +274,88 @@ def test_piecewise_zero_potential_is_identity():
     sys = JacobiSystem.constant(np.zeros((2, 2)), 1.0)
     M = assemble_hessian_piecewise(sys, Partition.uniform(16))
     assert np.array_equal(M.entries, np.eye(2 * 15))
+
+
+def dense_hat_reference(sys, N, quad_order=8):
+    """Stiffness D and potential Gram B of the interior hats, node by node."""
+    n, t = sys.n, sys.t
+    nodes = np.linspace(0.0, 1.0, N + 1) * t
+    deltas = np.diff(nodes)
+    D = np.zeros((n * (N - 1), n * (N - 1)))
+    B = np.zeros_like(D)
+
+    def blk(j):
+        return slice((j - 1) * n, j * n)
+
+    for j in range(1, N):
+        D[blk(j), blk(j)] += (1.0 / deltas[j - 1] + 1.0 / deltas[j]) * np.eye(n)
+        if j + 1 < N:
+            D[blk(j), blk(j + 1)] = D[blk(j + 1), blk(j)] = -np.eye(n) / deltas[j]
+    x, w = np.polynomial.legendre.leggauss(quad_order)
+    for seg in range(N):
+        a, b = nodes[seg], nodes[seg + 1]
+        for xq, wq in zip(x, w):
+            s = 0.5 * (a + b) + 0.5 * (b - a) * xq
+            V = 0.5 * (b - a) * wq * sys(s)
+            up, down = (s - a) / (b - a), (b - s) / (b - a)
+            if seg >= 1:
+                B[blk(seg), blk(seg)] += down * down * V
+            if seg + 1 < N:
+                B[blk(seg + 1), blk(seg + 1)] += up * up * V
+            if seg >= 1 and seg + 1 < N:
+                B[blk(seg), blk(seg + 1)] += down * up * V
+                B[blk(seg + 1), blk(seg)] += up * down * V
+    return D, B
+
+
+PIECEWISE_POTENTIALS = {
+    "varying-positive": (2, lambda s: np.array([[1.0 + np.sin(2 * s), 0.3], [0.3, 2.0 - s]])),
+    "constant": (3, np.diag([0.0, -2.0, -2.0])),
+    "indefinite": (2, -12.0 * np.eye(2)),
+    "negative-det": (2, lambda s: np.array([[-45.0 + s, 0.2], [0.2, -12.0]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIECEWISE_POTENTIALS))
+def test_piecewise_recurrence_matches_dense_route(name):
+    n, pot = PIECEWISE_POTENTIALS[name]
+    sys = JacobiSystem(n, 1.0, pot)
+    schedule = (16, 32, 64)
+    est = fredholm_det_piecewise(sys, schedule)
+    for N, (dim, value) in zip(schedule, est.levels):
+        D, B = dense_hat_reference(sys, N)
+        M = assemble_hessian_piecewise(sys, Partition.uniform(N))
+        L = np.linalg.cholesky(D)
+        ref = np.eye(dim) + np.linalg.solve(L, np.linalg.solve(L, B).T).T
+        assert np.max(np.abs(M.entries - 0.5 * (ref + ref.T))) < 1e-13
+        sign, logdet = np.linalg.slogdet(M.entries)
+        assert dim == M.dimension
+        assert abs(value - sign * np.exp(logdet)) < 1e-12 * abs(value)
+        nodes = np.linspace(0.0, 1.0, N + 1)
+        tr = galerkin._hat_trace(nodes, *galerkin._hat_blocks(sys, nodes))
+        assert tr == pytest.approx(np.trace(np.linalg.solve(D, B)), rel=1e-12, abs=1e-15)
+    # the signs: det > 0 for two negative directions, det < 0 for three
+    expected_sign = {"varying-positive": 1, "constant": 1, "indefinite": 1, "negative-det": -1}
+    assert np.sign(est.levels[-1][1]) == expected_sign[name]
+
+
+def test_piecewise_singular_pivot_is_named():
+    # D = [[2, -1], [-1, 2]] with pivots 2 and 3/2; B zeroes the first
+    # pivot of D + B (inside the recurrence) or the last one (in slogdet)
+    a, c = np.array([2.0, 2.0]), np.array([-1.0])
+    off = np.zeros((1, 2, 2))
+    first = np.stack([-2.0 * np.eye(2), np.eye(2)])
+    last = np.stack([np.zeros((2, 2)), -1.5 * np.eye(2)])
+    for diag in (first, last):
+        with pytest.raises(DegenerateOperatorError):
+            galerkin._hat_slogdet(a, c, diag, off)
+
+
+def test_piecewise_fine_constant_curvature_is_linear_in_N():
+    # dimension 3 * 2047: far beyond a dense factorization
+    est = fredholm_det_piecewise(sphere_system(1.0, PI / 2, 3), (1024, 2048))
+    assert est.levels[-1][0] == 3 * 2047
+    assert est.extrapolated == pytest.approx((2.0 / PI) ** 2, abs=1e-6)
 
 
 def test_piecewise_determinant_near_fourier_value():
