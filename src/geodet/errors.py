@@ -34,7 +34,7 @@ class DegenerateSegmentError(GeodetError):
 
 
 class DegenerateOperatorError(GeodetError):
-    """The truncated operator is singular; use the deflated determinant instead."""
+    """The operator or its truncation is singular; use a zero-mode (deflated) route."""
 
 
 class RouteDisagreementError(GeodetError):
@@ -54,7 +54,7 @@ class WrongRouteError(GeodetError):
 
 
 class IntegrationError(GeodetError):
-    """The potential produced non-finite samples during propagation."""
+    """Propagation left float64: non-finite potential samples or J, J' out of range."""
 
 
 class DegenerateRouteError(GeodetError):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DegenerateOperatorError,
     DomainError,
     IntegrationError,
     NonpositiveOperatorError,
@@ -51,6 +52,7 @@ class JacobiPropagation:
     Jprime: np.ndarray
     step_size: float
     error_estimate: float = 0.0
+    samples: np.ndarray = field(default=None, repr=False)  # V on the half-grid
 
     @property
     def n(self) -> int:
@@ -101,48 +103,81 @@ class ZetaDetValue:
 
 def _sample_potential(sys: JacobiSystem, steps: int) -> np.ndarray:
     """V at the 2*steps+1 half-grid points needed by the RK4 stages."""
-    s_half = np.linspace(0.0, sys.t, 2 * steps + 1)
-    V = np.stack([sys(s) for s in s_half])
+    V = sys.sample(np.linspace(0.0, sys.t, 2 * steps + 1))
     if not np.all(np.isfinite(V)):
         raise IntegrationError("potential produced non-finite samples")
     return V
 
 
-def _rk4_run(sys: JacobiSystem, steps: int, Y0: np.ndarray, Z0: np.ndarray):
-    """Fixed-step RK4 for Y'' = V Y; returns Y, Y' at every grid point."""
-    V = _sample_potential(sys, steps)
-    h = sys.t / steps
-    Y = np.empty((steps + 1,) + Y0.shape)
-    Z = np.empty_like(Y)
-    Y[0], Z[0] = Y0, Z0
-    y, z = Y0.copy(), Z0.copy()
-    for m in range(steps):
-        V0, Vh, V1 = V[2 * m], V[2 * m + 1], V[2 * m + 2]
-        k1y = z
-        k1z = V0 @ y
-        k2y = z + 0.5 * h * k1z
-        k2z = Vh @ (y + 0.5 * h * k1y)
-        k3y = z + 0.5 * h * k2z
-        k3z = Vh @ (y + 0.5 * h * k2y)
-        k4y = z + h * k3z
-        k4z = V1 @ (y + h * k3y)
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        Y[m + 1], Z[m + 1] = y, z
-    return Y, Z
+def _transfer_increments(V: np.ndarray, h: float) -> np.ndarray:
+    """RK4 step increments D_m with (y, z)_{m+1} = (I + D_m) (y, z)_m for y'' = V y.
+
+    ``V`` holds the half-grid samples; with a = V(s_m), b = V(s_m + h/2) and
+    c = V(s_m + h), one classical RK4 step of the first-order system
+    (y, z)' = [[0, I], [V, 0]] (y, z) has the transfer matrix I + D_m with
+
+        D_yy = h^2/6 (a + 2b) + h^4/24 ba     D_yz = h I + h^3/6 b
+        D_zy = h/6 (a + 4b + c) + h^3/12 (ba + cb)
+        D_zz = h^2/6 (2b + c) + h^4/24 cb,
+
+    built for all steps at once.  The identity is kept out: rounding
+    I + O(h^2) would drop the low bits of the increment in the same
+    direction at every step of a smooth potential, an error that grows
+    linearly with the step count.
+    """
+    a, b, c = V[0:-1:2], V[1::2], V[2::2]
+    steps, n = b.shape[0], b.shape[1]
+    ba, cb = b @ a, c @ b
+    D = np.empty((steps, 2 * n, 2 * n))
+    D[:, :n, :n] = (h * h / 6.0) * (a + 2.0 * b) + (h**4 / 24.0) * ba
+    D[:, :n, n:] = h * np.eye(n) + (h**3 / 6.0) * b
+    D[:, n:, :n] = (h / 6.0) * (a + 4.0 * b + c) + (h**3 / 12.0) * (ba + cb)
+    D[:, n:, n:] = (h * h / 6.0) * (2.0 * b + c) + (h**4 / 24.0) * cb
+    return D
+
+
+def _rk4_run(sys: JacobiSystem, steps: int, Y0: np.ndarray, Z0: np.ndarray, V=None):
+    """Fixed-step RK4 for Y'' = V Y; returns Y, Y' at every grid point.
+
+    ``V`` are the half-grid samples of :func:`_sample_potential`, taken
+    here when not given.  Raises IntegrationError when Y or Y' leaves the
+    float64 range.
+    """
+    if V is None:
+        V = _sample_potential(sys, steps)
+    D = _transfer_increments(V, sys.t / steps)
+    U = np.empty((steps + 1, 2 * sys.n, Y0.shape[1]))
+    U[0] = np.concatenate((Y0, Z0))
+    states = list(U)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for Dm, u, nxt in zip(D, states, states[1:]):
+            np.dot(Dm, u, out=nxt)
+            nxt += u
+    finite = np.isfinite(U).all(axis=(1, 2))
+    if not finite.all():
+        s = sys.t * np.argmin(finite) / steps
+        raise IntegrationError(
+            f"J or J' left the float64 range at s = {s:.4g} of t = {sys.t:.4g}"
+        )
+    return U[:, : sys.n], U[:, sys.n :]
 
 
 def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPropagation:
     """Propagate J'' = V J, J(0) = 0, J'(0) = id with fixed-step RK4.
 
     A half-resolution run provides the step-halving error estimate
-    ||J_fine(t) - J_coarse(t)|| / 15 (the order-4 Richardson factor).
+    ||J_fine(t) - J_coarse(t)|| / 15 (the order-4 Richardson factor).  The
+    potential is sampled once: for even step counts the coarse half-grid
+    is every other fine sample.
     """
     if steps < 16:
         raise DomainError("need at least 16 steps")
     n = sys.n
-    J, Jp = _rk4_run(sys, steps, np.zeros((n, n)), np.eye(n))
-    Jc, _ = _rk4_run(sys, max(steps // 2, 8), np.zeros((n, n)), np.eye(n))
+    V = _sample_potential(sys, steps)
+    J, Jp = _rk4_run(sys, steps, np.zeros((n, n)), np.eye(n), V)
+    coarse = steps // 2
+    Vc = V[::2] if steps % 2 == 0 else _sample_potential(sys, coarse)
+    Jc, _ = _rk4_run(sys, coarse, np.zeros((n, n)), np.eye(n), Vc)
     err = float(np.max(np.abs(J[-1] - Jc[-1]))) / 15.0
     return JacobiPropagation(
         t_grid=np.linspace(0.0, sys.t, steps + 1),
@@ -150,12 +185,30 @@ def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPro
         Jprime=Jp,
         step_size=sys.t / steps,
         error_estimate=err,
+        samples=V,
     )
 
 
+def _is_degenerate(detJt: float, t: float, n: int) -> bool:
+    return abs(detJt) < DEGENERACY_REL_TOL * t**n
+
+
 def _check_positive(prop: JacobiPropagation, label: str):
-    """Positivity of the operator = no interior sign change of det J."""
+    """A finite, nondegenerate det J(t) and no interior sign change of det J.
+
+    Positivity of the operator is the absence of a sign change; a det J(t)
+    below the degeneracy threshold means zero modes, which the ratio
+    formula cannot divide by.
+    """
     dets = np.linalg.det(prop.J[1:])
+    if not np.all(np.isfinite(dets)):
+        raise IntegrationError(f"{label}: det J left the float64 range")
+    if _is_degenerate(dets[-1], prop.t, prop.n):
+        raise DegenerateOperatorError(
+            f"{label}: |det J(t)| = {abs(dets[-1]):.3g} is below the degeneracy "
+            f"threshold {DEGENERACY_REL_TOL * prop.t**prop.n:.3g}; the operator has "
+            "zero modes (use gy_degenerate_ratio, or det-zeta on the command line)"
+        )
     if np.any(dets <= 0.0):
         raise NonpositiveOperatorError(
             f"{label}: det J changes sign on (0, t]; operator not positive"
@@ -163,7 +216,11 @@ def _check_positive(prop: JacobiPropagation, label: str):
 
 
 def gy_ratio(sys1: JacobiSystem, sys2: JacobiSystem, steps: int = DEFAULT_STEPS) -> float:
-    """det_zeta(P_2)/det_zeta(P_1) = det J_2(t)/det J_1(t), both positive."""
+    """det_zeta(P_2)/det_zeta(P_1) = det J_2(t)/det J_1(t), both positive.
+
+    Raises DegenerateOperatorError when either det J(t) is below the
+    degeneracy threshold DEGENERACY_REL_TOL t^n.
+    """
     if sys1.n != sys2.n or abs(sys1.t - sys2.t) > 1e-14:
         raise DomainError("operators must share fiber dimension and interval")
     p1 = solve_jacobi_ode(sys1, steps)
@@ -180,7 +237,7 @@ def _simpson_weights(num_points: int, h: float) -> np.ndarray:
     return w * h / 3.0
 
 
-def _degenerate_boundary_det(sys: JacobiSystem, steps: int):
+def _degenerate_boundary_det(sys: JacobiSystem, steps: int, V=None):
     """|det A| of the kernel-aware degenerate boundary matrix, and kernel dim.
 
     A has columns J(t) d_b on the complement of ker J(t) and
@@ -189,20 +246,23 @@ def _degenerate_boundary_det(sys: JacobiSystem, steps: int):
     det J_1(t) of a positive reference operator gives
     det'_zeta(P)/det_zeta(P_1).  When the kernel fills every direction
     this reduces to det(int J^T J)/|det J'(t)| since then
-    K(t) = J'(t)^{-T}.
+    K(t) = J'(t)^{-T}.  ``V`` are half-grid samples at ``steps``, reused
+    when the step count is even.
     """
-    steps = steps + (steps % 2)  # Simpson needs an even step count
+    if steps % 2:  # Simpson needs an even step count
+        steps, V = steps + 1, None
     n = sys.n
-    J, Jp = _rk4_run(sys, steps, np.zeros((n, n)), np.eye(n))
-    K, _ = _rk4_run(sys, steps, np.eye(n), np.zeros((n, n)))
+    # one propagation of the 2n x 2n identity: columns (K, K') then (J, J')
+    eye = np.eye(2 * n)
+    Y, Z = _rk4_run(sys, steps, eye[:n], eye[n:], V)
+    K, J, Jp = Y[:, :, :n], Y[:, :, n:], Z[:, :, n:]
     Jt = J[-1]
 
     detJt = float(np.linalg.det(Jt))
-    flat_scale = sys.t**n
-    if abs(detJt) >= DEGENERACY_REL_TOL * flat_scale:
+    if not _is_degenerate(detJt, sys.t, n):
         raise WrongRouteError(
             f"|det J(t)| = {abs(detJt):.3g} is not degenerate "
-            f"(threshold {DEGENERACY_REL_TOL * flat_scale:.3g}); use the ratio route"
+            f"(threshold {DEGENERACY_REL_TOL * sys.t**n:.3g}); use the ratio route"
         )
 
     # right singular vectors of J(t): sigma below tol spans the kernel
@@ -271,8 +331,8 @@ def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetVal
     free = float((2.0 * t) ** n)
     prop = solve_jacobi_ode(sys, steps)
     detJt = prop.det_final()
-    if abs(detJt) >= DEGENERACY_REL_TOL * t**n:
+    if not _is_degenerate(detJt, t, n):
         _check_positive(prop, "P")
         return ZetaDetValue(free * detJt / t**n, "gy_ratio", 0)
-    detA, kdim, _ = _degenerate_boundary_det(sys, steps)
+    detA, kdim, _ = _degenerate_boundary_det(sys, steps, prop.samples)
     return ZetaDetValue(free * detA / t**n, "deflated", kdim)

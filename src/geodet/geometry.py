@@ -8,6 +8,8 @@ Geodesics are parametrized on [0, 1] at constant speed r = d(x, y), so the
 energy of a minimizer is r^2/2 and the Jacobi operator lives on [0, 1].
 """
 
+import copy
+
 import numpy as np
 
 from .errors import ConjugatePointError, DomainError
@@ -102,7 +104,8 @@ class JacobiSystem:
 
     V is symmetric-matrix valued; it may be given as a constant matrix or
     as a callable of s.  Constant potentials keep closed-form evaluation
-    paths available downstream.
+    paths available downstream.  Every consumer of V reads it through
+    :meth:`sample`, which calls a callable potential once per point.
     """
 
     def __init__(self, n: int, t: float, potential):
@@ -112,6 +115,9 @@ class JacobiSystem:
             raise DomainError(f"interval length must be positive, got {t}")
         self.n = int(n)
         self.t = float(t)
+        # a callable fills the block [lo:, lo:] of V with
+        # value_scale * func(arg_scale * x), x = s (or t - s when reversed)
+        self._lo, self._arg_scale, self._value_scale, self._reversed = 0, 1.0, 1.0, False
         if callable(potential):
             self._func = potential
             self._const = None
@@ -123,8 +129,12 @@ class JacobiSystem:
                 raise DomainError(f"potential must be {n}x{n}, got {mat.shape}")
             self._func = None
             self._const = mat
-        for s in (0.0, 0.29 * t, 0.5 * t, 0.83 * t, t):
-            V = self(s)
+        self._check_symmetric()
+
+    def _check_symmetric(self):
+        t = self.t
+        checks = (0.0, 0.29 * t, 0.5 * t, 0.83 * t, t)
+        for s, V in zip(checks, self.sample(checks)):
             if np.max(np.abs(V - V.T)) >= _SYMMETRY_TOL * max(1.0, np.max(np.abs(V))):
                 raise DomainError(f"potential not symmetric at s={s}")
 
@@ -137,13 +147,36 @@ class JacobiSystem:
     def is_constant(self) -> bool:
         return self._const is not None
 
+    def sample(self, s) -> np.ndarray:
+        """V at every point of ``s``, as an array of shape (len(s), n, n).
+
+        Constant potentials return a read-only broadcast view.  A callable
+        is called once per point, in order, and its values are written into
+        one preallocated array.
+        """
+        s = np.asarray(s, dtype=float).reshape(-1)
+        n = self.n
+        if self._const is not None:
+            return np.broadcast_to(self._const, (len(s), n, n))
+        x = self.t - s if self._reversed else s
+        out = np.zeros((len(s), n, n))
+        block = out[:, self._lo :, self._lo :]
+        k = n - self._lo
+        points = (self._arg_scale * x).tolist()
+        func = self._func
+        first = func(points[0])
+        if np.shape(first) != (k, k) and not (k == 1 and np.size(first) == 1):
+            raise DomainError(f"potential block must be {(k, k)}, got {np.shape(first)}")
+        block[0] = first
+        for i, p in enumerate(points[1:], 1):
+            block[i] = func(p)
+        block *= self._value_scale
+        return out
+
     def __call__(self, s: float) -> np.ndarray:
         if self._const is not None:
             return self._const
-        V = np.asarray(self._func(s), dtype=float)
-        if V.shape == () and self.n == 1:
-            V = V.reshape(1, 1)
-        return V
+        return self.sample((s,))[0]
 
     def mean_matrix(self) -> np.ndarray:
         """Average of V over [0, t]; exact for constant potentials."""
@@ -152,19 +185,27 @@ class JacobiSystem:
         from numpy.polynomial.legendre import leggauss
 
         x, w = leggauss(64)
-        nodes = 0.5 * self.t * (x + 1.0)
-        acc = np.zeros((self.n, self.n))
-        for xi, wi in zip(nodes, w):
-            acc += wi * self(xi)
-        return acc * 0.5
+        V = self.sample(0.5 * self.t * (x + 1.0))
+        return np.tensordot(w, V, axes=1) * 0.5
 
     def time_reversed(self) -> "JacobiSystem":
         """System with potential V(t - s); same spectrum and determinants."""
         if self._const is not None:
             return JacobiSystem(self.n, self.t, self._const)
-        t = self.t
-        func = self._func
-        return JacobiSystem(self.n, t, lambda s: func(t - s))
+        rev = copy.copy(self)
+        rev._reversed = not self._reversed
+        return rev
+
+    @classmethod
+    def _embedded(cls, n: int, t: float, func, arg_scale: float, value_scale: float):
+        """Callable (n-1)x(n-1) block V_ij(s) = value_scale func(arg_scale s) for
+        i, j >= 1, with a zero first row and column."""
+        sys = object.__new__(cls)
+        sys.n, sys.t = int(n), float(t)
+        sys._func, sys._const = func, None
+        sys._lo, sys._arg_scale, sys._value_scale, sys._reversed = 1, arg_scale, value_scale, False
+        sys._check_symmetric()
+        return sys
 
 
 def jacobi_endomorphism(g: GeodesicData) -> JacobiSystem:
@@ -186,14 +227,8 @@ def jacobi_endomorphism(g: GeodesicData) -> JacobiSystem:
             mat[1:, 1:] = -m.kappa * r * r * np.eye(m.n - 1)
         return JacobiSystem(m.n, 1.0, mat)
     if isinstance(m, SyntheticPotential):
-        t, pot, n = m.t, m.potential, m.n
-
-        def full_block(u, t=t, pot=pot, n=n):
-            out = np.zeros((n, n))
-            out[1:, 1:] = t * t * np.atleast_2d(np.asarray(pot(t * u), dtype=float))
-            return out
-
-        return JacobiSystem(m.n, 1.0, full_block)
+        # V(u) = t^2 pot(t u) on the orthogonal block
+        return JacobiSystem._embedded(m.n, 1.0, m.potential, m.t, m.t * m.t)
     raise DomainError(f"unsupported manifold {type(m).__name__}")
 
 

@@ -228,3 +228,37 @@ def test_validate_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("check_name,")
     assert lines[1].startswith("telescoping-partial-product,")
+
+
+@pytest.mark.parametrize("command", ["det-gy", "det-zeta"])
+def test_overflowing_propagation_exit_1(capsys, command):
+    # sinh(sqrt(1e6)) overflows float64: a named error, not NaN with exit 0
+    code, out, _ = run_cli(capsys, command, "--kappa", "-1e4", "--r", "10", "--n", "2")
+    assert code == 1
+    assert json.loads(out)["error"] == "IntegrationError"
+
+
+def test_det_gy_antipodal_is_degenerate_exit_1(capsys):
+    code, out, _ = run_cli(
+        capsys, "det-gy", "--kappa", "1", "--r", "3.141592653589793", "--n", "3"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "DegenerateOperatorError"
+    assert "det-zeta" in report["message"]
+
+
+def test_cli_import_leaves_scipy_out():
+    import os
+    import subprocess
+    import sys
+
+    import geodet
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geodet.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, geodet.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

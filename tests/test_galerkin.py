@@ -476,3 +476,15 @@ def test_phi0_chain_cut_locus_error():
     # a chain whose segments are longer than the injectivity radius
     with pytest.raises(CutLocusError):
         phi0_chain(ConstantCurvature(2, 1.0), 7.0, Partition.uniform(2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_zeta_tail_matches_hurwitz_zeta(m):
+    # Euler-Maclaurin tail against mpmath's Hurwitz zeta at 40 digits
+    import mpmath as mp
+
+    Ks = list(range(1, 70)) + [127, 128, 500, 1000, 2048, 4096, 20000]
+    with mp.workdps(40):
+        for K in Ks:
+            ref = float(mp.zeta(2 * m, K + 1))
+            assert galerkin._zeta_tail(K, m) == pytest.approx(ref, rel=2e-15, abs=0.0)

@@ -1,15 +1,20 @@
 """ODE route: propagation, determinant ratios, degenerate case, zeta transfer."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from geodet import (
     ConstantCurvature,
+    DegenerateOperatorError,
     DomainError,
     GeodesicData,
     IntegrationError,
     JacobiSystem,
     NonpositiveOperatorError,
+    SyntheticPotential,
     WrongRouteError,
     fredholm_det_deflated,
     gy_degenerate_ratio,
@@ -19,7 +24,7 @@ from geodet import (
     zeta_det_dirichlet_laplacian,
     zeta_det_jacobi,
 )
-from geodet.gelfand_yaglom import _rk4_run
+from geodet.gelfand_yaglom import _rk4_run, _sample_potential
 
 PI = np.pi
 SINH1 = 1.1752011936438014  # sinh(1)
@@ -31,6 +36,60 @@ def scalar_system(c, t=1.0):
 
 def free_system(n, t=1.0):
     return JacobiSystem.constant(np.zeros((n, n)), t)
+
+
+def catalog_like_system(n, seed=0, t=1.3):
+    """Synthetic system of V(s) = (A + B sin(2 pi s/t) + C s/t)/t^2 on [0, t].
+
+    A, B and C are random symmetric (n-1)x(n-1) blocks of unit norm, so the
+    operator stays positive; the scalar potential is called once per node.
+    """
+    rng = np.random.default_rng(seed)
+    A, B, C = (0.5 * (X + X.T) for X in rng.standard_normal((3, n - 1, n - 1)))
+    A, B, C = (X / np.linalg.norm(X, 2) for X in (A, B, C))
+
+    def pot(s):
+        u = s / t
+        return (A + B * math.sin(2.0 * math.pi * u) + C * u) / (t * t)
+
+    return jacobi_endomorphism(GeodesicData(SyntheticPotential(n, pot, t), t))
+
+
+def stage_loop_rk4(V, h, Y0, Z0):
+    """Reference: classical RK4 for Y'' = V Y, one stage at a time."""
+    steps = (len(V) - 1) // 2
+    Y = np.empty((steps + 1,) + Y0.shape)
+    Z = np.empty_like(Y)
+    Y[0], Z[0] = Y0, Z0
+    y, z = Y0.copy(), Z0.copy()
+    for m in range(steps):
+        V0, Vh, V1 = V[2 * m], V[2 * m + 1], V[2 * m + 2]
+        k1y = z
+        k1z = V0 @ y
+        k2y = z + 0.5 * h * k1z
+        k2z = Vh @ (y + 0.5 * h * k1y)
+        k3y = z + 0.5 * h * k2z
+        k3z = Vh @ (y + 0.5 * h * k2y)
+        k4y = z + h * k3z
+        k4z = V1 @ (y + h * k3y)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        Y[m + 1], Z[m + 1] = y, z
+    return Y, Z
+
+
+def propagation_systems(n):
+    """A constant, a varying and a zero-mode (antipodal) system of dimension n."""
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, n))
+    const = JacobiSystem.constant(0.5 * (X + X.T), 1.0)
+    if n == 1:
+        varying = JacobiSystem(1, 1.2, lambda s: 1.0 + 0.5 * math.sin(3.0 * s))
+        antipodal = scalar_system(-(PI**2))
+    else:
+        varying = catalog_like_system(n, seed=n)
+        antipodal = jacobi_endomorphism(GeodesicData(ConstantCurvature(n, 2.0), PI / math.sqrt(2.0)))
+    return {"constant": const, "varying": varying, "antipodal": antipodal}
 
 
 def truncated_product_oracle(shift, K=10**5):
@@ -124,6 +183,57 @@ def test_interval_splitting_composition():
     assert np.max(np.abs(Jp_comp - full.Jprime[-1])) < 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["constant", "varying", "antipodal"])
+@pytest.mark.parametrize("steps", [512, 1001])
+def test_transfer_matrix_propagation_matches_stage_loop(n, kind, steps):
+    # the transfer-matrix form is the same RK4 scheme: J, J' and K, K' on
+    # the whole grid agree with a stage-by-stage loop to rounding
+    sys = propagation_systems(n)[kind]
+    V = _sample_potential(sys, steps)
+    eye = np.eye(2 * n)
+    Y, Z = _rk4_run(sys, steps, eye[:n], eye[n:])
+    Yref, Zref = stage_loop_rk4(np.asarray(V), sys.t / steps, eye[:n], eye[n:])
+    assert np.max(np.abs(Y - Yref)) <= 1e-13 * np.max(np.abs(Yref))
+    assert np.max(np.abs(Z - Zref)) <= 1e-13 * np.max(np.abs(Zref))
+
+
+@pytest.mark.parametrize("steps", [2048, 2049])
+def test_sample_once_error_estimate_equals_two_runs(steps):
+    # the coarse half-grid is every other fine sample (odd counts resample)
+    sys = catalog_like_system(3)
+    n = sys.n
+    prop = solve_jacobi_ode(sys, steps)
+    J, _ = _rk4_run(sys, steps, np.zeros((n, n)), np.eye(n))
+    Jc, _ = _rk4_run(sys, steps // 2, np.zeros((n, n)), np.eye(n))
+    assert np.array_equal(prop.J, J)
+    assert prop.error_estimate == float(np.max(np.abs(J[-1] - Jc[-1]))) / 15.0
+
+
+def test_zeta_det_traced_heap_peak():
+    # the step matrices are built without per-stage temporaries: the traced
+    # heap peak of a 4096-step n = 4 solve stays within 2x of the 4.7 MB
+    # of the stage loop
+    sys = catalog_like_system(4)
+    zeta_det_jacobi(sys, 64)
+    tracemalloc.start()
+    try:
+        zeta_det_jacobi(sys, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 4.7e6
+
+
+def test_overflowing_propagation_raises_named_error():
+    # sinh(1000) is beyond float64: J leaves the range before s = t
+    sys = jacobi_endomorphism(GeodesicData(ConstantCurvature(2, -1e4), 10.0))
+    with pytest.raises(IntegrationError, match="float64"):
+        solve_jacobi_ode(sys, 2048)
+    with pytest.raises(IntegrationError):
+        zeta_det_jacobi(sys)
+
+
 def test_propagation_csv_export():
     prop = solve_jacobi_ode(free_system(2), 32)
     rows = prop.csv_rows()
@@ -157,6 +267,17 @@ def test_gy_ratio_sphere_jacobian():
 def test_gy_ratio_shape_mismatch():
     with pytest.raises(DomainError):
         gy_ratio(free_system(2), free_system(3))
+
+
+def test_gy_ratio_rejects_degenerate_operator():
+    # the antipodal S^3 system has det J(1) ~ 1e-27, positive only by rounding
+    sys = jacobi_endomorphism(GeodesicData(ConstantCurvature(3, 1.0), PI))
+    with pytest.raises(DegenerateOperatorError, match="det-zeta"):
+        gy_ratio(free_system(3), sys)
+    with pytest.raises(DegenerateOperatorError, match="P1"):
+        gy_ratio(sys, free_system(3))
+    # the zero-mode route still accepts it
+    assert zeta_det_jacobi(sys).route == "deflated"
 
 
 def test_gy_ratio_rejects_nonpositive_operator():

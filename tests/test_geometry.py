@@ -127,6 +127,63 @@ def test_synthetic_potential_requires_symmetry():
         SyntheticPotential(3, lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+def _reference_samples(fn, s, n):
+    out = np.empty((len(s), n, n))
+    for i, x in enumerate(s):
+        out[i] = np.atleast_2d(np.asarray(fn(float(x)), dtype=float))
+    return out
+
+
+def test_sample_is_bit_identical_to_pointwise_values():
+    s = np.linspace(0.0, 1.0, 37)
+    # constant: broadcast
+    mat = np.array([[1.0, 0.3], [0.3, -2.0]])
+    const = JacobiSystem.constant(mat, 1.0)
+    assert np.array_equal(const.sample(s), np.broadcast_to(mat, (37, 2, 2)))
+    # plain callable, including a scalar-valued one for n = 1
+    pot = lambda x: np.array([[np.sin(1.7 * x), 0.2 * x], [0.2 * x, 0.1 + x**2]])
+    plain = JacobiSystem(2, 1.0, pot)
+    assert np.array_equal(plain.sample(s), _reference_samples(pot, s, 2))
+    scalar = JacobiSystem(1, 1.0, lambda x: 3.0 - x)
+    assert np.array_equal(scalar.sample(s), (3.0 - s)[:, None, None])
+    # synthetic: t^2 pot(t u) on the orthogonal block, zero tangent row
+    t = 1.7
+    block = lambda x: np.array([[np.cos(x), 0.1 * x], [0.1 * x, 2.0 - x]])
+    synth = jacobi_endomorphism(GeodesicData(SyntheticPotential(3, block, t), t))
+    ref = np.zeros((37, 3, 3))
+    for i, u in enumerate(s):
+        ref[i, 1:, 1:] = t * t * block(t * float(u))
+    assert np.array_equal(synth.sample(s), ref)
+    # time reversal samples the reversed points
+    assert np.array_equal(plain.time_reversed().sample(s), _reference_samples(pot, 1.0 - s, 2))
+    rev = synth.time_reversed()
+    assert np.array_equal(rev.sample(s), synth.sample(1.0 - s))
+    assert np.array_equal(rev.time_reversed().sample(s), synth.sample(s))
+    # sample agrees with stacking single-point values
+    for sys in (const, plain, scalar, synth, rev):
+        assert np.array_equal(sys.sample(s), np.stack([sys(x) for x in s]))
+
+
+def test_sample_calls_potential_once_per_point():
+    calls = []
+
+    def block(x):
+        calls.append(x)
+        return np.array([[1.0 + x]])
+
+    sys = jacobi_endomorphism(GeodesicData(SyntheticPotential(2, block, 2.0), 2.0))
+    calls.clear()
+    sys.sample(np.linspace(0.0, 1.0, 101))
+    assert len(calls) == 101
+
+
+def test_callable_block_shape_is_checked():
+    with pytest.raises(DomainError):
+        JacobiSystem(2, 1.0, lambda s: np.eye(3))
+    with pytest.raises(DomainError):
+        JacobiSystem(2, 1.0, lambda s: 1.0)
+
+
 def test_jacobi_system_validation():
     with pytest.raises(DomainError):
         JacobiSystem(2, 1.0, np.zeros((3, 3)))
