@@ -14,7 +14,7 @@ fundamental solution on the kernel of J(t).
 
 import io
 import csv as _csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 # |det J(t)| below this multiple of the flat value t^n routes to the
-# degenerate formula; scales with the flat-case magnitude.
+# degenerate formula; scales with the flat-case magnitude.  Singular values
+# of J(t) below DEGENERACY_REL_TOL t span its kernel (the zero modes).
 DEGENERACY_REL_TOL = 1e-6
 DEFAULT_STEPS = 2048
 
@@ -52,7 +53,6 @@ class JacobiPropagation:
     Jprime: np.ndarray
     step_size: float
     error_estimate: float = 0.0
-    samples: np.ndarray = field(default=None, repr=False)  # V on the half-grid
 
     @property
     def n(self) -> int:
@@ -185,7 +185,6 @@ def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPro
         Jprime=Jp,
         step_size=sys.t / steps,
         error_estimate=err,
-        samples=V,
     )
 
 
@@ -194,39 +193,47 @@ def _is_degenerate(detJt: float, t: float, n: int) -> bool:
 
 
 def _check_positive(prop: JacobiPropagation, label: str):
-    """A finite, nondegenerate det J(t) and no interior sign change of det J.
-
-    Positivity of the operator is the absence of a sign change; a det J(t)
-    below the degeneracy threshold means zero modes, which the ratio
-    formula cannot divide by.
-    """
+    """A finite det J and no interior sign change: the operator is positive."""
     dets = np.linalg.det(prop.J[1:])
     if not np.all(np.isfinite(dets)):
         raise IntegrationError(f"{label}: det J left the float64 range")
-    if _is_degenerate(dets[-1], prop.t, prop.n):
-        raise DegenerateOperatorError(
-            f"{label}: |det J(t)| = {abs(dets[-1]):.3g} is below the degeneracy "
-            f"threshold {DEGENERACY_REL_TOL * prop.t**prop.n:.3g}; the operator has "
-            "zero modes (use gy_degenerate_ratio, or det-zeta on the command line)"
-        )
     if np.any(dets <= 0.0):
         raise NonpositiveOperatorError(
             f"{label}: det J changes sign on (0, t]; operator not positive"
         )
 
 
+def _check_no_zero_modes(prop: JacobiPropagation, label: str):
+    """Raise DegenerateOperatorError when J(t) has a kernel.
+
+    The kernel test is the one of the deflated route: a singular value of
+    J(t) below DEGENERACY_REL_TOL t.  A small det J(t) alone is no zero
+    mode: near a conjugate point of S^4 (n = 4, r = 3.12) det J(1) = 3.3e-7
+    is a product of three singular values 0.0069, each computed to full
+    relative accuracy.
+    """
+    sig_min = float(np.linalg.svd(prop.J[-1], compute_uv=False)[-1])
+    if sig_min < DEGENERACY_REL_TOL * prop.t:
+        raise DegenerateOperatorError(
+            f"{label}: J(t) has the singular value {sig_min:.3g}, below the kernel "
+            f"threshold {DEGENERACY_REL_TOL * prop.t:.3g}; the operator has zero "
+            "modes (use gy_degenerate_ratio, or det-zeta on the command line)"
+        )
+
+
 def gy_ratio(sys1: JacobiSystem, sys2: JacobiSystem, steps: int = DEFAULT_STEPS) -> float:
     """det_zeta(P_2)/det_zeta(P_1) = det J_2(t)/det J_1(t), both positive.
 
-    Raises DegenerateOperatorError when either det J(t) is below the
-    degeneracy threshold DEGENERACY_REL_TOL t^n.
+    Raises DegenerateOperatorError when either operator has zero modes,
+    i.e. J(t) has a singular value below DEGENERACY_REL_TOL t.
     """
     if sys1.n != sys2.n or abs(sys1.t - sys2.t) > 1e-14:
         raise DomainError("operators must share fiber dimension and interval")
     p1 = solve_jacobi_ode(sys1, steps)
     p2 = solve_jacobi_ode(sys2, steps)
-    _check_positive(p1, "P1")
-    _check_positive(p2, "P2")
+    for prop, label in ((p1, "P1"), (p2, "P2")):
+        _check_positive(prop, label)
+        _check_no_zero_modes(prop, label)
     return p2.det_final() / p1.det_final()
 
 
@@ -237,7 +244,7 @@ def _simpson_weights(num_points: int, h: float) -> np.ndarray:
     return w * h / 3.0
 
 
-def _degenerate_boundary_det(sys: JacobiSystem, steps: int, V=None):
+def _degenerate_boundary_det(sys: JacobiSystem, steps: int):
     """|det A| of the kernel-aware degenerate boundary matrix, and kernel dim.
 
     A has columns J(t) d_b on the complement of ker J(t) and
@@ -246,15 +253,13 @@ def _degenerate_boundary_det(sys: JacobiSystem, steps: int, V=None):
     det J_1(t) of a positive reference operator gives
     det'_zeta(P)/det_zeta(P_1).  When the kernel fills every direction
     this reduces to det(int J^T J)/|det J'(t)| since then
-    K(t) = J'(t)^{-T}.  ``V`` are half-grid samples at ``steps``, reused
-    when the step count is even.
+    K(t) = J'(t)^{-T}.
     """
-    if steps % 2:  # Simpson needs an even step count
-        steps, V = steps + 1, None
+    steps = steps + (steps % 2)  # Simpson needs an even step count
     n = sys.n
     # one propagation of the 2n x 2n identity: columns (K, K') then (J, J')
     eye = np.eye(2 * n)
-    Y, Z = _rk4_run(sys, steps, eye[:n], eye[n:], V)
+    Y, Z = _rk4_run(sys, steps, eye[:n], eye[n:])
     K, J, Jp = Y[:, :, :n], Y[:, :, n:], Z[:, :, n:]
     Jt = J[-1]
 
@@ -302,6 +307,7 @@ def gy_degenerate_ratio(
     detA, _, _ = _degenerate_boundary_det(sys_deg, steps)
     pref = solve_jacobi_ode(sys_ref, steps)
     _check_positive(pref, "reference")
+    _check_no_zero_modes(pref, "reference")
     return detA / pref.det_final()
 
 
@@ -334,5 +340,5 @@ def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetVal
     if not _is_degenerate(detJt, t, n):
         _check_positive(prop, "P")
         return ZetaDetValue(free * detJt / t**n, "gy_ratio", 0)
-    detA, kdim, _ = _degenerate_boundary_det(sys, steps, prop.samples)
+    detA, kdim, _ = _degenerate_boundary_det(sys, steps)
     return ZetaDetValue(free * detA / t**n, "deflated", kdim)

@@ -1,6 +1,7 @@
 """CLI behavior: dispatch, formats, config files, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -246,6 +247,13 @@ def test_det_gy_antipodal_is_degenerate_exit_1(capsys):
     report = json.loads(out)
     assert report["error"] == "DegenerateOperatorError"
     assert "det-zeta" in report["message"]
+
+
+def test_det_gy_near_conjugate_is_not_degenerate(capsys):
+    # det J(1) = (sin r / r)^3 ~ 3.3e-7 is small, but J(1) has no kernel
+    code, out, _ = run_cli(capsys, "det-gy", "--kappa", "1", "--r", "3.12", "--n", "4")
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx((math.sin(3.12) / 3.12) ** 3, rel=1e-9)
 
 
 def test_cli_import_leaves_scipy_out():

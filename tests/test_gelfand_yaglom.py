@@ -280,6 +280,23 @@ def test_gy_ratio_rejects_degenerate_operator():
     assert zeta_det_jacobi(sys).route == "deflated"
 
 
+def test_gy_ratio_accepts_near_conjugate_operator():
+    # S^4 just before the conjugate point: det J(1) = (sin r / r)^3 ~ 3.3e-7
+    # is below 1e-6 t^n, but J(1) has no kernel (singular values 1, 0.0069)
+    r = 3.12
+    sys = jacobi_endomorphism(GeodesicData(ConstantCurvature(4, 1.0), r))
+    ratio = gy_ratio(free_system(4), sys)
+    assert ratio == pytest.approx((math.sin(r) / r) ** 3, rel=1e-9)
+    # the zeta route sees no zero mode either
+    assert zeta_det_jacobi(sys).excluded_zero_modes == 0
+
+
+def test_gy_degenerate_ratio_rejects_degenerate_reference():
+    sys = jacobi_endomorphism(GeodesicData(ConstantCurvature(3, 1.0), PI))
+    with pytest.raises(DegenerateOperatorError, match="reference"):
+        gy_degenerate_ratio(sys, sys)
+
+
 def test_gy_ratio_rejects_nonpositive_operator():
     # V = -(1.5 pi)^2 has det J vanishing at s = 2/3
     with pytest.raises(NonpositiveOperatorError):
