@@ -7,9 +7,11 @@ route, series?}; errors surface as named error reports.  Exit codes:
 0 success, 1 module error (or failed validation records), 2 usage error.
 """
 
-import io
 import csv as _csv
+import dataclasses
+import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,96 +40,70 @@ commands:
 common options: --format json|csv|text (default json), --out PATH
 """
 
-_LIST_KEYS = {"modes"}
-_INT_KEYS = {"n", "steps", "levels", "partition-N"}
-_FLOAT_KEYS = {"kappa", "r", "t", "radius", "d", "t0"}
-_STR_KEYS = {"case", "filter", "format", "out", "command"}
-_FLAG_KEYS = {"laplacian"}
+def _int_list(raw):
+    if isinstance(raw, (list, tuple)):
+        return [int(v) for v in raw]
+    return [int(v) for v in str(raw).split(",") if v.strip()]
 
-_COMMAND_PARAMS = {
-    "det-fredholm": {"kappa", "r", "n", "modes"},
-    "det-gy": {"kappa", "r", "n", "steps"},
-    "det-zeta": {"laplacian", "t", "n", "kappa", "r", "steps"},
-    "heat-limit": {"n", "radius", "case", "d", "t0", "levels"},
-    "eval-jacobian": {"kappa", "r", "n", "partition-N"},
-    "validate": {"filter"},
+
+def _flag(raw):
+    if isinstance(raw, bool):
+        return raw
+    return str(raw).lower() in ("1", "true", "yes")
+
+
+# one converter per option; a converter that raises is a usage error
+_CONVERTERS = {
+    "kappa": float,
+    "r": float,
+    "t": float,
+    "radius": float,
+    "d": float,
+    "t0": float,
+    "n": int,
+    "steps": int,
+    "levels": int,
+    "partition-N": int,
+    "modes": _int_list,
+    "laplacian": _flag,
+    "case": str,
+    "filter": str,
 }
 
-_REQUIRED = {
-    "det-fredholm": {"kappa", "r", "n"},
-    "det-gy": {"kappa", "r", "n"},
-    "det-zeta": {"n"},
-    "heat-limit": {"n", "radius", "case"},
-    "eval-jacobian": {"kappa", "r", "n", "partition-N"},
-    "validate": set(),
+_REQUIRED = "required"
+_OPTIONAL = "optional"
+
+# the options of each command: a default value, or _REQUIRED / _OPTIONAL
+_COMMANDS = {
+    "det-fredholm": {
+        "kappa": _REQUIRED, "r": _REQUIRED, "n": _REQUIRED, "modes": [64, 128, 256, 512],
+    },
+    "det-gy": {"kappa": _REQUIRED, "r": _REQUIRED, "n": _REQUIRED, "steps": 2048},
+    "det-zeta": {
+        "laplacian": _OPTIONAL, "n": _REQUIRED, "kappa": _OPTIONAL, "r": _OPTIONAL,
+        "t": 1.0, "steps": 2048,
+    },
+    "heat-limit": {
+        "n": _REQUIRED, "radius": _REQUIRED, "case": _REQUIRED, "d": _OPTIONAL,
+        "t0": 0.2, "levels": 5,
+    },
+    "eval-jacobian": {"kappa": _REQUIRED, "r": _REQUIRED, "n": _REQUIRED, "partition-N": _REQUIRED},
+    "validate": {"filter": _OPTIONAL},
 }
-
-_DEFAULTS = {
-    "modes": [64, 128, 256, 512],
-    "steps": 2048,
-    "t": 1.0,
-    "t0": 0.2,
-    "levels": 5,
-}
-
-
-def _convert(key: str, raw):
-    if key in _FLAG_KEYS:
-        if isinstance(raw, bool):
-            return raw
-        return str(raw).lower() in ("1", "true", "yes")
-    if key in _LIST_KEYS:
-        if isinstance(raw, (list, tuple)):
-            return [int(v) for v in raw]
-        return [int(v) for v in str(raw).split(",") if v.strip()]
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return str(raw)
-
-
-def _toml_scalar(text: str):
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_toml_scalar(part) for part in inner.split(",")]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"cannot parse TOML value {text!r}")
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the flat TOML subset used for run configs.
+    """Parse a flat TOML run config: ``key = value`` lines, no tables."""
+    import tomllib  # imported here: only --config runs pay for it
 
-    Supports ``key = value`` lines with strings, numbers, booleans and
-    arrays of numbers; comments and section headers are skipped.  (The
-    runtime lacks a stdlib TOML reader on this Python version.)
-    """
-    out = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("["):
-            continue
-        if "=" not in line:
-            raise UsageError(f"malformed config line {line!r}")
-        key, _, val = line.partition("=")
-        val = val.strip()
-        if not val.startswith('"') and "#" in val:
-            val = val.split("#", 1)[0].strip()
-        out[key.strip()] = _toml_scalar(val)
-    return out
+    try:
+        config = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise UsageError(f"malformed config: {exc}")
+    tables = sorted(key for key, val in config.items() if isinstance(val, dict))
+    if tables:
+        raise UsageError(f"config tables are not supported: {tables}")
+    return config
 
 
 def _parse_argv(argv):
@@ -142,7 +118,7 @@ def _parse_argv(argv):
             raise _HelpRequested()
         if tok.startswith("--"):
             key = tok[2:]
-            if key in _FLAG_KEYS:
+            if _CONVERTERS.get(key) is _flag:
                 flags[key] = True
                 i += 1
                 continue
@@ -176,7 +152,7 @@ def _parse_argv(argv):
         command = params.get("command")
     if command is None:
         raise UsageError("no command given")
-    if command not in _COMMAND_PARAMS:
+    if command not in _COMMANDS:
         raise UsageError(f"unknown command {command!r}")
 
     fmt = str(params.pop("format", "json"))
@@ -185,20 +161,22 @@ def _parse_argv(argv):
     out_path = params.pop("out", None)
     params.pop("command", None)
 
-    allowed = _COMMAND_PARAMS[command]
+    options = _COMMANDS[command]
     clean = {"command": command}
     for key, raw in params.items():
-        if key not in allowed:
+        if key not in options:
             raise UsageError(f"option --{key} is not valid for {command}")
-        clean[key] = _convert(key, raw)
-    missing = _REQUIRED[command] - set(clean)
+        try:
+            clean[key] = _CONVERTERS[key](raw)
+        except (ValueError, TypeError, OverflowError):
+            raise UsageError(f"option --{key} has the malformed value {raw!r}")
+    missing = [key for key, default in options.items() if default is _REQUIRED and key not in clean]
     if missing:
         raise UsageError(f"{command} is missing required options: {sorted(missing)}")
-    for key in allowed:
-        if key not in clean and key in _DEFAULTS:
-            clean[key] = _DEFAULTS[key]
-    for key in ("kappa", "r", "t", "radius", "d", "t0"):
-        if key in clean and not np.isfinite(clean[key]):
+    for key, default in options.items():
+        if key not in clean and default is not _REQUIRED and default is not _OPTIONAL:
+            clean[key] = default
+        if isinstance(clean.get(key), float) and not math.isfinite(clean[key]):
             raise UsageError(f"parameter {key} must be finite")
     return clean, fmt, out_path
 
@@ -221,7 +199,7 @@ def build_report(params: dict) -> dict:
 
     if command == "det-fredholm":
         sys_ = _curved_system(params["kappa"], params["r"], params["n"])
-        est = galerkin.fredholm_det(sys_, params.get("modes", _DEFAULTS["modes"]))
+        est = galerkin.fredholm_det(sys_, params["modes"])
         return {
             "command": command,
             "inputs": inputs,
@@ -232,7 +210,7 @@ def build_report(params: dict) -> dict:
         }
 
     if command == "det-gy":
-        steps = params.get("steps", _DEFAULTS["steps"])
+        steps = params["steps"]
         n = params["n"]
         free = geometry.JacobiSystem.constant(np.zeros((n, n)), 1.0)
         sys_ = _curved_system(params["kappa"], params["r"], n)
@@ -248,15 +226,15 @@ def build_report(params: dict) -> dict:
 
     if command == "det-zeta":
         if params.get("laplacian"):
-            z = gy.zeta_det_dirichlet_laplacian(params.get("t", 1.0), params["n"])
+            z = gy.zeta_det_dirichlet_laplacian(params["t"], params["n"])
             err = 0.0
         else:
             if "kappa" not in params or "r" not in params:
                 raise UsageError("det-zeta needs either --laplacian or --kappa and --r")
             sys_ = _curved_system(params["kappa"], params["r"], params["n"])
-            if params.get("t", 1.0) != 1.0:
+            if params["t"] != 1.0:
                 raise UsageError("curved det-zeta is defined on the unit interval")
-            steps = params.get("steps", _DEFAULTS["steps"])
+            steps = params["steps"]
             z = gy.zeta_det_jacobi(sys_, steps=steps)
             zc = gy.zeta_det_jacobi(sys_, steps=max(steps // 2, 16))
             err = abs(z.value - zc.value) / 15.0
@@ -277,8 +255,8 @@ def build_report(params: dict) -> dict:
             params["radius"],
             params["case"],
             d=params.get("d"),
-            t0=params.get("t0", _DEFAULTS["t0"]),
-            levels=params.get("levels", _DEFAULTS["levels"]),
+            t0=params["t0"],
+            levels=params["levels"],
         )
         inputs = dict(inputs)
         inputs["predicted_limit"] = report.predicted
@@ -317,7 +295,7 @@ def build_report(params: dict) -> dict:
             "value": float(failed),
             "error_estimate": None,
             "route": "validation_suite",
-            "series": [rec.to_json_dict() for rec in records],
+            "series": [dataclasses.asdict(rec) for rec in records],
         }
 
     raise UsageError(f"unknown command {command!r}")

@@ -9,8 +9,6 @@ analytic tail corrections built from the explicit 1/k^2 decay of P^{-1},
 which upgrades the O(1/K) raw convergence to O(1/K^3) and better.
 """
 
-import io
-import csv as _csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,18 +106,6 @@ class DeterminantEstimate:
     tail_correction: float = 1.0
     extrapolated: float = 0.0
     error_estimate: float = 0.0
-
-    def csv_rows(self):
-        rows = [("level", "value", "tail_correction", "extrapolated")]
-        for dim, value in self.levels:
-            rows.append((dim, repr(value), repr(self.tail_correction), repr(self.extrapolated)))
-        return rows
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerows(self.csv_rows())
-        return buf.getvalue()
 
 
 @dataclass

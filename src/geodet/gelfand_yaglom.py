@@ -12,8 +12,6 @@ replaced by a boundary expression involving int J^T J and the second
 fundamental solution on the kernel of J(t).
 """
 
-import io
-import csv as _csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,25 +69,6 @@ class JacobiPropagation:
             "sji,sjk->sik", self.J, self.Jprime
         )
         return float(np.max(np.abs(W)))
-
-    def csv_rows(self):
-        n = self.n
-        header = ["s"]
-        header += [f"J{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-        header += [f"Jp{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-        rows = [tuple(header)]
-        for m, s in enumerate(self.t_grid):
-            row = [repr(float(s))]
-            row += [repr(float(x)) for x in self.J[m].ravel()]
-            row += [repr(float(x)) for x in self.Jprime[m].ravel()]
-            rows.append(tuple(row))
-        return rows
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerows(self.csv_rows())
-        return buf.getvalue()
 
 
 @dataclass

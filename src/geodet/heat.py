@@ -9,9 +9,6 @@ d^2/(4t)/ln(10) digits to cancellation, so small times are summed in
 adaptive-precision arithmetic.
 """
 
-import io
-import csv as _csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -290,30 +287,6 @@ class HeatLimitReport:
     extrapolated_oracle: float = 0.0
     rel_deviation: float = 0.0
     d: float = None
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "R": self.R,
-            "k": self.k,
-            "case": self.case,
-            "d": self.d,
-            "predicted": self.predicted,
-            "oracle_values": [[t, r] for t, r in self.oracle_values],
-            "extrapolated_oracle": self.extrapolated_oracle,
-            "rel_deviation": self.rel_deviation,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def series_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(("t", "ratio"))
-        for t, r in self.oracle_values:
-            writer.writerow((repr(t), repr(r)))
-        return buf.getvalue()
 
 
 def heat_limit_validation(

@@ -32,16 +32,6 @@ class ValidationRecord:
     passed: bool
     runtime_ms: float
 
-    def to_json_dict(self):
-        return {
-            "check_name": self.check_name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "runtime_ms": self.runtime_ms,
-        }
-
 
 def _passes(expected: float, computed: float, tol: float) -> bool:
     return bool(abs(expected - computed) <= tol * max(1.0, abs(expected)))

@@ -158,14 +158,6 @@ def test_schedule_validation():
         fredholm_det(sys, ())
 
 
-def test_csv_export_shape():
-    est = fredholm_det(sphere_system(1.0, 1.0, 2), (16, 32))
-    rows = est.csv_rows()
-    assert rows[0] == ("level", "value", "tail_correction", "extrapolated")
-    assert len(rows) == 3
-    assert "level,value" in est.csv_text().splitlines()[0]
-
-
 # ---------------------------------------------------------------------------
 # trace identities
 

@@ -234,14 +234,6 @@ def test_overflowing_propagation_raises_named_error():
         zeta_det_jacobi(sys)
 
 
-def test_propagation_csv_export():
-    prop = solve_jacobi_ode(free_system(2), 32)
-    rows = prop.csv_rows()
-    assert rows[0][0] == "s"
-    assert len(rows) == 34  # header + 33 grid points
-    assert len(rows[1]) == 1 + 2 * 4
-
-
 # ---------------------------------------------------------------------------
 # determinant ratios
 

@@ -255,12 +255,3 @@ def test_heat_limit_validation_input_errors():
         heat_limit_validation(2, 1.0, "nondegenerate", d=PI)  # not strictly inside
     with pytest.raises(DomainError):
         heat_limit_validation(2, 1.0, "unknown-case")
-
-
-def test_report_serialization():
-    report = heat_limit_validation(2, 1.0, "antipodal", t0=0.2, levels=3)
-    blob = report.to_json()
-    assert '"case": "antipodal"' in blob
-    csv_text = report.series_csv_text()
-    assert csv_text.splitlines()[0] == "t,ratio"
-    assert len(csv_text.splitlines()) == 4
