@@ -35,9 +35,8 @@ __all__ = [
     "zeta_det_jacobi",
 ]
 
-# |det J(t)| below this multiple of the flat value t^n routes to the
-# degenerate formula; scales with the flat-case magnitude.  Singular values
-# of J(t) below DEGENERACY_REL_TOL t span its kernel (the zero modes).
+# singular values of J(t) below DEGENERACY_REL_TOL t span its kernel (the
+# zero modes); every route decides degeneracy by this one test
 DEGENERACY_REL_TOL = 1e-6
 DEFAULT_STEPS = 2048
 
@@ -167,8 +166,17 @@ def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPro
     )
 
 
-def _is_degenerate(detJt: float, t: float, n: int) -> bool:
-    return abs(detJt) < DEGENERACY_REL_TOL * t**n
+def _zero_modes(Jt: np.ndarray, t: float):
+    """SVD kernel test of J(t): (singular values, V^T, kernel mask).
+
+    Singular values below DEGENERACY_REL_TOL t mark zero modes, and the
+    matching rows of V^T span the kernel.  A small det J(t) alone is no
+    zero mode: near a conjugate point of S^4 (n = 4, r = 3.12) det J(1) =
+    3.3e-7 is a product of three singular values 0.0069, each computed to
+    full relative accuracy.
+    """
+    _, sig, Vt = np.linalg.svd(Jt)
+    return sig, Vt, sig < DEGENERACY_REL_TOL * t
 
 
 def _check_positive(prop: JacobiPropagation, label: str):
@@ -183,18 +191,11 @@ def _check_positive(prop: JacobiPropagation, label: str):
 
 
 def _check_no_zero_modes(prop: JacobiPropagation, label: str):
-    """Raise DegenerateOperatorError when J(t) has a kernel.
-
-    The kernel test is the one of the deflated route: a singular value of
-    J(t) below DEGENERACY_REL_TOL t.  A small det J(t) alone is no zero
-    mode: near a conjugate point of S^4 (n = 4, r = 3.12) det J(1) = 3.3e-7
-    is a product of three singular values 0.0069, each computed to full
-    relative accuracy.
-    """
-    sig_min = float(np.linalg.svd(prop.J[-1], compute_uv=False)[-1])
-    if sig_min < DEGENERACY_REL_TOL * prop.t:
+    """Raise DegenerateOperatorError when J(t) has a kernel (:func:`_zero_modes`)."""
+    sig, _, kernel = _zero_modes(prop.J[-1], prop.t)
+    if kernel.any():
         raise DegenerateOperatorError(
-            f"{label}: J(t) has the singular value {sig_min:.3g}, below the kernel "
+            f"{label}: J(t) has the singular value {sig[-1]:.3g}, below the kernel "
             f"threshold {DEGENERACY_REL_TOL * prop.t:.3g}; the operator has zero "
             "modes (use gy_degenerate_ratio, or det-zeta on the command line)"
         )
@@ -242,17 +243,13 @@ def _degenerate_boundary_det(sys: JacobiSystem, steps: int):
     K, J, Jp = Y[:, :, :n], Y[:, :, n:], Z[:, :, n:]
     Jt = J[-1]
 
-    detJt = float(np.linalg.det(Jt))
-    if not _is_degenerate(detJt, sys.t, n):
-        raise WrongRouteError(
-            f"|det J(t)| = {abs(detJt):.3g} is not degenerate "
-            f"(threshold {DEGENERACY_REL_TOL * sys.t**n:.3g}); use the ratio route"
-        )
-
-    # right singular vectors of J(t): sigma below tol spans the kernel
-    _, sig, Vt = np.linalg.svd(Jt)
-    kernel_mask = sig < DEGENERACY_REL_TOL * sys.t
+    sig, Vt, kernel_mask = _zero_modes(Jt, sys.t)
     kdim = int(np.count_nonzero(kernel_mask))
+    if kdim == 0:
+        raise WrongRouteError(
+            f"J(t) has no zero mode (smallest singular value {sig[-1]:.3g}, "
+            f"kernel threshold {DEGENERACY_REL_TOL * sys.t:.3g}); use the ratio route"
+        )
     C_ker = Vt[kernel_mask].T
     C_perp = Vt[~kernel_mask].T
 
@@ -272,8 +269,9 @@ def gy_degenerate_ratio(
 ) -> float:
     """det'_zeta(P_deg)/det_zeta(P_ref) for an operator with zero modes.
 
-    P_deg must have det J(t) below the degeneracy threshold (else
-    WrongRouteError points back to gy_ratio); P_ref must be positive.
+    P_deg must have zero modes, a singular value of J(t) below
+    DEGENERACY_REL_TOL t (else WrongRouteError points back to gy_ratio);
+    P_ref must be positive.
     On the kernel directions the boundary data is replaced by the
     quadrature of J^T J over the propagation grid (composite Simpson);
     regular directions keep their J(t) columns, so block-diagonal
@@ -315,9 +313,8 @@ def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetVal
     n, t = sys.n, sys.t
     free = float((2.0 * t) ** n)
     prop = solve_jacobi_ode(sys, steps)
-    detJt = prop.det_final()
-    if not _is_degenerate(detJt, t, n):
+    if not _zero_modes(prop.J[-1], t)[2].any():
         _check_positive(prop, "P")
-        return ZetaDetValue(free * detJt / t**n, "gy_ratio", 0)
+        return ZetaDetValue(free * prop.det_final() / t**n, "gy_ratio", 0)
     detA, kdim, _ = _degenerate_boundary_det(sys, steps)
     return ZetaDetValue(free * detA / t**n, "deflated", kdim)

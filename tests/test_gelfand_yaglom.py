@@ -280,7 +280,9 @@ def test_gy_ratio_accepts_near_conjugate_operator():
     ratio = gy_ratio(free_system(4), sys)
     assert ratio == pytest.approx((math.sin(r) / r) ** 3, rel=1e-9)
     # the zeta route sees no zero mode either
-    assert zeta_det_jacobi(sys).excluded_zero_modes == 0
+    z = zeta_det_jacobi(sys)
+    assert z.route == "gy_ratio"
+    assert z.excluded_zero_modes == 0
 
 
 def test_gy_degenerate_ratio_rejects_degenerate_reference():
@@ -293,6 +295,15 @@ def test_gy_ratio_rejects_nonpositive_operator():
     # V = -(1.5 pi)^2 has det J vanishing at s = 2/3
     with pytest.raises(NonpositiveOperatorError):
         gy_ratio(free_system(1), scalar_system(-((1.5 * PI) ** 2)))
+    # one eigenvalue just below zero: det J(1) = -1e-7 is small, but J(1) has
+    # no kernel (singular values 1e-4, 1e-3), so no route may deflate it
+    sys = JacobiSystem.constant(np.diag([-(PI**2) * (1 + 2e-4), -(PI**2) * (1 - 2e-3)]), 1.0)
+    with pytest.raises(NonpositiveOperatorError):
+        gy_ratio(free_system(2), sys)
+    with pytest.raises(NonpositiveOperatorError):
+        zeta_det_jacobi(sys)
+    with pytest.raises(WrongRouteError):
+        gy_degenerate_ratio(sys, free_system(2))
 
 
 # ---------------------------------------------------------------------------
