@@ -179,14 +179,19 @@ def _fold_angle(theta: float) -> float:
 
 
 def _zonal_sum_float(spec: SphereSpectrum, theta: float, t: float):
-    """float64 spectral sum; valid when cancellation is shallow."""
+    """float64 spectral sum; valid when cancellation is shallow.
+
+    Returns (total, envelope of the last summed degree, stopped early).  The
+    sum stops on the term envelope e^{-lambda_l t} m_l / vol, which bounds
+    every later term since the normalized Gegenbauer values obey |g_l| <= 1;
+    a term itself can vanish exactly at a rational angle.
+    """
     n, R, L = spec.n, spec.R, spec.max_degree
     x = np.cos(theta)
     alpha = (n - 1) / 2.0
     vol = spec.volume
     total = 0.0
     g2, g1 = 1.0, x  # normalized Gegenbauer values g_0, g_1
-    last = 0.0
     for l in range(L + 1):
         if l == 0:
             g = 1.0
@@ -195,15 +200,15 @@ def _zonal_sum_float(spec: SphereSpectrum, theta: float, t: float):
         else:
             g = (2.0 * x * (l + alpha - 1.0) * g1 - (l - 1.0) * g2) / (l + 2.0 * alpha - 1.0)
             g2, g1 = g1, g
-        term = math.exp(-spec.eigenvalue(l) * t) * spec.multiplicity(l) * g / vol
-        total += term
-        last = term
-        if l > 8 and abs(term) < 1e-20 * abs(total):
-            return total, term, True
-    return total, last, False
+        env = math.exp(-spec.eigenvalue(l) * t) * spec.multiplicity(l) / vol
+        total += env * g
+        if l > 8 and env < 1e-20 * abs(total):
+            return total, env, True
+    return total, env, False
 
 
 def _zonal_sum_mp(spec: SphereSpectrum, theta: float, t: float, dps: int):
+    """The sum of :func:`_zonal_sum_float` in ``dps``-digit arithmetic."""
     n, R, L = spec.n, spec.R, spec.max_degree
     with mp.workdps(dps):
         x = mp.cos(theta)
@@ -211,7 +216,6 @@ def _zonal_sum_mp(spec: SphereSpectrum, theta: float, t: float, dps: int):
         vol = 2 * mp.pi ** (mp.mpf(n + 1) / 2) / mp.gamma(mp.mpf(n + 1) / 2) * mp.mpf(R) ** n
         total = mp.mpf(0)
         g2, g1 = mp.mpf(1), x
-        last = mp.mpf(0)
         cutoff = mp.mpf(10) ** (-(dps - 5))
         for l in range(L + 1):
             if l == 0:
@@ -222,12 +226,11 @@ def _zonal_sum_mp(spec: SphereSpectrum, theta: float, t: float, dps: int):
                 g = (2 * x * (l + alpha - 1) * g1 - (l - 1) * g2) / (l + 2 * alpha - 1)
                 g2, g1 = g1, g
             lam = mp.mpf(l) * (l + n - 1) / mp.mpf(R) ** 2
-            term = mp.exp(-lam * t) * spec.multiplicity(l) * g / vol
-            total += term
-            last = term
-            if l > 8 and abs(term) < cutoff * abs(total):
-                return float(total), float(term), True
-        return float(total), float(last), False
+            env = mp.exp(-lam * t) * spec.multiplicity(l) / vol
+            total += env * g
+            if l > 8 and env < cutoff * abs(total):
+                return float(total), float(env), True
+        return float(total), float(env), False
 
 
 def sphere_heat_kernel(spec: SphereSpectrum, theta: float, t: float) -> float:
@@ -238,8 +241,8 @@ def sphere_heat_kernel(spec: SphereSpectrum, theta: float, t: float) -> float:
     degenerates to the cosine series of the circle).  At angles near pi
     and small t the sum cancels down to exp(-d^2/(4t)) of its term scale,
     so deep cases switch to adaptive-precision arithmetic.  Raises
-    InsufficientDegreeError when the last retained term fails the 1e-14
-    relative tail bound.
+    InsufficientDegreeError when the term envelope at degree L fails the
+    1e-14 relative tail bound.
     """
     if t <= 0:
         raise DomainError(f"time must be positive, got {t}")
@@ -247,14 +250,14 @@ def sphere_heat_kernel(spec: SphereSpectrum, theta: float, t: float) -> float:
     d = spec.R * th
     cancel_digits = d * d / (4.0 * t) / np.log(10.0)
     if cancel_digits <= _FLOAT64_CANCEL_DIGITS:
-        total, last, early = _zonal_sum_float(spec, th, t)
+        total, env, early = _zonal_sum_float(spec, th, t)
     else:
         dps = 25 + int(np.ceil(cancel_digits))
-        total, last, early = _zonal_sum_mp(spec, th, t, dps)
-    if not early and abs(last) > ORACLE_TAIL_REL * abs(total):
+        total, env, early = _zonal_sum_mp(spec, th, t, dps)
+    if not early and env > ORACLE_TAIL_REL * abs(total):
         raise InsufficientDegreeError(
             f"degree {spec.max_degree} leaves relative tail "
-            f"{abs(last) / abs(total):.2e} above {ORACLE_TAIL_REL}"
+            f"{env / abs(total):.2e} above {ORACLE_TAIL_REL}"
         )
     return float(total)
 

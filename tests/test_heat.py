@@ -231,6 +231,15 @@ def test_nondegenerate_s3_report():
     assert report.rel_deviation < 0.005
 
 
+def test_nondegenerate_report_at_rational_angle():
+    # at the angle pi/5 the n = 3 zonal terms of degree 4 and 9 vanish
+    # exactly; the oracle sum must not stop at such a zero term
+    d = 0.2 * PI
+    report = heat_limit_validation(3, 1.0, "nondegenerate", d=d)
+    predicted = nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), d)
+    assert report.extrapolated_oracle == pytest.approx(predicted, rel=5e-3)
+
+
 def test_ratio_monotone_and_residuals_linear():
     report = heat_limit_validation(2, 1.0, "antipodal")
     ratios = [r for _, r in report.oracle_values]
