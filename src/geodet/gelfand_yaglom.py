@@ -12,6 +12,7 @@ replaced by a boundary expression involving int J^T J and the second
 fundamental solution on the kernel of J(t).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,7 +301,13 @@ def zeta_det_dirichlet_laplacian(t: float, n: int) -> ZetaDetValue:
         raise DomainError(f"interval length must be positive, got {t}")
     if n < 1:
         raise DomainError(f"fiber dimension must be >= 1, got {n}")
-    return ZetaDetValue(float((2.0 * t) ** n), "closed_form", 0)
+    try:
+        value = (2.0 * t) ** n
+    except OverflowError:  # a finite base raises, an infinite one gives inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"(2t)^n = (2 * {t:.4g})^{n} overflows float64")
+    return ZetaDetValue(float(value), "closed_form", 0)
 
 
 def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetValue:

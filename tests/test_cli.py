@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from geodet.cli import build_report, main, parse_config_text
+from geodet.errors import UsageError
 
 
 def run_cli(capsys, *argv):
@@ -162,11 +163,81 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(out)["inputs"]["n"] == 2
 
 
+def test_config_tables_rejected():
+    with pytest.raises(UsageError, match="tables"):
+        parse_config_text('n = 2\n[run]\nkappa = 1.0\n')
+
+
 def test_config_parser_values():
     parsed = parse_config_text(
         'command = "validate"\nflag = true\nxs = [1, 2, 3]\nv = 2.5  # trailing\n'
     )
     assert parsed == {"command": "validate", "flag": True, "xs": [1, 2, 3], "v": 2.5}
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (
+            ["det-fredholm", "--kappa", "1", "--r", "1", "--n", "2"],
+            {"kappa": 1.0, "r": 1.0, "n": 2, "modes": [64, 128, 256, 512]},
+        ),
+        (
+            ["det-gy", "--kappa", "0.5", "--r", "1", "--n", "2"],
+            {"kappa": 0.5, "r": 1.0, "n": 2, "steps": 2048},
+        ),
+        (
+            ["det-zeta", "--laplacian", "--n", "2"],
+            {"laplacian": True, "n": 2, "t": 1.0, "steps": 2048},
+        ),
+        (
+            ["det-zeta", "--kappa", "0.5", "--r", "1", "--n", "2", "--steps", "512"],
+            {"kappa": 0.5, "r": 1.0, "n": 2, "t": 1.0, "steps": 512},
+        ),
+        (
+            ["heat-limit", "--n", "2", "--radius", "1", "--case", "antipodal"],
+            {"n": 2, "radius": 1.0, "case": "antipodal", "t0": 0.2, "levels": 5, "k": 1},
+        ),
+        (
+            ["eval-jacobian", "--kappa", "1", "--r", "1", "--n", "2", "--partition-N", "4"],
+            {"kappa": 1.0, "r": 1.0, "n": 2, "partition-N": 4},
+        ),
+        (["validate", "--filter", "zeta-laplacian"], {"filter": "zeta-laplacian"}),
+    ],
+    ids=["det-fredholm", "det-gy", "det-zeta-laplacian", "det-zeta", "heat-limit",
+         "eval-jacobian", "validate"],
+)
+def test_report_inputs_with_defaults(capsys, argv, inputs):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    got = json.loads(out)["inputs"]
+    if argv[0] == "heat-limit":
+        assert got.pop("predicted_limit") == pytest.approx(2 * np.pi**2, rel=1e-12)
+    assert got == inputs
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["det-gy", "--kappa", "abc", "--r", "1", "--n", "2"], None),
+        (["det-fredholm", "--kappa", "1", "--r", "1", "--n", "2", "--modes", "16,x"], None),
+        (["det-gy", "--kappa", "1", "--r", "1", "--n", "2.5"], None),
+        ([], 'command = "det-gy"\nkappa = "abc"\nr = 1.0\nn = 2\n'),
+        ([], '[run]\ncommand = "det-gy"\nkappa = 1.0\nr = 1.0\nn = 2\n'),
+        ([], 'command = "det-gy"\nkappa 1.0\n'),
+    ],
+    ids=["kappa-abc", "modes-16x", "n-2.5", "config-kappa-abc", "config-table", "config-syntax"],
+)
+def test_malformed_options_are_usage_errors(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] + argv
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage:")
+    assert err.splitlines()[-1].startswith("error: ")
 
 
 def test_reports_byte_stable(tmp_path, capsys):
@@ -270,3 +341,21 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # exp(-pi^2/(4 t)) underflows at the smallest of seven time levels
+        ["heat-limit", "--n", "2", "--radius", "1", "--case", "antipodal", "--levels", "7"],
+        # (2t)^n overflows: inf for t = 1e308, OverflowError for t = 1e200
+        ["det-zeta", "--laplacian", "--t", "1e308", "--n", "2"],
+        ["det-zeta", "--laplacian", "--t", "1e200", "--n", "2"],
+    ],
+    ids=["heat-levels-7", "laplacian-t-1e308", "laplacian-t-1e200"],
+)
+def test_float64_range_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == ""
+    assert json.loads(out)["error"] == "DomainError"

@@ -359,6 +359,9 @@ def test_zeta_laplacian_values():
     assert zeta_det_dirichlet_laplacian(0.5, 1).value == 1.0
     with pytest.raises(DomainError):
         zeta_det_dirichlet_laplacian(0.0, 1)
+    for t in (1e308, 1e200):  # (2t)^n beyond float64
+        with pytest.raises(DomainError, match="overflows"):
+            zeta_det_dirichlet_laplacian(t, 2)
 
 
 def test_zeta_laplacian_against_zeta_function_oracle():
