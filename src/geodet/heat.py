@@ -201,8 +201,9 @@ def _zonal_sum_float(spec: SphereSpectrum, theta: float, t: float):
         else:
             g = (2.0 * x * (l + alpha - 1.0) * g1 - (l - 1.0) * g2) / (l + 2.0 * alpha - 1.0)
             g2, g1 = g1, g
-        env = math.exp(-spec.eigenvalue(l) * t) * spec.multiplicity(l) / vol
-        total += env * g
+        weight = math.exp(-spec.eigenvalue(l) * t) * spec.multiplicity(l)
+        total += weight * g / vol
+        env = weight / vol
         if l > 8 and env < 1e-20 * abs(total):
             return total, env, True
     return total, env, False
@@ -227,8 +228,9 @@ def _zonal_sum_mp(spec: SphereSpectrum, theta: float, t: float, dps: int):
                 g = (2 * x * (l + alpha - 1) * g1 - (l - 1) * g2) / (l + 2 * alpha - 1)
                 g2, g1 = g1, g
             lam = mp.mpf(l) * (l + n - 1) / mp.mpf(R) ** 2
-            env = mp.exp(-lam * t) * spec.multiplicity(l) / vol
-            total += env * g
+            weight = mp.exp(-lam * t) * spec.multiplicity(l)
+            total += weight * g / vol
+            env = weight / vol
             if l > 8 and env < cutoff * abs(total):
                 return float(total), float(env), True
         return float(total), float(env), False
