@@ -40,6 +40,7 @@ commands:
 common options: --format json|csv|text (default json), --out PATH
 """
 
+
 def _int_list(raw):
     if isinstance(raw, (list, tuple)):
         return [int(v) for v in raw]
@@ -47,47 +48,27 @@ def _int_list(raw):
 
 
 def _flag(raw):
-    if isinstance(raw, bool):
-        return raw
     return str(raw).lower() in ("1", "true", "yes")
 
 
 # one converter per option; a converter that raises is a usage error
 _CONVERTERS = {
-    "kappa": float,
-    "r": float,
-    "t": float,
-    "radius": float,
-    "d": float,
-    "t0": float,
-    "n": int,
-    "steps": int,
-    "levels": int,
-    "partition-N": int,
-    "modes": _int_list,
-    "laplacian": _flag,
-    "case": str,
-    "filter": str,
+    **dict.fromkeys(("kappa", "r", "t", "radius", "d", "t0"), float),
+    **dict.fromkeys(("n", "steps", "levels", "partition-N"), int),
+    "modes": _int_list, "laplacian": _flag, "case": str, "filter": str,
 }
 
-_REQUIRED = "required"
-_OPTIONAL = "optional"
-
-# the options of each command: a default value, or _REQUIRED / _OPTIONAL
+# the options of each command, each with a default value, _REQUIRED or _OPTIONAL
+_REQUIRED, _OPTIONAL = "required", "optional"
+_CURVED = {"kappa": _REQUIRED, "r": _REQUIRED, "n": _REQUIRED}
 _COMMANDS = {
-    "det-fredholm": {
-        "kappa": _REQUIRED, "r": _REQUIRED, "n": _REQUIRED, "modes": [64, 128, 256, 512],
-    },
-    "det-gy": {"kappa": _REQUIRED, "r": _REQUIRED, "n": _REQUIRED, "steps": 2048},
-    "det-zeta": {
-        "laplacian": _OPTIONAL, "n": _REQUIRED, "kappa": _OPTIONAL, "r": _OPTIONAL,
-        "t": 1.0, "steps": 2048,
-    },
-    "heat-limit": {
-        "n": _REQUIRED, "radius": _REQUIRED, "case": _REQUIRED, "d": _OPTIONAL,
-        "t0": 0.2, "levels": 5,
-    },
-    "eval-jacobian": {"kappa": _REQUIRED, "r": _REQUIRED, "n": _REQUIRED, "partition-N": _REQUIRED},
+    "det-fredholm": {**_CURVED, "modes": [64, 128, 256, 512]},
+    "det-gy": {**_CURVED, "steps": 2048},
+    "det-zeta": {"laplacian": _OPTIONAL, "n": _REQUIRED, "kappa": _OPTIONAL, "r": _OPTIONAL,
+                 "t": 1.0, "steps": 2048},
+    "heat-limit": {"n": _REQUIRED, "radius": _REQUIRED, "case": _REQUIRED, "d": _OPTIONAL,
+                   "t0": 0.2, "levels": 5},
+    "eval-jacobian": {**_CURVED, "partition-N": _REQUIRED},
     "validate": {"filter": _OPTIONAL},
 }
 

@@ -320,7 +320,8 @@ def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetVal
     n, t = sys.n, sys.t
     free = float((2.0 * t) ** n)
     prop = solve_jacobi_ode(sys, steps)
-    if not _zero_modes(prop.J[-1], t)[2].any():
+    _, _, kernel = _zero_modes(prop.J[-1], t)
+    if not kernel.any():
         _check_positive(prop, "P")
         return ZetaDetValue(free * prop.det_final() / t**n, "gy_ratio", 0)
     detA, kdim, _ = _degenerate_boundary_det(sys, steps)
