@@ -173,7 +173,7 @@ def _curved_system(kappa: float, r: float, n: int):
 
 
 def build_report(params: dict) -> dict:
-    """Compute the report dict for a parsed parameter set."""
+    """Compute the report dict for a parsed parameter set, defaults included."""
     params = dict(params)
     command = params.pop("command")
     inputs = {k: v for k, v in params.items() if v is not None}
