@@ -41,10 +41,19 @@ common options: --format json|csv|text (default json), --out PATH
 """
 
 
+def _int(raw):
+    # through str, so that a TOML float (2.7) or bool (true) is rejected, not truncated
+    return int(str(raw))
+
+
+def _float(raw):
+    return float(str(raw))
+
+
 def _int_list(raw):
     if isinstance(raw, (list, tuple)):
-        return [int(v) for v in raw]
-    return [int(v) for v in str(raw).split(",") if v.strip()]
+        return [_int(v) for v in raw]
+    return [_int(v) for v in str(raw).split(",") if v.strip()]
 
 
 def _flag(raw):
@@ -53,8 +62,8 @@ def _flag(raw):
 
 # one converter per option; a converter that raises is a usage error
 _CONVERTERS = {
-    **dict.fromkeys(("kappa", "r", "t", "radius", "d", "t0"), float),
-    **dict.fromkeys(("n", "steps", "levels", "partition-N"), int),
+    **dict.fromkeys(("kappa", "r", "t", "radius", "d", "t0"), _float),
+    **dict.fromkeys(("n", "steps", "levels", "partition-N"), _int),
     "modes": _int_list, "laplacian": _flag, "case": str, "filter": str,
 }
 

@@ -223,10 +223,20 @@ def test_report_inputs_with_defaults(capsys, argv, inputs):
         (["det-fredholm", "--kappa", "1", "--r", "1", "--n", "2", "--modes", "16,x"], None),
         (["det-gy", "--kappa", "1", "--r", "1", "--n", "2.5"], None),
         ([], 'command = "det-gy"\nkappa = "abc"\nr = 1.0\nn = 2\n'),
+        # TOML floats and bools are not truncated to integers or read as numbers
+        ([], 'command = "det-gy"\nkappa = 1.0\nr = 1.0\nn = 2.5\n'),
+        ([], 'command = "det-gy"\nkappa = 1.0\nr = 1.0\nn = true\n'),
+        ([], 'command = "det-gy"\nkappa = true\nr = 1.0\nn = 2\n'),
+        ([], 'command = "det-fredholm"\nkappa = 1.0\nr = 1.0\nn = 2\nmodes = [16, 32.5]\n'),
         ([], '[run]\ncommand = "det-gy"\nkappa = 1.0\nr = 1.0\nn = 2\n'),
         ([], 'command = "det-gy"\nkappa 1.0\n'),
+        # configs are strict TOML: lowercase booleans, each key once
+        ([], 'command = "det-zeta"\nlaplacian = True\nn = 2\n'),
+        ([], 'command = "det-gy"\nkappa = 1.0\nkappa = 2.0\nr = 1.0\nn = 2\n'),
     ],
-    ids=["kappa-abc", "modes-16x", "n-2.5", "config-kappa-abc", "config-table", "config-syntax"],
+    ids=["kappa-abc", "modes-16x", "n-2.5", "config-kappa-abc", "config-n-2.5", "config-n-true",
+         "config-kappa-true", "config-modes-float", "config-table", "config-syntax",
+         "config-bool-case", "config-repeated-key"],
 )
 def test_malformed_options_are_usage_errors(tmp_path, capsys, argv, config):
     if config is not None:
@@ -346,13 +356,11 @@ def test_cli_import_leaves_scipy_out():
 @pytest.mark.parametrize(
     "argv",
     [
-        # exp(-pi^2/(4 t)) underflows at the smallest of seven time levels
-        ["heat-limit", "--n", "2", "--radius", "1", "--case", "antipodal", "--levels", "7"],
         # (2t)^n overflows: inf for t = 1e308, OverflowError for t = 1e200
         ["det-zeta", "--laplacian", "--t", "1e308", "--n", "2"],
         ["det-zeta", "--laplacian", "--t", "1e200", "--n", "2"],
     ],
-    ids=["heat-levels-7", "laplacian-t-1e308", "laplacian-t-1e200"],
+    ids=["laplacian-t-1e308", "laplacian-t-1e200"],
 )
 def test_float64_range_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -257,14 +257,6 @@ def test_focusing_sign_pattern():
         assert nondegenerate_limit_prediction(ConstantCurvature(3, kappa), d) < 1.0
 
 
-def test_heat_limit_rejects_subnormal_kernels():
-    # d^2/(4 t_min) = 720: exp(-720) is a subnormal float, finite but with
-    # too few significant bits for the ratio
-    t_min = PI**2 / (4.0 * 720.0)
-    with pytest.raises(DomainError, match="d\\^2/\\(4 t_min\\) = 720"):
-        heat_limit_validation(2, 1.0, "antipodal", t0=16.0 * t_min, levels=5)
-
-
 def test_heat_limit_validation_input_errors():
     with pytest.raises(DomainError):
         heat_limit_validation(2, 1.0, "nondegenerate")  # missing d
