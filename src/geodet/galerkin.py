@@ -579,6 +579,10 @@ def _segment_stiffness(v: float, delta: float):
         return s_dd, s_od
     m = np.sqrt(v)
     x = m * delta
+    if x > 350.0:
+        # the entries are (m/2)(x csch^2 x + coth x) and -(m/2) csch x (x coth x + 1);
+        # sinh(2x) overflows past x = 354.9, and here coth x = 1, csch x = 2 e^{-x}
+        return 0.5 * m, -m * (x + 1.0) * np.exp(-x)
     sh, ch = np.sinh(x), np.cosh(x)
     s_dd = m * m * (delta / 2.0 + np.sinh(2.0 * x) / (4.0 * m)) / sh**2
     s_od = -m * m * (delta * ch / 2.0 + sh / (2.0 * m)) / sh**2
@@ -623,8 +627,11 @@ def evaluation_map_jacobian(g: GeodesicData, partition: Partition) -> float:
         conj = np.pi / np.sqrt(m.kappa)
         if np.max(deltas) * g.speed >= conj:
             raise DegenerateSegmentError("a segment reaches the conjugate distance")
+    v_fiber = -m.kappa * g.speed**2
+    if not np.isfinite(v_fiber):
+        raise DomainError(f"kappa r^2 overflows float64 (kappa = {m.kappa:g}, r = {g.speed:g})")
     log_gram = 0.0
-    for v, count in ((0.0, 1), (-m.kappa * g.speed**2, m.n - 1)):
+    for v, count in ((0.0, 1), (v_fiber, m.n - 1)):
         if count == 0:
             continue
         pairs = [_segment_stiffness(v, d) for d in deltas]

@@ -4,15 +4,17 @@ The limit lim_{t->0} (4 pi t)^{k/2} p_t(x,y)/e_t(x,y) is predicted from the
 determinant layer (J(x,y)^{-1/2} off the cut locus; a kernel-volume integral
 of |det J'(1)|^{1/2} over initial velocities for antipodal sphere points,
 where k = n-1) and confirmed against a brute-force spectral sum for the heat
-kernel of the round sphere.  The spectral sum at antipodal points loses
-d^2/(4t)/ln(10) digits to cancellation, so small times are summed in
-adaptive-precision arithmetic.
+kernel of the round sphere.  The spectral sum at geodesic distance d loses
+d^2/(4t)/ln(10) digits to cancellation, so it runs only where that loss is
+small; deeper cells use closed forms of the sphere kernel that do not
+cancel: image sums on odd spheres and a Mehler-type integral on even ones,
+raised in dimension by the recursion of Camporesi (Phys. Rep. 196, 1990).
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -208,54 +210,192 @@ def _zonal_sum_float(spec: SphereSpectrum, theta: float, t: float):
     return total, env, False
 
 
-def _zonal_sum_mp(spec: SphereSpectrum, theta: float, t: float, dps: int):
-    """The sum of :func:`_zonal_sum_float` in ``dps``-digit arithmetic."""
-    n, R, L = spec.n, spec.R, spec.max_degree
-    with mp.workdps(dps):
-        x = mp.cos(theta)
-        alpha = mp.mpf(n - 1) / 2
-        vol = 2 * mp.pi ** (mp.mpf(n + 1) / 2) / mp.gamma(mp.mpf(n + 1) / 2) * mp.mpf(R) ** n
-        total = mp.mpf(0)
-        g2, g1 = mp.mpf(1), x
-        cutoff = mp.mpf(10) ** (-(dps - 5))
-        for l in range(L + 1):
-            if l == 0:
-                g = mp.mpf(1)
-            elif l == 1:
-                g = x
-            else:
-                g = (2 * x * (l + alpha - 1) * g1 - (l - 1) * g2) / (l + 2 * alpha - 1)
-                g2, g1 = g1, g
-            lam = mp.mpf(l) * (l + n - 1) / mp.mpf(R) ** 2
-            weight = mp.exp(-lam * t) * spec.multiplicity(l)
-            total += weight * g / vol
-            env = weight / vol
-            if l > 8 and env < cutoff * abs(total):
-                return float(total), float(env), True
-        return float(total), float(env), False
+# Closed-form kernels.  With delta = pi - theta the distance from the antipode
+# and x = cos(theta), the unit-sphere kernels obey
+#   p^{n+2}_t = e^{nt}/(2 pi) dp^n_t/dx,   d/dx = (1/sin delta) d/d delta,
+# so every kernel is a power of that operator applied to the circle's wrapped
+# Gaussian (odd n) or to the Mehler-type integral on S^2 (even n)
+#   p^2_t = 2 e^{t/4} (4 pi t)^{-3/2} sum_k (-1)^k
+#           int_0^{pi/2} u_k e^{-u_k^2/4t} [sinc(a_+ delta) sinc(a_- delta)]^{-1/2} dpsi,
+# with a_+- = (1 +- sin psi)/2 and u_k = pi - delta sin psi + 2 pi k.  The
+# operator acts on truncated Taylor series ("jets") in delta.  Near the
+# antipode the images pi - delta and -pi - delta cancel in each derivative, so
+# there the jet is taken at delta = 0 and summed out to delta; elsewhere it is
+# taken at delta itself.  Jets carry the factor e^{theta^2/4t}, which is put
+# back in log space.
+
+# exponent drop past which the Mehler integrand is left out
+_MEHLER_CUT = 50.0
+# jets are summed from the antipode while lambda delta <= 1 (lambda = pi/2t,
+# the rate of the leading image) and delta <= 1/2 ...
+_ANTIPODE_REACH = 1.0
+_ANTIPODE_DELTA = 0.5
+# ... with this many orders beyond 2m: 1/24! and (1/(2 pi))^24 are below 1e-18
+_ANTIPODE_TAIL = 24
+# terms of the sinc series: pi^30/30! < 1e-17 on the range [0, pi] of use
+_SINC_TERMS = 30
+
+
+def _jet_mul(a, b):
+    """Product of truncated Taylor series stored along axis 0."""
+    return np.array([np.einsum("i...,i...->...", a[: j + 1], b[j::-1]) for j in range(len(a))])
+
+
+def _jet_div(a, b):
+    """Quotient a/b of truncated Taylor series; b[0] must be nonzero."""
+    c = np.empty_like(a)
+    for j in range(len(a)):
+        c[j] = (a[j] - np.einsum("i...,i...->...", b[1 : j + 1], c[:j][::-1])) / b[0]
+    return c
+
+
+def _jet_pow(a, p: float):
+    """a^p for a truncated Taylor series with a[0] > 0."""
+    y = np.empty_like(a)
+    y[0] = a[0] ** p
+    for j in range(1, len(a)):
+        k = np.arange(1, j + 1).reshape((-1,) + (1,) * (a.ndim - 1))
+        y[j] = np.sum(((p + 1.0) * k - j) * a[1 : j + 1] * y[:j][::-1], axis=0) / (j * a[0])
+    return y
+
+
+def _gauss_jet(phi, t: float, order: int):
+    """h_j with exp(-(phi - e)^2/4t) = exp(-phi^2/4t) sum_j h_j e^j (Hermite recurrence)."""
+    h = np.empty((order + 1,) + np.shape(phi))
+    h[0] = 1.0
+    if order:
+        h[1] = phi / (2.0 * t)
+    for j in range(1, order):
+        h[j + 1] = (phi * h[j] - h[j - 1]) / (2.0 * t * (j + 1))
+    return h
+
+
+@lru_cache(maxsize=1)
+def _mehler_nodes():
+    """64 Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@lru_cache(maxsize=32)
+def _sinc_shift_matrix(order: int):
+    """B with sum_r B[j, r] z^r the j-th Taylor coefficient of sinc at z."""
+    terms = order + _SINC_TERMS
+    a = [0.0 if i % 2 else (-1.0) ** (i // 2) / math.factorial(i + 1) for i in range(terms + order)]
+    B = np.array([[a[j + r] * math.comb(j + r, j) for r in range(terms)] for j in range(order + 1)])
+    B.flags.writeable = False  # shared by every caller through the cache
+    return B
+
+
+def _sinc_jet(z0, order: int):
+    """Taylor coefficients in h of sinc(z0 + h), for each z0 in [0, pi]."""
+    B = _sinc_shift_matrix(order)
+    return B @ (z0 ** np.arange(B.shape[1])[:, None])
+
+
+def _circle_jet(center: float, theta: float, t: float, order: int, ks):
+    """Jet in delta of e^{theta^2/4t} p^1_t, the wrapped Gaussian, at delta = center."""
+    phi = np.pi - center + 2.0 * np.pi * ks
+    weight = np.exp((theta * theta - phi * phi) / (4.0 * t))
+    return (_gauss_jet(phi, t, order) * weight).sum(axis=1) / math.sqrt(4.0 * np.pi * t)
+
+
+def _mehler_jet(center: float, theta: float, t: float, order: int, ks):
+    """Jet in delta of e^{theta^2/4t} p^2_t, the Mehler-type integral, at delta = center.
+
+    The integrand decays like exp(-kappa (1 - sin psi)) with
+    kappa = theta delta/2t, so the nodes cover only the part of [0, pi/2]
+    next to pi/2 where it has not dropped by e^{-_MEHLER_CUT}.
+    """
+    kappa = theta * center / (2.0 * t)
+    span = 0.5 * np.pi
+    if kappa > _MEHLER_CUT:
+        span = 2.0 * math.asin(math.sqrt(0.5 * _MEHLER_CUT / kappa))
+    nodes, weights = _mehler_nodes()
+    eps = 0.5 * span * (nodes + 1.0)  # psi = pi/2 - eps
+    s = np.cos(eps)
+    u = np.pi - center * s + 2.0 * np.pi * ks[:, None]
+    h = _gauss_jet(u, t, order)
+    h_prev = np.concatenate([np.zeros((1,) + u.shape), h[:-1]])
+    # jet of u e^{-u^2/4t} along u = u_c - s e, scaled by e^{theta^2/4t}
+    weight = np.where(ks % 2, -1.0, 1.0)[:, None] * np.exp((theta * theta - u * u) / (4.0 * t))
+    powers = s ** np.arange(order + 1)[:, None]
+    numer = powers * ((u * h - h_prev) * weight).sum(axis=1)
+    a_plus, a_minus = 0.5 * (1.0 + s), 0.5 * (1.0 - s)
+    sinc_prod = _jet_mul(
+        _sinc_jet(a_plus * center, order) * a_plus ** np.arange(order + 1)[:, None],
+        _sinc_jet(a_minus * center, order) * a_minus ** np.arange(order + 1)[:, None],
+    )
+    integrand = _jet_mul(numer, _jet_pow(sinc_prod, -0.5))
+    scale = 2.0 * math.exp(t / 4.0) * (4.0 * np.pi * t) ** -1.5 * 0.5 * span
+    return integrand @ weights * scale
+
+
+def _raise_dimension(jet, center: float):
+    """Jet of (1/sin delta) d/d delta applied to a jet taken at delta = center.
+
+    At center 0 the derivative of the (even) kernel vanishes, so it is
+    divided by sin(e)/e after dropping that zero; the jet loses two orders.
+    """
+    deriv = jet[1:] * np.arange(1, len(jet))
+    i = np.arange(len(jet))
+    sn, cs = math.sin(center), math.cos(center)
+    sin_jet = np.array([sn, cs, -sn, -cs])[i % 4] / np.array([math.factorial(k) for k in i])
+    if center == 0.0:
+        return _jet_div(deriv[1:], sin_jet[1 : len(deriv)])
+    return _jet_div(deriv, sin_jet[: len(deriv)])
+
+
+def _closed_form_kernel(n: int, R: float, theta: float, t: float) -> float:
+    """Heat kernel of the n-sphere of radius R at angle theta in [0, pi], in closed form.
+
+    Uses p^{S^n_R}_t(theta) = R^{-n} p^{S^n_1}_{t/R^2}(theta).  Matches a
+    high-precision spectral sum to about 3e-13 for t/R^2 up to 1; beyond
+    that the kernel flattens and the image sums cancel.  Returns 0.0 where
+    p is below the float64 range.
+    """
+    t = t / (R * R)
+    m = (n - 1) // 2
+    base = n - 2 * m  # 1: wrapped Gaussian, 2: Mehler integral
+    delta = np.pi - theta
+    # log p < -theta^2/4t + n (|log t| + 2), so p is below the float64 range here
+    if theta * theta / (4.0 * t) > 800.0 + n * (abs(math.log(t)) + 2.0):
+        return 0.0
+    if delta <= min(_ANTIPODE_DELTA, _ANTIPODE_REACH * 2.0 * t / np.pi):
+        center, order = 0.0, 2 * m + (_ANTIPODE_TAIL if delta > 0 else 0)
+    else:
+        center, order = delta, m
+    # image pairs k, -1-k lie e^{-k^2 pi^2/t} below the leading pair; keep those above e^{-45}
+    pairs = int(math.sqrt(45.0 * t) / np.pi)
+    ks = np.arange(-pairs - 1, pairs + 1)
+    jet = (_circle_jet if base == 1 else _mehler_jet)(center, theta, t, order, ks)
+    for _ in range(m):
+        jet = _raise_dimension(jet, center)
+    value = float(np.polynomial.polynomial.polyval(delta - center, jet))
+    log_rest = t * m * (base + m - 1) - m * math.log(2.0 * np.pi) - theta * theta / (4.0 * t)
+    return math.exp(math.log(value) + log_rest - n * math.log(R))
 
 
 def sphere_heat_kernel(spec: SphereSpectrum, theta: float, t: float) -> float:
     """Heat kernel p_t on the round sphere at geodesic angle theta.
 
-    Sums e^{-l(l+n-1) t/R^2} Z_l(theta) over degrees l <= L with Z_l the
-    zonal kernel (normalized Gegenbauer recurrence; the alpha = 0 case
-    degenerates to the cosine series of the circle).  At angles near pi
-    and small t the sum cancels down to exp(-d^2/(4t)) of its term scale,
-    so deep cases switch to adaptive-precision arithmetic.  Raises
-    InsufficientDegreeError when the term envelope at degree L fails the
-    1e-14 relative tail bound.
+    Where the spectral sum cancels by at most _FLOAT64_CANCEL_DIGITS
+    (d^2/(4t)/ln 10 with d = R theta), sums e^{-l(l+n-1) t/R^2} Z_l(theta)
+    over degrees l <= L in float64, with Z_l the zonal kernel (normalized
+    Gegenbauer recurrence; the alpha = 0 case degenerates to the cosine
+    series of the circle), and raises InsufficientDegreeError when the term
+    envelope at degree L fails the 1e-14 relative tail bound.  Deeper cells
+    use the closed forms of _closed_form_kernel, which do not cancel and do
+    not depend on L; they return 0.0 below the float64 range.
     """
     if t <= 0:
         raise DomainError(f"time must be positive, got {t}")
     th = _fold_angle(theta)
     d = spec.R * th
-    cancel_digits = d * d / (4.0 * t) / np.log(10.0)
-    if cancel_digits <= _FLOAT64_CANCEL_DIGITS:
-        total, env, early = _zonal_sum_float(spec, th, t)
-    else:
-        dps = 25 + int(np.ceil(cancel_digits))
-        total, env, early = _zonal_sum_mp(spec, th, t, dps)
+    if d * d / (4.0 * t) / np.log(10.0) > _FLOAT64_CANCEL_DIGITS:
+        return _closed_form_kernel(spec.n, spec.R, th, t)
+    total, env, early = _zonal_sum_float(spec, th, t)
     if not early and env > ORACLE_TAIL_REL * abs(total):
         raise InsufficientDegreeError(
             f"degree {spec.max_degree} leaves relative tail "

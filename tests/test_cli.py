@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -337,7 +338,8 @@ def test_det_gy_near_conjugate_is_not_degenerate(capsys):
     assert json.loads(out)["value"] == pytest.approx((math.sin(3.12) / 3.12) ** 3, rel=1e-9)
 
 
-def test_cli_import_leaves_scipy_out():
+def run_python(code):
+    """Run code in a fresh interpreter that imports geodet from this tree; its stdout."""
     import os
     import subprocess
     import sys
@@ -346,11 +348,38 @@ def test_cli_import_leaves_scipy_out():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(geodet.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, geodet.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    assert run_python("import sys, geodet.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_cli_runs_without_mpmath():
+    # t0 = 0.2 with 5 levels reaches t = 0.0125, 86 digits of cancellation
+    code = (
+        "import contextlib, io, sys, geodet.cli\n"
+        "imported = 'mpmath' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = geodet.cli.main(['heat-limit', '--n', '2', '--radius', '1', '--case', 'antipodal'])\n"
+        "print(imported, code, 'mpmath' in sys.modules)"
+    )
+    assert run_python(code) == "False 0 False"
+
+
+def test_eval_jacobian_steep_negative_curvature(capsys):
+    # kappa r^2 = -1e8: sinh overflowed in the segment stiffness and the
+    # value came out NaN; the Gram tends to (2/delta) m, m = sqrt(-kappa) r
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            capsys, "eval-jacobian", "--kappa", "-1e6", "--r", "10", "--n", "2", "--partition-N", "2"
+        )
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == pytest.approx(0.02, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -359,8 +388,10 @@ def test_cli_import_leaves_scipy_out():
         # (2t)^n overflows: inf for t = 1e308, OverflowError for t = 1e200
         ["det-zeta", "--laplacian", "--t", "1e308", "--n", "2"],
         ["det-zeta", "--laplacian", "--t", "1e200", "--n", "2"],
+        # kappa r^2 overflows: NaN with exit 0
+        ["eval-jacobian", "--kappa", "-1e308", "--r", "10", "--n", "2", "--partition-N", "2"],
     ],
-    ids=["laplacian-t-1e308", "laplacian-t-1e200"],
+    ids=["laplacian-t-1e308", "laplacian-t-1e200", "eval-jacobian-kappa-r2"],
 )
 def test_float64_range_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

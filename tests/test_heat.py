@@ -1,5 +1,8 @@
 """Heat kernel limits: predictions, sphere oracle, Richardson extrapolation."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from geodet import (
     nondegenerate_limit_prediction,
     sphere_heat_kernel,
 )
-from geodet.heat import richardson_extrapolate, sphere_surface_volume
+from geodet.heat import _closed_form_kernel, richardson_extrapolate, sphere_surface_volume
 
 PI = np.pi
 
@@ -29,6 +32,28 @@ def wrapped_gaussian_circle(theta, R, t, terms=64):
         d = abs(R * theta + 2.0 * PI * R * m)
         total += euclidean_heat_kernel(d, 1, t)
     return total
+
+
+def spectral_sum_mp(n, R, theta, t):
+    """The sphere's spectral sum in 30 digits beyond its cancellation depth."""
+    import mpmath as mp
+
+    dps = 30 + math.ceil((R * theta) ** 2 / (4.0 * t) / math.log(10.0))
+    spec = SphereSpectrum(n, R, 1)
+    with mp.workdps(dps):
+        x = mp.cos(theta)
+        alpha = mp.mpf(n - 1) / 2
+        vol = 2 * mp.pi ** (mp.mpf(n + 1) / 2) / mp.gamma(mp.mpf(n + 1) / 2) * mp.mpf(R) ** n
+        total, g_prev, g = mp.mpf(0), mp.mpf(0), mp.mpf(1)
+        for l in itertools.count():
+            if l == 1:
+                g_prev, g = g, x
+            elif l > 1:
+                g_prev, g = g, (2 * x * (l + alpha - 1) * g - (l - 1) * g_prev) / (l + 2 * alpha - 1)
+            env = mp.exp(-l * (l + n - 1) * mp.mpf(t) / mp.mpf(R) ** 2) * spec.multiplicity(l) / vol
+            total += env * g
+            if l > 8 and env < mp.mpf(10) ** (5 - dps) * abs(total):
+                return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +204,44 @@ def test_oracle_deep_cancellation_accuracy():
             total += term
         oracle = float(total)
     assert val == pytest.approx(oracle, rel=1e-12)
+
+
+# (R, theta, t/R^2) with more than 9 digits of cancellation and p in float64
+# range: the antipode, next to it, off it, and t/R^2 = 0.2/256
+DEEP_CELLS = [
+    (0.5, PI, 0.0125),
+    (2.0, PI, 0.02),
+    (1.0, PI - 0.004, 0.01),
+    (1.0, PI - 0.001, 0.03),
+    (2.0, 2.0, 0.005),
+    (0.5, 1.0, 0.2 / 256),
+    (1.0, 0.3, 0.2 / 256),
+]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_deep_kernel_matches_mp_spectral_sum(n):
+    for R, theta, t_unit in DEEP_CELLS:
+        t = t_unit * R * R
+        assert theta**2 / (4.0 * t_unit) / math.log(10.0) > 9.0
+        # the closed forms of deep cells do not use the spectral degree
+        val = sphere_heat_kernel(SphereSpectrum(n, R, 8), theta, t)
+        assert val == pytest.approx(spectral_sum_mp(n, R, theta, t), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_closed_form_matches_float64_sum_on_shallow_cells(n):
+    for R in (0.5, 1.0, 2.0):
+        for theta, t_unit in ((PI, 0.4), (PI - 0.05, 0.36), (PI - 0.3, 0.5), (2.0, 0.2), (1.0, 0.05), (0.2, 0.003)):
+            t = t_unit * R * R
+            assert theta**2 / (4.0 * t_unit) / math.log(10.0) <= 3.0
+            spec = SphereSpectrum.for_time_range(n, R, t)
+            expected = sphere_heat_kernel(spec, theta, t)
+            assert _closed_form_kernel(n, R, theta, t) == pytest.approx(expected, rel=1e-11)
+
+
+def test_deep_kernel_below_float64_range_is_zero():
+    assert sphere_heat_kernel(SphereSpectrum(3, 1.0, 8), PI, 1e-4) == 0.0
 
 
 def test_oracle_insufficient_degree_error():
