@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import galerkin, gelfand_yaglom as gy, geometry, heat
 from .errors import GeodetError, UsageError
 
@@ -200,39 +198,31 @@ def build_report(params: dict) -> dict:
         }
 
     if command == "det-gy":
-        steps = params["steps"]
-        n = params["n"]
-        free = geometry.JacobiSystem.constant(np.zeros((n, n)), 1.0)
-        sys_ = _curved_system(params["kappa"], params["r"], n)
-        fine = gy.gy_ratio(free, sys_, steps=steps)
-        coarse = gy.gy_ratio(free, sys_, steps=max(steps // 2, 16))
+        sys_ = _curved_system(params["kappa"], params["r"], params["n"])
+        z = gy._free_reference_ratio(sys_, params["steps"])
         return {
             "command": command,
             "inputs": inputs,
-            "value": fine,
-            "error_estimate": abs(fine - coarse) / 15.0,
+            "value": z.value,
+            "error_estimate": z.error_estimate,
             "route": "gelfand_yaglom",
         }
 
     if command == "det-zeta":
         if params.get("laplacian"):
             z = gy.zeta_det_dirichlet_laplacian(params["t"], params["n"])
-            err = 0.0
         else:
             if "kappa" not in params or "r" not in params:
                 raise UsageError("det-zeta needs either --laplacian or --kappa and --r")
             sys_ = _curved_system(params["kappa"], params["r"], params["n"])
             if params["t"] != 1.0:
                 raise UsageError("curved det-zeta is defined on the unit interval")
-            steps = params["steps"]
-            z = gy.zeta_det_jacobi(sys_, steps=steps)
-            zc = gy.zeta_det_jacobi(sys_, steps=max(steps // 2, 16))
-            err = abs(z.value - zc.value) / 15.0
+            z = gy.zeta_det_jacobi(sys_, steps=params["steps"])
         report = {
             "command": command,
             "inputs": inputs,
             "value": z.value,
-            "error_estimate": err,
+            "error_estimate": z.error_estimate,
             "route": z.route,
         }
         if z.excluded_zero_modes:

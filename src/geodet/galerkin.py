@@ -261,9 +261,11 @@ def fredholm_det(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     schedule = _check_schedule(schedule, "mode counts")
     assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1]).entries
     values = []
-    for K in schedule:
-        sign, logdet, factors = _fourier_level_logdet(sys, K, assembled)
-        values.append(sign * np.exp(logdet))
+    with np.errstate(over="ignore"):  # values beyond float64 are reported below
+        for K in schedule:
+            sign, logdet, factors = _fourier_level_logdet(sys, K, assembled)
+            values.append(sign * np.exp(logdet))
+        est = _mode_estimate(sys, schedule, values)
 
     if sys.is_constant:
         smallest = np.min(np.abs(factors))
@@ -273,7 +275,9 @@ def fredholm_det(sys: JacobiSystem, schedule) -> DeterminantEstimate:
         raise DegenerateOperatorError(
             "truncated operator is singular; call fredholm_det_deflated"
         )
-    return _mode_estimate(sys, schedule, values)
+    if not np.isfinite(values + [est.extrapolated, est.error_estimate]).all():
+        raise DomainError("a truncated or tail-completed determinant overflows float64")
+    return est
 
 
 def deflated_matrix_determinant(matrix: np.ndarray, kernel_tol: float):

@@ -78,6 +78,7 @@ class ZetaDetValue:
     value: float
     route: str  # "closed_form" | "gy_ratio" | "deflated"
     excluded_zero_modes: int = 0
+    error_estimate: float = 0.0  # |value - value at steps // 2| / 15 on one route
 
 
 def _sample_potential(sys: JacobiSystem, steps: int) -> np.ndarray:
@@ -141,30 +142,37 @@ def _rk4_run(sys: JacobiSystem, steps: int, Y0: np.ndarray, Z0: np.ndarray, V=No
     return U[:, : sys.n], U[:, sys.n :]
 
 
-def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPropagation:
-    """Propagate J'' = V J, J(0) = 0, J'(0) = id with fixed-step RK4.
-
-    A half-resolution run provides the step-halving error estimate
-    ||J_fine(t) - J_coarse(t)|| / 15 (the order-4 Richardson factor).  The
-    potential is sampled once: for even step counts the coarse half-grid
-    is every other fine sample.
-    """
+def _fine_run(sys: JacobiSystem, steps: int):
+    """The propagation at ``steps`` and the half-grid samples of V it used."""
     if steps < 16:
         raise DomainError("need at least 16 steps")
     n = sys.n
     V = _sample_potential(sys, steps)
     J, Jp = _rk4_run(sys, steps, np.zeros((n, n)), np.eye(n), V)
-    coarse = steps // 2
-    Vc = V[::2] if steps % 2 == 0 else _sample_potential(sys, coarse)
-    Jc, _ = _rk4_run(sys, coarse, np.zeros((n, n)), np.eye(n), Vc)
-    err = float(np.max(np.abs(J[-1] - Jc[-1]))) / 15.0
-    return JacobiPropagation(
-        t_grid=np.linspace(0.0, sys.t, steps + 1),
-        J=J,
-        Jprime=Jp,
-        step_size=sys.t / steps,
-        error_estimate=err,
-    )
+    return JacobiPropagation(np.linspace(0.0, sys.t, steps + 1), J, Jp, sys.t / steps), V
+
+
+def _coarse_final(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:
+    """J(t) at steps // 2, the partner of the fine run on the half-grid samples ``V``.
+
+    For even step counts the coarse half-grid is every other fine sample
+    (``np.linspace`` grids nest exactly), so the potential is sampled once.
+    """
+    n = sys.n
+    Vc = V[::2] if steps % 2 == 0 else None
+    return _rk4_run(sys, steps // 2, np.zeros((n, n)), np.eye(n), Vc)[0][-1]
+
+
+def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPropagation:
+    """Propagate J'' = V J, J(0) = 0, J'(0) = id with fixed-step RK4.
+
+    A half-resolution run provides the step-halving error estimate
+    ||J_fine(t) - J_coarse(t)|| / 15 (the order-4 Richardson factor).
+    """
+    prop, V = _fine_run(sys, steps)
+    Jc = _coarse_final(sys, steps, V)
+    prop.error_estimate = float(np.max(np.abs(prop.J[-1] - Jc))) / 15.0
+    return prop
 
 
 def _zero_modes(Jt: np.ndarray, t: float):
@@ -191,8 +199,9 @@ def _check_positive(prop: JacobiPropagation, label: str):
         )
 
 
-def _check_no_zero_modes(prop: JacobiPropagation, label: str):
-    """Raise DegenerateOperatorError when J(t) has a kernel (:func:`_zero_modes`)."""
+def _check_ratio_operand(prop: JacobiPropagation, label: str):
+    """:func:`_check_positive`, and DegenerateOperatorError when J(t) has a kernel."""
+    _check_positive(prop, label)
     sig, _, kernel = _zero_modes(prop.J[-1], prop.t)
     if kernel.any():
         raise DegenerateOperatorError(
@@ -210,12 +219,24 @@ def gy_ratio(sys1: JacobiSystem, sys2: JacobiSystem, steps: int = DEFAULT_STEPS)
     """
     if sys1.n != sys2.n or abs(sys1.t - sys2.t) > 1e-14:
         raise DomainError("operators must share fiber dimension and interval")
-    p1 = solve_jacobi_ode(sys1, steps)
-    p2 = solve_jacobi_ode(sys2, steps)
+    p1, _ = _fine_run(sys1, steps)
+    p2, _ = _fine_run(sys2, steps)
     for prop, label in ((p1, "P1"), (p2, "P2")):
-        _check_positive(prop, label)
-        _check_no_zero_modes(prop, label)
+        _check_ratio_operand(prop, label)
     return p2.det_final() / p1.det_final()
+
+
+def _free_reference_ratio(sys: JacobiSystem, steps: int) -> ZetaDetValue:
+    """gy_ratio(free, sys) and its step-halving estimate, free = -d^2/ds^2 on [0, t].
+
+    The free det J(t) = t^n is exact, so only sys is propagated.
+    """
+    prop, V = _fine_run(sys, steps)
+    _check_ratio_operand(prop, "P2")
+    free = sys.t**sys.n
+    value = prop.det_final() / free
+    coarse = float(np.linalg.det(_coarse_final(sys, steps, V))) / free
+    return ZetaDetValue(value, "gy_ratio", 0, abs(value - coarse) / 15.0)
 
 
 def _simpson_weights(num_points: int, h: float) -> np.ndarray:
@@ -225,7 +246,7 @@ def _simpson_weights(num_points: int, h: float) -> np.ndarray:
     return w * h / 3.0
 
 
-def _degenerate_boundary_det(sys: JacobiSystem, steps: int):
+def _degenerate_boundary_det(sys: JacobiSystem, steps: int, kdim: int = 0):
     """|det A| of the kernel-aware degenerate boundary matrix, and kernel dim.
 
     A has columns J(t) d_b on the complement of ker J(t) and
@@ -234,25 +255,28 @@ def _degenerate_boundary_det(sys: JacobiSystem, steps: int):
     det J_1(t) of a positive reference operator gives
     det'_zeta(P)/det_zeta(P_1).  When the kernel fills every direction
     this reduces to det(int J^T J)/|det J'(t)| since then
-    K(t) = J'(t)^{-T}.
+    K(t) = J'(t)^{-T}.  A nonzero ``kdim`` takes the kdim smallest singular
+    directions of J(t) as the kernel instead of testing for it, so that a
+    coarser run stays on the route a finer one chose.
     """
     steps = steps + (steps % 2)  # Simpson needs an even step count
     n = sys.n
     # one propagation of the 2n x 2n identity: columns (K, K') then (J, J')
     eye = np.eye(2 * n)
     Y, Z = _rk4_run(sys, steps, eye[:n], eye[n:])
-    K, J, Jp = Y[:, :, :n], Y[:, :, n:], Z[:, :, n:]
+    K, J = Y[:, :, :n], Y[:, :, n:]
     Jt = J[-1]
 
     sig, Vt, kernel_mask = _zero_modes(Jt, sys.t)
-    kdim = int(np.count_nonzero(kernel_mask))
+    kdim = kdim or int(np.count_nonzero(kernel_mask))
     if kdim == 0:
         raise WrongRouteError(
             f"J(t) has no zero mode (smallest singular value {sig[-1]:.3g}, "
             f"kernel threshold {DEGENERACY_REL_TOL * sys.t:.3g}); use the ratio route"
         )
-    C_ker = Vt[kernel_mask].T
-    C_perp = Vt[~kernel_mask].T
+    # singular values sort descending: the last kdim rows of V^T span the kernel
+    C_ker = Vt[n - kdim :].T
+    C_perp = Vt[: n - kdim].T
 
     w = _simpson_weights(steps + 1, sys.t / steps)
     gram = np.einsum("s,sji,sjk->ik", w, J, J)
@@ -262,7 +286,7 @@ def _degenerate_boundary_det(sys: JacobiSystem, steps: int):
         cols.append(Jt @ C_perp)
     cols.append(-K[-1] @ gram @ C_ker)
     A = np.hstack(cols)
-    return abs(float(np.linalg.det(A))), kdim, Jp[-1]
+    return abs(float(np.linalg.det(A))), kdim
 
 
 def gy_degenerate_ratio(
@@ -282,10 +306,9 @@ def gy_degenerate_ratio(
     """
     if sys_deg.n != sys_ref.n or abs(sys_deg.t - sys_ref.t) > 1e-14:
         raise DomainError("operators must share fiber dimension and interval")
-    detA, _, _ = _degenerate_boundary_det(sys_deg, steps)
-    pref = solve_jacobi_ode(sys_ref, steps)
-    _check_positive(pref, "reference")
-    _check_no_zero_modes(pref, "reference")
+    detA, _ = _degenerate_boundary_det(sys_deg, steps)
+    pref, _ = _fine_run(sys_ref, steps)
+    _check_ratio_operand(pref, "reference")
     return detA / pref.det_final()
 
 
@@ -315,14 +338,19 @@ def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetVal
 
     det_zeta(P + V) = det_zeta(P) det(P^{-1}(P + V)) = (2t)^n det J(t)/t^n.
     Operators with zero modes return det'_zeta instead, with the kernel
-    dimension recorded in excluded_zero_modes.
+    dimension recorded in excluded_zero_modes.  The error estimate compares
+    the value with the same route at steps // 2.
     """
     n, t = sys.n, sys.t
     free = float((2.0 * t) ** n)
-    prop = solve_jacobi_ode(sys, steps)
+    prop, V = _fine_run(sys, steps)
     _, _, kernel = _zero_modes(prop.J[-1], t)
     if not kernel.any():
         _check_positive(prop, "P")
-        return ZetaDetValue(free * prop.det_final() / t**n, "gy_ratio", 0)
-    detA, kdim, _ = _degenerate_boundary_det(sys, steps)
-    return ZetaDetValue(free * detA / t**n, "deflated", kdim)
+        value = free * prop.det_final() / t**n
+        coarse = free * float(np.linalg.det(_coarse_final(sys, steps, V))) / t**n
+        return ZetaDetValue(value, "gy_ratio", 0, abs(value - coarse) / 15.0)
+    detA, kdim = _degenerate_boundary_det(sys, steps)
+    value = free * detA / t**n
+    coarse = free * _degenerate_boundary_det(sys, steps // 2, kdim)[0] / t**n
+    return ZetaDetValue(value, "deflated", kdim, abs(value - coarse) / 15.0)

@@ -263,23 +263,15 @@ def ricci_along(g: GeodesicData) -> float:
     return (m.n - 1) * m.kappa * g.speed**2
 
 
-def _rk4_step(f, y, s, h):
-    k1 = f(s, y)
-    k2 = f(s + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(s + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(s + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def sphere_parallel_transport_check(n: int, x, v, s: float, steps: int = 2048):
+def sphere_parallel_transport_check(n: int, x, v, s: float):
     """Geodesic flow and frame transport on the embedded sphere S^n.
 
-    Integrates the ambient ODEs for the great circle through x with
-    initial velocity v together with parallel transport of an orthonormal
-    tangent frame, and returns (point, frame) at time s.  The frame is
-    an (n+1) x n matrix whose columns stay orthonormal and tangent; this
-    provides the embedded cross-check that the parallel-frame picture
-    used by the curvature terms is consistent.
+    Moves the point x along the great circle with initial velocity v and
+    parallel-transports an orthonormal tangent frame at x, and returns
+    (point, frame) at time s.  The frame is an (n+1) x n matrix whose
+    columns stay orthonormal and tangent; this provides the embedded
+    cross-check that the parallel-frame picture used by the curvature
+    terms is consistent.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -307,27 +299,11 @@ def sphere_parallel_transport_check(n: int, x, v, s: float, steps: int = 2048):
             break
     U0 = np.column_stack(frame)
 
-    if speed == 0 or s == 0:
-        return x.copy(), U0
-
-    # state: position, velocity, frame columns; parallel transport keeps
-    # the covariant derivative zero, i.e. dU/ds = -x (xdot^T U)/R^2
-    def rhs(_, state):
-        p, w, U = state
-        return (w, -(speed**2 / R**2) * p, -np.outer(p, w @ U) / R**2)
-
-    class _State(tuple):
-        def __add__(self, other):
-            return _State(a + b for a, b in zip(self, other))
-
-        def __rmul__(self, c):
-            return _State(c * a for a in self)
-
-    state = _State((x, v, U0))
-    h = s / steps
-    t = 0.0
-    for _ in range(steps):
-        state = _rk4_step(lambda tt, st: _State(rhs(tt, st)), state, t, h)
-        t += h
-    p, _, U = state
-    return p, U
+    # the great circle turns x and the first frame column (along v) by the
+    # angle speed s / R in their plane; the other columns are normal to that
+    # plane, where parallel transport keeps them fixed
+    angle = speed * s / R
+    e = U0[:, 0]
+    U = U0.copy()
+    U[:, 0] = np.cos(angle) * e - np.sin(angle) * x / R
+    return np.cos(angle) * x + np.sin(angle) * R * e, U

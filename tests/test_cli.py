@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -260,6 +261,19 @@ def test_reports_byte_stable(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+REPORTS = json.loads((pathlib.Path(__file__).parent / "data" / "cli_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_reports_match_recorded_bytes(capsys, case):
+    # recorded when the CLI ran every determinant a second time at steps // 2
+    # for its error estimate; the routes' own fine/coarse pairs reproduce the
+    # values, estimates and error messages byte for byte
+    rec = REPORTS[case]
+    code, out, err = run_cli(capsys, *rec["argv"])
+    assert (code, out, err) == (rec["exit"], rec["stdout"], rec["stderr"])
+
+
 def test_build_report_deterministic_dict():
     params = {"command": "det-fredholm", "kappa": -1.0, "r": 1.0, "n": 2, "modes": [16, 32]}
     a = json.dumps(build_report(dict(params)), sort_keys=True)
@@ -390,11 +404,15 @@ def test_eval_jacobian_steep_negative_curvature(capsys):
         ["det-zeta", "--laplacian", "--t", "1e200", "--n", "2"],
         # kappa r^2 overflows: NaN with exit 0
         ["eval-jacobian", "--kappa", "-1e308", "--r", "10", "--n", "2", "--partition-N", "2"],
+        # the 512-mode determinant exp(log|det|) overflows: inf with exit 0
+        ["det-fredholm", "--kappa", "-1e4", "--r", "10", "--n", "2"],
     ],
-    ids=["laplacian-t-1e308", "laplacian-t-1e200", "eval-jacobian-kappa-r2"],
+    ids=["laplacian-t-1e308", "laplacian-t-1e200", "eval-jacobian-kappa-r2", "det-fredholm-overflow"],
 )
 def test_float64_range_exit_1(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert err == ""
     assert json.loads(out)["error"] == "DomainError"

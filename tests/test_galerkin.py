@@ -145,6 +145,15 @@ def test_error_estimate_bounds_last_level_change():
     assert last.error_estimate >= abs(last.extrapolated - prev.extrapolated) - 1e-18
 
 
+def test_tail_completed_overflow_is_domain_error():
+    # the 256-mode determinant is finite, the completed sinh(v)/v with
+    # v = sqrt(5.2e5) = 721 is not
+    sys = JacobiSystem.constant([[5.2e5]], 1.0)
+    assert galerkin._fourier_level_logdet(sys, 256)[1] < np.log(np.finfo(float).max)
+    with pytest.raises(DomainError, match="tail-completed"):
+        fredholm_det(sys, (256,))
+
+
 def test_singular_truncation_directs_to_deflated():
     with pytest.raises(DegenerateOperatorError):
         fredholm_det(sphere_system(1.0, PI, 2), (32, 64))

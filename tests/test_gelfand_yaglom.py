@@ -1,5 +1,7 @@
 """ODE route: propagation, determinant ratios, degenerate case, zeta transfer."""
 
+import contextlib
+import io
 import math
 import tracemalloc
 
@@ -24,6 +26,8 @@ from geodet import (
     zeta_det_dirichlet_laplacian,
     zeta_det_jacobi,
 )
+from geodet import gelfand_yaglom
+from geodet.cli import main
 from geodet.gelfand_yaglom import _rk4_run, _sample_potential
 
 PI = np.pi
@@ -208,6 +212,61 @@ def test_sample_once_error_estimate_equals_two_runs(steps):
     Jc, _ = _rk4_run(sys, steps // 2, np.zeros((n, n)), np.eye(n))
     assert np.array_equal(prop.J, J)
     assert prop.error_estimate == float(np.max(np.abs(J[-1] - Jc[-1]))) / 15.0
+
+
+def antipodal_system(n=3):
+    return jacobi_endomorphism(GeodesicData(ConstantCurvature(n, 1.0), PI))
+
+
+def run_cli_quietly(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+
+CURVED = ("--kappa", "0.5", "--r", "1", "--n", "3")
+ANTIPODAL = ("--kappa", "1", "--r", "3.141592653589793", "--n", "3")
+
+
+@pytest.mark.parametrize(
+    "call, runs",
+    [
+        (lambda: run_cli_quietly("det-gy", *CURVED), 2),
+        (lambda: run_cli_quietly("det-zeta", *CURVED), 2),
+        (lambda: run_cli_quietly("det-zeta", *ANTIPODAL), 3),
+        (lambda: gy_ratio(free_system(3), catalog_like_system(3, t=1.0)), 2),
+        (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), 2),
+        (lambda: zeta_det_jacobi(catalog_like_system(3)), 2),
+        (lambda: zeta_det_jacobi(antipodal_system()), 3),
+    ],
+    ids=[
+        "cli-det-gy", "cli-det-zeta", "cli-det-zeta-antipodal", "gy_ratio",
+        "gy_degenerate_ratio", "zeta_det_jacobi-ratio", "zeta_det_jacobi-deflated",
+    ],
+)
+def test_propagation_counts(monkeypatch, call, runs):
+    # each route runs one fine/coarse pair of the operator it reports on
+    # and nothing for a free reference or a result it does not read
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _rk4_run(*args)
+
+    monkeypatch.setattr(gelfand_yaglom, "_rk4_run", counted)
+    call()
+    assert len(calls) == runs, calls
+
+
+def test_deflated_error_estimate_stays_on_route():
+    # at 48 steps J(1) has a kernel but at 24 it has none (its smallest
+    # singular value 2.4e-6 lies above the threshold 1e-6); the coarse value
+    # keeps the deflated route instead of mixing in the ratio route's 5e-11
+    sys = antipodal_system()
+    z = zeta_det_jacobi(sys, 48)
+    assert z.route == "deflated"
+    assert zeta_det_jacobi(sys, 24).route == "gy_ratio"
+    actual = abs(z.value - zeta_det_jacobi(sys, 2048).value)
+    assert 0.2 * actual < z.error_estimate < 1e-7
 
 
 def test_zeta_det_traced_heap_peak():
