@@ -17,7 +17,6 @@ from .errors import (
     DegenerateRouteError,
     DegenerateSegmentError,
     DomainError,
-    EmptyRequestError,
     GeodetError,
     IllSeparatedKernelError,
     InsufficientDegreeError,
@@ -27,14 +26,6 @@ from .errors import (
     RouteDisagreementError,
     UsageError,
     WrongRouteError,
-)
-from .interval import (
-    IntervalGrid,
-    ModeIndex,
-    SpectralCoefficients,
-    basis_function,
-    dirichlet_eigenvalues,
-    sobolev_norm,
 )
 from .geometry import (
     ConstantCurvature,

@@ -17,10 +17,6 @@ class DomainError(GeodetError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class EmptyRequestError(GeodetError):
-    """A request for zero spectral data (e.g. zero eigenvalues)."""
-
-
 class ConjugatePointError(GeodetError):
     """Endpoints at or beyond the first conjugate point (kappa > 0)."""
 

@@ -23,7 +23,7 @@ from .errors import (
     RouteDisagreementError,
 )
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, exp_jacobian_closed_form
-from .interval import IntervalGrid, mode_quadrature
+from .interval import mode_quadrature
 
 __all__ = [
     "Partition",
@@ -42,7 +42,7 @@ __all__ = [
     "phi0_chain",
 ]
 
-DEFAULT_KERNEL_TOL = 1e-8
+KERNEL_TOL = 1e-8  # eigenvalues below this, at the finest level, form the kernel
 KERNEL_GAP_FACTOR = 100.0
 _TAIL_ORDERS = 4  # powers of the eigenvalue decay kept in the analytic tail
 
@@ -171,16 +171,27 @@ def _mode_estimate(sys: JacobiSystem, schedule: list, values: list) -> Determina
 
     The completed finest level is the reported value.  The error estimate is
     the change between the last two completed levels, or the size of the
-    tail itself for a one-level schedule.
+    tail itself for a one-level schedule.  The tail series in c/k^2 diverges
+    unless (K + 1)^2 > max|c| at the finest level K, and every value must
+    stay inside float64; otherwise DomainError is raised.
     """
     vbar = np.linalg.eigvalsh(sys.mean_matrix())
     c = vbar * sys.t**2 / np.pi**2
-    tails = [np.exp(_tail_log_correction(c, K)) for K in schedule]
+    cmax = float(np.max(np.abs(c)))
+    if cmax >= (schedule[-1] + 1) ** 2:
+        raise DomainError(
+            f"the tail series diverges at {schedule[-1]} modes; "
+            f"the finest level needs at least {int(np.sqrt(cmax))} modes"
+        )
     levels = [(sys.n * K, float(value)) for K, value in zip(schedule, values)]
-    corrected = [float(value * tail) for value, tail in zip(values, tails)]
+    with np.errstate(over="ignore"):  # values beyond float64 are reported below
+        tails = [np.exp(_tail_log_correction(c, K)) for K in schedule]
+        corrected = [float(value * tail) for value, tail in zip(values, tails)]
     err = abs(corrected[-1] - corrected[-2]) if len(corrected) > 1 else abs(
         corrected[-1] - levels[-1][1]
     )
+    if not np.isfinite([*corrected, *values, err]).all():
+        raise DomainError("a truncated or tail-completed determinant overflows float64")
     return DeterminantEstimate(
         levels=levels,
         tail_correction=float(tails[-1]),
@@ -189,25 +200,25 @@ def _mode_estimate(sys: JacobiSystem, schedule: list, values: list) -> Determina
     )
 
 
-def _fourier_level_logdet(sys: JacobiSystem, K: int, assembled=None):
-    """(sign, log|det|) of the K-mode truncation of id + P^{-1} V."""
+def _level_eigenvalues(sys: JacobiSystem, K: int, assembled) -> np.ndarray:
+    """Eigenvalues of the K-mode truncation of id + P^{-1} V.
+
+    Constant potentials give the closed-form factors 1 + v_i t^2/(pi^2 k^2)
+    of the block-diagonal matrix; otherwise ``assembled`` is the matrix at a
+    level >= K and its leading nK block is diagonalized.
+    """
     if sys.is_constant:
         v = np.linalg.eigvalsh(sys(0.0))
         k = np.arange(1, K + 1)
-        factors = 1.0 + np.outer(v, sys.t**2 / (np.pi**2 * k**2)).ravel()
-        if np.any(factors == 0.0):
-            raise DegenerateOperatorError(
-                "truncated operator is singular; call fredholm_det_deflated"
-            )
-        sign = float(np.prod(np.sign(factors)))
-        return sign, float(np.sum(np.log(np.abs(factors)))), factors
-    sub = assembled[: sys.n * K, : sys.n * K]
-    sign, logdet = np.linalg.slogdet(sub)
-    if sign == 0.0:
-        raise DegenerateOperatorError(
-            "truncated operator is singular; call fredholm_det_deflated"
-        )
-    return float(sign), float(logdet), None
+        return 1.0 + np.outer(v, sys.t**2 / (np.pi**2 * k**2)).ravel()
+    return np.linalg.eigvalsh(assembled[: sys.n * K, : sys.n * K])
+
+
+def _eigenvalue_product(evals: np.ndarray) -> float:
+    """sign * exp(sum log|lambda|) of nonzero eigenvalues; inf beyond float64."""
+    sign = float(np.prod(np.sign(evals)))
+    with np.errstate(over="ignore"):
+        return sign * float(np.exp(np.sum(np.log(np.abs(evals)))))
 
 
 def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
@@ -232,8 +243,7 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
             M[blk, blk] += V * t**2 / (np.pi**2 * k**2)
         return GalerkinMatrix(dim, M, "fourier", K, n)
 
-    grid = IntervalGrid(0.0, t)
-    nodes, weights = mode_quadrature(grid, 2 * K)
+    nodes, weights = mode_quadrature(t, 2 * K)
     Vq = sys.sample(nodes)  # (Q, n, n)
     amp = np.sqrt(2.0 * t) / (np.pi * np.arange(1, K + 1))
     S = np.sin(np.pi * np.outer(np.arange(1, K + 1), nodes) / t) * amp[:, None]  # (K, Q)
@@ -253,44 +263,30 @@ def fredholm_det(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     """Fredholm determinant of id + P^{-1} V through the mode filtration.
 
     Computes the truncated determinant at each K in the increasing
-    schedule, applies the analytic tail correction at the finest level and
-    reports the completed value.  Raises DegenerateOperatorError when the
-    finest truncation is (numerically) singular; use
+    schedule from the level's eigenvalues, applies the analytic tail
+    correction at the finest level and reports the completed value.  Raises
+    DegenerateOperatorError when the finest truncation has an eigenvalue
+    below KERNEL_TOL, or a coarser one an exactly zero eigenvalue; use
     :func:`fredholm_det_deflated` in that case.
     """
     schedule = _check_schedule(schedule, "mode counts")
     assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1]).entries
-    values = []
-    with np.errstate(over="ignore"):  # values beyond float64 are reported below
-        for K in schedule:
-            sign, logdet, factors = _fourier_level_logdet(sys, K, assembled)
-            values.append(sign * np.exp(logdet))
-        est = _mode_estimate(sys, schedule, values)
-
-    if sys.is_constant:
-        smallest = np.min(np.abs(factors))
-    else:
-        smallest = np.min(np.abs(np.linalg.eigvalsh(assembled)))
-    if smallest < 1e-10:
+    spectra = [_level_eigenvalues(sys, K, assembled) for K in schedule]
+    if np.min(np.abs(spectra[-1])) < KERNEL_TOL or not all(lam.all() for lam in spectra):
         raise DegenerateOperatorError(
             "truncated operator is singular; call fredholm_det_deflated"
         )
-    if not np.isfinite(values + [est.extrapolated, est.error_estimate]).all():
-        raise DomainError("a truncated or tail-completed determinant overflows float64")
-    return est
+    return _mode_estimate(sys, schedule, [_eigenvalue_product(lam) for lam in spectra])
 
 
-def deflated_matrix_determinant(matrix: np.ndarray, kernel_tol: float):
-    """Determinant of a symmetric matrix with its numeric kernel removed.
+def deflated_matrix_determinant(evals: np.ndarray):
+    """Determinant of a symmetric matrix, given its eigenvalues, with its numeric kernel removed.
 
-    Eigenvalues of magnitude below kernel_tol form the kernel candidate;
+    Eigenvalues of magnitude below KERNEL_TOL form the kernel candidate;
     a relative spectral gap of at least 100x between them and the rest is
     required.  Returns (value, kernel_dimension).
     """
-    if kernel_tol <= 0:
-        raise DomainError("kernel_tol must be positive")
-    evals = np.linalg.eigvalsh(matrix)
-    small = np.abs(evals) < kernel_tol
+    small = np.abs(evals) < KERNEL_TOL
     kdim = int(np.count_nonzero(small))
     if kdim and kdim < len(evals):
         gap = np.min(np.abs(evals[~small])) / max(np.max(np.abs(evals[small])), 1e-300)
@@ -298,29 +294,21 @@ def deflated_matrix_determinant(matrix: np.ndarray, kernel_tol: float):
             raise IllSeparatedKernelError(
                 f"spectral gap {gap:.2g} below required factor {KERNEL_GAP_FACTOR}"
             )
-    kept = evals[~small]
-    sign = float(np.prod(np.sign(kept))) if len(kept) else 1.0
-    value = sign * float(np.exp(np.sum(np.log(np.abs(kept)))))
-    return value, kdim
+    return _eigenvalue_product(evals[~small]), kdim
 
 
-def fredholm_det_deflated(
-    sys: JacobiSystem, kernel_tol: float = DEFAULT_KERNEL_TOL, schedule=(64, 128, 256)
-) -> DeflatedDeterminant:
+def fredholm_det_deflated(sys: JacobiSystem, schedule=(64, 128, 256)) -> DeflatedDeterminant:
     """Fredholm determinant restricted to the complement of the numeric kernel.
 
     The nullspace of each truncation is detected from its eigenvalues
-    (magnitude below kernel_tol, guarded by a 100x spectral gap); the
+    (magnitude below KERNEL_TOL, guarded by a 100x spectral gap); the
     reported kernel dimension comes from the finest level.  The analytic
     tail correction applies unchanged since all tail modes are regular.
     """
-    if kernel_tol <= 0:
-        raise DomainError("kernel_tol must be positive")
     schedule = _check_schedule(schedule, "mode counts")
-    assembled = assemble_hessian_fourier(sys, schedule[-1]).entries
+    assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1]).entries
     results = [
-        deflated_matrix_determinant(assembled[: sys.n * K, : sys.n * K], kernel_tol)
-        for K in schedule
+        deflated_matrix_determinant(_level_eigenvalues(sys, K, assembled)) for K in schedule
     ]
     estimate = _mode_estimate(sys, schedule, [value for value, _ in results])
     return DeflatedDeterminant(estimate, results[-1][1])
@@ -359,7 +347,7 @@ def hessian_trace(sys: JacobiSystem, modes: int = 20000) -> float:
         # 1/k^2 (the oscillatory remainder decays like 1/k^4), so the sum is
         # cut where the quadrature still resolves every retained frequency.
         k_explicit = min(modes, 512)
-        grid_nodes, grid_w = mode_quadrature(IntervalGrid(0.0, t), 2 * k_explicit)
+        grid_nodes, grid_w = mode_quadrature(t, 2 * k_explicit)
         trv_nodes = np.trace(sys.sample(grid_nodes), axis1=1, axis2=2)
         ks = np.arange(1, k_explicit + 1)
         sin2 = np.sin(np.pi * np.outer(ks, grid_nodes) / t) ** 2

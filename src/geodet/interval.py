@@ -1,170 +1,37 @@
-"""Spectral data of the Dirichlet operator -d^2/ds^2 on an interval.
+"""Quadrature for products of Dirichlet sine modes on an interval [0, t].
 
-For the operator P = -d^2/ds^2 with Dirichlet boundary conditions on
-[a, b], acting on n-component fields, everything is explicit: the
-eigenvalues are pi^2 k^2 / (b-a)^2 with multiplicity n, the L2
-eigenbasis consists of normalized sine modes, and the Sobolev scale
-H^m is defined through powers of P.  This module provides those data
-together with composite Gauss-Legendre quadrature sized for products
-of sine modes.
+The Fourier filtration integrates the potential against products of sine
+modes sin(pi k s/t) sin(pi l s/t); a composite Gauss-Legendre rule with
+panels sized for the fastest oscillation keeps those integrals at machine
+precision.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, EmptyRequestError
-
-__all__ = [
-    "IntervalGrid",
-    "ModeIndex",
-    "SpectralCoefficients",
-    "dirichlet_eigenvalues",
-    "basis_function",
-    "sobolev_norm",
-    "mode_quadrature",
-]
+__all__ = ["mode_quadrature"]
 
 # Gauss-Legendre panels of this order keep oscillatory integrands at
 # machine precision as long as the phase per panel stays below ~8.
 _PANEL_ORDER = 16
 _MAX_PHASE_PER_PANEL = 8.0
+_MIN_PANELS = 4  # at least 64 nodes, however smooth the integrand
 
 
-@dataclass(frozen=True)
-class IntervalGrid:
-    """The interval [a, b] together with a default quadrature order."""
-
-    a: float
-    b: float
-    quadrature_order: int = 64
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise DomainError("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise DomainError(f"need a < b, got a={self.a}, b={self.b}")
-        if self.quadrature_order < 2:
-            raise DomainError("quadrature_order must be at least 2")
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
-
-@dataclass(frozen=True, order=True)
-class ModeIndex:
-    """Fiber slot i (1..n) and frequency k (>= 1) of a sine mode."""
-
-    i: int
-    k: int
-
-    def __post_init__(self):
-        if self.i < 1:
-            raise DomainError(f"fiber index must be >= 1, got {self.i}")
-        if self.k < 1:
-            raise DomainError(f"frequency index must be >= 1, got {self.k}")
-
-
-@dataclass
-class SpectralCoefficients:
-    """Finitely many sine-mode coefficients of an n-component field.
-
-    The Sobolev order m selects the norm: ``(sum_k lambda_k^m |x_ik|^2)^(1/2)``
-    with lambda_k the Dirichlet eigenvalues of the grid's interval.
-    """
-
-    n: int
-    grid: IntervalGrid
-    coefficients: dict = field(default_factory=dict)
-    sobolev_order: float = 0.0
-
-    def __post_init__(self):
-        for mode in self.coefficients:
-            if mode.i > self.n:
-                raise DomainError(f"mode {mode} exceeds fiber dimension {self.n}")
-
-
-def eigenvalue(grid: IntervalGrid, k: int) -> float:
-    """k-th Dirichlet eigenvalue pi^2 k^2 / (b-a)^2."""
-    return (np.pi * k / grid.length) ** 2
-
-
-def dirichlet_eigenvalues(grid: IntervalGrid, n: int, K: int):
-    """First K distinct Dirichlet eigenvalues with their multiplicities.
-
-    Returns a list of (eigenvalue, multiplicity) pairs, strictly increasing;
-    each eigenvalue pi^2 k^2/(b-a)^2 carries multiplicity n (one copy per
-    fiber component).
-    """
-    if n < 1:
-        raise DomainError(f"fiber dimension must be >= 1, got {n}")
-    if K < 1:
-        raise EmptyRequestError("at least one eigenvalue must be requested")
-    return [(eigenvalue(grid, k), n) for k in range(1, K + 1)]
-
-
-def _amplitude(mode: ModeIndex, grid: IntervalGrid, which: str) -> float:
-    L = grid.length
-    if which == "L2":
-        return np.sqrt(2.0 / L)
-    if which == "H1":
-        return np.sqrt(2.0 * L) / (np.pi * mode.k)
-    raise DomainError(f"unknown basis {which!r}, expected 'L2' or 'H1'")
-
-
-def basis_function(mode: ModeIndex, grid: IntervalGrid, which: str, s: float, n: int = None) -> np.ndarray:
-    """Evaluate an orthonormal basis field at time s as an n-vector.
-
-    'L2' gives the L2-orthonormal sine mode, 'H1' its rescaling by
-    1/sqrt(lambda_k), orthonormal in the H1 inner product
-    (X, Y) = int <X', Y'>.  The vector is supported in the fiber slot
-    of the mode; n defaults to mode.i.
-    """
-    if n is None:
-        n = mode.i
-    if not (grid.a <= s <= grid.b):
-        raise DomainError(f"s={s} outside [{grid.a}, {grid.b}]")
-    if mode.i > n:
-        raise DomainError(f"fiber slot {mode.i} exceeds dimension {n}")
-    out = np.zeros(n)
-    out[mode.i - 1] = _amplitude(mode, grid, which) * np.sin(
-        np.pi * mode.k * (s - grid.a) / grid.length
-    )
-    return out
-
-
-def sine_profile(k: int, grid: IntervalGrid, which: str, s: np.ndarray) -> np.ndarray:
-    """Scalar profile of the k-th mode at (array of) times s, no fiber slot."""
-    mode = ModeIndex(1, k)
-    return _amplitude(mode, grid, which) * np.sin(np.pi * k * (np.asarray(s) - grid.a) / grid.length)
-
-
-def sobolev_norm(x: SpectralCoefficients) -> float:
-    """H^m norm (sum_k lambda_k^m |x_ik|^2)^(1/2) of a coefficient field."""
-    total = 0.0
-    for mode, c in x.coefficients.items():
-        total += eigenvalue(x.grid, mode.k) ** x.sobolev_order * abs(c) ** 2
-    return np.sqrt(total)
-
-
-def mode_quadrature(grid: IntervalGrid, max_halfwaves: int):
-    """Composite Gauss-Legendre rule resolving sine products on the interval.
+def mode_quadrature(t: float, max_halfwaves: int):
+    """Composite Gauss-Legendre rule resolving sine products on [0, t].
 
     ``max_halfwaves`` is the largest combined frequency k + k' appearing in
     the integrand.  Panels are sized so the phase per panel stays below
     ~8 radians of the fastest oscillation, which keeps the 16-point rule
-    at machine precision; the grid's quadrature_order acts as a floor on
-    the total node count.
+    at machine precision.
 
-    Returns (nodes, weights) on [a, b].
+    Returns (nodes, weights) on [0, t].
     """
     total_phase = np.pi * max(1, max_halfwaves)
-    panels = int(np.ceil(total_phase / _MAX_PHASE_PER_PANEL))
-    panels = max(panels, int(np.ceil(grid.quadrature_order / _PANEL_ORDER)), 2)
+    panels = max(int(np.ceil(total_phase / _MAX_PHASE_PER_PANEL)), _MIN_PANELS)
     x, w = leggauss(_PANEL_ORDER)
-    edges = np.linspace(grid.a, grid.b, panels + 1)
+    edges = np.linspace(0.0, t, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -79,6 +79,16 @@ def test_module_error_surfaces_named_exit_1(capsys):
     assert "message" in report
 
 
+def test_near_conjugate_fredholm_is_degenerate_exit_1(capsys):
+    # the finest truncation has the eigenvalue 2.3e-9: a numeric kernel,
+    # not a determinant of 1e-18
+    code, out, _ = run_cli(
+        capsys, "det-fredholm", "--kappa", "1", "--r", "3.14159265", "--n", "3"
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "DegenerateOperatorError"
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_module_error_follows_format(capsys, fmt):
     code, out, _ = run_cli(
@@ -406,8 +416,11 @@ def test_eval_jacobian_steep_negative_curvature(capsys):
         ["eval-jacobian", "--kappa", "-1e308", "--r", "10", "--n", "2", "--partition-N", "2"],
         # the 512-mode determinant exp(log|det|) overflows: inf with exit 0
         ["det-fredholm", "--kappa", "-1e4", "--r", "10", "--n", "2"],
+        # the tail series in c/k^2 diverges: c = 5e5/pi^2 > (64 + 1)^2
+        ["det-fredholm", "--kappa", "-5e5", "--r", "1", "--n", "2", "--modes", "32,64"],
     ],
-    ids=["laplacian-t-1e308", "laplacian-t-1e200", "eval-jacobian-kappa-r2", "det-fredholm-overflow"],
+    ids=["laplacian-t-1e308", "laplacian-t-1e200", "eval-jacobian-kappa-r2", "det-fredholm-overflow",
+         "det-fredholm-divergent-tail"],
 )
 def test_float64_range_exit_1(capsys, argv):
     with warnings.catch_warnings():

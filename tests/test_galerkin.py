@@ -28,7 +28,7 @@ from geodet import (
 )
 from geodet import galerkin
 from geodet.galerkin import deflated_matrix_determinant
-from geodet.interval import IntervalGrid, mode_quadrature
+from geodet.interval import mode_quadrature
 
 PI = np.pi
 
@@ -62,8 +62,7 @@ def test_varying_potential_matches_refined_quadrature():
     K = 12
     sys = JacobiSystem(1, 1.0, lambda s: np.array([[s]]))
     M = assemble_hessian_fourier(sys, K).entries
-    grid = IntervalGrid(0.0, 1.0)
-    nodes, weights = mode_quadrature(grid, 8 * K)  # 4x the assembly resolution
+    nodes, weights = mode_quadrature(1.0, 8 * K)  # 4x the assembly resolution
     ks = np.arange(1, K + 1)
     amp = np.sqrt(2.0) / (PI * ks)
     S = np.sin(PI * np.outer(ks, nodes)) * amp[:, None]
@@ -83,7 +82,7 @@ def test_fourier_gemm_assembly_matches_einsum(n):
     K, t = 24, 1.3
     sys = JacobiSystem(n, t, varying_potential(n))
     M = assemble_hessian_fourier(sys, K).entries
-    nodes, weights = mode_quadrature(IntervalGrid(0.0, t), 2 * K)
+    nodes, weights = mode_quadrature(t, 2 * K)
     Vq = np.stack([sys(s) for s in nodes])
     amp = np.sqrt(2.0 * t) / (PI * np.arange(1, K + 1))
     S = np.sin(PI * np.outer(np.arange(1, K + 1), nodes) / t) * amp[:, None]
@@ -147,11 +146,30 @@ def test_error_estimate_bounds_last_level_change():
 
 def test_tail_completed_overflow_is_domain_error():
     # the 256-mode determinant is finite, the completed sinh(v)/v with
-    # v = sqrt(5.2e5) = 721 is not
+    # v = sqrt(5.2e5) = 721 is not, on either route
     sys = JacobiSystem.constant([[5.2e5]], 1.0)
-    assert galerkin._fourier_level_logdet(sys, 256)[1] < np.log(np.finfo(float).max)
+    logdet = np.sum(np.log(galerkin._level_eigenvalues(sys, 256, None)))
+    assert logdet < np.log(np.finfo(float).max)
     with pytest.raises(DomainError, match="tail-completed"):
         fredholm_det(sys, (256,))
+    with pytest.raises(DomainError, match="tail-completed"):
+        fredholm_det_deflated(sys, (128, 256))
+
+
+def test_divergent_tail_is_domain_error():
+    # c = 5e5 / pi^2 = 50660 needs (K + 1)^2 > c, that is K >= 225 modes
+    sys = sphere_system(-5e5, 1.0, 2)
+    for route in (fredholm_det, fredholm_det_deflated):
+        with pytest.raises(DomainError, match="needs at least 225 modes"):
+            route(sys, (32, 64))
+    assert fredholm_det(sys, (256, 512)).extrapolated == pytest.approx(8.7e303, rel=1e-2)
+
+
+def test_level_eigenvalues_constant_match_assembled_matrix():
+    sys = sphere_system(0.9, 1.1, 4)
+    closed = np.sort(galerkin._level_eigenvalues(sys, 16, None))
+    dense = np.linalg.eigvalsh(assemble_hessian_fourier(sys, 16).entries)
+    assert np.max(np.abs(closed - dense)) < 1e-14
 
 
 def test_singular_truncation_directs_to_deflated():
@@ -239,13 +257,44 @@ def test_ill_separated_kernel_raises():
         fredholm_det_deflated(JacobiSystem.constant(V, 1.0), schedule=(16, 32))
 
 
+def test_deflated_constant_system_assembles_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("constant systems use the closed-form eigenvalues")
+
+    monkeypatch.setattr(galerkin, "assemble_hessian_fourier", refuse)
+    res = fredholm_det_deflated(sphere_system(1.0, PI, 3), schedule=(64, 128, 256))
+    assert res.kernel_dimension == 2
+
+
+DEGENERACY_CASES = {
+    "sphere-half-pi": (sphere_system(1.0, PI / 2, 3), False),
+    "antipodal-S2": (sphere_system(1.0, PI, 2), True),
+    "antipodal-S3": (sphere_system(1.0, PI, 3), True),
+    # finest eigenvalue 2.3e-9: below KERNEL_TOL, far above zero
+    "near-conjugate": (sphere_system(1.0, 3.14159265, 3), True),
+    "varying": (JacobiSystem(3, 1.3, varying_potential(3)), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERACY_CASES))
+def test_plain_route_raises_iff_deflated_route_finds_kernel(case):
+    sys, degenerate = DEGENERACY_CASES[case]
+    schedule = (32, 64, 128)
+    assert (fredholm_det_deflated(sys, schedule).kernel_dimension > 0) == degenerate
+    if degenerate:
+        with pytest.raises(DegenerateOperatorError):
+            fredholm_det(sys, schedule)
+    else:
+        fredholm_det(sys, schedule)
+
+
 def test_deflated_invariant_under_kernel_rebasing():
     sys = sphere_system(1.0, PI, 3)
     M = assemble_hessian_fourier(sys, 64).entries
-    val, kdim = deflated_matrix_determinant(M, 1e-8)
+    val, kdim = deflated_matrix_determinant(np.linalg.eigvalsh(M))
     rng = np.random.default_rng(11)
     Q, _ = np.linalg.qr(rng.normal(size=M.shape))
-    val2, kdim2 = deflated_matrix_determinant(Q @ M @ Q.T, 1e-8)
+    val2, kdim2 = deflated_matrix_determinant(np.linalg.eigvalsh(Q @ M @ Q.T))
     assert kdim2 == kdim
     assert abs(val - val2) < 1e-10 * max(1.0, abs(val))
 

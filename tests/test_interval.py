@@ -1,40 +1,11 @@
-"""Spectral data of the Dirichlet interval operator."""
+"""Quadrature of Dirichlet sine modes on an interval."""
 
 import numpy as np
 import pytest
 
-from geodet import (
-    DomainError,
-    EmptyRequestError,
-    IntervalGrid,
-    ModeIndex,
-    SpectralCoefficients,
-    basis_function,
-    dirichlet_eigenvalues,
-    sobolev_norm,
-)
-from geodet.interval import mode_quadrature, sine_profile
+from geodet.interval import mode_quadrature
 
 PI = np.pi
-
-
-def test_first_eigenvalue_unit_interval():
-    grid = IntervalGrid(0.0, 1.0)
-    assert dirichlet_eigenvalues(grid, n=1, K=1) == [(PI**2, 1)]
-
-
-def test_third_eigenvalue_with_multiplicity():
-    grid = IntervalGrid(0.0, 2.0)
-    evals = dirichlet_eigenvalues(grid, n=3, K=3)
-    lam, mult = evals[2]
-    assert mult == 3
-    assert lam == pytest.approx(9 * PI**2 / 4, rel=0, abs=1e-14)
-
-
-def test_eigenvalues_strictly_increasing():
-    grid = IntervalGrid(-1.0, 3.0)
-    evals = [lam for lam, _ in dirichlet_eigenvalues(grid, n=2, K=50)]
-    assert all(b > a for a, b in zip(evals, evals[1:]))
 
 
 def test_inverse_eigenvalue_sum_converges_to_hilbert_schmidt_norm():
@@ -42,119 +13,35 @@ def test_inverse_eigenvalue_sum_converges_to_hilbert_schmidt_norm():
     K = 10**6
     k = np.arange(1, K + 1, dtype=float)
     for n, (a, b) in ((1, (0.0, 1.0)), (2, (0.0, 1.0))):
-        grid = IntervalGrid(a, b)
         partial = n * (b - a) ** 2 / PI**2 * float(np.sum(1.0 / k**2))
         assert abs(partial - n * (b - a) ** 2 / 6.0) < 1e-6
 
 
-@pytest.mark.parametrize("c", [2.0, 0.5, 3.0])
-def test_eigenvalue_scaling_exact(c):
-    ell = 1.7
-    base = dirichlet_eigenvalues(IntervalGrid(0.0, ell), 1, 8)
-    scaled = dirichlet_eigenvalues(IntervalGrid(0.0, c * ell), 1, 8)
-    for (lam_b, _), (lam_s, _) in zip(base, scaled):
-        # exact scaling law; power-of-two factors are bitwise, c=3 is one ulp
-        assert lam_s == pytest.approx(lam_b / c**2, rel=1e-15)
-
-
-def test_zero_eigenvalue_request_rejected():
-    with pytest.raises(EmptyRequestError):
-        dirichlet_eigenvalues(IntervalGrid(0.0, 1.0), 1, 0)
-
-
-def test_grid_validation():
-    with pytest.raises(DomainError):
-        IntervalGrid(1.0, 1.0)
-    with pytest.raises(DomainError):
-        IntervalGrid(0.0, 1.0, quadrature_order=1)
-
-
-def test_basis_vanishes_at_left_endpoint():
-    grid = IntervalGrid(0.3, 2.1)
-    for which in ("L2", "H1"):
-        vec = basis_function(ModeIndex(2, 5), grid, which, grid.a, n=3)
-        assert np.all(vec == 0.0)
-
-
-def test_l2_mode_value_at_midpoint():
-    grid = IntervalGrid(0.0, 1.0)
-    vec = basis_function(ModeIndex(1, 1), grid, "L2", 0.5, n=4)
-    assert vec[0] == pytest.approx(np.sqrt(2.0), abs=1e-14)
-    assert np.all(vec[1:] == 0.0)
-
-
-def test_basis_outside_interval_rejected():
-    grid = IntervalGrid(0.0, 1.0)
-    with pytest.raises(DomainError):
-        basis_function(ModeIndex(1, 1), grid, "L2", 1.5)
-
-
 def test_h1_norm_of_h1_mode_is_one_by_quadrature():
     # independent oracle: quadrature of <F', F'> with the cosine derivative
-    grid = IntervalGrid(0.0, 1.0)
-    L = grid.length
-    nodes, weights = mode_quadrature(grid, 2 * 8)
+    L = 1.0
+    nodes, weights = mode_quadrature(L, 2 * 8)
     for k in (1, 3, 8):
         amp = np.sqrt(2.0 * L) / (PI * k)
-        deriv = amp * (PI * k / L) * np.cos(PI * k * (nodes - grid.a) / L)
+        deriv = amp * (PI * k / L) * np.cos(PI * k * nodes / L)
         norm2 = float(np.sum(weights * deriv**2))
         assert abs(norm2 - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("which", ["L2", "H1"])
 def test_gram_matrix_orthonormal(which):
-    grid = IntervalGrid(0.0, 1.0)
+    L = 1.0
     kmax = 32
-    nodes, weights = mode_quadrature(grid, 2 * kmax)
+    nodes, weights = mode_quadrature(L, 2 * kmax)
+    ks = np.arange(1, kmax + 1)
     if which == "L2":
-        profiles = np.array([sine_profile(k, grid, "L2", nodes) for k in range(1, kmax + 1)])
+        profiles = np.sqrt(2.0 / L) * np.sin(PI * ks[:, None] * nodes[None, :] / L)
     else:
         # H1 pairing integrates the derivatives
-        L = grid.length
-        ks = np.arange(1, kmax + 1)
         amps = np.sqrt(2.0 * L) / (PI * ks)
         profiles = amps[:, None] * (PI * ks[:, None] / L) * np.cos(
-            PI * ks[:, None] * (nodes[None, :] - grid.a) / L
+            PI * ks[:, None] * nodes[None, :] / L
         )
     gram = profiles @ (weights[:, None] * profiles.T)
     err = np.abs(gram - np.eye(kmax))
     assert err.max() < 1e-10
-
-
-def test_h1_mode_is_rescaled_l2_mode():
-    # F_ik = E_ik / sqrt(lambda_k), exactly
-    grid = IntervalGrid(0.25, 1.75)
-    for k in (1, 2, 7):
-        lam = (PI * k / grid.length) ** 2
-        for s in np.linspace(grid.a, grid.b, 9):
-            e = basis_function(ModeIndex(1, k), grid, "L2", s)
-            f = basis_function(ModeIndex(1, k), grid, "H1", s)
-            assert f[0] == pytest.approx(e[0] / np.sqrt(lam), abs=1e-15)
-
-
-def test_sobolev_norm_zero_and_single_mode():
-    grid = IntervalGrid(0.0, 1.0)
-    empty = SpectralCoefficients(2, grid, {})
-    assert sobolev_norm(empty) == 0.0
-    single = SpectralCoefficients(2, grid, {ModeIndex(1, 1): 1.0}, sobolev_order=1.0)
-    assert sobolev_norm(single) == pytest.approx(PI, abs=1e-14)
-
-
-def test_sobolev_embedding_inequality_random_fields():
-    # ||x||_{H^l} <= ((b-a)/pi)^(m-l) ||x||_{H^m} for l <= m
-    rng = np.random.default_rng(7)
-    grid = IntervalGrid(0.0, 1.0)
-    for _ in range(20):
-        coeffs = {
-            ModeIndex(int(rng.integers(1, 3)), int(k)): float(rng.normal())
-            for k in rng.choice(np.arange(1, 40), size=20, replace=False)
-        }
-        low = sobolev_norm(SpectralCoefficients(2, grid, coeffs, sobolev_order=0.0))
-        high = sobolev_norm(SpectralCoefficients(2, grid, coeffs, sobolev_order=1.0))
-        assert low <= (grid.length / PI) * high + 1e-12
-
-
-def test_coefficients_reject_out_of_range_fiber():
-    grid = IntervalGrid(0.0, 1.0)
-    with pytest.raises(DomainError):
-        SpectralCoefficients(1, grid, {ModeIndex(2, 1): 1.0})
