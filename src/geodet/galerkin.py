@@ -45,6 +45,7 @@ __all__ = [
 KERNEL_TOL = 1e-8  # eigenvalues below this, at the finest level, form the kernel
 KERNEL_GAP_FACTOR = 100.0
 _TAIL_ORDERS = 4  # powers of the eigenvalue decay kept in the analytic tail
+_TRACE_MODES = 20000  # sine modes hessian_trace sums for a constant potential
 
 
 @dataclass(frozen=True)
@@ -325,28 +326,28 @@ def _trace_exact(sys: JacobiSystem) -> float:
     return float(np.sum(w * vals * s * (t - s) / t) * 0.5 * t)
 
 
-def hessian_trace(sys: JacobiSystem, modes: int = 20000) -> float:
+def hessian_trace(sys: JacobiSystem) -> float:
     """Trace of the Hessian form minus the identity, checked two ways.
 
-    Route (a) sums the diagonal matrix elements over the first ``modes``
-    sine modes and completes the sum with the analytic 1/k^2 tail.  Route
-    (b) integrates the potential trace against s(t-s)/t, which is the
-    Ricci-integral form (for a constant-curvature geodesic it equals
-    -(n-1) kappa r^2 / 6).  Both must agree to 1e-8; otherwise
-    RouteDisagreementError is raised.
+    Route (a) sums the diagonal matrix elements over the first
+    _TRACE_MODES sine modes (512 for a varying potential) and completes
+    the sum with the analytic 1/k^2 tail.  Route (b) integrates the
+    potential trace against s(t-s)/t, which is the Ricci-integral form (for
+    a constant-curvature geodesic it equals -(n-1) kappa r^2 / 6).  Both
+    must agree to 1e-8; otherwise RouteDisagreementError is raised.
     """
     t = sys.t
     if sys.is_constant:
-        k = np.arange(1, modes + 1)
+        k = np.arange(1, _TRACE_MODES + 1)
         trv = float(np.trace(sys(0.0)))
         partial = trv * t * t / np.pi**2 * float(np.sum(1.0 / k**2))
-        tail = trv * t * t / np.pi**2 * _zeta_tail(modes, 1)
+        tail = trv * t * t / np.pi**2 * _zeta_tail(_TRACE_MODES, 1)
     else:
         # (V F_k, F_k) summed over fibers = (2t/pi^2 k^2) int tr V sin^2(pi k s/t).
         # Beyond the explicitly summed modes only the mean of tr V survives at
         # 1/k^2 (the oscillatory remainder decays like 1/k^4), so the sum is
         # cut where the quadrature still resolves every retained frequency.
-        k_explicit = min(modes, 512)
+        k_explicit = 512
         grid_nodes, grid_w = mode_quadrature(t, 2 * k_explicit)
         trv_nodes = np.trace(sys.sample(grid_nodes), axis1=1, axis2=2)
         ks = np.arange(1, k_explicit + 1)
@@ -393,22 +394,22 @@ def _hat_stiffness(deltas: np.ndarray):
     return inv[:-1] + inv[1:], -inv[1:-1]
 
 
-def _hat_blocks(sys: JacobiSystem, nodes: np.ndarray, quad_order: int = 8):
+def _hat_blocks(sys: JacobiSystem, nodes: np.ndarray):
     """Diagonal (N-1, n, n) and off-diagonal (N-2, n, n) blocks of B.
 
     ``nodes`` are the partition times on [0, t]; off-diagonal block j couples
     interior nodes j and j + 1.  Constant potentials use the closed-form hat
-    mass blocks, varying ones a Gauss-Legendre rule of ``quad_order`` nodes
-    per segment with the potential sampled once per node.
+    mass blocks, varying ones an 8-node Gauss-Legendre rule per segment
+    with the potential sampled once per node.
     """
     deltas = np.diff(nodes)
     if sys.is_constant:
         V = sys(0.0)
         diag = ((deltas[:-1] + deltas[1:]) / 3.0)[:, None, None] * V
         return diag, (deltas[1:-1] / 6.0)[:, None, None] * V
-    x, w = leggauss(quad_order)
+    x, w = leggauss(8)
     a, b, h = nodes[:-1, None], nodes[1:, None], deltas[:, None]
-    sq = 0.5 * (b + a) + 0.5 * h * x  # (N, quad_order)
+    sq = 0.5 * (b + a) + 0.5 * h * x  # (N, 8)
     wq = 0.5 * h * w
     up = (sq - a) / h  # hat rising on the segment (its right node)
     down = (b - sq) / h  # hat falling (its left node)
@@ -620,8 +621,6 @@ def evaluation_map_jacobian(g: GeodesicData, partition: Partition) -> float:
         if np.max(deltas) * g.speed >= conj:
             raise DegenerateSegmentError("a segment reaches the conjugate distance")
     v_fiber = -m.kappa * g.speed**2
-    if not np.isfinite(v_fiber):
-        raise DomainError(f"kappa r^2 overflows float64 (kappa = {m.kappa:g}, r = {g.speed:g})")
     log_gram = 0.0
     for v, count in ((0.0, 1), (v_fiber, m.n - 1)):
         if count == 0:

@@ -49,8 +49,6 @@ class JacobiPropagation:
     t_grid: np.ndarray
     J: np.ndarray  # (steps+1, n, n)
     Jprime: np.ndarray
-    step_size: float
-    error_estimate: float = 0.0
 
     @property
     def n(self) -> int:
@@ -116,18 +114,21 @@ def _transfer_increments(V: np.ndarray, h: float) -> np.ndarray:
     return D
 
 
-def _rk4_run(sys: JacobiSystem, steps: int, Y0: np.ndarray, Z0: np.ndarray, V=None):
-    """Fixed-step RK4 for Y'' = V Y; returns Y, Y' at every grid point.
+def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
+    """Fixed-step RK4 of the fundamental matrix U = [[K, J], [K', J']] of Y'' = V Y.
 
-    ``V`` are the half-grid samples of :func:`_sample_potential`, taken
-    here when not given.  Raises IntegrationError when Y or Y' leaves the
-    float64 range.
+    U(0) is the 2n x 2n identity, so one run carries J (J(0) = 0,
+    J'(0) = id) in its last n columns and the second fundamental solution
+    K (K(0) = id, K'(0) = 0) in its first n; returns U at every grid point,
+    shape (steps+1, 2n, 2n).  ``V`` are the half-grid samples of
+    :func:`_sample_potential`, taken here when not given.  Raises
+    IntegrationError when U leaves the float64 range.
     """
     if V is None:
         V = _sample_potential(sys, steps)
     D = _transfer_increments(V, sys.t / steps)
-    U = np.empty((steps + 1, 2 * sys.n, Y0.shape[1]))
-    U[0] = np.concatenate((Y0, Z0))
+    U = np.empty((steps + 1, 2 * sys.n, 2 * sys.n))
+    U[0] = np.eye(2 * sys.n)
     states = list(U)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         for Dm, u, nxt in zip(D, states, states[1:]):
@@ -139,40 +140,35 @@ def _rk4_run(sys: JacobiSystem, steps: int, Y0: np.ndarray, Z0: np.ndarray, V=No
         raise IntegrationError(
             f"J or J' left the float64 range at s = {s:.4g} of t = {sys.t:.4g}"
         )
-    return U[:, : sys.n], U[:, sys.n :]
+    return U
 
 
 def _fine_run(sys: JacobiSystem, steps: int):
-    """The propagation at ``steps`` and the half-grid samples of V it used."""
+    """The run at ``steps`` and the half-grid samples of V it used."""
     if steps < 16:
         raise DomainError("need at least 16 steps")
-    n = sys.n
     V = _sample_potential(sys, steps)
-    J, Jp = _rk4_run(sys, steps, np.zeros((n, n)), np.eye(n), V)
-    return JacobiPropagation(np.linspace(0.0, sys.t, steps + 1), J, Jp, sys.t / steps), V
+    return _rk4_run(sys, steps, V), V
 
 
-def _coarse_final(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:
-    """J(t) at steps // 2, the partner of the fine run on the half-grid samples ``V``.
+def _coarse_run(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:
+    """The run at steps // 2, the partner of the fine run on the half-grid samples ``V``.
 
     For even step counts the coarse half-grid is every other fine sample
     (``np.linspace`` grids nest exactly), so the potential is sampled once.
     """
-    n = sys.n
-    Vc = V[::2] if steps % 2 == 0 else None
-    return _rk4_run(sys, steps // 2, np.zeros((n, n)), np.eye(n), Vc)[0][-1]
+    return _rk4_run(sys, steps // 2, V[::2] if steps % 2 == 0 else None)
 
 
 def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPropagation:
     """Propagate J'' = V J, J(0) = 0, J'(0) = id with fixed-step RK4.
 
-    A half-resolution run provides the step-halving error estimate
-    ||J_fine(t) - J_coarse(t)|| / 15 (the order-4 Richardson factor).
+    One run at ``steps``; the step-halving error estimates live on the
+    determinant routes (:class:`ZetaDetValue`).
     """
-    prop, V = _fine_run(sys, steps)
-    Jc = _coarse_final(sys, steps, V)
-    prop.error_estimate = float(np.max(np.abs(prop.J[-1] - Jc))) / 15.0
-    return prop
+    U, _ = _fine_run(sys, steps)
+    n = sys.n
+    return JacobiPropagation(np.linspace(0.0, sys.t, steps + 1), U[:, :n, n:], U[:, n:, n:])
 
 
 def _zero_modes(Jt: np.ndarray, t: float):
@@ -188,27 +184,91 @@ def _zero_modes(Jt: np.ndarray, t: float):
     return sig, Vt, sig < DEGENERACY_REL_TOL * t
 
 
-def _check_positive(prop: JacobiPropagation, label: str):
-    """A finite det J and no interior sign change: the operator is positive."""
-    dets = np.linalg.det(prop.J[1:])
+def _kernel_dim(U: np.ndarray, t: float, label: str, route: str = None) -> int:
+    """The route decision of every GY determinant: the kernel dimension of J(t).
+
+    The kernel is the SVD test of :func:`_zero_modes`.  det J must be
+    finite and positive on (0, t), and at t as well when J(t) has no
+    kernel; at a kernel the sign of det J(t) is rounding noise.  ``route``
+    is the route the caller evaluates: "gy_ratio" admits no kernel
+    (DegenerateOperatorError), "deflated" needs one (WrongRouteError,
+    before the sign test) and None takes either.
+    """
+    n = U.shape[1] // 2
+    J = U[:, :n, n:]
+    sig, _, kernel = _zero_modes(J[-1], t)
+    kdim = int(np.count_nonzero(kernel))
+    if route == "deflated" and not kdim:
+        raise WrongRouteError(
+            f"J(t) has no zero mode (smallest singular value {sig[-1]:.3g}, "
+            f"kernel threshold {DEGENERACY_REL_TOL * t:.3g}); use the ratio route"
+        )
+    dets = np.linalg.det(J[1:])
     if not np.all(np.isfinite(dets)):
         raise IntegrationError(f"{label}: det J left the float64 range")
-    if np.any(dets <= 0.0):
+    if np.any((dets[:-1] if kdim else dets) <= 0.0):
         raise NonpositiveOperatorError(
             f"{label}: det J changes sign on (0, t]; operator not positive"
         )
-
-
-def _check_ratio_operand(prop: JacobiPropagation, label: str):
-    """:func:`_check_positive`, and DegenerateOperatorError when J(t) has a kernel."""
-    _check_positive(prop, label)
-    sig, _, kernel = _zero_modes(prop.J[-1], prop.t)
-    if kernel.any():
+    if route == "gy_ratio" and kdim:
         raise DegenerateOperatorError(
             f"{label}: J(t) has the singular value {sig[-1]:.3g}, below the kernel "
-            f"threshold {DEGENERACY_REL_TOL * prop.t:.3g}; the operator has zero "
+            f"threshold {DEGENERACY_REL_TOL * t:.3g}; the operator has zero "
             "modes (use gy_degenerate_ratio, or det-zeta on the command line)"
         )
+    return kdim
+
+
+def _simpson_weights(num_points: int, h: float) -> np.ndarray:
+    """Composite Simpson weights; an odd interval count closes with the 3/8 rule."""
+    m = num_points - 1
+    e = m - 3 * (m % 2)  # end of the Simpson part; the 3/8 rule takes the rest
+    w = np.zeros(num_points)
+    w[: e + 1] = 1.0
+    w[1:e:2] = 4.0
+    w[2:e:2] = 2.0
+    w = w * h / 3.0
+    if e < m:
+        w[e:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
+    return w
+
+
+def _gy_det(U: np.ndarray, t: float, kdim: int) -> float:
+    """det J(t) of the run ``U``, or with kdim > 0 the deflated |det A|.
+
+    A has columns J(t) d_b on the complement of ker J(t) and
+    -K(t) (int_0^t J^T J ds) c_a on the kernel, with K the second
+    fundamental solution (K(0) = id, K'(0) = 0).  Dividing |det A| by
+    det J_1(t) of a positive reference operator gives
+    det'_zeta(P)/det_zeta(P_1).  When the kernel fills every direction
+    this reduces to det(int J^T J)/|det J'(t)| since then
+    K(t) = J'(t)^{-T}.  The kernel is the kdim smallest singular
+    directions of J(t), so that a coarser run stays on the route a finer
+    one chose.
+    """
+    n = U.shape[1] // 2
+    J = U[:, :n, n:]
+    Jt = J[-1]
+    if not kdim:
+        return float(np.linalg.det(Jt))
+    _, Vt, _ = _zero_modes(Jt, t)
+    # singular values sort descending: the last kdim rows of V^T span the kernel
+    C_ker = Vt[n - kdim :].T
+    C_perp = Vt[: n - kdim].T
+    w = _simpson_weights(len(U), t / (len(U) - 1))
+    gram = np.einsum("s,sji,sjk->ik", w, J, J)
+    A = np.hstack((Jt @ C_perp, -U[-1, :n, :n] @ gram @ C_ker))
+    return abs(float(np.linalg.det(A)))
+
+
+def _fine_det(sys: JacobiSystem, steps: int, label: str, route: str = None):
+    """(det J(t) or |det A|, kernel dim, V samples) of the run at ``steps``.
+
+    The state array dies with the call, so callers hold one at a time.
+    """
+    U, V = _fine_run(sys, steps)
+    kdim = _kernel_dim(U, sys.t, label, route)
+    return _gy_det(U, sys.t, kdim), kdim, V
 
 
 def gy_ratio(sys1: JacobiSystem, sys2: JacobiSystem, steps: int = DEFAULT_STEPS) -> float:
@@ -219,11 +279,9 @@ def gy_ratio(sys1: JacobiSystem, sys2: JacobiSystem, steps: int = DEFAULT_STEPS)
     """
     if sys1.n != sys2.n or abs(sys1.t - sys2.t) > 1e-14:
         raise DomainError("operators must share fiber dimension and interval")
-    p1, _ = _fine_run(sys1, steps)
-    p2, _ = _fine_run(sys2, steps)
-    for prop, label in ((p1, "P1"), (p2, "P2")):
-        _check_ratio_operand(prop, label)
-    return p2.det_final() / p1.det_final()
+    det1 = _fine_det(sys1, steps, "P1", "gy_ratio")[0]
+    det2 = _fine_det(sys2, steps, "P2", "gy_ratio")[0]
+    return det2 / det1
 
 
 def _free_reference_ratio(sys: JacobiSystem, steps: int) -> ZetaDetValue:
@@ -231,62 +289,11 @@ def _free_reference_ratio(sys: JacobiSystem, steps: int) -> ZetaDetValue:
 
     The free det J(t) = t^n is exact, so only sys is propagated.
     """
-    prop, V = _fine_run(sys, steps)
-    _check_ratio_operand(prop, "P2")
+    det, _, V = _fine_det(sys, steps, "P2", "gy_ratio")
     free = sys.t**sys.n
-    value = prop.det_final() / free
-    coarse = float(np.linalg.det(_coarse_final(sys, steps, V))) / free
+    value = det / free
+    coarse = _gy_det(_coarse_run(sys, steps, V), sys.t, 0) / free
     return ZetaDetValue(value, "gy_ratio", 0, abs(value - coarse) / 15.0)
-
-
-def _simpson_weights(num_points: int, h: float) -> np.ndarray:
-    w = np.ones(num_points)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * h / 3.0
-
-
-def _degenerate_boundary_det(sys: JacobiSystem, steps: int, kdim: int = 0):
-    """|det A| of the kernel-aware degenerate boundary matrix, and kernel dim.
-
-    A has columns J(t) d_b on the complement of ker J(t) and
-    -K(t) (int_0^t J^T J ds) c_a on the kernel, with K the second
-    fundamental solution (K(0) = id, K'(0) = 0).  Dividing |det A| by
-    det J_1(t) of a positive reference operator gives
-    det'_zeta(P)/det_zeta(P_1).  When the kernel fills every direction
-    this reduces to det(int J^T J)/|det J'(t)| since then
-    K(t) = J'(t)^{-T}.  A nonzero ``kdim`` takes the kdim smallest singular
-    directions of J(t) as the kernel instead of testing for it, so that a
-    coarser run stays on the route a finer one chose.
-    """
-    steps = steps + (steps % 2)  # Simpson needs an even step count
-    n = sys.n
-    # one propagation of the 2n x 2n identity: columns (K, K') then (J, J')
-    eye = np.eye(2 * n)
-    Y, Z = _rk4_run(sys, steps, eye[:n], eye[n:])
-    K, J = Y[:, :, :n], Y[:, :, n:]
-    Jt = J[-1]
-
-    sig, Vt, kernel_mask = _zero_modes(Jt, sys.t)
-    kdim = kdim or int(np.count_nonzero(kernel_mask))
-    if kdim == 0:
-        raise WrongRouteError(
-            f"J(t) has no zero mode (smallest singular value {sig[-1]:.3g}, "
-            f"kernel threshold {DEGENERACY_REL_TOL * sys.t:.3g}); use the ratio route"
-        )
-    # singular values sort descending: the last kdim rows of V^T span the kernel
-    C_ker = Vt[n - kdim :].T
-    C_perp = Vt[: n - kdim].T
-
-    w = _simpson_weights(steps + 1, sys.t / steps)
-    gram = np.einsum("s,sji,sjk->ik", w, J, J)
-
-    cols = []
-    if C_perp.size:
-        cols.append(Jt @ C_perp)
-    cols.append(-K[-1] @ gram @ C_ker)
-    A = np.hstack(cols)
-    return abs(float(np.linalg.det(A))), kdim
 
 
 def gy_degenerate_ratio(
@@ -295,8 +302,8 @@ def gy_degenerate_ratio(
     """det'_zeta(P_deg)/det_zeta(P_ref) for an operator with zero modes.
 
     P_deg must have zero modes, a singular value of J(t) below
-    DEGENERACY_REL_TOL t (else WrongRouteError points back to gy_ratio);
-    P_ref must be positive.
+    DEGENERACY_REL_TOL t (else WrongRouteError points back to gy_ratio),
+    and det J positive on (0, t); P_ref must be positive.
     On the kernel directions the boundary data is replaced by the
     quadrature of J^T J over the propagation grid (composite Simpson);
     regular directions keep their J(t) columns, so block-diagonal
@@ -306,10 +313,8 @@ def gy_degenerate_ratio(
     """
     if sys_deg.n != sys_ref.n or abs(sys_deg.t - sys_ref.t) > 1e-14:
         raise DomainError("operators must share fiber dimension and interval")
-    detA, _ = _degenerate_boundary_det(sys_deg, steps)
-    pref, _ = _fine_run(sys_ref, steps)
-    _check_ratio_operand(pref, "reference")
-    return detA / pref.det_final()
+    detA = _fine_det(sys_deg, steps, "P", "deflated")[0]
+    return detA / _fine_det(sys_ref, steps, "reference", "gy_ratio")[0]
 
 
 def zeta_det_dirichlet_laplacian(t: float, n: int) -> ZetaDetValue:
@@ -343,14 +348,8 @@ def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetVal
     """
     n, t = sys.n, sys.t
     free = float((2.0 * t) ** n)
-    prop, V = _fine_run(sys, steps)
-    _, _, kernel = _zero_modes(prop.J[-1], t)
-    if not kernel.any():
-        _check_positive(prop, "P")
-        value = free * prop.det_final() / t**n
-        coarse = free * float(np.linalg.det(_coarse_final(sys, steps, V))) / t**n
-        return ZetaDetValue(value, "gy_ratio", 0, abs(value - coarse) / 15.0)
-    detA, kdim = _degenerate_boundary_det(sys, steps)
-    value = free * detA / t**n
-    coarse = free * _degenerate_boundary_det(sys, steps // 2, kdim)[0] / t**n
-    return ZetaDetValue(value, "deflated", kdim, abs(value - coarse) / 15.0)
+    det, kdim, V = _fine_det(sys, steps, "P")
+    value = free * det / t**n
+    coarse = free * _gy_det(_coarse_run(sys, steps, V), t, kdim) / t**n
+    route = "deflated" if kdim else "gy_ratio"
+    return ZetaDetValue(value, route, kdim, abs(value - coarse) / 15.0)

@@ -39,13 +39,6 @@ class ConstantCurvature:
         self.n = int(n)
         self.kappa = float(kappa)
 
-    @property
-    def radius(self) -> float:
-        """Radius 1/sqrt(kappa) for positively curved spaces."""
-        if self.kappa <= 0:
-            raise DomainError("radius is defined only for kappa > 0")
-        return 1.0 / np.sqrt(self.kappa)
-
     def __repr__(self):
         return f"ConstantCurvature(n={self.n}, kappa={self.kappa})"
 
@@ -83,20 +76,22 @@ class GeodesicData:
     """A constant-speed geodesic on [0, 1] with speed r = d(x, y)."""
 
     def __init__(self, manifold, speed: float):
+        speed = float(speed)
         if speed < 0:
             raise DomainError(f"geodesic speed must be >= 0, got {speed}")
-        if isinstance(manifold, ConstantCurvature) and manifold.kappa > 0:
+        if isinstance(manifold, ConstantCurvature):
             # minimizers on the sphere do not pass the antipode
-            if speed > np.pi / np.sqrt(manifold.kappa) + 1e-12:
+            if manifold.kappa > 0 and speed > np.pi / np.sqrt(manifold.kappa) + 1e-12:
                 raise DomainError(
                     "speed exceeds pi/sqrt(kappa); no minimizing geodesic"
                 )
+            # every consumer builds the potential -kappa r^2 from these two
+            if not np.isfinite(manifold.kappa * speed * speed):
+                raise DomainError(
+                    f"kappa r^2 overflows float64 (kappa = {manifold.kappa:g}, r = {speed:g})"
+                )
         self.manifold = manifold
-        self.speed = float(speed)
-
-    @property
-    def energy(self) -> float:
-        return 0.5 * self.speed**2
+        self.speed = speed
 
 
 class JacobiSystem:

@@ -59,8 +59,8 @@ def log_euclidean_heat_kernel(d: float, n: int, t: float) -> float:
     return float(-(n / 2.0) * np.log(4.0 * np.pi * t) - d * d / (4.0 * t))
 
 
-def nondegenerate_limit_prediction(m: ConstantCurvature, d: float, steps: int = 1024) -> float:
-    """Predicted ratio limit J(x,y)^{-1/2} through det J(1) of the Jacobi ODE."""
+def nondegenerate_limit_prediction(m: ConstantCurvature, d: float) -> float:
+    """Predicted ratio limit J(x,y)^{-1/2} through det J(1) of the Jacobi ODE (1024 steps)."""
     if not isinstance(m, ConstantCurvature):
         raise DomainError("prediction implemented for constant curvature")
     if d < 0:
@@ -72,7 +72,7 @@ def nondegenerate_limit_prediction(m: ConstantCurvature, d: float, steps: int = 
     if d == 0:
         return 1.0
     sys = jacobi_endomorphism(GeodesicData(m, d))
-    prop = solve_jacobi_ode(sys, steps)
+    prop = solve_jacobi_ode(sys, 1024)
     return float(prop.det_final() ** -0.5)
 
 
@@ -90,14 +90,14 @@ def antipodal_sphere_limit_closed_form(n: int, R: float) -> float:
     return float(2.0 * np.pi ** (1.5 * n - 1.0) * R ** (n - 1) / math.gamma(n / 2.0))
 
 
-def antipodal_limit_via_Sxy(n: int, R: float, steps: int = 2048) -> float:
+def antipodal_limit_via_Sxy(n: int, R: float) -> float:
     """Antipodal limit as a velocity-sphere integral of |det J'(1)|^{1/2}.
 
     The minimizing geodesics to the antipode have initial speeds filling
     the sphere of radius pi R in the tangent space; by symmetry the
     integrand is constant, so the integral is |det J'(1)|^{1/2} times the
     volume of that sphere.  J'(1) comes from the Jacobi propagation along
-    one antipodal geodesic (speed pi R, curvature 1/R^2).
+    one antipodal geodesic (speed pi R, curvature 1/R^2), at 2048 steps.
     """
     if n < 2:
         raise OutOfScopeError("antipodal circle has a discrete set of minimizers")
@@ -105,7 +105,7 @@ def antipodal_limit_via_Sxy(n: int, R: float, steps: int = 2048) -> float:
         raise DomainError(f"radius must be positive, got {R}")
     m = ConstantCurvature(n, 1.0 / R**2)
     sys = jacobi_endomorphism(GeodesicData(m, np.pi * R))
-    prop = solve_jacobi_ode(sys, steps)
+    prop = solve_jacobi_ode(sys, 2048)
     det_jp = abs(float(np.linalg.det(prop.Jprime[-1])))
     return float(
         np.sqrt(det_jp) * sphere_surface_volume(n - 1) * (np.pi * R) ** (n - 1)
@@ -142,12 +142,13 @@ class SphereSpectrum:
             raise DomainError("max_degree must be >= 1")
 
     @classmethod
-    def for_time_range(cls, n: int, R: float, t_min: float, tol: float = ORACLE_TAIL_REL):
+    def for_time_range(cls, n: int, R: float, t_min: float):
         """Degree chosen from the tail bound e^{-L^2 t/R^2} L^{n-1}.
 
-        The bound must push the first omitted term below tol relative to
-        the smallest kernel value on the sphere at t_min, which is of the
-        order of the Euclidean kernel at the antipodal distance pi R.
+        The bound must push the first omitted term below ORACLE_TAIL_REL
+        relative to the smallest kernel value on the sphere at t_min, which
+        is of the order of the Euclidean kernel at the antipodal distance
+        pi R.
         """
         if t_min <= 0:
             raise DomainError("t_min must be positive")
@@ -155,7 +156,7 @@ class SphereSpectrum:
         target = (
             -((np.pi * R) ** 2) / (4.0 * t_min)
             - (n / 2.0) * np.log(4.0 * np.pi * t_min)
-            + np.log(tol)
+            + np.log(ORACLE_TAIL_REL)
             - 30.0
         )
         L = max(8, int(np.ceil(R * np.sqrt(max(-target, 1.0) / t_min))))
@@ -404,15 +405,15 @@ def sphere_heat_kernel(spec: SphereSpectrum, theta: float, t: float) -> float:
     return float(total)
 
 
-def richardson_extrapolate(values, stages: int, ratio: float = 2.0):
+def richardson_extrapolate(values, stages: int):
     """Eliminate leading O(t), O(t^2), ... terms from a geometric t-grid.
 
-    values[j] corresponds to t_j = t_0 ratio^{-j}.  Stage m combines
-    (ratio^m v_{j+1} - v_j)/(ratio^m - 1).  Returns the final table row.
+    values[j] corresponds to t_j = t_0 2^{-j}.  Stage m combines
+    (2^m v_{j+1} - v_j)/(2^m - 1).  Returns the final table row.
     """
     row = list(values)
     for m in range(1, stages + 1):
-        factor = ratio**m
+        factor = 2.0**m
         row = [(factor * row[i + 1] - row[i]) / (factor - 1.0) for i in range(len(row) - 1)]
         if len(row) == 1:
             break
@@ -441,13 +442,12 @@ def heat_limit_validation(
     d: float = None,
     t0: float = 0.2,
     levels: int = 5,
-    richardson_stages: int = 2,
 ) -> HeatLimitReport:
     """Compare the predicted limit with the Richardson-extrapolated oracle.
 
     The scaled ratio (4 pi t)^{k/2} p_t/e_t is evaluated on the geometric
-    grid t_j = t0 2^{-j}, j = 0..levels-1, and extrapolated in integer
-    powers of t.  case 'antipodal' uses k = n-1 at angle pi; case
+    grid t_j = t0 2^{-j}, j = 0..levels-1, and extrapolated in the powers
+    t and t^2.  case 'antipodal' uses k = n-1 at angle pi; case
     'nondegenerate' needs d < pi R strictly and uses k = 0.
     """
     if levels < 2:
@@ -477,7 +477,7 @@ def heat_limit_validation(
         ratio = (4.0 * np.pi * t) ** (k / 2.0) * p / euclidean_heat_kernel(dist, n, t)
         series.append((float(t), float(ratio)))
 
-    stages = min(richardson_stages, levels - 1)
+    stages = min(2, levels - 1)
     extrapolated = richardson_extrapolate([r for _, r in series], stages)[-1]
     return HeatLimitReport(
         n=n,

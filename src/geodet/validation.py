@@ -51,11 +51,6 @@ def _free_system(n: int):
     return geometry.JacobiSystem.constant(np.zeros((n, n)), 1.0)
 
 
-def _sine_product(kappa: float, r: float, n: int) -> float:
-    m = geometry.ConstantCurvature(n, kappa)
-    return geometry.exp_jacobian_closed_form(m, r)
-
-
 def _checks():
     """Yield (name, callable) pairs; each callable returns (expected, computed, tol)."""
 

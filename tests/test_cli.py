@@ -412,15 +412,19 @@ def test_eval_jacobian_steep_negative_curvature(capsys):
         # (2t)^n overflows: inf for t = 1e308, OverflowError for t = 1e200
         ["det-zeta", "--laplacian", "--t", "1e308", "--n", "2"],
         ["det-zeta", "--laplacian", "--t", "1e200", "--n", "2"],
-        # kappa r^2 overflows: NaN with exit 0
+        # kappa r^2 overflows: NaN with exit 0, a LinAlgError traceback, or
+        # IntegrationError after a RuntimeWarning
         ["eval-jacobian", "--kappa", "-1e308", "--r", "10", "--n", "2", "--partition-N", "2"],
+        ["det-fredholm", "--kappa", "-1e308", "--r", "2", "--n", "3"],
+        ["det-gy", "--kappa", "-1e308", "--r", "2", "--n", "3"],
+        ["det-zeta", "--kappa", "-1e308", "--r", "2", "--n", "3"],
         # the 512-mode determinant exp(log|det|) overflows: inf with exit 0
         ["det-fredholm", "--kappa", "-1e4", "--r", "10", "--n", "2"],
         # the tail series in c/k^2 diverges: c = 5e5/pi^2 > (64 + 1)^2
         ["det-fredholm", "--kappa", "-5e5", "--r", "1", "--n", "2", "--modes", "32,64"],
     ],
-    ids=["laplacian-t-1e308", "laplacian-t-1e200", "eval-jacobian-kappa-r2", "det-fredholm-overflow",
-         "det-fredholm-divergent-tail"],
+    ids=["laplacian-t-1e308", "laplacian-t-1e200", "eval-jacobian-kappa-r2", "det-fredholm-kappa-r2",
+         "det-gy-kappa-r2", "det-zeta-kappa-r2", "det-fredholm-overflow", "det-fredholm-divergent-tail"],
 )
 def test_float64_range_exit_1(capsys, argv):
     with warnings.catch_warnings():

@@ -26,7 +26,7 @@ from geodet import (
     zeta_det_dirichlet_laplacian,
     zeta_det_jacobi,
 )
-from geodet import gelfand_yaglom
+from geodet import gelfand_yaglom, heat
 from geodet.cli import main
 from geodet.gelfand_yaglom import _rk4_run, _sample_potential
 
@@ -162,10 +162,9 @@ def test_rk4_is_fourth_order():
 
 def test_error_estimate_tracks_actual_error():
     sys = JacobiSystem(1, 1.0, lambda s: np.array([[5.0 + 4.0 * np.sin(2 * PI * s)]]))
-    prop = solve_jacobi_ode(sys, 256)
-    ref = solve_jacobi_ode(sys, 16384).J[-1][0, 0]
-    actual = abs(prop.J[-1][0, 0] - ref)
-    assert prop.error_estimate > 0.2 * actual
+    z = zeta_det_jacobi(sys, 256)
+    actual = abs(z.value - zeta_det_jacobi(sys, 16384).value)
+    assert z.error_estimate > 0.2 * actual
 
 
 def test_interval_splitting_composition():
@@ -174,17 +173,14 @@ def test_interval_splitting_composition():
     t = 1.3
     sys = JacobiSystem(2, t, pot)
     full = solve_jacobi_ode(sys, 4096)
-    half1 = JacobiSystem(2, t / 2, pot)
-    J1, Jp1 = _rk4_run(half1, 2048, np.zeros((2, 2)), np.eye(2))
-    K1, Kp1 = _rk4_run(half1, 2048, np.eye(2), np.zeros((2, 2)))
-    half2 = JacobiSystem(2, t / 2, lambda s: pot(s + t / 2))
-    J2, Jp2 = _rk4_run(half2, 2048, np.zeros((2, 2)), np.eye(2))
-    K2, Kp2 = _rk4_run(half2, 2048, np.eye(2), np.zeros((2, 2)))
-    # second-half fundamental system applied to first-half boundary data
-    J_comp = K2[-1] @ J1[-1] + J2[-1] @ Jp1[-1]
-    Jp_comp = Kp2[-1] @ J1[-1] + Jp2[-1] @ Jp1[-1]
-    assert np.max(np.abs(J_comp - full.J[-1])) < 1e-9
-    assert np.max(np.abs(Jp_comp - full.Jprime[-1])) < 1e-9
+    U1 = _rk4_run(JacobiSystem(2, t / 2, pot), 2048)
+    U2 = _rk4_run(JacobiSystem(2, t / 2, lambda s: pot(s + t / 2)), 2048)
+    # second-half fundamental matrix [[K, J], [K', J']] applied to the first
+    # half's: the J block is K2 J1 + J2 J1', the K block K2 K1 + J2 K1'
+    U = U2[-1] @ U1[-1]
+    assert np.max(np.abs(U[:2, 2:] - full.J[-1])) < 1e-9
+    assert np.max(np.abs(U[2:, 2:] - full.Jprime[-1])) < 1e-9
+    assert np.max(np.abs(U - _rk4_run(sys, 4096)[-1])) < 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -196,22 +192,24 @@ def test_transfer_matrix_propagation_matches_stage_loop(n, kind, steps):
     sys = propagation_systems(n)[kind]
     V = _sample_potential(sys, steps)
     eye = np.eye(2 * n)
-    Y, Z = _rk4_run(sys, steps, eye[:n], eye[n:])
+    U = _rk4_run(sys, steps)
     Yref, Zref = stage_loop_rk4(np.asarray(V), sys.t / steps, eye[:n], eye[n:])
-    assert np.max(np.abs(Y - Yref)) <= 1e-13 * np.max(np.abs(Yref))
-    assert np.max(np.abs(Z - Zref)) <= 1e-13 * np.max(np.abs(Zref))
+    assert np.max(np.abs(U[:, :n] - Yref)) <= 1e-13 * np.max(np.abs(Yref))
+    assert np.max(np.abs(U[:, n:] - Zref)) <= 1e-13 * np.max(np.abs(Zref))
 
 
 @pytest.mark.parametrize("steps", [2048, 2049])
 def test_sample_once_error_estimate_equals_two_runs(steps):
     # the coarse half-grid is every other fine sample (odd counts resample)
     sys = catalog_like_system(3)
-    n = sys.n
-    prop = solve_jacobi_ode(sys, steps)
-    J, _ = _rk4_run(sys, steps, np.zeros((n, n)), np.eye(n))
-    Jc, _ = _rk4_run(sys, steps // 2, np.zeros((n, n)), np.eye(n))
-    assert np.array_equal(prop.J, J)
-    assert prop.error_estimate == float(np.max(np.abs(J[-1] - Jc[-1]))) / 15.0
+    n, t = sys.n, sys.t
+    free = float((2.0 * t) ** n)
+    fine, coarse = (
+        free * float(np.linalg.det(_rk4_run(sys, m)[-1, :n, n:])) / t**n for m in (steps, steps // 2)
+    )
+    z = zeta_det_jacobi(sys, steps)
+    assert z.value == fine
+    assert z.error_estimate == abs(fine - coarse) / 15.0
 
 
 def antipodal_system(n=3):
@@ -232,20 +230,25 @@ ANTIPODAL = ("--kappa", "1", "--r", "3.141592653589793", "--n", "3")
     [
         (lambda: run_cli_quietly("det-gy", *CURVED), 2),
         (lambda: run_cli_quietly("det-zeta", *CURVED), 2),
-        (lambda: run_cli_quietly("det-zeta", *ANTIPODAL), 3),
+        (lambda: run_cli_quietly("det-zeta", *ANTIPODAL), 2),
         (lambda: gy_ratio(free_system(3), catalog_like_system(3, t=1.0)), 2),
         (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), 2),
         (lambda: zeta_det_jacobi(catalog_like_system(3)), 2),
-        (lambda: zeta_det_jacobi(antipodal_system()), 3),
+        (lambda: zeta_det_jacobi(antipodal_system()), 2),
+        (lambda: solve_jacobi_ode(catalog_like_system(3)), 1),
+        (lambda: heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0), 1),
+        (lambda: heat.antipodal_limit_via_Sxy(3, 1.0), 1),
     ],
     ids=[
         "cli-det-gy", "cli-det-zeta", "cli-det-zeta-antipodal", "gy_ratio",
         "gy_degenerate_ratio", "zeta_det_jacobi-ratio", "zeta_det_jacobi-deflated",
+        "solve_jacobi_ode", "nondegenerate_limit_prediction", "antipodal_limit_via_Sxy",
     ],
 )
 def test_propagation_counts(monkeypatch, call, runs):
-    # each route runs one fine/coarse pair of the operator it reports on
-    # and nothing for a free reference or a result it does not read
+    # each determinant route runs one fine/coarse pair of the operator it
+    # reports on, in one 2n x 2n run each, and nothing for a free reference;
+    # a caller of solve_jacobi_ode, which carries no estimate, gets one run
     calls = []
 
     def counted(*args):
@@ -269,6 +272,18 @@ def test_deflated_error_estimate_stays_on_route():
     assert 0.2 * actual < z.error_estimate < 1e-7
 
 
+def test_deflated_odd_steps_close_with_three_eighths_rule():
+    # an odd step count closes the Simpson rule for int J^T J with the 3/8
+    # rule on the last three intervals
+    sys = antipodal_system()
+    odd, even = zeta_det_jacobi(sys, 2049), zeta_det_jacobi(sys, 2048)
+    assert odd.route == "deflated" and odd.excluded_zero_modes == 2
+    # S^3 antipode: 2^3 times 1/(2 pi^2) per orthogonal direction
+    exact = 8.0 / (2.0 * PI**2) ** 2
+    assert abs(odd.value - even.value) < 2e-13 * even.value
+    assert odd.value == pytest.approx(exact, rel=1e-12)
+
+
 def test_zeta_det_traced_heap_peak():
     # the step matrices are built without per-stage temporaries: the traced
     # heap peak of a 4096-step n = 4 solve stays within 2x of the 4.7 MB
@@ -282,6 +297,21 @@ def test_zeta_det_traced_heap_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 4.7e6
+
+
+def test_gy_ratio_traced_heap_peak():
+    # operand 1 is decided and read before operand 2 is propagated, so one
+    # 2n x 2n state array is alive at a time: the traced heap peak of a
+    # 4096-step n = 4 ratio is 6.1 MB, and 9.3 MB with both runs held
+    s1, s2 = catalog_like_system(4), catalog_like_system(4, seed=1)
+    gy_ratio(s1, s2, 64)
+    tracemalloc.start()
+    try:
+        gy_ratio(s1, s2, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5e6
 
 
 def test_overflowing_propagation_raises_named_error():
@@ -329,6 +359,12 @@ def test_gy_ratio_rejects_degenerate_operator():
         gy_ratio(sys, free_system(3))
     # the zero-mode route still accepts it
     assert zeta_det_jacobi(sys).route == "deflated"
+    # det J(1) = -5e-10 lies inside the kernel threshold: the kernel, not
+    # the sign of det J(t), decides the route
+    near = scalar_system(-(PI**2) * (1 + 1e-9))
+    with pytest.raises(DegenerateOperatorError):
+        gy_ratio(free_system(1), near)
+    assert zeta_det_jacobi(near).route == "deflated"
 
 
 def test_gy_ratio_accepts_near_conjugate_operator():
@@ -363,6 +399,19 @@ def test_gy_ratio_rejects_nonpositive_operator():
         zeta_det_jacobi(sys)
     with pytest.raises(WrongRouteError):
         gy_degenerate_ratio(sys, free_system(2))
+
+
+@pytest.mark.parametrize(
+    "diag", [[-4 * PI**2], [-4 * PI**2, 0.0], [-(PI**2), -4 * PI**2]], ids=["1d", "2d-flat", "2d"]
+)
+def test_deflated_route_rejects_indefinite_operator(diag):
+    # det J changes sign at s = 1/2, before the zero mode at t = 1: the
+    # operator is indefinite, and |det A| would report a positive value
+    sys = JacobiSystem.constant(np.diag(diag), 1.0)
+    with pytest.raises(NonpositiveOperatorError):
+        zeta_det_jacobi(sys)
+    with pytest.raises(NonpositiveOperatorError):
+        gy_degenerate_ratio(sys, free_system(sys.n))
 
 
 # ---------------------------------------------------------------------------
