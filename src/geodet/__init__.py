@@ -38,7 +38,6 @@ from .geometry import (
     sphere_parallel_transport_check,
 )
 from .galerkin import (
-    DeflatedDeterminant,
     DeterminantEstimate,
     GalerkinMatrix,
     Partition,

@@ -29,7 +29,6 @@ __all__ = [
     "Partition",
     "GalerkinMatrix",
     "DeterminantEstimate",
-    "DeflatedDeterminant",
     "assemble_hessian_fourier",
     "fredholm_det",
     "fredholm_det_deflated",
@@ -87,34 +86,24 @@ class GalerkinMatrix:
 
     dimension: int
     entries: np.ndarray
-    filtration: str  # "fourier" or "piecewise"
-    level: int  # K (mode count) or N (segment count)
-    n: int
 
 
 @dataclass
 class DeterminantEstimate:
-    """Determinants along a filtration with tail correction and extrapolation.
+    """Determinant along a filtration, tail-completed and extrapolated.
 
     levels holds (subspace dimension, raw truncated determinant).  The
     tail_correction is the multiplicative analytic completion at the finest
-    level; extrapolated is the completed value.  error_estimate bounds the
-    change between the last two tail-completed level values, which is the
-    sequence the extrapolation is taken from.
+    level; extrapolated is the reported value and error_estimate its
+    uncertainty (both built by ``_estimate``).  kernel_dimension counts the
+    eigenvalues the deflated route removed at the finest level.
     """
 
     levels: list = field(default_factory=list)
     tail_correction: float = 1.0
     extrapolated: float = 0.0
     error_estimate: float = 0.0
-
-
-@dataclass
-class DeflatedDeterminant:
-    """Deflated determinant estimate together with the detected kernel size."""
-
-    estimate: DeterminantEstimate
-    kernel_dimension: int
+    kernel_dimension: int = 0
 
 
 # B_2j / (2j)! for j = 1..6, the Euler-Maclaurin coefficients of _zeta_tail
@@ -167,14 +156,44 @@ def _tail_log_correction(c: np.ndarray, K: int) -> float:
     return total
 
 
-def _mode_estimate(sys: JacobiSystem, schedule: list, values: list) -> DeterminantEstimate:
-    """Tail-complete the truncated determinants ``values`` along a mode schedule.
+def _estimate(levels, richardson: bool = False, kernel_dimension: int = 0) -> DeterminantEstimate:
+    """The DeterminantEstimate of a filtration's levels; every route builds it here.
 
-    The completed finest level is the reported value.  The error estimate is
-    the change between the last two completed levels, or the size of the
-    tail itself for a one-level schedule.  The tail series in c/k^2 diverges
-    unless (K + 1)^2 > max|c| at the finest level K, and every value must
-    stay inside float64; otherwise DomainError is raised.
+    ``levels`` holds (subspace dimension, truncated determinant, log of its
+    tail completion) for each level, coarsest first.  The reported value is
+    the finest completed level, plus one mesh^2 Richardson step when
+    ``richardson`` is set (a doubling piecewise schedule).  The error
+    estimate is the change between the last two completed levels, or the
+    size of the completion for a one-level schedule.  A value beyond float64
+    raises DomainError.
+    """
+    dims, raws, log_tails = zip(*levels)
+    with np.errstate(over="ignore"):  # values beyond float64 are reported below
+        tails = [np.exp(log_tail) for log_tail in log_tails]
+        completed = [float(raw * tail) for raw, tail in zip(raws, tails)]
+    extrapolated = completed[-1]
+    if len(completed) > 1:
+        err = abs(completed[-1] - completed[-2])
+        if richardson:
+            extrapolated += (completed[-1] - completed[-2]) / 3.0
+    else:
+        err = abs(completed[-1] - raws[-1])
+    if not np.isfinite([*completed, *raws, extrapolated, err]).all():
+        raise DomainError("a truncated or tail-completed determinant overflows float64")
+    return DeterminantEstimate(
+        levels=[(dim, float(raw)) for dim, raw in zip(dims, raws)],
+        tail_correction=float(tails[-1]),
+        extrapolated=extrapolated,
+        error_estimate=err + 1e-15,
+        kernel_dimension=kernel_dimension,
+    )
+
+
+def _mode_levels(sys: JacobiSystem, schedule: list, values: list) -> list:
+    """Levels of a mode schedule for ``_estimate``, completed by the mean-matrix tail.
+
+    The tail series in c/k^2 diverges unless (K + 1)^2 > max|c| at the
+    finest level K; otherwise DomainError is raised.
     """
     vbar = np.linalg.eigvalsh(sys.mean_matrix())
     c = vbar * sys.t**2 / np.pi**2
@@ -184,21 +203,7 @@ def _mode_estimate(sys: JacobiSystem, schedule: list, values: list) -> Determina
             f"the tail series diverges at {schedule[-1]} modes; "
             f"the finest level needs at least {int(np.sqrt(cmax))} modes"
         )
-    levels = [(sys.n * K, float(value)) for K, value in zip(schedule, values)]
-    with np.errstate(over="ignore"):  # values beyond float64 are reported below
-        tails = [np.exp(_tail_log_correction(c, K)) for K in schedule]
-        corrected = [float(value * tail) for value, tail in zip(values, tails)]
-    err = abs(corrected[-1] - corrected[-2]) if len(corrected) > 1 else abs(
-        corrected[-1] - levels[-1][1]
-    )
-    if not np.isfinite([*corrected, *values, err]).all():
-        raise DomainError("a truncated or tail-completed determinant overflows float64")
-    return DeterminantEstimate(
-        levels=levels,
-        tail_correction=float(tails[-1]),
-        extrapolated=corrected[-1],
-        error_estimate=err + 1e-15,
-    )
+    return [(sys.n * K, value, _tail_log_correction(c, K)) for K, value in zip(schedule, values)]
 
 
 def _level_eigenvalues(sys: JacobiSystem, K: int, assembled) -> np.ndarray:
@@ -215,11 +220,15 @@ def _level_eigenvalues(sys: JacobiSystem, K: int, assembled) -> np.ndarray:
     return np.linalg.eigvalsh(assembled[: sys.n * K, : sys.n * K])
 
 
-def _eigenvalue_product(evals: np.ndarray) -> float:
-    """sign * exp(sum log|lambda|) of nonzero eigenvalues; inf beyond float64."""
-    sign = float(np.prod(np.sign(evals)))
+def _signed_exp(sign: float, log_abs: float) -> float:
+    """sign * exp(log_abs); inf beyond float64."""
     with np.errstate(over="ignore"):
-        return sign * float(np.exp(np.sum(np.log(np.abs(evals)))))
+        return sign * float(np.exp(log_abs))
+
+
+def _eigenvalue_product(evals: np.ndarray) -> float:
+    """Product of nonzero eigenvalues as sign * exp(sum log|lambda|)."""
+    return _signed_exp(float(np.prod(np.sign(evals))), np.sum(np.log(np.abs(evals))))
 
 
 def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
@@ -227,23 +236,15 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
 
     Entries are delta + (V F_ik, F_jl)_{L2} in k-major ordering, so the
     leading principal submatrices realize the nested mode filtration.
-    Constant potentials use the closed-form sine product integrals (the
-    matrix is block diagonal across frequencies); varying potentials are
-    integrated by composite Gauss-Legendre sized for the k + l oscillation,
-    one GEMM per fiber pair i <= j.
+    The potential is integrated by composite Gauss-Legendre sized for the
+    k + l oscillation, one GEMM per fiber pair i <= j; for a constant
+    potential that reproduces the block-diagonal I + V t^2/(pi^2 k^2).
     """
     if K < 1:
         raise DomainError("mode count must be >= 1")
     n, t = sys.n, sys.t
     dim = n * K
     M = np.eye(dim)
-    if sys.is_constant:
-        V = sys(0.0)
-        for k in range(1, K + 1):
-            blk = slice((k - 1) * n, k * n)
-            M[blk, blk] += V * t**2 / (np.pi**2 * k**2)
-        return GalerkinMatrix(dim, M, "fourier", K, n)
-
     nodes, weights = mode_quadrature(t, 2 * K)
     Vq = sys.sample(nodes)  # (Q, n, n)
     amp = np.sqrt(2.0 * t) / (np.pi * np.arange(1, K + 1))
@@ -257,7 +258,14 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
             if wv.any():
                 W[:, i, :, j] = W[:, j, :, i] = (S * wv) @ S.T
     M += W.reshape(dim, dim)
-    return GalerkinMatrix(dim, 0.5 * (M + M.T), "fourier", K, n)
+    return GalerkinMatrix(dim, 0.5 * (M + M.T))
+
+
+def _fourier_spectra(sys: JacobiSystem, schedule):
+    """The checked mode schedule and the eigenvalues of each of its levels."""
+    schedule = _check_schedule(schedule, "mode counts")
+    assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1]).entries
+    return schedule, [_level_eigenvalues(sys, K, assembled) for K in schedule]
 
 
 def fredholm_det(sys: JacobiSystem, schedule) -> DeterminantEstimate:
@@ -270,14 +278,12 @@ def fredholm_det(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     below KERNEL_TOL, or a coarser one an exactly zero eigenvalue; use
     :func:`fredholm_det_deflated` in that case.
     """
-    schedule = _check_schedule(schedule, "mode counts")
-    assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1]).entries
-    spectra = [_level_eigenvalues(sys, K, assembled) for K in schedule]
+    schedule, spectra = _fourier_spectra(sys, schedule)
     if np.min(np.abs(spectra[-1])) < KERNEL_TOL or not all(lam.all() for lam in spectra):
         raise DegenerateOperatorError(
             "truncated operator is singular; call fredholm_det_deflated"
         )
-    return _mode_estimate(sys, schedule, [_eigenvalue_product(lam) for lam in spectra])
+    return _estimate(_mode_levels(sys, schedule, [_eigenvalue_product(lam) for lam in spectra]))
 
 
 def deflated_matrix_determinant(evals: np.ndarray):
@@ -298,28 +304,23 @@ def deflated_matrix_determinant(evals: np.ndarray):
     return _eigenvalue_product(evals[~small]), kdim
 
 
-def fredholm_det_deflated(sys: JacobiSystem, schedule=(64, 128, 256)) -> DeflatedDeterminant:
+def fredholm_det_deflated(sys: JacobiSystem, schedule=(64, 128, 256)) -> DeterminantEstimate:
     """Fredholm determinant restricted to the complement of the numeric kernel.
 
     The nullspace of each truncation is detected from its eigenvalues
     (magnitude below KERNEL_TOL, guarded by a 100x spectral gap); the
-    reported kernel dimension comes from the finest level.  The analytic
+    reported kernel_dimension comes from the finest level.  The analytic
     tail correction applies unchanged since all tail modes are regular.
     """
-    schedule = _check_schedule(schedule, "mode counts")
-    assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1]).entries
-    results = [
-        deflated_matrix_determinant(_level_eigenvalues(sys, K, assembled)) for K in schedule
-    ]
-    estimate = _mode_estimate(sys, schedule, [value for value, _ in results])
-    return DeflatedDeterminant(estimate, results[-1][1])
+    schedule, spectra = _fourier_spectra(sys, schedule)
+    results = [deflated_matrix_determinant(lam) for lam in spectra]
+    levels = _mode_levels(sys, schedule, [value for value, _ in results])
+    return _estimate(levels, kernel_dimension=results[-1][1])
 
 
 def _trace_exact(sys: JacobiSystem) -> float:
-    """Tr P^{-1} V = int_0^t tr V(s) s(t-s)/t ds, closed form for constant V."""
+    """Tr P^{-1} V = int_0^t tr V(s) s(t-s)/t ds by 96-point Gauss-Legendre."""
     t = sys.t
-    if sys.is_constant:
-        return float(np.trace(sys(0.0))) * t * t / 6.0
     x, w = leggauss(96)
     s = 0.5 * t * (x + 1.0)
     vals = np.trace(sys.sample(s), axis1=1, axis2=2)
@@ -398,15 +399,10 @@ def _hat_blocks(sys: JacobiSystem, nodes: np.ndarray):
     """Diagonal (N-1, n, n) and off-diagonal (N-2, n, n) blocks of B.
 
     ``nodes`` are the partition times on [0, t]; off-diagonal block j couples
-    interior nodes j and j + 1.  Constant potentials use the closed-form hat
-    mass blocks, varying ones an 8-node Gauss-Legendre rule per segment
-    with the potential sampled once per node.
+    interior nodes j and j + 1.  An 8-node Gauss-Legendre rule per segment
+    samples the potential once per node.
     """
     deltas = np.diff(nodes)
-    if sys.is_constant:
-        V = sys(0.0)
-        diag = ((deltas[:-1] + deltas[1:]) / 3.0)[:, None, None] * V
-        return diag, (deltas[1:-1] / 6.0)[:, None, None] * V
     x, w = leggauss(8)
     a, b, h = nodes[:-1, None], nodes[1:, None], deltas[:, None]
     sq = 0.5 * (b + a) + 0.5 * h * x  # (N, 8)
@@ -499,13 +495,13 @@ def assemble_hessian_piecewise(sys: JacobiSystem, partition: Partition) -> Galer
     diag, off = _hat_blocks(sys, nodes)
     dim = sys.n * (partition.N - 1)
     if not (diag.any() or off.any()):
-        return GalerkinMatrix(dim, np.eye(dim), "piecewise", partition.N, sys.n)
+        return GalerkinMatrix(dim, np.eye(dim))
     eye = np.eye(sys.n)
     a, c = _hat_stiffness(np.diff(nodes))
     L = np.linalg.cholesky(_block_tridiagonal(a[:, None, None] * eye, c[:, None, None] * eye))
     tmp = np.linalg.solve(L, _block_tridiagonal(diag, off))
     M = np.eye(dim) + np.linalg.solve(L, tmp.T).T
-    return GalerkinMatrix(dim, 0.5 * (M + M.T), "piecewise", partition.N, sys.n)
+    return GalerkinMatrix(dim, 0.5 * (M + M.T))
 
 
 def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
@@ -522,28 +518,13 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     schedule = _check_schedule(schedule, "segment counts")
     tr_exact = _trace_exact(sys)
     levels = []
-    corrected = []
-    tail = 1.0
     for N in schedule:
         nodes = np.asarray(Partition.uniform(N).times) * sys.t
         diag, off = _hat_blocks(sys, nodes)
         a, c = _hat_stiffness(np.diff(nodes))
-        sign, logdet = _hat_slogdet(a, c, diag, off)
-        raw = float(sign * np.exp(logdet))
-        levels.append((sys.n * (N - 1), raw))
-        tail = float(np.exp(tr_exact - _hat_trace(nodes, diag, off)))
-        corrected.append(raw * tail)
-    if len(corrected) > 1 and schedule[-1] == 2 * schedule[-2]:
-        extrapolated = corrected[-1] + (corrected[-1] - corrected[-2]) / 3.0
-    else:
-        extrapolated = corrected[-1]
-    err = abs(corrected[-1] - corrected[-2]) if len(corrected) > 1 else 0.0
-    return DeterminantEstimate(
-        levels=levels,
-        tail_correction=tail,
-        extrapolated=extrapolated,
-        error_estimate=err + 1e-15,
-    )
+        raw = _signed_exp(*_hat_slogdet(a, c, diag, off))
+        levels.append((sys.n * (N - 1), raw, tr_exact - _hat_trace(nodes, diag, off)))
+    return _estimate(levels, richardson=len(schedule) > 1 and schedule[-1] == 2 * schedule[-2])
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +601,7 @@ def evaluation_map_jacobian(g: GeodesicData, partition: Partition) -> float:
         conj = np.pi / np.sqrt(m.kappa)
         if np.max(deltas) * g.speed >= conj:
             raise DegenerateSegmentError("a segment reaches the conjugate distance")
-    v_fiber = -m.kappa * g.speed**2
+    v_fiber = -(m.kappa * g.speed * g.speed)
     log_gram = 0.0
     for v, count in ((0.0, 1), (v_fiber, m.n - 1)):
         if count == 0:

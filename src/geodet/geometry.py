@@ -255,7 +255,7 @@ def ricci_along(g: GeodesicData) -> float:
     m = g.manifold
     if not isinstance(m, ConstantCurvature):
         raise DomainError("Ricci contraction implemented for constant curvature only")
-    return (m.n - 1) * m.kappa * g.speed**2
+    return (m.n - 1) * (m.kappa * g.speed * g.speed)
 
 
 def sphere_parallel_transport_check(n: int, x, v, s: float):

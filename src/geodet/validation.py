@@ -126,7 +126,7 @@ def _checks():
             res = galerkin.fredholm_det_deflated(
                 _sphere_system(1.0, np.pi, n), schedule=(64, 128, 256)
             )
-            return 2.0 ** (1 - n), res.estimate.extrapolated, 1e-4
+            return 2.0 ** (1 - n), res.extrapolated, 1e-4
 
         return check
 

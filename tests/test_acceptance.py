@@ -118,7 +118,7 @@ def test_c06_antipodal_deflated_determinant():
     details = []
     for n in (2, 3):
         res = geodet.fredholm_det_deflated(sphere_system(1.0, PI, n), schedule=(64, 128, 256))
-        err = abs(res.estimate.extrapolated - 2.0 ** (1 - n))
+        err = abs(res.extrapolated - 2.0 ** (1 - n))
         ok = ok and err <= 1e-4 and res.kernel_dimension == n - 1
         details.append(f"n={n}: |det - 2^(1-n)| = {err:.2e}, kdim = {res.kernel_dimension}")
     _line("c06 antipodal deflated determinant", ok, "; ".join(details))

@@ -50,6 +50,15 @@ def test_eval_jacobian_flat(capsys):
     assert json.loads(out)["value"] == 1.0
 
 
+def test_eval_jacobian_flat_huge_speed(capsys):
+    # kappa r^2 = 0 passes the GeodesicData check; r**2 raised OverflowError
+    code, out, err = run_cli(
+        capsys, "eval-jacobian", "--kappa", "0", "--r", "1e200", "--n", "2", "--partition-N", "2"
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == 1.0
+
+
 def test_no_arguments_usage_exit_2(capsys):
     code, out, err = run_cli(capsys)
     assert code == 2

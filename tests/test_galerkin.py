@@ -57,6 +57,23 @@ def test_constant_curvature_diagonal_entries():
         assert blk[2, 2] == pytest.approx(blk[1, 1], abs=1e-15)
 
 
+def constant_potential(n):
+    """A constant symmetric n x n potential with every entry nonzero."""
+    rng = np.random.default_rng(10 + n)
+    X = rng.normal(size=(n, n))
+    return X + X.T
+
+
+def test_constant_potential_assembly_is_closed_form():
+    # oracle: the sine modes diagonalize P^{-1}, so the matrix is block
+    # diagonal with blocks I + V t^2 / (pi^2 k^2)
+    n, K, t = 3, 12, 1.3
+    V = constant_potential(n)
+    M = assemble_hessian_fourier(JacobiSystem.constant(V, t), K).entries
+    oracle = np.kron(np.diag(t**2 / (PI**2 * np.arange(1, K + 1) ** 2)), V) + np.eye(n * K)
+    assert np.max(np.abs(M - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
 def test_varying_potential_matches_refined_quadrature():
     # oracle: same integrals at doubled quadrature resolution
     K = 12
@@ -197,6 +214,14 @@ def test_hessian_trace_route_disagreement_is_named(monkeypatch):
         hessian_trace(sys)
 
 
+def test_trace_quadrature_constant_potential_is_closed_form():
+    # int_0^t tr V s(t - s)/t ds = tr V t^2 / 6
+    for n, t in ((1, 1.0), (3, 1.3), (4, 0.4)):
+        V = constant_potential(n)
+        exact = np.trace(V) * t * t / 6.0
+        assert galerkin._trace_exact(JacobiSystem.constant(V, t)) == pytest.approx(exact, rel=1e-14)
+
+
 def test_hessian_trace_flat_is_zero():
     assert hessian_trace(sphere_system(0.0, 1.0, 3)) == 0.0
 
@@ -239,15 +264,15 @@ def test_antipodal_sphere_deflated_values():
     for n, expected_dim in ((2, 1), (3, 2)):
         res = fredholm_det_deflated(sphere_system(1.0, PI, n), schedule=(64, 128, 256))
         assert res.kernel_dimension == expected_dim
-        assert res.estimate.extrapolated == pytest.approx(2.0 ** (1 - n), abs=1e-4)
+        assert res.extrapolated == pytest.approx(2.0 ** (1 - n), abs=1e-4)
 
 
 def test_deflated_on_nondegenerate_matches_plain():
     sys = sphere_system(1.0, PI / 2, 2)
     res = fredholm_det_deflated(sys, schedule=(32, 64))
     plain = fredholm_det(sys, (32, 64))
-    assert res.kernel_dimension == 0
-    assert res.estimate.extrapolated == pytest.approx(plain.extrapolated, abs=1e-12)
+    assert res.kernel_dimension == plain.kernel_dimension == 0
+    assert res.extrapolated == pytest.approx(plain.extrapolated, abs=1e-12)
 
 
 def test_ill_separated_kernel_raises():
@@ -389,6 +414,20 @@ def test_piecewise_recurrence_matches_dense_route(name):
     assert np.sign(est.levels[-1][1]) == expected_sign[name]
 
 
+def test_hat_blocks_constant_potential_are_mass_blocks():
+    # oracle: the hat mass matrix, (delta_j + delta_{j+1})/3 on the diagonal
+    # and delta_{j+1}/6 off it, times V
+    n, t = 3, 1.3
+    V = constant_potential(n)
+    nodes = np.asarray(Partition((0.0, 0.1, 0.35, 0.4, 0.8, 1.0)).times) * t
+    deltas = np.diff(nodes)
+    diag, off = galerkin._hat_blocks(JacobiSystem.constant(V, t), nodes)
+    diag_ref = ((deltas[:-1] + deltas[1:]) / 3.0)[:, None, None] * V
+    off_ref = (deltas[1:-1] / 6.0)[:, None, None] * V
+    assert np.max(np.abs(diag - diag_ref)) <= 1e-14 * np.max(np.abs(diag_ref))
+    assert np.max(np.abs(off - off_ref)) <= 1e-14 * np.max(np.abs(off_ref))
+
+
 def test_piecewise_singular_pivot_is_named():
     # D = [[2, -1], [-1, 2]] with pivots 2 and 3/2; B zeroes the first
     # pivot of D + B (inside the recurrence) or the last one (in slogdet)
@@ -425,6 +464,21 @@ def test_piecewise_converges_monotonically_to_fourier_value():
         gaps.append(abs(est.levels[-1][1] * est.tail_correction - fourier))
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-3
+
+
+def test_piecewise_completed_overflow_is_domain_error():
+    # both raw levels are finite; the completed sinh(v)/v, v = sqrt(6e5) = 775,
+    # is not, and the Richardson step turned inf - inf into a NaN value
+    with pytest.raises(DomainError, match="tail-completed"):
+        fredholm_det_piecewise(JacobiSystem.constant([[6e5]], 1.0), (256, 512))
+
+
+def test_one_level_piecewise_error_estimate_covers_error():
+    # a one-level schedule reported 1e-15 for an actual error of 2e-5
+    est = fredholm_det_piecewise(sphere_system(1.0, PI / 2, 3), (64,))
+    error = abs(est.extrapolated - (2.0 / PI) ** 2)
+    assert error > 1e-5
+    assert est.error_estimate >= error
 
 
 def test_piecewise_varying_potential_against_fourier():

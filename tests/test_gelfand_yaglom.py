@@ -441,7 +441,7 @@ def test_degenerate_antipodal_direction_bookkeeping():
     ratio = gy_degenerate_ratio(scalar_system(-(PI**2)), free_system(1))
     assert ratio * PI**2 == pytest.approx(0.5, abs=1e-8)
     sysA = jacobi_endomorphism(GeodesicData(ConstantCurvature(2, 1.0), PI))
-    deflated = fredholm_det_deflated(sysA, schedule=(64, 128)).estimate.extrapolated
+    deflated = fredholm_det_deflated(sysA, schedule=(64, 128)).extrapolated
     assert deflated == pytest.approx(ratio * PI**2, abs=1e-4)
 
 

@@ -106,6 +106,8 @@ def test_jacobian_symmetric_under_time_reversal():
 
 def test_ricci_flat_and_sphere():
     assert ricci_along(GeodesicData(ConstantCurvature(4, 0.0), 1.0)) == 0.0
+    # kappa r^2 = 0 * 1e200 * 1e200 is 0; r**2 alone raised OverflowError
+    assert ricci_along(GeodesicData(ConstantCurvature(2, 0.0), 1e200)) == 0.0
     val = ricci_along(GeodesicData(ConstantCurvature(3, 1.0), PI))
     assert val == pytest.approx(2 * PI**2, abs=1e-12)
 
