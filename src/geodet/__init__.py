@@ -35,7 +35,6 @@ from .geometry import (
     exp_jacobian_closed_form,
     jacobi_endomorphism,
     ricci_along,
-    sphere_parallel_transport_check,
 )
 from .galerkin import (
     DeterminantEstimate,

@@ -45,6 +45,10 @@ KERNEL_TOL = 1e-8  # eigenvalues below this, at the finest level, form the kerne
 KERNEL_GAP_FACTOR = 100.0
 _TAIL_ORDERS = 4  # powers of the eigenvalue decay kept in the analytic tail
 _TRACE_MODES = 20000  # sine modes hessian_trace sums for a constant potential
+# largest phase sqrt(-lambda_min(V)) delta a segment of the finest piecewise
+# level may span: hats cannot follow faster oscillation, and at 0.62 rad the
+# last two levels of V = -1e5 on [0, 1] agreed by accident
+PIECEWISE_PHASE_BOUND = 0.35
 
 
 @dataclass(frozen=True)
@@ -396,11 +400,12 @@ def _hat_stiffness(deltas: np.ndarray):
 
 
 def _hat_blocks(sys: JacobiSystem, nodes: np.ndarray):
-    """Diagonal (N-1, n, n) and off-diagonal (N-2, n, n) blocks of B.
+    """Diagonal (N-1, n, n) and off-diagonal (N-2, n, n) blocks of B, and the samples.
 
     ``nodes`` are the partition times on [0, t]; off-diagonal block j couples
     interior nodes j and j + 1.  An 8-node Gauss-Legendre rule per segment
-    samples the potential once per node.
+    samples the potential once per node; the samples are returned as well,
+    shape (N, 8, n, n).
     """
     deltas = np.diff(nodes)
     x, w = leggauss(8)
@@ -414,7 +419,31 @@ def _hat_blocks(sys: JacobiSystem, nodes: np.ndarray):
     def moment(f):
         return np.einsum("sq,sqij->sij", wq * f, Vq)
 
-    return moment(up * up)[:-1] + moment(down * down)[1:], moment(down * up)[1:-1]
+    return moment(up * up)[:-1] + moment(down * down)[1:], moment(down * up)[1:-1], Vq
+
+
+def _check_resolution(Vq: np.ndarray, t: float, N: int) -> None:
+    """DomainError unless each of N segments on [0, t] spans at most
+    PIECEWISE_PHASE_BOUND of the phase sqrt(-lambda_min(V)) at the samples ``Vq``.
+
+    A Gershgorin lower bound of lambda_min screens the samples, so only
+    those that may break the bound are diagonalized.
+    """
+    V = Vq.reshape((-1,) + Vq.shape[-2:])
+    diag = np.diagonal(V, axis1=1, axis2=2)
+    lower = np.min(diag + np.abs(diag) - np.sum(np.abs(V), axis=2), axis=1)
+    limit = -((PIECEWISE_PHASE_BOUND * N / t) ** 2)
+    suspects = V[lower < limit]
+    if not suspects.size:
+        return
+    lam = float(np.min(np.linalg.eigvalsh(suspects)))
+    if lam < limit:
+        phase = np.sqrt(-lam) * t
+        raise DomainError(
+            f"the piecewise mesh does not resolve the potential: {phase / N:.3g} rad per "
+            f"segment at N = {N} exceeds {PIECEWISE_PHASE_BOUND}; the finest level needs "
+            f"at least {int(np.ceil(phase / PIECEWISE_PHASE_BOUND))} segments"
+        )
 
 
 def _block_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -492,7 +521,7 @@ def assemble_hessian_piecewise(sys: JacobiSystem, partition: Partition) -> Galer
     if partition.N < 2:
         raise DomainError("need at least two segments")
     nodes = np.asarray(partition.times) * sys.t
-    diag, off = _hat_blocks(sys, nodes)
+    diag, off, _ = _hat_blocks(sys, nodes)
     dim = sys.n * (partition.N - 1)
     if not (diag.any() or off.any()):
         return GalerkinMatrix(dim, np.eye(dim))
@@ -513,14 +542,18 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     of the hat space (both the unresolved tail and the per-mode stiffness
     bias), leaving O(mesh^2); the extrapolated value applies one mesh^2
     Richardson step when the schedule doubles.  An exactly singular
-    truncation raises DegenerateOperatorError.
+    truncation raises DegenerateOperatorError, and a finest level whose
+    segments span more than PIECEWISE_PHASE_BOUND rad of the phase
+    sqrt(-lambda_min(V)) raises DomainError naming the segment count needed.
     """
     schedule = _check_schedule(schedule, "segment counts")
     tr_exact = _trace_exact(sys)
     levels = []
     for N in schedule:
         nodes = np.asarray(Partition.uniform(N).times) * sys.t
-        diag, off = _hat_blocks(sys, nodes)
+        diag, off, Vq = _hat_blocks(sys, nodes)
+        if N == schedule[-1]:
+            _check_resolution(Vq, sys.t, N)
         a, c = _hat_stiffness(np.diff(nodes))
         raw = _signed_exp(*_hat_slogdet(a, c, diag, off))
         levels.append((sys.n * (N - 1), raw, tr_exact - _hat_trace(nodes, diag, off)))

@@ -22,7 +22,6 @@ __all__ = [
     "jacobi_endomorphism",
     "exp_jacobian_closed_form",
     "ricci_along",
-    "sphere_parallel_transport_check",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -257,48 +256,3 @@ def ricci_along(g: GeodesicData) -> float:
         raise DomainError("Ricci contraction implemented for constant curvature only")
     return (m.n - 1) * (m.kappa * g.speed * g.speed)
 
-
-def sphere_parallel_transport_check(n: int, x, v, s: float):
-    """Geodesic flow and frame transport on the embedded sphere S^n.
-
-    Moves the point x along the great circle with initial velocity v and
-    parallel-transports an orthonormal tangent frame at x, and returns
-    (point, frame) at time s.  The frame is an (n+1) x n matrix whose
-    columns stay orthonormal and tangent; this provides the embedded
-    cross-check that the parallel-frame picture used by the curvature
-    terms is consistent.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != (n + 1,) or v.shape != (n + 1,):
-        raise DomainError(f"point and velocity must be in R^{n + 1}")
-    R = np.linalg.norm(x)
-    if R <= 0:
-        raise DomainError("point must be nonzero")
-    speed = np.linalg.norm(v)
-    if abs(np.dot(x, v)) > 1e-10 * max(1.0, R * speed):
-        raise DomainError("velocity is not tangent to the sphere at x")
-
-    # orthonormal tangent frame at x, first column along v when v != 0
-    seeds = [v] if speed > 0 else []
-    seeds += [e for e in np.eye(n + 1)]
-    frame = []
-    for seed in seeds:
-        u = seed - np.dot(seed, x) / R**2 * x
-        for f in frame:
-            u = u - np.dot(u, f) * f
-        norm = np.linalg.norm(u)
-        if norm > 1e-12:
-            frame.append(u / norm)
-        if len(frame) == n:
-            break
-    U0 = np.column_stack(frame)
-
-    # the great circle turns x and the first frame column (along v) by the
-    # angle speed s / R in their plane; the other columns are normal to that
-    # plane, where parallel transport keeps them fixed
-    angle = speed * s / R
-    e = U0[:, 0]
-    U = U0.copy()
-    U[:, 0] = np.cos(angle) * e - np.sin(angle) * x / R
-    return np.cos(angle) * x + np.sin(angle) * R * e, U

@@ -1,0 +1,56 @@
+"""Regenerate cli_reports.json from the argvs recorded in it.
+
+Each recorded case holds a CLI argv and the exit code, standard output and
+standard error of that call; ``tests/test_cli.py`` compares them byte for
+byte.  Run from the root of a source checkout:
+
+    PYTHONPATH=src python tests/data/record_cli_reports.py            # every case
+    PYTHONPATH=src python tests/data/record_cli_reports.py CASE ...   # only these
+
+Cases not named keep their recorded bytes.  The script prints each case
+whose bytes changed.  A numpy RuntimeWarning is an error here, as it is in
+the tests.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+import warnings
+
+from geodet.cli import main
+
+REPORTS = pathlib.Path(__file__).with_name("cli_reports.json")
+
+
+def record(argv):
+    """(exit code, stdout, stderr) of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def regenerate(cases=None) -> list:
+    """Record ``cases`` (default: all) again; return the names that changed."""
+    reports = json.loads(REPORTS.read_text())
+    unknown = set(cases or ()) - set(reports)
+    if unknown:
+        raise SystemExit(f"no recorded case named {', '.join(sorted(unknown))}")
+    changed = []
+    for name in sorted(cases or reports):
+        rec = reports[name]
+        new = dict(zip(("exit", "stdout", "stderr"), record(rec["argv"])))
+        if any(rec[key] != value for key, value in new.items()):
+            changed.append(name)
+            rec.update(new)
+    REPORTS.write_text(json.dumps(reports, indent=1, sort_keys=True))
+    return changed
+
+
+if __name__ == "__main__":
+    for name in regenerate(sys.argv[1:]):
+        print(name)

@@ -415,30 +415,47 @@ def test_eval_jacobian_steep_negative_curvature(capsys):
     assert json.loads(out)["value"] == pytest.approx(0.02, rel=1e-12)
 
 
+def test_steep_negative_curvature_names_where_propagation_leaves_float64(capsys):
+    # the blocked propagation names the first grid point beyond float64, the
+    # point the per-step loop named: grid index 2039 of 2048
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "det-gy", "--kappa", "-5e5", "--r", "1", "--n", "2")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["error"] == "IntegrationError"
+    assert report["message"] == "J or J' left the float64 range at s = 0.9956 of t = 1"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
         # (2t)^n overflows: inf for t = 1e308, OverflowError for t = 1e200
-        ["det-zeta", "--laplacian", "--t", "1e308", "--n", "2"],
-        ["det-zeta", "--laplacian", "--t", "1e200", "--n", "2"],
+        (["det-zeta", "--laplacian", "--t", "1e308", "--n", "2"], "DomainError"),
+        (["det-zeta", "--laplacian", "--t", "1e200", "--n", "2"], "DomainError"),
         # kappa r^2 overflows: NaN with exit 0, a LinAlgError traceback, or
         # IntegrationError after a RuntimeWarning
-        ["eval-jacobian", "--kappa", "-1e308", "--r", "10", "--n", "2", "--partition-N", "2"],
-        ["det-fredholm", "--kappa", "-1e308", "--r", "2", "--n", "3"],
-        ["det-gy", "--kappa", "-1e308", "--r", "2", "--n", "3"],
-        ["det-zeta", "--kappa", "-1e308", "--r", "2", "--n", "3"],
+        (["eval-jacobian", "--kappa", "-1e308", "--r", "10", "--n", "2", "--partition-N", "2"], "DomainError"),
+        (["det-fredholm", "--kappa", "-1e308", "--r", "2", "--n", "3"], "DomainError"),
+        (["det-gy", "--kappa", "-1e308", "--r", "2", "--n", "3"], "DomainError"),
+        (["det-zeta", "--kappa", "-1e308", "--r", "2", "--n", "3"], "DomainError"),
         # the 512-mode determinant exp(log|det|) overflows: inf with exit 0
-        ["det-fredholm", "--kappa", "-1e4", "--r", "10", "--n", "2"],
+        (["det-fredholm", "--kappa", "-1e4", "--r", "10", "--n", "2"], "DomainError"),
         # the tail series in c/k^2 diverges: c = 5e5/pi^2 > (64 + 1)^2
-        ["det-fredholm", "--kappa", "-5e5", "--r", "1", "--n", "2", "--modes", "32,64"],
+        (["det-fredholm", "--kappa", "-5e5", "--r", "1", "--n", "2", "--modes", "32,64"], "DomainError"),
+        # J stays finite but det J overflows: np.linalg.det warned before the
+        # IntegrationError, a traceback under -W error::RuntimeWarning
+        (["det-zeta", "--kappa", "-3e5", "--r", "1", "--n", "3"], "IntegrationError"),
+        (["det-gy", "--kappa", "-3e5", "--r", "1", "--n", "3"], "IntegrationError"),
     ],
     ids=["laplacian-t-1e308", "laplacian-t-1e200", "eval-jacobian-kappa-r2", "det-fredholm-kappa-r2",
-         "det-gy-kappa-r2", "det-zeta-kappa-r2", "det-fredholm-overflow", "det-fredholm-divergent-tail"],
+         "det-gy-kappa-r2", "det-zeta-kappa-r2", "det-fredholm-overflow", "det-fredholm-divergent-tail",
+         "det-zeta-det-overflow", "det-gy-det-overflow"],
 )
-def test_float64_range_exit_1(capsys, argv):
+def test_float64_range_exit_1(capsys, argv, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert err == ""
-    assert json.loads(out)["error"] == "DomainError"
+    assert json.loads(out)["error"] == error

@@ -407,7 +407,7 @@ def test_piecewise_recurrence_matches_dense_route(name):
         assert dim == M.dimension
         assert abs(value - sign * np.exp(logdet)) < 1e-12 * abs(value)
         nodes = np.linspace(0.0, 1.0, N + 1)
-        tr = galerkin._hat_trace(nodes, *galerkin._hat_blocks(sys, nodes))
+        tr = galerkin._hat_trace(nodes, *galerkin._hat_blocks(sys, nodes)[:2])
         assert tr == pytest.approx(np.trace(np.linalg.solve(D, B)), rel=1e-12, abs=1e-15)
     # the signs: det > 0 for two negative directions, det < 0 for three
     expected_sign = {"varying-positive": 1, "constant": 1, "indefinite": 1, "negative-det": -1}
@@ -421,7 +421,7 @@ def test_hat_blocks_constant_potential_are_mass_blocks():
     V = constant_potential(n)
     nodes = np.asarray(Partition((0.0, 0.1, 0.35, 0.4, 0.8, 1.0)).times) * t
     deltas = np.diff(nodes)
-    diag, off = galerkin._hat_blocks(JacobiSystem.constant(V, t), nodes)
+    diag, off, _ = galerkin._hat_blocks(JacobiSystem.constant(V, t), nodes)
     diag_ref = ((deltas[:-1] + deltas[1:]) / 3.0)[:, None, None] * V
     off_ref = (deltas[1:-1] / 6.0)[:, None, None] * V
     assert np.max(np.abs(diag - diag_ref)) <= 1e-14 * np.max(np.abs(diag_ref))
@@ -479,6 +479,38 @@ def test_one_level_piecewise_error_estimate_covers_error():
     error = abs(est.extrapolated - (2.0 / PI) ** 2)
     assert error > 1e-5
     assert est.error_estimate >= error
+
+
+@pytest.mark.parametrize("schedule", [(128, 256), (256, 512)])
+def test_unresolved_piecewise_mesh_is_domain_error(schedule):
+    # V = -1e5 oscillates with sqrt(-V) = 316.2: at 1.24 and 0.62 rad per
+    # segment the last two levels agreed by accident, (128, 256) reporting
+    # -2.2e-6 with an estimate of 1.6e-6 for sin(316.2)/316.2 = 2.78e-3
+    sys = JacobiSystem.constant([[-1e5]], 1.0)
+    with pytest.raises(DomainError, match="needs at least 904 segments"):
+        fredholm_det_piecewise(sys, schedule)
+
+
+def test_resolved_piecewise_mesh_is_honest():
+    # 0.31 rad per segment at N = 1024; only the finest level is guarded
+    sys = JacobiSystem.constant([[-1e5]], 1.0)
+    w = np.sqrt(1e5)
+    for schedule in ((512, 1024), (256, 1024)):
+        est = fredholm_det_piecewise(sys, schedule)
+        assert est.error_estimate >= abs(est.extrapolated - np.sin(w) / w)
+
+
+@pytest.mark.parametrize("c, needed", [(120.0, None), (200.0, 70)])
+def test_piecewise_resolution_guard_reads_eigenvalues(c, needed):
+    # V = [[-c, 5c], [5c, 10c]] has lambda_min = -2.93c, above its Gershgorin
+    # bound -6c: the screen passes c = 120 on to the eigenvalues, which clear
+    # the limit -(0.35 * 64)^2 = -502; c = 200 gives lambda_min = -586
+    sys = JacobiSystem.constant([[-c, 5.0 * c], [5.0 * c, 10.0 * c]], 1.0)
+    if needed is None:
+        fredholm_det_piecewise(sys, (32, 64))
+    else:
+        with pytest.raises(DomainError, match=f"needs at least {needed} segments"):
+            fredholm_det_piecewise(sys, (32, 64))
 
 
 def test_piecewise_varying_potential_against_fourier():

@@ -1,4 +1,4 @@
-"""Model manifolds, curvature terms and the embedded-sphere cross-check."""
+"""Model manifolds, curvature terms and the Jacobi systems they define."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from geodet import (
     jacobi_endomorphism,
     ricci_along,
     solve_jacobi_ode,
-    sphere_parallel_transport_check,
 )
 from geodet.gelfand_yaglom import gy_ratio
 
@@ -193,46 +192,3 @@ def test_jacobi_system_validation():
         JacobiSystem(2, -1.0, np.zeros((2, 2)))
     with pytest.raises(DomainError):
         JacobiSystem(2, 1.0, lambda s: np.array([[0.0, s], [0.0, 0.0]]))
-
-
-def test_transport_zero_velocity_fixes_point_and_frame():
-    x = np.array([2.0, 0.0, 0.0])
-    v = np.zeros(3)
-    p, U = sphere_parallel_transport_check(2, x, v, 1.0)
-    assert np.allclose(p, x)
-    assert np.allclose(U.T @ U, np.eye(2), atol=1e-12)
-
-
-def test_transport_great_circle_reaches_antipode():
-    x = np.array([1.0, 0.0, 0.0])
-    v = np.array([0.0, PI, 0.0])
-    p, _ = sphere_parallel_transport_check(2, x, v, 1.0)
-    assert np.allclose(p, [-1.0, 0.0, 0.0], atol=1e-8)
-
-
-def test_transport_matches_closed_form_great_circle():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=4)
-    x *= 1.5 / np.linalg.norm(x)
-    v = rng.normal(size=4)
-    v -= np.dot(v, x) / np.dot(x, x) * x
-    R = np.linalg.norm(x)
-    s = 0.8
-    w = np.linalg.norm(v) / R
-    expected = np.cos(w * s) * x + np.sin(w * s) * (R / np.linalg.norm(v)) * v
-    p, U = sphere_parallel_transport_check(3, x, v, s)
-    assert np.allclose(p, expected, atol=1e-8)
-    # frame stays orthonormal and tangent
-    assert np.max(np.abs(U.T @ U - np.eye(3))) < 1e-8
-    assert np.max(np.abs(p @ U)) < 1e-8 * R
-    # the first column follows the velocity; the others are normal to the
-    # plane of the great circle, where parallel transport is constant
-    velocity = -w * np.sin(w * s) * x + w * np.cos(w * s) * (R / np.linalg.norm(v)) * v
-    assert np.allclose(U[:, 0], velocity / np.linalg.norm(velocity), atol=1e-12)
-    _, U0 = sphere_parallel_transport_check(3, x, v, 0.0)
-    assert np.allclose(U[:, 1:], U0[:, 1:], atol=1e-12)
-
-
-def test_transport_rejects_non_tangent_velocity():
-    with pytest.raises(DomainError):
-        sphere_parallel_transport_check(2, np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]), 1.0)
