@@ -10,9 +10,11 @@ which upgrades the O(1/K) raw convergence to O(1/K^3) and better.
 """
 
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 from .errors import (
     DegenerateOperatorError,
@@ -470,7 +472,9 @@ def _hat_slogdet(a, c, diag: np.ndarray, off: np.ndarray):
 
         E_j = B_jj + rho^2 R E_{j-1} - rho (Z + Z^T) - B_{j-1,j}^T Z / d_{j-1},
 
-    which never subtracts two large numbers.
+    which never subtracts two large numbers.  Both discrete Jacobi
+    determinants use it: ``fredholm_det_piecewise`` for each level, and
+    ``evaluation_map_jacobian`` with 1 x 1 blocks B = C.
     """
     n = diag.shape[1]
     eye = np.eye(n)
@@ -563,54 +567,46 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
 # ---------------------------------------------------------------------------
 # evaluation-map Jacobian and short-segment factor chain
 
+# Taylor coefficients in z of sigma^2 = sinh^2(x)/x^2 (x^2 = z) and, from
+# z^2 on, of the numerators of p and q in _shape_stiffness_defects
+_SERIES_K = range(14)
+_SIGMA2 = [2 ** (2 * k + 1) / factorial(2 * k + 2) for k in _SERIES_K]
+_P_NUM = [4**k * (2 * k - 2) / factorial(2 * k + 2) for k in _SERIES_K[2:]]
+_Q_NUM = [4 * (4**k - (k + 1) ** 2) / factorial(2 * k + 2) for k in _SERIES_K[2:]]
 
-def _segment_stiffness(v: float, delta: float):
-    """H1 stiffness entries of the two Jacobi shape functions on a segment.
 
-    The shapes solve X'' = v X with endpoint data (1,0) and (0,1); returns
-    (diagonal, off-diagonal) of the 2x2 form int X' Y'.  v = 0 reduces to
-    the hat stiffness (1/delta, -1/delta).
+def _shape_stiffness_defects(z: np.ndarray):
+    """(p, q) = (delta s_dd - 1, delta s_od + 1) of the Jacobi shapes at z = v delta^2.
+
+    The shapes solve X'' = v X on a segment of length delta with endpoint
+    data (1, 0) and (0, 1); s_dd and s_od are their diagonal and
+    off-diagonal H1 stiffness, so p/delta and q/delta are what they add to
+    the hat stiffness (1/delta, -1/delta).  With x^2 = z,
+
+        p = (1 + sinh(2x)/(2x) - 2 sigma^2)/(2 sigma^2),
+        q = (2 sigma^2 - cosh x - sinh(x)/x)/(2 sigma^2),
+
+    evaluated without cancellation: by power series for |z| <= 1 (the z^0
+    and z^1 terms of both numerators cancel exactly), by the sin form for
+    z < -1, and for z > 1 by the csch/coth form with
+    csch x = 2 e^-x/(1 - e^-2x), which cannot overflow.
     """
-    if v == 0.0:
-        return 1.0 / delta, -1.0 / delta
-    if v < 0.0:
-        w = np.sqrt(-v)
-        x = w * delta
-        if x >= np.pi:
-            raise DegenerateSegmentError(
-                f"segment of phase {x:.3f} >= pi has conjugate endpoints"
-            )
-        sw, cw = np.sin(x), np.cos(x)
-        s_dd = w * w * (delta / 2.0 + np.sin(2.0 * x) / (4.0 * w)) / sw**2
-        s_od = -w * w * (delta * cw / 2.0 + sw / (2.0 * w)) / sw**2
-        return s_dd, s_od
-    m = np.sqrt(v)
-    x = m * delta
-    if x > 350.0:
-        # the entries are (m/2)(x csch^2 x + coth x) and -(m/2) csch x (x coth x + 1);
-        # sinh(2x) overflows past x = 354.9, and here coth x = 1, csch x = 2 e^{-x}
-        return 0.5 * m, -m * (x + 1.0) * np.exp(-x)
-    sh, ch = np.sinh(x), np.cosh(x)
-    s_dd = m * m * (delta / 2.0 + np.sinh(2.0 * x) / (4.0 * m)) / sh**2
-    s_od = -m * m * (delta * ch / 2.0 + sh / (2.0 * m)) / sh**2
-    return s_dd, s_od
-
-
-def _tridiag_logdet(main: np.ndarray, off: np.ndarray) -> float:
-    """log|det| of a symmetric tridiagonal matrix by scaled continuants."""
-    logscale = 0.0
-    dprev, d = 1.0, main[0]
-    for j in range(1, len(main)):
-        dnew = main[j] * d - off[j - 1] ** 2 * dprev
-        dprev, d = d, dnew
-        m = abs(d)
-        if m > 1e120 or (0.0 < m < 1e-120):
-            logscale += np.log(m)
-            dprev /= m
-            d /= m
-    if d == 0.0:
-        raise DegenerateSegmentError("singular Jacobi interpolation Gram")
-    return float(np.log(abs(d)) + logscale)
+    p, q = np.empty_like(z), np.empty_like(z)
+    series, neg, pos = np.abs(z) <= 1.0, z < -1.0, z > 1.0
+    zs = z[series]
+    two_sigma2 = 2.0 * polyval(zs, _SIGMA2)
+    p[series] = zs * zs * polyval(zs, _P_NUM) / two_sigma2
+    q[series] = zs * zs * polyval(zs, _Q_NUM) / two_sigma2
+    x = np.sqrt(-z[neg])
+    sin, cot = np.sin(x), 1.0 / np.tan(x)
+    p[neg] = 0.5 * x * (x / (sin * sin) + cot) - 1.0
+    q[neg] = 1.0 - 0.5 * x * (x * cot + 1.0) / sin
+    x = np.sqrt(z[pos])
+    den = -np.expm1(-2.0 * x)
+    csch, coth = 2.0 * np.exp(-x) / den, (2.0 - den) / den
+    p[pos] = 0.5 * x * (x * csch * csch + coth) - 1.0
+    q[pos] = 1.0 - 0.5 * x * csch * (x * coth + 1.0)
+    return p, q
 
 
 def evaluation_map_jacobian(g: GeodesicData, partition: Partition) -> float:
@@ -618,11 +614,14 @@ def evaluation_map_jacobian(g: GeodesicData, partition: Partition) -> float:
 
     The inverse of the node-evaluation differential sends node vectors to
     the piecewise Jacobi field interpolating them, so |det d ev_tau| is the
-    inverse square root of the H1 Gram of those interpolants.  The Gram is
-    assembled per fiber direction from closed-form segment stiffness
-    blocks (trigonometric for kappa > 0, hyperbolic for kappa < 0); the
-    flat case collapses to the hat Gram whose determinant exactly cancels
-    the normalization.
+    inverse square root of the H1 Gram of those interpolants.  Along the
+    tangent the Gram is the hat stiffness D, with det D = 1/prod delta_j on
+    [0, 1]; along each of the n - 1 curved directions it is D + C, with C
+    the segment-by-segment defect of ``_shape_stiffness_defects``.  So the
+    value is det(I + D^-1 C)^{-(n-1)/2}, whose log comes from
+    ``_hat_slogdet`` on 1 x 1 blocks -- the recurrence
+    ``fredholm_det_piecewise`` uses for its levels.  Flat space, or n = 1,
+    gives exactly 1.
     """
     m = g.manifold
     if not isinstance(m, ConstantCurvature):
@@ -634,19 +633,12 @@ def evaluation_map_jacobian(g: GeodesicData, partition: Partition) -> float:
         conj = np.pi / np.sqrt(m.kappa)
         if np.max(deltas) * g.speed >= conj:
             raise DegenerateSegmentError("a segment reaches the conjugate distance")
-    v_fiber = -(m.kappa * g.speed * g.speed)
-    log_gram = 0.0
-    for v, count in ((0.0, 1), (v_fiber, m.n - 1)):
-        if count == 0:
-            continue
-        pairs = [_segment_stiffness(v, d) for d in deltas]
-        sd = np.array([p[0] for p in pairs])
-        so = np.array([p[1] for p in pairs])
-        main = sd[:-1] + sd[1:]
-        off = so[1:-1]
-        log_gram += count * _tridiag_logdet(main, off)
-    logval = -0.5 * (log_gram + m.n * float(np.sum(np.log(deltas))))
-    return float(np.exp(logval))
+    p, q = _shape_stiffness_defects(-(m.kappa * g.speed * g.speed) * deltas * deltas)
+    p, q = p / deltas, q / deltas
+    a, c = _hat_stiffness(deltas)
+    diag, off = p[:-1] + p[1:], q[1:-1]
+    _, logdet = _hat_slogdet(a, c, diag[:, None, None], off[:, None, None])
+    return float(np.exp(-0.5 * (m.n - 1) * logdet))
 
 
 def phi0_chain(m: ConstantCurvature, r: float, partition: Partition) -> float:

@@ -46,17 +46,8 @@ DEFAULT_STEPS = 2048
 class JacobiPropagation:
     """Grid values of the fundamental solution (J, J') of J'' = V J."""
 
-    t_grid: np.ndarray
     J: np.ndarray  # (steps+1, n, n)
     Jprime: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.J.shape[1]
-
-    @property
-    def t(self) -> float:
-        return float(self.t_grid[-1])
 
     def det_final(self) -> float:
         return float(np.linalg.det(self.J[-1]))
@@ -185,7 +176,7 @@ def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPro
     """
     U, _ = _fine_run(sys, steps)
     n = sys.n
-    return JacobiPropagation(np.linspace(0.0, sys.t, steps + 1), U[:, :n, n:], U[:, n:, n:])
+    return JacobiPropagation(U[:, :n, n:], U[:, n:, n:])
 
 
 def _zero_modes(Jt: np.ndarray, t: float):

@@ -8,8 +8,6 @@ Geodesics are parametrized on [0, 1] at constant speed r = d(x, y), so the
 energy of a minimizer is r^2/2 and the Jacobi operator lives on [0, 1].
 """
 
-import copy
-
 import numpy as np
 
 from .errors import ConjugatePointError, DomainError
@@ -109,9 +107,8 @@ class JacobiSystem:
             raise DomainError(f"interval length must be positive, got {t}")
         self.n = int(n)
         self.t = float(t)
-        # a callable fills the block [lo:, lo:] of V with
-        # value_scale * func(arg_scale * x), x = s (or t - s when reversed)
-        self._lo, self._arg_scale, self._value_scale, self._reversed = 0, 1.0, 1.0, False
+        # a callable fills the block [lo:, lo:] of V with value_scale * func(arg_scale * s)
+        self._lo, self._arg_scale, self._value_scale = 0, 1.0, 1.0
         if callable(potential):
             self._func = potential
             self._const = None
@@ -152,11 +149,10 @@ class JacobiSystem:
         n = self.n
         if self._const is not None:
             return np.broadcast_to(self._const, (len(s), n, n))
-        x = self.t - s if self._reversed else s
         out = np.zeros((len(s), n, n))
         block = out[:, self._lo :, self._lo :]
         k = n - self._lo
-        points = (self._arg_scale * x).tolist()
+        points = (self._arg_scale * s).tolist()
         func = self._func
         first = func(points[0])
         if np.shape(first) != (k, k) and not (k == 1 and np.size(first) == 1):
@@ -182,14 +178,6 @@ class JacobiSystem:
         V = self.sample(0.5 * self.t * (x + 1.0))
         return np.tensordot(w, V, axes=1) * 0.5
 
-    def time_reversed(self) -> "JacobiSystem":
-        """System with potential V(t - s); same spectrum and determinants."""
-        if self._const is not None:
-            return JacobiSystem(self.n, self.t, self._const)
-        rev = copy.copy(self)
-        rev._reversed = not self._reversed
-        return rev
-
     @classmethod
     def _embedded(cls, n: int, t: float, func, arg_scale: float, value_scale: float):
         """Callable (n-1)x(n-1) block V_ij(s) = value_scale func(arg_scale s) for
@@ -197,7 +185,7 @@ class JacobiSystem:
         sys = object.__new__(cls)
         sys.n, sys.t = int(n), float(t)
         sys._func, sys._const = func, None
-        sys._lo, sys._arg_scale, sys._value_scale, sys._reversed = 1, arg_scale, value_scale, False
+        sys._lo, sys._arg_scale, sys._value_scale = 1, arg_scale, value_scale
         sys._check_symmetric()
         return sys
 

@@ -53,12 +53,6 @@ def euclidean_heat_kernel(d: float, n: int, t: float) -> float:
     return float((4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-d * d / (4.0 * t)))
 
 
-def log_euclidean_heat_kernel(d: float, n: int, t: float) -> float:
-    if t <= 0:
-        raise DomainError(f"time must be positive, got {t}")
-    return float(-(n / 2.0) * np.log(4.0 * np.pi * t) - d * d / (4.0 * t))
-
-
 def nondegenerate_limit_prediction(m: ConstantCurvature, d: float) -> float:
     """Predicted ratio limit J(x,y)^{-1/2} through det J(1) of the Jacobi ODE (1024 steps)."""
     if not isinstance(m, ConstantCurvature):

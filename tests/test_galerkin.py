@@ -576,6 +576,55 @@ def test_evaluation_map_conjugate_segment_error():
         evaluation_map_jacobian(g, Partition((0.0, 1e-17, 1.0)))
 
 
+def _mp_evaluation_map(kappa, r, n, deltas):
+    """det(G)/det(D) of the Jacobi-shape Gram G and hat Gram D on ``deltas``,
+    raised to -(n - 1)/2, from the closed-form segment stiffness at 50 digits."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        v = -mp.mpf(kappa) * mp.mpf(r) ** 2
+        ds = [mp.mpf(float(d)) for d in deltas]
+        if v < 0:
+            w = mp.sqrt(-v)
+            sn, ct = mp.sin, mp.cot
+        else:
+            w = mp.sqrt(v)
+            sn, ct = mp.sinh, mp.coth
+        s_dd = [w / 2 * (w * d / sn(w * d) ** 2 + ct(w * d)) for d in ds]
+        s_od = [-w / 2 * (w * d * ct(w * d) + 1) / sn(w * d) for d in ds]
+
+        def continuant(seg_dd, seg_od):
+            prev, det = mp.mpf(1), seg_dd[0] + seg_dd[1]
+            for j in range(2, len(ds)):
+                prev, det = det, (seg_dd[j - 1] + seg_dd[j]) * det - seg_od[j - 1] ** 2 * prev
+            return det
+
+        ratio = continuant(s_dd, s_od) / continuant([1 / d for d in ds], [-1 / d for d in ds])
+        return mp.exp(-mp.mpf(n - 1) / 2 * mp.log(ratio))
+
+
+@pytest.mark.parametrize(
+    "kappa, r, n, times, tol",
+    [
+        (-0.5, 0.01, 5, 512, 1e-15),  # ev - 1 = -2.64e-16
+        (1.0, PI / 2, 2, 16, 1e-13),
+        (-1.0, 1.0, 3, 64, 1e-13),
+        (-1e3, 1.5, 5, 512, 1e-13),  # z = v delta^2 = 8.6e-3
+        (-1e3, 1.5, 2, 8, 1e-13),  # z = 35: the csch/coth form
+        (2.0, 2.0, 3, 2, 1e-13),  # z = -2: the sin form
+        (1.0, 3.0, 3, (0.0, 0.1, 0.35, 0.4, 0.8, 1.0), 1e-13),  # z from -0.09 to -1.44
+    ],
+    ids=["near-one", "sphere", "hyperbolic", "hyperbolic-fine", "z35", "z-2", "nonuniform"],
+)
+def test_evaluation_map_matches_mp_gram(kappa, r, n, times, tol):
+    # the same Gram ratio at 50 digits; the values sit near 1, so a form that
+    # subtracts two O(N log N) log-determinants loses up to 5e-11 here
+    part = Partition.uniform(times) if isinstance(times, int) else Partition(times)
+    val = evaluation_map_jacobian(GeodesicData(ConstantCurvature(n, kappa), r), part)
+    ref = _mp_evaluation_map(kappa, r, n, part.deltas)
+    assert abs(val - float(ref)) <= tol
+
+
 def test_phi0_chain_flat():
     assert phi0_chain(ConstantCurvature(3, 0.0), 1.0, Partition.uniform(4)) == 1.0
 

@@ -99,7 +99,8 @@ def test_jacobian_symmetric_under_time_reversal():
     pot = lambda s: np.array([[np.sin(1.7 * s) - 0.3, 0.2 * s], [0.2 * s, 0.1 + s**2]])
     sys = JacobiSystem(2, 1.0, pot)
     fwd = float(np.linalg.det(solve_jacobi_ode(sys, 2048).J[-1]))
-    bwd = float(np.linalg.det(solve_jacobi_ode(sys.time_reversed(), 2048).J[-1]))
+    rev = JacobiSystem(2, 1.0, lambda s: pot(1.0 - s))
+    bwd = float(np.linalg.det(solve_jacobi_ode(rev, 2048).J[-1]))
     assert abs(fwd - bwd) < 1e-9 * max(1.0, abs(fwd))
 
 
@@ -155,13 +156,8 @@ def test_sample_is_bit_identical_to_pointwise_values():
     for i, u in enumerate(s):
         ref[i, 1:, 1:] = t * t * block(t * float(u))
     assert np.array_equal(synth.sample(s), ref)
-    # time reversal samples the reversed points
-    assert np.array_equal(plain.time_reversed().sample(s), _reference_samples(pot, 1.0 - s, 2))
-    rev = synth.time_reversed()
-    assert np.array_equal(rev.sample(s), synth.sample(1.0 - s))
-    assert np.array_equal(rev.time_reversed().sample(s), synth.sample(s))
     # sample agrees with stacking single-point values
-    for sys in (const, plain, scalar, synth, rev):
+    for sys in (const, plain, scalar, synth):
         assert np.array_equal(sys.sample(s), np.stack([sys(x) for x in s]))
 
 
