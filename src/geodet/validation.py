@@ -7,9 +7,12 @@ slope, a step-halving factor) use the same inequality with the window
 center as the expected value and the tolerance spanning the window.
 """
 
+import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,276 +50,264 @@ def _sphere_system(kappa: float, r: float, n: int):
     )
 
 
-def _free_system(n: int):
-    return geometry.JacobiSystem.constant(np.zeros((n, n)), 1.0)
+# --- quantities several records read; _checks memoizes each for one run
+
+
+def _fourier_det(kappa, r, n):
+    """The tail-completed Fourier determinant at MODE_SCHEDULE."""
+    return galerkin.fredholm_det(_sphere_system(kappa, r, n), MODE_SCHEDULE).extrapolated
+
+
+def _deflated_det(n):
+    return galerkin.fredholm_det_deflated(_sphere_system(1.0, np.pi, n), schedule=(64, 128, 256))
+
+
+def _eval_scaling(kappa, r, n):
+    """(fitted slope, Richardson c2) of log ev = c2 h^2 + O(h^3), h = 1/N."""
+    g = geometry.GeodesicData(geometry.ConstantCurvature(n, kappa), r)
+    Ns = (16, 32, 64, 128, 256)
+    devs = {
+        N: galerkin.evaluation_map_jacobian(g, galerkin.Partition.uniform(N)) - 1.0 for N in Ns
+    }
+    logs = np.log([abs(devs[N]) for N in Ns])
+    slope = float(np.polyfit(np.log([1.0 / N for N in Ns]), logs, 1)[0])
+    richardson = 2.0 * 128**2 * devs[128] - 64**2 * devs[64]
+    return slope, richardson
+
+
+def _piecewise_det(kappa, r, n, N):
+    """The one-level piecewise determinant on N segments, tail-corrected."""
+    est = galerkin.fredholm_det_piecewise(_sphere_system(kappa, r, n), (N,))
+    return est.levels[-1][1] * est.tail_correction
+
+
+# --- checks; each returns (expected, computed, tolerance)
+
+
+def _fourier_closed_form(fourier, kappa, r, n, expected):
+    return expected, fourier(kappa, r, n), 1e-6
+
+
+def _identity_chain(fourier, kappa, r, n):
+    free = geometry.JacobiSystem.constant(np.zeros((n, n)), 1.0)
+    ratio = gy.gy_ratio(free, _sphere_system(kappa, r, n), steps=1024)
+    return fourier(kappa, r, n), ratio, 1e-5
+
+
+def _zeta_chain(fourier, kappa, r, n):
+    z = gy.zeta_det_jacobi(_sphere_system(kappa, r, n), steps=1024)
+    return fourier(kappa, r, n), 2.0**-n * z.value, 1e-5
+
+
+def _zeta_closed_form():
+    return 8.0, gy.zeta_det_dirichlet_laplacian(1.0, 3).value, 0.0
+
+
+def _trace_identity(kappa, r, n):
+    expected = -(n - 1) * kappa * r * r / 6.0
+    return expected, galerkin.hessian_trace(_sphere_system(kappa, r, n)), 1e-8
+
+
+def _bernoulli(s):
+    return s * s - s + 1.0 / 6.0, galerkin.bernoulli_cosine_sum(s, 10**6), 1e-6
+
+
+def _antipodal_deflated(deflated, n):
+    return 2.0 ** (1 - n), deflated(n).extrapolated, 1e-4
+
+
+def _antipodal_kernel_dim(deflated, n):
+    return float(n - 1), float(deflated(n).kernel_dimension), 0.0
+
+
+def _degenerate_scalar():
+    """The degenerate ODE route against the truncated eigenvalue-product
+    oracle with its telescoped tail."""
+    K = 10**6
+    k = np.arange(2, K + 1, dtype=float)
+    log_partial = float(np.sum(np.log1p(-1.0 / k**2)))
+    log_tail = float(np.log(K / (K + 1.0)))  # prod_{k>K} (1 - 1/k^2)
+    oracle = np.exp(log_partial + log_tail) / np.pi**2
+    computed = gy.gy_degenerate_ratio(
+        geometry.JacobiSystem.constant([[-np.pi**2]], 1.0),
+        geometry.JacobiSystem.constant([[0.0]], 1.0),
+    )
+    return oracle, computed, 1e-8
+
+
+def _sxy(n, R):
+    expected = heat.antipodal_sphere_limit_closed_form(n, R)
+    return expected, heat.antipodal_limit_via_Sxy(n, R), 1e-8
+
+
+def _heat_oracle(n, case, d, expected, tol):
+    return expected, heat.heat_limit_validation(n, 1.0, case, d=d).extrapolated_oracle, tol
+
+
+def _eval_flat():
+    g = geometry.GeodesicData(geometry.ConstantCurvature(2, 0.0), 1.3)
+    return 1.0, galerkin.evaluation_map_jacobian(g, galerkin.Partition.uniform(16)), 1e-12
+
+
+def _eval_slope(scaling, kappa, r, n):
+    return 2.0, scaling(kappa, r, n)[0], 0.025
+
+
+def _eval_coefficient(scaling, kappa, r, n):
+    c2 = -(n - 1) * kappa**2 * r**4 / 144.0
+    # |c2| < 1, so scale the tolerance to make it 1e-3 relative
+    return c2, scaling(kappa, r, n)[1], 1e-3 * abs(c2)
+
+
+def _filtration_agreement(fourier, piecewise, kappa, r, n):
+    return fourier(kappa, r, n), piecewise(kappa, r, n, 256), 1e-3
+
+
+def _filtration_monotone(fourier, piecewise, kappa, r, n):
+    gaps = [abs(piecewise(kappa, r, n, N) - fourier(kappa, r, n)) for N in (32, 64, 128, 256)]
+    monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
+    return 1.0, float(monotone), 0.0
+
+
+def _wronskian():
+    sys = geometry.JacobiSystem(
+        2, 1.0, lambda s: np.array([[np.sin(2 * s), 0.4 * s], [0.4 * s, 1.0 - s]])
+    )
+    return 0.0, gy.solve_jacobi_ode(sys, 512).wronskian_drift(), 1e-9
+
+
+def _rk4_order():
+    sys = geometry.JacobiSystem(
+        1, 1.0, lambda s: np.array([[5.0 + 4.0 * np.sin(2 * np.pi * s)]])
+    )
+    ref = gy.solve_jacobi_ode(sys, 16384).det_final()
+    e1 = abs(gy.solve_jacobi_ode(sys, 512).det_final() - ref)
+    e2 = abs(gy.solve_jacobi_ode(sys, 1024).det_final() - ref)
+    # window [12, 20] around the order-4 halving factor 16
+    return 16.0, e1 / e2, 0.25
+
+
+def _chapman():
+    spec = heat.SphereSpectrum.for_time_range(1, 1.0, 0.15)
+    t, s = 0.2, 0.15
+    theta = 0.9
+    M = 512
+    phis = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
+    vals = np.array(
+        [
+            heat.sphere_heat_kernel(spec, theta - phi, t)
+            * heat.sphere_heat_kernel(spec, phi, s)
+            for phi in phis
+        ]
+    )
+    integral = float(np.sum(vals) * (2.0 * np.pi / M))  # R = 1 arc measure
+    return heat.sphere_heat_kernel(spec, theta, t + s), integral, 1e-8
+
+
+def _telescoping():
+    K = 1000
+    k = np.arange(2, K + 1, dtype=float)
+    partial_product = float(np.exp(np.sum(np.log1p(-1.0 / k**2))))
+    return 0.5, partial_product, 1.0 / K
+
+
+def _determinism():
+    from .cli import build_report
+
+    config = {
+        "command": "det-fredholm",
+        "kappa": 1.0,
+        "r": float(np.pi / 2),
+        "n": 3,
+        "modes": [64, 128],
+    }
+    a = json.dumps(build_report(dict(config)), sort_keys=True)
+    b = json.dumps(build_report(dict(config)), sort_keys=True)
+    return 1.0, float(a == b), 0.0
 
 
 def _checks():
-    """Yield (name, callable) pairs; each callable returns (expected, computed, tol)."""
+    """Yield the (name, check) records in suite order.
 
-    # --- constant-curvature Fredholm determinants (criteria 1, 2)
-    def sphere_fredholm():
-        est = galerkin.fredholm_det(_sphere_system(1.0, np.pi / 2, 3), MODE_SCHEDULE)
-        return (2.0 / np.pi) ** 2, est.extrapolated, 1e-6
+    A quantity that several records read is memoized for this call only, so
+    a run computes it once, in the first selected record that reads it, and
+    a filtered run computes only what its selected records read.
+    """
+    fourier = functools.cache(_fourier_det)
+    deflated = functools.cache(_deflated_det)
+    scaling = functools.cache(_eval_scaling)
+    piecewise = functools.cache(_piecewise_det)
 
-    yield "fredholm-sphere-kappa1-rhalfpi-n3", sphere_fredholm
+    # constant-curvature Fredholm determinants (criteria 1, 2)
+    yield "fredholm-sphere-kappa1-rhalfpi-n3", partial(
+        _fourier_closed_form, fourier, 1.0, np.pi / 2, 3, (2.0 / np.pi) ** 2
+    )
+    yield "fredholm-hyperbolic-kappa-1-r1-n2", partial(
+        _fourier_closed_form, fourier, -1.0, 1.0, 2, np.sinh(1.0)
+    )
 
-    def hyperbolic_fredholm():
-        est = galerkin.fredholm_det(_sphere_system(-1.0, 1.0, 2), MODE_SCHEDULE)
-        return np.sinh(1.0), est.extrapolated, 1e-6
+    # identity chain: Galerkin = ODE ratio = closed form (criterion 3),
+    # the zeta transfer 2^-n det_zeta = Fredholm (criterion 4) and the
+    # trace identity (criterion 5)
+    grid = list(itertools.product(IDENTITY_GRID_KAPPAS, IDENTITY_GRID_SPEEDS, IDENTITY_GRID_DIMS))
+    for kappa, r, n in grid:
+        tag = f"kappa{_fmt(kappa)}-r{r:.1f}-n{n}"
+        yield f"identity-chain-{tag}", partial(_identity_chain, fourier, kappa, r, n)
+        yield f"zeta-chain-{tag}", partial(_zeta_chain, fourier, kappa, r, n)
+    yield "zeta-laplacian-closed-form", _zeta_closed_form
+    for kappa, r, n in grid:
+        tag = f"kappa{_fmt(kappa)}-r{r:.1f}-n{n}"
+        yield f"trace-identity-{tag}", partial(_trace_identity, kappa, r, n)
 
-    yield "fredholm-hyperbolic-kappa-1-r1-n2", hyperbolic_fredholm
-
-    # --- identity chain: Galerkin = ODE ratio = closed form (criterion 3)
-    #     and the zeta transfer 2^-n det_zeta = Fredholm (criterion 4)
-    def make_chain(kappa, r, n):
-        def chain():
-            est = galerkin.fredholm_det(_sphere_system(kappa, r, n), MODE_SCHEDULE)
-            ratio = gy.gy_ratio(_free_system(n), _sphere_system(kappa, r, n), steps=1024)
-            return est.extrapolated, ratio, 1e-5
-
-        return chain
-
-    def make_zeta_chain(kappa, r, n):
-        def chain():
-            est = galerkin.fredholm_det(_sphere_system(kappa, r, n), MODE_SCHEDULE)
-            z = gy.zeta_det_jacobi(_sphere_system(kappa, r, n), steps=1024)
-            return est.extrapolated, 2.0**-n * z.value, 1e-5
-
-        return chain
-
-    for kappa in IDENTITY_GRID_KAPPAS:
-        for r in IDENTITY_GRID_SPEEDS:
-            for n in IDENTITY_GRID_DIMS:
-                tag = f"kappa{_fmt(kappa)}-r{r:.1f}-n{n}"
-                yield f"identity-chain-{tag}", make_chain(kappa, r, n)
-                yield f"zeta-chain-{tag}", make_zeta_chain(kappa, r, n)
-
-    def zeta_closed():
-        return 8.0, gy.zeta_det_dirichlet_laplacian(1.0, 3).value, 0.0
-
-    yield "zeta-laplacian-closed-form", zeta_closed
-
-    # --- trace identity and Bernoulli series (criterion 5)
-    def make_trace(kappa, r, n):
-        def check():
-            expected = -(n - 1) * kappa * r * r / 6.0
-            return expected, galerkin.hessian_trace(_sphere_system(kappa, r, n)), 1e-8
-
-        return check
-
-    for kappa in IDENTITY_GRID_KAPPAS:
-        for r in IDENTITY_GRID_SPEEDS:
-            for n in IDENTITY_GRID_DIMS:
-                yield f"trace-identity-kappa{_fmt(kappa)}-r{r:.1f}-n{n}", make_trace(kappa, r, n)
-
-    def make_bernoulli(s):
-        def check():
-            expected = s * s - s + 1.0 / 6.0
-            return expected, galerkin.bernoulli_cosine_sum(s, 10**6), 1e-6
-
-        return check
-
+    # Bernoulli series (criterion 5)
     for s in (0.1, 0.3, 0.7):
-        yield f"bernoulli-series-s{s}", make_bernoulli(s)
+        yield f"bernoulli-series-s{s}", partial(_bernoulli, s)
 
-    # --- degenerate antipodal sphere (criterion 6)
-    def make_deflated(n):
-        def check():
-            res = galerkin.fredholm_det_deflated(
-                _sphere_system(1.0, np.pi, n), schedule=(64, 128, 256)
-            )
-            return 2.0 ** (1 - n), res.extrapolated, 1e-4
-
-        return check
-
-    def make_kernel_dim(n):
-        def check():
-            res = galerkin.fredholm_det_deflated(
-                _sphere_system(1.0, np.pi, n), schedule=(64, 128, 256)
-            )
-            return float(n - 1), float(res.kernel_dimension), 0.0
-
-        return check
-
+    # degenerate antipodal sphere (criteria 6, 7)
     for n in (2, 3):
-        yield f"antipodal-deflated-S{n}", make_deflated(n)
-        yield f"antipodal-kernel-dim-S{n}", make_kernel_dim(n)
+        yield f"antipodal-deflated-S{n}", partial(_antipodal_deflated, deflated, n)
+        yield f"antipodal-kernel-dim-S{n}", partial(_antipodal_kernel_dim, deflated, n)
+    yield "degenerate-gy-scalar", _degenerate_scalar
 
-    # --- degenerate ODE route (criterion 7), against the truncated
-    #     eigenvalue-product oracle with its telescoped tail
-    def degenerate_scalar():
-        K = 10**6
-        k = np.arange(2, K + 1, dtype=float)
-        log_partial = float(np.sum(np.log1p(-1.0 / k**2)))
-        log_tail = float(np.log(K / (K + 1.0)))  # prod_{k>K} (1 - 1/k^2)
-        oracle = np.exp(log_partial + log_tail) / np.pi**2
-        computed = gy.gy_degenerate_ratio(
-            geometry.JacobiSystem.constant([[-np.pi**2]], 1.0),
-            geometry.JacobiSystem.constant([[0.0]], 1.0),
-        )
-        return oracle, computed, 1e-8
-
-    yield "degenerate-gy-scalar", degenerate_scalar
-
-    # --- antipodal coefficient via the velocity sphere (criterion 8)
-    def make_sxy(n, R):
-        def check():
-            expected = heat.antipodal_sphere_limit_closed_form(n, R)
-            return expected, heat.antipodal_limit_via_Sxy(n, R), 1e-8
-
-        return check
-
+    # antipodal coefficient via the velocity sphere (criterion 8)
     for n in (2, 3, 4):
         for R in (0.5, 1.0, 2.0):
-            yield f"sxy-antipodal-n{n}-R{_fmt(R)}", make_sxy(n, R)
+            yield f"sxy-antipodal-n{n}-R{_fmt(R)}", partial(_sxy, n, R)
 
-    # --- heat kernel oracle confirmation (criterion 9)
-    def antipodal_s2():
-        report = heat.heat_limit_validation(2, 1.0, "antipodal")
-        return 2.0 * np.pi**2, report.extrapolated_oracle, 0.01
+    # heat kernel oracle confirmation (criterion 9)
+    yield "antipodal-S2-coefficient", partial(
+        _heat_oracle, 2, "antipodal", None, 2.0 * np.pi**2, 0.01
+    )
+    yield "nondegenerate-S3-halfpi", partial(
+        _heat_oracle, 3, "nondegenerate", np.pi / 2, np.pi / 2.0, 0.005
+    )
 
-    yield "antipodal-S2-coefficient", antipodal_s2
-
-    def nondegenerate_s3():
-        report = heat.heat_limit_validation(3, 1.0, "nondegenerate", d=np.pi / 2)
-        return np.pi / 2.0, report.extrapolated_oracle, 0.005
-
-    yield "nondegenerate-S3-halfpi", nondegenerate_s3
-
-    # --- evaluation-map Jacobian (criterion 10)
-    def eval_flat():
-        g = geometry.GeodesicData(geometry.ConstantCurvature(2, 0.0), 1.3)
-        val = galerkin.evaluation_map_jacobian(g, galerkin.Partition.uniform(16))
-        return 1.0, val, 1e-12
-
-    yield "eval-jacobian-flat-exact", eval_flat
-
-    # log ev = c2 h^2 + O(h^3), c2 = -(n-1) kappa^2 r^4 / 144, h = 1/N
-    def eval_scaling(kappa, r, n):
-        g = geometry.GeodesicData(geometry.ConstantCurvature(n, kappa), r)
-        Ns = (16, 32, 64, 128, 256)
-        devs = {
-            N: galerkin.evaluation_map_jacobian(g, galerkin.Partition.uniform(N)) - 1.0
-            for N in Ns
-        }
-        logs = np.log([abs(devs[N]) for N in Ns])
-        slope = float(np.polyfit(np.log([1.0 / N for N in Ns]), logs, 1)[0])
-        richardson = 2.0 * 128**2 * devs[128] - 64**2 * devs[64]
-        return slope, richardson
-
-    def make_eval_slope(kappa, r, n):
-        def check():
-            return 2.0, eval_scaling(kappa, r, n)[0], 0.025
-
-        return check
-
-    def make_eval_coefficient(kappa, r, n):
-        def check():
-            c2 = -(n - 1) * kappa**2 * r**4 / 144.0
-            # |c2| < 1, so scale the tolerance to make it 1e-3 relative
-            return c2, eval_scaling(kappa, r, n)[1], 1e-3 * abs(c2)
-
-        return check
-
+    # evaluation-map Jacobian (criterion 10):
+    # log ev = c2 h^2 + O(h^3), c2 = -(n-1) kappa^2 r^4 / 144
+    yield "eval-jacobian-flat-exact", _eval_flat
     for kappa, r, n in ((1.0, np.pi / 2, 2), (-1.0, 1.0, 3), (0.5, 1.5, 4)):
         tag = f"kappa{_fmt(kappa)}-n{n}"
-        yield f"eval-jacobian-mesh2-slope-{tag}", make_eval_slope(kappa, r, n)
-        yield f"eval-jacobian-mesh2-coefficient-{tag}", make_eval_coefficient(kappa, r, n)
+        yield f"eval-jacobian-mesh2-slope-{tag}", partial(_eval_slope, scaling, kappa, r, n)
+        yield f"eval-jacobian-mesh2-coefficient-{tag}", partial(
+            _eval_coefficient, scaling, kappa, r, n
+        )
 
-    # --- filtration independence (criterion 11)
-    def make_filtration(kappa, r, n):
-        def check():
-            sys = _sphere_system(kappa, r, n)
-            fourier = galerkin.fredholm_det(sys, MODE_SCHEDULE).extrapolated
-            piecewise = galerkin.fredholm_det_piecewise(sys, (128, 256))
-            corrected = piecewise.levels[-1][1] * piecewise.tail_correction
-            return fourier, corrected, 1e-3
-
-        return check
-
-    def make_filtration_monotone(kappa, r, n):
-        def check():
-            sys = _sphere_system(kappa, r, n)
-            fourier = galerkin.fredholm_det(sys, MODE_SCHEDULE).extrapolated
-            gaps = []
-            for N in (32, 64, 128, 256):
-                est = galerkin.fredholm_det_piecewise(sys, (N,))
-                gaps.append(abs(est.levels[-1][1] * est.tail_correction - fourier))
-            monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
-            return 1.0, float(monotone), 0.0
-
-        return check
-
+    # filtration independence (criterion 11)
     for kappa, r, n in ((1.0, np.pi / 2, 3), (-1.0, 1.0, 2), (0.3, 1.0, 2)):
         tag = f"kappa{_fmt(kappa)}-n{n}"
-        yield f"filtration-agreement-{tag}", make_filtration(kappa, r, n)
-        yield f"filtration-monotone-{tag}", make_filtration_monotone(kappa, r, n)
-
-    # --- property suite (criterion 12)
-    def wronskian():
-        sys = geometry.JacobiSystem(
-            2, 1.0, lambda s: np.array([[np.sin(2 * s), 0.4 * s], [0.4 * s, 1.0 - s]])
+        yield f"filtration-agreement-{tag}", partial(
+            _filtration_agreement, fourier, piecewise, kappa, r, n
         )
-        prop = gy.solve_jacobi_ode(sys, 512)
-        return 0.0, prop.wronskian_drift(), 1e-9
-
-    yield "wronskian-conservation", wronskian
-
-    def rk4_order():
-        sys = geometry.JacobiSystem(
-            1, 1.0, lambda s: np.array([[5.0 + 4.0 * np.sin(2 * np.pi * s)]])
+        yield f"filtration-monotone-{tag}", partial(
+            _filtration_monotone, fourier, piecewise, kappa, r, n
         )
-        ref = gy.solve_jacobi_ode(sys, 16384).det_final()
-        e1 = abs(gy.solve_jacobi_ode(sys, 512).det_final() - ref)
-        e2 = abs(gy.solve_jacobi_ode(sys, 1024).det_final() - ref)
-        factor = e1 / e2
-        # window [12, 20] around the order-4 halving factor 16
-        return 16.0, factor, 0.25
 
-    yield "rk4-order4-step-halving", rk4_order
-
-    def chapman():
-        spec = heat.SphereSpectrum.for_time_range(1, 1.0, 0.15)
-        t, s = 0.2, 0.15
-        theta = 0.9
-        M = 512
-        phis = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
-        vals = np.array(
-            [
-                heat.sphere_heat_kernel(spec, theta - phi, t)
-                * heat.sphere_heat_kernel(spec, phi, s)
-                for phi in phis
-            ]
-        )
-        integral = float(np.sum(vals) * (2.0 * np.pi / M))  # R = 1 arc measure
-        return heat.sphere_heat_kernel(spec, theta, t + s), integral, 1e-8
-
-    yield "chapman-kolmogorov-circle", chapman
-
-    def telescoping():
-        K = 1000
-        k = np.arange(2, K + 1, dtype=float)
-        partial = float(np.exp(np.sum(np.log1p(-1.0 / k**2))))
-        return 0.5, partial, 1.0 / K
-
-    yield "telescoping-partial-product", telescoping
-
-    def determinism():
-        from .cli import build_report
-
-        config = {
-            "command": "det-fredholm",
-            "kappa": 1.0,
-            "r": float(np.pi / 2),
-            "n": 3,
-            "modes": [64, 128],
-        }
-        a = json.dumps(build_report(dict(config)), sort_keys=True)
-        b = json.dumps(build_report(dict(config)), sort_keys=True)
-        return 1.0, float(a == b), 0.0
-
-    yield "determinism-byte-stable-report", determinism
+    # property suite (criterion 12)
+    yield "wronskian-conservation", _wronskian
+    yield "rk4-order4-step-halving", _rk4_order
+    yield "chapman-kolmogorov-circle", _chapman
+    yield "telescoping-partial-product", _telescoping
+    yield "determinism-byte-stable-report", _determinism
 
 
 def run_validation(name_filter: str = None):
