@@ -358,14 +358,6 @@ def _render(report: dict, fmt: str) -> str:
     return _render_text(report)
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -381,6 +373,7 @@ def main(argv=None) -> int:
     command = params["command"]
     try:
         report = build_report(params)
+        code = 1 if command == "validate" and report["value"] > 0 else 0
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -391,14 +384,19 @@ def main(argv=None) -> int:
             "error": exc.name,
             "message": str(exc),
         }
-        _emit(_render(report, fmt), out_path)
-        return 1
+        code = 1
 
-    _emit(_render(report, fmt), out_path)
-
-    if command == "validate" and report["value"] > 0:
-        return 1
-    return 0
+    text = _render(report, fmt)
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write output file: {exc}\n")
+        return 2
+    return code
 
 
 if __name__ == "__main__":

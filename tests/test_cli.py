@@ -164,6 +164,25 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["value"] == 4.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det-gy", "--kappa", "1", "--r", "1", "--n", "2"],
+        # ends in DegenerateOperatorError, so the error report is the one written
+        ["det-gy", "--kappa", "1", "--r", "3.141592653589793", "--n", "2"],
+    ],
+    ids=["report", "error-report"],
+)
+def test_unwritable_out_file_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output file: ")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.toml"
     cfg.write_text(
