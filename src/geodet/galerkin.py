@@ -629,10 +629,8 @@ def evaluation_map_jacobian(g: GeodesicData, partition: Partition) -> float:
     if partition.N < 2:
         raise DomainError("need at least two segments")
     deltas = partition.deltas
-    if m.kappa > 0:
-        conj = np.pi / np.sqrt(m.kappa)
-        if np.max(deltas) * g.speed >= conj:
-            raise DegenerateSegmentError("a segment reaches the conjugate distance")
+    if np.max(deltas) * g.speed >= m.conjugate_distance:
+        raise DegenerateSegmentError("a segment reaches the conjugate distance")
     p, q = _shape_stiffness_defects(-(m.kappa * g.speed * g.speed) * deltas * deltas)
     p, q = p / deltas, q / deltas
     a, c = _hat_stiffness(deltas)
@@ -655,7 +653,8 @@ def phi0_chain(m: ConstantCurvature, r: float, partition: Partition) -> float:
         raise DomainError("speed must be >= 0")
     total = 1.0
     for d in partition.deltas * r:
-        if m.kappa > 0 and d >= np.pi / np.sqrt(m.kappa):
+        # an infinite speed on kappa <= 0 is left to exp_jacobian_closed_form
+        if m.kappa > 0 and d >= m.conjugate_distance:
             raise CutLocusError(f"segment distance {d:.4f} reaches the cut locus")
         total *= exp_jacobian_closed_form(m, d) ** (-0.5)
     return float(total)

@@ -36,6 +36,11 @@ class ConstantCurvature:
         self.n = int(n)
         self.kappa = float(kappa)
 
+    @property
+    def conjugate_distance(self) -> float:
+        """First conjugate distance pi/sqrt(kappa); inf for kappa <= 0."""
+        return np.pi / np.sqrt(self.kappa) if self.kappa > 0 else np.inf
+
     def __repr__(self):
         return f"ConstantCurvature(n={self.n}, kappa={self.kappa})"
 
@@ -78,7 +83,7 @@ class GeodesicData:
             raise DomainError(f"geodesic speed must be >= 0, got {speed}")
         if isinstance(manifold, ConstantCurvature):
             # minimizers on the sphere do not pass the antipode
-            if manifold.kappa > 0 and speed > np.pi / np.sqrt(manifold.kappa) + 1e-12:
+            if speed > manifold.conjugate_distance + 1e-12:
                 raise DomainError(
                     "speed exceeds pi/sqrt(kappa); no minimizing geodesic"
                 )
@@ -224,7 +229,7 @@ def exp_jacobian_closed_form(m: ConstantCurvature, d: float) -> float:
         raise DomainError("closed form requires a constant-curvature manifold")
     if d < 0 or not np.isfinite(d):
         raise DomainError(f"distance must be finite and >= 0, got {d}")
-    if m.kappa > 0 and d >= np.pi / np.sqrt(m.kappa):
+    if d >= m.conjugate_distance:
         raise ConjugatePointError(
             f"d={d} reaches the conjugate distance pi/sqrt(kappa)"
         )

@@ -59,7 +59,8 @@ def nondegenerate_limit_prediction(m: ConstantCurvature, d: float) -> float:
         raise DomainError("prediction implemented for constant curvature")
     if d < 0:
         raise DomainError("distance must be >= 0")
-    if m.kappa > 0 and d >= np.pi / np.sqrt(m.kappa) - 1e-12:
+    # an infinite d on kappa <= 0 is left to GeodesicData
+    if m.kappa > 0 and d >= m.conjugate_distance - 1e-12:
         raise DegenerateRouteError(
             "conjugate/antipodal endpoints; use the antipodal route"
         )
@@ -75,12 +76,18 @@ def sphere_surface_volume(m: int) -> float:
     return 2.0 * np.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
-def antipodal_sphere_limit_closed_form(n: int, R: float) -> float:
-    """Antipodal limit 2 pi^(3n/2 - 1) R^(n-1) / Gamma(n/2) on the n-sphere."""
+def _check_antipodal_scope(n: int, R: float):
+    if n < 1:
+        raise DomainError(f"dimension must be >= 1, got {n}")
     if n < 2:
         raise OutOfScopeError("antipodal circle has a discrete set of minimizers")
     if R <= 0:
         raise DomainError(f"radius must be positive, got {R}")
+
+
+def antipodal_sphere_limit_closed_form(n: int, R: float) -> float:
+    """Antipodal limit 2 pi^(3n/2 - 1) R^(n-1) / Gamma(n/2) on the n-sphere."""
+    _check_antipodal_scope(n, R)
     return float(2.0 * np.pi ** (1.5 * n - 1.0) * R ** (n - 1) / math.gamma(n / 2.0))
 
 
@@ -93,10 +100,7 @@ def antipodal_limit_via_Sxy(n: int, R: float) -> float:
     volume of that sphere.  J'(1) comes from the Jacobi propagation along
     one antipodal geodesic (speed pi R, curvature 1/R^2), at 2048 steps.
     """
-    if n < 2:
-        raise OutOfScopeError("antipodal circle has a discrete set of minimizers")
-    if R <= 0:
-        raise DomainError(f"radius must be positive, got {R}")
+    _check_antipodal_scope(n, R)
     m = ConstantCurvature(n, 1.0 / R**2)
     sys = jacobi_endomorphism(GeodesicData(m, np.pi * R))
     prop = solve_jacobi_ode(sys, 2048)

@@ -72,6 +72,12 @@ def test_exp_jacobian_hyperbolic_value():
     assert val == pytest.approx(1.1752012, abs=1e-7)
 
 
+def test_conjugate_distance():
+    assert ConstantCurvature(3, 4.0).conjugate_distance == PI / 2
+    assert ConstantCurvature(2, 0.0).conjugate_distance == np.inf
+    assert ConstantCurvature(2, -1.0).conjugate_distance == np.inf
+
+
 def test_exp_jacobian_conjugate_point_error():
     with pytest.raises(ConjugatePointError):
         exp_jacobian_closed_form(ConstantCurvature(3, 1.0), PI)

@@ -121,6 +121,20 @@ def test_antipodal_closed_form_values():
         antipodal_sphere_limit_closed_form(1, 1.0)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_antipodal_routes_reject_dimension_below_one(n):
+    # a dimension error, not the n = 1 scope error
+    message = f"dimension must be >= 1, got {n}"
+    for route in (antipodal_sphere_limit_closed_form, antipodal_limit_via_Sxy):
+        with pytest.raises(DomainError, match=message):
+            route(n, 1.0)
+    for case, d in (("antipodal", None), ("nondegenerate", 1.0)):
+        with pytest.raises(DomainError, match=message):
+            heat_limit_validation(n, 1.0, case, d=d)
+    with pytest.raises(OutOfScopeError):
+        antipodal_limit_via_Sxy(1, 1.0)
+
+
 def test_antipodal_via_velocity_sphere_small_cases():
     # ODE gives J'(1) = diag(1, -1, ...): |det| = 1, leaving the sphere volume
     assert antipodal_limit_via_Sxy(2, 1.0) == pytest.approx(2 * PI**2, rel=1e-10)
