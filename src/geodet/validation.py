@@ -7,12 +7,11 @@ slope, a step-halving factor) use the same inequality with the window
 center as the expected value and the tolerance spanning the window.
 """
 
-import functools
 import itertools
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -233,10 +232,10 @@ def _checks():
     a run computes it once, in the first selected record that reads it, and
     a filtered run computes only what its selected records read.
     """
-    fourier = functools.cache(_fourier_det)
-    deflated = functools.cache(_deflated_det)
-    scaling = functools.cache(_eval_scaling)
-    piecewise = functools.cache(_piecewise_det)
+    fourier = cache(_fourier_det)
+    deflated = cache(_deflated_det)
+    scaling = cache(_eval_scaling)
+    piecewise = cache(_piecewise_det)
 
     # constant-curvature Fredholm determinants (criteria 1, 2)
     yield "fredholm-sphere-kappa1-rhalfpi-n3", partial(
