@@ -8,8 +8,10 @@ byte.  Run from the root of a source checkout:
     PYTHONPATH=src python tests/data/record_cli_reports.py CASE ...   # only these
 
 Cases not named keep their recorded bytes.  The script prints each case
-whose bytes changed.  A numpy RuntimeWarning is an error here, as it is in
-the tests.
+whose bytes changed.  To pin a new case, add an entry holding only its
+``argv`` under a new name and run the script with that name; the entry is
+recorded and printed as changed.  A numpy RuntimeWarning is an error here,
+as it is in the tests.
 """
 
 import contextlib
@@ -44,7 +46,7 @@ def regenerate(cases=None) -> list:
     for name in sorted(cases or reports):
         rec = reports[name]
         new = dict(zip(("exit", "stdout", "stderr"), record(rec["argv"])))
-        if any(rec[key] != value for key, value in new.items()):
+        if any(rec.get(key) != value for key, value in new.items()):
             changed.append(name)
             rec.update(new)
     REPORTS.write_text(json.dumps(reports, indent=1, sort_keys=True))

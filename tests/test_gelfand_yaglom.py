@@ -199,6 +199,18 @@ def test_transfer_matrix_propagation_matches_stage_loop(n, kind, steps):
     assert np.max(np.abs(U[:, n:] - Zref)) <= 1e-13 * np.max(np.abs(Zref))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("steps", [16, 17, 100, 1023, 1024, 4097])
+def test_constant_system_propagates_like_callable(n, steps):
+    # a constant matrix and a callable returning it give the same run bit for
+    # bit, at odd step counts, with a padded last block and at square counts
+    rng = np.random.default_rng(n * 10000 + steps)
+    X = rng.standard_normal((n, n))
+    M = X + X.T
+    U = _rk4_run(JacobiSystem.constant(M, 1.3), steps)
+    assert np.array_equal(U, _rk4_run(JacobiSystem(n, 1.3, lambda s: M), steps))
+
+
 def test_blocked_product_error_against_extended_precision():
     # the same increments D_m multiplied out at 30 digits: the blocked prefix
     # product is no less accurate than the per-step loop U_{m+1} = U_m + D_m U_m
