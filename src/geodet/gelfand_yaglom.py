@@ -126,21 +126,26 @@ def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
         E_j = (I + D_j) (I + E_{j-1}) - I = D_j + E_{j-1} + D_j E_{j-1};
 
     the second maps each block's start state S through them,
-    U = S + E_j S, and the block's last state starts the next block.
+    U = S + E_j S, and the block's last state starts the next block.  A
+    constant system has the same increments in every block, so it builds
+    and sweeps one block, from the first 2 block + 1 samples, and every
+    block reuses it; the run is bit-identical to one that builds them all.
     """
     if V is None:
         V = _sample_potential(sys, steps)
     block = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)): 64 at 4096 steps
+    if sys.is_constant:
+        V = V[: 2 * block + 1]
     E = _transfer_increments(V, sys.t / steps, block)
     U = np.empty((steps + 1, 2 * sys.n, 2 * sys.n))
     U[0] = np.eye(2 * sys.n)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         for j in range(1, block):
             E[:, j] += E[:, j - 1] + E[:, j] @ E[:, j - 1]
-        for b, Eb in enumerate(E):
+        for b in range(-(-steps // block)):
             S = U[b * block]
             rows = U[b * block + 1 : (b + 1) * block + 1]
-            np.matmul(Eb[: len(rows)], S, out=rows)
+            np.matmul(E[b % len(E), : len(rows)], S, out=rows)
             rows += S
     finite = np.isfinite(U).all(axis=(1, 2))
     if not finite.all():

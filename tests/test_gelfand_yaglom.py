@@ -211,6 +211,25 @@ def test_constant_system_propagates_like_callable(n, steps):
     assert np.array_equal(U, _rk4_run(JacobiSystem(n, 1.3, lambda s: M), steps))
 
 
+@pytest.mark.parametrize("steps", [17, 1024, 4097])
+def test_constant_system_builds_one_block_of_increments(monkeypatch, steps):
+    # a constant system builds the increments of one block, from 2 B + 1
+    # half-grid samples (B = ceil(sqrt(steps))); a callable one all of them
+    lengths = []
+
+    def recorded(V, h, block):
+        lengths.append(len(V))
+        return transfer_increments(V, h, block)
+
+    transfer_increments = gelfand_yaglom._transfer_increments
+    monkeypatch.setattr(gelfand_yaglom, "_transfer_increments", recorded)
+    M = np.array([[1.0, 0.2], [0.2, -0.5]])
+    _rk4_run(JacobiSystem.constant(M, 1.3), steps)
+    _rk4_run(JacobiSystem(2, 1.3, lambda s: M), steps)
+    block = math.isqrt(steps - 1) + 1
+    assert lengths == [2 * block + 1, 2 * steps + 1]
+
+
 def test_blocked_product_error_against_extended_precision():
     # the same increments D_m multiplied out at 30 digits: the blocked prefix
     # product is no less accurate than the per-step loop U_{m+1} = U_m + D_m U_m
