@@ -268,6 +268,8 @@ def build_report(params: dict) -> dict:
         from .validation import run_validation
 
         records = run_validation(params.get("filter"))
+        if not records:
+            raise UsageError(f"no validation record matches --filter {params['filter']!r}")
         failed = sum(1 for rec in records if not rec.passed)
         return {
             "command": command,

@@ -331,6 +331,14 @@ def test_validate_filtered_subset(capsys):
     assert all(rec["passed"] for rec in report["series"])
 
 
+def test_validate_filter_matching_nothing_is_usage_error(capsys):
+    # a mistyped filter must not read as a passing validation
+    code, out, err = run_cli(capsys, "validate", "--filter", "zzz")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no validation record matches --filter 'zzz'\n"
+
+
 def test_validate_json_with_numpy_expected_values(capsys):
     # this record's expected value is a numpy float, so its pass flag must
     # still come out as a JSON-serializable Python bool
