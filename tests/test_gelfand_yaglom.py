@@ -216,12 +216,12 @@ def test_constant_system_builds_one_block_of_increments(monkeypatch, steps):
     # a constant system builds the increments of one block, from 2 B + 1
     # half-grid samples (B = ceil(sqrt(steps))); a callable one all of them
     lengths = []
+    transfer_increments = gelfand_yaglom._transfer_increments
 
     def recorded(V, h, block):
         lengths.append(len(V))
         return transfer_increments(V, h, block)
 
-    transfer_increments = gelfand_yaglom._transfer_increments
     monkeypatch.setattr(gelfand_yaglom, "_transfer_increments", recorded)
     M = np.array([[1.0, 0.2], [0.2, -0.5]])
     _rk4_run(JacobiSystem.constant(M, 1.3), steps)
