@@ -65,6 +65,13 @@ def test_no_arguments_usage_exit_2(capsys):
     assert "usage:" in err
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["det-gy", "-h"]])
+def test_help_prints_usage_to_stdout_exit_0(capsys, argv):
+    from geodet.cli import USAGE
+
+    assert run_cli(capsys, *argv) == (0, USAGE, "")
+
+
 def test_unknown_command_exit_2(capsys):
     code, _, err = run_cli(capsys, "det-everything")
     assert code == 2
