@@ -65,20 +65,82 @@ _CONVERTERS = {
     "modes": _int_list, "laplacian": _flag, "case": str, "filter": str,
 }
 
-# the options of each command, each with a default value, _REQUIRED or _OPTIONAL
+
+def _geodesic(p):
+    return geometry.GeodesicData(geometry.ConstantCurvature(p["n"], p["kappa"]), p["r"])
+
+
+def _curved_system(p):
+    return geometry.jacobi_endomorphism(_geodesic(p))
+
+
+# each runner takes the parsed parameters and returns what its report holds
+# beyond them: (value, error_estimate, route, series or None, extra inputs)
+def _det_fredholm(p):
+    est = galerkin.fredholm_det(_curved_system(p), p["modes"])
+    series = [[dim, val] for dim, val in est.levels]
+    return est.extrapolated, est.error_estimate, "fredholm_fourier", series, {}
+
+
+def _det_gy(p):
+    z = gy._free_reference_ratio(_curved_system(p), p["steps"])
+    return z.value, z.error_estimate, "gelfand_yaglom", None, {}
+
+
+def _det_zeta(p):
+    if p.get("laplacian"):
+        z = gy.zeta_det_dirichlet_laplacian(p["t"], p["n"])
+    else:
+        if "kappa" not in p or "r" not in p:
+            raise UsageError("det-zeta needs either --laplacian or --kappa and --r")
+        sys_ = _curved_system(p)
+        if p["t"] != 1.0:
+            raise UsageError("curved det-zeta is defined on the unit interval")
+        z = gy.zeta_det_jacobi(sys_, steps=p["steps"])
+    extra = {"excluded_zero_modes": z.excluded_zero_modes} if z.excluded_zero_modes else {}
+    return z.value, z.error_estimate, z.route, None, extra
+
+
+def _heat_limit(p):
+    rep = heat.heat_limit_validation(
+        p["n"], p["radius"], p["case"], d=p.get("d"), t0=p["t0"], levels=p["levels"]
+    )
+    error = abs(rep.predicted - rep.extrapolated_oracle)
+    series = [[t, r] for t, r in rep.oracle_values]
+    extra = {"predicted_limit": rep.predicted, "k": rep.k}
+    return rep.extrapolated_oracle, error, f"heat_{p['case']}", series, extra
+
+
+def _eval_jacobian(p):
+    g = _geodesic(p)
+    val = galerkin.evaluation_map_jacobian(g, galerkin.Partition.uniform(p["partition-N"]))
+    return val, None, "evaluation_map", None, {}
+
+
+def _validate(p):
+    from .validation import run_validation
+
+    records = run_validation(p.get("filter"))
+    if not records:
+        raise UsageError(f"no validation record matches --filter {p['filter']!r}")
+    failed = sum(1 for rec in records if not rec.passed)
+    series = [dataclasses.asdict(rec) for rec in records]
+    return float(failed), None, "validation_suite", series, {}
+
+
+# command -> (its options, each with a default value, _REQUIRED or _OPTIONAL; its runner)
 _REQUIRED, _OPTIONAL = "required", "optional"
 _CURVED = {"kappa": _REQUIRED, "r": _REQUIRED, "n": _REQUIRED}
 _COMMANDS = {
-    "det-fredholm": {**_CURVED, "modes": [64, 128, 256, 512]},
-    "det-gy": {**_CURVED, "steps": 2048},
-    "det-zeta": {"laplacian": _OPTIONAL, "n": _REQUIRED, "kappa": _OPTIONAL, "r": _OPTIONAL,
-                 "t": 1.0, "steps": 2048},
-    "heat-limit": {"n": _REQUIRED, "radius": _REQUIRED, "case": _REQUIRED, "d": _OPTIONAL,
-                   "t0": 0.2, "levels": 5},
-    "eval-jacobian": {**_CURVED, "partition-N": _REQUIRED},
-    "validate": {"filter": _OPTIONAL},
+    "det-fredholm": ({**_CURVED, "modes": [64, 128, 256, 512]}, _det_fredholm),
+    "det-gy": ({**_CURVED, "steps": 2048}, _det_gy),
+    "det-zeta": ({"laplacian": _OPTIONAL, "n": _REQUIRED, "kappa": _OPTIONAL, "r": _OPTIONAL,
+                  "t": 1.0, "steps": 2048}, _det_zeta),
+    "heat-limit": ({"n": _REQUIRED, "radius": _REQUIRED, "case": _REQUIRED, "d": _OPTIONAL,
+                    "t0": 0.2, "levels": 5}, _heat_limit),
+    "eval-jacobian": ({**_CURVED, "partition-N": _REQUIRED}, _eval_jacobian),
+    "validate": ({"filter": _OPTIONAL}, _validate),
 }
-
 
 def parse_config_text(text: str) -> dict:
     """Parse a flat TOML run config: ``key = value`` lines, no tables."""
@@ -149,7 +211,7 @@ def _parse_argv(argv):
     out_path = params.pop("out", None)
     params.pop("command", None)
 
-    options = _COMMANDS[command]
+    options = _COMMANDS[command][0]
     clean = {"command": command}
     for key, raw in params.items():
         if key not in options:
@@ -173,114 +235,23 @@ class _HelpRequested(Exception):
     pass
 
 
-def _curved_system(kappa: float, r: float, n: int):
-    return geometry.jacobi_endomorphism(
-        geometry.GeodesicData(geometry.ConstantCurvature(n, kappa), r)
-    )
-
-
 def build_report(params: dict) -> dict:
     """Compute the report dict for a parsed parameter set, defaults included."""
     params = dict(params)
     command = params.pop("command")
-    inputs = {k: v for k, v in params.items() if v is not None}
-
-    if command == "det-fredholm":
-        sys_ = _curved_system(params["kappa"], params["r"], params["n"])
-        est = galerkin.fredholm_det(sys_, params["modes"])
-        return {
-            "command": command,
-            "inputs": inputs,
-            "value": est.extrapolated,
-            "error_estimate": est.error_estimate,
-            "route": "fredholm_fourier",
-            "series": [[dim, val] for dim, val in est.levels],
-        }
-
-    if command == "det-gy":
-        sys_ = _curved_system(params["kappa"], params["r"], params["n"])
-        z = gy._free_reference_ratio(sys_, params["steps"])
-        return {
-            "command": command,
-            "inputs": inputs,
-            "value": z.value,
-            "error_estimate": z.error_estimate,
-            "route": "gelfand_yaglom",
-        }
-
-    if command == "det-zeta":
-        if params.get("laplacian"):
-            z = gy.zeta_det_dirichlet_laplacian(params["t"], params["n"])
-        else:
-            if "kappa" not in params or "r" not in params:
-                raise UsageError("det-zeta needs either --laplacian or --kappa and --r")
-            sys_ = _curved_system(params["kappa"], params["r"], params["n"])
-            if params["t"] != 1.0:
-                raise UsageError("curved det-zeta is defined on the unit interval")
-            z = gy.zeta_det_jacobi(sys_, steps=params["steps"])
-        report = {
-            "command": command,
-            "inputs": inputs,
-            "value": z.value,
-            "error_estimate": z.error_estimate,
-            "route": z.route,
-        }
-        if z.excluded_zero_modes:
-            report["inputs"]["excluded_zero_modes"] = z.excluded_zero_modes
-        return report
-
-    if command == "heat-limit":
-        report = heat.heat_limit_validation(
-            params["n"],
-            params["radius"],
-            params["case"],
-            d=params.get("d"),
-            t0=params["t0"],
-            levels=params["levels"],
-        )
-        inputs = dict(inputs)
-        inputs["predicted_limit"] = report.predicted
-        inputs["k"] = report.k
-        return {
-            "command": command,
-            "inputs": inputs,
-            "value": report.extrapolated_oracle,
-            "error_estimate": abs(report.predicted - report.extrapolated_oracle),
-            "route": f"heat_{params['case']}",
-            "series": [[t, r] for t, r in report.oracle_values],
-        }
-
-    if command == "eval-jacobian":
-        g = geometry.GeodesicData(
-            geometry.ConstantCurvature(params["n"], params["kappa"]), params["r"]
-        )
-        part = galerkin.Partition.uniform(params["partition-N"])
-        val = galerkin.evaluation_map_jacobian(g, part)
-        return {
-            "command": command,
-            "inputs": inputs,
-            "value": val,
-            "error_estimate": None,
-            "route": "evaluation_map",
-        }
-
-    if command == "validate":
-        from .validation import run_validation
-
-        records = run_validation(params.get("filter"))
-        if not records:
-            raise UsageError(f"no validation record matches --filter {params['filter']!r}")
-        failed = sum(1 for rec in records if not rec.passed)
-        return {
-            "command": command,
-            "inputs": inputs,
-            "value": float(failed),
-            "error_estimate": None,
-            "route": "validation_suite",
-            "series": [dataclasses.asdict(rec) for rec in records],
-        }
-
-    raise UsageError(f"unknown command {command!r}")
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown command {command!r}")
+    value, error_estimate, route, series, extra = _COMMANDS[command][1](params)
+    report = {
+        "command": command,
+        "inputs": {**{k: v for k, v in params.items() if v is not None}, **extra},
+        "value": value,
+        "error_estimate": error_estimate,
+        "route": route,
+    }
+    if series is not None:
+        report["series"] = series
+    return report
 
 
 def _render_csv(report: dict) -> str:
