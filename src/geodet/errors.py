@@ -50,7 +50,7 @@ class WrongRouteError(GeodetError):
 
 
 class IntegrationError(GeodetError):
-    """Propagation left float64: non-finite potential samples or J, J' out of range."""
+    """A potential sample is not finite, or propagation left float64 (J, J' out of range)."""
 
 
 class DegenerateRouteError(GeodetError):

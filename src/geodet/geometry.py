@@ -10,7 +10,7 @@ energy of a minimizer is r^2/2 and the Jacobi operator lives on [0, 1].
 
 import numpy as np
 
-from .errors import ConjugatePointError, DomainError
+from .errors import ConjugatePointError, DomainError, IntegrationError
 
 __all__ = [
     "ConstantCurvature",
@@ -96,13 +96,19 @@ class GeodesicData:
         self.speed = speed
 
 
+def _check_finite(V):
+    if not np.isfinite(V).all():
+        raise IntegrationError("potential produced non-finite samples")
+
+
 class JacobiSystem:
     """The operator -d^2/ds^2 + V(s) on [0, t] with Dirichlet conditions.
 
     V is symmetric-matrix valued; it may be given as a constant matrix or
     as a callable of s.  Constant potentials keep closed-form evaluation
     paths available downstream.  Every consumer of V reads it through
-    :meth:`sample`, which calls a callable potential once per point.
+    :meth:`sample`, which calls a callable potential once per point.  A
+    non-finite constant matrix or sample raises IntegrationError.
     """
 
     def __init__(self, n: int, t: float, potential):
@@ -123,6 +129,7 @@ class JacobiSystem:
                 mat = mat.reshape(1, 1)
             if mat.shape != (n, n):
                 raise DomainError(f"potential must be {n}x{n}, got {mat.shape}")
+            _check_finite(mat)
             self._func = None
             self._const = mat
         self._check_symmetric()
@@ -166,6 +173,7 @@ class JacobiSystem:
         for i, p in enumerate(points[1:], 1):
             block[i] = func(p)
         block *= self._value_scale
+        _check_finite(block)
         return out
 
     def __call__(self, s: float) -> np.ndarray:

@@ -141,8 +141,9 @@ def test_step_count_validation():
 
 
 def test_non_finite_potential_raises():
-    sys = JacobiSystem(1, 1.0, lambda s: np.array([[0.0 if s < 0.5 else np.nan]]))
+    # NaN at the symmetry check point s = 0.5: the system refuses it when built
     with pytest.raises(IntegrationError):
+        sys = JacobiSystem(1, 1.0, lambda s: np.array([[0.0 if s < 0.5 else np.nan]]))
         solve_jacobi_ode(sys, 64)
 
 

@@ -8,9 +8,14 @@ from geodet import (
     ConstantCurvature,
     DomainError,
     GeodesicData,
+    IntegrationError,
     JacobiSystem,
     SyntheticPotential,
     exp_jacobian_closed_form,
+    fredholm_det,
+    fredholm_det_deflated,
+    fredholm_det_piecewise,
+    hessian_trace,
     jacobi_endomorphism,
     ricci_along,
     solve_jacobi_ode,
@@ -194,3 +199,32 @@ def test_jacobi_system_validation():
         JacobiSystem(2, -1.0, np.zeros((2, 2)))
     with pytest.raises(DomainError):
         JacobiSystem(2, 1.0, lambda s: np.array([[0.0, s], [0.0, 0.0]]))
+
+
+def _nan_between_checks(s):
+    # NaN only on (0.9, 0.95), away from the points the symmetry check reads
+    return np.array([[np.nan if 0.9 < s < 0.95 else 1.0]])
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda sys: fredholm_det(sys, (16, 32)),
+        lambda sys: fredholm_det_deflated(sys, (16, 32)),
+        lambda sys: fredholm_det_piecewise(sys, (32, 64)),
+        hessian_trace,
+        lambda sys: solve_jacobi_ode(sys, 64),
+    ],
+    ids=["fredholm_det", "fredholm_det_deflated", "fredholm_det_piecewise", "hessian_trace",
+         "gelfand_yaglom"],
+)
+def test_non_finite_potential_sample_is_an_integration_error(route):
+    sys = JacobiSystem(1, 1.0, _nan_between_checks)
+    with pytest.raises(IntegrationError, match="non-finite samples"):
+        route(sys)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_constant_potential_is_an_integration_error(value):
+    with pytest.raises(IntegrationError, match="non-finite samples"):
+        JacobiSystem.constant([[value]], 1.0)
