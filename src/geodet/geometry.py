@@ -61,14 +61,9 @@ class SyntheticPotential:
         self.n = int(n)
         self.t = float(t)
         self.potential = potential
-        for s in (0.0, 0.37 * t, 0.5 * t, 0.91 * t, t):
-            V = np.atleast_2d(np.asarray(potential(s), dtype=float))
-            if V.shape != (n - 1, n - 1):
-                raise DomainError(
-                    f"potential block must be {(n - 1, n - 1)}, got {V.shape}"
-                )
-            if np.max(np.abs(V - V.T)) >= _SYMMETRY_TOL * max(1.0, np.max(np.abs(V))):
-                raise DomainError(f"potential not symmetric at s={s}")
+        # V(u) = t^2 pot(t u) on the orthogonal block of the unit interval;
+        # building it checks the block's shape and symmetry
+        self._system = JacobiSystem._embedded(self.n, 1.0, potential, self.t, self.t * self.t)
 
     def __repr__(self):
         return f"SyntheticPotential(n={self.n}, t={self.t})"
@@ -222,8 +217,7 @@ def jacobi_endomorphism(g: GeodesicData) -> JacobiSystem:
             mat[1:, 1:] = -m.kappa * r * r * np.eye(m.n - 1)
         return JacobiSystem(m.n, 1.0, mat)
     if isinstance(m, SyntheticPotential):
-        # V(u) = t^2 pot(t u) on the orthogonal block
-        return JacobiSystem._embedded(m.n, 1.0, m.potential, m.t, m.t * m.t)
+        return m._system
     raise DomainError(f"unsupported manifold {type(m).__name__}")
 
 
