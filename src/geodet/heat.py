@@ -57,15 +57,11 @@ def nondegenerate_limit_prediction(m: ConstantCurvature, d: float) -> float:
     """Predicted ratio limit J(x,y)^{-1/2} through det J(1) of the Jacobi ODE (1024 steps)."""
     if not isinstance(m, ConstantCurvature):
         raise DomainError("prediction implemented for constant curvature")
-    if d < 0:
-        raise DomainError("distance must be >= 0")
-    # an infinite d on kappa <= 0 is left to GeodesicData
+    # a negative d, or an infinite d on kappa <= 0, is left to GeodesicData
     if m.kappa > 0 and d >= m.conjugate_distance - 1e-12:
         raise DegenerateRouteError(
             "conjugate/antipodal endpoints; use the antipodal route"
         )
-    if d == 0:
-        return 1.0
     sys = jacobi_endomorphism(GeodesicData(m, d))
     prop = solve_jacobi_ode(sys, 1024)
     return float(prop.det_final() ** -0.5)
