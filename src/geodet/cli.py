@@ -124,8 +124,7 @@ def _validate(p):
     if not records:
         raise UsageError(f"no validation record matches --filter {p['filter']!r}")
     failed = sum(1 for rec in records if not rec.passed)
-    series = [dataclasses.asdict(rec) for rec in records]
-    return float(failed), None, "validation_suite", series, {}
+    return float(failed), None, "validation_suite", [dataclasses.asdict(r) for r in records], {}
 
 
 # command -> (its options, each with a default value, _REQUIRED or _OPTIONAL; its runner)
@@ -141,6 +140,7 @@ _COMMANDS = {
     "eval-jacobian": ({**_CURVED, "partition-N": _REQUIRED}, _eval_jacobian),
     "validate": ({"filter": _OPTIONAL}, _validate),
 }
+
 
 def parse_config_text(text: str) -> dict:
     """Parse a flat TOML run config: ``key = value`` lines, no tables."""
