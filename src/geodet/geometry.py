@@ -165,8 +165,11 @@ class JacobiSystem:
         if np.shape(first) != (k, k) and not (k == 1 and np.size(first) == 1):
             raise DomainError(f"potential block must be {(k, k)}, got {np.shape(first)}")
         block[0] = first
-        for i, p in enumerate(points[1:], 1):
-            block[i] = func(p)
+        try:
+            for i, p in enumerate(points[1:], 1):
+                block[i] = func(p)
+        except ValueError as exc:  # a later sample of another shape, or the potential's own
+            raise DomainError(f"potential sample at {p:g}: {exc}") from None
         block *= self._value_scale
         _check_finite(block)
         return out

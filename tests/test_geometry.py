@@ -140,6 +140,17 @@ def test_synthetic_potential_requires_symmetry():
         SyntheticPotential(3, lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+def test_potential_changing_shape_is_a_domain_error():
+    # the shape is checked at the first sample; a later one of another shape
+    # must still end in the named error, not a numpy ValueError
+    change = lambda s: np.eye(2) if s < 0.5 else np.eye(3)
+    with pytest.raises(DomainError, match="potential sample at 0.5: could not broadcast"):
+        SyntheticPotential(3, change, 1.0)
+    sys = JacobiSystem(2, 1.0, lambda s: np.eye(3) if 0.9 < s < 0.95 else np.eye(2))
+    with pytest.raises(DomainError, match="potential sample at 0.9"):
+        solve_jacobi_ode(sys, 64)
+
+
 def _reference_samples(fn, s, n):
     out = np.empty((len(s), n, n))
     for i, x in enumerate(s):
