@@ -171,7 +171,7 @@ class JacobiSystem:
         except ValueError as exc:  # a later sample of another shape, or the potential's own
             raise DomainError(f"potential sample at {p:g}: {exc}") from None
         block *= self._value_scale
-        _check_finite(block)
+        _check_finite(out)
         return out
 
     def __call__(self, s: float) -> np.ndarray:
