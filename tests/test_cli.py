@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from geodet.cli import build_report, main, parse_config_text
+from geodet.cli import USAGE, build_report, main, parse_config_text
 from geodet.errors import UsageError
 
 
@@ -67,8 +67,6 @@ def test_no_arguments_usage_exit_2(capsys):
 
 @pytest.mark.parametrize("argv", [["--help"], ["det-gy", "-h"]])
 def test_help_prints_usage_to_stdout_exit_0(capsys, argv):
-    from geodet.cli import USAGE
-
     assert run_cli(capsys, *argv) == (0, USAGE, "")
 
 
