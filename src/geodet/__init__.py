@@ -12,10 +12,7 @@ on round spheres -- including the degenerate antipodal case.
 
 from .errors import (
     ConjugatePointError,
-    CutLocusError,
     DegenerateOperatorError,
-    DegenerateRouteError,
-    DegenerateSegmentError,
     DomainError,
     GeodetError,
     IllSeparatedKernelError,
@@ -34,7 +31,6 @@ from .geometry import (
     SyntheticPotential,
     exp_jacobian_closed_form,
     jacobi_endomorphism,
-    ricci_along,
 )
 from .galerkin import (
     DeterminantEstimate,

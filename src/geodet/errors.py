@@ -18,15 +18,7 @@ class DomainError(GeodetError):
 
 
 class ConjugatePointError(GeodetError):
-    """Endpoints at or beyond the first conjugate point (kappa > 0)."""
-
-
-class CutLocusError(GeodetError):
-    """A chain segment reaches the cut locus; the short-segment factor is undefined."""
-
-
-class DegenerateSegmentError(GeodetError):
-    """A partition segment has conjugate endpoints; its Jacobi interpolant is singular."""
+    """A distance or segment reaches the first conjugate distance pi/sqrt(kappa)."""
 
 
 class DegenerateOperatorError(GeodetError):
@@ -51,10 +43,6 @@ class WrongRouteError(GeodetError):
 
 class IntegrationError(GeodetError):
     """A potential sample is not finite, or propagation left float64 (J, J' out of range)."""
-
-
-class DegenerateRouteError(GeodetError):
-    """Conjugate or antipodal input to a route that assumes a unique minimizer."""
 
 
 class OutOfScopeError(GeodetError):

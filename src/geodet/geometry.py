@@ -19,7 +19,6 @@ __all__ = [
     "JacobiSystem",
     "jacobi_endomorphism",
     "exp_jacobian_closed_form",
-    "ricci_along",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -150,7 +149,8 @@ class JacobiSystem:
 
         Constant potentials return a read-only broadcast view.  A callable
         is called once per point, in order, and its values are written into
-        one preallocated array.
+        one preallocated array.  Every sample must be k x k, k the block
+        size; for k = 1 any single number is accepted.
         """
         s = np.asarray(s, dtype=float).reshape(-1)
         n = self.n
@@ -159,16 +159,20 @@ class JacobiSystem:
         out = np.zeros((len(s), n, n))
         block = out[:, self._lo :, self._lo :]
         k = n - self._lo
+        shape = (k, k)
         points = (self._arg_scale * s).tolist()
         func = self._func
-        first = func(points[0])
-        if np.shape(first) != (k, k) and not (k == 1 and np.size(first) == 1):
-            raise DomainError(f"potential block must be {(k, k)}, got {np.shape(first)}")
-        block[0] = first
         try:
-            for i, p in enumerate(points[1:], 1):
-                block[i] = func(p)
-        except ValueError as exc:  # a later sample of another shape, or the potential's own
+            for i, p in enumerate(points):
+                block[i] = v = func(p)
+                # a sample that broadcasts into the block, such as a scalar,
+                # is written without error; .shape first, as np.shape costs
+                # a tenth of a potential call
+                if k > 1 and getattr(v, "shape", None) != shape and np.shape(v) != shape:
+                    raise DomainError(
+                        f"potential sample at {p:g}: block must be {shape}, got {np.shape(v)}"
+                    )
+        except ValueError as exc:  # a sample of another shape, or the potential's own
             raise DomainError(f"potential sample at {p:g}: {exc}") from None
         block *= self._value_scale
         _check_finite(out)
@@ -245,12 +249,4 @@ def exp_jacobian_closed_form(m: ConstantCurvature, d: float) -> float:
         return float(np.sinc(x / np.pi) ** (m.n - 1))
     x = np.sqrt(-m.kappa) * d
     return float((np.sinh(x) / x) ** (m.n - 1))
-
-
-def ricci_along(g: GeodesicData) -> float:
-    """Ricci curvature ric(velocity, velocity) = (n-1) kappa r^2, constant in s."""
-    m = g.manifold
-    if not isinstance(m, ConstantCurvature):
-        raise DomainError("Ricci contraction implemented for constant curvature only")
-    return (m.n - 1) * (m.kappa * g.speed * g.speed)
 

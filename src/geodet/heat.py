@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    DegenerateRouteError,
+    ConjugatePointError,
     DomainError,
     InsufficientDegreeError,
     OutOfScopeError,
@@ -57,9 +57,10 @@ def nondegenerate_limit_prediction(m: ConstantCurvature, d: float) -> float:
     """Predicted ratio limit J(x,y)^{-1/2} through det J(1) of the Jacobi ODE (1024 steps)."""
     if not isinstance(m, ConstantCurvature):
         raise DomainError("prediction implemented for constant curvature")
-    # a negative d, or an infinite d on kappa <= 0, is left to GeodesicData
+    # a negative d, or an infinite d on kappa <= 0, is left to GeodesicData;
+    # the margin keeps RK4 noise from making det J(1) negative
     if m.kappa > 0 and d >= m.conjugate_distance - 1e-12:
-        raise DegenerateRouteError(
+        raise ConjugatePointError(
             "conjugate/antipodal endpoints; use the antipodal route"
         )
     sys = jacobi_endomorphism(GeodesicData(m, d))

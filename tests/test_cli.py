@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -132,6 +133,33 @@ def test_heat_limit_command(capsys):
     assert report["inputs"]["predicted_limit"] == pytest.approx(2 * np.pi**2, rel=1e-12)
     assert abs(report["value"] - 2 * np.pi**2) < 0.05
     assert len(report["series"]) == 4
+
+
+def test_heat_limit_at_conjugate_distance_exit_1(capsys):
+    # the nondegenerate limit needs a unique minimizer, which ends at pi R
+    code, out, _ = run_cli(
+        capsys,
+        "heat-limit", "--n", "3", "--radius", "1", "--case", "nondegenerate",
+        "--d", "3.1415926535893",
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "ConjugatePointError"
+
+
+def test_every_error_class_is_exported_and_raised():
+    # a class no module raises is dead, or a second name for another's condition
+    import geodet
+    from geodet import errors
+
+    classes = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.GeodetError) and cls is not errors.GeodetError
+    ]
+    src = pathlib.Path(errors.__file__).parent
+    text = "\n".join(p.read_text() for p in sorted(src.glob("*.py")) if p.name != "errors.py")
+    for cls in classes:
+        assert getattr(geodet, cls.__name__, None) is cls, cls.__name__
+        assert re.search(rf"raise {cls.__name__}\b", text), cls.__name__
 
 
 def test_csv_format(capsys):

@@ -10,14 +10,17 @@ from geodet import (
     GeodesicData,
     IntegrationError,
     JacobiSystem,
+    Partition,
     SyntheticPotential,
+    evaluation_map_jacobian,
     exp_jacobian_closed_form,
     fredholm_det,
     fredholm_det_deflated,
     fredholm_det_piecewise,
     hessian_trace,
     jacobi_endomorphism,
-    ricci_along,
+    nondegenerate_limit_prediction,
+    phi0_chain,
     solve_jacobi_ode,
 )
 from geodet.gelfand_yaglom import gy_ratio
@@ -83,9 +86,26 @@ def test_conjugate_distance():
     assert ConstantCurvature(2, -1.0).conjugate_distance == np.inf
 
 
-def test_exp_jacobian_conjugate_point_error():
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exp_jacobian_closed_form(ConstantCurvature(3, 1.0), PI),
+        # segments longer than the injectivity radius
+        lambda: phi0_chain(ConstantCurvature(2, 1.0), 7.0, Partition.uniform(2)),
+        # an antipodal geodesic with one segment of (numerically) full length
+        # puts that segment exactly at the conjugate distance
+        lambda: evaluation_map_jacobian(
+            GeodesicData(ConstantCurvature(2, 1.0), PI), Partition((0.0, 1e-17, 1.0))
+        ),
+        lambda: nondegenerate_limit_prediction(ConstantCurvature(2, 1.0), PI),
+    ],
+    ids=["exp_jacobian_closed_form", "phi0_chain", "evaluation_map_jacobian",
+         "nondegenerate_limit_prediction"],
+)
+def test_conjugate_distance_is_one_error(call):
+    # every route that needs a unique minimizer names pi/sqrt(kappa) the same way
     with pytest.raises(ConjugatePointError):
-        exp_jacobian_closed_form(ConstantCurvature(3, 1.0), PI)
+        call()
 
 
 def test_exp_jacobian_small_distance_limit():
@@ -116,11 +136,14 @@ def test_jacobian_symmetric_under_time_reversal():
 
 
 def test_ricci_flat_and_sphere():
-    assert ricci_along(GeodesicData(ConstantCurvature(4, 0.0), 1.0)) == 0.0
+    # -trace V is ric(velocity, velocity) = (n-1) kappa r^2
+    def ricci(n, kappa, r):
+        return -np.trace(jacobi_endomorphism(GeodesicData(ConstantCurvature(n, kappa), r))(0.0))
+
+    assert ricci(4, 0.0, 1.0) == 0.0
     # kappa r^2 = 0 * 1e200 * 1e200 is 0; r**2 alone raised OverflowError
-    assert ricci_along(GeodesicData(ConstantCurvature(2, 0.0), 1e200)) == 0.0
-    val = ricci_along(GeodesicData(ConstantCurvature(3, 1.0), PI))
-    assert val == pytest.approx(2 * PI**2, abs=1e-12)
+    assert ricci(2, 0.0, 1e200) == 0.0
+    assert ricci(3, 1.0, PI) == pytest.approx(2 * PI**2, abs=1e-12)
 
 
 def test_synthetic_potential_reproduces_prescribed_block():
@@ -141,14 +164,23 @@ def test_synthetic_potential_requires_symmetry():
 
 
 def test_potential_changing_shape_is_a_domain_error():
-    # the shape is checked at the first sample; a later one of another shape
-    # must still end in the named error, not a numpy ValueError
+    # every sample's shape is checked; a later one of another shape must
+    # still end in the named error, not a numpy ValueError
     change = lambda s: np.eye(2) if s < 0.5 else np.eye(3)
     with pytest.raises(DomainError, match="potential sample at 0.5: could not broadcast"):
         SyntheticPotential(3, change, 1.0)
     sys = JacobiSystem(2, 1.0, lambda s: np.eye(3) if 0.9 < s < 0.95 else np.eye(2))
     with pytest.raises(DomainError, match="potential sample at 0.9"):
         solve_jacobi_ode(sys, 64)
+    # a scalar broadcast into the whole 2x2 block is finite and symmetric
+    with pytest.raises(DomainError, match=r"potential sample at 1: block must be \(2, 2\), got \(\)"):
+        JacobiSystem(2, 1.0, lambda s: np.eye(2) if s < 0.95 else 2.0)
+    sys = JacobiSystem(2, 1.0, lambda s: 2.0 if 0.9 < s < 0.95 else np.eye(2))
+    with pytest.raises(DomainError, match="potential sample at 0.92: block must be"):
+        sys.sample([0.0, 0.92])
+    # a 1x1 block accepts any single number
+    one = JacobiSystem(1, 1.0, lambda s: 2.0 if s < 0.5 else np.array([[3.0]]))
+    assert np.array_equal(one.sample([0.0, 0.7])[:, 0, 0], [2.0, 3.0])
 
 
 def _reference_samples(fn, s, n):

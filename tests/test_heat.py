@@ -8,7 +8,6 @@ import pytest
 
 from geodet import (
     ConstantCurvature,
-    DegenerateRouteError,
     DomainError,
     InsufficientDegreeError,
     OutOfScopeError,
@@ -106,11 +105,6 @@ def test_prediction_hyperbolic():
     val = nondegenerate_limit_prediction(ConstantCurvature(2, -1.0), 1.0)
     assert val == pytest.approx(np.sinh(1.0) ** -0.5, rel=1e-10)
     assert val == pytest.approx(0.9224, abs=1e-4)
-
-
-def test_prediction_rejects_antipodal():
-    with pytest.raises(DegenerateRouteError):
-        nondegenerate_limit_prediction(ConstantCurvature(2, 1.0), PI)
 
 
 def test_antipodal_closed_form_values():
