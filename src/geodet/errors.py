@@ -42,7 +42,11 @@ class WrongRouteError(GeodetError):
 
 
 class IntegrationError(GeodetError):
-    """A potential sample is not finite, or propagation left float64 (J, J' out of range)."""
+    """A potential sample is not finite, or a result left the float64 range.
+
+    Propagation can take J or J' beyond float64, and the determinants and
+    ratios built from a finite J(t) can overflow as well.
+    """
 
 
 class OutOfScopeError(GeodetError):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     RouteDisagreementError,
 )
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, exp_jacobian_closed_form
-from .interval import mode_quadrature
+from .interval import composite_gauss, gauss_legendre, mode_quadrature
 
 __all__ = [
     "Partition",
@@ -46,7 +45,7 @@ KERNEL_TOL = 1e-8  # eigenvalues below this, at the finest level, form the kerne
 KERNEL_GAP_FACTOR = 100.0
 _TAIL_ORDERS = 4  # powers of the eigenvalue decay kept in the analytic tail
 _TRACE_MODES = 20000  # sine modes hessian_trace sums for a constant potential
-# kept: the 512-mode general branch agrees to 3.3e-16 but takes 25x as long
+# kept: the 512-mode general branch agrees to 3.3e-16 but takes ~350x as long
 # largest phase sqrt(-lambda_min(V)) delta a segment of the finest piecewise
 # level may span: hats cannot follow faster oscillation, and at 0.62 rad the
 # last two levels of V = -1e5 on [0, 1] agreed by accident
@@ -327,7 +326,7 @@ def fredholm_det_deflated(sys: JacobiSystem, schedule=(64, 128, 256)) -> Determi
 def _trace_exact(sys: JacobiSystem) -> float:
     """Tr P^{-1} V = int_0^t tr V(s) s(t-s)/t ds by 96-point Gauss-Legendre."""
     t = sys.t
-    x, w = leggauss(96)
+    x, w = gauss_legendre(96)
     s = 0.5 * t * (x + 1.0)
     vals = np.trace(sys.sample(s), axis1=1, axis2=2)
     return float(np.sum(w * vals * s * (t - s) / t) * 0.5 * t)
@@ -409,11 +408,8 @@ def _hat_blocks(sys: JacobiSystem, nodes: np.ndarray):
     samples the potential once per node; the samples are returned as well,
     shape (N, 8, n, n).
     """
-    deltas = np.diff(nodes)
-    x, w = leggauss(8)
-    a, b, h = nodes[:-1, None], nodes[1:, None], deltas[:, None]
-    sq = 0.5 * (b + a) + 0.5 * h * x  # (N, 8)
-    wq = 0.5 * h * w
+    sq, wq = composite_gauss(nodes, 8)  # (N, 8)
+    a, b, h = nodes[:-1, None], nodes[1:, None], np.diff(nodes)[:, None]
     up = (sq - a) / h  # hat rising on the segment (its right node)
     down = (b - sq) / h  # hat falling (its left node)
     Vq = sys.sample(sq.ravel()).reshape(sq.shape + (sys.n, sys.n))

@@ -272,6 +272,17 @@ def _gy_det(U: np.ndarray, t: float, kdim: int) -> float:
     return abs(float(np.linalg.det(A)))
 
 
+def _in_range(value: float, label: str) -> float:
+    """``value`` when it is finite; IntegrationError when it left the float64 range.
+
+    A finite det J(t) can still overflow in the ratios and the (2t)^n
+    scaling built from it, so every returned determinant passes here.
+    """
+    if not math.isfinite(value):
+        raise IntegrationError(f"{label} = {value} left the float64 range")
+    return value
+
+
 def _fine_det(sys: JacobiSystem, steps: int, label: str, route: str = None):
     """(det J(t) or |det A|, kernel dim, V samples) of the run at ``steps``.
 
@@ -286,13 +297,14 @@ def gy_ratio(sys1: JacobiSystem, sys2: JacobiSystem, steps: int = DEFAULT_STEPS)
     """det_zeta(P_2)/det_zeta(P_1) = det J_2(t)/det J_1(t), both positive.
 
     Raises DegenerateOperatorError when either operator has zero modes,
-    i.e. J(t) has a singular value below DEGENERACY_REL_TOL t.
+    i.e. J(t) has a singular value below DEGENERACY_REL_TOL t, and
+    IntegrationError when the ratio overflows float64.
     """
     if sys1.n != sys2.n or abs(sys1.t - sys2.t) > 1e-14:
         raise DomainError("operators must share fiber dimension and interval")
     det1 = _fine_det(sys1, steps, "P1", "gy_ratio")[0]
     det2 = _fine_det(sys2, steps, "P2", "gy_ratio")[0]
-    return det2 / det1
+    return _in_range(det2 / det1, "det J_2(t)/det J_1(t)")
 
 
 def _free_reference_ratio(sys: JacobiSystem, steps: int) -> ZetaDetValue:
@@ -302,9 +314,10 @@ def _free_reference_ratio(sys: JacobiSystem, steps: int) -> ZetaDetValue:
     """
     det, _, V = _fine_det(sys, steps, "P2", "gy_ratio")
     free = sys.t**sys.n
-    value = det / free
+    value = _in_range(det / free, "det J(t)/t^n")
     coarse = _gy_det(_coarse_run(sys, steps, V), sys.t, 0) / free
-    return ZetaDetValue(value, "gy_ratio", 0, abs(value - coarse) / 15.0)
+    estimate = _in_range(abs(value - coarse) / 15.0, "error estimate of det J(t)/t^n")
+    return ZetaDetValue(value, "gy_ratio", 0, estimate)
 
 
 def gy_degenerate_ratio(
@@ -325,7 +338,8 @@ def gy_degenerate_ratio(
     if sys_deg.n != sys_ref.n or abs(sys_deg.t - sys_ref.t) > 1e-14:
         raise DomainError("operators must share fiber dimension and interval")
     detA = _fine_det(sys_deg, steps, "P", "deflated")[0]
-    return detA / _fine_det(sys_ref, steps, "reference", "gy_ratio")[0]
+    ratio = detA / _fine_det(sys_ref, steps, "reference", "gy_ratio")[0]
+    return _in_range(ratio, "det'_zeta(P_deg)/det_zeta(P_ref)")
 
 
 def zeta_det_dirichlet_laplacian(t: float, n: int) -> ZetaDetValue:
@@ -360,7 +374,8 @@ def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetVal
     n, t = sys.n, sys.t
     free = float((2.0 * t) ** n)
     det, kdim, V = _fine_det(sys, steps, "P")
-    value = free * det / t**n
+    value = _in_range(free * det / t**n, "det_zeta")
     coarse = free * _gy_det(_coarse_run(sys, steps, V), t, kdim) / t**n
     route = "deflated" if kdim else "gy_ratio"
-    return ZetaDetValue(value, route, kdim, abs(value - coarse) / 15.0)
+    estimate = _in_range(abs(value - coarse) / 15.0, "error estimate of det_zeta")
+    return ZetaDetValue(value, route, kdim, estimate)

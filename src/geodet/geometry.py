@@ -11,6 +11,7 @@ energy of a minimizer is r^2/2 and the Jacobi operator lives on [0, 1].
 import numpy as np
 
 from .errors import ConjugatePointError, DomainError, IntegrationError
+from .interval import gauss_legendre
 
 __all__ = [
     "ConstantCurvature",
@@ -187,9 +188,7 @@ class JacobiSystem:
         """Average of V over [0, t]; exact for constant potentials."""
         if self._const is not None:
             return self._const
-        from numpy.polynomial.legendre import leggauss
-
-        x, w = leggauss(64)
+        x, w = gauss_legendre(64)
         V = self.sample(0.5 * self.t * (x + 1.0))
         return np.tensordot(w, V, axes=1) * 0.5
 

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .geometry import ConstantCurvature, GeodesicData, jacobi_endomorphism
 from .gelfand_yaglom import solve_jacobi_ode
+from .interval import gauss_legendre
 
 __all__ = [
     "SphereSpectrum",
@@ -266,14 +267,6 @@ def _gauss_jet(phi, t: float, order: int):
     return h
 
 
-@lru_cache(maxsize=1)
-def _mehler_nodes():
-    """64 Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    x, w = np.polynomial.legendre.leggauss(64)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 @lru_cache(maxsize=32)
 def _sinc_shift_matrix(order: int):
     """B with sum_r B[j, r] z^r the j-th Taylor coefficient of sinc at z."""
@@ -308,7 +301,7 @@ def _mehler_jet(center: float, theta: float, t: float, order: int, ks):
     span = 0.5 * np.pi
     if kappa > _MEHLER_CUT:
         span = 2.0 * math.asin(math.sqrt(0.5 * _MEHLER_CUT / kappa))
-    nodes, weights = _mehler_nodes()
+    nodes, weights = gauss_legendre(64)
     eps = 0.5 * span * (nodes + 1.0)  # psi = pi/2 - eps
     s = np.cos(eps)
     u = np.pi - center * s + 2.0 * np.pi * ks[:, None]
@@ -443,7 +436,8 @@ def heat_limit_validation(
     The scaled ratio (4 pi t)^{k/2} p_t/e_t is evaluated on the geometric
     grid t_j = t0 2^{-j}, j = 0..levels-1, and extrapolated in the powers
     t and t^2.  case 'antipodal' uses k = n-1 at angle pi; case
-    'nondegenerate' needs d < pi R strictly and uses k = 0.
+    'nondegenerate' uses k = 0 and needs 0 < d < pi R strictly; from
+    d >= pi R - 1e-12 on it raises ConjugatePointError.
     """
     if levels < 2:
         raise DomainError("need at least two time levels")
@@ -455,8 +449,8 @@ def heat_limit_validation(
     elif case == "nondegenerate":
         if d is None:
             raise DomainError("nondegenerate case needs a distance d")
-        if not (0 < d < np.pi * R):
-            raise DomainError("need 0 < d < pi R strictly")
+        if not d > 0:  # d >= pi R is the conjugate point, named by the prediction
+            raise DomainError(f"need d > 0, got {d}")
         k = 0
         theta = d / R
         dist = d

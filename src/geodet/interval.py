@@ -1,4 +1,4 @@
-"""Quadrature for products of Dirichlet sine modes on an interval [0, t].
+"""Every Gauss-Legendre rule geodet uses, built once per order and mapped onto panels.
 
 The Fourier filtration integrates the potential against products of sine
 modes sin(pi k s/t) sin(pi l s/t); a composite Gauss-Legendre rule with
@@ -6,16 +6,34 @@ panels sized for the fastest oscillation keeps those integrals at machine
 precision.
 """
 
+from functools import cache
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["mode_quadrature"]
+__all__ = ["gauss_legendre", "composite_gauss", "mode_quadrature"]
 
 # Gauss-Legendre panels of this order keep oscillatory integrands at
 # machine precision as long as the phase per panel stays below ~8.
 _PANEL_ORDER = 16
 _MAX_PHASE_PER_PANEL = 8.0
 _MIN_PANELS = 4  # at least 64 nodes, however smooth the integrand
+
+
+@cache
+def gauss_legendre(order: int):
+    """Nodes and weights of the ``order``-point rule on [-1, 1], read-only: callers share them."""
+    x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def composite_gauss(edges: np.ndarray, order: int):
+    """(nodes, weights) of the ``order``-point rule on each panel, shape (panels, order)."""
+    x, w = gauss_legendre(order)
+    half = np.diff(edges)[:, None] / 2.0
+    mid = (edges[:-1, None] + edges[1:, None]) / 2.0
+    return mid + half * x, half * w
 
 
 def mode_quadrature(t: float, max_halfwaves: int):
@@ -30,10 +48,5 @@ def mode_quadrature(t: float, max_halfwaves: int):
     """
     total_phase = np.pi * max(1, max_halfwaves)
     panels = max(int(np.ceil(total_phase / _MAX_PHASE_PER_PANEL)), _MIN_PANELS)
-    x, w = leggauss(_PANEL_ORDER)
-    edges = np.linspace(0.0, t, panels + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    nodes, weights = composite_gauss(np.linspace(0.0, t, panels + 1), _PANEL_ORDER)
+    return nodes.ravel(), weights.ravel()

@@ -135,12 +135,12 @@ def test_heat_limit_command(capsys):
     assert len(report["series"]) == 4
 
 
-def test_heat_limit_at_conjugate_distance_exit_1(capsys):
-    # the nondegenerate limit needs a unique minimizer, which ends at pi R
+@pytest.mark.parametrize("d", ["3.1415926535893", "3.141592653589793", "4"])
+def test_heat_limit_at_conjugate_distance_exit_1(capsys, d):
+    # the nondegenerate limit needs a unique minimizer, which ends at pi R:
+    # within 1e-12 of it, at it and beyond it the error is the same
     code, out, _ = run_cli(
-        capsys,
-        "heat-limit", "--n", "3", "--radius", "1", "--case", "nondegenerate",
-        "--d", "3.1415926535893",
+        capsys, "heat-limit", "--n", "3", "--radius", "1", "--case", "nondegenerate", "--d", d
     )
     assert code == 1
     assert json.loads(out)["error"] == "ConjugatePointError"
@@ -507,10 +507,12 @@ def test_steep_negative_curvature_names_where_propagation_leaves_float64(capsys)
         # IntegrationError, a traceback under -W error::RuntimeWarning
         (["det-zeta", "--kappa", "-3e5", "--r", "1", "--n", "3"], "IntegrationError"),
         (["det-gy", "--kappa", "-3e5", "--r", "1", "--n", "3"], "IntegrationError"),
+        # det J(1) = 1.7e307 is finite but (2t)^n det J(1) is not: inf with exit 0
+        (["det-zeta", "--kappa", "-33400", "--r", "1", "--n", "5"], "IntegrationError"),
     ],
     ids=["laplacian-t-1e308", "laplacian-t-1e200", "eval-jacobian-kappa-r2", "det-fredholm-kappa-r2",
          "det-gy-kappa-r2", "det-zeta-kappa-r2", "det-fredholm-overflow", "det-fredholm-divergent-tail",
-         "det-zeta-det-overflow", "det-gy-det-overflow"],
+         "det-zeta-det-overflow", "det-gy-det-overflow", "det-zeta-scaling-overflow"],
 )
 def test_float64_range_exit_1(capsys, argv, error):
     with warnings.catch_warnings():

@@ -386,6 +386,17 @@ def test_overflowing_propagation_raises_named_error():
         zeta_det_jacobi(sys)
 
 
+def test_ratio_beyond_float64_raises_named_error():
+    # each det J(1) is finite; their ratio is not
+    near_conjugate = jacobi_endomorphism(GeodesicData(ConstantCurvature(4, 1.0), 3.13))
+    hyperbolic = jacobi_endomorphism(GeodesicData(ConstantCurvature(4, -56600.0), 1.0))
+    with pytest.raises(IntegrationError, match="float64"):
+        gy_ratio(jacobi_endomorphism(GeodesicData(ConstantCurvature(4, 1.0), 3.12)), hyperbolic)
+    degenerate = JacobiSystem.constant(np.diag([-(PI**2), 57000.0, 57000.0, 57000.0]), 1.0)
+    with pytest.raises(IntegrationError, match="float64"):
+        gy_degenerate_ratio(degenerate, near_conjugate)
+
+
 # ---------------------------------------------------------------------------
 # determinant ratios
 

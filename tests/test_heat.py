@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from geodet import (
+    ConjugatePointError,
     ConstantCurvature,
     DomainError,
     InsufficientDegreeError,
@@ -332,6 +333,8 @@ def test_heat_limit_validation_input_errors():
     with pytest.raises(DomainError):
         heat_limit_validation(2, 1.0, "nondegenerate")  # missing d
     with pytest.raises(DomainError):
+        heat_limit_validation(2, 1.0, "nondegenerate", d=0.0)
+    with pytest.raises(ConjugatePointError):
         heat_limit_validation(2, 1.0, "nondegenerate", d=PI)  # not strictly inside
     with pytest.raises(DomainError):
         heat_limit_validation(2, 1.0, "unknown-case")

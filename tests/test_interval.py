@@ -1,9 +1,12 @@
-"""Quadrature of Dirichlet sine modes on an interval."""
+"""Gauss-Legendre rules, their panel mapping and the quadrature of sine modes."""
+
+import pathlib
 
 import numpy as np
 import pytest
 
-from geodet.interval import mode_quadrature
+from geodet import interval
+from geodet.interval import composite_gauss, gauss_legendre, mode_quadrature
 
 PI = np.pi
 
@@ -45,3 +48,44 @@ def test_gram_matrix_orthonormal(which):
     gram = profiles @ (weights[:, None] * profiles.T)
     err = np.abs(gram - np.eye(kmax))
     assert err.max() < 1e-10
+
+
+@pytest.mark.parametrize("order", [8, 16, 64, 96])
+def test_gauss_legendre_is_built_once_and_read_only(order):
+    x, w = gauss_legendre(order)
+    again = gauss_legendre(order)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    assert len(x) == len(w) == order
+
+
+@pytest.mark.parametrize("order", [2, 8, 16])
+def test_composite_gauss_exact_on_nonuniform_partition(order):
+    # degree 2 order - 1 is the highest the rule integrates exactly
+    edges = np.array([0.0, 0.05, 0.3, 0.31, 0.8, 1.7])
+    nodes, weights = composite_gauss(edges, order)
+    assert nodes.shape == weights.shape == (len(edges) - 1, order)
+    coeffs = np.linspace(-1.0, 1.0, 2 * order)
+    poly = np.polynomial.Polynomial(coeffs)
+    exact = poly.integ()(edges[-1]) - poly.integ()(edges[0])
+    assert abs(np.sum(weights * poly(nodes)) - exact) < 1e-14 * max(1.0, abs(exact))
+    # every node lies inside its own panel
+    assert np.all((nodes > edges[:-1, None]) & (nodes < edges[1:, None]))
+
+
+@pytest.mark.parametrize("t, halfwaves", [(1.0, 16), (0.37, 64), (2.5, 1024)])
+def test_mode_quadrature_is_composite_gauss_on_uniform_panels(t, halfwaves):
+    nodes, weights = mode_quadrature(t, halfwaves)
+    panels = len(nodes) // 16
+    ref_nodes, ref_weights = composite_gauss(np.linspace(0.0, t, panels + 1), 16)
+    assert np.array_equal(nodes, ref_nodes.ravel())
+    assert np.array_equal(weights, ref_weights.ravel())
+
+
+def test_only_interval_builds_gauss_legendre_rules():
+    # one module owns the rules; the tests' own leggauss calls are independent references
+    src = pathlib.Path(interval.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if "leggauss" in p.read_text())
+    assert users == ["interval.py"]
