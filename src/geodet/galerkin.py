@@ -23,7 +23,7 @@ from .errors import (
     RouteDisagreementError,
 )
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, exp_jacobian_closed_form
-from .interval import composite_gauss, gauss_legendre, mode_quadrature
+from .interval import composite_gauss, mode_quadrature
 
 __all__ = [
     "Partition",
@@ -50,6 +50,7 @@ _TRACE_MODES = 20000  # sine modes hessian_trace sums for a constant potential
 # level may span: hats cannot follow faster oscillation, and at 0.62 rad the
 # last two levels of V = -1e5 on [0, 1] agreed by accident
 PIECEWISE_PHASE_BOUND = 0.35
+_HAT_NODES = 4  # Gauss-Legendre nodes per segment: the only potential samples of a level
 
 
 @dataclass(frozen=True)
@@ -323,24 +324,18 @@ def fredholm_det_deflated(sys: JacobiSystem, schedule=(64, 128, 256)) -> Determi
     return _estimate(levels, kernel_dimension=results[-1][1])
 
 
-def _trace_exact(sys: JacobiSystem) -> float:
-    """Tr P^{-1} V = int_0^t tr V(s) s(t-s)/t ds by 96-point Gauss-Legendre."""
-    t = sys.t
-    x, w = gauss_legendre(96)
-    s = 0.5 * t * (x + 1.0)
-    vals = np.trace(sys.sample(s), axis1=1, axis2=2)
-    return float(np.sum(w * vals * s * (t - s) / t) * 0.5 * t)
-
-
 def hessian_trace(sys: JacobiSystem) -> float:
     """Trace of the Hessian form minus the identity, checked two ways.
 
     Route (a) sums the diagonal matrix elements over the first
     _TRACE_MODES sine modes (512 for a varying potential) and completes
-    the sum with the analytic 1/k^2 tail.  Route (b) integrates the
+    the sum with the analytic 1/k^2 tail (and a 1/k^4 tail for a varying
+    potential).  Route (b) integrates the
     potential trace against s(t-s)/t, which is the Ricci-integral form (for
-    a constant-curvature geodesic it equals -(n-1) kappa r^2 / 6).  Both
-    must agree to 1e-8; otherwise RouteDisagreementError is raised.
+    a constant-curvature geodesic it equals -(n-1) kappa r^2 / 6): in closed
+    form, tr V t^2/6, for a constant potential, and otherwise on the
+    samples route (a) takes.  Both must agree to 1e-8; otherwise
+    RouteDisagreementError is raised.
     """
     t = sys.t
     if sys.is_constant:
@@ -348,11 +343,14 @@ def hessian_trace(sys: JacobiSystem) -> float:
         trv = float(np.trace(sys(0.0)))
         partial = trv * t * t / np.pi**2 * float(np.sum(1.0 / k**2))
         tail = trv * t * t / np.pi**2 * _zeta_tail(_TRACE_MODES, 1)
+        route_b = trv * t * t / 6.0
     else:
         # (V F_k, F_k) summed over fibers = (2t/pi^2 k^2) int tr V sin^2(pi k s/t).
-        # Beyond the explicitly summed modes only the mean of tr V survives at
-        # 1/k^2 (the oscillatory remainder decays like 1/k^4), so the sum is
-        # cut where the quadrature still resolves every retained frequency.
+        # Beyond the explicitly summed modes the mean of tr V gives the 1/k^2
+        # tail; the oscillatory remainder, the term minus its mean part, decays
+        # like t^3 [tr V']_0^t / (4 pi^4 k^4), so its tail is the last summed
+        # remainder times k^4 zeta(4, k + 1).  The sum is cut where the
+        # quadrature still resolves every retained frequency.
         k_explicit = 512
         grid_nodes, grid_w = mode_quadrature(t, 2 * k_explicit)
         trv_nodes = np.trace(sys.sample(grid_nodes), axis1=1, axis2=2)
@@ -361,9 +359,11 @@ def hessian_trace(sys: JacobiSystem) -> float:
         per_k = (2.0 * t / (np.pi**2 * ks**2)) * (sin2 @ (grid_w * trv_nodes))
         partial = float(np.sum(per_k))
         mean_trv = float(np.sum(grid_w * trv_nodes)) / t
+        last_osc = float(per_k[-1]) - mean_trv * (t / (np.pi * k_explicit)) ** 2
         tail = mean_trv * t * t / np.pi**2 * _zeta_tail(k_explicit, 1)
+        tail += last_osc * k_explicit**4 * _zeta_tail(k_explicit, 2)
+        route_b = float(np.sum(grid_w * trv_nodes * grid_nodes * (t - grid_nodes))) / t
     route_a = partial + tail
-    route_b = _trace_exact(sys)
     if not abs(route_a - route_b) < 1e-8 * max(1.0, abs(route_b)):
         raise RouteDisagreementError(f"trace routes disagree: {route_a} vs {route_b}")
     return route_a
@@ -404,11 +404,14 @@ def _hat_blocks(sys: JacobiSystem, nodes: np.ndarray):
     """Diagonal (N-1, n, n) and off-diagonal (N-2, n, n) blocks of B, and the samples.
 
     ``nodes`` are the partition times on [0, t]; off-diagonal block j couples
-    interior nodes j and j + 1.  An 8-node Gauss-Legendre rule per segment
-    samples the potential once per node; the samples are returned as well,
-    shape (N, 8, n, n).
+    interior nodes j and j + 1.  A _HAT_NODES-point Gauss-Legendre rule per
+    segment samples the potential once per node; the samples are returned
+    as well, shape (N, _HAT_NODES, n, n).  The 4-point rule is exact for
+    hat moments of a V of degree <= 5 on a segment, and its O(mesh^8)
+    error sits far below the O(mesh^4) error of the Richardson-extrapolated
+    filtration.
     """
-    sq, wq = composite_gauss(nodes, 8)  # (N, 8)
+    sq, wq = composite_gauss(nodes, _HAT_NODES)  # (N, _HAT_NODES)
     a, b, h = nodes[:-1, None], nodes[1:, None], np.diff(nodes)[:, None]
     up = (sq - a) / h  # hat rising on the segment (its right node)
     down = (b - sq) / h  # hat falling (its left node)
@@ -539,22 +542,28 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     factor exp(Tr_exact - Tr_discrete), which removes the first-order error
     of the hat space (both the unresolved tail and the per-mode stiffness
     bias), leaving O(mesh^2); the extrapolated value applies one mesh^2
-    Richardson step when the schedule doubles.  An exactly singular
-    truncation raises DegenerateOperatorError, and a finest level whose
-    segments span more than PIECEWISE_PHASE_BOUND rad of the phase
-    sqrt(-lambda_min(V)) raises DomainError naming the segment count needed.
+    Richardson step when the schedule doubles.  Tr_exact, the integral of
+    tr V(s) s(t-s)/t, is taken on the finest level's own Gauss rule and
+    samples, so each level samples the potential at _HAT_NODES N points and
+    nowhere else.  An exactly singular truncation raises
+    DegenerateOperatorError, and a finest level whose segments span more
+    than PIECEWISE_PHASE_BOUND rad of the phase sqrt(-lambda_min(V)) raises
+    DomainError naming the segment count needed.
     """
     schedule = _check_schedule(schedule, "segment counts")
-    tr_exact = _trace_exact(sys)
+    t = sys.t
     levels = []
     for N in schedule:
-        nodes = np.asarray(Partition.uniform(N).times) * sys.t
+        nodes = np.asarray(Partition.uniform(N).times) * t
         diag, off, Vq = _hat_blocks(sys, nodes)
         if N == schedule[-1]:
-            _check_resolution(Vq, sys.t, N)
+            _check_resolution(Vq, t, N)
         a, c = _hat_stiffness(np.diff(nodes))
         raw = _signed_exp(*_hat_slogdet(a, c, diag, off))
-        levels.append((sys.n * (N - 1), raw, tr_exact - _hat_trace(nodes, diag, off)))
+        levels.append((sys.n * (N - 1), raw, _hat_trace(nodes, diag, off)))
+    sq, wq = composite_gauss(nodes, _HAT_NODES)  # the finest level's rule
+    tr_exact = float(np.sum(wq * sq * (t - sq) * np.trace(Vq, axis1=2, axis2=3))) / t
+    levels = [(dim, raw, tr_exact - tr_hat) for dim, raw, tr_hat in levels]
     return _estimate(levels, richardson=len(schedule) > 1 and schedule[-1] == 2 * schedule[-2])
 
 

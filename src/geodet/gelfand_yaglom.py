@@ -199,7 +199,9 @@ def _kernel_dim(U: np.ndarray, t: float, label: str, route: str = None) -> int:
 
     The kernel is the SVD test of :func:`_zero_modes`.  det J must be
     finite and positive on (0, t), and at t as well when J(t) has no
-    kernel; at a kernel the sign of det J(t) is rounding noise.  ``route``
+    kernel; at a kernel the sign of det J(t) is rounding noise.  An exact
+    zero of det J(s) where J(s) has no kernel, by the same test, is an
+    underflow and raises IntegrationError, not a sign change.  ``route``
     is the route the caller evaluates: "gy_ratio" admits no kernel
     (DegenerateOperatorError), "deflated" needs one (WrongRouteError,
     before the sign test) and None takes either.
@@ -217,6 +219,15 @@ def _kernel_dim(U: np.ndarray, t: float, label: str, route: str = None) -> int:
         dets = np.linalg.det(J[1:])
     if not np.all(np.isfinite(dets)):
         raise IntegrationError(f"{label}: det J left the float64 range")
+    zero = np.flatnonzero(dets == 0.0) + 1  # grid indices of J
+    if zero.size:
+        s = t * zero / (len(J) - 1)
+        underflow = np.linalg.svd(J[zero], compute_uv=False)[:, -1] >= DEGENERACY_REL_TOL * s
+        if underflow.any():
+            raise IntegrationError(
+                f"{label}: det J(s) underflows the float64 range to 0.0 at "
+                f"s = {s[underflow][0]:.4g}, where J(s) has no kernel"
+            )
     if np.any((dets[:-1] if kdim else dets) <= 0.0):
         raise NonpositiveOperatorError(
             f"{label}: det J changes sign on (0, t]; operator not positive"
@@ -369,10 +380,11 @@ def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetVal
     det_zeta(P + V) = det_zeta(P) det(P^{-1}(P + V)) = (2t)^n det J(t)/t^n.
     Operators with zero modes return det'_zeta instead, with the kernel
     dimension recorded in excluded_zero_modes.  The error estimate compares
-    the value with the same route at steps // 2.
+    the value with the same route at steps // 2.  A (2t)^n beyond float64
+    raises DomainError, as in :func:`zeta_det_dirichlet_laplacian`.
     """
     n, t = sys.n, sys.t
-    free = float((2.0 * t) ** n)
+    free = zeta_det_dirichlet_laplacian(t, n).value
     det, kdim, V = _fine_det(sys, steps, "P")
     value = _in_range(free * det / t**n, "det_zeta")
     coarse = free * _gy_det(_coarse_run(sys, steps, V), t, kdim) / t**n

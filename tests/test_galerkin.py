@@ -205,19 +205,32 @@ def test_schedule_validation():
 
 
 def test_hessian_trace_route_disagreement_is_named(monkeypatch):
-    sys = sphere_system(1.0, PI / 2, 3)
-    exact = galerkin._trace_exact
-    monkeypatch.setattr(galerkin, "_trace_exact", lambda s: exact(s) + 1e-6)
-    with pytest.raises(RouteDisagreementError):
-        hessian_trace(sys)
+    # route (a) without its analytic tails misses the modes beyond its sum
+    monkeypatch.setattr(galerkin, "_zeta_tail", lambda K, m: 0.0)
+    varying = JacobiSystem(1, 1.0, lambda s: np.array([[np.sin(2 * s) - 0.4]]))
+    for sys in (sphere_system(1.0, PI / 2, 3), varying):
+        with pytest.raises(RouteDisagreementError):
+            hessian_trace(sys)
 
 
 def test_trace_quadrature_constant_potential_is_closed_form():
-    # int_0^t tr V s(t - s)/t ds = tr V t^2 / 6
+    # int_0^t tr V s(t - s)/t ds = tr V t^2 / 6, by the constant branch and by
+    # the quadrature of the general branch on the same matrix as a callable
     for n, t in ((1, 1.0), (3, 1.3), (4, 0.4)):
         V = constant_potential(n)
         exact = np.trace(V) * t * t / 6.0
-        assert galerkin._trace_exact(JacobiSystem.constant(V, t)) == pytest.approx(exact, rel=1e-14)
+        for sys in (JacobiSystem.constant(V, t), JacobiSystem(n, t, lambda s: V)):
+            assert hessian_trace(sys) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("w, tol", [(2.0, 1e-14), (400.0, 1e-9)])
+def test_hessian_trace_of_sine_potential_is_closed_form(w, tol):
+    # int_0^1 (2 + 3 sin ws) s(1 - s) ds = 1/3 + 3 (2 (1 - cos w)/w^3 - sin w/w^2).
+    # At w = 400 a separate 96-point route (b) aliased to 0.518 and raised
+    # RouteDisagreementError; route (a) without its 1/k^4 tail is 1.2e-8 off
+    sys = JacobiSystem(1, 1.0, lambda s: np.array([[2.0 + 3.0 * np.sin(w * s)]]))
+    exact = 1.0 / 3.0 + 3.0 * (2.0 * (1.0 - np.cos(w)) / w**3 - np.sin(w) / w**2)
+    assert abs(hessian_trace(sys) - exact) < tol
 
 
 def test_hessian_trace_flat_is_zero():
@@ -422,6 +435,30 @@ def test_hat_blocks_constant_potential_are_mass_blocks():
     off_ref = (deltas[1:-1] / 6.0)[:, None, None] * V
     assert np.max(np.abs(diag - diag_ref)) <= 1e-14 * np.max(np.abs(diag_ref))
     assert np.max(np.abs(off - off_ref)) <= 1e-14 * np.max(np.abs(off_ref))
+
+
+def test_piecewise_samples_potential_four_times_per_segment():
+    # each level samples at its own Gauss nodes, and the exact trace reads
+    # the finest level's samples: no other potential call
+    calls = []
+
+    def pot(s):
+        calls.append(s)
+        return np.array([[1.0 + np.sin(2 * s), 0.3], [0.3, 2.0 - s]])
+
+    sys = JacobiSystem(2, 1.0, pot)
+    calls.clear()
+    fredholm_det_piecewise(sys, (32, 64, 128))
+    assert len(calls) == 4 * (32 + 64 + 128)
+
+
+def test_piecewise_trace_does_not_alias():
+    # V = 2 + 3 sin(400 s) runs 64 periods on [0, 1]; det J(1) by RK4 at 65,536
+    # steps is 1.3683153196 (the same to 1e-15 at 262,144).  A separate
+    # 96-point trace rule aliased and returned 1.6466 +- 5.6e-6
+    sys = JacobiSystem(1, 1.0, lambda s: np.array([[2.0 + 3.0 * np.sin(400.0 * s)]]))
+    est = fredholm_det_piecewise(sys, (128, 256))
+    assert abs(est.extrapolated - 1.3683153196) <= est.error_estimate
 
 
 def test_piecewise_singular_pivot_is_named():

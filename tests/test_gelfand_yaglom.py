@@ -397,6 +397,23 @@ def test_ratio_beyond_float64_raises_named_error():
         gy_degenerate_ratio(degenerate, near_conjugate)
 
 
+def test_free_scaling_overflow_is_domain_error():
+    # (2t)^n = (2e70)^5 overflows; zeta_det_jacobi raised a bare OverflowError
+    with pytest.raises(DomainError, match=r"\(2t\)\^n .* overflows float64"):
+        zeta_det_jacobi(JacobiSystem(5, 1e70, np.zeros((5, 5))))
+
+
+def test_underflowed_det_j_is_integration_error():
+    # det J(s) = s^5 <= 1e-350 is 0.0 in float64 on the whole grid, although
+    # J(s) = s I has no kernel; both routes called it a sign change
+    # (NonpositiveOperatorError) of a positive operator
+    free = JacobiSystem(5, 1e-70, np.zeros((5, 5)))
+    with pytest.raises(IntegrationError, match="underflows the float64 range"):
+        zeta_det_jacobi(free)
+    with pytest.raises(IntegrationError, match="underflows the float64 range"):
+        gy_ratio(free, free)
+
+
 # ---------------------------------------------------------------------------
 # determinant ratios
 
