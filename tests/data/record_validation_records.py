@@ -7,8 +7,9 @@ run against it.  Run from the root of a source checkout:
 
     PYTHONPATH=src python tests/data/record_validation_records.py
 
-The script prints each record whose pinned fields changed.  A numpy
-RuntimeWarning is an error here, as it is in the tests.
+The script prints each record whose pinned fields changed, with its old and
+new ``computed`` value, their relative move and any other field that moved.
+A numpy RuntimeWarning is an error here, as it is in the tests.
 """
 
 import dataclasses
@@ -31,14 +32,31 @@ def record() -> list:
 
 
 def regenerate() -> list:
-    """Record the suite again; return the names whose pinned fields changed."""
+    """Record the suite again; return (old or None, new) for each record that changed."""
     old = json.loads(RECORDS.read_text()) if RECORDS.exists() else []
     old = {rec["check_name"]: rec for rec in old}
     new = record()
     RECORDS.write_text(json.dumps(new, indent=1) + "\n")
-    return [rec["check_name"] for rec in new if old.get(rec["check_name"]) != rec]
+    return [(old.get(rec["check_name"]), rec) for rec in new if old.get(rec["check_name"]) != rec]
+
+
+def describe(old, new) -> str:
+    """One line naming a changed record and what moved in it."""
+    name, value = new["check_name"], new["computed"]
+    if old is None:
+        return f"{name}: new record, computed {value!r}"
+    line = f"{name}: computed {old['computed']!r} -> {value!r}"
+    if old["computed"] != value:
+        if old["computed"]:
+            line += f" (relative move {abs(value - old['computed']) / abs(old['computed']):.2g})"
+        else:
+            line += f" (absolute move {abs(value):.2g})"
+    for key in FIELDS[:-1]:
+        if old[key] != new[key]:
+            line += f"; {key} {old[key]!r} -> {new[key]!r}"
+    return line
 
 
 if __name__ == "__main__":
-    for name in regenerate():
-        print(name)
+    for old, new in regenerate():
+        print(describe(old, new))

@@ -462,15 +462,69 @@ def test_piecewise_trace_does_not_alias():
 
 
 def test_piecewise_singular_pivot_is_named():
-    # D = [[2, -1], [-1, 2]] with pivots 2 and 3/2; B zeroes the first
-    # pivot of D + B (inside the recurrence) or the last one (in slogdet)
+    # D = [[2, -1], [-1, 2]].  ``first`` zeroes the first-stage pivot
+    # I + P_1/a_1 of a nonsingular D + B (det -1 per fiber); ``last`` makes
+    # D + B itself singular, so the pivot of the last stage vanishes
     a, c = np.array([2.0, 2.0]), np.array([-1.0])
     off = np.zeros((1, 2, 2))
-    first = np.stack([-2.0 * np.eye(2), np.eye(2)])
+    first = np.stack([np.zeros((2, 2)), -2.0 * np.eye(2)])
     last = np.stack([np.zeros((2, 2)), -1.5 * np.eye(2)])
     for diag in (first, last):
         with pytest.raises(DegenerateOperatorError):
             galerkin._hat_slogdet(a, c, diag, off)
+
+
+def _mp_hat_logdet(a, c, diag, off):
+    """log|det(D + B)/det(D)| of the same float64 blocks at 30 digits.
+
+    A sequential block LDL^T: pivots S_j = A_j - C_{j-1}^T S_{j-1}^-1 C_{j-1}
+    with A_j = a_j I + P_j and C_j = c_j I + Q_j formed in mpmath, since a
+    float64 sum a_j + P_j drops the low bits of P_j.
+    """
+    import mpmath as mp
+
+    n = diag.shape[1]
+    with mp.workdps(30):
+        eye = mp.eye(n)
+        A = [mp.mpf(float(x)) * eye + mp.matrix(blk.tolist()) for x, blk in zip(a, diag)]
+        C = [mp.mpf(float(x)) * eye + mp.matrix(blk.tolist()) for x, blk in zip(c, off)]
+        S, d = A[0], mp.mpf(float(a[0]))
+        total = mp.log(abs(mp.det(S))) - n * mp.log(d)
+        for j in range(1, len(A)):
+            S = A[j] - C[j - 1].T * mp.inverse(S) * C[j - 1]
+            d = mp.mpf(float(a[j])) - mp.mpf(float(c[j - 1])) ** 2 / d
+            total += mp.log(abs(mp.det(S))) - n * mp.log(d)
+        return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hat_slogdet_matches_mp_reference(n):
+    # every interior node count 1..33, so odd, even and non-power-of-two
+    # counts meet every stage of the reduction; random nonuniform meshes,
+    # symmetric P and general Q at the scale of hat moments of a V <= 4
+    rng = np.random.default_rng(n)
+    for m in range(1, 34):
+        deltas = rng.uniform(0.5, 1.5, m + 1)
+        deltas /= deltas.sum()
+        a, c = galerkin._hat_stiffness(deltas)
+        V = rng.uniform(-4.0, 4.0, (m, n, n))
+        diag = (deltas[:-1] + deltas[1:])[:, None, None] / 3.0 * 0.5 * (V + V.transpose(0, 2, 1))
+        off = deltas[1:-1, None, None] / 6.0 * rng.uniform(-4.0, 4.0, (m - 1, n, n))
+        _, logdet = galerkin._hat_slogdet(a, c, diag, off)
+        assert abs(logdet - float(_mp_hat_logdet(a, c, diag, off))) <= 1e-13, m
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+def test_hat_slogdet_through_interior_conjugate_point(N):
+    # V = -12 I on [0, 1] has a conjugate point at pi/sqrt(12) = 0.907; the
+    # sequential recurrence divided by the small pivots near the zero of the
+    # discrete Jacobi field and lost 3.0e-13 at N = 256 and 3.0e-12 at 1024
+    sys = JacobiSystem.constant(-12.0 * np.eye(2), 1.0)
+    nodes = np.asarray(Partition.uniform(N).times)
+    diag, off, _ = galerkin._hat_blocks(sys, nodes)
+    a, c = galerkin._hat_stiffness(np.diff(nodes))
+    _, logdet = galerkin._hat_slogdet(a, c, diag, off)
+    assert abs(logdet - float(_mp_hat_logdet(a, c, diag, off))) <= 1e-13
 
 
 def test_piecewise_fine_constant_curvature_is_linear_in_N():
@@ -638,8 +692,17 @@ def _mp_evaluation_map(kappa, r, n, deltas):
         (-1e3, 1.5, 2, 8, 1e-13),  # z = 35: the csch/coth form
         (2.0, 2.0, 3, 2, 1e-13),  # z = -2: the sin form
         (1.0, 3.0, 3, (0.0, 0.1, 0.35, 0.4, 0.8, 1.0), 1e-13),  # z from -0.09 to -1.44
+        # the validation mesh sweep: log ev ~ 1e-7 is a sum of pivot logs
+        # log(1 + x) with x down to 1e-12; rounding 1 + x without restoring
+        # the dropped bits of x cost up to 1.5e-14 on these three
+        (1.0, PI / 2, 2, 128, 2.5e-16),
+        (-1.0, 1.0, 3, 256, 2.5e-16),
+        (0.5, 1.5, 4, 128, 2.5e-16),
     ],
-    ids=["near-one", "sphere", "hyperbolic", "hyperbolic-fine", "z35", "z-2", "nonuniform"],
+    ids=[
+        "near-one", "sphere", "hyperbolic", "hyperbolic-fine", "z35", "z-2", "nonuniform",
+        "mesh2-kappa1-n2", "mesh2-kappa-1-n3", "mesh2-kappa0.5-n4",
+    ],
 )
 def test_evaluation_map_matches_mp_gram(kappa, r, n, times, tol):
     # the same Gram ratio at 50 digits; the values sit near 1, so a form that
