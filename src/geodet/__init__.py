@@ -22,7 +22,6 @@ from .errors import (
     OutOfScopeError,
     RouteDisagreementError,
     UsageError,
-    WrongRouteError,
 )
 from .geometry import (
     ConstantCurvature,

@@ -37,10 +37,6 @@ class NonpositiveOperatorError(GeodetError):
     """The boundary-value operator has a nonpositive eigenvalue (interior zero of det J)."""
 
 
-class WrongRouteError(GeodetError):
-    """The degenerate formula was requested for a nondegenerate operator."""
-
-
 class IntegrationError(GeodetError):
     """A potential sample is not finite, or a result left the float64 range.
 

@@ -9,6 +9,7 @@ analytic tail corrections built from the explicit 1/k^2 decay of P^{-1},
 which upgrades the O(1/K) raw convergence to O(1/K^3) and better.
 """
 
+import operator
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -23,7 +24,7 @@ from .errors import (
     RouteDisagreementError,
 )
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, exp_jacobian_closed_form
-from .interval import composite_gauss, mode_quadrature
+from .interval import composite_gauss, mode_cosine_sums, mode_quadrature
 
 __all__ = [
     "Partition",
@@ -44,8 +45,6 @@ __all__ = [
 KERNEL_TOL = 1e-8  # eigenvalues below this, at the finest level, form the kernel
 KERNEL_GAP_FACTOR = 100.0
 _TAIL_ORDERS = 4  # powers of the eigenvalue decay kept in the analytic tail
-_TRACE_MODES = 20000  # sine modes hessian_trace sums for a constant potential
-# kept: the 512-mode general branch agrees to 3.3e-16 but takes ~350x as long
 # largest phase sqrt(-lambda_min(V)) delta a segment of the finest piecewise
 # level may span: hats cannot follow faster oscillation, and at 0.62 rad the
 # last two levels of V = -1e5 on [0, 1] agreed by accident
@@ -141,11 +140,18 @@ def _zeta_tail(K: int, m: int) -> float:
     return direct + tail
 
 
-def _check_schedule(schedule, what: str) -> list:
-    schedule = [int(v) for v in schedule]
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError(f"schedule must be a nonempty increasing list of {what}")
-    return schedule
+def _check_schedule(schedule, what: str, least: int) -> list:
+    """The schedule as a list; DomainError unless it increases and holds integers >= least."""
+    try:
+        counts = [operator.index(v) for v in schedule]
+    except TypeError:  # a float, even an integral one, is no count
+        counts = []
+    if not counts or counts[0] < least or any(b <= a for a, b in zip(counts, counts[1:])):
+        raise DomainError(
+            f"schedule must be a nonempty increasing list of integer {what} >= {least}, "
+            f"got {tuple(schedule)}"
+        )
+    return counts
 
 
 def _tail_log_correction(c: np.ndarray, K: int) -> float:
@@ -269,7 +275,7 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
 
 def _fourier_spectra(sys: JacobiSystem, schedule):
     """The checked mode schedule and the eigenvalues of each of its levels."""
-    schedule = _check_schedule(schedule, "mode counts")
+    schedule = _check_schedule(schedule, "mode counts", 1)
     assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1]).entries
     return schedule, [_level_eigenvalues(sys, K, assembled) for K in schedule]
 
@@ -327,43 +333,28 @@ def fredholm_det_deflated(sys: JacobiSystem, schedule=(64, 128, 256)) -> Determi
 def hessian_trace(sys: JacobiSystem) -> float:
     """Trace of the Hessian form minus the identity, checked two ways.
 
-    Route (a) sums the diagonal matrix elements over the first
-    _TRACE_MODES sine modes (512 for a varying potential) and completes
-    the sum with the analytic 1/k^2 tail (and a 1/k^4 tail for a varying
-    potential).  Route (b) integrates the
-    potential trace against s(t-s)/t, which is the Ricci-integral form (for
-    a constant-curvature geodesic it equals -(n-1) kappa r^2 / 6): in closed
-    form, tr V t^2/6, for a constant potential, and otherwise on the
-    samples route (a) takes.  Both must agree to 1e-8; otherwise
-    RouteDisagreementError is raised.
+    Route (a) sums the diagonal matrix elements over the first 512 sine
+    modes and completes the sum with the analytic 1/k^2 and 1/k^4 tails.
+    Route (b) integrates the potential trace against s(t-s)/t on the
+    samples route (a) takes, which is the Ricci-integral form (for a
+    constant-curvature geodesic it equals -(n-1) kappa r^2 / 6).  Both must
+    agree to 1e-8; otherwise RouteDisagreementError is raised.
     """
-    t = sys.t
-    if sys.is_constant:
-        k = np.arange(1, _TRACE_MODES + 1)
-        trv = float(np.trace(sys(0.0)))
-        partial = trv * t * t / np.pi**2 * float(np.sum(1.0 / k**2))
-        tail = trv * t * t / np.pi**2 * _zeta_tail(_TRACE_MODES, 1)
-        route_b = trv * t * t / 6.0
-    else:
-        # (V F_k, F_k) summed over fibers = (2t/pi^2 k^2) int tr V sin^2(pi k s/t).
-        # Beyond the explicitly summed modes the mean of tr V gives the 1/k^2
-        # tail; the oscillatory remainder, the term minus its mean part, decays
-        # like t^3 [tr V']_0^t / (4 pi^4 k^4), so its tail is the last summed
-        # remainder times k^4 zeta(4, k + 1).  The sum is cut where the
-        # quadrature still resolves every retained frequency.
-        k_explicit = 512
-        grid_nodes, grid_w = mode_quadrature(t, 2 * k_explicit)
-        trv_nodes = np.trace(sys.sample(grid_nodes), axis1=1, axis2=2)
-        ks = np.arange(1, k_explicit + 1)
-        sin2 = np.sin(np.pi * np.outer(ks, grid_nodes) / t) ** 2
-        per_k = (2.0 * t / (np.pi**2 * ks**2)) * (sin2 @ (grid_w * trv_nodes))
-        partial = float(np.sum(per_k))
-        mean_trv = float(np.sum(grid_w * trv_nodes)) / t
-        last_osc = float(per_k[-1]) - mean_trv * (t / (np.pi * k_explicit)) ** 2
-        tail = mean_trv * t * t / np.pi**2 * _zeta_tail(k_explicit, 1)
-        tail += last_osc * k_explicit**4 * _zeta_tail(k_explicit, 2)
-        route_b = float(np.sum(grid_w * trv_nodes * grid_nodes * (t - grid_nodes))) / t
-    route_a = partial + tail
+    t, K = sys.t, 512
+    # (V F_k, F_k) summed over fibers = (t/pi^2 k^2)(int tr V - c_k), with
+    # c_k = int tr V cos(2 pi k s/t).  Beyond the explicitly summed modes the
+    # first term gives the 1/k^2 tail; the second, the oscillatory remainder,
+    # decays like t^3 [tr V']_0^t / (4 pi^4 k^4), so its tail is the last
+    # summed remainder times k^4 zeta(4, k + 1).  The sum is cut where the
+    # quadrature still resolves every retained frequency.
+    nodes, weights = mode_quadrature(t, 2 * K)
+    fw = weights * np.einsum("qii->q", sys.sample(nodes))
+    integral = float(np.sum(fw))
+    c = mode_cosine_sums(fw, K)
+    scale = t / (np.pi * np.arange(1, K + 1)) ** 2
+    route_a = float(np.sum(scale * (integral - c))) + integral * t / np.pi**2 * _zeta_tail(K, 1)
+    route_a -= float(scale[-1] * c[-1]) * K**4 * _zeta_tail(K, 2)
+    route_b = float(np.sum(fw * nodes * (t - nodes))) / t
     if not abs(route_a - route_b) < 1e-8 * max(1.0, abs(route_b)):
         raise RouteDisagreementError(f"trace routes disagree: {route_a} vs {route_b}")
     return route_a
@@ -597,7 +588,7 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     than PIECEWISE_PHASE_BOUND rad of the phase sqrt(-lambda_min(V)) raises
     DomainError naming the segment count needed.
     """
-    schedule = _check_schedule(schedule, "segment counts")
+    schedule = _check_schedule(schedule, "segment counts", 2)
     t = sys.t
     levels = []
     for N in schedule:

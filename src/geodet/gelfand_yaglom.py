@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     IntegrationError,
     NonpositiveOperatorError,
-    WrongRouteError,
 )
 from .geometry import JacobiSystem
 
@@ -133,10 +132,10 @@ def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
     block = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)): 64 at 4096 steps
     if sys.is_constant:
         V = V[: 2 * block + 1]
-    E = _transfer_increments(V, sys.t / steps, block)
-    U = np.empty((steps + 1, 2 * sys.n, 2 * sys.n))
-    U[0] = np.eye(2 * sys.n)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as is h^4 = inf
+        E = _transfer_increments(V, np.float64(sys.t) / steps, block)
+        U = np.empty((steps + 1, 2 * sys.n, 2 * sys.n))
+        U[0] = np.eye(2 * sys.n)
         for j in range(1, block):
             E[:, j] += E[:, j - 1] + E[:, j] @ E[:, j - 1]
         for b in range(-(-steps // block)):
@@ -159,15 +158,6 @@ def _fine_run(sys: JacobiSystem, steps: int):
         raise DomainError("need at least 16 steps")
     V = _sample_potential(sys, steps)
     return _rk4_run(sys, steps, V), V
-
-
-def _coarse_run(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:
-    """The run at steps // 2, the partner of the fine run on the half-grid samples ``V``.
-
-    For even step counts the coarse half-grid is every other fine sample
-    (``np.linspace`` grids nest exactly), so the potential is sampled once.
-    """
-    return _rk4_run(sys, steps // 2, V[::2] if steps % 2 == 0 else None)
 
 
 def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPropagation:
@@ -194,27 +184,21 @@ def _zero_modes(Jt: np.ndarray, t: float):
     return sig, Vt, sig < DEGENERACY_REL_TOL * t
 
 
-def _kernel_dim(U: np.ndarray, t: float, label: str, route: str = None) -> int:
+def _kernel_dim(U: np.ndarray, t: float, label: str, ratio: bool = False) -> int:
     """The route decision of every GY determinant: the kernel dimension of J(t).
 
     The kernel is the SVD test of :func:`_zero_modes`.  det J must be
     finite and positive on (0, t), and at t as well when J(t) has no
     kernel; at a kernel the sign of det J(t) is rounding noise.  An exact
     zero of det J(s) where J(s) has no kernel, by the same test, is an
-    underflow and raises IntegrationError, not a sign change.  ``route``
-    is the route the caller evaluates: "gy_ratio" admits no kernel
-    (DegenerateOperatorError), "deflated" needs one (WrongRouteError,
-    before the sign test) and None takes either.
+    underflow and raises IntegrationError, not a sign change.  A ``ratio``
+    operand, one side of det J_2(t)/det J_1(t), admits no kernel
+    (DegenerateOperatorError); otherwise either is taken.
     """
     n = U.shape[1] // 2
     J = U[:, :n, n:]
     sig, _, kernel = _zero_modes(J[-1], t)
     kdim = int(np.count_nonzero(kernel))
-    if route == "deflated" and not kdim:
-        raise WrongRouteError(
-            f"J(t) has no zero mode (smallest singular value {sig[-1]:.3g}, "
-            f"kernel threshold {DEGENERACY_REL_TOL * t:.3g}); use the ratio route"
-        )
     with np.errstate(over="ignore"):  # a finite J can have det J beyond float64
         dets = np.linalg.det(J[1:])
     if not np.all(np.isfinite(dets)):
@@ -232,7 +216,7 @@ def _kernel_dim(U: np.ndarray, t: float, label: str, route: str = None) -> int:
         raise NonpositiveOperatorError(
             f"{label}: det J changes sign on (0, t]; operator not positive"
         )
-    if route == "gy_ratio" and kdim:
+    if ratio and kdim:
         raise DegenerateOperatorError(
             f"{label}: J(t) has the singular value {sig[-1]:.3g}, below the kernel "
             f"threshold {DEGENERACY_REL_TOL * t:.3g}; the operator has zero "
@@ -294,14 +278,32 @@ def _in_range(value: float, label: str) -> float:
     return value
 
 
-def _fine_det(sys: JacobiSystem, steps: int, label: str, route: str = None):
+def _fine_det(sys: JacobiSystem, steps: int, label: str, ratio: bool = False):
     """(det J(t) or |det A|, kernel dim, V samples) of the run at ``steps``.
 
     The state array dies with the call, so callers hold one at a time.
     """
     U, V = _fine_run(sys, steps)
-    kdim = _kernel_dim(U, sys.t, label, route)
+    kdim = _kernel_dim(U, sys.t, label, ratio)
     return _gy_det(U, sys.t, kdim), kdim, V
+
+
+def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale, name):
+    """(value, kernel dim, estimate) of the determinant ``scale * det / t^n`` named ``name``.
+
+    det is the GY determinant of the run at ``steps``; the estimate is
+    |value - coarse|/15, coarse the same expression at steps // 2 on the
+    route the fine run chose.  For even step counts the coarse half-grid is
+    every other fine sample (``np.linspace`` grids nest exactly), so the
+    potential is sampled once.  Both must be finite (IntegrationError).
+    """
+    det, kdim, V = _fine_det(sys, steps, label, ratio)
+    with np.errstate(over="ignore"):
+        den = _in_range(float(np.float64(sys.t) ** sys.n), "t^n")
+    value = _in_range(scale * det / den, name)
+    U = _rk4_run(sys, steps // 2, V[::2] if steps % 2 == 0 else None)
+    coarse = scale * _gy_det(U, sys.t, kdim) / den
+    return value, kdim, _in_range(abs(value - coarse) / 15.0, f"error estimate of {name}")
 
 
 def gy_ratio(sys1: JacobiSystem, sys2: JacobiSystem, steps: int = DEFAULT_STEPS) -> float:
@@ -313,8 +315,8 @@ def gy_ratio(sys1: JacobiSystem, sys2: JacobiSystem, steps: int = DEFAULT_STEPS)
     """
     if sys1.n != sys2.n or abs(sys1.t - sys2.t) > 1e-14:
         raise DomainError("operators must share fiber dimension and interval")
-    det1 = _fine_det(sys1, steps, "P1", "gy_ratio")[0]
-    det2 = _fine_det(sys2, steps, "P2", "gy_ratio")[0]
+    det1 = _fine_det(sys1, steps, "P1", ratio=True)[0]
+    det2 = _fine_det(sys2, steps, "P2", ratio=True)[0]
     return _in_range(det2 / det1, "det J_2(t)/det J_1(t)")
 
 
@@ -323,11 +325,7 @@ def _free_reference_ratio(sys: JacobiSystem, steps: int) -> ZetaDetValue:
 
     The free det J(t) = t^n is exact, so only sys is propagated.
     """
-    det, _, V = _fine_det(sys, steps, "P2", "gy_ratio")
-    free = sys.t**sys.n
-    value = _in_range(det / free, "det J(t)/t^n")
-    coarse = _gy_det(_coarse_run(sys, steps, V), sys.t, 0) / free
-    estimate = _in_range(abs(value - coarse) / 15.0, "error estimate of det J(t)/t^n")
+    value, _, estimate = _step_halving(sys, steps, "P2", True, 1.0, "det J(t)/t^n")
     return ZetaDetValue(value, "gy_ratio", 0, estimate)
 
 
@@ -336,9 +334,10 @@ def gy_degenerate_ratio(
 ) -> float:
     """det'_zeta(P_deg)/det_zeta(P_ref) for an operator with zero modes.
 
-    P_deg must have zero modes, a singular value of J(t) below
-    DEGENERACY_REL_TOL t (else WrongRouteError points back to gy_ratio),
-    and det J positive on (0, t); P_ref must be positive.
+    P_deg has zero modes where a singular value of J(t) lies below
+    DEGENERACY_REL_TOL t, and det J must be positive on (0, t); P_ref must
+    be positive.  Without zero modes the value is det_zeta(P_deg)/
+    det_zeta(P_ref), equal to gy_ratio(sys_ref, sys_deg).
     On the kernel directions the boundary data is replaced by the
     quadrature of J^T J over the propagation grid (composite Simpson);
     regular directions keep their J(t) columns, so block-diagonal
@@ -348,8 +347,8 @@ def gy_degenerate_ratio(
     """
     if sys_deg.n != sys_ref.n or abs(sys_deg.t - sys_ref.t) > 1e-14:
         raise DomainError("operators must share fiber dimension and interval")
-    detA = _fine_det(sys_deg, steps, "P", "deflated")[0]
-    ratio = detA / _fine_det(sys_ref, steps, "reference", "gy_ratio")[0]
+    detA = _fine_det(sys_deg, steps, "P")[0]
+    ratio = detA / _fine_det(sys_ref, steps, "reference", ratio=True)[0]
     return _in_range(ratio, "det'_zeta(P_deg)/det_zeta(P_ref)")
 
 
@@ -361,14 +360,12 @@ def zeta_det_dirichlet_laplacian(t: float, n: int) -> ZetaDetValue:
     power rule det_zeta(P^m) = det_zeta(P)^m follows from
     zeta_{P^m}(z) = zeta_P(mz).
     """
-    if t <= 0:
-        raise DomainError(f"interval length must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"interval length must be positive and finite, got {t}")
     if n < 1:
         raise DomainError(f"fiber dimension must be >= 1, got {n}")
-    try:
-        value = (2.0 * t) ** n
-    except OverflowError:  # a finite base raises, an infinite one gives inf
-        value = math.inf
+    with np.errstate(over="ignore"):  # a float64 power gives inf where Python's raises
+        value = float(np.float64(2.0 * t) ** n)
     if not math.isfinite(value):
         raise DomainError(f"(2t)^n = (2 * {t:.4g})^{n} overflows float64")
     return ZetaDetValue(float(value), "closed_form", 0)
@@ -383,11 +380,6 @@ def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetVal
     the value with the same route at steps // 2.  A (2t)^n beyond float64
     raises DomainError, as in :func:`zeta_det_dirichlet_laplacian`.
     """
-    n, t = sys.n, sys.t
-    free = zeta_det_dirichlet_laplacian(t, n).value
-    det, kdim, V = _fine_det(sys, steps, "P")
-    value = _in_range(free * det / t**n, "det_zeta")
-    coarse = free * _gy_det(_coarse_run(sys, steps, V), t, kdim) / t**n
-    route = "deflated" if kdim else "gy_ratio"
-    estimate = _in_range(abs(value - coarse) / 15.0, "error estimate of det_zeta")
-    return ZetaDetValue(value, route, kdim, estimate)
+    free = zeta_det_dirichlet_laplacian(sys.t, sys.n).value
+    value, kdim, estimate = _step_halving(sys, steps, "P", False, free, "det_zeta")
+    return ZetaDetValue(value, "deflated" if kdim else "gy_ratio", kdim, estimate)

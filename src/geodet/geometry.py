@@ -56,10 +56,8 @@ class SyntheticPotential:
     def __init__(self, n: int, potential, t: float):
         if n < 2:
             raise DomainError("synthetic manifolds need dimension >= 2")
-        if t <= 0:
-            raise DomainError("interval length must be positive")
         self.n = int(n)
-        self.t = float(t)
+        self.t = _check_length(t)
         self.potential = potential
         # V(u) = t^2 pot(t u) on the orthogonal block of the unit interval;
         # building it checks the block's shape and symmetry
@@ -91,6 +89,14 @@ class GeodesicData:
         self.speed = speed
 
 
+def _check_length(t) -> float:
+    """t as a float; DomainError unless t > 0 and t^2, the scale of every route, is a float64."""
+    t = float(t)
+    if not (t > 0 and t * t < np.inf):
+        raise DomainError(f"interval length must be positive with t^2 in float64, got {t}")
+    return t
+
+
 def _check_finite(V):
     if not np.isfinite(V).all():
         raise IntegrationError("potential produced non-finite samples")
@@ -109,10 +115,8 @@ class JacobiSystem:
     def __init__(self, n: int, t: float, potential):
         if n < 1:
             raise DomainError(f"fiber dimension must be >= 1, got {n}")
-        if t <= 0:
-            raise DomainError(f"interval length must be positive, got {t}")
         self.n = int(n)
-        self.t = float(t)
+        self.t = _check_length(t)
         # a callable fills the block [lo:, lo:] of V with value_scale * func(arg_scale * s)
         self._lo, self._arg_scale, self._value_scale = 0, 1.0, 1.0
         if callable(potential):
@@ -125,6 +129,7 @@ class JacobiSystem:
             if mat.shape != (n, n):
                 raise DomainError(f"potential must be {n}x{n}, got {mat.shape}")
             _check_finite(mat)
+            mat.flags.writeable = False  # shared by every sample, call and mean
             self._func = None
             self._const = mat
         self._check_symmetric()
@@ -180,8 +185,6 @@ class JacobiSystem:
         return out
 
     def __call__(self, s: float) -> np.ndarray:
-        if self._const is not None:
-            return self._const
         return self.sample((s,))[0]
 
     def mean_matrix(self) -> np.ndarray:

@@ -45,10 +45,14 @@ ORACLE_TAIL_REL = 1e-14
 _FLOAT64_CANCEL_DIGITS = 9.0
 
 
+def _check_positive(value: float, what: str) -> None:
+    if not 0 < value < math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {value}")
+
+
 def euclidean_heat_kernel(d: float, n: int, t: float) -> float:
     """Flat-space comparison kernel (4 pi t)^{-n/2} exp(-d^2/(4t))."""
-    if t <= 0:
-        raise DomainError(f"time must be positive, got {t}")
+    _check_positive(t, "time")
     if d < 0:
         raise DomainError(f"distance must be >= 0, got {d}")
     return float((4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-d * d / (4.0 * t)))
@@ -79,8 +83,7 @@ def _check_antipodal_scope(n: int, R: float):
         raise DomainError(f"dimension must be >= 1, got {n}")
     if n < 2:
         raise OutOfScopeError("antipodal circle has a discrete set of minimizers")
-    if R <= 0:
-        raise DomainError(f"radius must be positive, got {R}")
+    _check_positive(R, "radius")
 
 
 def antipodal_sphere_limit_closed_form(n: int, R: float) -> float:
@@ -132,8 +135,7 @@ class SphereSpectrum:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("sphere dimension must be >= 1")
-        if self.R <= 0:
-            raise DomainError("radius must be positive")
+        _check_positive(self.R, "radius")
         if self.max_degree < 1:
             raise DomainError("max_degree must be >= 1")
 
@@ -146,8 +148,8 @@ class SphereSpectrum:
         is of the order of the Euclidean kernel at the antipodal distance
         pi R.
         """
-        if t_min <= 0:
-            raise DomainError("t_min must be positive")
+        _check_positive(t_min, "t_min")
+        _check_positive(R, "radius")
         # log of required absolute tail, with safety margin
         target = (
             -((np.pi * R) ** 2) / (4.0 * t_min)
@@ -378,8 +380,7 @@ def sphere_heat_kernel(spec: SphereSpectrum, theta: float, t: float) -> float:
     use the closed forms of _closed_form_kernel, which do not cancel and do
     not depend on L; they return 0.0 below the float64 range.
     """
-    if t <= 0:
-        raise DomainError(f"time must be positive, got {t}")
+    _check_positive(t, "time")
     th = _fold_angle(theta)
     d = spec.R * th
     if d * d / (4.0 * t) / np.log(10.0) > _FLOAT64_CANCEL_DIGITS:

@@ -11,7 +11,7 @@ from functools import cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["gauss_legendre", "composite_gauss", "mode_quadrature"]
+__all__ = ["gauss_legendre", "composite_gauss", "mode_quadrature", "mode_cosine_sums"]
 
 # Gauss-Legendre panels of this order keep oscillatory integrands at
 # machine precision as long as the phase per panel stays below ~8.
@@ -50,3 +50,19 @@ def mode_quadrature(t: float, max_halfwaves: int):
     panels = max(int(np.ceil(total_phase / _MAX_PHASE_PER_PANEL)), _MIN_PANELS)
     nodes, weights = composite_gauss(np.linspace(0.0, t, panels + 1), _PANEL_ORDER)
     return nodes.ravel(), weights.ravel()
+
+
+def mode_cosine_sums(fw: np.ndarray, K: int) -> np.ndarray:
+    """sum_q fw_q cos(2 pi k s_q/t) for k = 1..K, fw_q = weight x integrand at node s_q.
+
+    The nodes are those of a mode_quadrature rule on [0, t].  Its panels are
+    uniform, s = p t/P + u, so one FFT over p and a phase in the offsets u
+    give every k at once.
+    """
+    f = fw.reshape(-1, _PANEL_ORDER)
+    panels = len(f)
+    u = (gauss_legendre(_PANEL_ORDER)[0] + 1.0) / (2.0 * panels)  # offsets, in units of t
+    k = np.arange(1, K + 1)
+    F = np.fft.fft(f, axis=0)[k % panels]  # sum_p f_p exp(-2 pi i k p/P)
+    phase = 2.0 * np.pi * np.outer(k, u)
+    return np.sum(F.real * np.cos(phase) + F.imag * np.sin(phase), axis=1)  # Re F exp(-i phase)

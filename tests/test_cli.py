@@ -352,6 +352,22 @@ def test_build_report_deterministic_dict():
     assert a == b
 
 
+def test_build_report_rejects_unknown_command():
+    with pytest.raises(UsageError, match="unknown command 'nope'"):
+        build_report({"command": "nope"})
+
+
+def test_validate_text_format(capsys):
+    # runtime_ms makes the bytes unstable: check the record lines and the summary
+    code, out, _ = run_cli(capsys, "validate", "--filter", "trace-identity", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    records = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+    assert len(records) == 24
+    assert all(line.startswith("PASS  trace-identity-") for line in records)
+    assert lines[-1] == "summary: 24/24 passed, 0 failed"
+
+
 def test_validate_filtered_subset(capsys):
     code, out, _ = run_cli(
         capsys, "validate", "--filter", "zeta-laplacian", "--format", "json"

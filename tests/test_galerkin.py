@@ -200,6 +200,27 @@ def test_schedule_validation():
         fredholm_det(sys, ())
 
 
+@pytest.mark.parametrize(
+    "route, schedule",
+    [
+        (fredholm_det, (0, 4)),
+        (fredholm_det, (-3, 4)),
+        (fredholm_det, (4.0, 8)),
+        (fredholm_det_deflated, (0, 4)),
+        (fredholm_det_piecewise, (1, 4)),
+        (fredholm_det_piecewise, (2.5,)),
+        (fredholm_det_piecewise, (-2, 4)),
+    ],
+)
+def test_schedule_counts_are_integers_of_at_least_one_mode_or_two_segments(route, schedule):
+    # a level of dimension 0 was returned quietly, 2.5 ran as N = 2, and a
+    # negative count ended in ZeroDivisionError in the tail
+    for sys in (JacobiSystem(1, 1.0, [[1.0]]), JacobiSystem(1, 1.0, lambda s: 1.0 + s)):
+        with pytest.raises(DomainError, match="integer"):
+            route(sys, schedule)
+    assert fredholm_det(sphere_system(1.0, 1.0, 2), (np.int64(8), 16)).extrapolated > 0
+
+
 # ---------------------------------------------------------------------------
 # trace identities
 
@@ -231,6 +252,16 @@ def test_hessian_trace_of_sine_potential_is_closed_form(w, tol):
     sys = JacobiSystem(1, 1.0, lambda s: np.array([[2.0 + 3.0 * np.sin(w * s)]]))
     exact = 1.0 / 3.0 + 3.0 * (2.0 * (1.0 - np.cos(w)) / w**3 - np.sin(w) / w**2)
     assert abs(hessian_trace(sys) - exact) < tol
+
+
+def test_hessian_trace_takes_one_route_for_every_potential():
+    # a constant matrix and the same matrix as a callable give the same
+    # samples, so the one route returns the same bits
+    for n, t in ((1, 1.0), (3, 1.3)):
+        V = constant_potential(n)
+        assert hessian_trace(JacobiSystem.constant(V, t)) == hessian_trace(
+            JacobiSystem(n, t, lambda s: V)
+        )
 
 
 def test_hessian_trace_flat_is_zero():

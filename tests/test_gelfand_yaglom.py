@@ -17,7 +17,6 @@ from geodet import (
     JacobiSystem,
     NonpositiveOperatorError,
     SyntheticPotential,
-    WrongRouteError,
     fredholm_det_deflated,
     gy_degenerate_ratio,
     gy_ratio,
@@ -323,6 +322,32 @@ def test_propagation_counts(monkeypatch, call, runs):
     assert len(calls) == runs, calls
 
 
+@pytest.mark.parametrize(
+    "argv", [("det-gy", *CURVED), ("det-zeta", *CURVED), ("det-zeta", *ANTIPODAL)],
+    ids=["det-gy", "det-zeta", "det-zeta-antipodal"],
+)
+def test_cli_determinants_share_one_step_halving_path(monkeypatch, argv):
+    # value and estimate of both commands come from one fine/coarse helper
+    calls = []
+    step_halving = gelfand_yaglom._step_halving
+
+    def counted(*args):
+        calls.append(args[2])
+        return step_halving(*args)
+
+    monkeypatch.setattr(gelfand_yaglom, "_step_halving", counted)
+    assert run_cli_quietly(*argv) == 0
+    assert calls == ["P2" if argv[0] == "det-gy" else "P"]
+
+
+def test_free_reference_ratio_names_a_power_beyond_float64():
+    # det J(t) = (t sin(3.1)/3.1)^5 is finite, t^5 is not: this was a bare OverflowError
+    t = 1e62
+    sys = JacobiSystem.constant(-((3.1 / t) ** 2) * np.eye(5), t)
+    with pytest.raises(IntegrationError, match=r"t\^n = inf"):
+        gelfand_yaglom._free_reference_ratio(sys, 2048)
+
+
 def test_deflated_error_estimate_stays_on_route():
     # at 48 steps J(1) has a kernel but at 24 it has none (its smallest
     # singular value 2.4e-6 lies above the threshold 1e-6); the coarse value
@@ -488,7 +513,7 @@ def test_gy_ratio_rejects_nonpositive_operator():
         gy_ratio(free_system(2), sys)
     with pytest.raises(NonpositiveOperatorError):
         zeta_det_jacobi(sys)
-    with pytest.raises(WrongRouteError):
+    with pytest.raises(NonpositiveOperatorError):
         gy_degenerate_ratio(sys, free_system(2))
 
 
@@ -537,8 +562,13 @@ def test_degenerate_antipodal_direction_bookkeeping():
 
 
 def test_degenerate_route_rejects_regular_operator():
-    with pytest.raises(WrongRouteError):
-        gy_degenerate_ratio(scalar_system(1.0), free_system(1))
+    # without zero modes the degenerate ratio is the ordinary one, bit for bit
+    for sys, ref in (
+        (scalar_system(1.0), free_system(1)),
+        (catalog_like_system(3, t=1.0), free_system(3)),
+        (jacobi_endomorphism(GeodesicData(ConstantCurvature(4, 1.0), 3.12)), free_system(4)),
+    ):
+        assert gy_degenerate_ratio(sys, ref) == gy_ratio(ref, sys)
 
 
 def test_degenerate_full_matrix_matches_displayed_formula():

@@ -17,12 +17,15 @@ from geodet import (
     fredholm_det,
     fredholm_det_deflated,
     fredholm_det_piecewise,
+    gy_degenerate_ratio,
     hessian_trace,
     jacobi_endomorphism,
     nondegenerate_limit_prediction,
     phi0_chain,
     solve_jacobi_ode,
+    zeta_det_jacobi,
 )
+from geodet import gelfand_yaglom
 from geodet.gelfand_yaglom import gy_ratio
 
 PI = np.pi
@@ -271,3 +274,59 @@ def test_non_finite_potential_sample_is_an_integration_error(route):
 def test_non_finite_constant_potential_is_an_integration_error(value):
     with pytest.raises(IntegrationError, match="non-finite samples"):
         JacobiSystem.constant([[value]], 1.0)
+
+
+def test_constant_potential_is_read_only():
+    # a write through sys(0.0) used to reach every later sample and mean, and
+    # fredholm_det then returned 1440.49
+    sys = JacobiSystem.constant(np.diag([1.0, 2.0]), 1.0)
+    before = fredholm_det(sys, (8, 16)).extrapolated
+    for view in (sys(0.0), sys.mean_matrix(), sys.sample([0.5])[0]):
+        with pytest.raises(ValueError):
+            view[0, 0] = 99.0
+    assert np.array_equal(sys.sample([0.5])[0], np.diag([1.0, 2.0]))
+    assert fredholm_det(sys, (8, 16)).extrapolated == before
+
+
+_ROUTES = {
+    "fredholm_det": lambda sys: fredholm_det(sys, (8, 16)),
+    "fredholm_det_deflated": lambda sys: fredholm_det_deflated(sys, (8, 16)),
+    "fredholm_det_piecewise": lambda sys: fredholm_det_piecewise(sys, (8, 16)),
+    "hessian_trace": hessian_trace,
+    "gy_ratio": lambda sys: gy_ratio(JacobiSystem.constant(np.zeros((sys.n, sys.n)), sys.t), sys),
+    "gy_degenerate_ratio": lambda sys: gy_degenerate_ratio(
+        sys, JacobiSystem.constant(np.zeros((sys.n, sys.n)), sys.t)
+    ),
+    "zeta_det_jacobi": zeta_det_jacobi,
+    "free_reference_ratio": lambda sys: gelfand_yaglom._free_reference_ratio(sys, 2048),
+    "solve_jacobi_ode": solve_jacobi_ode,
+}
+
+
+def _system(kind, n, t):
+    if kind == "constant":
+        return JacobiSystem.constant(np.eye(n), t)
+    if kind == "callable":
+        return JacobiSystem(n, t, lambda s: (1.0 + 0.1 * np.sin(s)) * np.eye(n))
+    return jacobi_endomorphism(GeodesicData(SyntheticPotential(n + 1, lambda s: np.eye(n), t), t))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
+@pytest.mark.parametrize("kind", ["constant", "callable", "synthetic"])
+@pytest.mark.parametrize("route", list(_ROUTES), ids=list(_ROUTES))
+def test_interval_without_float64_square_is_a_domain_error(route, kind, t):
+    # t = nan or inf reached the routes, and t = 1e200 ended in OverflowError
+    # from t**2, h**4 or t**n, or in a RuntimeWarning traceback
+    for n in (1, 2):
+        with pytest.raises(DomainError, match="interval length"):
+            _ROUTES[route](_system(kind, n, t))
+
+
+@pytest.mark.parametrize("route", ["gy_ratio", "gy_degenerate_ratio", "zeta_det_jacobi",
+                                   "free_reference_ratio", "solve_jacobi_ode"])
+@pytest.mark.parametrize("t", [1e100, 1e150])
+def test_huge_interval_leaves_the_float64_range_by_name(route, t):
+    # t^2 is a float64, but the RK4 step's h^4 is not: the run leaves the range
+    for n in (1, 2):
+        with pytest.raises(IntegrationError, match="float64 range"):
+            _ROUTES[route](_system("constant", n, t))

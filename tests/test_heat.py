@@ -338,3 +338,22 @@ def test_heat_limit_validation_input_errors():
         heat_limit_validation(2, 1.0, "nondegenerate", d=PI)  # not strictly inside
     with pytest.raises(DomainError):
         heat_limit_validation(2, 1.0, "unknown-case")
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+def test_heat_times_and_radii_must_be_positive_and_finite(x):
+    # t0 = nan ended in a ValueError from int(nan), t0 = inf in a RuntimeWarning
+    # traceback, and a NaN time made the kernels return nan
+    calls = [
+        lambda: heat_limit_validation(3, 1.0, "nondegenerate", d=1.0, t0=x),
+        lambda: heat_limit_validation(3, x, "antipodal"),
+        lambda: sphere_heat_kernel(SphereSpectrum(2, 1.0, 10), 0.5, x),
+        lambda: euclidean_heat_kernel(1.0, 2, x),
+        lambda: SphereSpectrum(2, x, 10),
+        lambda: SphereSpectrum.for_time_range(2, 1.0, x),
+        lambda: SphereSpectrum.for_time_range(2, x, 0.1),
+        lambda: antipodal_sphere_limit_closed_form(3, x),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="positive and finite"):
+            call()

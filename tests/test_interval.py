@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geodet import interval
-from geodet.interval import composite_gauss, gauss_legendre, mode_quadrature
+from geodet.interval import composite_gauss, gauss_legendre, mode_cosine_sums, mode_quadrature
 
 PI = np.pi
 
@@ -82,6 +82,17 @@ def test_mode_quadrature_is_composite_gauss_on_uniform_panels(t, halfwaves):
     ref_nodes, ref_weights = composite_gauss(np.linspace(0.0, t, panels + 1), 16)
     assert np.array_equal(nodes, ref_nodes.ravel())
     assert np.array_equal(weights, ref_weights.ravel())
+
+
+@pytest.mark.parametrize("t, halfwaves, K", [(1.0, 16, 8), (0.37, 64, 40), (2.5, 1024, 512)])
+def test_mode_cosine_sums_match_direct_sums(t, halfwaves, K):
+    # the FFT over uniform panels against the cosines taken node by node;
+    # K beyond the panel count exercises the aliasing k mod P
+    nodes, weights = mode_quadrature(t, halfwaves)
+    fw = weights * (1.0 + np.sin(3.0 * nodes) + nodes**2)
+    k = np.arange(1, K + 1)
+    direct = np.cos(2.0 * PI * np.outer(k, nodes) / t) @ fw
+    assert np.max(np.abs(mode_cosine_sums(fw, K) - direct)) < 1e-13 * np.sum(np.abs(fw))
 
 
 def test_only_interval_builds_gauss_legendre_rules():
