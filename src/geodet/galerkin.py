@@ -354,7 +354,7 @@ def hessian_trace(sys: JacobiSystem) -> float:
     scale = t / (np.pi * np.arange(1, K + 1)) ** 2
     route_a = float(np.sum(scale * (integral - c))) + integral * t / np.pi**2 * _zeta_tail(K, 1)
     route_a -= float(scale[-1] * c[-1]) * K**4 * _zeta_tail(K, 2)
-    route_b = float(np.sum(fw * nodes * (t - nodes))) / t
+    route_b = float(np.sum(fw * nodes * ((t - nodes) / t)))
     if not abs(route_a - route_b) < 1e-8 * max(1.0, abs(route_b)):
         raise RouteDisagreementError(f"trace routes disagree: {route_a} vs {route_b}")
     return route_a
@@ -533,20 +533,18 @@ def _hat_slogdet(a, c, diag: np.ndarray, off: np.ndarray):
     return sign, logdet
 
 
-def _hat_trace(nodes: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
-    """tr(D^{-1} B) from the nodal Green's function of the hat stiffness.
+def _hat_traces(nodes: np.ndarray, Vq: np.ndarray):
+    """(int tr V s(t-s)/t, int tr V h u(1-u)) on a level's rule and samples ``Vq``.
 
-    D^{-1} = G (x) I with G_jk = s_min (t - s_max)/t at the interior nodes,
-    exact for hats; B is block tridiagonal, so only the diagonal and first
-    off-diagonal of G enter.
+    Their difference is tr(D^{-1} B): with D^{-1} = G (x) I, G_jk =
+    s_min (t - s_max)/t, sum_jk G_jk phi_j phi_k = s(t-s)/t - h u(1-u) at
+    the position u of s in its segment of length h.  No product reaches t^2.
     """
-    s, t = nodes[1:-1], nodes[-1]
-    g_diag = s * (t - s) / t
-    g_off = s[:-1] * (t - s[1:]) / t
-    return float(
-        np.sum(g_diag * np.trace(diag, axis1=1, axis2=2))
-        + 2.0 * np.sum(g_off * np.trace(off, axis1=1, axis2=2))
-    )
+    sq, wq = composite_gauss(nodes, _HAT_NODES)
+    t, h = nodes[-1], np.diff(nodes)[:, None]
+    u = (sq - nodes[:-1, None]) / h
+    fw = wq * np.trace(Vq, axis1=2, axis2=3)
+    return float(np.sum(fw * sq * ((t - sq) / t))), float(np.sum(fw * h * u * (1.0 - u)))
 
 
 def assemble_hessian_piecewise(sys: JacobiSystem, partition: Partition) -> GalerkinMatrix:
@@ -580,13 +578,13 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     factor exp(Tr_exact - Tr_discrete), which removes the first-order error
     of the hat space (both the unresolved tail and the per-mode stiffness
     bias), leaving O(mesh^2); the extrapolated value applies one mesh^2
-    Richardson step when the schedule doubles.  Tr_exact, the integral of
-    tr V(s) s(t-s)/t, is taken on the finest level's own Gauss rule and
-    samples, so each level samples the potential at _HAT_NODES N points and
-    nowhere else.  An exactly singular truncation raises
-    DegenerateOperatorError, and a finest level whose segments span more
-    than PIECEWISE_PHASE_BOUND rad of the phase sqrt(-lambda_min(V)) raises
-    DomainError naming the segment count needed.
+    Richardson step when the schedule doubles.  Tr_discrete = tr(D^{-1} B)
+    comes from each level's samples, Tr_exact = int tr V(s) s(t-s)/t from
+    the finest level's (:func:`_hat_traces`), so each level samples the
+    potential at _HAT_NODES N points and nowhere else.  An exactly singular
+    truncation raises DegenerateOperatorError, and a finest level whose
+    segments span more than PIECEWISE_PHASE_BOUND rad of the phase
+    sqrt(-lambda_min(V)) raises DomainError naming the segment count needed.
     """
     schedule = _check_schedule(schedule, "segment counts", 2)
     t = sys.t
@@ -598,10 +596,9 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
             _check_resolution(Vq, t, N)
         a, c = _hat_stiffness(np.diff(nodes))
         raw = _signed_exp(*_hat_slogdet(a, c, diag, off))
-        levels.append((sys.n * (N - 1), raw, _hat_trace(nodes, diag, off)))
-    sq, wq = composite_gauss(nodes, _HAT_NODES)  # the finest level's rule
-    tr_exact = float(np.sum(wq * sq * (t - sq) * np.trace(Vq, axis1=2, axis2=3))) / t
-    levels = [(dim, raw, tr_exact - tr_hat) for dim, raw, tr_hat in levels]
+        levels.append((sys.n * (N - 1), raw, _hat_traces(nodes, Vq)))
+    tr_exact = levels[-1][2][0]  # the finest level's rule
+    levels = [(dim, raw, tr_exact - green + bump) for dim, raw, (green, bump) in levels]
     return _estimate(levels, richardson=len(schedule) > 1 and schedule[-1] == 2 * schedule[-2])
 
 

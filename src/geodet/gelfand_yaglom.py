@@ -188,10 +188,9 @@ def _kernel_dim(U: np.ndarray, t: float, label: str, ratio: bool = False) -> int
     """The route decision of every GY determinant: the kernel dimension of J(t).
 
     The kernel is the SVD test of :func:`_zero_modes`.  det J must be
-    finite and positive on (0, t), and at t as well when J(t) has no
-    kernel; at a kernel the sign of det J(t) is rounding noise.  An exact
-    zero of det J(s) where J(s) has no kernel, by the same test, is an
-    underflow and raises IntegrationError, not a sign change.  A ``ratio``
+    positive on (0, t), and at t as well when J(t) has no kernel; at a
+    kernel the sign of det J(t) is rounding noise.  The signs come from
+    ``slogdet``, so a det J(s) beyond float64 keeps its sign.  A ``ratio``
     operand, one side of det J_2(t)/det J_1(t), admits no kernel
     (DegenerateOperatorError); otherwise either is taken.
     """
@@ -199,20 +198,8 @@ def _kernel_dim(U: np.ndarray, t: float, label: str, ratio: bool = False) -> int
     J = U[:, :n, n:]
     sig, _, kernel = _zero_modes(J[-1], t)
     kdim = int(np.count_nonzero(kernel))
-    with np.errstate(over="ignore"):  # a finite J can have det J beyond float64
-        dets = np.linalg.det(J[1:])
-    if not np.all(np.isfinite(dets)):
-        raise IntegrationError(f"{label}: det J left the float64 range")
-    zero = np.flatnonzero(dets == 0.0) + 1  # grid indices of J
-    if zero.size:
-        s = t * zero / (len(J) - 1)
-        underflow = np.linalg.svd(J[zero], compute_uv=False)[:, -1] >= DEGENERACY_REL_TOL * s
-        if underflow.any():
-            raise IntegrationError(
-                f"{label}: det J(s) underflows the float64 range to 0.0 at "
-                f"s = {s[underflow][0]:.4g}, where J(s) has no kernel"
-            )
-    if np.any((dets[:-1] if kdim else dets) <= 0.0):
+    signs = np.linalg.slogdet(J[1:])[0]
+    if np.any((signs[:-1] if kdim else signs) <= 0.0):
         raise NonpositiveOperatorError(
             f"{label}: det J changes sign on (0, t]; operator not positive"
         )
@@ -239,8 +226,8 @@ def _simpson_weights(num_points: int, h: float) -> np.ndarray:
     return w
 
 
-def _gy_det(U: np.ndarray, t: float, kdim: int) -> float:
-    """det J(t) of the run ``U``, or with kdim > 0 the deflated |det A|.
+def _gy_det(U: np.ndarray, t: float, kdim: int):
+    """(sign, log|det|) of det J(t) of the run ``U``, or with kdim > 0 of |det A|.
 
     A has columns J(t) d_b on the complement of ker J(t) and
     -K(t) (int_0^t J^T J ds) c_a on the kernel, with K the second
@@ -256,7 +243,7 @@ def _gy_det(U: np.ndarray, t: float, kdim: int) -> float:
     J = U[:, :n, n:]
     Jt = J[-1]
     if not kdim:
-        return float(np.linalg.det(Jt))
+        return tuple(map(float, np.linalg.slogdet(Jt)))
     _, Vt, _ = _zero_modes(Jt, t)
     # singular values sort descending: the last kdim rows of V^T span the kernel
     C_ker = Vt[n - kdim :].T
@@ -264,22 +251,27 @@ def _gy_det(U: np.ndarray, t: float, kdim: int) -> float:
     w = _simpson_weights(len(U), t / (len(U) - 1))
     gram = np.einsum("s,sji,sjk->ik", w, J, J)
     A = np.hstack((Jt @ C_perp, -U[-1, :n, :n] @ gram @ C_ker))
-    return abs(float(np.linalg.det(A)))
+    return 1.0, float(np.linalg.slogdet(A)[1])
 
 
-def _in_range(value: float, label: str) -> float:
-    """``value`` when it is finite; IntegrationError when it left the float64 range.
+def _exp_det(scale: float, sign: float, log_abs: float, name: str = "") -> float:
+    """scale * sign * exp(log_abs), the one exit of a GY determinant from (sign, log|det|).
 
-    A finite det J(t) can still overflow in the ratios and the (2t)^n
-    scaling built from it, so every returned determinant passes here.
+    A value named ``name`` is returned and must be finite and nonzero
+    (IntegrationError); an unnamed one is inf past float64.  numpy's det is
+    sign * math.exp of the same log, so at t = 1 values are bit-identical.
     """
-    if not math.isfinite(value):
-        raise IntegrationError(f"{label} = {value} left the float64 range")
+    try:
+        value = scale * (sign * math.exp(log_abs))
+    except OverflowError:
+        value = math.inf
+    if name and (value == 0.0 or not math.isfinite(value)):
+        raise IntegrationError(f"{name} = {value} left the float64 range")
     return value
 
 
 def _fine_det(sys: JacobiSystem, steps: int, label: str, ratio: bool = False):
-    """(det J(t) or |det A|, kernel dim, V samples) of the run at ``steps``.
+    """((sign, log|det|) of det J(t) or |det A|, kernel dim, V samples) at ``steps``.
 
     The state array dies with the call, so callers hold one at a time.
     """
@@ -291,19 +283,28 @@ def _fine_det(sys: JacobiSystem, steps: int, label: str, ratio: bool = False):
 def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale, name):
     """(value, kernel dim, estimate) of the determinant ``scale * det / t^n`` named ``name``.
 
-    det is the GY determinant of the run at ``steps``; the estimate is
+    det is the GY determinant of the run at ``steps``; det and t^n divide
+    as logs, so neither needs to lie in float64 on its own; the estimate is
     |value - coarse|/15, coarse the same expression at steps // 2 on the
     route the fine run chose.  For even step counts the coarse half-grid is
     every other fine sample (``np.linspace`` grids nest exactly), so the
     potential is sampled once.  Both must be finite (IntegrationError).
     """
-    det, kdim, V = _fine_det(sys, steps, label, ratio)
-    with np.errstate(over="ignore"):
-        den = _in_range(float(np.float64(sys.t) ** sys.n), "t^n")
-    value = _in_range(scale * det / den, name)
+    (sign, log_abs), kdim, V = _fine_det(sys, steps, label, ratio)
+    log_tn = sys.n * math.log(sys.t)
+    value = _exp_det(scale, sign, log_abs - log_tn, name)
     U = _rk4_run(sys, steps // 2, V[::2] if steps % 2 == 0 else None)
-    coarse = scale * _gy_det(U, sys.t, kdim) / den
-    return value, kdim, _in_range(abs(value - coarse) / 15.0, f"error estimate of {name}")
+    sign, log_abs = _gy_det(U, sys.t, kdim)
+    estimate = abs(value - _exp_det(scale, sign, log_abs - log_tn)) / 15.0
+    if not math.isfinite(estimate):
+        raise IntegrationError(f"error estimate of {name} = {estimate} left the float64 range")
+    return value, kdim, estimate
+
+
+def _check_shared(sys1: JacobiSystem, sys2: JacobiSystem) -> None:
+    """DomainError unless both operators share fiber dimension and interval (1e-14 relative)."""
+    if sys1.n != sys2.n or abs(sys1.t - sys2.t) > 1e-14 * max(sys1.t, sys2.t):
+        raise DomainError("operators must share fiber dimension and interval")
 
 
 def gy_ratio(sys1: JacobiSystem, sys2: JacobiSystem, steps: int = DEFAULT_STEPS) -> float:
@@ -311,13 +312,12 @@ def gy_ratio(sys1: JacobiSystem, sys2: JacobiSystem, steps: int = DEFAULT_STEPS)
 
     Raises DegenerateOperatorError when either operator has zero modes,
     i.e. J(t) has a singular value below DEGENERACY_REL_TOL t, and
-    IntegrationError when the ratio overflows float64.
+    IntegrationError when the ratio, a difference of logs, leaves float64.
     """
-    if sys1.n != sys2.n or abs(sys1.t - sys2.t) > 1e-14:
-        raise DomainError("operators must share fiber dimension and interval")
-    det1 = _fine_det(sys1, steps, "P1", ratio=True)[0]
-    det2 = _fine_det(sys2, steps, "P2", ratio=True)[0]
-    return _in_range(det2 / det1, "det J_2(t)/det J_1(t)")
+    _check_shared(sys1, sys2)
+    sign1, log1 = _fine_det(sys1, steps, "P1", ratio=True)[0]
+    sign2, log2 = _fine_det(sys2, steps, "P2", ratio=True)[0]
+    return _exp_det(1.0, sign1 * sign2, log2 - log1, "det J_2(t)/det J_1(t)")
 
 
 def _free_reference_ratio(sys: JacobiSystem, steps: int) -> ZetaDetValue:
@@ -345,11 +345,10 @@ def gy_degenerate_ratio(
     simple zero mode carries the absolute-value convention: the ratio
     of two nonnegative operators is reported positive.
     """
-    if sys_deg.n != sys_ref.n or abs(sys_deg.t - sys_ref.t) > 1e-14:
-        raise DomainError("operators must share fiber dimension and interval")
-    detA = _fine_det(sys_deg, steps, "P")[0]
-    ratio = detA / _fine_det(sys_ref, steps, "reference", ratio=True)[0]
-    return _in_range(ratio, "det'_zeta(P_deg)/det_zeta(P_ref)")
+    _check_shared(sys_deg, sys_ref)
+    sign_a, log_a = _fine_det(sys_deg, steps, "P")[0]
+    sign1, log1 = _fine_det(sys_ref, steps, "reference", ratio=True)[0]
+    return _exp_det(1.0, sign_a * sign1, log_a - log1, "det'_zeta(P_deg)/det_zeta(P_ref)")
 
 
 def zeta_det_dirichlet_laplacian(t: float, n: int) -> ZetaDetValue:
@@ -358,7 +357,8 @@ def zeta_det_dirichlet_laplacian(t: float, n: int) -> ZetaDetValue:
     From the spectrum pi^2 k^2/t^2 with multiplicity n the spectral zeta
     function is n (t/pi)^(2z) zeta_R(2z), and -zeta'(0) = n log(2t).  The
     power rule det_zeta(P^m) = det_zeta(P)^m follows from
-    zeta_{P^m}(z) = zeta_P(mz).
+    zeta_{P^m}(z) = zeta_P(mz).  A power outside the normal float64 range
+    raises DomainError.
     """
     if not 0 < t < math.inf:
         raise DomainError(f"interval length must be positive and finite, got {t}")
@@ -366,9 +366,10 @@ def zeta_det_dirichlet_laplacian(t: float, n: int) -> ZetaDetValue:
         raise DomainError(f"fiber dimension must be >= 1, got {n}")
     with np.errstate(over="ignore"):  # a float64 power gives inf where Python's raises
         value = float(np.float64(2.0 * t) ** n)
-    if not math.isfinite(value):
-        raise DomainError(f"(2t)^n = (2 * {t:.4g})^{n} overflows float64")
-    return ZetaDetValue(float(value), "closed_form", 0)
+    if not np.finfo(float).tiny <= value < math.inf:  # subnormal, 0.0 or inf
+        flow = "overflows" if value > 1.0 else "underflows"
+        raise DomainError(f"(2t)^n = (2 * {t:.4g})^{n} {flow} float64")
+    return ZetaDetValue(value, "closed_form", 0)
 
 
 def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetValue:
@@ -377,8 +378,9 @@ def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetVal
     det_zeta(P + V) = det_zeta(P) det(P^{-1}(P + V)) = (2t)^n det J(t)/t^n.
     Operators with zero modes return det'_zeta instead, with the kernel
     dimension recorded in excluded_zero_modes.  The error estimate compares
-    the value with the same route at steps // 2.  A (2t)^n beyond float64
-    raises DomainError, as in :func:`zeta_det_dirichlet_laplacian`.
+    the value with the same route at steps // 2.  A (2t)^n outside the
+    normal float64 range raises DomainError, as in
+    :func:`zeta_det_dirichlet_laplacian`.
     """
     free = zeta_det_dirichlet_laplacian(sys.t, sys.n).value
     value, kdim, estimate = _step_halving(sys, steps, "P", False, free, "det_zeta")

@@ -340,12 +340,14 @@ def test_cli_determinants_share_one_step_halving_path(monkeypatch, argv):
     assert calls == ["P2" if argv[0] == "det-gy" else "P"]
 
 
-def test_free_reference_ratio_names_a_power_beyond_float64():
-    # det J(t) = (t sin(3.1)/3.1)^5 is finite, t^5 is not: this was a bare OverflowError
+def test_free_reference_ratio_beyond_float64_power_is_its_value():
+    # det J(t) = (t sin(3.1)/3.1)^5 is finite and t^5 is not, but their ratio
+    # is taken as a difference of logs; this raised IntegrationError (t^n = inf)
     t = 1e62
     sys = JacobiSystem.constant(-((3.1 / t) ** 2) * np.eye(5), t)
-    with pytest.raises(IntegrationError, match=r"t\^n = inf"):
-        gelfand_yaglom._free_reference_ratio(sys, 2048)
+    z = gelfand_yaglom._free_reference_ratio(sys, 2048)
+    assert z.value == pytest.approx((math.sin(3.1) / 3.1) ** 5, rel=1e-10)
+    assert 0.0 < z.error_estimate < 1e-10
 
 
 def test_deflated_error_estimate_stays_on_route():
@@ -428,15 +430,14 @@ def test_free_scaling_overflow_is_domain_error():
         zeta_det_jacobi(JacobiSystem(5, 1e70, np.zeros((5, 5))))
 
 
-def test_underflowed_det_j_is_integration_error():
+def test_det_j_below_float64_is_carried_as_a_log():
     # det J(s) = s^5 <= 1e-350 is 0.0 in float64 on the whole grid, although
-    # J(s) = s I has no kernel; both routes called it a sign change
-    # (NonpositiveOperatorError) of a positive operator
+    # J(s) = s I has no kernel; its log is finite, so the ratio is 1 (this
+    # raised IntegrationError), while (2t)^5 = 3.2e-349 is no float64
     free = JacobiSystem(5, 1e-70, np.zeros((5, 5)))
-    with pytest.raises(IntegrationError, match="underflows the float64 range"):
+    assert gy_ratio(free, free) == 1.0
+    with pytest.raises(DomainError, match=r"\(2t\)\^n .* underflows float64"):
         zeta_det_jacobi(free)
-    with pytest.raises(IntegrationError, match="underflows the float64 range"):
-        gy_ratio(free, free)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +465,18 @@ def test_gy_ratio_sphere_jacobian():
 def test_gy_ratio_shape_mismatch():
     with pytest.raises(DomainError):
         gy_ratio(free_system(2), free_system(3))
+
+
+@pytest.mark.parametrize(
+    "route", [gy_ratio, gy_degenerate_ratio], ids=["gy_ratio", "gy_degenerate_ratio"]
+)
+def test_operators_share_the_interval_to_relative_precision(route):
+    # the interval test was absolute (1e-14): t = 1e-20 against 3e-20 passed
+    # and gy_ratio returned 3.0, and it rejected 1e20 against 1e20 (1 + 2e-15)
+    with pytest.raises(DomainError, match="share fiber dimension and interval"):
+        route(free_system(1, 1e-20), free_system(1, 3e-20))
+    ratio = route(free_system(2, 1e20), free_system(2, 1e20 * (1.0 + 2e-15)), 64)
+    assert ratio == pytest.approx(1.0, abs=1e-14)
 
 
 def test_gy_ratio_rejects_degenerate_operator():
@@ -591,6 +604,13 @@ def test_zeta_laplacian_values():
     for t in (1e308, 1e200):  # (2t)^n beyond float64
         with pytest.raises(DomainError, match="overflows"):
             zeta_det_dirichlet_laplacian(t, 2)
+
+
+@pytest.mark.parametrize("t, n", [(1e-70, 5), (1e-170, 2), (1e-155, 2)])
+def test_zeta_laplacian_below_normal_float64_is_a_domain_error(t, n):
+    # (2t)^n is 0.0 or subnormal; this returned it as the value
+    with pytest.raises(DomainError, match=r"\(2t\)\^n .* underflows float64"):
+        zeta_det_dirichlet_laplacian(t, n)
 
 
 def test_zeta_laplacian_against_zeta_function_oracle():

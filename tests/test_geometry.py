@@ -8,6 +8,7 @@ from geodet import (
     ConstantCurvature,
     DomainError,
     GeodesicData,
+    GeodetError,
     IntegrationError,
     JacobiSystem,
     Partition,
@@ -320,6 +321,33 @@ def test_interval_without_float64_square_is_a_domain_error(route, kind, t):
     for n in (1, 2):
         with pytest.raises(DomainError, match="interval length"):
             _ROUTES[route](_system(kind, n, t))
+
+
+@pytest.mark.parametrize("t", [1e-70, 1e150])
+@pytest.mark.parametrize("kind", ["constant", "callable", "synthetic"])
+@pytest.mark.parametrize("route", list(_ROUTES), ids=list(_ROUTES))
+def test_extreme_finite_interval_ends_in_a_value_or_a_named_error(route, kind, t):
+    # det J(t) and t^n beyond float64 stay logs, and no trace forms s(t - s):
+    # fredholm_det_piecewise and hessian_trace at 1e150 ended in a
+    # RuntimeWarning traceback; on t = 1e-70 every route has its value
+    for n in (1, 2):
+        try:
+            result = _ROUTES[route](_system(kind, n, t))
+        except GeodetError:
+            assert t == 1e150
+            continue
+        for name in ("value", "extrapolated", "J"):
+            result = getattr(result, name, result)
+        assert np.all(np.isfinite(result))
+
+
+def test_trace_of_a_huge_interval_is_t_squared_over_three():
+    # int tr V s(t-s)/t = t^2/3 is finite, but each quadrature term
+    # w s (t - s) tr V, formed before dividing by t, was not
+    sys = JacobiSystem.constant(np.eye(2), 1e150)
+    assert hessian_trace(sys) == pytest.approx(1e300 / 3, rel=1e-12)
+    with pytest.raises(DomainError, match="overflows float64"):
+        fredholm_det_piecewise(sys, (8, 16))
 
 
 @pytest.mark.parametrize("route", ["gy_ratio", "gy_degenerate_ratio", "zeta_det_jacobi",
