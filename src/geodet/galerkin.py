@@ -9,6 +9,7 @@ analytic tail corrections built from the explicit 1/k^2 decay of P^{-1},
 which upgrades the O(1/K) raw convergence to O(1/K^3) and better.
 """
 
+import math
 import operator
 from dataclasses import dataclass, field
 from math import factorial
@@ -201,23 +202,6 @@ def _estimate(levels, richardson: bool = False, kernel_dimension: int = 0) -> De
     )
 
 
-def _mode_levels(sys: JacobiSystem, schedule: list, values: list) -> list:
-    """Levels of a mode schedule for ``_estimate``, completed by the mean-matrix tail.
-
-    The tail series in c/k^2 diverges unless (K + 1)^2 > max|c| at the
-    finest level K; otherwise DomainError is raised.
-    """
-    vbar = np.linalg.eigvalsh(sys.mean_matrix())
-    c = vbar * sys.t**2 / np.pi**2
-    cmax = float(np.max(np.abs(c)))
-    if cmax >= (schedule[-1] + 1) ** 2:
-        raise DomainError(
-            f"the tail series diverges at {schedule[-1]} modes; "
-            f"the finest level needs at least {int(np.sqrt(cmax))} modes"
-        )
-    return [(sys.n * K, value, _tail_log_correction(c, K)) for K, value in zip(schedule, values)]
-
-
 def _level_eigenvalues(sys: JacobiSystem, K: int, assembled) -> np.ndarray:
     """Eigenvalues of the K-mode truncation of id + P^{-1} V.
 
@@ -233,9 +217,15 @@ def _level_eigenvalues(sys: JacobiSystem, K: int, assembled) -> np.ndarray:
 
 
 def _signed_exp(sign: float, log_abs: float) -> float:
-    """sign * exp(log_abs); inf beyond float64."""
-    with np.errstate(over="ignore"):
-        return sign * float(np.exp(log_abs))
+    """sign * exp(log_abs), +-inf beyond float64: the one exit of a (sign, log|det|) pair.
+
+    math.exp is the exponential numpy's det applies to its LU log, so a
+    determinant carried as a log returns the bits det would.
+    """
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:
+        return sign * math.inf
 
 
 def _eigenvalue_product(evals: np.ndarray) -> float:
@@ -274,10 +264,24 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
 
 
 def _fourier_spectra(sys: JacobiSystem, schedule):
-    """The checked mode schedule and the eigenvalues of each of its levels."""
+    """Each level's subspace dimension, eigenvalues and log of its tail completion.
+
+    The tail series in c/k^2 diverges unless (K + 1)^2 > max|c| at the
+    finest level K; that raises DomainError before any level is assembled,
+    since a kernel or a product of a truncation that far from converged
+    means nothing.
+    """
     schedule = _check_schedule(schedule, "mode counts", 1)
+    c = np.linalg.eigvalsh(sys.mean_matrix()) * sys.t**2 / np.pi**2
+    cmax = float(np.max(np.abs(c)))
+    if cmax >= (schedule[-1] + 1) ** 2:
+        raise DomainError(
+            f"the tail series diverges at {schedule[-1]} modes; "
+            f"the finest level needs at least {int(np.sqrt(cmax))} modes"
+        )
     assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1]).entries
-    return schedule, [_level_eigenvalues(sys, K, assembled) for K in schedule]
+    spectra = [_level_eigenvalues(sys, K, assembled) for K in schedule]
+    return [sys.n * K for K in schedule], spectra, [_tail_log_correction(c, K) for K in schedule]
 
 
 def fredholm_det(sys: JacobiSystem, schedule) -> DeterminantEstimate:
@@ -290,12 +294,13 @@ def fredholm_det(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     below KERNEL_TOL, or a coarser one an exactly zero eigenvalue; use
     :func:`fredholm_det_deflated` in that case.
     """
-    schedule, spectra = _fourier_spectra(sys, schedule)
+    dims, spectra, log_tails = _fourier_spectra(sys, schedule)
     if np.min(np.abs(spectra[-1])) < KERNEL_TOL or not all(lam.all() for lam in spectra):
         raise DegenerateOperatorError(
             "truncated operator is singular; call fredholm_det_deflated"
         )
-    return _estimate(_mode_levels(sys, schedule, [_eigenvalue_product(lam) for lam in spectra]))
+    values = [_eigenvalue_product(lam) for lam in spectra]
+    return _estimate(list(zip(dims, values, log_tails)))
 
 
 def deflated_matrix_determinant(evals: np.ndarray):
@@ -324,10 +329,9 @@ def fredholm_det_deflated(sys: JacobiSystem, schedule=(64, 128, 256)) -> Determi
     reported kernel_dimension comes from the finest level.  The analytic
     tail correction applies unchanged since all tail modes are regular.
     """
-    schedule, spectra = _fourier_spectra(sys, schedule)
-    results = [deflated_matrix_determinant(lam) for lam in spectra]
-    levels = _mode_levels(sys, schedule, [value for value, _ in results])
-    return _estimate(levels, kernel_dimension=results[-1][1])
+    dims, spectra, log_tails = _fourier_spectra(sys, schedule)
+    values, kdims = zip(*[deflated_matrix_determinant(lam) for lam in spectra])
+    return _estimate(list(zip(dims, values, log_tails)), kernel_dimension=kdims[-1])
 
 
 def hessian_trace(sys: JacobiSystem) -> float:
@@ -393,18 +397,23 @@ def _hat_stiffness(deltas: np.ndarray):
 
 
 def _hat_blocks(sys: JacobiSystem, nodes: np.ndarray):
-    """Diagonal (N-1, n, n) and off-diagonal (N-2, n, n) blocks of B, and the samples.
+    """Blocks of B, the potential samples and the two trace integrals of one level.
 
-    ``nodes`` are the partition times on [0, t]; off-diagonal block j couples
-    interior nodes j and j + 1.  A _HAT_NODES-point Gauss-Legendre rule per
-    segment samples the potential once per node; the samples are returned
-    as well, shape (N, _HAT_NODES, n, n).  The 4-point rule is exact for
-    hat moments of a V of degree <= 5 on a segment, and its O(mesh^8)
+    ``nodes`` are the partition times on [0, t].  Returns the diagonal
+    (N-1, n, n) and off-diagonal (N-2, n, n) blocks of B, where off-diagonal
+    block j couples interior nodes j and j + 1; the samples, shape
+    (N, _HAT_NODES, n, n); and (int tr V s(t-s)/t, int tr V h u(1-u)) on the
+    same rule, u the position of s in its segment of length h.  The
+    difference of the two integrals is tr(D^{-1} B): with D^{-1} = G (x) I,
+    G_jk = s_min (t - s_max)/t, sum_jk G_jk phi_j phi_k = s(t-s)/t - h u(1-u),
+    and no product reaches t^2.  A _HAT_NODES-point Gauss-Legendre rule per
+    segment samples the potential once per node.  The 4-point rule is exact
+    for hat moments of a V of degree <= 5 on a segment, and its O(mesh^8)
     error sits far below the O(mesh^4) error of the Richardson-extrapolated
     filtration.
     """
     sq, wq = composite_gauss(nodes, _HAT_NODES)  # (N, _HAT_NODES)
-    a, b, h = nodes[:-1, None], nodes[1:, None], np.diff(nodes)[:, None]
+    t, a, b, h = nodes[-1], nodes[:-1, None], nodes[1:, None], np.diff(nodes)[:, None]
     up = (sq - a) / h  # hat rising on the segment (its right node)
     down = (b - sq) / h  # hat falling (its left node)
     Vq = sys.sample(sq.ravel()).reshape(sq.shape + (sys.n, sys.n))
@@ -412,7 +421,9 @@ def _hat_blocks(sys: JacobiSystem, nodes: np.ndarray):
     def moment(f):
         return np.einsum("sq,sqij->sij", wq * f, Vq)
 
-    return moment(up * up)[:-1] + moment(down * down)[1:], moment(down * up)[1:-1], Vq
+    fw = wq * np.trace(Vq, axis1=2, axis2=3)
+    traces = float(np.sum(fw * sq * ((t - sq) / t))), float(np.sum(fw * h * up * (1.0 - up)))
+    return moment(up * up)[:-1] + moment(down * down)[1:], moment(down * up)[1:-1], Vq, traces
 
 
 def _check_resolution(Vq: np.ndarray, t: float, N: int) -> None:
@@ -533,20 +544,6 @@ def _hat_slogdet(a, c, diag: np.ndarray, off: np.ndarray):
     return sign, logdet
 
 
-def _hat_traces(nodes: np.ndarray, Vq: np.ndarray):
-    """(int tr V s(t-s)/t, int tr V h u(1-u)) on a level's rule and samples ``Vq``.
-
-    Their difference is tr(D^{-1} B): with D^{-1} = G (x) I, G_jk =
-    s_min (t - s_max)/t, sum_jk G_jk phi_j phi_k = s(t-s)/t - h u(1-u) at
-    the position u of s in its segment of length h.  No product reaches t^2.
-    """
-    sq, wq = composite_gauss(nodes, _HAT_NODES)
-    t, h = nodes[-1], np.diff(nodes)[:, None]
-    u = (sq - nodes[:-1, None]) / h
-    fw = wq * np.trace(Vq, axis1=2, axis2=3)
-    return float(np.sum(fw * sq * ((t - sq) / t))), float(np.sum(fw * h * u * (1.0 - u)))
-
-
 def assemble_hessian_piecewise(sys: JacobiSystem, partition: Partition) -> GalerkinMatrix:
     """Hessian form over interior piecewise-linear fields, H1-orthonormalized.
 
@@ -559,7 +556,7 @@ def assemble_hessian_piecewise(sys: JacobiSystem, partition: Partition) -> Galer
     if partition.N < 2:
         raise DomainError("need at least two segments")
     nodes = np.asarray(partition.times) * sys.t
-    diag, off, _ = _hat_blocks(sys, nodes)
+    diag, off, *_ = _hat_blocks(sys, nodes)
     dim = sys.n * (partition.N - 1)
     eye = np.eye(sys.n)
     a, c = _hat_stiffness(np.diff(nodes))
@@ -580,7 +577,7 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     bias), leaving O(mesh^2); the extrapolated value applies one mesh^2
     Richardson step when the schedule doubles.  Tr_discrete = tr(D^{-1} B)
     comes from each level's samples, Tr_exact = int tr V(s) s(t-s)/t from
-    the finest level's (:func:`_hat_traces`), so each level samples the
+    the finest level's (:func:`_hat_blocks`), so each level samples the
     potential at _HAT_NODES N points and nowhere else.  An exactly singular
     truncation raises DegenerateOperatorError, and a finest level whose
     segments span more than PIECEWISE_PHASE_BOUND rad of the phase
@@ -591,12 +588,12 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     levels = []
     for N in schedule:
         nodes = np.asarray(Partition.uniform(N).times) * t
-        diag, off, Vq = _hat_blocks(sys, nodes)
+        diag, off, Vq, traces = _hat_blocks(sys, nodes)
         if N == schedule[-1]:
             _check_resolution(Vq, t, N)
         a, c = _hat_stiffness(np.diff(nodes))
         raw = _signed_exp(*_hat_slogdet(a, c, diag, off))
-        levels.append((sys.n * (N - 1), raw, _hat_traces(nodes, Vq)))
+        levels.append((sys.n * (N - 1), raw, traces))
     tr_exact = levels[-1][2][0]  # the finest level's rule
     levels = [(dim, raw, tr_exact - green + bump) for dim, raw, (green, bump) in levels]
     return _estimate(levels, richardson=len(schedule) > 1 and schedule[-1] == 2 * schedule[-2])

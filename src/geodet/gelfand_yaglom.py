@@ -23,6 +23,7 @@ from .errors import (
     IntegrationError,
     NonpositiveOperatorError,
 )
+from .galerkin import _signed_exp
 from .geometry import JacobiSystem
 
 __all__ = [
@@ -254,18 +255,15 @@ def _gy_det(U: np.ndarray, t: float, kdim: int):
     return 1.0, float(np.linalg.slogdet(A)[1])
 
 
-def _exp_det(scale: float, sign: float, log_abs: float, name: str = "") -> float:
-    """scale * sign * exp(log_abs), the one exit of a GY determinant from (sign, log|det|).
+def _exp_det(scale: float, sign: float, log_abs: float, name: str) -> float:
+    """scale * sign * exp(log_abs), the one exit of a GY determinant named ``name``.
 
-    A value named ``name`` is returned and must be finite and nonzero
-    (IntegrationError); an unnamed one is inf past float64.  numpy's det is
-    sign * math.exp of the same log, so at t = 1 values are bit-identical.
+    The value must be finite and nonzero (IntegrationError).  ``scale``
+    multiplies after the exponential, so at t = 1 a value is the
+    sign * exp(log) numpy's det returns for the same LU.
     """
-    try:
-        value = scale * (sign * math.exp(log_abs))
-    except OverflowError:
-        value = math.inf
-    if name and (value == 0.0 or not math.isfinite(value)):
+    value = scale * _signed_exp(sign, log_abs)
+    if value == 0.0 or not math.isfinite(value):
         raise IntegrationError(f"{name} = {value} left the float64 range")
     return value
 
@@ -288,14 +286,15 @@ def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale,
     |value - coarse|/15, coarse the same expression at steps // 2 on the
     route the fine run chose.  For even step counts the coarse half-grid is
     every other fine sample (``np.linspace`` grids nest exactly), so the
-    potential is sampled once.  Both must be finite (IntegrationError).
+    potential is sampled once.  The value must be finite and nonzero, the
+    estimate finite (IntegrationError).
     """
     (sign, log_abs), kdim, V = _fine_det(sys, steps, label, ratio)
     log_tn = sys.n * math.log(sys.t)
     value = _exp_det(scale, sign, log_abs - log_tn, name)
     U = _rk4_run(sys, steps // 2, V[::2] if steps % 2 == 0 else None)
     sign, log_abs = _gy_det(U, sys.t, kdim)
-    estimate = abs(value - _exp_det(scale, sign, log_abs - log_tn)) / 15.0
+    estimate = abs(value - scale * _signed_exp(sign, log_abs - log_tn)) / 15.0
     if not math.isfinite(estimate):
         raise IntegrationError(f"error estimate of {name} = {estimate} left the float64 range")
     return value, kdim, estimate
