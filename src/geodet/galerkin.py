@@ -43,7 +43,7 @@ __all__ = [
     "phi0_chain",
 ]
 
-KERNEL_TOL = 1e-8  # eigenvalues below this, at the finest level, form the kernel
+KERNEL_TOL = 1e-8  # eigenvalues below this form a level's kernel
 KERNEL_GAP_FACTOR = 100.0
 _TAIL_ORDERS = 4  # powers of the eigenvalue decay kept in the analytic tail
 # largest phase sqrt(-lambda_min(V)) delta a segment of the finest piecewise
@@ -172,18 +172,19 @@ def _tail_log_correction(c: np.ndarray, K: int) -> float:
 def _estimate(levels, richardson: bool = False, kernel_dimension: int = 0) -> DeterminantEstimate:
     """The DeterminantEstimate of a filtration's levels; every route builds it here.
 
-    ``levels`` holds (subspace dimension, truncated determinant, log of its
-    tail completion) for each level, coarsest first.  The reported value is
-    the finest completed level, plus one mesh^2 Richardson step when
+    ``levels`` holds (subspace dimension, (sign, log|det|) of the truncated
+    determinant, log of its tail completion) for each level, coarsest first,
+    and both logs leave through ``_signed_exp``.  The reported value is the
+    finest completed level, plus one mesh^2 Richardson step when
     ``richardson`` is set (a doubling piecewise schedule).  The error
     estimate is the change between the last two completed levels, or the
     size of the completion for a one-level schedule.  A value beyond float64
     raises DomainError.
     """
-    dims, raws, log_tails = zip(*levels)
-    with np.errstate(over="ignore"):  # values beyond float64 are reported below
-        tails = [np.exp(log_tail) for log_tail in log_tails]
-        completed = [float(raw * tail) for raw, tail in zip(raws, tails)]
+    dims, dets, log_tails = zip(*levels)
+    raws = [_signed_exp(*det) for det in dets]
+    tails = [_signed_exp(1.0, log_tail) for log_tail in log_tails]
+    completed = [raw * tail for raw, tail in zip(raws, tails)]
     extrapolated = completed[-1]
     if len(completed) > 1:
         err = abs(completed[-1] - completed[-2])
@@ -191,11 +192,11 @@ def _estimate(levels, richardson: bool = False, kernel_dimension: int = 0) -> De
             extrapolated += (completed[-1] - completed[-2]) / 3.0
     else:
         err = abs(completed[-1] - raws[-1])
-    if not np.isfinite([*completed, *raws, extrapolated, err]).all():
+    if not all(map(math.isfinite, [*completed, *raws, extrapolated, err])):
         raise DomainError("a truncated or tail-completed determinant overflows float64")
     return DeterminantEstimate(
-        levels=[(dim, float(raw)) for dim, raw in zip(dims, raws)],
-        tail_correction=float(tails[-1]),
+        levels=list(zip(dims, raws)),
+        tail_correction=tails[-1],
         extrapolated=extrapolated,
         error_estimate=err + 1e-15,
         kernel_dimension=kernel_dimension,
@@ -228,11 +229,6 @@ def _signed_exp(sign: float, log_abs: float) -> float:
         return sign * math.inf
 
 
-def _eigenvalue_product(evals: np.ndarray) -> float:
-    """Product of nonzero eigenvalues as sign * exp(sum log|lambda|)."""
-    return _signed_exp(float(np.prod(np.sign(evals))), np.sum(np.log(np.abs(evals))))
-
-
 def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
     """Matrix of id + P^{-1} V over the first K H1-orthonormal sine modes.
 
@@ -263,13 +259,14 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
     return GalerkinMatrix(dim, 0.5 * (M + M.T))
 
 
-def _fourier_spectra(sys: JacobiSystem, schedule):
-    """Each level's subspace dimension, eigenvalues and log of its tail completion.
+def _fourier_levels(sys: JacobiSystem, schedule):
+    """The mode filtration's levels for ``_estimate`` and each level's kernel dimension.
 
-    The tail series in c/k^2 diverges unless (K + 1)^2 > max|c| at the
-    finest level K; that raises DomainError before any level is assembled,
-    since a kernel or a product of a truncation that far from converged
-    means nothing.
+    Each level's determinant is ``deflated_matrix_determinant`` of its
+    eigenvalues.  The tail series in c/k^2 diverges unless (K + 1)^2 > max|c|
+    at the finest level K; that raises DomainError before any level is
+    assembled, since a kernel or a product of a truncation that far from
+    converged means nothing.
     """
     schedule = _check_schedule(schedule, "mode counts", 1)
     c = np.linalg.eigvalsh(sys.mean_matrix()) * sys.t**2 / np.pi**2
@@ -281,26 +278,27 @@ def _fourier_spectra(sys: JacobiSystem, schedule):
         )
     assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1]).entries
     spectra = [_level_eigenvalues(sys, K, assembled) for K in schedule]
-    return [sys.n * K for K in schedule], spectra, [_tail_log_correction(c, K) for K in schedule]
+    dets, kdims = zip(*map(deflated_matrix_determinant, spectra))
+    levels = [(sys.n * K, det, _tail_log_correction(c, K)) for K, det in zip(schedule, dets)]
+    return levels, kdims
 
 
 def fredholm_det(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     """Fredholm determinant of id + P^{-1} V through the mode filtration.
 
-    Computes the truncated determinant at each K in the increasing
-    schedule from the level's eigenvalues, applies the analytic tail
-    correction at the finest level and reports the completed value.  Raises
-    DegenerateOperatorError when the finest truncation has an eigenvalue
-    below KERNEL_TOL, or a coarser one an exactly zero eigenvalue; use
-    :func:`fredholm_det_deflated` in that case.
+    The estimate of :func:`fredholm_det_deflated`, field for field, when no
+    level of the increasing schedule has a kernel: each level's determinant
+    from its eigenvalues, completed by the analytic tail correction.  A level
+    that route deflates raises DegenerateOperatorError; small eigenvalues
+    without its 100x spectral gap raise IllSeparatedKernelError,
+    deliberately, as no route has a value there.
     """
-    dims, spectra, log_tails = _fourier_spectra(sys, schedule)
-    if np.min(np.abs(spectra[-1])) < KERNEL_TOL or not all(lam.all() for lam in spectra):
+    levels, kdims = _fourier_levels(sys, schedule)
+    if any(kdims):
         raise DegenerateOperatorError(
             "truncated operator is singular; call fredholm_det_deflated"
         )
-    values = [_eigenvalue_product(lam) for lam in spectra]
-    return _estimate(list(zip(dims, values, log_tails)))
+    return _estimate(levels)
 
 
 def deflated_matrix_determinant(evals: np.ndarray):
@@ -308,7 +306,8 @@ def deflated_matrix_determinant(evals: np.ndarray):
 
     Eigenvalues of magnitude below KERNEL_TOL form the kernel candidate;
     a relative spectral gap of at least 100x between them and the rest is
-    required.  Returns (value, kernel_dimension).
+    required.  Returns ((sign, log|det|) of the other eigenvalues' product,
+    kernel_dimension).
     """
     small = np.abs(evals) < KERNEL_TOL
     kdim = int(np.count_nonzero(small))
@@ -318,7 +317,8 @@ def deflated_matrix_determinant(evals: np.ndarray):
             raise IllSeparatedKernelError(
                 f"spectral gap {gap:.2g} below required factor {KERNEL_GAP_FACTOR}"
             )
-    return _eigenvalue_product(evals[~small]), kdim
+    kept = evals[~small]
+    return (float(np.prod(np.sign(kept))), float(np.sum(np.log(np.abs(kept))))), kdim
 
 
 def fredholm_det_deflated(sys: JacobiSystem, schedule=(64, 128, 256)) -> DeterminantEstimate:
@@ -329,9 +329,8 @@ def fredholm_det_deflated(sys: JacobiSystem, schedule=(64, 128, 256)) -> Determi
     reported kernel_dimension comes from the finest level.  The analytic
     tail correction applies unchanged since all tail modes are regular.
     """
-    dims, spectra, log_tails = _fourier_spectra(sys, schedule)
-    values, kdims = zip(*[deflated_matrix_determinant(lam) for lam in spectra])
-    return _estimate(list(zip(dims, values, log_tails)), kernel_dimension=kdims[-1])
+    levels, kdims = _fourier_levels(sys, schedule)
+    return _estimate(levels, kernel_dimension=kdims[-1])
 
 
 def hessian_trace(sys: JacobiSystem) -> float:
@@ -592,10 +591,9 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
         if N == schedule[-1]:
             _check_resolution(Vq, t, N)
         a, c = _hat_stiffness(np.diff(nodes))
-        raw = _signed_exp(*_hat_slogdet(a, c, diag, off))
-        levels.append((sys.n * (N - 1), raw, traces))
+        levels.append((sys.n * (N - 1), _hat_slogdet(a, c, diag, off), traces))
     tr_exact = levels[-1][2][0]  # the finest level's rule
-    levels = [(dim, raw, tr_exact - green + bump) for dim, raw, (green, bump) in levels]
+    levels = [(dim, det, tr_exact - green + bump) for dim, det, (green, bump) in levels]
     return _estimate(levels, richardson=len(schedule) > 1 and schedule[-1] == 2 * schedule[-2])
 
 
@@ -671,7 +669,7 @@ def evaluation_map_jacobian(g: GeodesicData, partition: Partition) -> float:
     a, c = _hat_stiffness(deltas)
     diag, off = p[:-1] + p[1:], q[1:-1]
     _, logdet = _hat_slogdet(a, c, diag[:, None, None], off[:, None, None])
-    return float(np.exp(-0.5 * (m.n - 1) * logdet))
+    return _signed_exp(1.0, -0.5 * (m.n - 1) * logdet)
 
 
 def phi0_chain(m: ConstantCurvature, r: float, partition: Partition) -> float:
@@ -684,7 +682,5 @@ def phi0_chain(m: ConstantCurvature, r: float, partition: Partition) -> float:
     the manifold and each segment distance, and raises ConjugatePointError
     for a segment that reaches pi/sqrt(kappa).
     """
-    total = 1.0
-    for d in partition.deltas * r:
-        total *= exp_jacobian_closed_form(m, d) ** (-0.5)
-    return float(total)
+    log_total = sum(math.log(exp_jacobian_closed_form(m, d)) for d in partition.deltas * r)
+    return _signed_exp(1.0, -0.5 * log_total)

@@ -50,7 +50,7 @@ class JacobiPropagation:
     Jprime: np.ndarray
 
     def det_final(self) -> float:
-        return float(np.linalg.det(self.J[-1]))
+        return _signed_exp(*map(float, np.linalg.slogdet(self.J[-1])))
 
     def wronskian_drift(self) -> float:
         """max_s ||J'^T J - J^T J'||; zero for symmetric potentials."""
@@ -173,32 +173,30 @@ def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPro
 
 
 def _zero_modes(Jt: np.ndarray, t: float):
-    """SVD kernel test of J(t): (singular values, V^T, kernel mask).
+    """The kernel test of J(t): its singular values, descending, and the threshold.
 
-    Singular values below DEGENERACY_REL_TOL t mark zero modes, and the
-    matching rows of V^T span the kernel.  A small det J(t) alone is no
-    zero mode: near a conjugate point of S^4 (n = 4, r = 3.12) det J(1) =
-    3.3e-7 is a product of three singular values 0.0069, each computed to
-    full relative accuracy.
+    Singular values below the threshold DEGENERACY_REL_TOL t mark zero
+    modes.  A small det J(t) alone is no zero mode: near a conjugate point
+    of S^4 (n = 4, r = 3.12) det J(1) = 3.3e-7 is a product of three
+    singular values 0.0069, each computed to full relative accuracy.
     """
-    _, sig, Vt = np.linalg.svd(Jt)
-    return sig, Vt, sig < DEGENERACY_REL_TOL * t
+    return np.linalg.svd(Jt, compute_uv=False), DEGENERACY_REL_TOL * t
 
 
 def _kernel_dim(U: np.ndarray, t: float, label: str, ratio: bool = False) -> int:
     """The route decision of every GY determinant: the kernel dimension of J(t).
 
-    The kernel is the SVD test of :func:`_zero_modes`.  det J must be
-    positive on (0, t), and at t as well when J(t) has no kernel; at a
-    kernel the sign of det J(t) is rounding noise.  The signs come from
-    ``slogdet``, so a det J(s) beyond float64 keeps its sign.  A ``ratio``
-    operand, one side of det J_2(t)/det J_1(t), admits no kernel
+    The kernel is the singular-value test of :func:`_zero_modes`.  det J
+    must be positive on (0, t), and at t as well when J(t) has no kernel;
+    at a kernel the sign of det J(t) is rounding noise.  The signs come
+    from ``slogdet``, so a det J(s) beyond float64 keeps its sign.  A
+    ``ratio`` operand, one side of det J_2(t)/det J_1(t), admits no kernel
     (DegenerateOperatorError); otherwise either is taken.
     """
     n = U.shape[1] // 2
     J = U[:, :n, n:]
-    sig, _, kernel = _zero_modes(J[-1], t)
-    kdim = int(np.count_nonzero(kernel))
+    sig, tol = _zero_modes(J[-1], t)
+    kdim = int(np.count_nonzero(sig < tol))
     signs = np.linalg.slogdet(J[1:])[0]
     if np.any((signs[:-1] if kdim else signs) <= 0.0):
         raise NonpositiveOperatorError(
@@ -207,7 +205,7 @@ def _kernel_dim(U: np.ndarray, t: float, label: str, ratio: bool = False) -> int
     if ratio and kdim:
         raise DegenerateOperatorError(
             f"{label}: J(t) has the singular value {sig[-1]:.3g}, below the kernel "
-            f"threshold {DEGENERACY_REL_TOL * t:.3g}; the operator has zero "
+            f"threshold {tol:.3g}; the operator has zero "
             "modes (use gy_degenerate_ratio, or det-zeta on the command line)"
         )
     return kdim
@@ -245,8 +243,8 @@ def _gy_det(U: np.ndarray, t: float, kdim: int):
     Jt = J[-1]
     if not kdim:
         return tuple(map(float, np.linalg.slogdet(Jt)))
-    _, Vt, _ = _zero_modes(Jt, t)
     # singular values sort descending: the last kdim rows of V^T span the kernel
+    Vt = np.linalg.svd(Jt)[2]
     C_ker = Vt[n - kdim :].T
     C_perp = Vt[: n - kdim].T
     w = _simpson_weights(len(U), t / (len(U) - 1))

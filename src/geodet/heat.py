@@ -23,8 +23,9 @@ from .errors import (
     InsufficientDegreeError,
     OutOfScopeError,
 )
+from .galerkin import _signed_exp
 from .geometry import ConstantCurvature, GeodesicData, jacobi_endomorphism
-from .gelfand_yaglom import solve_jacobi_ode
+from .gelfand_yaglom import _zero_modes, solve_jacobi_ode
 from .interval import gauss_legendre
 
 __all__ = [
@@ -59,18 +60,23 @@ def euclidean_heat_kernel(d: float, n: int, t: float) -> float:
 
 
 def nondegenerate_limit_prediction(m: ConstantCurvature, d: float) -> float:
-    """Predicted ratio limit J(x,y)^{-1/2} through det J(1) of the Jacobi ODE (1024 steps)."""
+    """Predicted ratio limit J(x,y)^{-1/2} through det J(1) of the Jacobi ODE (1024 steps).
+
+    A zero mode of J(1) by the Gel'fand-Yaglom singular-value test, on a sphere
+    of radius R every d within about pi R 1e-6 of pi R, is a ConjugatePointError.
+    Otherwise det J(1) > 0 is the product of the singular values, exponentiated once.
+    """
     if not isinstance(m, ConstantCurvature):
         raise DomainError("prediction implemented for constant curvature")
-    # a negative d, or an infinite d on kappa <= 0, is left to GeodesicData;
-    # the margin keeps RK4 noise from making det J(1) negative
-    if m.kappa > 0 and d >= m.conjugate_distance - 1e-12:
-        raise ConjugatePointError(
-            "conjugate/antipodal endpoints; use the antipodal route"
-        )
+    # a negative d, or an infinite d on kappa <= 0, is left to GeodesicData
+    if m.kappa > 0 and d >= m.conjugate_distance:
+        raise ConjugatePointError("conjugate/antipodal endpoints; use the antipodal route")
     sys = jacobi_endomorphism(GeodesicData(m, d))
-    prop = solve_jacobi_ode(sys, 1024)
-    return float(prop.det_final() ** -0.5)
+    J1 = solve_jacobi_ode(sys, 1024).J[-1]
+    sig, tol = _zero_modes(J1, sys.t)
+    if sig[-1] < tol:
+        raise ConjugatePointError(f"conjugate endpoints: J(1) has the singular value {sig[-1]:.3g}")
+    return _signed_exp(1.0, -0.5 * float(np.sum(np.log(sig))))
 
 
 def sphere_surface_volume(m: int) -> float:
@@ -105,10 +111,8 @@ def antipodal_limit_via_Sxy(n: int, R: float) -> float:
     m = ConstantCurvature(n, 1.0 / R**2)
     sys = jacobi_endomorphism(GeodesicData(m, np.pi * R))
     prop = solve_jacobi_ode(sys, 2048)
-    det_jp = abs(float(np.linalg.det(prop.Jprime[-1])))
-    return float(
-        np.sqrt(det_jp) * sphere_surface_volume(n - 1) * (np.pi * R) ** (n - 1)
-    )
+    root_det = _signed_exp(1.0, 0.5 * float(np.linalg.slogdet(prop.Jprime[-1])[1]))
+    return float(root_det * sphere_surface_volume(n - 1) * (np.pi * R) ** (n - 1))
 
 
 def _multiplicity(n: int, l: int) -> int:
@@ -437,8 +441,8 @@ def heat_limit_validation(
     The scaled ratio (4 pi t)^{k/2} p_t/e_t is evaluated on the geometric
     grid t_j = t0 2^{-j}, j = 0..levels-1, and extrapolated in the powers
     t and t^2.  case 'antipodal' uses k = n-1 at angle pi; case
-    'nondegenerate' uses k = 0 and needs 0 < d < pi R strictly; from
-    d >= pi R - 1e-12 on it raises ConjugatePointError.
+    'nondegenerate' uses k = 0 and needs 0 < d < pi R strictly; within
+    about pi R 1e-6 of pi R, and beyond, it raises ConjugatePointError.
     """
     if levels < 2:
         raise DomainError("need at least two time levels")

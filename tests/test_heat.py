@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,27 @@ def test_prediction_hyperbolic():
     val = nondegenerate_limit_prediction(ConstantCurvature(2, -1.0), 1.0)
     assert val == pytest.approx(np.sinh(1.0) ** -0.5, rel=1e-10)
     assert val == pytest.approx(0.9224, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_prediction_conjugate_band(n):
+    # within about pi R 1e-6 of pi R, J(1) has a zero mode by the Gel'fand-Yaglom
+    # singular-value test; the old 1e-12 margin returned 1.2e-3..4.6e-3 off at 1e-9
+    m = ConstantCurvature(n, 1.0)
+    with pytest.raises(ConjugatePointError):
+        nondegenerate_limit_prediction(m, PI - 1e-9)
+    d = PI - 1e-5
+    exact = (math.sin(d) / d) ** (-(n - 1) / 2)
+    assert nondegenerate_limit_prediction(m, d) == pytest.approx(exact, rel=1e-6)
+
+
+def test_prediction_beyond_float64_det():
+    # det J(1) = (sinh 200/200)^4 overflows float64; its log does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        val = nondegenerate_limit_prediction(ConstantCurvature(5, -1.0), 200.0)
+    assert math.isfinite(val)
+    assert val == pytest.approx((200.0 / math.sinh(200.0)) ** 2, rel=1e-2)
 
 
 def test_antipodal_closed_form_values():
