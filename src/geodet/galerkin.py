@@ -24,7 +24,7 @@ from .errors import (
     IllSeparatedKernelError,
     RouteDisagreementError,
 )
-from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, exp_jacobian_closed_form
+from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, _log_exp_jacobian
 from .interval import composite_gauss, mode_cosine_sums, mode_quadrature
 
 __all__ = [
@@ -69,9 +69,13 @@ class Partition:
 
     @classmethod
     def uniform(cls, N: int) -> "Partition":
-        if N < 2:
-            raise DomainError("need at least two segments")
-        return cls(tuple(np.linspace(0.0, 1.0, N + 1)))
+        try:
+            count = operator.index(N)
+        except TypeError:  # a float, even an integral one, is no count
+            count = 0
+        if count < 2:
+            raise DomainError(f"need an integer count of at least two segments, got {N!r}")
+        return cls(tuple(np.linspace(0.0, 1.0, count + 1)))
 
     @property
     def N(self) -> int:
@@ -678,9 +682,11 @@ def phi0_chain(m: ConstantCurvature, r: float, partition: Partition) -> float:
     Each segment of a minimizing geodesic of speed r contributes
     J(segment distance)^{-1/2}; segments must stay inside the injectivity
     radius (guaranteed by the conjugate-distance precondition), so the
-    cutoff factor is identically 1.  ``exp_jacobian_closed_form`` checks
-    the manifold and each segment distance, and raises ConjugatePointError
-    for a segment that reaches pi/sqrt(kappa).
+    cutoff factor is identically 1.  The Jacobians are summed as logs, so
+    only the product must lie in float64 (DomainError).  A segment that
+    reaches pi/sqrt(kappa) raises ConjugatePointError.
     """
-    log_total = sum(math.log(exp_jacobian_closed_form(m, d)) for d in partition.deltas * r)
-    return _signed_exp(1.0, -0.5 * log_total)
+    value = _signed_exp(1.0, -0.5 * sum(_log_exp_jacobian(m, d) for d in partition.deltas * r))
+    if not np.finfo(float).tiny <= value < math.inf:
+        raise DomainError(f"phi0 chain of speed {r:.4g} on {m} lies outside float64")
+    return value

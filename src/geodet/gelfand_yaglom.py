@@ -8,8 +8,8 @@ P_i = -d^2/ds^2 + V_i on [0, t],
 
 and the free operator has the closed form det_zeta(-d^2/ds^2) = (2t)^n.
 When the operator has zero modes, det J(t) vanishes and the ratio is
-replaced by a boundary expression involving int J^T J and the second
-fundamental solution on the kernel of J(t).
+replaced by a boundary expression in J(t), J'(t) and int J^T J on the
+kernel of J(t); every run carries J and J' alone.
 """
 
 import math
@@ -105,14 +105,17 @@ def _transfer_increments(V: np.ndarray, h: float, block: int) -> np.ndarray:
 
 
 def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
-    """Fixed-step RK4 of the fundamental matrix U = [[K, J], [K', J']] of Y'' = V Y.
+    """Fixed-step RK4 of [J; J'] for J'' = V J, J(0) = 0, J'(0) = id.
 
-    U(0) is the 2n x 2n identity, so one run carries J (J(0) = 0,
-    J'(0) = id) in its last n columns and the second fundamental solution
-    K (K(0) = id, K'(0) = 0) in its first n; returns U at every grid point,
-    shape (steps+1, 2n, 2n).  ``V`` are the half-grid samples of
-    :func:`_sample_potential`, taken here when not given.  Raises
-    IntegrationError when U leaves the float64 range.
+    Returns [J; J'] at every grid point, shape (steps+1, 2n, n).  ``V`` are
+    the half-grid samples of :func:`_sample_potential`, taken here when not
+    given.  Raises IntegrationError when J or J' leaves the float64 range.
+    The second solution K (K(0) = id, K'(0) = 0) is not propagated: for C
+    spanning ker J(t) and W the matching left singular vectors, the
+    Wronskians J^T J' - J'^T J = 0 and J'^T K - J^T K' = id give
+    J'(t) C = W W^T J'(t) C and W^T K(t) = (W^T J'(t) C)^{-T} C^T, so the
+    deflated |det A| = prod sig_perp det(C^T G C)/|det(W^T J'(t) C)| needs
+    J and J' alone (:func:`_gy_det`).
 
     The product of the step matrices I + D_m is a two-level blocked prefix
     product over blocks of about sqrt(steps) steps, so a run takes about
@@ -123,34 +126,35 @@ def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
         E_j = (I + D_j) (I + E_{j-1}) - I = D_j + E_{j-1} + D_j E_{j-1};
 
     the second maps each block's start state S through them,
-    U = S + E_j S, and the block's last state starts the next block.  A
+    Y = S + E_j S, and the block's last state starts the next block.  A
     constant system has the same increments in every block, so it builds
     and sweeps one block, from the first 2 block + 1 samples, and every
     block reuses it; the run is bit-identical to one that builds them all.
     """
     if V is None:
         V = _sample_potential(sys, steps)
+    n = sys.n
     block = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)): 64 at 4096 steps
     if sys.is_constant:
         V = V[: 2 * block + 1]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, as is h^4 = inf
         E = _transfer_increments(V, np.float64(sys.t) / steps, block)
-        U = np.empty((steps + 1, 2 * sys.n, 2 * sys.n))
-        U[0] = np.eye(2 * sys.n)
+        Y = np.empty((steps + 1, 2 * n, n))
+        Y[0] = np.eye(2 * n, n, -n)
         for j in range(1, block):
             E[:, j] += E[:, j - 1] + E[:, j] @ E[:, j - 1]
         for b in range(-(-steps // block)):
-            S = U[b * block]
-            rows = U[b * block + 1 : (b + 1) * block + 1]
+            S = Y[b * block]
+            rows = Y[b * block + 1 : (b + 1) * block + 1]
             np.matmul(E[b % len(E), : len(rows)], S, out=rows)
             rows += S
-    finite = np.isfinite(U).all(axis=(1, 2))
+    finite = np.isfinite(Y).all(axis=(1, 2))
     if not finite.all():
         s = sys.t * np.argmin(finite) / steps
         raise IntegrationError(
             f"J or J' left the float64 range at s = {s:.4g} of t = {sys.t:.4g}"
         )
-    return U
+    return Y
 
 
 def _fine_run(sys: JacobiSystem, steps: int):
@@ -167,9 +171,8 @@ def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPro
     One run at ``steps``; the step-halving error estimates live on the
     determinant routes (:class:`ZetaDetValue`).
     """
-    U, _ = _fine_run(sys, steps)
-    n = sys.n
-    return JacobiPropagation(U[:, :n, n:], U[:, n:, n:])
+    Y, _ = _fine_run(sys, steps)
+    return JacobiPropagation(Y[:, : sys.n], Y[:, sys.n :])
 
 
 def _zero_modes(Jt: np.ndarray, t: float):
@@ -183,7 +186,7 @@ def _zero_modes(Jt: np.ndarray, t: float):
     return np.linalg.svd(Jt, compute_uv=False), DEGENERACY_REL_TOL * t
 
 
-def _kernel_dim(U: np.ndarray, t: float, label: str, ratio: bool = False) -> int:
+def _kernel_dim(Y: np.ndarray, t: float, label: str, ratio: bool = False) -> int:
     """The route decision of every GY determinant: the kernel dimension of J(t).
 
     The kernel is the singular-value test of :func:`_zero_modes`.  det J
@@ -193,8 +196,7 @@ def _kernel_dim(U: np.ndarray, t: float, label: str, ratio: bool = False) -> int
     ``ratio`` operand, one side of det J_2(t)/det J_1(t), admits no kernel
     (DegenerateOperatorError); otherwise either is taken.
     """
-    n = U.shape[1] // 2
-    J = U[:, :n, n:]
+    J = Y[:, : Y.shape[2]]
     sig, tol = _zero_modes(J[-1], t)
     kdim = int(np.count_nonzero(sig < tol))
     signs = np.linalg.slogdet(J[1:])[0]
@@ -225,32 +227,35 @@ def _simpson_weights(num_points: int, h: float) -> np.ndarray:
     return w
 
 
-def _gy_det(U: np.ndarray, t: float, kdim: int):
-    """(sign, log|det|) of det J(t) of the run ``U``, or with kdim > 0 of |det A|.
+def _gy_det(Y: np.ndarray, t: float, kdim: int):
+    """(sign, log|det|) of det J(t) of the run ``Y``, or with kdim > 0 of |det A|.
 
-    A has columns J(t) d_b on the complement of ker J(t) and
-    -K(t) (int_0^t J^T J ds) c_a on the kernel, with K the second
-    fundamental solution (K(0) = id, K'(0) = 0).  Dividing |det A| by
-    det J_1(t) of a positive reference operator gives
-    det'_zeta(P)/det_zeta(P_1).  When the kernel fills every direction
-    this reduces to det(int J^T J)/|det J'(t)| since then
-    K(t) = J'(t)^{-T}.  The kernel is the kdim smallest singular
-    directions of J(t), so that a coarser run stays on the route a finer
-    one chose.
+    A has columns J(t) d_b on the complement of ker J(t) and -K(t) G c_a on
+    the kernel, G = int_0^t J^T J ds by Simpson's rule and K the second
+    fundamental solution (K(0) = id, K'(0) = 0); |det A| over det J_1(t) of
+    a positive reference operator is det'_zeta(P)/det_zeta(P_1).  With
+    J(t) = L diag(sig) R^T, the kernel is spanned by C, the last kdim
+    columns of R (so a coarser run stays on the route a finer one chose),
+    and W, those of L.  As J(t) C = 0, the Wronskians of a symmetric V give
+
+        J(t)^T J'(t) C = J'(t)^T J(t) C = 0, so J'(t) C = W W^T J'(t) C,
+        C^T = C^T (J'^T K - J^T K')(t) = (W^T J'(t) C)^T W^T K(t),
+
+    so W^T K(t) = (W^T J'(t) C)^{-T} C^T, and in the bases L and R, A is
+    block triangular: |det A| = prod sig_perp det(C^T G C)/|det(W^T J'(t) C)|,
+    or det G/|det J'(t)| when the kernel fills every direction.
     """
-    n = U.shape[1] // 2
-    J = U[:, :n, n:]
-    Jt = J[-1]
+    n = Y.shape[2]
+    J = Y[:, :n]
     if not kdim:
-        return tuple(map(float, np.linalg.slogdet(Jt)))
-    # singular values sort descending: the last kdim rows of V^T span the kernel
-    Vt = np.linalg.svd(Jt)[2]
-    C_ker = Vt[n - kdim :].T
-    C_perp = Vt[: n - kdim].T
-    w = _simpson_weights(len(U), t / (len(U) - 1))
+        return tuple(map(float, np.linalg.slogdet(J[-1])))
+    # singular values sort descending: the kernel is the last kdim columns of L and R
+    L, sig, Rt = np.linalg.svd(J[-1])
+    W, C = L[:, n - kdim :], Rt[n - kdim :].T
+    w = _simpson_weights(len(Y), t / (len(Y) - 1))
     gram = np.einsum("s,sji,sjk->ik", w, J, J)
-    A = np.hstack((Jt @ C_perp, -U[-1, :n, :n] @ gram @ C_ker))
-    return 1.0, float(np.linalg.slogdet(A)[1])
+    log_abs = np.sum(np.log(sig[: n - kdim])) + np.linalg.slogdet(C.T @ gram @ C)[1]
+    return 1.0, float(log_abs - np.linalg.slogdet(W.T @ Y[-1, n:] @ C)[1])
 
 
 def _exp_det(scale: float, sign: float, log_abs: float, name: str) -> float:
@@ -271,9 +276,9 @@ def _fine_det(sys: JacobiSystem, steps: int, label: str, ratio: bool = False):
 
     The state array dies with the call, so callers hold one at a time.
     """
-    U, V = _fine_run(sys, steps)
-    kdim = _kernel_dim(U, sys.t, label, ratio)
-    return _gy_det(U, sys.t, kdim), kdim, V
+    Y, V = _fine_run(sys, steps)
+    kdim = _kernel_dim(Y, sys.t, label, ratio)
+    return _gy_det(Y, sys.t, kdim), kdim, V
 
 
 def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale, name):
@@ -290,8 +295,8 @@ def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale,
     (sign, log_abs), kdim, V = _fine_det(sys, steps, label, ratio)
     log_tn = sys.n * math.log(sys.t)
     value = _exp_det(scale, sign, log_abs - log_tn, name)
-    U = _rk4_run(sys, steps // 2, V[::2] if steps % 2 == 0 else None)
-    sign, log_abs = _gy_det(U, sys.t, kdim)
+    Y = _rk4_run(sys, steps // 2, V[::2] if steps % 2 == 0 else None)
+    sign, log_abs = _gy_det(Y, sys.t, kdim)
     estimate = abs(value - scale * _signed_exp(sign, log_abs - log_tn)) / 15.0
     if not math.isfinite(estimate):
         raise IntegrationError(f"error estimate of {name} = {estimate} left the float64 range")

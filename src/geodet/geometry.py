@@ -8,6 +8,8 @@ Geodesics are parametrized on [0, 1] at constant speed r = d(x, y), so the
 energy of a minimizer is r^2/2 and the Jacobi operator lives on [0, 1].
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConjugatePointError, DomainError, IntegrationError
@@ -230,25 +232,40 @@ def jacobi_endomorphism(g: GeodesicData) -> JacobiSystem:
     raise DomainError(f"unsupported manifold {type(m).__name__}")
 
 
-def exp_jacobian_closed_form(m: ConstantCurvature, d: float) -> float:
-    """Jacobian of the exponential map between points at distance d.
-
-    Equals (sin(sqrt(kappa) d)/(sqrt(kappa) d))^(n-1), with sin replaced
-    by sinh for negative curvature; the d -> 0 limit is 1.
-    """
+def _segment_phase(m: ConstantCurvature, d: float) -> float:
+    """sqrt(|kappa|) d, after the manifold, distance and conjugate-point checks."""
     if not isinstance(m, ConstantCurvature):
         raise DomainError("closed form requires a constant-curvature manifold")
     if d < 0 or not np.isfinite(d):
         raise DomainError(f"distance must be finite and >= 0, got {d}")
     if d >= m.conjugate_distance:
-        raise ConjugatePointError(
-            f"d={d} reaches the conjugate distance pi/sqrt(kappa)"
-        )
-    if m.kappa == 0 or d == 0:
-        return 1.0
-    if m.kappa > 0:
-        x = np.sqrt(m.kappa) * d
-        return float(np.sinc(x / np.pi) ** (m.n - 1))
-    x = np.sqrt(-m.kappa) * d
-    return float((np.sinh(x) / x) ** (m.n - 1))
+        raise ConjugatePointError(f"d={d} reaches the conjugate distance pi/sqrt(kappa)")
+    return np.sqrt(abs(m.kappa)) * d
 
+
+def exp_jacobian_closed_form(m: ConstantCurvature, d: float) -> float:
+    """Jacobian of the exponential map between points at distance d.
+
+    Equals (sin(sqrt(kappa) d)/(sqrt(kappa) d))^(n-1), with sin replaced
+    by sinh for negative curvature; the d -> 0 limit is 1.  A Jacobian outside
+    the normal float64 range is a DomainError; :func:`_log_exp_jacobian` has its log.
+    """
+    x = _segment_phase(m, d)
+    if x == 0:
+        return 1.0
+    with np.errstate(over="ignore"):  # sinh x beyond float64: caught below
+        value = float((np.sinc(x / np.pi) if m.kappa > 0 else np.sinh(x) / x) ** (m.n - 1))
+    if not np.finfo(float).tiny <= value < math.inf:
+        raise DomainError(f"exp Jacobian at d = {d:.4g} on {m} lies outside float64")
+    return value
+
+
+def _log_exp_jacobian(m: ConstantCurvature, d: float) -> float:
+    """log of :func:`exp_jacobian_closed_form`, (n-1) log(sin x/x) or (n-1) log(sinh x/x)."""
+    x = _segment_phase(m, d)
+    if x == 0:
+        return 0.0
+    if m.kappa > 0:
+        return (m.n - 1) * math.log(np.sinc(x / np.pi))
+    # from x = 20 on, log(sinh x/x) is x - log 2x to rounding, and sinh x overflows from 711
+    return (m.n - 1) * (math.log(math.sinh(x) / x) if x < 20.0 else x - math.log(2.0 * x))

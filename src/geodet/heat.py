@@ -44,6 +44,13 @@ __all__ = [
 ORACLE_TAIL_REL = 1e-14
 # cancellation depth (decimal digits) still handled in float64
 _FLOAT64_CANCEL_DIGITS = 9.0
+# from S^343 on the Gamma((n + 1)/2) of the sphere volume leaves float64
+_MAX_SPHERE_DIM = 342
+
+
+def _check_sphere_dimension(n: int) -> None:
+    if n > _MAX_SPHERE_DIM:
+        raise OutOfScopeError(f"spheres above S^{_MAX_SPHERE_DIM} are out of scope, got S^{n}")
 
 
 def _check_positive(value: float, what: str) -> None:
@@ -87,6 +94,7 @@ def sphere_surface_volume(m: int) -> float:
 def _check_antipodal_scope(n: int, R: float):
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
+    _check_sphere_dimension(n)
     if n < 2:
         raise OutOfScopeError("antipodal circle has a discrete set of minimizers")
     _check_positive(R, "radius")
@@ -140,6 +148,7 @@ class SphereSpectrum:
         if self.n < 1:
             raise DomainError("sphere dimension must be >= 1")
         _check_positive(self.R, "radius")
+        _check_sphere_dimension(self.n)
         if self.max_degree < 1:
             raise DomainError("max_degree must be >= 1")
 
@@ -348,7 +357,9 @@ def _closed_form_kernel(n: int, R: float, theta: float, t: float) -> float:
     Uses p^{S^n_R}_t(theta) = R^{-n} p^{S^n_1}_{t/R^2}(theta).  Matches a
     high-precision spectral sum to about 3e-13 for t/R^2 up to 1; beyond
     that the kernel flattens and the image sums cancel.  Returns 0.0 where
-    p is below the float64 range.
+    p is below the float64 range.  Where the jets leave float64 (their
+    1/k! from n = 74 on) or cancel to a value <= 0 (n = 71 at t/R^2 = 0.1)
+    it raises DomainError.
     """
     t = t / (R * R)
     m = (n - 1) // 2
@@ -364,12 +375,19 @@ def _closed_form_kernel(n: int, R: float, theta: float, t: float) -> float:
     # image pairs k, -1-k lie e^{-k^2 pi^2/t} below the leading pair; keep those above e^{-45}
     pairs = int(math.sqrt(45.0 * t) / np.pi)
     ks = np.arange(-pairs - 1, pairs + 1)
-    jet = (_circle_jet if base == 1 else _mehler_jet)(center, theta, t, order, ks)
-    for _ in range(m):
-        jet = _raise_dimension(jet, center)
-    value = float(np.polynomial.polynomial.polyval(delta - center, jet))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a jet beyond float64 fails below
+            jet = (_circle_jet if base == 1 else _mehler_jet)(center, theta, t, order, ks)
+            for _ in range(m):
+                jet = _raise_dimension(jet, center)
+            value = float(np.polynomial.polynomial.polyval(delta - center, jet))
+    except OverflowError:  # a Taylor coefficient 1/k! beyond float64
+        value = math.nan
     log_rest = t * m * (base + m - 1) - m * math.log(2.0 * np.pi) - theta * theta / (4.0 * t)
-    return math.exp(math.log(value) + log_rest - n * math.log(R))
+    p = _signed_exp(1.0, math.log(value) + log_rest - n * math.log(R)) if value > 0.0 else math.nan
+    if not p < math.inf:  # nan or inf: the jets lost every digit of p > 0, or p left float64
+        raise DomainError(f"closed-form kernel of S^{n} at t/R^2 = {t:.3g} has no float64 value")
+    return p
 
 
 def sphere_heat_kernel(spec: SphereSpectrum, theta: float, t: float) -> float:
@@ -446,6 +464,7 @@ def heat_limit_validation(
     """
     if levels < 2:
         raise DomainError("need at least two time levels")
+    _check_sphere_dimension(n)  # before the prediction propagates n x n Jacobi fields
     if case == "antipodal":
         k = n - 1
         theta = np.pi

@@ -493,14 +493,45 @@ def test_eval_jacobian_steep_negative_curvature(capsys):
 
 def test_steep_negative_curvature_names_where_propagation_leaves_float64(capsys):
     # the blocked propagation names the first grid point beyond float64, the
-    # point the per-step loop named: grid index 2039 of 2048
+    # point the per-step loop Y + D_m Y names: grid index 1879 of 2048, where
+    # J' = sqrt(6e5) cosh(sqrt(6e5) s) overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run_cli(capsys, "det-gy", "--kappa", "-5e5", "--r", "1", "--n", "2")
+        code, out, err = run_cli(capsys, "det-gy", "--kappa", "-6e5", "--r", "1", "--n", "2")
     assert code == 1 and err == ""
     report = json.loads(out)
     assert report["error"] == "IntegrationError"
-    assert report["message"] == "J or J' left the float64 range at s = 0.9956 of t = 1"
+    assert report["message"] == "J or J' left the float64 range at s = 0.9175 of t = 1"
+
+
+def test_steep_negative_curvature_within_float64_has_a_value(capsys):
+    # at kappa = -5e5 J and J' stay finite, so det J(1) = sinh(707.1)/707.1
+    # = 8.751e303 has a value; the propagation of the second solution, whose
+    # K' = sqrt(5e5) sinh(sqrt(5e5) s) no route reads, raised IntegrationError
+    # at s = 0.9956.  RK4 at 2048 steps is 6% low, with an estimate of half
+    # that error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "det-gy", "--kappa", "-5e5", "--r", "1", "--n", "2")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["value"] == pytest.approx(8.7510e303, rel=0.07)
+    assert 0.5 * 5.3e302 < report["error_estimate"] < 5.3e302
+
+
+@pytest.mark.parametrize(
+    "n, error",
+    [(71, "DomainError"), (73, "DomainError"), (74, "DomainError"), (99, "DomainError"),
+     (100, "DomainError"), (343, "OutOfScopeError"), (344, "OutOfScopeError")],
+)
+def test_high_dimensional_antipodal_heat_limit_ends_in_a_named_error(capsys, n, error):
+    # the closed-form kernel at t/R^2 = 0.1 cancelled to a value <= 0 (odd n),
+    # a 1/k! of its jets overflowed (even n >= 74) and Gamma overflowed in the
+    # volume and the limit (n >= 343): raw ValueError and OverflowError tracebacks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "heat-limit", "--n", str(n), "--radius", "1", "--case", "antipodal")
+    assert (code, err, json.loads(out)["error"]) == (1, "", error)
 
 
 @pytest.mark.parametrize(

@@ -768,6 +768,39 @@ def test_phi0_chain_matches_segment_products():
     assert chain == pytest.approx((np.sin(x) / x) ** (-0.5 * 2 * 4), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kappa, n, r, times",
+    [
+        (1.0, 400, 3.0, (0.0, 1.0)),
+        (1.0, 40, 3.14159265, (0.0, 1 - 1e-12, 1.0)),
+        (-1.0, 2, 1000.0, (0.0, 1.0)),
+    ],
+    ids=["sphere-n400", "near-conjugate-segment", "hyperbolic-sinh-overflow"],
+)
+def test_phi0_chain_beyond_float64_segments(kappa, n, r, times):
+    # each segment's Jacobian leaves float64 (1e-530, 1e-350 and sinh(1000)),
+    # the chain does not: it raised ValueError from the log of 0.0 or of inf
+    import mpmath as mp
+
+    m, part = ConstantCurvature(n, kappa), Partition(times)
+    f = mp.sin if kappa > 0 else mp.sinh
+    exact = mp.fprod((f(mp.mpf(d)) / mp.mpf(d)) ** (-(n - 1) / mp.mpf(2)) for d in part.deltas * r)
+    assert phi0_chain(m, r, part) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_phi0_chain_outside_float64_is_a_domain_error():
+    with pytest.raises(DomainError, match="outside float64"):
+        phi0_chain(ConstantCurvature(3, -1.0), 2000.0, Partition((0.0, 1.0)))
+
+
+@pytest.mark.parametrize("N", [2.5, "4", 4.0, 1, None])
+def test_uniform_partition_needs_an_integer_count(N):
+    # a float or a string ended in a TypeError from np.linspace or from <
+    with pytest.raises(DomainError, match="integer count of at least two segments"):
+        Partition.uniform(N)
+    assert Partition.uniform(np.int64(3)).times == Partition.uniform(3).times
+
+
 def test_phi0_chain_linear_mesh_bound():
     m = ConstantCurvature(2, 1.0)
     r = PI / 2

@@ -168,35 +168,33 @@ def test_error_estimate_tracks_actual_error():
 
 
 def test_interval_splitting_composition():
-    # propagate [0, t] at once, or through the midpoint with (J, J') transfer
+    # propagate [0, t] at once, or through the midpoint: the second half
+    # continues from the first half's end state [J(t/2); J'(t/2)]
     pot = lambda s: np.array([[0.7 * np.cos(3 * s), 0.1], [0.1, -0.4 + s]])
     t = 1.3
     sys = JacobiSystem(2, t, pot)
     full = solve_jacobi_ode(sys, 4096)
-    U1 = _rk4_run(JacobiSystem(2, t / 2, pot), 2048)
-    U2 = _rk4_run(JacobiSystem(2, t / 2, lambda s: pot(s + t / 2)), 2048)
-    # second-half fundamental matrix [[K, J], [K', J']] applied to the first
-    # half's: the J block is K2 J1 + J2 J1', the K block K2 K1 + J2 K1'
-    U = U2[-1] @ U1[-1]
-    assert np.max(np.abs(U[:2, 2:] - full.J[-1])) < 1e-9
-    assert np.max(np.abs(U[2:, 2:] - full.Jprime[-1])) < 1e-9
-    assert np.max(np.abs(U - _rk4_run(sys, 4096)[-1])) < 1e-9
+    Y1 = _rk4_run(JacobiSystem(2, t / 2, pot), 2048)
+    second = JacobiSystem(2, t / 2, lambda s: pot(s + t / 2))
+    J, Jprime = stage_loop_rk4(_sample_potential(second, 2048), t / 2 / 2048, Y1[-1, :2], Y1[-1, 2:])
+    assert np.max(np.abs(J[-1] - full.J[-1])) < 1e-9
+    assert np.max(np.abs(Jprime[-1] - full.Jprime[-1])) < 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["constant", "varying", "antipodal"])
 @pytest.mark.parametrize("steps", [8, 17, 512, 1001, 2049, 4097])
 def test_transfer_matrix_propagation_matches_stage_loop(n, kind, steps):
-    # the transfer-matrix form is the same RK4 scheme: J, J' and K, K' on
-    # the whole grid agree with a stage-by-stage loop to rounding; step
-    # counts that are not squares leave a last block padded with identity steps
+    # the transfer-matrix form is the same RK4 scheme: J and J' on the
+    # whole grid agree with a stage-by-stage loop to rounding; step counts
+    # that are not squares leave a last block padded with identity steps
     sys = propagation_systems(n)[kind]
     V = _sample_potential(sys, steps)
-    eye = np.eye(2 * n)
-    U = _rk4_run(sys, steps)
-    Yref, Zref = stage_loop_rk4(np.asarray(V), sys.t / steps, eye[:n], eye[n:])
-    assert np.max(np.abs(U[:, :n] - Yref)) <= 1e-13 * np.max(np.abs(Yref))
-    assert np.max(np.abs(U[:, n:] - Zref)) <= 1e-13 * np.max(np.abs(Zref))
+    Y = _rk4_run(sys, steps)
+    assert Y.shape == (steps + 1, 2 * n, n)
+    Jref, Jpref = stage_loop_rk4(np.asarray(V), sys.t / steps, np.zeros((n, n)), np.eye(n))
+    assert np.max(np.abs(Y[:, :n] - Jref)) <= 1e-13 * np.max(np.abs(Jref))
+    assert np.max(np.abs(Y[:, n:] - Jpref)) <= 1e-13 * np.max(np.abs(Jpref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -231,9 +229,9 @@ def test_constant_system_builds_one_block_of_increments(monkeypatch, steps):
 
 
 def test_blocked_product_error_against_extended_precision():
-    # the same increments D_m multiplied out at 30 digits: the blocked prefix
-    # product is no less accurate than the per-step loop U_{m+1} = U_m + D_m U_m
-    # it replaced (worst relative errors 2.2e-15 and 9.4e-15 over these runs)
+    # the same increments D_m applied to [0; I] at 30 digits: the blocked prefix
+    # product is no less accurate than the per-step loop Y_{m+1} = Y_m + D_m Y_m
+    # it replaced (worst relative errors 1.4e-15 and 1.3e-14 over these runs)
     import mpmath as mp
 
     steps = 1001
@@ -242,12 +240,12 @@ def test_blocked_product_error_against_extended_precision():
         for sys in propagation_systems(n).values():
             V = _sample_potential(sys, steps)
             D = gelfand_yaglom._transfer_increments(V, sys.t / steps, 1)[:, 0]
-            loop = np.empty((steps + 1,) + D.shape[1:])
-            loop[0] = np.eye(D.shape[1])
+            loop = np.empty((steps + 1, 2 * n, n))
+            loop[0] = np.eye(2 * n, n, -n)
             for m, Dm in enumerate(D):
                 loop[m + 1] = loop[m] + Dm @ loop[m]
             with mp.workdps(30):
-                u = mp.eye(D.shape[1])
+                u = mp.matrix(loop[0].tolist())
                 ref = [u]
                 for Dm in D:
                     u = u + mp.matrix(Dm.tolist()) * u
@@ -267,7 +265,7 @@ def test_sample_once_error_estimate_equals_two_runs(steps):
     n, t = sys.n, sys.t
     free = float((2.0 * t) ** n)
     fine, coarse = (
-        free * float(np.linalg.det(_rk4_run(sys, m)[-1, :n, n:])) / t**n for m in (steps, steps // 2)
+        free * float(np.linalg.det(_rk4_run(sys, m)[-1, :n])) / t**n for m in (steps, steps // 2)
     )
     z = zeta_det_jacobi(sys, steps)
     assert z.value == fine
@@ -309,7 +307,7 @@ ANTIPODAL = ("--kappa", "1", "--r", "3.141592653589793", "--n", "3")
 )
 def test_propagation_counts(monkeypatch, call, runs):
     # each determinant route runs one fine/coarse pair of the operator it
-    # reports on, in one 2n x 2n run each, and nothing for a free reference;
+    # reports on, in one [J; J'] run each, and nothing for a free reference;
     # a caller of solve_jacobi_ode, which carries no estimate, gets one run
     calls = []
 
@@ -391,8 +389,8 @@ def test_zeta_det_traced_heap_peak():
 
 def test_gy_ratio_traced_heap_peak():
     # operand 1 is decided and read before operand 2 is propagated, so one
-    # 2n x 2n state array is alive at a time: the traced heap peak of a
-    # 4096-step n = 4 ratio is 5.5 MB, and 8.7 MB with both runs held
+    # [J; J'] state array is alive at a time: the traced heap peak of a
+    # 4096-step n = 4 ratio is 5.5 MiB, and 7.5 MiB with both runs held
     s1, s2 = catalog_like_system(4), catalog_like_system(4, seed=1)
     gy_ratio(s1, s2, 64)
     tracemalloc.start()
@@ -590,6 +588,86 @@ def test_degenerate_full_matrix_matches_displayed_formula():
     sys = JacobiSystem.constant(np.diag([-(PI**2), -(PI**2)]), 1.0)
     ratio = gy_degenerate_ratio(sys, free_system(2))
     assert ratio == pytest.approx((1.0 / (2.0 * PI**2)) ** 2, rel=1e-8)
+
+
+def zero_mode_potential(a):
+    """Scalar V on [0, 1] whose zero mode is y = sin(pi s) exp(a (1 - cos 2 pi s))."""
+    return lambda s: (
+        -(PI**2)
+        + 8.0 * PI**2 * a * math.cos(PI * s) ** 2
+        + 4.0 * PI**2 * a * math.cos(2.0 * PI * s)
+        + (2.0 * PI * a * math.sin(2.0 * PI * s)) ** 2
+    )
+
+
+def positive_block(s):
+    return np.array([[2.0 + math.sin(2.0 * PI * s), 0.3 * s], [0.3 * s, 1.0 + 0.5 * math.cos(3.0 * s)]])
+
+
+def rotated_zero_mode_system(a):
+    """diag(zero_mode_potential(a), positive_block) on [0, 1] under a constant rotation of R^3."""
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    v = zero_mode_potential(a)
+
+    def pot(s):
+        D = np.zeros((3, 3))
+        D[0, 0], D[1:, 1:] = v(s), positive_block(s)
+        M = Q @ D @ Q.T
+        return 0.5 * (M + M.T)
+
+    return JacobiSystem(3, 1.0, pot)
+
+
+def k_based_deflated_det(sys, steps, kdim):
+    """|det A|, A = [J(t) C_perp, -K(t) G C], from a stage-loop run of the 2n x 2n identity."""
+    n = sys.n
+    eye = np.eye(2 * n)
+    Y, _ = stage_loop_rk4(np.asarray(_sample_potential(sys, steps)), sys.t / steps, eye[:n], eye[n:])
+    K, J = Y[:, :, :n], Y[:, :, n:]
+    Rt = np.linalg.svd(J[-1])[2]
+    w = gelfand_yaglom._simpson_weights(steps + 1, sys.t / steps)
+    G = np.einsum("s,sji,sjk->ik", w, J, J)
+    A = np.hstack((J[-1] @ Rt[: n - kdim].T, -K[-1] @ G @ Rt[n - kdim :].T))
+    return abs(float(np.linalg.det(A)))
+
+
+@pytest.mark.parametrize("a", [-0.3, 0.2, 0.35])
+def test_deflated_route_on_varying_potential(a):
+    # int y^2/(y'(0) |y'(1)|) with y'(0) = pi, y'(1) = -pi: zeta_det_jacobi is
+    # e^{2a} (I_0(2a) + I_1(2a))/pi^2, within 8.4e-12 and its estimate
+    import mpmath as mp
+
+    exact = float(mp.e ** (2 * a) * (mp.besseli(0, 2 * a) + mp.besseli(1, 2 * a)) / mp.pi**2)
+    z = zeta_det_jacobi(JacobiSystem(1, 1.0, zero_mode_potential(a)), 2048)
+    assert (z.route, z.excluded_zero_modes) == ("deflated", 1)
+    assert z.value == pytest.approx(exact, rel=2e-11)
+    assert abs(z.value - exact) < 2.0 * z.error_estimate
+    # rotated beside a varying positive block, the kernel lies off every
+    # axis, and the value factors into the scalar and block values
+    z3 = zeta_det_jacobi(rotated_zero_mode_system(a), 2048)
+    block = zeta_det_jacobi(JacobiSystem(2, 1.0, positive_block), 2048)
+    assert (z3.route, z3.excluded_zero_modes) == ("deflated", 1)
+    assert z3.value == pytest.approx(z.value * block.value, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "make, kdim",
+    [
+        (lambda: propagation_systems(1)["antipodal"], 1),
+        (lambda: propagation_systems(3)["antipodal"], 2),
+        (lambda: JacobiSystem(1, 1.0, zero_mode_potential(0.35)), 1),
+        (lambda: rotated_zero_mode_system(-0.3), 1),
+    ],
+    ids=["constant-1", "constant-3", "varying-1", "varying-3"],
+)
+def test_deflated_det_matches_second_solution_formula(make, kdim):
+    # |det A| read off J'(t) on the kernel equals the same matrix built from
+    # the propagated second solution K(t)
+    sys = make()
+    Y = _rk4_run(sys, 2048)
+    assert gelfand_yaglom._kernel_dim(Y, sys.t, "P") == kdim
+    log_abs = gelfand_yaglom._gy_det(Y, sys.t, kdim)[1]
+    assert math.exp(log_abs) == pytest.approx(k_based_deflated_det(sys, 2048, kdim), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

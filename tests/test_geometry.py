@@ -112,6 +112,24 @@ def test_conjugate_distance_is_one_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "kappa, d, n", [(1.0, 1.0, 3), (1.0, 3.0, 40), (-1.0, 1.0, 2), (-1.0, 30.0, 5), (0.3, 0.5, 4)]
+)
+def test_exp_jacobian_inside_float64_keeps_the_power(kappa, d, n):
+    # the range check leaves the value the bits of the power it always was
+    x = np.sqrt(abs(kappa)) * d
+    base = np.sinc(x / PI) if kappa > 0 else np.sinh(x) / x
+    assert exp_jacobian_closed_form(ConstantCurvature(n, kappa), d) == float(base ** (n - 1))
+
+
+@pytest.mark.parametrize("kappa, d", [(1.0, 3.0), (-1.0, 800.0)], ids=["underflow", "overflow"])
+def test_exp_jacobian_outside_float64_is_a_domain_error(kappa, d):
+    # (sin 3/3)^399 = 1e-530 returned 0.0, and (sinh 800/800)^399 inf with an
+    # overflow warning
+    with pytest.raises(DomainError, match="outside float64"):
+        exp_jacobian_closed_form(ConstantCurvature(400, kappa), d)
+
+
 def test_exp_jacobian_small_distance_limit():
     m = ConstantCurvature(3, 1.0)
     assert exp_jacobian_closed_form(m, 1e-9) == pytest.approx(1.0, abs=1e-12)

@@ -138,6 +138,20 @@ def test_antipodal_closed_form_values():
         antipodal_sphere_limit_closed_form(1, 1.0)
 
 
+def test_spheres_above_s342_are_out_of_scope():
+    # Gamma((n + 1)/2) of the volume of S^343 is beyond float64
+    for call in (
+        lambda: antipodal_sphere_limit_closed_form(344, 1.0),
+        lambda: antipodal_limit_via_Sxy(343, 1.0),
+        lambda: SphereSpectrum(343, 1.0, 10),
+        # rejected before the prediction propagates 343 x 343 Jacobi fields
+        lambda: heat_limit_validation(343, 1.0, "nondegenerate", d=1.0),
+    ):
+        with pytest.raises(OutOfScopeError, match="above S\\^342"):
+            call()
+    assert SphereSpectrum(342, 1.0, 10).volume > 0.0
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_antipodal_routes_reject_dimension_below_one(n):
     # a dimension error, not the n = 1 scope error
