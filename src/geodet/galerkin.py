@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyval
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     RouteDisagreementError,
 )
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, _log_exp_jacobian
-from .interval import composite_gauss, mode_cosine_sums, mode_quadrature
+from .interval import composite_gauss, mode_cosine_moments, mode_quadrature
 
 __all__ = [
     "Partition",
@@ -92,10 +93,17 @@ class Partition:
 
 @dataclass
 class GalerkinMatrix:
-    """Dense symmetric truncation of the Hessian form in an orthonormal basis."""
+    """Dense symmetric truncation of the Hessian form in an orthonormal basis.
+
+    The Fourier assembly also records ``mean``, the average of V over [0, t]
+    on its rule, and ``coupled``, the fibers whose row or column of V is
+    nonzero at some node; every other fiber is a block of the identity.
+    """
 
     dimension: int
     entries: np.ndarray
+    mean: np.ndarray = None
+    coupled: np.ndarray = None
 
 
 @dataclass
@@ -211,14 +219,18 @@ def _level_eigenvalues(sys: JacobiSystem, K: int, assembled) -> np.ndarray:
     """Eigenvalues of the K-mode truncation of id + P^{-1} V.
 
     Constant potentials give the closed-form factors 1 + v_i t^2/(pi^2 k^2)
-    of the block-diagonal matrix; otherwise ``assembled`` is the matrix at a
-    level >= K and its leading nK block is diagonalized.
+    of the block-diagonal matrix; otherwise ``assembled`` is the Fourier
+    GalerkinMatrix at a level >= K, and its leading nK block is diagonalized
+    on the coupled fibers only.  Every other fiber is a block of the
+    identity: its eigenvalues are 1, which add 0 to log|det| and, lying 1e8
+    above KERNEL_TOL, never decide the kernel test or its gap.
     """
     if sys.is_constant:
         v = np.linalg.eigvalsh(sys(0.0))
         k = np.arange(1, K + 1)
         return 1.0 + np.outer(v, sys.t**2 / (np.pi**2 * k**2)).ravel()
-    return np.linalg.eigvalsh(assembled[: sys.n * K, : sys.n * K])
+    keep = (sys.n * np.arange(K)[:, None] + assembled.coupled).ravel()
+    return np.linalg.eigvalsh(assembled.entries[np.ix_(keep, keep)])
 
 
 def _signed_exp(sign: float, log_abs: float) -> float:
@@ -237,50 +249,62 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
     """Matrix of id + P^{-1} V over the first K H1-orthonormal sine modes.
 
     Entries are delta + (V F_ik, F_jl)_{L2} in k-major ordering, so the
-    leading principal submatrices realize the nested mode filtration.
-    The potential is integrated by composite Gauss-Legendre sized for the
-    k + l oscillation, one GEMM per fiber pair i <= j; for a constant
+    leading principal submatrices realize the nested mode filtration.  With
+    F_k = a_k sin(pi k s/t), a_k = sqrt(2t)/(pi k), the product-to-sum
+    identity makes block (k, l) of fibers (i, j) Toeplitz minus Hankel,
+    a_k a_l [C_ij(|k - l|) - C_ij(k + l)]/2, from the half-wave moments
+    C_ij(m) = int V_ij cos(pi m s/t), m = 0..2K.  One pass samples V on a
+    composite Gauss-Legendre rule sized for the k + l oscillation, and one
+    FFT gives every moment of the coupled fiber pairs i <= j; for a constant
     potential that reproduces the block-diagonal I + V t^2/(pi^2 k^2).
+    A K that is not an integer >= 1 raises DomainError.
     """
-    if K < 1:
-        raise DomainError("mode count must be >= 1")
+    K = _check_schedule((K,), "mode counts", 1)[0]
     n, t = sys.n, sys.t
     dim = n * K
-    M = np.eye(dim)
     nodes, weights = mode_quadrature(t, 2 * K)
     Vq = sys.sample(nodes)  # (Q, n, n)
+    # a fiber whose row and column of V vanish at every node (the tangent
+    # fiber of synthetic systems) is a block of the identity
+    nonzero = Vq.any(axis=0)
+    coupled = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    i, j = (coupled[r] for r in np.triu_indices(len(coupled)))  # pairs i <= j
+    C = mode_cosine_moments(weights * (0.5 * (Vq[:, i, j] + Vq[:, j, i])).T, 2 * K)
+    # C(|k - l|) and C(k + l) as K x K windows onto each pair's moments
+    folded = np.concatenate([C[:, K - 1 : 0 : -1], C[:, :K]], 1)  # C(|m|), m = 1-K..K-1
+    toeplitz = sliding_window_view(folded, K, 1)[:, ::-1]
+    hankel = sliding_window_view(C[:, 2:], K, 1)
     amp = np.sqrt(2.0 * t) / (np.pi * np.arange(1, K + 1))
-    S = np.sin(np.pi * np.outer(np.arange(1, K + 1), nodes) / t) * amp[:, None]  # (K, Q)
-    # block (k, l) of fibers (i, j) is int V_ij F_k F_l = (S diag(w V_ij) S^T)_kl;
-    # pairs whose samples all vanish (the tangent row of synthetic systems) are skipped
     W = np.zeros((K, n, K, n))
-    for i in range(n):
-        for j in range(i, n):
-            wv = weights * (0.5 * (Vq[:, i, j] + Vq[:, j, i]))
-            if wv.any():
-                W[:, i, :, j] = W[:, j, :, i] = (S * wv) @ S.T
-    M += W.reshape(dim, dim)
-    return GalerkinMatrix(dim, 0.5 * (M + M.T))
+    W[:, i, :, j] = W[:, j, :, i] = 0.5 * np.outer(amp, amp) * (toeplitz - hankel)
+    M = W.reshape(dim, dim)
+    M.flat[:: dim + 1] += 1.0
+    mean = np.zeros((n, n))
+    mean[i, j] = mean[j, i] = C[:, 0] / t
+    return GalerkinMatrix(dim, M, mean, coupled)
 
 
 def _fourier_levels(sys: JacobiSystem, schedule):
     """The mode filtration's levels for ``_estimate`` and each level's kernel dimension.
 
     Each level's determinant is ``deflated_matrix_determinant`` of its
-    eigenvalues.  The tail series in c/k^2 diverges unless (K + 1)^2 > max|c|
-    at the finest level K; that raises DomainError before any level is
-    assembled, since a kernel or a product of a truncation that far from
-    converged means nothing.
+    eigenvalues.  A varying potential is assembled once, at the finest
+    level, and the tail reads its mean matrix from the same samples.  The
+    tail series in c/k^2 diverges unless (K + 1)^2 > max|c| at the finest
+    level K; that raises DomainError before any eigenvalue decomposition,
+    since a kernel or a product of a truncation that far from converged
+    means nothing.
     """
     schedule = _check_schedule(schedule, "mode counts", 1)
-    c = np.linalg.eigvalsh(sys.mean_matrix()) * sys.t**2 / np.pi**2
+    assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1])
+    mean = sys(0.0) if sys.is_constant else assembled.mean
+    c = np.linalg.eigvalsh(mean) * sys.t**2 / np.pi**2
     cmax = float(np.max(np.abs(c)))
     if cmax >= (schedule[-1] + 1) ** 2:
         raise DomainError(
             f"the tail series diverges at {schedule[-1]} modes; "
             f"the finest level needs at least {int(np.sqrt(cmax))} modes"
         )
-    assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1]).entries
     spectra = [_level_eigenvalues(sys, K, assembled) for K in schedule]
     dets, kdims = zip(*map(deflated_matrix_determinant, spectra))
     levels = [(sys.n * K, det, _tail_log_correction(c, K)) for K, det in zip(schedule, dets)]
@@ -357,7 +381,7 @@ def hessian_trace(sys: JacobiSystem) -> float:
     nodes, weights = mode_quadrature(t, 2 * K)
     fw = weights * np.einsum("qii->q", sys.sample(nodes))
     integral = float(np.sum(fw))
-    c = mode_cosine_sums(fw, K)
+    c = mode_cosine_moments(fw, 2 * K)[2::2]
     scale = t / (np.pi * np.arange(1, K + 1)) ** 2
     route_a = float(np.sum(scale * (integral - c))) + integral * t / np.pi**2 * _zeta_tail(K, 1)
     route_a -= float(scale[-1] * c[-1]) * K**4 * _zeta_tail(K, 2)

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .errors import ConjugatePointError, DomainError, IntegrationError
-from .interval import gauss_legendre
 
 __all__ = [
     "ConstantCurvature",
@@ -131,7 +130,7 @@ class JacobiSystem:
             if mat.shape != (n, n):
                 raise DomainError(f"potential must be {n}x{n}, got {mat.shape}")
             _check_finite(mat)
-            mat.flags.writeable = False  # shared by every sample, call and mean
+            mat.flags.writeable = False  # shared by every sample and call
             self._func = None
             self._const = mat
         self._check_symmetric()
@@ -188,14 +187,6 @@ class JacobiSystem:
 
     def __call__(self, s: float) -> np.ndarray:
         return self.sample((s,))[0]
-
-    def mean_matrix(self) -> np.ndarray:
-        """Average of V over [0, t]; exact for constant potentials."""
-        if self._const is not None:
-            return self._const
-        x, w = gauss_legendre(64)
-        V = self.sample(0.5 * self.t * (x + 1.0))
-        return np.tensordot(w, V, axes=1) * 0.5
 
     @classmethod
     def _embedded(cls, n: int, t: float, func, arg_scale: float, value_scale: float):

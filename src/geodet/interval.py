@@ -1,9 +1,10 @@
 """Every Gauss-Legendre rule geodet uses, built once per order and mapped onto panels.
 
 The Fourier filtration integrates the potential against products of sine
-modes sin(pi k s/t) sin(pi l s/t); a composite Gauss-Legendre rule with
-panels sized for the fastest oscillation keeps those integrals at machine
-precision.
+modes sin(pi k s/t) sin(pi l s/t), that is, against the half-wave cosines
+cos(pi m s/t) with m = |k - l| and k + l; a composite Gauss-Legendre rule
+with panels sized for the fastest oscillation keeps those integrals at
+machine precision.
 """
 
 from functools import cache
@@ -11,7 +12,7 @@ from functools import cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["gauss_legendre", "composite_gauss", "mode_quadrature", "mode_cosine_sums"]
+__all__ = ["gauss_legendre", "composite_gauss", "mode_quadrature", "mode_cosine_moments"]
 
 # Gauss-Legendre panels of this order keep oscillatory integrands at
 # machine precision as long as the phase per panel stays below ~8.
@@ -52,17 +53,19 @@ def mode_quadrature(t: float, max_halfwaves: int):
     return nodes.ravel(), weights.ravel()
 
 
-def mode_cosine_sums(fw: np.ndarray, K: int) -> np.ndarray:
-    """sum_q fw_q cos(2 pi k s_q/t) for k = 1..K, fw_q = weight x integrand at node s_q.
+def mode_cosine_moments(fw: np.ndarray, M: int) -> np.ndarray:
+    """sum_q fw_q cos(pi m s_q/t) for m = 0..M, fw_q = weight x integrand at node s_q.
 
-    The nodes are those of a mode_quadrature rule on [0, t].  Its panels are
-    uniform, s = p t/P + u, so one FFT over p and a phase in the offsets u
-    give every k at once.
+    The nodes are those of a mode_quadrature rule on [0, t], and ``fw`` may
+    stack integrands along its leading axes; the moments take the last axis.
+    The rule's panels are uniform, s = p t/P + u, so one FFT over p,
+    zero-padded to 2P, and a phase in the offsets u give every m at once.
     """
-    f = fw.reshape(-1, _PANEL_ORDER)
-    panels = len(f)
+    panels = fw.shape[-1] // _PANEL_ORDER
+    f = fw.reshape(fw.shape[:-1] + (panels, _PANEL_ORDER))
     u = (gauss_legendre(_PANEL_ORDER)[0] + 1.0) / (2.0 * panels)  # offsets, in units of t
-    k = np.arange(1, K + 1)
-    F = np.fft.fft(f, axis=0)[k % panels]  # sum_p f_p exp(-2 pi i k p/P)
-    phase = 2.0 * np.pi * np.outer(k, u)
-    return np.sum(F.real * np.cos(phase) + F.imag * np.sin(phase), axis=1)  # Re F exp(-i phase)
+    m = np.arange(M + 1)
+    # sum_p f_p exp(-i pi m p/P)
+    F = np.fft.fft(f, n=2 * panels, axis=-2)[..., m % (2 * panels), :]
+    phase = np.pi * np.outer(m, u)
+    return np.sum(F.real * np.cos(phase) + F.imag * np.sin(phase), axis=-1)  # Re F exp(-i phase)

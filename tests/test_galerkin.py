@@ -12,6 +12,7 @@ from geodet import (
     JacobiSystem,
     Partition,
     RouteDisagreementError,
+    SyntheticPotential,
     assemble_hessian_fourier,
     assemble_hessian_piecewise,
     bernoulli_cosine_sum,
@@ -43,6 +44,29 @@ def test_zero_potential_assembles_identity():
     sys = JacobiSystem.constant(np.zeros((2, 2)), 1.0)
     M = assemble_hessian_fourier(sys, 8)
     assert np.array_equal(M.entries, np.eye(16))
+
+
+def test_zero_callable_potential_is_the_identity_and_determinant_one():
+    # no fiber couples: the moments see an empty stack, every level an empty
+    # spectrum, and the tail a zero mean
+    for n in (1, 3):
+        sys = JacobiSystem(n, 1.3, lambda s: np.zeros((n, n)))
+        M = assemble_hessian_fourier(sys, 8)
+        assert np.array_equal(M.entries, np.eye(8 * n)) and len(M.coupled) == 0
+        assert fredholm_det(sys, (4, 8)).extrapolated == 1.0
+        assert fredholm_det_deflated(sys, (4, 8)).extrapolated == 1.0
+
+
+@pytest.mark.parametrize("K", [3.0, 2.5, 0, -1, "4", None])
+def test_fourier_mode_count_is_an_integer_of_at_least_one(K):
+    sys = JacobiSystem(2, 1.0, lambda s: np.diag([s, 1.0]))
+    with pytest.raises(DomainError, match="integer mode counts >= 1"):
+        assemble_hessian_fourier(sys, K)
+
+
+def test_fourier_dimension_is_a_python_int():
+    M = assemble_hessian_fourier(JacobiSystem(2, 1.0, lambda s: np.diag([s, 1.0])), np.int64(3))
+    assert type(M.dimension) is int and M.dimension == 6 and M.entries.shape == (6, 6)
 
 
 def test_constant_curvature_diagonal_entries():
@@ -92,11 +116,30 @@ def varying_potential(n):
     return lambda s: A + B * np.sin(3.0 * s) + np.eye(n) * s * s
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_fourier_gemm_assembly_matches_einsum(n):
-    K, t = 24, 1.3
-    sys = JacobiSystem(n, t, varying_potential(n))
-    M = assemble_hessian_fourier(sys, K).entries
+def sparse_potential(s):
+    """4 x 4: fiber 0 only couples (zero diagonal), fiber 2 is zero throughout."""
+    V = np.zeros((4, 4))
+    V[0, 1] = V[1, 0] = np.sin(2.0 * s) + 0.5
+    V[0, 3] = V[3, 0] = s
+    V[1, 1], V[3, 3], V[1, 3] = 1.0 + s * s, np.cos(3.0 * s), 0.3 - s
+    V[3, 1] = V[1, 3]
+    return V
+
+
+ASSEMBLY_CASES = {f"dense-n{n}": (n, varying_potential(n)) for n in (1, 2, 3, 4)}
+ASSEMBLY_CASES["sparse-n4"] = (4, sparse_potential)
+
+
+@pytest.mark.parametrize("K", [1, 7, 24])
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+def test_fourier_moment_assembly_matches_einsum(case, K):
+    # oracle: the sine products taken node by node on the same rule
+    n, potential = ASSEMBLY_CASES[case]
+    t = 1.3
+    sys = JacobiSystem(n, t, potential)
+    G = assemble_hessian_fourier(sys, K)
+    M = G.entries
+    assert list(G.coupled) == ([0, 1, 3] if case == "sparse-n4" else list(range(n)))
     nodes, weights = mode_quadrature(t, 2 * K)
     Vq = np.stack([sys(s) for s in nodes])
     amp = np.sqrt(2.0 * t) / (PI * np.arange(1, K + 1))
@@ -104,6 +147,45 @@ def test_fourier_gemm_assembly_matches_einsum(n):
     W = np.einsum("kq,lq,qij,q->kilj", S, S, Vq, weights).reshape(n * K, n * K)
     ref = np.eye(n * K) + W
     assert np.max(np.abs(M - 0.5 * (ref + ref.T))) < 1e-14
+    assert np.array_equal(M, M.T)
+    # the tail's mean matrix is the rule's average of the same samples
+    mean = np.einsum("q,qij->ij", weights, Vq) / t
+    assert np.max(np.abs(G.mean - 0.5 * (mean + mean.T))) < 1e-14
+
+
+def _full_block_determinant(G, n, K):
+    return deflated_matrix_determinant(np.linalg.eigvalsh(G.entries[: n * K, : n * K]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_coupled_fiber_eigenvalues_match_the_full_block(n):
+    # the tangent fiber of a synthetic system is a block of the identity
+    manifold = SyntheticPotential(n, varying_potential(n - 1), 1.3)
+    sys = jacobi_endomorphism(GeodesicData(manifold, 1.3))
+    G = assemble_hessian_fourier(sys, 64)
+    assert list(G.coupled) == list(range(1, n))
+    for K in (16, 32, 64):
+        evals = galerkin._level_eigenvalues(sys, K, G)
+        assert len(evals) == (n - 1) * K
+        (sign, log_abs), kdim = deflated_matrix_determinant(evals)
+        (sign_full, log_full), kdim_full = _full_block_determinant(G, n, K)
+        assert sign == sign_full and kdim == kdim_full == 0
+        assert abs(log_abs - log_full) < 1e-13
+
+
+def test_coupled_fiber_eigenvalues_keep_the_antipodal_kernel():
+    # the antipodal S^3 potential as a callable takes the assembled route and
+    # has a two-dimensional kernel from K = 1 on
+    V = sphere_system(1.0, PI, 3)(0.0)
+    sys = JacobiSystem(3, 1.0, lambda s: V)
+    G = assemble_hessian_fourier(sys, 64)
+    assert list(G.coupled) == [1, 2]
+    for K in (1, 16, 64):
+        (sign, log_abs), kdim = deflated_matrix_determinant(galerkin._level_eigenvalues(sys, K, G))
+        (sign_full, log_full), kdim_full = _full_block_determinant(G, 3, K)
+        assert sign == sign_full and kdim == kdim_full == 2
+        assert abs(log_abs - log_full) < 1e-13
+    assert fredholm_det_deflated(sys, (16, 32, 64)).kernel_dimension == 2
 
 
 def test_assembled_matrix_is_symmetric():
@@ -174,9 +256,11 @@ def test_tail_completed_overflow_is_domain_error():
 def test_divergent_tail_is_domain_error():
     # c = 5e5 / pi^2 = 50660 needs (K + 1)^2 > c, that is K >= 225 modes
     sys = sphere_system(-5e5, 1.0, 2)
+    varying = JacobiSystem(2, 1.0, lambda s: sys(0.0))  # the same samples, assembled
     for route in (fredholm_det, fredholm_det_deflated):
-        with pytest.raises(DomainError, match="needs at least 225 modes"):
-            route(sys, (32, 64))
+        for system in (sys, varying):
+            with pytest.raises(DomainError, match="needs at least 225 modes"):
+                route(system, (32, 64))
     assert fredholm_det(sys, (256, 512)).extrapolated == pytest.approx(8.7e303, rel=1e-2)
 
 

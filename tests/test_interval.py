@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geodet import interval
-from geodet.interval import composite_gauss, gauss_legendre, mode_cosine_sums, mode_quadrature
+from geodet.interval import composite_gauss, gauss_legendre, mode_cosine_moments, mode_quadrature
 
 PI = np.pi
 
@@ -84,15 +84,25 @@ def test_mode_quadrature_is_composite_gauss_on_uniform_panels(t, halfwaves):
     assert np.array_equal(weights, ref_weights.ravel())
 
 
-@pytest.mark.parametrize("t, halfwaves, K", [(1.0, 16, 8), (0.37, 64, 40), (2.5, 1024, 512)])
-def test_mode_cosine_sums_match_direct_sums(t, halfwaves, K):
-    # the FFT over uniform panels against the cosines taken node by node;
-    # K beyond the panel count exercises the aliasing k mod P
+@pytest.mark.parametrize(
+    "t, halfwaves, M", [(1.0, 16, 8), (0.37, 64, 80), (2.5, 1024, 1024), (1e-70, 16, 200)]
+)
+def test_mode_cosine_moments_match_direct_sums(t, halfwaves, M):
+    # the zero-padded FFT over uniform panels against the cosines taken node
+    # by node, for a stack of three integrands; every m = 0..M, odd ones too,
+    # and M at or beyond twice the panel count exercises the aliasing m mod 2P
     nodes, weights = mode_quadrature(t, halfwaves)
-    fw = weights * (1.0 + np.sin(3.0 * nodes) + nodes**2)
-    k = np.arange(1, K + 1)
-    direct = np.cos(2.0 * PI * np.outer(k, nodes) / t) @ fw
-    assert np.max(np.abs(mode_cosine_sums(fw, K) - direct)) < 1e-13 * np.sum(np.abs(fw))
+    u = nodes / t
+    fw = weights * np.stack([1.0 + np.sin(3.0 * u) + u**2, np.cos(7.0 * u), u * (1.0 - u)])
+    m = np.arange(M + 1)
+    direct = fw @ np.cos(PI * np.outer(m, u)).T
+    moments = mode_cosine_moments(fw, M)
+    assert moments.shape == (3, M + 1)
+    scale = np.sum(np.abs(fw), axis=1, keepdims=True)
+    assert np.all(np.abs(moments - direct) < 1e-13 * scale)
+    single = mode_cosine_moments(fw[1], M)  # one integrand, without a stack axis
+    assert single.shape == (M + 1,) and np.all(np.abs(single - direct[1]) < 1e-13 * scale[1])
+    assert mode_cosine_moments(fw[:0], M).shape == (0, M + 1)
 
 
 def test_only_interval_builds_gauss_legendre_rules():
