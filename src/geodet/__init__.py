@@ -35,6 +35,7 @@ from .galerkin import (
     DeterminantEstimate,
     GalerkinMatrix,
     Partition,
+    PiecewiseHessian,
     assemble_hessian_fourier,
     assemble_hessian_piecewise,
     bernoulli_cosine_sum,

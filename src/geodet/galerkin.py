@@ -31,6 +31,7 @@ from .interval import composite_gauss, mode_cosine_moments, mode_quadrature
 __all__ = [
     "Partition",
     "GalerkinMatrix",
+    "PiecewiseHessian",
     "DeterminantEstimate",
     "assemble_hessian_fourier",
     "fredholm_det",
@@ -93,17 +94,38 @@ class Partition:
 
 @dataclass
 class GalerkinMatrix:
-    """Dense symmetric truncation of the Hessian form in an orthonormal basis.
+    """Dense symmetric truncation of the Hessian form over the first K sine modes.
 
-    The Fourier assembly also records ``mean``, the average of V over [0, t]
-    on its rule, and ``coupled``, the fibers whose row or column of V is
-    nonzero at some node; every other fiber is a block of the identity.
+    :func:`assemble_hessian_fourier` builds it and also records ``mean``,
+    the average of V over [0, t] on its rule, and ``coupled``, the fibers
+    whose row or column of V is nonzero at some node; every other fiber is
+    a block of the identity.
     """
 
     dimension: int
     entries: np.ndarray
     mean: np.ndarray = None
     coupled: np.ndarray = None
+
+
+@dataclass
+class PiecewiseHessian:
+    """One level of the hat filtration: the Hessian form D + B in n x n blocks.
+
+    ``diag`` (N-1, n, n) and ``off`` (N-2, n, n) are the diagonal and upper
+    off-diagonal blocks of B, off block j coupling interior nodes j and
+    j + 1; ``a`` and ``c`` are the scalars of the hat stiffness D; and
+    ``samples`` (N, _HAT_NODES, n, n) holds V at the level's Gauss nodes.
+    """
+
+    dimension: int
+    diag: np.ndarray
+    off: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    samples: np.ndarray
+    green_trace: float
+    bump_trace: float
 
 
 @dataclass
@@ -423,36 +445,6 @@ def _hat_stiffness(deltas: np.ndarray):
     return inv[:-1] + inv[1:], -inv[1:-1]
 
 
-def _hat_blocks(sys: JacobiSystem, nodes: np.ndarray):
-    """Blocks of B, the potential samples and the two trace integrals of one level.
-
-    ``nodes`` are the partition times on [0, t].  Returns the diagonal
-    (N-1, n, n) and off-diagonal (N-2, n, n) blocks of B, where off-diagonal
-    block j couples interior nodes j and j + 1; the samples, shape
-    (N, _HAT_NODES, n, n); and (int tr V s(t-s)/t, int tr V h u(1-u)) on the
-    same rule, u the position of s in its segment of length h.  The
-    difference of the two integrals is tr(D^{-1} B): with D^{-1} = G (x) I,
-    G_jk = s_min (t - s_max)/t, sum_jk G_jk phi_j phi_k = s(t-s)/t - h u(1-u),
-    and no product reaches t^2.  A _HAT_NODES-point Gauss-Legendre rule per
-    segment samples the potential once per node.  The 4-point rule is exact
-    for hat moments of a V of degree <= 5 on a segment, and its O(mesh^8)
-    error sits far below the O(mesh^4) error of the Richardson-extrapolated
-    filtration.
-    """
-    sq, wq = composite_gauss(nodes, _HAT_NODES)  # (N, _HAT_NODES)
-    t, a, b, h = nodes[-1], nodes[:-1, None], nodes[1:, None], np.diff(nodes)[:, None]
-    up = (sq - a) / h  # hat rising on the segment (its right node)
-    down = (b - sq) / h  # hat falling (its left node)
-    Vq = sys.sample(sq.ravel()).reshape(sq.shape + (sys.n, sys.n))
-
-    def moment(f):
-        return np.einsum("sq,sqij->sij", wq * f, Vq)
-
-    fw = wq * np.trace(Vq, axis1=2, axis2=3)
-    traces = float(np.sum(fw * sq * ((t - sq) / t))), float(np.sum(fw * h * up * (1.0 - up)))
-    return moment(up * up)[:-1] + moment(down * down)[1:], moment(down * up)[1:-1], Vq, traces
-
-
 def _check_resolution(Vq: np.ndarray, t: float, N: int) -> None:
     """DomainError unless each of N segments on [0, t] spans at most
     PIECEWISE_PHASE_BOUND of the phase sqrt(-lambda_min(V)) at the samples ``Vq``.
@@ -475,17 +467,6 @@ def _check_resolution(Vq: np.ndarray, t: float, N: int) -> None:
             f"segment at N = {N} exceeds {PIECEWISE_PHASE_BOUND}; the finest level needs "
             f"at least {int(np.ceil(phase / PIECEWISE_PHASE_BOUND))} segments"
         )
-
-
-def _block_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Dense symmetric matrix from diagonal blocks and upper off-diagonal blocks."""
-    m, n = diag.shape[:2]
-    out = np.zeros((m, n, m, n))
-    j = np.arange(m)
-    out[j, :, j, :] = diag
-    out[j[:-1], :, j[1:], :] = off
-    out[j[1:], :, j[:-1], :] = off.transpose(0, 2, 1)
-    return out.reshape(m * n, m * n)
 
 
 def _hat_slogdet(a, c, diag: np.ndarray, off: np.ndarray):
@@ -531,10 +512,7 @@ def _hat_slogdet(a, c, diag: np.ndarray, off: np.ndarray):
         signs, logs = np.linalg.slogdet(S)
         if not np.all(signs):
             raise DegenerateOperatorError("piecewise truncation is singular")
-        try:
-            Y = np.linalg.solve(S, rhs)
-        except np.linalg.LinAlgError:
-            raise DegenerateOperatorError("piecewise truncation is singular") from None
+        Y = np.linalg.solve(S, rhs)
         # S holds the diagonal of X only to the spacing of 1; the dropped bits
         # d change log det S by tr(S^-1 d), with diag S^-1 = 1 - diag(Y)/ao
         dropped = np.diagonal(X, axis1=1, axis2=2) - (np.diagonal(S, axis1=1, axis2=2) - 1.0)
@@ -571,57 +549,72 @@ def _hat_slogdet(a, c, diag: np.ndarray, off: np.ndarray):
     return sign, logdet
 
 
-def assemble_hessian_piecewise(sys: JacobiSystem, partition: Partition) -> GalerkinMatrix:
-    """Hessian form over interior piecewise-linear fields, H1-orthonormalized.
+def assemble_hessian_piecewise(sys: JacobiSystem, partition: Partition) -> PiecewiseHessian:
+    """The Hessian form over the interior hats of ``partition``, scaled to [0, t].
 
-    Node-major ordering: index (j-1)*n + i for node j = 1..N-1, fiber i.
-    The raw hat basis has H1 Gram D with det D = prod delta_j^{-n}; the
-    returned matrix is L^{-1} (D + B) L^{-T} with D = L L^T, i.e. the form
-    expressed in an H1-orthonormal basis of the hat space.  Zero potential
-    gives the identity exactly.
+    A _HAT_NODES-point Gauss-Legendre rule per segment samples the
+    potential once per node, and the blocks of B and both trace integrals
+    come from those samples.  The 4-point rule is exact for hat moments of
+    a V of degree <= 5 on a segment, and its O(mesh^8) error sits far below
+    the O(mesh^4) error of the Richardson-extrapolated filtration.  The
+    traces are green_trace = int tr V s(t-s)/t and bump_trace =
+    int tr V h u(1-u), u the position of s in its segment of length h; their
+    difference is tr(D^{-1} B): with D^{-1} = G (x) I, G_jk =
+    s_min (t - s_max)/t, sum_jk G_jk phi_j phi_k = s(t-s)/t - h u(1-u), and
+    no product reaches t^2.  Fewer than two segments raise DomainError.
     """
     if partition.N < 2:
         raise DomainError("need at least two segments")
     nodes = np.asarray(partition.times) * sys.t
-    diag, off, *_ = _hat_blocks(sys, nodes)
-    dim = sys.n * (partition.N - 1)
-    eye = np.eye(sys.n)
-    a, c = _hat_stiffness(np.diff(nodes))
-    L = np.linalg.cholesky(_block_tridiagonal(a[:, None, None] * eye, c[:, None, None] * eye))
-    tmp = np.linalg.solve(L, _block_tridiagonal(diag, off))
-    M = np.eye(dim) + np.linalg.solve(L, tmp.T).T
-    return GalerkinMatrix(dim, 0.5 * (M + M.T))
+    sq, wq = composite_gauss(nodes, _HAT_NODES)  # (N, _HAT_NODES)
+    deltas = np.diff(nodes)
+    t, lo, hi, h = nodes[-1], nodes[:-1, None], nodes[1:, None], deltas[:, None]
+    up = (sq - lo) / h  # hat rising on the segment (its right node)
+    down = (hi - sq) / h  # hat falling (its left node)
+    Vq = sys.sample(sq.ravel()).reshape(sq.shape + (sys.n, sys.n))
+
+    def moment(f):
+        return np.einsum("sq,sqij->sij", wq * f, Vq)
+
+    fw = wq * np.trace(Vq, axis1=2, axis2=3)
+    return PiecewiseHessian(
+        sys.n * (partition.N - 1),
+        moment(up * up)[:-1] + moment(down * down)[1:],
+        moment(down * up)[1:-1],
+        *_hat_stiffness(deltas),
+        Vq,
+        float(np.sum(fw * sq * ((t - sq) / t))),
+        float(np.sum(fw * h * up * (1.0 - up))),
+    )
 
 
 def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     """Fredholm determinant through the piecewise-linear filtration.
 
-    ``schedule`` lists segment counts N (uniform partitions).  Each level's
-    raw determinant det(D + B)/det(D), from block cyclic reduction of the
-    hat blocks in O(N n^3), is completed by the trace-defect
-    factor exp(Tr_exact - Tr_discrete), which removes the first-order error
-    of the hat space (both the unresolved tail and the per-mode stiffness
-    bias), leaving O(mesh^2); the extrapolated value applies one mesh^2
-    Richardson step when the schedule doubles.  Tr_discrete = tr(D^{-1} B)
-    comes from each level's samples, Tr_exact = int tr V(s) s(t-s)/t from
-    the finest level's (:func:`_hat_blocks`), so each level samples the
-    potential at _HAT_NODES N points and nowhere else.  An exactly singular
-    truncation raises DegenerateOperatorError, and a finest level whose
-    segments span more than PIECEWISE_PHASE_BOUND rad of the phase
-    sqrt(-lambda_min(V)) raises DomainError naming the segment count needed.
+    ``schedule`` lists segment counts N (uniform partitions), and one call
+    of :func:`assemble_hessian_piecewise` builds each level.  Its raw
+    determinant det(D + B)/det(D), from block cyclic reduction of the hat
+    blocks in O(N n^3), is completed by the trace-defect factor
+    exp(Tr_exact - Tr_discrete), which removes the first-order error of the
+    hat space (both the unresolved tail and the per-mode stiffness bias),
+    leaving O(mesh^2); the extrapolated value applies one mesh^2 Richardson
+    step when the schedule doubles.  Tr_discrete = tr(D^{-1} B) comes from
+    each level's samples, Tr_exact = int tr V(s) s(t-s)/t from the finest
+    level's, so each level samples the potential at _HAT_NODES N points and
+    nowhere else.  An exactly singular truncation raises
+    DegenerateOperatorError, and a finest level whose segments span more
+    than PIECEWISE_PHASE_BOUND rad of the phase sqrt(-lambda_min(V)) raises
+    DomainError naming the segment count needed.
     """
     schedule = _check_schedule(schedule, "segment counts", 2)
-    t = sys.t
     levels = []
     for N in schedule:
-        nodes = np.asarray(Partition.uniform(N).times) * t
-        diag, off, Vq, traces = _hat_blocks(sys, nodes)
+        H = assemble_hessian_piecewise(sys, Partition.uniform(N))
         if N == schedule[-1]:
-            _check_resolution(Vq, t, N)
-        a, c = _hat_stiffness(np.diff(nodes))
-        levels.append((sys.n * (N - 1), _hat_slogdet(a, c, diag, off), traces))
-    tr_exact = levels[-1][2][0]  # the finest level's rule
-    levels = [(dim, det, tr_exact - green + bump) for dim, det, (green, bump) in levels]
+            _check_resolution(H.samples, sys.t, N)
+        levels.append((H.dimension, _hat_slogdet(H.a, H.c, H.diag, H.off), H))
+    # H is now the finest level, whose rule gives Tr_exact
+    levels = [(dim, det, H.green_trace - h.green_trace + h.bump_trace) for dim, det, h in levels]
     return _estimate(levels, richardson=len(schedule) > 1 and schedule[-1] == 2 * schedule[-2])
 
 

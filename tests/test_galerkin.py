@@ -476,8 +476,11 @@ def test_partition_basics():
 
 def test_piecewise_zero_potential_is_identity():
     sys = JacobiSystem.constant(np.zeros((2, 2)), 1.0)
-    M = assemble_hessian_piecewise(sys, Partition.uniform(16))
-    assert np.array_equal(M.entries, np.eye(2 * 15))
+    H = assemble_hessian_piecewise(sys, Partition.uniform(16))
+    assert H.dimension == 2 * 15
+    assert not H.diag.any() and not H.off.any()
+    assert galerkin._hat_slogdet(H.a, H.c, H.diag, H.off) == (1.0, 0.0)
+    assert fredholm_det_piecewise(sys, (16, 32)).extrapolated == 1.0
 
 
 def dense_hat_reference(sys, N, quad_order=8):
@@ -528,16 +531,12 @@ def test_piecewise_recurrence_matches_dense_route(name):
     est = fredholm_det_piecewise(sys, schedule)
     for N, (dim, value) in zip(schedule, est.levels):
         D, B = dense_hat_reference(sys, N)
-        M = assemble_hessian_piecewise(sys, Partition.uniform(N))
-        L = np.linalg.cholesky(D)
-        ref = np.eye(dim) + np.linalg.solve(L, np.linalg.solve(L, B).T).T
-        assert np.max(np.abs(M.entries - 0.5 * (ref + ref.T))) < 1e-13
-        sign, logdet = np.linalg.slogdet(M.entries)
-        assert dim == M.dimension
+        H = assemble_hessian_piecewise(sys, Partition.uniform(N))
+        assert dim == H.dimension == len(D)
+        sign, logdet = np.linalg.slogdet(D + B)
+        logdet -= np.linalg.slogdet(D)[1]
         assert abs(value - sign * np.exp(logdet)) < 1e-12 * abs(value)
-        nodes = np.linspace(0.0, 1.0, N + 1)
-        green, bump = galerkin._hat_blocks(sys, nodes)[3]
-        tr = green - bump
+        tr = H.green_trace - H.bump_trace
         assert tr == pytest.approx(np.trace(np.linalg.solve(D, B)), rel=1e-12, abs=1e-15)
     # the signs: det > 0 for two negative directions, det < 0 for three
     expected_sign = {"varying-positive": 1, "constant": 1, "indefinite": 1, "negative-det": -1}
@@ -549,9 +548,10 @@ def test_hat_blocks_constant_potential_are_mass_blocks():
     # and delta_{j+1}/6 off it, times V
     n, t = 3, 1.3
     V = constant_potential(n)
-    nodes = np.asarray(Partition((0.0, 0.1, 0.35, 0.4, 0.8, 1.0)).times) * t
-    deltas = np.diff(nodes)
-    diag, off, *_ = galerkin._hat_blocks(JacobiSystem.constant(V, t), nodes)
+    partition = Partition((0.0, 0.1, 0.35, 0.4, 0.8, 1.0))
+    deltas = partition.deltas * t
+    H = assemble_hessian_piecewise(JacobiSystem.constant(V, t), partition)
+    diag, off = H.diag, H.off
     diag_ref = ((deltas[:-1] + deltas[1:]) / 3.0)[:, None, None] * V
     off_ref = (deltas[1:-1] / 6.0)[:, None, None] * V
     assert np.max(np.abs(diag - diag_ref)) <= 1e-14 * np.max(np.abs(diag_ref))
@@ -571,6 +571,23 @@ def test_piecewise_samples_potential_four_times_per_segment():
     calls.clear()
     fredholm_det_piecewise(sys, (32, 64, 128))
     assert len(calls) == 4 * (32 + 64 + 128)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_piecewise_builds_every_level_through_the_public_assembly(n, monkeypatch):
+    # the benchmark's tracer wraps the module-level name the same way
+    dims = []
+    build = galerkin.assemble_hessian_piecewise
+
+    def counted(sys, partition):
+        H = build(sys, partition)
+        dims.append(H.dimension)
+        return H
+
+    monkeypatch.setattr(galerkin, "assemble_hessian_piecewise", counted)
+    sys = JacobiSystem(n, 1.0, lambda s: (1.0 + np.sin(2 * s)) * np.eye(n))
+    est = fredholm_det_piecewise(sys, (16, 32, 64))
+    assert dims == [15 * n, 31 * n, 63 * n] == [dim for dim, _ in est.levels]
 
 
 def test_piecewise_trace_does_not_alias():
@@ -641,11 +658,9 @@ def test_hat_slogdet_through_interior_conjugate_point(N):
     # sequential recurrence divided by the small pivots near the zero of the
     # discrete Jacobi field and lost 3.0e-13 at N = 256 and 3.0e-12 at 1024
     sys = JacobiSystem.constant(-12.0 * np.eye(2), 1.0)
-    nodes = np.asarray(Partition.uniform(N).times)
-    diag, off, *_ = galerkin._hat_blocks(sys, nodes)
-    a, c = galerkin._hat_stiffness(np.diff(nodes))
-    _, logdet = galerkin._hat_slogdet(a, c, diag, off)
-    assert abs(logdet - float(_mp_hat_logdet(a, c, diag, off))) <= 1e-13
+    H = assemble_hessian_piecewise(sys, Partition.uniform(N))
+    _, logdet = galerkin._hat_slogdet(H.a, H.c, H.diag, H.off)
+    assert abs(logdet - float(_mp_hat_logdet(H.a, H.c, H.diag, H.off))) <= 1e-13
 
 
 def test_piecewise_fine_constant_curvature_is_linear_in_N():
@@ -909,3 +924,32 @@ def test_zeta_tail_matches_hurwitz_zeta(m):
         for K in Ks:
             ref = float(mp.zeta(2 * m, K + 1))
             assert galerkin._zeta_tail(K, m) == pytest.approx(ref, rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: assemble_hessian_piecewise(JacobiSystem(1, 1.0, 1.0), Partition((0.0, 1.0))),
+            "need at least two segments",
+        ),
+        (
+            lambda: evaluation_map_jacobian(
+                GeodesicData(ConstantCurvature(2, 1.0), 1.0), Partition((0.0, 1.0))
+            ),
+            "need at least two segments",
+        ),
+        (
+            lambda: evaluation_map_jacobian(
+                GeodesicData(SyntheticPotential(2, lambda s: np.eye(1), 1.0), 1.0),
+                Partition.uniform(4),
+            ),
+            "evaluation-map Jacobian implemented for constant curvature",
+        ),
+    ],
+    ids=["assembly-one-segment", "evaluation-map-one-segment", "evaluation-map-synthetic"],
+)
+def test_input_guards_are_named_domain_errors(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message

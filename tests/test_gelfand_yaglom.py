@@ -759,3 +759,14 @@ def test_identity_chain_full():
         zeta_val = 2.0**-n * zeta_det_jacobi(sys).value
         for other in (ode_val, closed, zeta_val):
             assert abs(galerkin_val - other) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: zeta_det_dirichlet_laplacian(1.0, 0), "fiber dimension must be >= 1, got 0")],
+    ids=["free-determinant-n0"],
+)
+def test_input_guards_are_named_domain_errors(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message

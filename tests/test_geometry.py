@@ -389,3 +389,63 @@ def test_huge_interval_leaves_the_float64_range_by_name(route, t):
     for n in (1, 2):
         with pytest.raises(IntegrationError, match="float64 range"):
             _ROUTES[route](_system("constant", n, t))
+
+
+def _one(s):
+    return np.eye(1)
+
+
+def _synthetic():
+    return SyntheticPotential(2, _one, 1.0)
+
+
+_NOT_CONSTANT = "closed form requires a constant-curvature manifold"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: ConstantCurvature(2, np.inf), "curvature must be finite", id="kappa-inf"
+        ),
+        pytest.param(
+            lambda: SyntheticPotential(1, _one, 1.0),
+            "synthetic manifolds need dimension >= 2",
+            id="synthetic-n1",
+        ),
+        pytest.param(
+            lambda: JacobiSystem(0, 1.0, _one), "fiber dimension must be >= 1, got 0", id="fiber-n0"
+        ),
+        pytest.param(
+            lambda: jacobi_endomorphism(GeodesicData(object(), 1.0)),
+            "unsupported manifold object",
+            id="unknown-manifold",
+        ),
+        pytest.param(
+            lambda: exp_jacobian_closed_form(_synthetic(), -1.0), _NOT_CONSTANT, id="synthetic-d-1"
+        ),
+        pytest.param(
+            lambda: exp_jacobian_closed_form(_synthetic(), np.nan),
+            _NOT_CONSTANT,
+            id="synthetic-nan",
+        ),
+        pytest.param(
+            lambda: exp_jacobian_closed_form(ConstantCurvature(2, 1.0), -1.0),
+            "distance must be finite and >= 0, got -1.0",
+            id="sphere-d-1",
+        ),
+        pytest.param(
+            lambda: exp_jacobian_closed_form(ConstantCurvature(2, 1.0), np.nan),
+            "distance must be finite and >= 0, got nan",
+            id="sphere-nan",
+        ),
+    ],
+)
+def test_input_guards_are_named_domain_errors(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+def test_scalar_constant_potential_is_a_one_by_one_matrix():
+    assert np.array_equal(JacobiSystem(1, 1.0, 2.5)(0.3), [[2.5]])

@@ -14,6 +14,7 @@ from geodet import (
     InsufficientDegreeError,
     OutOfScopeError,
     SphereSpectrum,
+    SyntheticPotential,
     antipodal_limit_via_Sxy,
     antipodal_sphere_limit_closed_form,
     euclidean_heat_kernel,
@@ -393,3 +394,32 @@ def test_heat_times_and_radii_must_be_positive_and_finite(x):
     for call in calls:
         with pytest.raises(DomainError, match="positive and finite"):
             call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: nondegenerate_limit_prediction(
+                SyntheticPotential(2, lambda s: np.eye(1), 1.0), 1.0
+            ),
+            "prediction implemented for constant curvature",
+        ),
+        (lambda: SphereSpectrum(0, 1.0, 5), "sphere dimension must be >= 1"),
+        (lambda: SphereSpectrum(2, 1.0, 0), "max_degree must be >= 1"),
+        (
+            lambda: heat_limit_validation(2, 1.0, "antipodal", levels=1),
+            "need at least two time levels",
+        ),
+    ],
+    ids=["prediction-synthetic", "sphere-n0", "degree-0", "one-level"],
+)
+def test_input_guards_are_named_domain_errors(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+def test_richardson_stops_at_one_value():
+    # three stages asked of two values: the first stage leaves one, and it is final
+    assert richardson_extrapolate([1.0, 2.0], 3) == [3.0]
