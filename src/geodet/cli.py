@@ -89,6 +89,8 @@ def _det_gy(p):
 
 def _det_zeta(p):
     if p.get("laplacian"):
+        if "kappa" in p or "r" in p:
+            raise UsageError("det-zeta --laplacian takes no --kappa or --r")
         z = gy.zeta_det_dirichlet_laplacian(p["t"], p["n"])
     else:
         if "kappa" not in p or "r" not in p:

@@ -291,7 +291,7 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
     nonzero = Vq.any(axis=0)
     coupled = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     i, j = (coupled[r] for r in np.triu_indices(len(coupled)))  # pairs i <= j
-    C = mode_cosine_moments(weights * (0.5 * (Vq[:, i, j] + Vq[:, j, i])).T, 2 * K)
+    C = mode_cosine_moments(weights * (0.5 * (Vq[:, i, j] + Vq[:, j, i])).T, np.arange(2 * K + 1))
     # C(|k - l|) and C(k + l) as K x K windows onto each pair's moments
     folded = np.concatenate([C[:, K - 1 : 0 : -1], C[:, :K]], 1)  # C(|m|), m = 1-K..K-1
     toeplitz = sliding_window_view(folded, K, 1)[:, ::-1]
@@ -403,7 +403,7 @@ def hessian_trace(sys: JacobiSystem) -> float:
     nodes, weights = mode_quadrature(t, 2 * K)
     fw = weights * np.einsum("qii->q", sys.sample(nodes))
     integral = float(np.sum(fw))
-    c = mode_cosine_moments(fw, 2 * K)[2::2]
+    c = mode_cosine_moments(fw, np.arange(2, 2 * K + 1, 2))
     scale = t / (np.pi * np.arange(1, K + 1)) ** 2
     route_a = float(np.sum(scale * (integral - c))) + integral * t / np.pi**2 * _zeta_tail(K, 1)
     route_a -= float(scale[-1] * c[-1]) * K**4 * _zeta_tail(K, 2)

@@ -175,42 +175,27 @@ def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPro
     return JacobiPropagation(Y[:, : sys.n], Y[:, sys.n :])
 
 
-def _zero_modes(Jt: np.ndarray, t: float):
-    """The kernel test of J(t): its singular values, descending, and the threshold.
+def _read_endpoint(Jt: np.ndarray, Jpt: np.ndarray, t: float, kdim: int = None):
+    """(sig, kdim, C, log|det(W^T J'(t) C)|), the kernel split of a Jacobi endpoint.
 
-    Singular values below the threshold DEGENERACY_REL_TOL t mark zero
-    modes.  A small det J(t) alone is no zero mode: near a conjugate point
-    of S^4 (n = 4, r = 3.12) det J(1) = 3.3e-7 is a product of three
-    singular values 0.0069, each computed to full relative accuracy.
+    sig are the singular values of J(t), descending; C and W, its last kdim
+    right and left singular vectors, span ker J(t) and the complement of its
+    range.  Unless given (a coarse run keeps the fine run's route), kdim
+    counts the singular values below DEGENERACY_REL_TOL t.  A small det J(t)
+    alone is no zero mode: near a conjugate point of S^4 (n = 4, r = 3.12)
+    det J(1) = 3.3e-7 is a product of three singular values 0.0069, each
+    computed to full relative accuracy.  With no kernel C is None, the log
+    0.0, and a given kdim = 0 takes no SVD (sig None).
     """
-    return np.linalg.svd(Jt, compute_uv=False), DEGENERACY_REL_TOL * t
-
-
-def _kernel_dim(Y: np.ndarray, t: float, label: str, ratio: bool = False) -> int:
-    """The route decision of every GY determinant: the kernel dimension of J(t).
-
-    The kernel is the singular-value test of :func:`_zero_modes`.  det J
-    must be positive on (0, t), and at t as well when J(t) has no kernel;
-    at a kernel the sign of det J(t) is rounding noise.  The signs come
-    from ``slogdet``, so a det J(s) beyond float64 keeps its sign.  A
-    ``ratio`` operand, one side of det J_2(t)/det J_1(t), admits no kernel
-    (DegenerateOperatorError); otherwise either is taken.
-    """
-    J = Y[:, : Y.shape[2]]
-    sig, tol = _zero_modes(J[-1], t)
-    kdim = int(np.count_nonzero(sig < tol))
-    signs = np.linalg.slogdet(J[1:])[0]
-    if np.any((signs[:-1] if kdim else signs) <= 0.0):
-        raise NonpositiveOperatorError(
-            f"{label}: det J changes sign on (0, t]; operator not positive"
-        )
-    if ratio and kdim:
-        raise DegenerateOperatorError(
-            f"{label}: J(t) has the singular value {sig[-1]:.3g}, below the kernel "
-            f"threshold {tol:.3g}; the operator has zero "
-            "modes (use gy_degenerate_ratio, or det-zeta on the command line)"
-        )
-    return kdim
+    sig = None
+    if kdim is None:
+        sig = np.linalg.svd(Jt, compute_uv=False)
+        kdim = int(np.count_nonzero(sig < DEGENERACY_REL_TOL * t))
+    if not kdim:
+        return sig, 0, None, 0.0
+    L, sig, Rt = np.linalg.svd(Jt)
+    W, C = L[:, -kdim:], Rt[-kdim:].T
+    return sig, kdim, C, float(np.linalg.slogdet(W.T @ Jpt @ C)[1])
 
 
 def _simpson_weights(num_points: int, h: float) -> np.ndarray:
@@ -227,35 +212,32 @@ def _simpson_weights(num_points: int, h: float) -> np.ndarray:
     return w
 
 
-def _gy_det(Y: np.ndarray, t: float, kdim: int):
-    """(sign, log|det|) of det J(t) of the run ``Y``, or with kdim > 0 of |det A|.
+def _gy_det(Y: np.ndarray, t: float, endpoint):
+    """(sign, log|det|) of det J(t) of the run ``Y``, or with a kernel of |det A|.
 
     A has columns J(t) d_b on the complement of ker J(t) and -K(t) G c_a on
     the kernel, G = int_0^t J^T J ds by Simpson's rule and K the second
     fundamental solution (K(0) = id, K'(0) = 0); |det A| over det J_1(t) of
-    a positive reference operator is det'_zeta(P)/det_zeta(P_1).  With
-    J(t) = L diag(sig) R^T, the kernel is spanned by C, the last kdim
-    columns of R (so a coarser run stays on the route a finer one chose),
-    and W, those of L.  As J(t) C = 0, the Wronskians of a symmetric V give
+    a positive reference operator is det'_zeta(P)/det_zeta(P_1).  With C and
+    W of the run's ``endpoint`` (:func:`_read_endpoint`) and J(t) C = 0,
+    the Wronskians of a symmetric V give
 
         J(t)^T J'(t) C = J'(t)^T J(t) C = 0, so J'(t) C = W W^T J'(t) C,
         C^T = C^T (J'^T K - J^T K')(t) = (W^T J'(t) C)^T W^T K(t),
 
-    so W^T K(t) = (W^T J'(t) C)^{-T} C^T, and in the bases L and R, A is
+    so W^T K(t) = (W^T J'(t) C)^{-T} C^T, and in the singular bases, A is
     block triangular: |det A| = prod sig_perp det(C^T G C)/|det(W^T J'(t) C)|,
     or det G/|det J'(t)| when the kernel fills every direction.
     """
+    sig, kdim, C, log_wjc = endpoint
     n = Y.shape[2]
     J = Y[:, :n]
     if not kdim:
         return tuple(map(float, np.linalg.slogdet(J[-1])))
-    # singular values sort descending: the kernel is the last kdim columns of L and R
-    L, sig, Rt = np.linalg.svd(J[-1])
-    W, C = L[:, n - kdim :], Rt[n - kdim :].T
     w = _simpson_weights(len(Y), t / (len(Y) - 1))
     gram = np.einsum("s,sji,sjk->ik", w, J, J)
     log_abs = np.sum(np.log(sig[: n - kdim])) + np.linalg.slogdet(C.T @ gram @ C)[1]
-    return 1.0, float(log_abs - np.linalg.slogdet(W.T @ Y[-1, n:] @ C)[1])
+    return 1.0, float(log_abs - log_wjc)
 
 
 def _exp_det(scale: float, sign: float, log_abs: float, name: str) -> float:
@@ -274,11 +256,30 @@ def _exp_det(scale: float, sign: float, log_abs: float, name: str) -> float:
 def _fine_det(sys: JacobiSystem, steps: int, label: str, ratio: bool = False):
     """((sign, log|det|) of det J(t) or |det A|, kernel dim, V samples) at ``steps``.
 
-    The state array dies with the call, so callers hold one at a time.
+    Every GY route decides by the kernel of :func:`_read_endpoint`.  det J
+    must be positive on (0, t), and at t too when J(t) has no kernel; at a
+    kernel the sign of det J(t) is rounding noise.  The signs come from
+    ``slogdet``, so a det J(s) beyond float64 keeps its sign.  A ``ratio``
+    operand, one side of det J_2(t)/det J_1(t), admits no kernel
+    (DegenerateOperatorError).  The state array dies with the call, so
+    callers hold one at a time.
     """
     Y, V = _fine_run(sys, steps)
-    kdim = _kernel_dim(Y, sys.t, label, ratio)
-    return _gy_det(Y, sys.t, kdim), kdim, V
+    n, t = sys.n, sys.t
+    endpoint = _read_endpoint(Y[-1, :n], Y[-1, n:], t)
+    sig, kdim = endpoint[:2]
+    signs = np.linalg.slogdet(Y[1:, :n])[0]
+    if np.any((signs[:-1] if kdim else signs) <= 0.0):
+        raise NonpositiveOperatorError(
+            f"{label}: det J changes sign on (0, t]; operator not positive"
+        )
+    if ratio and kdim:
+        raise DegenerateOperatorError(
+            f"{label}: J(t) has the singular value {sig[-1]:.3g}, below the kernel "
+            f"threshold {DEGENERACY_REL_TOL * t:.3g}; the operator has zero "
+            "modes (use gy_degenerate_ratio, or det-zeta on the command line)"
+        )
+    return _gy_det(Y, t, endpoint), kdim, V
 
 
 def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale, name):
@@ -296,7 +297,7 @@ def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale,
     log_tn = sys.n * math.log(sys.t)
     value = _exp_det(scale, sign, log_abs - log_tn, name)
     Y = _rk4_run(sys, steps // 2, V[::2] if steps % 2 == 0 else None)
-    sign, log_abs = _gy_det(Y, sys.t, kdim)
+    sign, log_abs = _gy_det(Y, sys.t, _read_endpoint(Y[-1, : sys.n], Y[-1, sys.n :], sys.t, kdim))
     estimate = abs(value - scale * _signed_exp(sign, log_abs - log_tn)) / 15.0
     if not math.isfinite(estimate):
         raise IntegrationError(f"error estimate of {name} = {estimate} left the float64 range")

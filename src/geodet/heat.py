@@ -24,8 +24,8 @@ from .errors import (
     OutOfScopeError,
 )
 from .galerkin import _signed_exp
-from .geometry import ConstantCurvature, GeodesicData, jacobi_endomorphism
-from .gelfand_yaglom import _zero_modes, solve_jacobi_ode
+from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, jacobi_endomorphism
+from .gelfand_yaglom import _read_endpoint, solve_jacobi_ode
 from .interval import gauss_legendre
 
 __all__ = [
@@ -66,24 +66,34 @@ def euclidean_heat_kernel(d: float, n: int, t: float) -> float:
     return float((4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-d * d / (4.0 * t)))
 
 
+def _limit_prediction(sys: JacobiSystem):
+    """(prediction, singular values of J(1), kernel dim) of a geodesic's Jacobi system.
+
+    prod sig_perp^{-1/2} |det(W^T J'(1) C)|^{1/2} on the kernel split of J(1)
+    at 1024 steps: det J(1)^{-1/2} with an empty kernel, else the density over
+    the family of minimizers, partial or full (every normal direction).
+    """
+    prop = solve_jacobi_ode(sys, 1024)
+    sig, kdim, _, log_wjc = _read_endpoint(prop.J[-1], prop.Jprime[-1], sys.t)
+    log_perp = float(np.sum(np.log(sig[: sys.n - kdim])))
+    return _signed_exp(1.0, 0.5 * (log_wjc - log_perp)), sig, kdim
+
+
 def nondegenerate_limit_prediction(m: ConstantCurvature, d: float) -> float:
-    """Predicted ratio limit J(x,y)^{-1/2} through det J(1) of the Jacobi ODE (1024 steps).
+    """Predicted ratio limit J(x,y)^{-1/2} through det J(1) of the Jacobi ODE.
 
     A zero mode of J(1) by the Gel'fand-Yaglom singular-value test, on a sphere
     of radius R every d within about pi R 1e-6 of pi R, is a ConjugatePointError.
-    Otherwise det J(1) > 0 is the product of the singular values, exponentiated once.
     """
     if not isinstance(m, ConstantCurvature):
         raise DomainError("prediction implemented for constant curvature")
     # a negative d, or an infinite d on kappa <= 0, is left to GeodesicData
     if m.kappa > 0 and d >= m.conjugate_distance:
         raise ConjugatePointError("conjugate/antipodal endpoints; use the antipodal route")
-    sys = jacobi_endomorphism(GeodesicData(m, d))
-    J1 = solve_jacobi_ode(sys, 1024).J[-1]
-    sig, tol = _zero_modes(J1, sys.t)
-    if sig[-1] < tol:
+    value, sig, kdim = _limit_prediction(jacobi_endomorphism(GeodesicData(m, d)))
+    if kdim:
         raise ConjugatePointError(f"conjugate endpoints: J(1) has the singular value {sig[-1]:.3g}")
-    return _signed_exp(1.0, -0.5 * float(np.sum(np.log(sig))))
+    return value
 
 
 def sphere_surface_volume(m: int) -> float:
@@ -110,26 +120,14 @@ def antipodal_limit_via_Sxy(n: int, R: float) -> float:
     """Antipodal limit as a velocity-sphere integral of |det J'(1)|^{1/2}.
 
     The minimizing geodesics to the antipode have initial speeds filling
-    the sphere of radius pi R in the tangent space; by symmetry the
-    integrand is constant, so the integral is |det J'(1)|^{1/2} times the
-    volume of that sphere.  J'(1) comes from the Jacobi propagation along
-    one antipodal geodesic (speed pi R, curvature 1/R^2), at 2048 steps.
+    the sphere of radius pi R in the tangent space; by symmetry the integrand
+    is constant: the full-kernel prediction along one of them, times the
+    volume of that sphere.
     """
     _check_antipodal_scope(n, R)
     m = ConstantCurvature(n, 1.0 / R**2)
-    sys = jacobi_endomorphism(GeodesicData(m, np.pi * R))
-    prop = solve_jacobi_ode(sys, 2048)
-    root_det = _signed_exp(1.0, 0.5 * float(np.linalg.slogdet(prop.Jprime[-1])[1]))
-    return float(root_det * sphere_surface_volume(n - 1) * (np.pi * R) ** (n - 1))
-
-
-def _multiplicity(n: int, l: int) -> int:
-    """Dimension of the degree-l eigenspace on the n-sphere."""
-    if l == 0:
-        return 1
-    if l == 1:
-        return n + 1
-    return math.comb(l + n, l) - math.comb(l + n - 2, l - 2)
+    value = _limit_prediction(jacobi_endomorphism(GeodesicData(m, np.pi * R)))[0]
+    return float(value * sphere_surface_volume(n - 1) * (np.pi * R) ** (n - 1))
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,12 @@ class SphereSpectrum:
         return l * (l + self.n - 1) / self.R**2
 
     def multiplicity(self, l: int) -> int:
-        return _multiplicity(self.n, l)
+        """Dimension of the degree-l eigenspace."""
+        if l == 0:
+            return 1
+        if l == 1:
+            return self.n + 1
+        return math.comb(l + self.n, l) - math.comb(l + self.n - 2, l - 2)
 
     @property
     def volume(self) -> float:
@@ -447,37 +450,30 @@ class HeatLimitReport:
 
 
 def heat_limit_validation(
-    n: int,
-    R: float,
-    case: str,
-    d: float = None,
-    t0: float = 0.2,
-    levels: int = 5,
+    n: int, R: float, case: str, d: float = None, t0: float = 0.2, levels: int = 5
 ) -> HeatLimitReport:
     """Compare the predicted limit with the Richardson-extrapolated oracle.
 
     The scaled ratio (4 pi t)^{k/2} p_t/e_t is evaluated on the geometric
     grid t_j = t0 2^{-j}, j = 0..levels-1, and extrapolated in the powers
-    t and t^2.  case 'antipodal' uses k = n-1 at angle pi; case
-    'nondegenerate' uses k = 0 and needs 0 < d < pi R strictly; within
+    t and t^2.  case 'antipodal' uses k = n-1 at angle pi and takes no d;
+    case 'nondegenerate' uses k = 0 and needs 0 < d < pi R strictly; within
     about pi R 1e-6 of pi R, and beyond, it raises ConjugatePointError.
     """
     if levels < 2:
         raise DomainError("need at least two time levels")
     _check_sphere_dimension(n)  # before the prediction propagates n x n Jacobi fields
     if case == "antipodal":
-        k = n - 1
-        theta = np.pi
-        dist = np.pi * R
+        if d is not None:
+            raise DomainError(f"the antipodal case is at d = pi R and takes no d, got {d}")
+        k, theta, dist = n - 1, np.pi, np.pi * R
         predicted = antipodal_sphere_limit_closed_form(n, R)
     elif case == "nondegenerate":
         if d is None:
             raise DomainError("nondegenerate case needs a distance d")
         if not d > 0:  # d >= pi R is the conjugate point, named by the prediction
             raise DomainError(f"need d > 0, got {d}")
-        k = 0
-        theta = d / R
-        dist = d
+        k, theta, dist = 0, d / R, d
         predicted = nondegenerate_limit_prediction(ConstantCurvature(n, 1.0 / R**2), d)
     else:
         raise DomainError(f"unknown case {case!r}")
@@ -497,7 +493,7 @@ def heat_limit_validation(
         R=R,
         k=k,
         case=case,
-        d=None if case == "antipodal" else d,
+        d=d,
         predicted=float(predicted),
         oracle_values=series,
         extrapolated_oracle=float(extrapolated),

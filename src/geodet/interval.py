@@ -53,18 +53,18 @@ def mode_quadrature(t: float, max_halfwaves: int):
     return nodes.ravel(), weights.ravel()
 
 
-def mode_cosine_moments(fw: np.ndarray, M: int) -> np.ndarray:
-    """sum_q fw_q cos(pi m s_q/t) for m = 0..M, fw_q = weight x integrand at node s_q.
+def mode_cosine_moments(fw: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_q fw_q cos(pi m s_q/t) for each index m >= 0 of ``m``; fw_q = weight x f(s_q).
 
     The nodes are those of a mode_quadrature rule on [0, t], and ``fw`` may
     stack integrands along its leading axes; the moments take the last axis.
     The rule's panels are uniform, s = p t/P + u, so one FFT over p,
-    zero-padded to 2P, and a phase in the offsets u give every m at once.
+    zero-padded to 2P, and a phase in the offsets u give every m at once;
+    only the phases of the requested m are formed.
     """
     panels = fw.shape[-1] // _PANEL_ORDER
     f = fw.reshape(fw.shape[:-1] + (panels, _PANEL_ORDER))
     u = (gauss_legendre(_PANEL_ORDER)[0] + 1.0) / (2.0 * panels)  # offsets, in units of t
-    m = np.arange(M + 1)
     # sum_p f_p exp(-i pi m p/P)
     F = np.fft.fft(f, n=2 * panels, axis=-2)[..., m % (2 * panels), :]
     phase = np.pi * np.outer(m, u)

@@ -665,8 +665,9 @@ def test_deflated_det_matches_second_solution_formula(make, kdim):
     # the propagated second solution K(t)
     sys = make()
     Y = _rk4_run(sys, 2048)
-    assert gelfand_yaglom._kernel_dim(Y, sys.t, "P") == kdim
-    log_abs = gelfand_yaglom._gy_det(Y, sys.t, kdim)[1]
+    endpoint = gelfand_yaglom._read_endpoint(Y[-1, : sys.n], Y[-1, sys.n :], sys.t)
+    assert endpoint[1] == kdim
+    log_abs = gelfand_yaglom._gy_det(Y, sys.t, endpoint)[1]
     assert math.exp(log_abs) == pytest.approx(k_based_deflated_det(sys, 2048, kdim), rel=1e-10)
 
 

@@ -11,7 +11,9 @@ from geodet import (
     ConjugatePointError,
     ConstantCurvature,
     DomainError,
+    GeodesicData,
     InsufficientDegreeError,
+    JacobiSystem,
     OutOfScopeError,
     SphereSpectrum,
     SyntheticPotential,
@@ -20,9 +22,16 @@ from geodet import (
     euclidean_heat_kernel,
     heat_limit_validation,
     nondegenerate_limit_prediction,
+    jacobi_endomorphism,
+    solve_jacobi_ode,
     sphere_heat_kernel,
 )
-from geodet.heat import _closed_form_kernel, richardson_extrapolate, sphere_surface_volume
+from geodet.heat import (
+    _closed_form_kernel,
+    _limit_prediction,
+    richardson_extrapolate,
+    sphere_surface_volume,
+)
 
 PI = np.pi
 
@@ -122,6 +131,25 @@ def test_prediction_conjugate_band(n):
     assert nondegenerate_limit_prediction(m, d) == pytest.approx(exact, rel=1e-6)
 
 
+@pytest.mark.parametrize("n, kappa, d", [(2, 1.0, 1.0), (3, 1.0, 3.0), (4, -1.0, 2.0), (5, 4.0, 0.3)])
+def test_empty_kernel_prediction_is_the_singular_value_product(n, kappa, d):
+    # with no kernel the prediction keeps the sum of logs of the SVD without vectors
+    m = ConstantCurvature(n, kappa)
+    J1 = solve_jacobi_ode(jacobi_endomorphism(GeodesicData(m, d)), 1024).J[-1]
+    sig = np.linalg.svd(J1, compute_uv=False)
+    assert nondegenerate_limit_prediction(m, d) == math.exp(-0.5 * float(np.sum(np.log(sig))))
+
+
+def test_prediction_reads_a_partial_kernel():
+    # V = diag(0, -pi^2, -pi^2, -0.3) has J(1) = diag(1, 0, 0, sin x/x), x = sqrt(0.3),
+    # and J'(1) = -1 on the two kernel directions, so the prediction is (sin x/x)^{-1/2}
+    sys = JacobiSystem.constant(np.diag([0.0, -PI**2, -PI**2, -0.3]), 1.0)
+    value, _, kdim = _limit_prediction(sys)
+    x = math.sqrt(0.3)
+    assert kdim == 2
+    assert value == pytest.approx((math.sin(x) / x) ** -0.5, rel=1e-12)
+
+
 def test_prediction_beyond_float64_det():
     # det J(1) = (sinh 200/200)^4 overflows float64; its log does not
     with warnings.catch_warnings():
@@ -176,9 +204,10 @@ def test_antipodal_via_velocity_sphere_small_cases():
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
 def test_antipodal_routes_agree(n, R):
+    # the full-kernel prediction (every normal direction) times the velocity-sphere volume
     a = antipodal_limit_via_Sxy(n, R)
     b = antipodal_sphere_limit_closed_form(n, R)
-    assert abs(a - b) < 1e-8 * max(1.0, abs(b))
+    assert a == pytest.approx(b, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +404,8 @@ def test_heat_limit_validation_input_errors():
         heat_limit_validation(2, 1.0, "nondegenerate", d=PI)  # not strictly inside
     with pytest.raises(DomainError):
         heat_limit_validation(2, 1.0, "unknown-case")
+    with pytest.raises(DomainError, match="takes no d"):
+        heat_limit_validation(2, 1.0, "antipodal", d=1.0)  # computed at d = pi R
 
 
 @pytest.mark.parametrize("x", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])

@@ -89,20 +89,22 @@ def test_mode_quadrature_is_composite_gauss_on_uniform_panels(t, halfwaves):
 )
 def test_mode_cosine_moments_match_direct_sums(t, halfwaves, M):
     # the zero-padded FFT over uniform panels against the cosines taken node
-    # by node, for a stack of three integrands; every m = 0..M, odd ones too,
+    # by node, for a stack of three integrands; every index m = 0..M, odd ones too,
     # and M at or beyond twice the panel count exercises the aliasing m mod 2P
     nodes, weights = mode_quadrature(t, halfwaves)
     u = nodes / t
     fw = weights * np.stack([1.0 + np.sin(3.0 * u) + u**2, np.cos(7.0 * u), u * (1.0 - u)])
     m = np.arange(M + 1)
     direct = fw @ np.cos(PI * np.outer(m, u)).T
-    moments = mode_cosine_moments(fw, M)
+    moments = mode_cosine_moments(fw, m)
     assert moments.shape == (3, M + 1)
     scale = np.sum(np.abs(fw), axis=1, keepdims=True)
     assert np.all(np.abs(moments - direct) < 1e-13 * scale)
-    single = mode_cosine_moments(fw[1], M)  # one integrand, without a stack axis
+    single = mode_cosine_moments(fw[1], m)  # one integrand, without a stack axis
     assert single.shape == (M + 1,) and np.all(np.abs(single - direct[1]) < 1e-13 * scale[1])
-    assert mode_cosine_moments(fw[:0], M).shape == (0, M + 1)
+    assert mode_cosine_moments(fw[:0], m).shape == (0, M + 1)
+    # a subset of the indices, in any order, reads the same bits as the full range
+    assert np.array_equal(mode_cosine_moments(fw, m[::-2]), moments[:, ::-2])
 
 
 def test_only_interval_builds_gauss_legendre_rules():
