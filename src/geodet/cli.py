@@ -91,14 +91,15 @@ def _det_zeta(p):
     if p.get("laplacian"):
         if "kappa" in p or "r" in p:
             raise UsageError("det-zeta --laplacian takes no --kappa or --r")
+        if "steps" in p:
+            raise UsageError("det-zeta --laplacian takes no --steps: its determinant is a closed form")
         z = gy.zeta_det_dirichlet_laplacian(p["t"], p["n"])
     else:
         if "kappa" not in p or "r" not in p:
             raise UsageError("det-zeta needs either --laplacian or --kappa and --r")
-        sys_ = _curved_system(p)
         if p["t"] != 1.0:
             raise UsageError("curved det-zeta is defined on the unit interval")
-        z = gy.zeta_det_jacobi(sys_, steps=p["steps"])
+        z = gy.zeta_det_jacobi(_curved_system(p), steps=p["steps"])
     extra = {"excluded_zero_modes": z.excluded_zero_modes} if z.excluded_zero_modes else {}
     return z.value, z.error_estimate, z.route, None, extra
 
@@ -225,6 +226,8 @@ def _parse_argv(argv):
     missing = [key for key, default in options.items() if default is _REQUIRED and key not in clean]
     if missing:
         raise UsageError(f"{command} is missing required options: {sorted(missing)}")
+    if clean.get("laplacian"):  # the closed form reads no step count, so it gets no default
+        options = {key: default for key, default in options.items() if key != "steps"}
     for key, default in options.items():
         if key not in clean and default is not _REQUIRED and default is not _OPTIONAL:
             clean[key] = default

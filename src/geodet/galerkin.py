@@ -237,24 +237,6 @@ def _estimate(levels, richardson: bool = False, kernel_dimension: int = 0) -> De
     )
 
 
-def _level_eigenvalues(sys: JacobiSystem, K: int, assembled) -> np.ndarray:
-    """Eigenvalues of the K-mode truncation of id + P^{-1} V.
-
-    Constant potentials give the closed-form factors 1 + v_i t^2/(pi^2 k^2)
-    of the block-diagonal matrix; otherwise ``assembled`` is the Fourier
-    GalerkinMatrix at a level >= K, and its leading nK block is diagonalized
-    on the coupled fibers only.  Every other fiber is a block of the
-    identity: its eigenvalues are 1, which add 0 to log|det| and, lying 1e8
-    above KERNEL_TOL, never decide the kernel test or its gap.
-    """
-    if sys.is_constant:
-        v = np.linalg.eigvalsh(sys(0.0))
-        k = np.arange(1, K + 1)
-        return 1.0 + np.outer(v, sys.t**2 / (np.pi**2 * k**2)).ravel()
-    keep = (sys.n * np.arange(K)[:, None] + assembled.coupled).ravel()
-    return np.linalg.eigvalsh(assembled.entries[np.ix_(keep, keep)])
-
-
 def _signed_exp(sign: float, log_abs: float) -> float:
     """sign * exp(log_abs), +-inf beyond float64: the one exit of a (sign, log|det|) pair.
 
@@ -309,27 +291,35 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
 def _fourier_levels(sys: JacobiSystem, schedule):
     """The mode filtration's levels for ``_estimate`` and each level's kernel dimension.
 
-    Each level's determinant is ``deflated_matrix_determinant`` of its
-    eigenvalues.  A varying potential is assembled once, at the finest
-    level, and the tail reads its mean matrix from the same samples.  The
-    tail series in c/k^2 diverges unless (K + 1)^2 > max|c| at the finest
-    level K; that raises DomainError before any eigenvalue decomposition,
-    since a kernel or a product of a truncation that far from converged
-    means nothing.
+    A constant V is diagonalized once: its eigenvalues v give the tail's
+    c = v t^2/pi^2 and each level's factors 1 + v t^2/(pi^2 k^2).  A varying V
+    is assembled once, at the finest level, the tail reads its mean matrix,
+    and each level diagonalizes its leading nK block on the coupled fibers
+    (an uncoupled fiber's eigenvalues 1 add 0 to log|det| and never decide
+    the kernel test).  ``deflated_matrix_determinant`` reads each level.  A
+    tail series in c/k^2 that diverges, (K + 1)^2 <= max|c| at the finest K,
+    raises DomainError before any level is diagonalized.
     """
     schedule = _check_schedule(schedule, "mode counts", 1)
-    assembled = None if sys.is_constant else assemble_hessian_fourier(sys, schedule[-1])
-    mean = sys(0.0) if sys.is_constant else assembled.mean
-    c = np.linalg.eigvalsh(mean) * sys.t**2 / np.pi**2
+    n, t = sys.n, sys.t
+    if sys.is_constant:
+        v = np.linalg.eigvalsh(sys(0.0))
+        spectrum = lambda K: 1.0 + np.outer(v, t**2 / (np.pi**2 * np.arange(1, K + 1) ** 2)).ravel()
+    else:
+        G = assemble_hessian_fourier(sys, schedule[-1])
+        v = np.linalg.eigvalsh(G.mean)
+        keep = (n * np.arange(schedule[-1])[:, None] + G.coupled).ravel()  # k-major
+        block, width = G.entries[np.ix_(keep, keep)], len(G.coupled)
+        spectrum = lambda K: np.linalg.eigvalsh(block[: K * width, : K * width])
+    c = v * t**2 / np.pi**2
     cmax = float(np.max(np.abs(c)))
     if cmax >= (schedule[-1] + 1) ** 2:
         raise DomainError(
             f"the tail series diverges at {schedule[-1]} modes; "
             f"the finest level needs at least {int(np.sqrt(cmax))} modes"
         )
-    spectra = [_level_eigenvalues(sys, K, assembled) for K in schedule]
-    dets, kdims = zip(*map(deflated_matrix_determinant, spectra))
-    levels = [(sys.n * K, det, _tail_log_correction(c, K)) for K, det in zip(schedule, dets)]
+    dets, kdims = zip(*(deflated_matrix_determinant(spectrum(K)) for K in schedule))
+    levels = [(n * K, det, _tail_log_correction(c, K)) for K, det in zip(schedule, dets)]
     return levels, kdims
 
 

@@ -249,6 +249,12 @@ _ANTIPODE_DELTA = 0.5
 _ANTIPODE_TAIL = 24
 # terms of the sinc series: pi^30/30! < 1e-17 on the range [0, pi] of use
 _SINC_TERMS = 30
+# reach of the jets in dimension over the deep cells (t/R^2 < 0.12), against a
+# spectral sum carried 50 digits beyond its cancellation: 1e-12 relative to
+# S^32 at the antipode itself, where the jet is read at its centre (1.2e-12
+# at S^33); elsewhere 1e-12 to S^8, 4e-11 at S^9 and S^10, 2e-9 at S^11
+_JET_DIM_AT_ANTIPODE = 32
+_JET_DIM = 10
 
 
 def _jet_mul(a, b):
@@ -358,11 +364,12 @@ def _closed_form_kernel(n: int, R: float, theta: float, t: float) -> float:
     """Heat kernel of the n-sphere of radius R at angle theta in [0, pi], in closed form.
 
     Uses p^{S^n_R}_t(theta) = R^{-n} p^{S^n_1}_{t/R^2}(theta).  Matches a
-    high-precision spectral sum to about 3e-13 for t/R^2 up to 1; beyond
-    that the kernel flattens and the image sums cancel.  Returns 0.0 where
-    p is below the float64 range.  Where the jets leave float64 (their
-    1/k! from n = 74 on) or cancel to a value <= 0 (n = 71 at t/R^2 = 0.1)
-    it raises DomainError.
+    high-precision spectral sum to 1e-12 for n <= 8 and t/R^2 up to 1;
+    beyond that the kernel flattens and the image sums cancel.  Returns 0.0
+    where p is below the float64 range.  Above _JET_DIM, or
+    _JET_DIM_AT_ANTIPODE at the antipode, the jets lose digits, and such a
+    cell raises DomainError before they are computed, as does a p beyond
+    float64.
     """
     t = t / (R * R)
     m = (n - 1) // 2
@@ -371,6 +378,9 @@ def _closed_form_kernel(n: int, R: float, theta: float, t: float) -> float:
     # log p < -theta^2/4t + n (|log t| + 2), so p is below the float64 range here
     if theta * theta / (4.0 * t) > 800.0 + n * (abs(math.log(t)) + 2.0):
         return 0.0
+    if n > (_JET_DIM_AT_ANTIPODE if delta == 0.0 else _JET_DIM):
+        raise DomainError(f"closed-form kernels reach S^{_JET_DIM} off the antipode "
+                          f"and S^{_JET_DIM_AT_ANTIPODE} at it, got S^{n}")
     if delta <= min(_ANTIPODE_DELTA, _ANTIPODE_REACH * 2.0 * t / np.pi):
         center, order = 0.0, 2 * m + (_ANTIPODE_TAIL if delta > 0 else 0)
     else:
@@ -378,14 +388,10 @@ def _closed_form_kernel(n: int, R: float, theta: float, t: float) -> float:
     # image pairs k, -1-k lie e^{-k^2 pi^2/t} below the leading pair; keep those above e^{-45}
     pairs = int(math.sqrt(45.0 * t) / np.pi)
     ks = np.arange(-pairs - 1, pairs + 1)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a jet beyond float64 fails below
-            jet = (_circle_jet if base == 1 else _mehler_jet)(center, theta, t, order, ks)
-            for _ in range(m):
-                jet = _raise_dimension(jet, center)
-            value = float(np.polynomial.polynomial.polyval(delta - center, jet))
-    except OverflowError:  # a Taylor coefficient 1/k! beyond float64
-        value = math.nan
+    jet = (_circle_jet if base == 1 else _mehler_jet)(center, theta, t, order, ks)
+    for _ in range(m):
+        jet = _raise_dimension(jet, center)
+    value = float(np.polynomial.polynomial.polyval(delta - center, jet))
     log_rest = t * m * (base + m - 1) - m * math.log(2.0 * np.pi) - theta * theta / (4.0 * t)
     p = _signed_exp(1.0, math.log(value) + log_rest - n * math.log(R)) if value > 0.0 else math.nan
     if not p < math.inf:  # nan or inf: the jets lost every digit of p > 0, or p left float64

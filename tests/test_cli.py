@@ -261,7 +261,8 @@ def test_config_parser_values():
         ),
         (
             ["det-zeta", "--laplacian", "--n", "2"],
-            {"laplacian": True, "n": 2, "t": 1.0, "steps": 2048},
+            # the closed form takes no step count, so none is echoed
+            {"laplacian": True, "n": 2, "t": 1.0},
         ),
         (
             ["det-zeta", "--kappa", "0.5", "--r", "1", "--n", "2", "--steps", "512"],
@@ -521,13 +522,16 @@ def test_steep_negative_curvature_within_float64_has_a_value(capsys):
 
 @pytest.mark.parametrize(
     "n, error",
-    [(71, "DomainError"), (73, "DomainError"), (74, "DomainError"), (99, "DomainError"),
-     (100, "DomainError"), (343, "OutOfScopeError"), (344, "OutOfScopeError")],
+    [(33, "DomainError"), (50, "DomainError"), (71, "DomainError"), (72, "DomainError"),
+     (73, "DomainError"), (74, "DomainError"), (99, "DomainError"), (100, "DomainError"),
+     (343, "OutOfScopeError"), (344, "OutOfScopeError")],
 )
 def test_high_dimensional_antipodal_heat_limit_ends_in_a_named_error(capsys, n, error):
-    # the closed-form kernel at t/R^2 = 0.1 cancelled to a value <= 0 (odd n),
-    # a 1/k! of its jets overflowed (even n >= 74) and Gamma overflowed in the
-    # volume and the limit (n >= 343): raw ValueError and OverflowError tracebacks
+    # the closed-form kernel at t/R^2 = 0.1 is past its jets' reach from S^33
+    # on: it lost digits without an error (8e-4 at n = 50, 8.23e27 for the
+    # limit 3.03e13 at n = 72), cancelled to a value <= 0 (odd n from 71) or
+    # overflowed a 1/k! (even n >= 74); Gamma overflows in the volume and the
+    # limit from n = 343: raw ValueError and OverflowError tracebacks
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(capsys, "heat-limit", "--n", str(n), "--radius", "1", "--case", "antipodal")

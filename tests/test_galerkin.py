@@ -159,18 +159,18 @@ def _full_block_determinant(G, n, K):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_coupled_fiber_eigenvalues_match_the_full_block(n):
-    # the tangent fiber of a synthetic system is a block of the identity
+    # the tangent fiber of a synthetic system is a block of the identity, so
+    # each level diagonalizes the coupled fibers of the finest assembly only
     manifold = SyntheticPotential(n, varying_potential(n - 1), 1.3)
     sys = jacobi_endomorphism(GeodesicData(manifold, 1.3))
     G = assemble_hessian_fourier(sys, 64)
     assert list(G.coupled) == list(range(1, n))
-    for K in (16, 32, 64):
-        evals = galerkin._level_eigenvalues(sys, K, G)
-        assert len(evals) == (n - 1) * K
-        (sign, log_abs), kdim = deflated_matrix_determinant(evals)
+    est = fredholm_det(sys, (16, 32, 64))
+    for K, (dim, value) in zip((16, 32, 64), est.levels):
         (sign_full, log_full), kdim_full = _full_block_determinant(G, n, K)
-        assert sign == sign_full and kdim == kdim_full == 0
-        assert abs(log_abs - log_full) < 1e-13
+        assert dim == n * K and kdim_full == 0
+        assert np.sign(value) == sign_full
+        assert abs(np.log(abs(value)) - log_full) < 1e-13
 
 
 def test_coupled_fiber_eigenvalues_keep_the_antipodal_kernel():
@@ -178,13 +178,15 @@ def test_coupled_fiber_eigenvalues_keep_the_antipodal_kernel():
     # has a two-dimensional kernel from K = 1 on
     V = sphere_system(1.0, PI, 3)(0.0)
     sys = JacobiSystem(3, 1.0, lambda s: V)
-    G = assemble_hessian_fourier(sys, 64)
-    assert list(G.coupled) == [1, 2]
     for K in (1, 16, 64):
-        (sign, log_abs), kdim = deflated_matrix_determinant(galerkin._level_eigenvalues(sys, K, G))
+        G = assemble_hessian_fourier(sys, K)
+        assert list(G.coupled) == [1, 2]
+        est = fredholm_det_deflated(sys, (K,))
         (sign_full, log_full), kdim_full = _full_block_determinant(G, 3, K)
-        assert sign == sign_full and kdim == kdim_full == 2
-        assert abs(log_abs - log_full) < 1e-13
+        assert est.kernel_dimension == kdim_full == 2
+        value = est.levels[-1][1]
+        assert np.sign(value) == sign_full
+        assert abs(np.log(abs(value)) - log_full) < 1e-13
     assert fredholm_det_deflated(sys, (16, 32, 64)).kernel_dimension == 2
 
 
@@ -245,7 +247,7 @@ def test_tail_completed_overflow_is_domain_error():
     # the 256-mode determinant is finite, the completed sinh(v)/v with
     # v = sqrt(5.2e5) = 721 is not, on either route
     sys = JacobiSystem.constant([[5.2e5]], 1.0)
-    logdet = np.sum(np.log(galerkin._level_eigenvalues(sys, 256, None)))
+    logdet = np.sum(np.log(1.0 + 5.2e5 / (PI**2 * np.arange(1, 257) ** 2)))
     assert logdet < np.log(np.finfo(float).max)
     with pytest.raises(DomainError, match="tail-completed"):
         fredholm_det(sys, (256,))
@@ -265,10 +267,15 @@ def test_divergent_tail_is_domain_error():
 
 
 def test_level_eigenvalues_constant_match_assembled_matrix():
+    # a constant V is never assembled: its levels are the closed-form
+    # factors 1 + v t^2/(pi^2 k^2) of the block-diagonal matrix
     sys = sphere_system(0.9, 1.1, 4)
-    closed = np.sort(galerkin._level_eigenvalues(sys, 16, None))
+    v = np.linalg.eigvalsh(sys(0.0))
+    closed = 1.0 + np.outer(v, sys.t**2 / (PI**2 * np.arange(1, 17) ** 2)).ravel()
     dense = np.linalg.eigvalsh(assemble_hessian_fourier(sys, 16).entries)
-    assert np.max(np.abs(closed - dense)) < 1e-14
+    assert np.max(np.abs(np.sort(closed) - dense)) < 1e-14
+    value = fredholm_det(sys, (16,)).levels[-1][1]
+    assert value > 0 and abs(np.log(value) - np.sum(np.log(closed))) < 1e-13
 
 
 def test_singular_truncation_directs_to_deflated():

@@ -26,6 +26,7 @@ from geodet import (
     solve_jacobi_ode,
     sphere_heat_kernel,
 )
+from geodet import heat
 from geodet.heat import (
     _closed_form_kernel,
     _limit_prediction,
@@ -313,6 +314,26 @@ def test_closed_form_matches_float64_sum_on_shallow_cells(n):
             spec = SphereSpectrum.for_time_range(n, R, t)
             expected = sphere_heat_kernel(spec, theta, t)
             assert _closed_form_kernel(n, R, theta, t) == pytest.approx(expected, rel=1e-11)
+
+
+def test_deep_kernel_beyond_the_jets_reach_is_a_named_error(monkeypatch):
+    # at S^20, theta = 0.95 pi, t = 0.1 the jets returned 0.0687, 3.1e-6 off;
+    # the reach is checked before any jet is computed
+    def no_jets(*args):
+        raise AssertionError("jets computed past their reach")
+
+    monkeypatch.setattr(heat, "_circle_jet", no_jets)
+    monkeypatch.setattr(heat, "_mehler_jet", no_jets)
+    for n, theta in ((11, 0.95 * PI), (20, 0.95 * PI), (33, PI), (72, PI)):
+        message = f"reach S\\^10 off the antipode and S\\^32 at it, got S\\^{n}$"
+        with pytest.raises(DomainError, match=message):
+            sphere_heat_kernel(SphereSpectrum(n, 1.0, 8), theta, 0.1)
+
+
+@pytest.mark.parametrize("n, theta, t", [(10, 0.98 * PI, 0.09), (10, 0.95 * PI, 0.1), (32, PI, 0.1)])
+def test_deep_kernel_at_the_jets_reach_matches_mp_spectral_sum(n, theta, t):
+    val = sphere_heat_kernel(SphereSpectrum(n, 1.0, 8), theta, t)
+    assert val == pytest.approx(spectral_sum_mp(n, 1.0, theta, t), rel=1e-12)
 
 
 def test_deep_kernel_below_float64_range_is_zero():
