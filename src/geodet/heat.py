@@ -12,7 +12,7 @@ raised in dimension by the recursion of Camporesi (Phys. Rep. 196, 1990).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,11 +46,8 @@ ORACLE_TAIL_REL = 1e-14
 _FLOAT64_CANCEL_DIGITS = 9.0
 # from S^343 on the Gamma((n + 1)/2) of the sphere volume leaves float64
 _MAX_SPHERE_DIM = 342
-
-
-def _check_sphere_dimension(n: int) -> None:
-    if n > _MAX_SPHERE_DIM:
-        raise OutOfScopeError(f"spheres above S^{_MAX_SPHERE_DIM} are out of scope, got S^{n}")
+# logs of the smallest normal and of the largest float64 number
+_LOG_TINY, _LOG_MAX = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 
 
 def _check_positive(value: float, what: str) -> None:
@@ -101,13 +98,25 @@ def sphere_surface_volume(m: int) -> float:
     return 2.0 * np.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
-def _check_antipodal_scope(n: int, R: float):
+def _check_sphere(n: int, R: float) -> None:
+    """The scope of every sphere computation: S^n(R) with 1 <= n <= 342 and R > 0."""
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    _check_sphere_dimension(n)
+    if n > _MAX_SPHERE_DIM:
+        raise OutOfScopeError(f"spheres above S^{_MAX_SPHERE_DIM} are out of scope, got S^{n}")
+    _check_positive(R, "radius")
+    # the float64 sum divides by R^2 and by the volume vol(S^n) R^n, and the degree sizing squares pi R
+    log_r = math.log(R)
+    for what, log_x in (("R^2", 2 * log_r), ("R^n", n * log_r), ("(pi R)^2", 2 * math.log(np.pi * R)),
+                        ("the volume", n * log_r + math.log(sphere_surface_volume(n)))):
+        if not _LOG_TINY <= log_x < _LOG_MAX:
+            raise DomainError(f"{what} of S^{n}(R = {R}) is not a normal float64 number")
+
+
+def _check_antipodal_scope(n: int, R: float):
+    _check_sphere(n, R)
     if n < 2:
         raise OutOfScopeError("antipodal circle has a discrete set of minimizers")
-    _check_positive(R, "radius")
 
 
 def antipodal_sphere_limit_closed_form(n: int, R: float) -> float:
@@ -143,10 +152,7 @@ class SphereSpectrum:
     max_degree: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("sphere dimension must be >= 1")
-        _check_positive(self.R, "radius")
-        _check_sphere_dimension(self.n)
+        _check_sphere(self.n, self.R)
         if self.max_degree < 1:
             raise DomainError("max_degree must be >= 1")
 
@@ -157,10 +163,10 @@ class SphereSpectrum:
         The bound must push the first omitted term below ORACLE_TAIL_REL
         relative to the smallest kernel value on the sphere at t_min, which
         is of the order of the Euclidean kernel at the antipodal distance
-        pi R.
+        pi R.  A bound beyond 2^53 is a DomainError.
         """
         _check_positive(t_min, "t_min")
-        _check_positive(R, "radius")
+        _check_sphere(n, R)
         # log of required absolute tail, with safety margin
         target = (
             -((np.pi * R) ** 2) / (4.0 * t_min)
@@ -168,7 +174,11 @@ class SphereSpectrum:
             + np.log(ORACLE_TAIL_REL)
             - 30.0
         )
-        L = max(8, int(np.ceil(R * np.sqrt(max(-target, 1.0) / t_min))))
+        # in Python floats a division beyond float64 gives inf, where numpy warns
+        bound = R * np.sqrt(max(-float(target), 1.0) / t_min)
+        if not bound <= 2.0**53:
+            raise DomainError(f"the spectral sum on S^{n}(R = {R}) at t = {t_min} needs degree {bound:.3g}")
+        L = max(8, int(np.ceil(bound)))
         while -L * (L + n - 1) * t_min / R**2 + (n - 1) * np.log(L + 1) > target:
             L += max(4, L // 8)
         return cls(n, R, L)
@@ -180,9 +190,7 @@ class SphereSpectrum:
         """Dimension of the degree-l eigenspace."""
         if l == 0:
             return 1
-        if l == 1:
-            return self.n + 1
-        return math.comb(l + self.n, l) - math.comb(l + self.n - 2, l - 2)
+        return math.comb(l + self.n, self.n) - math.comb(l + self.n - 2, self.n)
 
     @property
     def volume(self) -> float:
@@ -198,10 +206,11 @@ def _fold_angle(theta: float) -> float:
 def _zonal_sum_float(spec: SphereSpectrum, theta: float, t: float):
     """float64 spectral sum; valid when cancellation is shallow.
 
-    Returns (total, envelope of the last summed degree, stopped early).  The
-    sum stops on the term envelope e^{-lambda_l t} m_l / vol, which bounds
-    every later term since the normalized Gegenbauer values obey |g_l| <= 1;
-    a term itself can vanish exactly at a rational angle.
+    Returns (total, envelope of the last summed degree).  The sum stops on
+    the term envelope e^{-lambda_l t} m_l / vol, which bounds every later term
+    since the normalized Gegenbauer values obey |g_l| <= 1; a term itself can
+    vanish exactly at a rational angle.  A multiplicity m_l beyond float64 is
+    a DomainError.
     """
     n, R, L = spec.n, spec.R, spec.max_degree
     x = np.cos(theta)
@@ -217,12 +226,15 @@ def _zonal_sum_float(spec: SphereSpectrum, theta: float, t: float):
         else:
             g = (2.0 * x * (l + alpha - 1.0) * g1 - (l - 1.0) * g2) / (l + 2.0 * alpha - 1.0)
             g2, g1 = g1, g
-        weight = math.exp(-spec.eigenvalue(l) * t) * spec.multiplicity(l)
+        try:
+            weight = math.exp(-spec.eigenvalue(l) * t) * spec.multiplicity(l)
+        except OverflowError:
+            raise DomainError(f"the multiplicity of degree {l} on S^{n} is beyond float64") from None
         total += weight * g / vol
         env = weight / vol
         if l > 8 and env < 1e-20 * abs(total):
-            return total, env, True
-    return total, env, False
+            break
+    return total, env
 
 
 # Closed-form kernels.  With delta = pi - theta the distance from the antipode
@@ -416,8 +428,8 @@ def sphere_heat_kernel(spec: SphereSpectrum, theta: float, t: float) -> float:
     d = spec.R * th
     if d * d / (4.0 * t) / np.log(10.0) > _FLOAT64_CANCEL_DIGITS:
         return _closed_form_kernel(spec.n, spec.R, th, t)
-    total, env, early = _zonal_sum_float(spec, th, t)
-    if not early and env > ORACLE_TAIL_REL * abs(total):
+    total, env = _zonal_sum_float(spec, th, t)
+    if env > ORACLE_TAIL_REL * abs(total):
         raise InsufficientDegreeError(
             f"degree {spec.max_degree} leaves relative tail "
             f"{env / abs(total):.2e} above {ORACLE_TAIL_REL}"
@@ -444,15 +456,11 @@ def richardson_extrapolate(values, stages: int):
 class HeatLimitReport:
     """Prediction vs oracle for one short-time limit instance."""
 
-    n: int
-    R: float
     k: int
-    case: str
     predicted: float
-    oracle_values: list = field(default_factory=list)  # (t, scaled ratio)
-    extrapolated_oracle: float = 0.0
-    rel_deviation: float = 0.0
-    d: float = None
+    oracle_values: list  # (t, scaled ratio)
+    extrapolated_oracle: float
+    rel_deviation: float
 
 
 def heat_limit_validation(
@@ -464,11 +472,13 @@ def heat_limit_validation(
     grid t_j = t0 2^{-j}, j = 0..levels-1, and extrapolated in the powers
     t and t^2.  case 'antipodal' uses k = n-1 at angle pi and takes no d;
     case 'nondegenerate' uses k = 0 and needs 0 < d < pi R strictly; within
-    about pi R 1e-6 of pi R, and beyond, it raises ConjugatePointError.
+    about pi R 1e-6 of pi R, and beyond, it raises ConjugatePointError.  The
+    sphere's scope is checked before the prediction propagates n x n Jacobi
+    fields, and a ratio or limit beyond float64 is a DomainError.
     """
     if levels < 2:
         raise DomainError("need at least two time levels")
-    _check_sphere_dimension(n)  # before the prediction propagates n x n Jacobi fields
+    _check_sphere(n, R)
     if case == "antipodal":
         if d is not None:
             raise DomainError(f"the antipodal case is at d = pi R and takes no d, got {d}")
@@ -486,22 +496,12 @@ def heat_limit_validation(
 
     ts = [t0 * 2.0 ** (-j) for j in range(levels)]
     spec = SphereSpectrum.for_time_range(n, R, ts[-1])
-    series = []
-    for t in ts:
-        p = sphere_heat_kernel(spec, theta, t)
-        ratio = (4.0 * np.pi * t) ** (k / 2.0) * p / euclidean_heat_kernel(dist, n, t)
-        series.append((float(t), float(ratio)))
-
-    stages = min(2, levels - 1)
-    extrapolated = richardson_extrapolate([r for _, r in series], stages)[-1]
-    return HeatLimitReport(
-        n=n,
-        R=R,
-        k=k,
-        case=case,
-        d=d,
-        predicted=float(predicted),
-        oracle_values=series,
-        extrapolated_oracle=float(extrapolated),
-        rel_deviation=float(abs(predicted - extrapolated) / abs(predicted)),
-    )
+    ratios = [float((4.0 * np.pi * t) ** (k / 2.0) * sphere_heat_kernel(spec, theta, t)
+                    / euclidean_heat_kernel(dist, n, t)) for t in ts]
+    extrapolated = richardson_extrapolate(ratios, 2)[-1]
+    rel_deviation = abs(predicted - extrapolated) / abs(predicted)
+    if not all(map(math.isfinite, ratios + [rel_deviation])):
+        raise DomainError(f"the heat ratios on S^{n}(R = {R}) from t0 = {t0}, or their limit's "
+                          f"deviation from {predicted:.6g}, are beyond float64")
+    series = [(float(t), r) for t, r in zip(ts, ratios)]
+    return HeatLimitReport(k, float(predicted), series, float(extrapolated), float(rel_deviation))

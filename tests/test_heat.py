@@ -12,6 +12,7 @@ from geodet import (
     ConstantCurvature,
     DomainError,
     GeodesicData,
+    GeodetError,
     InsufficientDegreeError,
     JacobiSystem,
     OutOfScopeError,
@@ -222,6 +223,16 @@ def test_multiplicities():
     assert [spec3.multiplicity(l) for l in range(4)] == [1, 4, 9, 16]
     spec1 = SphereSpectrum(1, 1.0, 10)
     assert [spec1.multiplicity(l) for l in range(4)] == [1, 2, 2, 2]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_multiplicity_matches_the_factorial_formula(n):
+    # (2l + n - 1)(l + n - 2)!/(l!(n - 1)!) for l >= 1, and 1 at l = 0
+    spec = SphereSpectrum(n, 1.0, 10)
+    assert spec.multiplicity(0) == 1
+    for l in range(1, 61):
+        expected = (2 * l + n - 1) * math.factorial(l + n - 2) // (math.factorial(l) * math.factorial(n - 1))
+        assert spec.multiplicity(l) == expected
 
 
 def test_eigenvalues_nondecreasing():
@@ -457,7 +468,7 @@ def test_heat_times_and_radii_must_be_positive_and_finite(x):
             ),
             "prediction implemented for constant curvature",
         ),
-        (lambda: SphereSpectrum(0, 1.0, 5), "sphere dimension must be >= 1"),
+        (lambda: SphereSpectrum(0, 1.0, 5), "dimension must be >= 1, got 0"),
         (lambda: SphereSpectrum(2, 1.0, 0), "max_degree must be >= 1"),
         (
             lambda: heat_limit_validation(2, 1.0, "antipodal", levels=1),
@@ -475,3 +486,96 @@ def test_input_guards_are_named_domain_errors(call, message):
 def test_richardson_stops_at_one_value():
     # three stages asked of two values: the first stage leaves one, and it is final
     assert richardson_extrapolate([1.0, 2.0], 3) == [3.0]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: heat_limit_validation(2, 1e-200, "nondegenerate", d=1e-200),
+            "R^2 of S^2(R = 1e-200) is not a normal float64 number",
+        ),
+        (
+            lambda: heat_limit_validation(2, 1e-200, "antipodal"),
+            "R^2 of S^2(R = 1e-200) is not a normal float64 number",
+        ),
+        (
+            lambda: heat_limit_validation(2, 1e160, "antipodal"),
+            "R^2 of S^2(R = 1e+160) is not a normal float64 number",
+        ),
+        (
+            lambda: heat_limit_validation(2, 1e200, "nondegenerate", d=1e200),
+            "R^2 of S^2(R = 1e+200) is not a normal float64 number",
+        ),
+        (
+            lambda: heat_limit_validation(1, 5e153, "nondegenerate", d=5e153),
+            "(pi R)^2 of S^1(R = 5e+153) is not a normal float64 number",
+        ),
+        (
+            lambda: heat_limit_validation(30, 1e-12, "nondegenerate", d=1e-12),
+            "R^n of S^30(R = 1e-12) is not a normal float64 number",
+        ),
+        (
+            lambda: heat_limit_validation(300, 0.1, "nondegenerate", d=0.1),
+            "the volume of S^300(R = 0.1) is not a normal float64 number",
+        ),
+        (
+            lambda: heat_limit_validation(150, 0.01, "nondegenerate", d=0.01),
+            "the volume of S^150(R = 0.01) is not a normal float64 number",
+        ),
+        (
+            lambda: heat_limit_validation(3, 1e10, "antipodal"),
+            "the spectral sum on S^3(R = 10000000000.0) at t = 0.0125 needs degree 1.26e+22",
+        ),
+        (
+            lambda: sphere_heat_kernel(SphereSpectrum.for_time_range(300, 10.0, 0.0125), 0.1, 0.0125),
+            "the multiplicity of degree 1048 on S^300 is beyond float64",
+        ),
+        (
+            lambda: heat_limit_validation(10, 1e-30, "antipodal", t0=2.0),
+            "the heat ratios on S^10(R = 1e-30) from t0 = 2.0, or their limit's deviation from 7.60181e-265, "
+            "are beyond float64",
+        ),
+    ],
+    ids=["r1e-200-nondegenerate", "r1e-200-antipodal", "r1e160", "r1e200", "circle-r5e153", "n30-r1e-12",
+         "n300-r0.1", "n150-r0.01", "degree-1e22", "multiplicity-n300", "ratio-n10-r1e-30"],
+)
+def test_spheres_beyond_float64_are_named_domain_errors(call, message, monkeypatch):
+    # each ended in a ZeroDivisionError, OverflowError or TypeError traceback, or in
+    # inf in the report; the scale is checked before the prediction propagates
+    def no_propagation(*args):
+        raise AssertionError("the prediction propagated an out-of-scope sphere")
+
+    if "R^" in message or "volume" in message:
+        monkeypatch.setattr(heat, "solve_jacobi_ode", no_propagation)
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+def test_seeded_heat_limit_sweep_ends_finite_or_in_a_named_error():
+    # every draw returns finite values or a GeodetError; a ZeroDivisionError is the
+    # underflow of e_t past the depth d^2/(4 t_min) = 700, the one defect left open
+    rng = np.random.default_rng(2024)
+    outcomes = {"finite": 0, "named": 0, "underflow": 0}
+    for _ in range(1500):
+        case = ("antipodal", "nondegenerate")[int(rng.integers(2))]
+        n = int(rng.integers(1, 41 if case == "antipodal" else 13))
+        R = float(10.0 ** rng.uniform(-200.0, 200.0))
+        d = float(PI * R * rng.uniform(0.05, 0.95)) if case == "nondegenerate" else None
+        t0 = float(rng.choice([1e-3, 0.2, 2.0]))
+        levels = int(rng.integers(2, 8))
+        try:
+            report = heat_limit_validation(n, R, case, d=d, t0=t0, levels=levels)
+        except GeodetError:
+            outcomes["named"] += 1
+            continue
+        except ZeroDivisionError:
+            dist = PI * R if d is None else d
+            assert dist * dist / (4.0 * t0 * 2.0 ** (1 - levels)) > 700.0, (n, R, case, d, t0, levels)
+            outcomes["underflow"] += 1
+            continue
+        values = [report.predicted, report.extrapolated_oracle] + [v for tr in report.oracle_values for v in tr]
+        assert all(map(math.isfinite, values)), (n, R, case, d, t0, levels)
+        outcomes["finite"] += 1
+    assert all(outcomes.values()), outcomes
