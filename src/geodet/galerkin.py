@@ -249,6 +249,14 @@ def _signed_exp(sign: float, log_abs: float) -> float:
         return sign * math.inf
 
 
+def _normal_exp(log_abs: float, what: str) -> float:
+    """exp(log_abs) through _signed_exp; a DomainError naming ``what`` unless it is a normal float64."""
+    value = _signed_exp(1.0, log_abs)
+    if not np.finfo(float).tiny <= value < math.inf:
+        raise DomainError(f"{what} lies outside float64")
+    return value
+
+
 def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
     """Matrix of id + P^{-1} V over the first K H1-orthonormal sine modes.
 
@@ -665,7 +673,7 @@ def evaluation_map_jacobian(g: GeodesicData, partition: Partition) -> float:
     value is det(I + D^-1 C)^{-(n-1)/2}, whose log comes from
     ``_hat_slogdet`` on 1 x 1 blocks -- the block cyclic reduction
     ``fredholm_det_piecewise`` uses for its levels.  Flat space, or n = 1,
-    gives exactly 1.
+    gives exactly 1; a value outside the normal float64 range is a DomainError.
     """
     m = g.manifold
     if not isinstance(m, ConstantCurvature):
@@ -680,7 +688,7 @@ def evaluation_map_jacobian(g: GeodesicData, partition: Partition) -> float:
     a, c = _hat_stiffness(deltas)
     diag, off = p[:-1] + p[1:], q[1:-1]
     _, logdet = _hat_slogdet(a, c, diag[:, None, None], off[:, None, None])
-    return _signed_exp(1.0, -0.5 * (m.n - 1) * logdet)
+    return _normal_exp(-0.5 * (m.n - 1) * logdet, f"evaluation-map Jacobian of speed {g.speed:.4g} on {m}")
 
 
 def phi0_chain(m: ConstantCurvature, r: float, partition: Partition) -> float:
@@ -693,7 +701,5 @@ def phi0_chain(m: ConstantCurvature, r: float, partition: Partition) -> float:
     only the product must lie in float64 (DomainError).  A segment that
     reaches pi/sqrt(kappa) raises ConjugatePointError.
     """
-    value = _signed_exp(1.0, -0.5 * sum(_log_exp_jacobian(m, d) for d in partition.deltas * r))
-    if not np.finfo(float).tiny <= value < math.inf:
-        raise DomainError(f"phi0 chain of speed {r:.4g} on {m} lies outside float64")
-    return value
+    log_chain = -0.5 * sum(_log_exp_jacobian(m, d) for d in partition.deltas * r)
+    return _normal_exp(log_chain, f"phi0 chain of speed {r:.4g} on {m}")

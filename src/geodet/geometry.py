@@ -86,6 +86,9 @@ class GeodesicData:
                 raise DomainError(
                     f"kappa r^2 overflows float64 (kappa = {manifold.kappa:g}, r = {speed:g})"
                 )
+        # the synthetic geodesic is the s-axis segment [0, t], so its speed is t
+        if isinstance(manifold, SyntheticPotential) and speed != manifold.t:
+            raise DomainError(f"a synthetic geodesic has speed t = {manifold.t}, got {speed}")
         self.manifold = manifold
         self.speed = speed
 

@@ -23,7 +23,7 @@ from .errors import (
     InsufficientDegreeError,
     OutOfScopeError,
 )
-from .galerkin import _signed_exp
+from .galerkin import _normal_exp, _signed_exp
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, jacobi_endomorphism
 from .gelfand_yaglom import _read_endpoint, solve_jacobi_ode
 from .interval import gauss_legendre
@@ -63,31 +63,28 @@ def euclidean_heat_kernel(d: float, n: int, t: float) -> float:
     return float((4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-d * d / (4.0 * t)))
 
 
-def _limit_prediction(sys: JacobiSystem):
+def _limit_prediction(sys: JacobiSystem, log_volume: float):
     """(prediction, singular values of J(1), kernel dim) of a geodesic's Jacobi system.
 
-    prod sig_perp^{-1/2} |det(W^T J'(1) C)|^{1/2} on the kernel split of J(1)
-    at 1024 steps: det J(1)^{-1/2} with an empty kernel, else the density over
-    the family of minimizers, partial or full (every normal direction).
+    vol(family) prod sig_perp^{-1/2} |det(W^T J'(1) C)|^{1/2} on the kernel split of J(1)
+    at 1024 steps, log_volume = log vol(family): det J(1)^{-1/2} with an empty kernel, else
+    the density integrated over the family of minimizers, partial or full.  Its one exit
+    is a DomainError outside the normal float64 range.
     """
     prop = solve_jacobi_ode(sys, 1024)
     sig, kdim, _, log_wjc = _read_endpoint(prop.J[-1], prop.Jprime[-1], sys.t)
-    log_perp = float(np.sum(np.log(sig[: sys.n - kdim])))
-    return _signed_exp(1.0, 0.5 * (log_wjc - log_perp)), sig, kdim
+    log_value = log_volume + 0.5 * (log_wjc - float(np.sum(np.log(sig[: sys.n - kdim]))))
+    return _normal_exp(log_value, f"the limit prediction exp({log_value:.6g})"), sig, kdim
 
 
-def nondegenerate_limit_prediction(m: ConstantCurvature, d: float) -> float:
+def nondegenerate_limit_prediction(m, d: float) -> float:
     """Predicted ratio limit J(x,y)^{-1/2} through det J(1) of the Jacobi ODE.
 
-    A zero mode of J(1) by the Gel'fand-Yaglom singular-value test, on a sphere
-    of radius R every d within about pi R 1e-6 of pi R, is a ConjugatePointError.
+    On any manifold jacobi_endomorphism supports.  The one conjugacy test is a zero mode
+    of J(1) by the Gel'fand-Yaglom singular-value test, a ConjugatePointError: on a
+    sphere of radius R every d within about pi R 1e-6 of pi R (GeodesicData rejects more).
     """
-    if not isinstance(m, ConstantCurvature):
-        raise DomainError("prediction implemented for constant curvature")
-    # a negative d, or an infinite d on kappa <= 0, is left to GeodesicData
-    if m.kappa > 0 and d >= m.conjugate_distance:
-        raise ConjugatePointError("conjugate/antipodal endpoints; use the antipodal route")
-    value, sig, kdim = _limit_prediction(jacobi_endomorphism(GeodesicData(m, d)))
+    value, sig, kdim = _limit_prediction(jacobi_endomorphism(GeodesicData(m, d)), 0.0)
     if kdim:
         raise ConjugatePointError(f"conjugate endpoints: J(1) has the singular value {sig[-1]:.3g}")
     return value
@@ -120,9 +117,15 @@ def _check_antipodal_scope(n: int, R: float):
 
 
 def antipodal_sphere_limit_closed_form(n: int, R: float) -> float:
-    """Antipodal limit 2 pi^(3n/2 - 1) R^(n-1) / Gamma(n/2) on the n-sphere."""
+    """Antipodal limit 2 pi^(3n/2 - 1) R^(n-1) / Gamma(n/2) on the n-sphere.
+
+    A product outside the normal float64 range is a DomainError.
+    """
     _check_antipodal_scope(n, R)
-    return float(2.0 * np.pi ** (1.5 * n - 1.0) * R ** (n - 1) / math.gamma(n / 2.0))
+    value = float(2.0 * np.pi ** (1.5 * n - 1.0) * R ** (n - 1) / math.gamma(n / 2.0))
+    if not np.finfo(float).tiny <= value < math.inf:
+        raise DomainError(f"the antipodal limit of S^{n}(R = {R}) lies outside float64")
+    return value
 
 
 def antipodal_limit_via_Sxy(n: int, R: float) -> float:
@@ -134,9 +137,9 @@ def antipodal_limit_via_Sxy(n: int, R: float) -> float:
     volume of that sphere.
     """
     _check_antipodal_scope(n, R)
+    log_volume = math.log(sphere_surface_volume(n - 1)) + (n - 1) * math.log(np.pi * R)
     m = ConstantCurvature(n, 1.0 / R**2)
-    value = _limit_prediction(jacobi_endomorphism(GeodesicData(m, np.pi * R)))[0]
-    return float(value * sphere_surface_volume(n - 1) * (np.pi * R) ** (n - 1))
+    return _limit_prediction(jacobi_endomorphism(GeodesicData(m, np.pi * R)), log_volume)[0]
 
 
 @dataclass(frozen=True)
@@ -254,9 +257,8 @@ def _zonal_sum_float(spec: SphereSpectrum, theta: float, t: float):
 # exponent drop past which the Mehler integrand is left out
 _MEHLER_CUT = 50.0
 # jets are summed from the antipode while lambda delta <= 1 (lambda = pi/2t,
-# the rate of the leading image) and delta <= 1/2 ...
+# the rate of the leading image) ...
 _ANTIPODE_REACH = 1.0
-_ANTIPODE_DELTA = 0.5
 # ... with this many orders beyond 2m: 1/24! and (1/(2 pi))^24 are below 1e-18
 _ANTIPODE_TAIL = 24
 # terms of the sinc series: pi^30/30! < 1e-17 on the range [0, pi] of use
@@ -393,7 +395,7 @@ def _closed_form_kernel(n: int, R: float, theta: float, t: float) -> float:
     if n > (_JET_DIM_AT_ANTIPODE if delta == 0.0 else _JET_DIM):
         raise DomainError(f"closed-form kernels reach S^{_JET_DIM} off the antipode "
                           f"and S^{_JET_DIM_AT_ANTIPODE} at it, got S^{n}")
-    if delta <= min(_ANTIPODE_DELTA, _ANTIPODE_REACH * 2.0 * t / np.pi):
+    if delta <= _ANTIPODE_REACH * 2.0 * t / np.pi:
         center, order = 0.0, 2 * m + (_ANTIPODE_TAIL if delta > 0 else 0)
     else:
         center, order = delta, m
@@ -474,11 +476,19 @@ def heat_limit_validation(
     case 'nondegenerate' uses k = 0 and needs 0 < d < pi R strictly; within
     about pi R 1e-6 of pi R, and beyond, it raises ConjugatePointError.  The
     sphere's scope is checked before the prediction propagates n x n Jacobi
-    fields, and a ratio or limit beyond float64 is a DomainError.
+    fields, as are t0 and the levels, and a ratio or limit beyond float64 is a
+    DomainError.
     """
     if levels < 2:
         raise DomainError("need at least two time levels")
     _check_sphere(n, R)
+    _check_positive(t0, "t0")
+    # each ratio scales by (4 pi t)^{k/2} and divides by e_t, which holds (4 pi t)^{-n/2}
+    log_4pi_t0 = math.log(4.0 * np.pi * t0)
+    for log_4pi_t in (log_4pi_t0, log_4pi_t0 - (levels - 1) * math.log(2.0)):
+        if not _LOG_TINY <= 0.5 * n * log_4pi_t < _LOG_MAX:
+            raise DomainError(f"(4 pi t)^(n/2) on S^{n} from t0 = {t0} over {levels} levels "
+                              "is not a normal float64 number")
     if case == "antipodal":
         if d is not None:
             raise DomainError(f"the antipodal case is at d = pi R and takes no d, got {d}")
@@ -487,10 +497,13 @@ def heat_limit_validation(
     elif case == "nondegenerate":
         if d is None:
             raise DomainError("nondegenerate case needs a distance d")
-        if not d > 0:  # d >= pi R is the conjugate point, named by the prediction
+        if not d > 0:
             raise DomainError(f"need d > 0, got {d}")
+        m = ConstantCurvature(n, 1.0 / R**2)
+        if d >= m.conjugate_distance:  # the sphere's cut locus
+            raise ConjugatePointError("conjugate/antipodal endpoints; use the antipodal route")
         k, theta, dist = 0, d / R, d
-        predicted = nondegenerate_limit_prediction(ConstantCurvature(n, 1.0 / R**2), d)
+        predicted = nondegenerate_limit_prediction(m, d)
     else:
         raise DomainError(f"unknown case {case!r}")
 

@@ -408,6 +408,12 @@ _NOT_CONSTANT = "closed form requires a constant-curvature manifold"
         pytest.param(
             lambda: ConstantCurvature(2, np.inf), "curvature must be finite", id="kappa-inf"
         ),
+        pytest.param(lambda: ConstantCurvature(0, 1.0), "dimension must be >= 1, got 0", id="kappa-n0"),
+        pytest.param(
+            lambda: GeodesicData(_synthetic(), 2.5),
+            "a synthetic geodesic has speed t = 1.0, got 2.5",
+            id="synthetic-speed",
+        ),
         pytest.param(
             lambda: SyntheticPotential(1, _one, 1.0),
             "synthetic manifolds need dimension >= 2",

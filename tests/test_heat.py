@@ -146,10 +146,18 @@ def test_prediction_reads_a_partial_kernel():
     # V = diag(0, -pi^2, -pi^2, -0.3) has J(1) = diag(1, 0, 0, sin x/x), x = sqrt(0.3),
     # and J'(1) = -1 on the two kernel directions, so the prediction is (sin x/x)^{-1/2}
     sys = JacobiSystem.constant(np.diag([0.0, -PI**2, -PI**2, -0.3]), 1.0)
-    value, _, kdim = _limit_prediction(sys)
+    value, _, kdim = _limit_prediction(sys, 0.0)
     x = math.sqrt(0.3)
     assert kdim == 2
     assert value == pytest.approx((math.sin(x) / x) ** -0.5, rel=1e-12)
+
+
+def test_prediction_on_a_synthetic_manifold():
+    # V = diag(-1, 1/2) along [0, 1] has J(1) = diag(1, sin 1, sinh(sqrt(1/2))/sqrt(1/2));
+    # the prediction needs no constant curvature
+    m = SyntheticPotential(3, lambda s: np.diag([-1.0, 0.5]), 1.0)
+    exact = (math.sin(1.0) * math.sinh(math.sqrt(0.5)) / math.sqrt(0.5)) ** -0.5
+    assert nondegenerate_limit_prediction(m, 1.0) == pytest.approx(exact, rel=1e-10)
 
 
 def test_prediction_beyond_float64_det():
@@ -158,7 +166,7 @@ def test_prediction_beyond_float64_det():
         warnings.simplefilter("error", RuntimeWarning)
         val = nondegenerate_limit_prediction(ConstantCurvature(5, -1.0), 200.0)
     assert math.isfinite(val)
-    assert val == pytest.approx((200.0 / math.sinh(200.0)) ** 2, rel=1e-2)
+    assert val == pytest.approx((200.0 / math.sinh(200.0)) ** 2, rel=1e-2, abs=0.0)
 
 
 def test_antipodal_closed_form_values():
@@ -290,7 +298,7 @@ def test_oracle_deep_cancellation_accuracy():
             )
             total += term
         oracle = float(total)
-    assert val == pytest.approx(oracle, rel=1e-12)
+    assert val == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 # (R, theta, t/R^2) with more than 9 digits of cancellation and p in float64
@@ -313,7 +321,7 @@ def test_deep_kernel_matches_mp_spectral_sum(n):
         assert theta**2 / (4.0 * t_unit) / math.log(10.0) > 9.0
         # the closed forms of deep cells do not use the spectral degree
         val = sphere_heat_kernel(SphereSpectrum(n, R, 8), theta, t)
-        assert val == pytest.approx(spectral_sum_mp(n, R, theta, t), rel=1e-12)
+        assert val == pytest.approx(spectral_sum_mp(n, R, theta, t), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -324,7 +332,19 @@ def test_closed_form_matches_float64_sum_on_shallow_cells(n):
             assert theta**2 / (4.0 * t_unit) / math.log(10.0) <= 3.0
             spec = SphereSpectrum.for_time_range(n, R, t)
             expected = sphere_heat_kernel(spec, theta, t)
-            assert _closed_form_kernel(n, R, theta, t) == pytest.approx(expected, rel=1e-11)
+            assert _closed_form_kernel(n, R, theta, t) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_matches_mp_spectral_sum_up_to_unit_time(n):
+    # t/R^2 in (pi/4, 1] sums the jets from the antipode out to delta = 2t/pi > 1/2;
+    # capped at delta = 1/2, S^8 was 2.7e-12 off at (0.95, 0.51)
+    for t_unit, delta in ((0.85, 0.51), (0.95, 0.51), (1.0, 0.55), (1.0, 0.63)):
+        theta = PI - delta
+        assert delta <= 2.0 * t_unit / PI
+        assert _closed_form_kernel(n, 1.0, theta, t_unit) == pytest.approx(
+            spectral_sum_mp(n, 1.0, theta, t_unit), rel=1e-12, abs=0.0
+        )
 
 
 def test_deep_kernel_beyond_the_jets_reach_is_a_named_error(monkeypatch):
@@ -344,7 +364,7 @@ def test_deep_kernel_beyond_the_jets_reach_is_a_named_error(monkeypatch):
 @pytest.mark.parametrize("n, theta, t", [(10, 0.98 * PI, 0.09), (10, 0.95 * PI, 0.1), (32, PI, 0.1)])
 def test_deep_kernel_at_the_jets_reach_matches_mp_spectral_sum(n, theta, t):
     val = sphere_heat_kernel(SphereSpectrum(n, 1.0, 8), theta, t)
-    assert val == pytest.approx(spectral_sum_mp(n, 1.0, theta, t), rel=1e-12)
+    assert val == pytest.approx(spectral_sum_mp(n, 1.0, theta, t), rel=1e-12, abs=0.0)
 
 
 def test_deep_kernel_below_float64_range_is_zero():
@@ -462,12 +482,6 @@ def test_heat_times_and_radii_must_be_positive_and_finite(x):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (
-            lambda: nondegenerate_limit_prediction(
-                SyntheticPotential(2, lambda s: np.eye(1), 1.0), 1.0
-            ),
-            "prediction implemented for constant curvature",
-        ),
         (lambda: SphereSpectrum(0, 1.0, 5), "dimension must be >= 1, got 0"),
         (lambda: SphereSpectrum(2, 1.0, 0), "max_degree must be >= 1"),
         (
@@ -475,12 +489,55 @@ def test_heat_times_and_radii_must_be_positive_and_finite(x):
             "need at least two time levels",
         ),
     ],
-    ids=["prediction-synthetic", "sphere-n0", "degree-0", "one-level"],
+    ids=["sphere-n0", "degree-0", "one-level"],
 )
 def test_input_guards_are_named_domain_errors(call, message):
     with pytest.raises(DomainError) as info:
         call()
     assert type(info.value) is DomainError and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: antipodal_limit_via_Sxy(40, 5e7), "the limit prediction exp(720.266) lies outside float64"),
+        (
+            lambda: nondegenerate_limit_prediction(ConstantCurvature(5, -1.0), 400.0),
+            "the limit prediction exp(-786.519) lies outside float64",
+        ),
+        (
+            lambda: antipodal_sphere_limit_closed_form(40, 5e7),
+            "the antipodal limit of S^40(R = 50000000.0) lies outside float64",
+        ),
+    ],
+    ids=["sxy-n40-r5e7", "prediction-k-1-d400", "closed-form-n40-r5e7"],
+)
+def test_limits_beyond_float64_are_named_domain_errors(call, message):
+    # the velocity-sphere route ended in an OverflowError, the prediction returned
+    # 0.0 and the closed form inf; the family volume now enters the prediction's log
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, R, case, d, t0, levels",
+    [(3, 1.0, "nondegenerate", 1.0, 1e300, 5), (40, 1.0, "antipodal", None, 1e20, 5),
+     (5, 1e-61, "antipodal", None, 2e-123, 7)],
+    ids=["t0-1e300", "n40-t0-1e20", "t-min-2e-123-over-64"],
+)
+def test_heat_times_beyond_float64_are_named_before_the_prediction(n, R, case, d, t0, levels, monkeypatch):
+    # (4 pi t)^{-n/2} underflowed to a ZeroDivisionError, and (4 pi t)^{k/2} or
+    # (4 pi t_min)^{-n/2} overflowed to an OverflowError
+    def no_prediction(*args):
+        raise AssertionError("the prediction ran for out-of-range times")
+
+    monkeypatch.setattr(heat, "nondegenerate_limit_prediction", no_prediction)
+    monkeypatch.setattr(heat, "antipodal_sphere_limit_closed_form", no_prediction)
+    with pytest.raises(DomainError) as info:
+        heat_limit_validation(n, R, case, d=d, t0=t0, levels=levels)
+    assert str(info.value) == (f"(4 pi t)^(n/2) on S^{n} from t0 = {t0} over {levels} levels "
+                               "is not a normal float64 number")
 
 
 def test_richardson_stops_at_one_value():
