@@ -126,7 +126,8 @@ def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
         E_j = (I + D_j) (I + E_{j-1}) - I = D_j + E_{j-1} + D_j E_{j-1};
 
     the second maps each block's start state S through them,
-    Y = S + E_j S, and the block's last state starts the next block.  A
+    Y = S + E_j S, as one (block 2n, 2n) @ (2n, n) product per block, and
+    the block's last state starts the next block.  A
     constant system has the same increments in every block, so it builds
     and sweeps one block, from the first 2 block + 1 samples, and every
     block reuses it; the run is bit-identical to one that builds them all.
@@ -146,11 +147,10 @@ def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
         for b in range(-(-steps // block)):
             S = Y[b * block]
             rows = Y[b * block + 1 : (b + 1) * block + 1]
-            np.matmul(E[b % len(E), : len(rows)], S, out=rows)
+            np.matmul(E[b % len(E), : len(rows)].reshape(-1, 2 * n), S, out=rows.reshape(-1, n))
             rows += S
-    finite = np.isfinite(Y).all(axis=(1, 2))
-    if not finite.all():
-        s = sys.t * np.argmin(finite) / steps
+    if not np.isfinite(Y).all():
+        s = sys.t * np.argmin(np.isfinite(Y).all(axis=(1, 2))) / steps
         raise IntegrationError(
             f"J or J' left the float64 range at s = {s:.4g} of t = {sys.t:.4g}"
         )

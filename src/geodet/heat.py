@@ -214,27 +214,39 @@ def _zonal_sum_float(spec: SphereSpectrum, theta: float, t: float):
     since the normalized Gegenbauer values obey |g_l| <= 1; a term itself can
     vanish exactly at a rational angle.  A multiplicity m_l beyond float64 is
     a DomainError.
+
+    The loop runs on Python floats and ints, where numpy scalars cost a
+    method dispatch per operation, with the arithmetic of
+    :meth:`SphereSpectrum.eigenvalue` and :meth:`SphereSpectrum.multiplicity`
+    in the same order, so every value is bit-identical to theirs.  The
+    multiplicity m_l = C(l+n, n) - C(l+n-2, n) steps C(l+n, n) exactly,
+    C(l+n, n) = C(l+n-1, n) (l+n)/l, and lags it two degrees for the second
+    binomial.
     """
     n, R, L = spec.n, spec.R, spec.max_degree
-    x = np.cos(theta)
+    x = float(np.cos(theta))
     alpha = (n - 1) / 2.0
-    vol = spec.volume
+    vol = float(spec.volume)
+    R2 = R**2
     total = 0.0
     g2, g1 = 1.0, x  # normalized Gegenbauer values g_0, g_1
+    c2, c1 = 0, 0  # c = C(l+n, n) two and one degrees back
     for l in range(L + 1):
         if l == 0:
-            g = 1.0
+            g, c = 1.0, 1
         elif l == 1:
-            g = x
+            g, c = x, n + 1
         else:
             g = (2.0 * x * (l + alpha - 1.0) * g1 - (l - 1.0) * g2) / (l + 2.0 * alpha - 1.0)
             g2, g1 = g1, g
+            c = c1 * (l + n) // l
         try:
-            weight = math.exp(-spec.eigenvalue(l) * t) * spec.multiplicity(l)
+            weight = math.exp(-(l * (l + n - 1) / R2) * t) * (c - c2)
         except OverflowError:
             raise DomainError(f"the multiplicity of degree {l} on S^{n} is beyond float64") from None
         total += weight * g / vol
         env = weight / vol
+        c2, c1 = c1, c
         if l > 8 and env < 1e-20 * abs(total):
             break
     return total, env

@@ -445,7 +445,7 @@ def test_det_gy_near_conjugate_is_not_degenerate(capsys):
     # det J(1) = (sin r / r)^3 ~ 3.3e-7 is small, but J(1) has no kernel
     code, out, _ = run_cli(capsys, "det-gy", "--kappa", "1", "--r", "3.12", "--n", "4")
     assert code == 0
-    assert json.loads(out)["value"] == pytest.approx((math.sin(3.12) / 3.12) ** 3, rel=1e-9)
+    assert json.loads(out)["value"] == pytest.approx((math.sin(3.12) / 3.12) ** 3, rel=1e-9, abs=0.0)
 
 
 def run_python(code):

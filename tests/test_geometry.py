@@ -185,6 +185,21 @@ def test_synthetic_potential_requires_symmetry():
         SyntheticPotential(3, lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+def test_constant_potential_checks_symmetry_on_one_sample(monkeypatch):
+    # a callable is checked at five points of [0, t]; a constant is one matrix
+    sizes = []
+    sample = JacobiSystem.sample
+
+    def recorded(self, s):
+        sizes.append(len(s))
+        return sample(self, s)
+
+    monkeypatch.setattr(JacobiSystem, "sample", recorded)
+    JacobiSystem.constant(np.eye(2), 1.0)
+    JacobiSystem(2, 1.0, lambda s: np.eye(2))
+    assert sizes == [1, 5]
+
+
 def test_potential_changing_shape_is_a_domain_error():
     # every sample's shape is checked; a later one of another shape must
     # still end in the named error, not a numpy ValueError
@@ -421,6 +436,16 @@ _NOT_CONSTANT = "closed form requires a constant-curvature manifold"
         ),
         pytest.param(
             lambda: JacobiSystem(0, 1.0, _one), "fiber dimension must be >= 1, got 0", id="fiber-n0"
+        ),
+        pytest.param(
+            lambda: JacobiSystem.constant([[0.0, 1.0], [0.0, 0.0]], 1.0),
+            "potential not symmetric at s=0.0",
+            id="asymmetric-constant",
+        ),
+        pytest.param(
+            lambda: JacobiSystem(2, 1.0, lambda s: np.array([[0.0, float(s >= 0.5)], [0.0, 0.0]])),
+            "potential not symmetric at s=0.5",
+            id="asymmetric-callable",
         ),
         pytest.param(
             lambda: jacobi_endomorphism(GeodesicData(object(), 1.0)),

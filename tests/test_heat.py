@@ -243,6 +243,48 @@ def test_multiplicity_matches_the_factorial_formula(n):
         assert spec.multiplicity(l) == expected
 
 
+def zonal_sum_reference(spec, theta, t):
+    """Reference: the float64 zonal sum on numpy scalars, through the spectrum's methods."""
+    n = spec.n
+    x = np.cos(theta)
+    alpha = (n - 1) / 2.0
+    vol = spec.volume
+    total = 0.0
+    g2, g1 = 1.0, x
+    for l in range(spec.max_degree + 1):
+        if l == 0:
+            g = 1.0
+        elif l == 1:
+            g = x
+        else:
+            g = (2.0 * x * (l + alpha - 1.0) * g1 - (l - 1.0) * g2) / (l + 2.0 * alpha - 1.0)
+            g2, g1 = g1, g
+        weight = math.exp(-spec.eigenvalue(l) * t) * spec.multiplicity(l)
+        total += weight * g / vol
+        env = weight / vol
+        if l > 8 and env < 1e-20 * abs(total):
+            break
+    return total, env
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 50, 300])
+@pytest.mark.parametrize("t", [0.2, 0.0125])
+def test_zonal_sum_is_bit_identical_to_the_spectrum_methods(n, t):
+    # the loop on Python floats and exact integer multiplicity steps gives
+    # the total and the envelope of the numpy-scalar loop bit for bit
+    for R, theta in itertools.product((1.0, 0.7), (0.1, 1.0, 0.2 * PI, 2.0, PI)):
+        spec = SphereSpectrum.for_time_range(n, R, t)
+        assert heat._zonal_sum_float(spec, theta, t) == zonal_sum_reference(spec, theta, t)
+
+
+def test_zonal_sum_multiplicity_beyond_float64_is_a_domain_error():
+    spec = SphereSpectrum.for_time_range(300, 10.0, 0.0125)
+    with pytest.raises(OverflowError):
+        zonal_sum_reference(spec, 0.1, 0.0125)
+    with pytest.raises(DomainError, match=r"the multiplicity of degree 1048 on S\^300 is beyond float64"):
+        heat._zonal_sum_float(spec, 0.1, 0.0125)
+
+
 def test_eigenvalues_nondecreasing():
     spec = SphereSpectrum(3, 2.0, 50)
     evals = [spec.eigenvalue(l) for l in range(51)]
