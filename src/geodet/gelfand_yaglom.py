@@ -126,29 +126,47 @@ def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
         E_j = (I + D_j) (I + E_{j-1}) - I = D_j + E_{j-1} + D_j E_{j-1};
 
     the second maps each block's start state S through them,
-    Y = S + E_j S, as one (block 2n, 2n) @ (2n, n) product per block, and
-    the block's last state starts the next block.  A
-    constant system has the same increments in every block, so it builds
-    and sweeps one block, from the first 2 block + 1 samples, and every
-    block reuses it; the run is bit-identical to one that builds them all.
+    Y = S + E_j S, as one (block 2n, 2n) @ (2n, n) product per block written
+    into the grid; the block's last state gets its S at once and starts the
+    next block, the other rows of all blocks get theirs after the sweep.  A
+    constant system has the same increment at every step, so it builds one,
+    from the first 3 samples, copies it across one block and sweeps that
+    block, and every block reuses it; the run is bit-identical to one that
+    builds all increments, since both make the same products.
     """
     if V is None:
         V = _sample_potential(sys, steps)
     n = sys.n
     block = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)): 64 at 4096 steps
-    if sys.is_constant:
-        V = V[: 2 * block + 1]
+    blocks = -(-steps // block)
+    h = np.float64(sys.t) / steps
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, as is h^4 = inf
-        E = _transfer_increments(V, np.float64(sys.t) / steps, block)
-        Y = np.empty((steps + 1, 2 * n, n))
+        if sys.is_constant:
+            E = _transfer_increments(V[:3], h, 1).repeat(block, axis=1)
+        else:
+            E = _transfer_increments(V, h, block)
+        tmp = np.empty((len(E), 2 * n, 2 * n))
+        by_step = list(E.swapaxes(0, 1))  # E_j of all blocks, for each j
+        for prev, cur in zip(by_step, by_step[1:]):
+            np.matmul(cur, prev, out=tmp)
+            tmp += prev
+            cur += tmp
+        # room for whole blocks; the padded tail of the last block is never written
+        Y = np.empty((blocks * block + 1, 2 * n, n))
         Y[0] = np.eye(2 * n, n, -n)
-        for j in range(1, block):
-            E[:, j] += E[:, j - 1] + E[:, j] @ E[:, j - 1]
-        for b in range(-(-steps // block)):
+        rows = Y[1:].reshape(blocks, block * 2 * n, n)
+        states = Y[1:].reshape(blocks, block, 2 * n, n)
+        E = E.reshape(len(E), block * 2 * n, 2 * n)
+        for b in range(blocks - 1):
             S = Y[b * block]
-            rows = Y[b * block + 1 : (b + 1) * block + 1]
-            np.matmul(E[b % len(E), : len(rows)].reshape(-1, 2 * n), S, out=rows.reshape(-1, n))
-            rows += S
+            np.matmul(E[b % len(E)], S, out=rows[b])
+            Y[(b + 1) * block] += S  # the block's last state starts the next block
+        states[:-1, :-1] += Y[: (blocks - 1) * block : block, None]  # the rest, at once
+        k = steps - (blocks - 1) * block  # states of the last block
+        S = Y[(blocks - 1) * block]
+        np.matmul(E[(blocks - 1) % len(E), : k * 2 * n], S, out=rows[-1, : k * 2 * n])
+        states[-1, :k] += S
+        Y = Y[: steps + 1]
     if not np.isfinite(Y).all():
         s = sys.t * np.argmin(np.isfinite(Y).all(axis=(1, 2))) / steps
         raise IntegrationError(

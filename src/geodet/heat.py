@@ -271,7 +271,8 @@ _MEHLER_CUT = 50.0
 # jets are summed from the antipode while lambda delta <= 1 (lambda = pi/2t,
 # the rate of the leading image) ...
 _ANTIPODE_REACH = 1.0
-# ... with this many orders beyond 2m: 1/24! and (1/(2 pi))^24 are below 1e-18
+# ... with this many orders beyond 2m: 1/24! and (1/(2 pi))^24 are below 1e-18;
+# the t-independent Mehler factor at the antipode is cached per jet order
 _ANTIPODE_TAIL = 24
 # terms of the sinc series: pi^30/30! < 1e-17 on the range [0, pi] of use
 _SINC_TERMS = 30
@@ -340,35 +341,59 @@ def _circle_jet(center: float, theta: float, t: float, order: int, ks):
     return (_gauss_jet(phi, t, order) * weight).sum(axis=1) / math.sqrt(4.0 * np.pi * t)
 
 
-def _mehler_jet(center: float, theta: float, t: float, order: int, ks):
-    """Jet in delta of e^{theta^2/4t} p^2_t, the Mehler-type integral, at delta = center.
+def _mehler_factor(center: float, span: float, order: int):
+    """(s, s^j, root) at the Mehler nodes: the integrand's factors that t enters only via span.
 
-    The integrand decays like exp(-kappa (1 - sin psi)) with
-    kappa = theta delta/2t, so the nodes cover only the part of [0, pi/2]
-    next to pi/2 where it has not dropped by e^{-_MEHLER_CUT}.
+    The 64 Gauss-Legendre nodes psi = pi/2 - eps cover eps in [0, span], with
+    s = cos(eps) = sin psi; the powers s^j, j <= order, turn a jet in
+    e = delta - center into one along u = pi - delta s, and root is the jet
+    of [sinc(a_+ delta) sinc(a_- delta)]^{-1/2} at delta = center.
     """
-    kappa = theta * center / (2.0 * t)
-    span = 0.5 * np.pi
-    if kappa > _MEHLER_CUT:
-        span = 2.0 * math.asin(math.sqrt(0.5 * _MEHLER_CUT / kappa))
-    nodes, weights = gauss_legendre(64)
-    eps = 0.5 * span * (nodes + 1.0)  # psi = pi/2 - eps
-    s = np.cos(eps)
-    u = np.pi - center * s + 2.0 * np.pi * ks[:, None]
-    h = _gauss_jet(u, t, order)
-    h_prev = np.concatenate([np.zeros((1,) + u.shape), h[:-1]])
-    # jet of u e^{-u^2/4t} along u = u_c - s e, scaled by e^{theta^2/4t}
-    weight = np.where(ks % 2, -1.0, 1.0)[:, None] * np.exp((theta * theta - u * u) / (4.0 * t))
+    nodes, _ = gauss_legendre(64)
+    s = np.cos(0.5 * span * (nodes + 1.0))
     powers = s ** np.arange(order + 1)[:, None]
-    numer = powers * ((u * h - h_prev) * weight).sum(axis=1)
     a_plus, a_minus = 0.5 * (1.0 + s), 0.5 * (1.0 - s)
     sinc_prod = _jet_mul(
         _sinc_jet(a_plus * center, order) * a_plus ** np.arange(order + 1)[:, None],
         _sinc_jet(a_minus * center, order) * a_minus ** np.arange(order + 1)[:, None],
     )
-    integrand = _jet_mul(numer, _jet_pow(sinc_prod, -0.5))
+    return s, powers, _jet_pow(sinc_prod, -0.5)
+
+
+@lru_cache(maxsize=32)
+def _antipode_factor(order: int):
+    """:func:`_mehler_factor` at the antipode, where the span is pi/2: a function of order alone."""
+    arrays = _mehler_factor(0.0, 0.5 * np.pi, order)
+    for a in arrays:
+        a.flags.writeable = False  # shared by every caller through the cache
+    return arrays
+
+
+def _mehler_jet(center: float, theta: float, t: float, order: int, ks):
+    """Jet in delta of e^{theta^2/4t} p^2_t, the Mehler-type integral, at delta = center.
+
+    The integrand decays like exp(-kappa (1 - sin psi)) with
+    kappa = theta delta/2t, so the nodes cover only the part of [0, pi/2]
+    next to pi/2 where it has not dropped by e^{-_MEHLER_CUT}.  At the
+    antipode, center 0, kappa is 0 and the t-independent factor is cached.
+    """
+    kappa = theta * center / (2.0 * t)
+    span = 0.5 * np.pi
+    if kappa > _MEHLER_CUT:
+        span = 2.0 * math.asin(math.sqrt(0.5 * _MEHLER_CUT / kappa))
+    if center == 0.0:
+        s, powers, root = _antipode_factor(order)
+    else:
+        s, powers, root = _mehler_factor(center, span, order)
+    u = np.pi - center * s + 2.0 * np.pi * ks[:, None]
+    h = _gauss_jet(u, t, order)
+    h_prev = np.concatenate([np.zeros((1,) + u.shape), h[:-1]])
+    # jet of u e^{-u^2/4t} along u = u_c - s e, scaled by e^{theta^2/4t}
+    weight = np.where(ks % 2, -1.0, 1.0)[:, None] * np.exp((theta * theta - u * u) / (4.0 * t))
+    numer = powers * ((u * h - h_prev) * weight).sum(axis=1)
+    integrand = _jet_mul(numer, root)
     scale = 2.0 * math.exp(t / 4.0) * (4.0 * np.pi * t) ** -1.5 * 0.5 * span
-    return integrand @ weights * scale
+    return integrand @ gauss_legendre(64)[1] * scale
 
 
 def _raise_dimension(jet, center: float):

@@ -246,10 +246,23 @@ def test_one_product_per_block_matches_stacked_sweep(n, kind, steps):
     assert np.array_equal(_rk4_run(sys, steps), stacked_sweep_rk4(sys, steps))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
+@pytest.mark.parametrize("steps", [16, 17, 1000, 1024, 4097])
+def test_one_increment_run_matches_callable_bit_for_bit(n, steps):
+    # a constant system copies one step's increment across the block; a
+    # callable returning the same matrix builds every increment, and both
+    # sweeps make the same products, so the runs agree bit for bit
+    rng = np.random.default_rng(1000 * n + steps)
+    X = rng.standard_normal((n, n))
+    M = 0.5 * (X + X.T)
+    U = _rk4_run(JacobiSystem.constant(M, 0.9), steps)
+    assert np.array_equal(U, _rk4_run(JacobiSystem(n, 0.9, lambda s: M), steps))
+
+
 @pytest.mark.parametrize("steps", [17, 1024, 4097])
-def test_constant_system_builds_one_block_of_increments(monkeypatch, steps):
-    # a constant system builds the increments of one block, from 2 B + 1
-    # half-grid samples (B = ceil(sqrt(steps))); a callable one all of them
+def test_constant_system_builds_one_increment(monkeypatch, steps):
+    # a constant system builds the increment of one step, from 3 half-grid
+    # samples; a callable one builds all of them
     lengths = []
     transfer_increments = gelfand_yaglom._transfer_increments
 
@@ -261,8 +274,7 @@ def test_constant_system_builds_one_block_of_increments(monkeypatch, steps):
     M = np.array([[1.0, 0.2], [0.2, -0.5]])
     _rk4_run(JacobiSystem.constant(M, 1.3), steps)
     _rk4_run(JacobiSystem(2, 1.3, lambda s: M), steps)
-    block = math.isqrt(steps - 1) + 1
-    assert lengths == [2 * block + 1, 2 * steps + 1]
+    assert lengths == [3, 2 * steps + 1]
 
 
 def test_blocked_product_error_against_extended_precision():

@@ -409,6 +409,61 @@ def test_deep_kernel_at_the_jets_reach_matches_mp_spectral_sum(n, theta, t):
     assert val == pytest.approx(spectral_sum_mp(n, 1.0, theta, t), rel=1e-12, abs=0.0)
 
 
+def uncached_mehler_jet(center, theta, t, order, ks):
+    # the Mehler jet with every factor rebuilt on each call, as before the
+    # antipode factor was cached
+    kappa = theta * center / (2.0 * t)
+    span = 0.5 * PI
+    if kappa > heat._MEHLER_CUT:
+        span = 2.0 * math.asin(math.sqrt(0.5 * heat._MEHLER_CUT / kappa))
+    nodes, weights = heat.gauss_legendre(64)
+    eps = 0.5 * span * (nodes + 1.0)
+    s = np.cos(eps)
+    u = PI - center * s + 2.0 * PI * ks[:, None]
+    h = heat._gauss_jet(u, t, order)
+    h_prev = np.concatenate([np.zeros((1,) + u.shape), h[:-1]])
+    weight = np.where(ks % 2, -1.0, 1.0)[:, None] * np.exp((theta * theta - u * u) / (4.0 * t))
+    powers = s ** np.arange(order + 1)[:, None]
+    numer = powers * ((u * h - h_prev) * weight).sum(axis=1)
+    a_plus, a_minus = 0.5 * (1.0 + s), 0.5 * (1.0 - s)
+    sinc_prod = heat._jet_mul(
+        heat._sinc_jet(a_plus * center, order) * a_plus ** np.arange(order + 1)[:, None],
+        heat._sinc_jet(a_minus * center, order) * a_minus ** np.arange(order + 1)[:, None],
+    )
+    integrand = heat._jet_mul(numer, heat._jet_pow(sinc_prod, -0.5))
+    scale = 2.0 * math.exp(t / 4.0) * (4.0 * PI * t) ** -1.5 * 0.5 * span
+    return integrand @ weights * scale
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_cached_antipode_factor_is_bit_identical(monkeypatch, n):
+    # at the antipode and inside the 2t/pi window the jets are taken at
+    # delta = 0, from the cached factor; every kernel equals the uncached one
+    cells = [(R, theta, t_unit * R * R) for R in (0.5, 1.0, 2.0)
+             for t_unit in (0.2, 0.01, 1e-3) for theta in (PI, PI - t_unit / PI)]
+    cached = [_closed_form_kernel(n, R, theta, t) for R, theta, t in cells]
+    monkeypatch.setattr(heat, "_mehler_jet", uncached_mehler_jet)
+    assert cached == [_closed_form_kernel(n, R, theta, t) for R, theta, t in cells]
+
+
+def test_antipode_factor_cache_is_keyed_on_the_jet_order(monkeypatch):
+    # a sweep over theta, t and R leaves one cache entry per jet order, so no
+    # float is part of the key
+    orders = set()
+    mehler_jet = heat._mehler_jet
+
+    def recorded(center, theta, t, order, ks):
+        orders.add(order)
+        return mehler_jet(center, theta, t, order, ks)
+
+    monkeypatch.setattr(heat, "_mehler_jet", recorded)
+    heat._antipode_factor.cache_clear()
+    for n, R, t_unit, offset in itertools.product((2, 4), (0.5, 1.0, 2.0), (0.3, 0.05, 0.01), (0.0, 0.1, 0.5)):
+        _closed_form_kernel(n, R, PI - offset * t_unit, t_unit * R * R)
+    assert orders == {0, 24, 2, 26}
+    assert heat._antipode_factor.cache_info().currsize == len(orders)
+
+
 def test_deep_kernel_below_float64_range_is_zero():
     assert sphere_heat_kernel(SphereSpectrum(3, 1.0, 8), PI, 1e-4) == 0.0
 
