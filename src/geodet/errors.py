@@ -1,8 +1,10 @@
-"""Exception types raised by the numerical routines.
+"""Exception types raised by the numerical routines, and the one count check.
 
 Every error surfaced by the CLI is one of these; reports carry the class
 name, never a bare traceback.
 """
+
+import operator
 
 
 class GeodetError(Exception):
@@ -15,6 +17,21 @@ class GeodetError(Exception):
 
 class DomainError(GeodetError):
     """An argument lies outside the mathematical domain of the operation."""
+
+
+def check_count(value, least: int, message: str) -> int:
+    """``value`` as an int (``operator.index``): a dimension, step or level count.
+
+    An integer below ``least`` raises DomainError(message); anything that is
+    no integer, a float even when integral, raises a DomainError naming it.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{value!r} is not an integer count: {message}") from None
+    if count < least:
+        raise DomainError(message)
+    return count
 
 
 class ConjugatePointError(GeodetError):

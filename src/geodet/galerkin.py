@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     IllSeparatedKernelError,
     RouteDisagreementError,
+    check_count,
 )
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, _log_exp_jacobian
 from .interval import composite_gauss, mode_cosine_moments, mode_quadrature
@@ -71,12 +72,7 @@ class Partition:
 
     @classmethod
     def uniform(cls, N: int) -> "Partition":
-        try:
-            count = operator.index(N)
-        except TypeError:  # a float, even an integral one, is no count
-            count = 0
-        if count < 2:
-            raise DomainError(f"need an integer count of at least two segments, got {N!r}")
+        count = check_count(N, 2, f"need an integer count of at least two segments, got {N!r}")
         return cls(tuple(np.linspace(0.0, 1.0, count + 1)))
 
     @property

@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     IntegrationError,
     NonpositiveOperatorError,
+    check_count,
 )
 from .galerkin import _signed_exp
 from .geometry import JacobiSystem
@@ -88,10 +89,10 @@ def _transfer_increments(V: np.ndarray, h: float, block: int) -> np.ndarray:
 
     built for all steps at once and returned in blocks of ``block`` steps,
     shape (blocks, block, 2n, 2n); the last block is padded with zero
-    increments (identity steps).  The identity is kept out: rounding
-    I + O(h^2) would drop the low bits of the increment in the same
-    direction at every step of a smooth potential, an error that grows
-    linearly with the step count.
+    increments (identity steps), whose grid rows :func:`_rk4_run` slices
+    off.  The identity is kept out: rounding I + O(h^2) would drop the low
+    bits of the increment in the same direction at every step of a smooth
+    potential, an error that grows linearly with the step count.
     """
     a, b, c = V[0:-1:2], V[1::2], V[2::2]
     steps, n = b.shape[0], b.shape[1]
@@ -125,10 +126,10 @@ def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
 
         E_j = (I + D_j) (I + E_{j-1}) - I = D_j + E_{j-1} + D_j E_{j-1};
 
-    the second maps each block's start state S through them,
-    Y = S + E_j S, as one (block 2n, 2n) @ (2n, n) product per block written
-    into the grid; the block's last state gets its S at once and starts the
-    next block, the other rows of all blocks get theirs after the sweep.  A
+    the second, one loop over every block, maps the block's start state S
+    through them, Y = S + E_j S, by one (block 2n, 2n) @ (2n, n) product cut
+    to the block's steps; its last state gets S at once and starts the next
+    block, and the other rows get theirs in one add after the loop.  A
     constant system has the same increment at every step, so it builds one,
     from the first 3 samples, copies it across one block and sweeps that
     block, and every block reuses it; the run is bit-identical to one that
@@ -151,21 +152,16 @@ def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
             np.matmul(cur, prev, out=tmp)
             tmp += prev
             cur += tmp
-        # room for whole blocks; the padded tail of the last block is never written
-        Y = np.empty((blocks * block + 1, 2 * n, n))
+        # room for whole blocks; the rows past steps get no product and are sliced off
+        Y = np.zeros((blocks * block + 1, 2 * n, n))
         Y[0] = np.eye(2 * n, n, -n)
         rows = Y[1:].reshape(blocks, block * 2 * n, n)
-        states = Y[1:].reshape(blocks, block, 2 * n, n)
         E = E.reshape(len(E), block * 2 * n, 2 * n)
-        for b in range(blocks - 1):
-            S = Y[b * block]
-            np.matmul(E[b % len(E)], S, out=rows[b])
+        for b in range(blocks):
+            S, m = Y[b * block], 2 * n * (steps - b * block)  # the slices clip m to the block
+            np.matmul(E[b % len(E), :m], S, out=rows[b, :m])
             Y[(b + 1) * block] += S  # the block's last state starts the next block
-        states[:-1, :-1] += Y[: (blocks - 1) * block : block, None]  # the rest, at once
-        k = steps - (blocks - 1) * block  # states of the last block
-        S = Y[(blocks - 1) * block]
-        np.matmul(E[(blocks - 1) % len(E), : k * 2 * n], S, out=rows[-1, : k * 2 * n])
-        states[-1, :k] += S
+        Y[1:].reshape(blocks, block, 2 * n, n)[:, :-1] += Y[:-1:block, None]  # the rest, at once
         Y = Y[: steps + 1]
     if not np.isfinite(Y).all():
         s = sys.t * np.argmin(np.isfinite(Y).all(axis=(1, 2))) / steps
@@ -177,8 +173,7 @@ def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
 
 def _fine_run(sys: JacobiSystem, steps: int):
     """The run at ``steps`` and the half-grid samples of V it used."""
-    if steps < 16:
-        raise DomainError("need at least 16 steps")
+    steps = check_count(steps, 16, "need at least 16 steps")
     V = _sample_potential(sys, steps)
     return _rk4_run(sys, steps, V), V
 
@@ -383,8 +378,7 @@ def zeta_det_dirichlet_laplacian(t: float, n: int) -> ZetaDetValue:
     """
     if not 0 < t < math.inf:
         raise DomainError(f"interval length must be positive and finite, got {t}")
-    if n < 1:
-        raise DomainError(f"fiber dimension must be >= 1, got {n}")
+    n = check_count(n, 1, f"fiber dimension must be >= 1, got {n}")
     with np.errstate(over="ignore"):  # a float64 power gives inf where Python's raises
         value = float(np.float64(2.0 * t) ** n)
     if not np.finfo(float).tiny <= value < math.inf:  # subnormal, 0.0 or inf

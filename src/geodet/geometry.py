@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConjugatePointError, DomainError, IntegrationError
+from .errors import ConjugatePointError, DomainError, IntegrationError, check_count
 
 __all__ = [
     "ConstantCurvature",
@@ -30,11 +30,9 @@ class ConstantCurvature:
     """Space form of dimension n and sectional curvature kappa."""
 
     def __init__(self, n: int, kappa: float):
-        if n < 1:
-            raise DomainError(f"dimension must be >= 1, got {n}")
+        self.n = check_count(n, 1, f"dimension must be >= 1, got {n}")
         if not np.isfinite(kappa):
             raise DomainError("curvature must be finite")
-        self.n = int(n)
         self.kappa = float(kappa)
 
     @property
@@ -55,9 +53,7 @@ class SyntheticPotential:
     """
 
     def __init__(self, n: int, potential, t: float):
-        if n < 2:
-            raise DomainError("synthetic manifolds need dimension >= 2")
-        self.n = int(n)
+        self.n = check_count(n, 2, "synthetic manifolds need dimension >= 2")
         self.t = _check_length(t)
         self.potential = potential
         # V(u) = t^2 pot(t u) on the orthogonal block of the unit interval;
@@ -117,9 +113,7 @@ class JacobiSystem:
     """
 
     def __init__(self, n: int, t: float, potential):
-        if n < 1:
-            raise DomainError(f"fiber dimension must be >= 1, got {n}")
-        self.n = int(n)
+        self.n = n = check_count(n, 1, f"fiber dimension must be >= 1, got {n}")
         self.t = _check_length(t)
         # a callable fills the block [lo:, lo:] of V with value_scale * func(arg_scale * s)
         self._lo, self._arg_scale, self._value_scale = 0, 1.0, 1.0
@@ -197,7 +191,7 @@ class JacobiSystem:
         """Callable (n-1)x(n-1) block V_ij(s) = value_scale func(arg_scale s) for
         i, j >= 1, with a zero first row and column."""
         sys = object.__new__(cls)
-        sys.n, sys.t = int(n), float(t)
+        sys.n, sys.t = n, float(t)
         sys._func, sys._const = func, None
         sys._lo, sys._arg_scale, sys._value_scale = 1, arg_scale, value_scale
         sys._check_symmetric()

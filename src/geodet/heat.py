@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     InsufficientDegreeError,
     OutOfScopeError,
+    check_count,
 )
 from .galerkin import _normal_exp, _signed_exp
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, jacobi_endomorphism
@@ -95,10 +96,9 @@ def sphere_surface_volume(m: int) -> float:
     return 2.0 * np.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
-def _check_sphere(n: int, R: float) -> None:
-    """The scope of every sphere computation: S^n(R) with 1 <= n <= 342 and R > 0."""
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
+def _check_sphere(n: int, R: float) -> int:
+    """n, in the scope of every sphere computation: S^n(R) with 1 <= n <= 342 and R > 0."""
+    n = check_count(n, 1, f"dimension must be >= 1, got {n}")
     if n > _MAX_SPHERE_DIM:
         raise OutOfScopeError(f"spheres above S^{_MAX_SPHERE_DIM} are out of scope, got S^{n}")
     _check_positive(R, "radius")
@@ -108,12 +108,14 @@ def _check_sphere(n: int, R: float) -> None:
                         ("the volume", n * log_r + math.log(sphere_surface_volume(n)))):
         if not _LOG_TINY <= log_x < _LOG_MAX:
             raise DomainError(f"{what} of S^{n}(R = {R}) is not a normal float64 number")
+    return n
 
 
-def _check_antipodal_scope(n: int, R: float):
-    _check_sphere(n, R)
+def _check_antipodal_scope(n: int, R: float) -> int:
+    n = _check_sphere(n, R)
     if n < 2:
         raise OutOfScopeError("antipodal circle has a discrete set of minimizers")
+    return n
 
 
 def antipodal_sphere_limit_closed_form(n: int, R: float) -> float:
@@ -121,7 +123,7 @@ def antipodal_sphere_limit_closed_form(n: int, R: float) -> float:
 
     A product outside the normal float64 range is a DomainError.
     """
-    _check_antipodal_scope(n, R)
+    n = _check_antipodal_scope(n, R)
     value = float(2.0 * np.pi ** (1.5 * n - 1.0) * R ** (n - 1) / math.gamma(n / 2.0))
     if not np.finfo(float).tiny <= value < math.inf:
         raise DomainError(f"the antipodal limit of S^{n}(R = {R}) lies outside float64")
@@ -136,7 +138,7 @@ def antipodal_limit_via_Sxy(n: int, R: float) -> float:
     is constant: the full-kernel prediction along one of them, times the
     volume of that sphere.
     """
-    _check_antipodal_scope(n, R)
+    n = _check_antipodal_scope(n, R)
     log_volume = math.log(sphere_surface_volume(n - 1)) + (n - 1) * math.log(np.pi * R)
     m = ConstantCurvature(n, 1.0 / R**2)
     return _limit_prediction(jacobi_endomorphism(GeodesicData(m, np.pi * R)), log_volume)[0]
@@ -155,9 +157,8 @@ class SphereSpectrum:
     max_degree: int
 
     def __post_init__(self):
-        _check_sphere(self.n, self.R)
-        if self.max_degree < 1:
-            raise DomainError("max_degree must be >= 1")
+        object.__setattr__(self, "n", _check_sphere(self.n, self.R))
+        object.__setattr__(self, "max_degree", check_count(self.max_degree, 1, "max_degree must be >= 1"))
 
     @classmethod
     def for_time_range(cls, n: int, R: float, t_min: float):
@@ -169,7 +170,7 @@ class SphereSpectrum:
         pi R.  A bound beyond 2^53 is a DomainError.
         """
         _check_positive(t_min, "t_min")
-        _check_sphere(n, R)
+        n = _check_sphere(n, R)
         # log of required absolute tail, with safety margin
         target = (
             -((np.pi * R) ** 2) / (4.0 * t_min)
@@ -516,9 +517,8 @@ def heat_limit_validation(
     fields, as are t0 and the levels, and a ratio or limit beyond float64 is a
     DomainError.
     """
-    if levels < 2:
-        raise DomainError("need at least two time levels")
-    _check_sphere(n, R)
+    levels = check_count(levels, 2, "need at least two time levels")
+    n = _check_sphere(n, R)
     _check_positive(t0, "t0")
     # each ratio scales by (4 pi t)^{k/2} and divides by e_t, which holds (4 pi t)^{-n/2}
     log_4pi_t0 = math.log(4.0 * np.pi * t0)

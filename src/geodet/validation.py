@@ -76,8 +76,7 @@ def _eval_scaling(kappa, r, n):
 
 def _piecewise_det(kappa, r, n, N):
     """The one-level piecewise determinant on N segments, tail-corrected."""
-    est = galerkin.fredholm_det_piecewise(_sphere_system(kappa, r, n), (N,))
-    return est.levels[-1][1] * est.tail_correction
+    return galerkin.fredholm_det_piecewise(_sphere_system(kappa, r, n), (N,)).extrapolated
 
 
 # --- checks; each returns (expected, computed, tolerance)

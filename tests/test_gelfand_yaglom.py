@@ -101,6 +101,36 @@ def stacked_sweep_rk4(sys, steps):
     return Y
 
 
+def split_last_block_rk4(sys, steps, V):
+    """Reference: the blocked RK4 run whose second sweep treats the last block apart.
+
+    The loop maps every block but the last by one (block 2n, 2n) @ (2n, n)
+    product; the last block's k states get a product of k 2n rows and their
+    start state of their own.  ``V`` are the half-grid samples.
+    """
+    n = sys.n
+    block = math.isqrt(steps - 1) + 1
+    blocks = -(-steps // block)
+    E = gelfand_yaglom._transfer_increments(V, np.float64(sys.t) / steps, block)
+    for j in range(1, block):
+        E[:, j] += E[:, j - 1] + E[:, j] @ E[:, j - 1]
+    Y = np.empty((blocks * block + 1, 2 * n, n))
+    Y[0] = np.eye(2 * n, n, -n)
+    rows = Y[1:].reshape(blocks, block * 2 * n, n)
+    states = Y[1:].reshape(blocks, block, 2 * n, n)
+    E = E.reshape(blocks, block * 2 * n, 2 * n)
+    for b in range(blocks - 1):
+        S = Y[b * block]
+        np.matmul(E[b], S, out=rows[b])
+        Y[(b + 1) * block] += S
+    states[:-1, :-1] += Y[: (blocks - 1) * block : block, None]
+    k = steps - (blocks - 1) * block
+    S = Y[(blocks - 1) * block]
+    np.matmul(E[-1, : k * 2 * n], S, out=rows[-1, : k * 2 * n])
+    states[-1, :k] += S
+    return Y[: steps + 1]
+
+
 def propagation_systems(n):
     """A constant, a varying and a zero-mode (antipodal) system of dimension n."""
     rng = np.random.default_rng(n)
@@ -244,6 +274,36 @@ def test_one_product_per_block_matches_stacked_sweep(n, kind, steps):
     else:
         sys = JacobiSystem(n, 1.3, lambda s: M + A * math.sin(3.0 * s))
     assert np.array_equal(_rk4_run(sys, steps), stacked_sweep_rk4(sys, steps))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+@pytest.mark.parametrize("steps", [16, 17, 100, 1000, 1024, 2047, 2048, 4096, 4097])
+def test_uniform_block_sweep_matches_split_last_block(n, kind, steps):
+    # the second sweep runs one loop over every block, the last one cut to
+    # its steps, and one add for the rows inside the blocks; every state is
+    # bit-identical to the sweep that treated the last block apart, with a
+    # padded last block (17, 1000, 2047, 2048, 4097 steps) and without
+    rng = np.random.default_rng(1000 * n + steps)
+    X, A = rng.standard_normal((2, n, n))
+    M, A = X + X.T, 0.5 * (A + A.T)
+    if kind == "constant":
+        sys = JacobiSystem.constant(M, 1.3)
+    else:
+        sys = JacobiSystem(n, 1.3, lambda s: M + A * math.sin(3.0 * s))
+    V = _sample_potential(sys, steps)
+    assert np.array_equal(_rk4_run(sys, steps, V), split_last_block_rk4(sys, steps, V))
+
+
+def test_last_block_product_has_the_rows_of_its_steps_only():
+    # at 2047 steps (blocks of 46, the last with 23 steps) a product over the
+    # whole padded last block, 1012 rows instead of 506, changes one entry of
+    # J'(t) of this n = 11 system in its last bit on OpenBLAS's AVX-512
+    # (SkylakeX) kernel; Haswell and Zen give the same bits for both shapes
+    X = np.random.default_rng(0).standard_normal((11, 11))
+    sys = JacobiSystem.constant(X + X.T, 1.3)
+    V = _sample_potential(sys, 2047)
+    assert np.array_equal(_rk4_run(sys, 2047, V), split_last_block_rk4(sys, 2047, V))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
