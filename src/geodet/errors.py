@@ -1,10 +1,15 @@
-"""Exception types raised by the numerical routines, and the one count check.
+"""Exception types raised by the numerical routines, and the float64 boundary.
 
 Every error surfaced by the CLI is one of these; reports carry the class
 name, never a bare traceback.
 """
 
+import math
 import operator
+import sys
+
+# logs of the smallest normal and of the largest float64 number
+LOG_TINY, LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 class GeodetError(Exception):
@@ -32,6 +37,40 @@ def check_count(value, least: int, message: str) -> int:
     if count < least:
         raise DomainError(message)
     return count
+
+
+def check_positive(value, what: str) -> None:
+    """DomainError unless ``value`` lies in (0, inf); a non-number is named by its repr."""
+    try:
+        if 0 < value < math.inf:
+            return
+    except TypeError:
+        value = repr(value)
+    raise DomainError(f"{what} must be positive and finite, got {value}")
+
+
+def check_normal(value: float, message: str) -> float:
+    """``value`` if it is a normal float64 > 0, not 0.0, subnormal, inf or nan; else DomainError."""
+    if not sys.float_info.min <= value < math.inf:
+        raise DomainError(message)
+    return value
+
+
+def signed_exp(sign: float, log_abs: float) -> float:
+    """sign * exp(log_abs), +-inf beyond float64: the one exit of a (sign, log|det|) pair.
+
+    math.exp is the exponential numpy's det applies to its LU log, so a
+    determinant carried as a log returns the bits det would.
+    """
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:
+        return sign * math.inf
+
+
+def normal_exp(log_abs: float, what: str) -> float:
+    """exp(log_abs) through signed_exp; DomainError naming ``what`` unless it is a normal float64."""
+    return check_normal(signed_exp(1.0, log_abs), f"{what} lies outside float64")
 
 
 class ConjugatePointError(GeodetError):

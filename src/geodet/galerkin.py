@@ -10,7 +10,6 @@ which upgrades the O(1/K) raw convergence to O(1/K^3) and better.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -24,8 +23,8 @@ from .errors import (
     DomainError,
     IllSeparatedKernelError,
     RouteDisagreementError,
-    check_count,
 )
+from .errors import check_count, normal_exp, signed_exp
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, _log_exp_jacobian
 from .interval import composite_gauss, mode_cosine_moments, mode_quadrature
 
@@ -67,7 +66,7 @@ class Partition:
         object.__setattr__(self, "times", ts)
         if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0:
             raise DomainError("partition must run from 0.0 to 1.0")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if any(not b > a for a, b in zip(ts, ts[1:])):  # NaN-safe
             raise DomainError("partition times must be strictly increasing")
 
     @classmethod
@@ -174,14 +173,14 @@ def _zeta_tail(K: int, m: int) -> float:
 def _check_schedule(schedule, what: str, least: int) -> list:
     """The schedule as a list; DomainError unless it increases and holds integers >= least."""
     try:
-        counts = [operator.index(v) for v in schedule]
-    except TypeError:  # a float, even an integral one, is no count
-        counts = []
-    if not counts or counts[0] < least or any(b <= a for a, b in zip(counts, counts[1:])):
-        raise DomainError(
-            f"schedule must be a nonempty increasing list of integer {what} >= {least}, "
-            f"got {tuple(schedule)}"
-        )
+        entries = tuple(schedule)
+    except TypeError:  # a bare count or None is no list
+        entries = None
+    got = repr(schedule) if entries is None else entries
+    message = f"schedule must be a nonempty increasing list of integer {what} >= {least}, got {got}"
+    counts = [check_count(v, least, message) for v in entries or ()]
+    if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
+        raise DomainError(message)
     return counts
 
 
@@ -204,7 +203,7 @@ def _estimate(levels, richardson: bool = False, kernel_dimension: int = 0) -> De
 
     ``levels`` holds (subspace dimension, (sign, log|det|) of the truncated
     determinant, log of its tail completion) for each level, coarsest first,
-    and both logs leave through ``_signed_exp``.  The reported value is the
+    and both logs leave through ``signed_exp``.  The reported value is the
     finest completed level, plus one mesh^2 Richardson step when
     ``richardson`` is set (a doubling piecewise schedule).  The error
     estimate is the change between the last two completed levels, or the
@@ -212,8 +211,8 @@ def _estimate(levels, richardson: bool = False, kernel_dimension: int = 0) -> De
     raises DomainError.
     """
     dims, dets, log_tails = zip(*levels)
-    raws = [_signed_exp(*det) for det in dets]
-    tails = [_signed_exp(1.0, log_tail) for log_tail in log_tails]
+    raws = [signed_exp(*det) for det in dets]
+    tails = [signed_exp(1.0, log_tail) for log_tail in log_tails]
     completed = [raw * tail for raw, tail in zip(raws, tails)]
     extrapolated = completed[-1]
     if len(completed) > 1:
@@ -231,26 +230,6 @@ def _estimate(levels, richardson: bool = False, kernel_dimension: int = 0) -> De
         error_estimate=err + 1e-15,
         kernel_dimension=kernel_dimension,
     )
-
-
-def _signed_exp(sign: float, log_abs: float) -> float:
-    """sign * exp(log_abs), +-inf beyond float64: the one exit of a (sign, log|det|) pair.
-
-    math.exp is the exponential numpy's det applies to its LU log, so a
-    determinant carried as a log returns the bits det would.
-    """
-    try:
-        return sign * math.exp(log_abs)
-    except OverflowError:
-        return sign * math.inf
-
-
-def _normal_exp(log_abs: float, what: str) -> float:
-    """exp(log_abs) through _signed_exp; a DomainError naming ``what`` unless it is a normal float64."""
-    value = _signed_exp(1.0, log_abs)
-    if not np.finfo(float).tiny <= value < math.inf:
-        raise DomainError(f"{what} lies outside float64")
-    return value
 
 
 def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
@@ -411,8 +390,12 @@ def bernoulli_cosine_sum(s: float, K: int) -> float:
     """Partial sum sum_{k<=K} cos(2 pi k s)/(pi^2 k^2).
 
     Converges to s^2 - s + 1/6 on [0, 1] (the quadratic Bernoulli
-    polynomial), which is what makes the trace integrand s(1-s).
+    polynomial), which is what makes the trace integrand s(1-s).  A
+    non-finite s or a K that is no count >= 0 is a DomainError.
     """
+    K = check_count(K, 0, f"need K >= 0 terms, got {K}")
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     k = np.arange(1, K + 1, dtype=float)
     return float(np.sum(np.cos(2.0 * np.pi * k * s) / (np.pi**2 * k**2)))
 
@@ -684,7 +667,7 @@ def evaluation_map_jacobian(g: GeodesicData, partition: Partition) -> float:
     a, c = _hat_stiffness(deltas)
     diag, off = p[:-1] + p[1:], q[1:-1]
     _, logdet = _hat_slogdet(a, c, diag[:, None, None], off[:, None, None])
-    return _normal_exp(-0.5 * (m.n - 1) * logdet, f"evaluation-map Jacobian of speed {g.speed:.4g} on {m}")
+    return normal_exp(-0.5 * (m.n - 1) * logdet, f"evaluation-map Jacobian of speed {g.speed:.4g} on {m}")
 
 
 def phi0_chain(m: ConstantCurvature, r: float, partition: Partition) -> float:
@@ -698,4 +681,4 @@ def phi0_chain(m: ConstantCurvature, r: float, partition: Partition) -> float:
     reaches pi/sqrt(kappa) raises ConjugatePointError.
     """
     log_chain = -0.5 * sum(_log_exp_jacobian(m, d) for d in partition.deltas * r)
-    return _normal_exp(log_chain, f"phi0 chain of speed {r:.4g} on {m}")
+    return normal_exp(log_chain, f"phi0 chain of speed {r:.4g} on {m}")

@@ -22,9 +22,8 @@ from .errors import (
     DomainError,
     IntegrationError,
     NonpositiveOperatorError,
-    check_count,
 )
-from .galerkin import _signed_exp
+from .errors import check_count, check_normal, check_positive, signed_exp
 from .geometry import JacobiSystem
 
 __all__ = [
@@ -51,7 +50,7 @@ class JacobiPropagation:
     Jprime: np.ndarray
 
     def det_final(self) -> float:
-        return _signed_exp(*map(float, np.linalg.slogdet(self.J[-1])))
+        return signed_exp(*map(float, np.linalg.slogdet(self.J[-1])))
 
     def wronskian_drift(self) -> float:
         """max_s ||J'^T J - J^T J'||; zero for symmetric potentials."""
@@ -260,7 +259,7 @@ def _exp_det(scale: float, sign: float, log_abs: float, name: str) -> float:
     multiplies after the exponential, so at t = 1 a value is the
     sign * exp(log) numpy's det returns for the same LU.
     """
-    value = scale * _signed_exp(sign, log_abs)
+    value = scale * signed_exp(sign, log_abs)
     if value == 0.0 or not math.isfinite(value):
         raise IntegrationError(f"{name} = {value} left the float64 range")
     return value
@@ -311,7 +310,7 @@ def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale,
     value = _exp_det(scale, sign, log_abs - log_tn, name)
     Y = _rk4_run(sys, steps // 2, V[::2] if steps % 2 == 0 else None)
     sign, log_abs = _gy_det(Y, sys.t, _read_endpoint(Y[-1, : sys.n], Y[-1, sys.n :], sys.t, kdim))
-    estimate = abs(value - scale * _signed_exp(sign, log_abs - log_tn)) / 15.0
+    estimate = abs(value - scale * signed_exp(sign, log_abs - log_tn)) / 15.0
     if not math.isfinite(estimate):
         raise IntegrationError(f"error estimate of {name} = {estimate} left the float64 range")
     return value, kdim, estimate
@@ -376,14 +375,12 @@ def zeta_det_dirichlet_laplacian(t: float, n: int) -> ZetaDetValue:
     zeta_{P^m}(z) = zeta_P(mz).  A power outside the normal float64 range
     raises DomainError.
     """
-    if not 0 < t < math.inf:
-        raise DomainError(f"interval length must be positive and finite, got {t}")
+    check_positive(t, "interval length")
     n = check_count(n, 1, f"fiber dimension must be >= 1, got {n}")
     with np.errstate(over="ignore"):  # a float64 power gives inf where Python's raises
         value = float(np.float64(2.0 * t) ** n)
-    if not np.finfo(float).tiny <= value < math.inf:  # subnormal, 0.0 or inf
-        flow = "overflows" if value > 1.0 else "underflows"
-        raise DomainError(f"(2t)^n = (2 * {t:.4g})^{n} {flow} float64")
+    flow = "overflows" if value > 1.0 else "underflows"
+    value = check_normal(value, f"(2t)^n = (2 * {t:.4g})^{n} {flow} float64")
     return ZetaDetValue(value, "closed_form", 0)
 
 

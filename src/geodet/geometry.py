@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConjugatePointError, DomainError, IntegrationError, check_count
+from .errors import ConjugatePointError, DomainError, IntegrationError, check_count, check_normal
 
 __all__ = [
     "ConstantCurvature",
@@ -31,7 +31,11 @@ class ConstantCurvature:
 
     def __init__(self, n: int, kappa: float):
         self.n = check_count(n, 1, f"dimension must be >= 1, got {n}")
-        if not np.isfinite(kappa):
+        try:
+            finite = math.isfinite(kappa)
+        except (TypeError, OverflowError):  # a string or None, or an int beyond float64
+            finite = False
+        if not finite:
             raise DomainError("curvature must be finite")
         self.kappa = float(kappa)
 
@@ -68,8 +72,12 @@ class GeodesicData:
     """A constant-speed geodesic on [0, 1] with speed r = d(x, y)."""
 
     def __init__(self, manifold, speed: float):
-        speed = float(speed)
-        if speed < 0:
+        try:
+            valid = speed >= 0  # False for NaN
+            speed = float(speed)
+        except TypeError:
+            valid, speed = False, repr(speed)
+        if not valid:
             raise DomainError(f"geodesic speed must be >= 0, got {speed}")
         if isinstance(manifold, ConstantCurvature):
             # minimizers on the sphere do not pass the antipode
@@ -244,9 +252,7 @@ def exp_jacobian_closed_form(m: ConstantCurvature, d: float) -> float:
         return 1.0
     with np.errstate(over="ignore"):  # sinh x beyond float64: caught below
         value = float((np.sinc(x / np.pi) if m.kappa > 0 else np.sinh(x) / x) ** (m.n - 1))
-    if not np.finfo(float).tiny <= value < math.inf:
-        raise DomainError(f"exp Jacobian at d = {d:.4g} on {m} lies outside float64")
-    return value
+    return check_normal(value, f"exp Jacobian at d = {d:.4g} on {m} lies outside float64")
 
 
 def _log_exp_jacobian(m: ConstantCurvature, d: float) -> float:

@@ -22,9 +22,8 @@ from .errors import (
     DomainError,
     InsufficientDegreeError,
     OutOfScopeError,
-    check_count,
 )
-from .galerkin import _normal_exp, _signed_exp
+from .errors import LOG_MAX, LOG_TINY, check_count, check_normal, check_positive, normal_exp, signed_exp
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, jacobi_endomorphism
 from .gelfand_yaglom import _read_endpoint, solve_jacobi_ode
 from .interval import gauss_legendre
@@ -47,19 +46,12 @@ ORACLE_TAIL_REL = 1e-14
 _FLOAT64_CANCEL_DIGITS = 9.0
 # from S^343 on the Gamma((n + 1)/2) of the sphere volume leaves float64
 _MAX_SPHERE_DIM = 342
-# logs of the smallest normal and of the largest float64 number
-_LOG_TINY, _LOG_MAX = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
-
-
-def _check_positive(value: float, what: str) -> None:
-    if not 0 < value < math.inf:
-        raise DomainError(f"{what} must be positive and finite, got {value}")
-
 
 def euclidean_heat_kernel(d: float, n: int, t: float) -> float:
-    """Flat-space comparison kernel (4 pi t)^{-n/2} exp(-d^2/(4t))."""
-    _check_positive(t, "time")
-    if d < 0:
+    """Flat-space comparison kernel (4 pi t)^{-n/2} exp(-d^2/(4t)); 0.0 at d = inf."""
+    n = check_count(n, 1, f"dimension must be >= 1, got {n}")
+    check_positive(t, "time")
+    if not d >= 0:
         raise DomainError(f"distance must be >= 0, got {d}")
     return float((4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-d * d / (4.0 * t)))
 
@@ -75,7 +67,7 @@ def _limit_prediction(sys: JacobiSystem, log_volume: float):
     prop = solve_jacobi_ode(sys, 1024)
     sig, kdim, _, log_wjc = _read_endpoint(prop.J[-1], prop.Jprime[-1], sys.t)
     log_value = log_volume + 0.5 * (log_wjc - float(np.sum(np.log(sig[: sys.n - kdim]))))
-    return _normal_exp(log_value, f"the limit prediction exp({log_value:.6g})"), sig, kdim
+    return normal_exp(log_value, f"the limit prediction exp({log_value:.6g})"), sig, kdim
 
 
 def nondegenerate_limit_prediction(m, d: float) -> float:
@@ -101,12 +93,12 @@ def _check_sphere(n: int, R: float) -> int:
     n = check_count(n, 1, f"dimension must be >= 1, got {n}")
     if n > _MAX_SPHERE_DIM:
         raise OutOfScopeError(f"spheres above S^{_MAX_SPHERE_DIM} are out of scope, got S^{n}")
-    _check_positive(R, "radius")
+    check_positive(R, "radius")
     # the float64 sum divides by R^2 and by the volume vol(S^n) R^n, and the degree sizing squares pi R
     log_r = math.log(R)
     for what, log_x in (("R^2", 2 * log_r), ("R^n", n * log_r), ("(pi R)^2", 2 * math.log(np.pi * R)),
                         ("the volume", n * log_r + math.log(sphere_surface_volume(n)))):
-        if not _LOG_TINY <= log_x < _LOG_MAX:
+        if not LOG_TINY <= log_x < LOG_MAX:
             raise DomainError(f"{what} of S^{n}(R = {R}) is not a normal float64 number")
     return n
 
@@ -125,9 +117,7 @@ def antipodal_sphere_limit_closed_form(n: int, R: float) -> float:
     """
     n = _check_antipodal_scope(n, R)
     value = float(2.0 * np.pi ** (1.5 * n - 1.0) * R ** (n - 1) / math.gamma(n / 2.0))
-    if not np.finfo(float).tiny <= value < math.inf:
-        raise DomainError(f"the antipodal limit of S^{n}(R = {R}) lies outside float64")
-    return value
+    return check_normal(value, f"the antipodal limit of S^{n}(R = {R}) lies outside float64")
 
 
 def antipodal_limit_via_Sxy(n: int, R: float) -> float:
@@ -169,7 +159,7 @@ class SphereSpectrum:
         is of the order of the Euclidean kernel at the antipodal distance
         pi R.  A bound beyond 2^53 is a DomainError.
         """
-        _check_positive(t_min, "t_min")
+        check_positive(t_min, "t_min")
         n = _check_sphere(n, R)
         # log of required absolute tail, with safety margin
         target = (
@@ -202,8 +192,11 @@ class SphereSpectrum:
 
 
 def _fold_angle(theta: float) -> float:
-    """Reduce an angle to [0, pi] using the symmetries of the kernel."""
-    th = abs(float(theta)) % (2.0 * np.pi)
+    """Reduce an angle to [0, pi] using the symmetries of the kernel; DomainError unless finite."""
+    th = float(theta)
+    if not math.isfinite(th):
+        raise DomainError(f"angle must be finite, got {th}")
+    th = abs(th) % (2.0 * np.pi)
     return 2.0 * np.pi - th if th > np.pi else th
 
 
@@ -445,7 +438,7 @@ def _closed_form_kernel(n: int, R: float, theta: float, t: float) -> float:
         jet = _raise_dimension(jet, center)
     value = float(np.polynomial.polynomial.polyval(delta - center, jet))
     log_rest = t * m * (base + m - 1) - m * math.log(2.0 * np.pi) - theta * theta / (4.0 * t)
-    p = _signed_exp(1.0, math.log(value) + log_rest - n * math.log(R)) if value > 0.0 else math.nan
+    p = signed_exp(1.0, math.log(value) + log_rest - n * math.log(R)) if value > 0.0 else math.nan
     if not p < math.inf:  # nan or inf: the jets lost every digit of p > 0, or p left float64
         raise DomainError(f"closed-form kernel of S^{n} at t/R^2 = {t:.3g} has no float64 value")
     return p
@@ -463,7 +456,7 @@ def sphere_heat_kernel(spec: SphereSpectrum, theta: float, t: float) -> float:
     use the closed forms of _closed_form_kernel, which do not cancel and do
     not depend on L; they return 0.0 below the float64 range.
     """
-    _check_positive(t, "time")
+    check_positive(t, "time")
     th = _fold_angle(theta)
     d = spec.R * th
     if d * d / (4.0 * t) / np.log(10.0) > _FLOAT64_CANCEL_DIGITS:
@@ -483,6 +476,7 @@ def richardson_extrapolate(values, stages: int):
     values[j] corresponds to t_j = t_0 2^{-j}.  Stage m combines
     (2^m v_{j+1} - v_j)/(2^m - 1).  Returns the final table row.
     """
+    stages = check_count(stages, 0, f"need stages >= 0, got {stages}")
     row = list(values)
     for m in range(1, stages + 1):
         factor = 2.0**m
@@ -519,11 +513,11 @@ def heat_limit_validation(
     """
     levels = check_count(levels, 2, "need at least two time levels")
     n = _check_sphere(n, R)
-    _check_positive(t0, "t0")
+    check_positive(t0, "t0")
     # each ratio scales by (4 pi t)^{k/2} and divides by e_t, which holds (4 pi t)^{-n/2}
     log_4pi_t0 = math.log(4.0 * np.pi * t0)
     for log_4pi_t in (log_4pi_t0, log_4pi_t0 - (levels - 1) * math.log(2.0)):
-        if not _LOG_TINY <= 0.5 * n * log_4pi_t < _LOG_MAX:
+        if not LOG_TINY <= 0.5 * n * log_4pi_t < LOG_MAX:
             raise DomainError(f"(4 pi t)^(n/2) on S^{n} from t0 = {t0} over {levels} levels "
                               "is not a normal float64 number")
     if case == "antipodal":

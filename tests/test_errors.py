@@ -1,5 +1,6 @@
 """Counts: every dimension, step, degree and level count is an integer or a DomainError."""
 
+import ast
 import re
 
 import numpy as np
@@ -13,6 +14,8 @@ from geodet import (
     SyntheticPotential,
     antipodal_limit_via_Sxy,
     antipodal_sphere_limit_closed_form,
+    bernoulli_cosine_sum,
+    euclidean_heat_kernel,
     gy_ratio,
     heat_limit_validation,
     solve_jacobi_ode,
@@ -20,7 +23,8 @@ from geodet import (
     zeta_det_dirichlet_laplacian,
     zeta_det_jacobi,
 )
-from geodet.heat import SphereSpectrum
+from geodet import gelfand_yaglom, heat
+from geodet.heat import SphereSpectrum, richardson_extrapolate
 
 _SYS = JacobiSystem(2, 1.0, np.diag([1.0, -2.0]))
 
@@ -42,6 +46,9 @@ COUNTS = [
     ("zeta_det_jacobi.steps", lambda m: zeta_det_jacobi(_SYS, m).value, 64),
     ("gy_ratio.steps", lambda m: gy_ratio(_SYS, _SYS, m), 64),
     ("Partition.uniform.N", lambda N: Partition.uniform(N).N, 3),
+    ("euclidean_heat_kernel.n", lambda n: euclidean_heat_kernel(1.0, n, 0.5), 3),
+    ("richardson_extrapolate.stages", lambda m: richardson_extrapolate([1.0, 2.0, 4.0], m), 2),
+    ("bernoulli_cosine_sum.K", lambda K: bernoulli_cosine_sum(0.3, K), 100),
 ]
 
 
@@ -56,3 +63,34 @@ def test_counts_are_integers_or_named_domain_errors(call, good):
     for bad in (2.0, 2.5, "3", None):
         with pytest.raises(DomainError, match="^" + re.escape(f"{bad!r} is not an integer count: ")):
             call(bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: euclidean_heat_kernel(1.0, 0, 0.5), "dimension must be >= 1, got 0"),
+        (lambda: richardson_extrapolate([1.0, 2.0], -1), "need stages >= 0, got -1"),
+        (lambda: bernoulli_cosine_sum(0.3, -1), "need K >= 0 terms, got -1"),
+    ],
+)
+def test_counts_below_their_least_are_named(call, message):
+    # stages = -1 returned its input, and a negative K an empty sum
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("module", [gelfand_yaglom, heat], ids=lambda m: m.__name__)
+def test_ode_and_heat_routes_import_nothing_from_galerkin(module):
+    # the Gel'fand-Yaglom and heat routes cross-check the Galerkin routes, so
+    # they share no code with them: the float64 boundary lives in errors.py
+    with open(module.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(a.name for a in node.names if not node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not {"galerkin", "geodet.galerkin"} & imported

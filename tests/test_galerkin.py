@@ -301,6 +301,9 @@ def test_schedule_validation():
         (fredholm_det_piecewise, (1, 4)),
         (fredholm_det_piecewise, (2.5,)),
         (fredholm_det_piecewise, (-2, 4)),
+        (fredholm_det, 64),
+        (fredholm_det, None),
+        (fredholm_det_piecewise, 8),
     ],
 )
 def test_schedule_counts_are_integers_of_at_least_one_mode_or_two_segments(route, schedule):
@@ -385,6 +388,13 @@ def test_trace_equals_minus_sixth_of_ricci():
 def test_bernoulli_cosine_series(s):
     val = bernoulli_cosine_sum(s, 10**6)
     assert abs(val - (s * s - s + 1.0 / 6.0)) < 1e-6
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+def test_bernoulli_cosine_sum_needs_a_finite_point(s):
+    # nan summed to nan, and inf to nan through a RuntimeWarning
+    with pytest.raises(DomainError, match="^s must be finite, got "):
+        bernoulli_cosine_sum(s, 100)
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,28 @@ _NOT_CONSTANT = "closed form requires a constant-curvature manifold"
             "distance must be finite and >= 0, got nan",
             id="sphere-nan",
         ),
+        pytest.param(
+            lambda: Partition((0.0, np.nan, 1.0)),
+            "partition times must be strictly increasing",
+            id="partition-nan",
+        ),
+        pytest.param(
+            lambda: GeodesicData(ConstantCurvature(3, 1.0), np.nan),
+            "geodesic speed must be >= 0, got nan",
+            id="speed-nan",
+        ),
+        pytest.param(
+            lambda: GeodesicData(ConstantCurvature(3, 1.0), None),
+            "geodesic speed must be >= 0, got None",
+            id="speed-none",
+        ),
+        pytest.param(
+            lambda: GeodesicData(ConstantCurvature(3, 1.0), "3"),
+            "geodesic speed must be >= 0, got '3'",
+            id="speed-string",
+        ),
+        pytest.param(lambda: ConstantCurvature(3, "3"), "curvature must be finite", id="kappa-string"),
+        pytest.param(lambda: ConstantCurvature(3, None), "curvature must be finite", id="kappa-none"),
     ],
 )
 def test_input_guards_are_named_domain_errors(call, message):

@@ -26,6 +26,7 @@ from geodet import (
     jacobi_endomorphism,
     solve_jacobi_ode,
     sphere_heat_kernel,
+    zeta_det_dirichlet_laplacian,
 )
 from geodet import heat
 from geodet.heat import (
@@ -557,7 +558,9 @@ def test_heat_limit_validation_input_errors():
         heat_limit_validation(2, 1.0, "antipodal", d=1.0)  # computed at d = pi R
 
 
-@pytest.mark.parametrize("x", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize(
+    "x", [np.nan, np.inf, 0.0, -1.0, "3", None], ids=["nan", "inf", "zero", "negative", "string", "none"]
+)
 def test_heat_times_and_radii_must_be_positive_and_finite(x):
     # t0 = nan ended in a ValueError from int(nan), t0 = inf in a RuntimeWarning
     # traceback, and a NaN time made the kernels return nan
@@ -570,10 +573,34 @@ def test_heat_times_and_radii_must_be_positive_and_finite(x):
         lambda: SphereSpectrum.for_time_range(2, 1.0, x),
         lambda: SphereSpectrum.for_time_range(2, x, 0.1),
         lambda: antipodal_sphere_limit_closed_form(3, x),
+        lambda: zeta_det_dirichlet_laplacian(x, 2),
     ]
     for call in calls:
         with pytest.raises(DomainError, match="positive and finite"):
             call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sphere_heat_kernel(SphereSpectrum(2, 1.0, 50), np.nan, 0.2), "angle must be finite, got nan"),
+        (lambda: sphere_heat_kernel(SphereSpectrum(2, 1.0, 50), np.inf, 0.2), "angle must be finite, got inf"),
+        (lambda: sphere_heat_kernel(SphereSpectrum(2, 1.0, 50), -np.inf, 0.2), "angle must be finite, got -inf"),
+        (lambda: euclidean_heat_kernel(np.nan, 2, 1.0), "distance must be >= 0, got nan"),
+        (lambda: heat_limit_validation(2, "3", "antipodal"), "radius must be positive and finite, got '3'"),
+        (lambda: sphere_heat_kernel(SphereSpectrum(2, 1.0, 50), 0.5, None),
+         "time must be positive and finite, got None"),
+    ],
+)
+def test_nan_angles_distances_and_non_numbers_are_named(call, message):
+    # each returned nan, or ended in a TypeError from a comparison
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+def test_euclidean_kernel_is_zero_at_infinite_distance():
+    assert euclidean_heat_kernel(np.inf, 2, 1.0) == 0.0
 
 
 @pytest.mark.parametrize(
