@@ -39,14 +39,26 @@ def check_count(value, least: int, message: str) -> int:
     return count
 
 
-def check_positive(value, what: str) -> None:
-    """DomainError unless ``value`` lies in (0, inf); a non-number is named by its repr."""
+def check_real(value, ok, message: str):
+    """``value`` if it is a number for which ``ok(value)`` holds, else DomainError.
+
+    The error is ``message.format(value)``; a non-number, for which ``ok``
+    raises TypeError, is named by its repr, and an int beyond float64, for
+    which it raises OverflowError, by its type.
+    """
     try:
-        if 0 < value < math.inf:
-            return
+        if ok(value):
+            return value
     except TypeError:
         value = repr(value)
-    raise DomainError(f"{what} must be positive and finite, got {value}")
+    except OverflowError:
+        value = f"{type(value).__name__} beyond float64"
+    raise DomainError(message.format(value))
+
+
+def check_positive(value, what: str) -> None:
+    """DomainError unless ``value`` lies in (0, inf) in float64; a non-number is named by its repr."""
+    check_real(value, lambda v: 0 < v and math.isfinite(v), f"{what} must be positive and finite, got {{}}")
 
 
 def check_normal(value: float, message: str) -> float:

@@ -24,7 +24,7 @@ from .errors import (
     IllSeparatedKernelError,
     RouteDisagreementError,
 )
-from .errors import check_count, normal_exp, signed_exp
+from .errors import check_count, check_real, normal_exp, signed_exp
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, _log_exp_jacobian
 from .interval import composite_gauss, mode_cosine_moments, mode_quadrature
 
@@ -394,8 +394,7 @@ def bernoulli_cosine_sum(s: float, K: int) -> float:
     non-finite s or a K that is no count >= 0 is a DomainError.
     """
     K = check_count(K, 0, f"need K >= 0 terms, got {K}")
-    if not math.isfinite(s):
-        raise DomainError(f"s must be finite, got {s}")
+    check_real(s, math.isfinite, "s must be finite, got {}")
     k = np.arange(1, K + 1, dtype=float)
     return float(np.sum(np.cos(2.0 * np.pi * k * s) / (np.pi**2 * k**2)))
 

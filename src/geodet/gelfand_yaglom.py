@@ -42,15 +42,40 @@ DEGENERACY_REL_TOL = 1e-6
 DEFAULT_STEPS = 2048
 
 
-@dataclass
 class JacobiPropagation:
-    """Grid values of the fundamental solution (J, J') of J'' = V J."""
+    """The fundamental solution (J, J') of J'' = V J from one RK4 run.
 
-    J: np.ndarray  # (steps+1, n, n)
-    Jprime: np.ndarray
+    ``end`` is the end state [J(t); J'(t)], shape (2n, n), chained over the
+    block ends alone (:func:`_end_state`).  ``J`` and ``Jprime``, shape
+    (steps+1, n, n), are built from the run's stored prefix products the
+    first time either is read (:func:`_grid_states`), with no resampling of
+    V, and the prefix products are dropped then; a caller that reads the end
+    state alone never holds the grid.  A run whose end state leaves float64
+    builds the grid at once and raises its IntegrationError, which names the
+    first s beyond float64.
+    """
+
+    def __init__(self, E: np.ndarray, steps: int, t: float):
+        self._E, self._steps, self._t, self._grid = E, steps, t, None
+        self.end = _end_state(E, steps)
+        if not np.isfinite(self.end).all():  # the grid names the s where the run left float64
+            self.end = self._states()[-1]
+
+    def _states(self) -> np.ndarray:
+        if self._grid is None:
+            self._grid, self._E = _grid_states(self._E, self._steps, self._t), None
+        return self._grid
+
+    @property
+    def J(self) -> np.ndarray:
+        return self._states()[:, : self.end.shape[1]]
+
+    @property
+    def Jprime(self) -> np.ndarray:
+        return self._states()[:, self.end.shape[1] :]
 
     def det_final(self) -> float:
-        return signed_exp(*map(float, np.linalg.slogdet(self.J[-1])))
+        return signed_exp(*map(float, np.linalg.slogdet(self.end[: self.end.shape[1]])))
 
     def wronskian_drift(self) -> float:
         """max_s ||J'^T J - J^T J'||; zero for symmetric potentials."""
@@ -88,10 +113,10 @@ def _transfer_increments(V: np.ndarray, h: float, block: int) -> np.ndarray:
 
     built for all steps at once and returned in blocks of ``block`` steps,
     shape (blocks, block, 2n, 2n); the last block is padded with zero
-    increments (identity steps), whose grid rows :func:`_rk4_run` slices
-    off.  The identity is kept out: rounding I + O(h^2) would drop the low
-    bits of the increment in the same direction at every step of a smooth
-    potential, an error that grows linearly with the step count.
+    increments (identity steps), whose grid rows :func:`_grid_states`
+    slices off.  The identity is kept out: rounding I + O(h^2) would drop
+    the low bits of the increment in the same direction at every step of a
+    smooth potential, an error that grows linearly with the step count.
     """
     a, b, c = V[0:-1:2], V[1::2], V[2::2]
     steps, n = b.shape[0], b.shape[1]
@@ -104,53 +129,54 @@ def _transfer_increments(V: np.ndarray, h: float, block: int) -> np.ndarray:
     return D.reshape(-1, block, 2 * n, 2 * n)
 
 
-def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
-    """Fixed-step RK4 of [J; J'] for J'' = V J, J(0) = 0, J'(0) = id.
-
-    Returns [J; J'] at every grid point, shape (steps+1, 2n, n).  ``V`` are
-    the half-grid samples of :func:`_sample_potential`, taken here when not
-    given.  Raises IntegrationError when J or J' leaves the float64 range.
-    The second solution K (K(0) = id, K'(0) = 0) is not propagated: for C
-    spanning ker J(t) and W the matching left singular vectors, the
-    Wronskians J^T J' - J'^T J = 0 and J'^T K - J^T K' = id give
-    J'(t) C = W W^T J'(t) C and W^T K(t) = (W^T J'(t) C)^{-T} C^T, so the
-    deflated |det A| = prod sig_perp det(C^T G C)/|det(W^T J'(t) C)| needs
-    J and J' alone (:func:`_gy_det`).
+def _prefix_products(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:
+    """The first sweep of an RK4 run: block-local prefix products of its steps.
 
     The product of the step matrices I + D_m is a two-level blocked prefix
     product over blocks of about sqrt(steps) steps, so a run takes about
-    2 sqrt(steps) array operations instead of two per step.  The first
-    sweep turns each block's increments, all blocks at once, into the
-    block-local prefix products with the identity kept out,
+    2 sqrt(steps) array operations instead of two per step.  This sweep
+    turns each block's increments, all blocks at once, into the block-local
+    prefix products with the identity kept out,
 
-        E_j = (I + D_j) (I + E_{j-1}) - I = D_j + E_{j-1} + D_j E_{j-1};
+        E_j = (I + D_j) (I + E_{j-1}) - I = D_j + E_{j-1} + D_j E_{j-1},
 
-    the second, one loop over every block, maps the block's start state S
-    through them, Y = S + E_j S, by one (block 2n, 2n) @ (2n, n) product cut
-    to the block's steps; its last state gets S at once and starts the next
-    block, and the other rows get theirs in one add after the loop.  A
-    constant system has the same increment at every step, so it builds one,
-    from the first 3 samples, copies it across one block and sweeps that
-    block, and every block reuses it; the run is bit-identical to one that
-    builds all increments, since both make the same products.
+    shape (blocks, block, 2n, 2n); :func:`_grid_states` and
+    :func:`_end_state` read them.  ``V`` are the half-grid samples of
+    :func:`_sample_potential`.  A constant system has the same increment at
+    every step, so it builds one, from the first 3 samples, copies it across
+    one block and sweeps that block, shape (1, block, 2n, 2n), and every
+    block reuses it; the run is bit-identical to one that builds all
+    increments, since both make the same products.
     """
-    if V is None:
-        V = _sample_potential(sys, steps)
-    n = sys.n
     block = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)): 64 at 4096 steps
-    blocks = -(-steps // block)
     h = np.float64(sys.t) / steps
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as is h^4 = inf
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the readers, as is h^4 = inf
         if sys.is_constant:
             E = _transfer_increments(V[:3], h, 1).repeat(block, axis=1)
         else:
             E = _transfer_increments(V, h, block)
-        tmp = np.empty((len(E), 2 * n, 2 * n))
+        tmp = np.empty((len(E), 2 * sys.n, 2 * sys.n))
         by_step = list(E.swapaxes(0, 1))  # E_j of all blocks, for each j
         for prev, cur in zip(by_step, by_step[1:]):
             np.matmul(cur, prev, out=tmp)
             tmp += prev
             cur += tmp
+    return E
+
+
+def _grid_states(E: np.ndarray, steps: int, t: float) -> np.ndarray:
+    """[J; J'] at every grid point of the run with prefix products ``E``, shape (steps+1, 2n, n).
+
+    One loop over every block maps the block's start state S through its
+    prefix products, Y = S + E_j S, by one (block 2n, 2n) @ (2n, n) product
+    cut to the block's steps; its last state gets S at once and starts the
+    next block, and the other rows get theirs in one add after the loop.
+    Raises IntegrationError, naming the first s, when J or J' leaves the
+    float64 range.
+    """
+    block, n = E.shape[1], E.shape[-1] // 2
+    blocks = -(-steps // block)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
         # room for whole blocks; the rows past steps get no product and are sliced off
         Y = np.zeros((blocks * block + 1, 2 * n, n))
         Y[0] = np.eye(2 * n, n, -n)
@@ -163,28 +189,69 @@ def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
         Y[1:].reshape(blocks, block, 2 * n, n)[:, :-1] += Y[:-1:block, None]  # the rest, at once
         Y = Y[: steps + 1]
     if not np.isfinite(Y).all():
-        s = sys.t * np.argmin(np.isfinite(Y).all(axis=(1, 2))) / steps
-        raise IntegrationError(
-            f"J or J' left the float64 range at s = {s:.4g} of t = {sys.t:.4g}"
-        )
+        s = t * np.argmin(np.isfinite(Y).all(axis=(1, 2))) / steps
+        raise IntegrationError(f"J or J' left the float64 range at s = {s:.4g} of t = {t:.4g}")
     return Y
 
 
-def _fine_run(sys: JacobiSystem, steps: int):
-    """The run at ``steps`` and the half-grid samples of V it used."""
+def _end_state(E: np.ndarray, steps: int) -> np.ndarray:
+    """[J(t); J'(t)] of the run with prefix products ``E``, shape (2n, n), without the grid.
+
+    Chains the block ends alone, S <- E_last S + S, one (2n, 2n) @ (2n, n)
+    product per block, the last block cut to its steps.  These are the
+    products and adds that give the grid's last row, bit for bit where BLAS
+    rounds a (2n, 2n) product as it rounds the same rows of the block's
+    (block 2n, 2n) product: on one thread of OpenBLAS's Haswell, Zen and
+    SkylakeX kernels for every n <= 8.  The AVX-512 (SkylakeX) kernel
+    rounds some larger shapes otherwise, and the end state's last bits can
+    differ from the grid's last row: at n = 9 and 11 for random dense
+    systems, and for sphere systems at some d from n = 20 on (n = 20, 25-28
+    and 33-36 up to n = 40).  No byte-pinned report or validation record is
+    at those n.  A state beyond float64 is not finite here;
+    :class:`JacobiPropagation` names it.
+    """
+    block, n = E.shape[1], E.shape[-1] // 2
+    S = np.eye(2 * n, n, -n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(-(-steps // block)):
+            S = E[b % len(E), min(block, steps - b * block) - 1] @ S + S
+    return S
+
+
+def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
+    """Fixed-step RK4 of [J; J'] for J'' = V J, J(0) = 0, J'(0) = id.
+
+    Returns [J; J'] at every grid point, shape (steps+1, 2n, n): the first
+    sweep :func:`_prefix_products`, read by :func:`_grid_states`.  ``V`` are
+    the half-grid samples of :func:`_sample_potential`, taken here when not
+    given.  Raises IntegrationError when J or J' leaves the float64 range.
+    The second solution K (K(0) = id, K'(0) = 0) is not propagated: for C
+    spanning ker J(t) and W the matching left singular vectors, the
+    Wronskians J^T J' - J'^T J = 0 and J'^T K - J^T K' = id give
+    J'(t) C = W W^T J'(t) C and W^T K(t) = (W^T J'(t) C)^{-T} C^T, so the
+    deflated |det A| = prod sig_perp det(C^T G C)/|det(W^T J'(t) C)| needs
+    J and J' alone (:func:`_gy_det`).
+    """
+    if V is None:
+        V = _sample_potential(sys, steps)
+    return _grid_states(_prefix_products(sys, steps, V), steps, sys.t)
+
+
+def _fine_samples(sys: JacobiSystem, steps: int):
+    """(steps, the half-grid samples of V) of a run at ``steps`` >= 16."""
     steps = check_count(steps, 16, "need at least 16 steps")
-    V = _sample_potential(sys, steps)
-    return _rk4_run(sys, steps, V), V
+    return steps, _sample_potential(sys, steps)
 
 
 def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPropagation:
     """Propagate J'' = V J, J(0) = 0, J'(0) = id with fixed-step RK4.
 
-    One run at ``steps``; the step-halving error estimates live on the
-    determinant routes (:class:`ZetaDetValue`).
+    One run at ``steps``: its first sweep and the end state; the grid is
+    built when read (:class:`JacobiPropagation`).  The step-halving error
+    estimates live on the determinant routes (:class:`ZetaDetValue`).
     """
-    Y, _ = _fine_run(sys, steps)
-    return JacobiPropagation(Y[:, : sys.n], Y[:, sys.n :])
+    steps, V = _fine_samples(sys, steps)
+    return JacobiPropagation(_prefix_products(sys, steps, V), steps, sys.t)
 
 
 def _read_endpoint(Jt: np.ndarray, Jpt: np.ndarray, t: float, kdim: int = None):
@@ -276,8 +343,8 @@ def _fine_det(sys: JacobiSystem, steps: int, label: str, ratio: bool = False):
     (DegenerateOperatorError).  The state array dies with the call, so
     callers hold one at a time.
     """
-    Y, V = _fine_run(sys, steps)
-    n, t = sys.n, sys.t
+    steps, V = _fine_samples(sys, steps)
+    Y, n, t = _rk4_run(sys, steps, V), sys.n, sys.t
     endpoint = _read_endpoint(Y[-1, :n], Y[-1, n:], t)
     sig, kdim = endpoint[:2]
     signs = np.linalg.slogdet(Y[1:, :n])[0]

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConjugatePointError, DomainError, IntegrationError, check_count, check_normal
+from .errors import ConjugatePointError, DomainError, IntegrationError, check_count, check_normal, check_real
 
 __all__ = [
     "ConstantCurvature",
@@ -233,8 +233,7 @@ def _segment_phase(m: ConstantCurvature, d: float) -> float:
     """sqrt(|kappa|) d, after the manifold, distance and conjugate-point checks."""
     if not isinstance(m, ConstantCurvature):
         raise DomainError("closed form requires a constant-curvature manifold")
-    if d < 0 or not np.isfinite(d):
-        raise DomainError(f"distance must be finite and >= 0, got {d}")
+    check_real(d, lambda d: d >= 0 and math.isfinite(d), "distance must be finite and >= 0, got {}")
     if d >= m.conjugate_distance:
         raise ConjugatePointError(f"d={d} reaches the conjugate distance pi/sqrt(kappa)")
     return np.sqrt(abs(m.kappa)) * d

@@ -23,7 +23,8 @@ from .errors import (
     InsufficientDegreeError,
     OutOfScopeError,
 )
-from .errors import LOG_MAX, LOG_TINY, check_count, check_normal, check_positive, normal_exp, signed_exp
+from .errors import LOG_MAX, LOG_TINY, check_count, check_normal, check_positive, check_real, normal_exp
+from .errors import signed_exp
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, jacobi_endomorphism
 from .gelfand_yaglom import _read_endpoint, solve_jacobi_ode
 from .interval import gauss_legendre
@@ -51,8 +52,7 @@ def euclidean_heat_kernel(d: float, n: int, t: float) -> float:
     """Flat-space comparison kernel (4 pi t)^{-n/2} exp(-d^2/(4t)); 0.0 at d = inf."""
     n = check_count(n, 1, f"dimension must be >= 1, got {n}")
     check_positive(t, "time")
-    if not d >= 0:
-        raise DomainError(f"distance must be >= 0, got {d}")
+    check_real(d, lambda d: d >= 0, "distance must be >= 0, got {}")
     return float((4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-d * d / (4.0 * t)))
 
 
@@ -64,8 +64,8 @@ def _limit_prediction(sys: JacobiSystem, log_volume: float):
     the density integrated over the family of minimizers, partial or full.  Its one exit
     is a DomainError outside the normal float64 range.
     """
-    prop = solve_jacobi_ode(sys, 1024)
-    sig, kdim, _, log_wjc = _read_endpoint(prop.J[-1], prop.Jprime[-1], sys.t)
+    end = solve_jacobi_ode(sys, 1024).end  # the run's end state alone, no grid
+    sig, kdim, _, log_wjc = _read_endpoint(end[: sys.n], end[sys.n :], sys.t)
     log_value = log_volume + 0.5 * (log_wjc - float(np.sum(np.log(sig[: sys.n - kdim]))))
     return normal_exp(log_value, f"the limit prediction exp({log_value:.6g})"), sig, kdim
 
@@ -193,10 +193,7 @@ class SphereSpectrum:
 
 def _fold_angle(theta: float) -> float:
     """Reduce an angle to [0, pi] using the symmetries of the kernel; DomainError unless finite."""
-    th = float(theta)
-    if not math.isfinite(th):
-        raise DomainError(f"angle must be finite, got {th}")
-    th = abs(th) % (2.0 * np.pi)
+    th = abs(float(check_real(theta, math.isfinite, "angle must be finite, got {}"))) % (2.0 * np.pi)
     return 2.0 * np.pi - th if th > np.pi else th
 
 
@@ -528,8 +525,7 @@ def heat_limit_validation(
     elif case == "nondegenerate":
         if d is None:
             raise DomainError("nondegenerate case needs a distance d")
-        if not d > 0:
-            raise DomainError(f"need d > 0, got {d}")
+        check_real(d, lambda d: d > 0, "need d > 0, got {}")
         m = ConstantCurvature(n, 1.0 / R**2)
         if d >= m.conjugate_distance:  # the sphere's cut locus
             raise ConjugatePointError("conjugate/antipodal endpoints; use the antipodal route")

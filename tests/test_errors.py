@@ -24,6 +24,7 @@ from geodet import (
     zeta_det_jacobi,
 )
 from geodet import gelfand_yaglom, heat
+from geodet.errors import check_positive
 from geodet.heat import SphereSpectrum, richardson_extrapolate
 
 _SYS = JacobiSystem(2, 1.0, np.diag([1.0, -2.0]))
@@ -94,3 +95,11 @@ def test_ode_and_heat_routes_import_nothing_from_galerkin(module):
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
     assert not {"galerkin", "geodet.galerkin"} & imported
+
+
+@pytest.mark.parametrize("value", [10**400, 10**5000], ids=["int-1e400", "int-1e5000"])
+def test_check_positive_names_an_int_beyond_float64_by_its_type(value):
+    # 0 < value < inf holds for such an int, and one beyond 4300 digits has no str
+    with pytest.raises(DomainError) as info:
+        check_positive(value, "time")
+    assert str(info.value) == "time must be positive and finite, got int beyond float64"

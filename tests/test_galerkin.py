@@ -390,9 +390,10 @@ def test_bernoulli_cosine_series(s):
     assert abs(val - (s * s - s + 1.0 / 6.0)) < 1e-6
 
 
-@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf, "0.3"])
 def test_bernoulli_cosine_sum_needs_a_finite_point(s):
-    # nan summed to nan, and inf to nan through a RuntimeWarning
+    # nan summed to nan, inf to nan through a RuntimeWarning, and a string
+    # ended in a TypeError
     with pytest.raises(DomainError, match="^s must be finite, got "):
         bernoulli_cosine_sum(s, 100)
 

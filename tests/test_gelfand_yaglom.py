@@ -306,6 +306,74 @@ def test_last_block_product_has_the_rows_of_its_steps_only():
     assert np.array_equal(_rk4_run(sys, 2047, V), split_last_block_rk4(sys, 2047, V))
 
 
+def random_system(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    X, A = rng.standard_normal((2, n, n))
+    M, A = X + X.T, 0.5 * (A + A.T)
+    if kind == "constant":
+        return JacobiSystem.constant(M, 1.3)
+    return JacobiSystem(n, 1.3, lambda s: M + A * math.sin(3.0 * s))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+@pytest.mark.parametrize("steps", [16, 17, 1000, 1024, 2047, 4097])
+def test_end_state_is_the_grid_last_row_bit_for_bit(n, kind, steps):
+    # the end chain makes the block-end products and adds of the grid sweep,
+    # with a padded last block (17, 1000, 2047, 4097 steps) and without; on
+    # the AVX-512 kernel the (2n, 2n) products round otherwise from n = 9 on
+    sys = random_system(n, kind, 100 * n + steps)
+    assert np.array_equal(solve_jacobi_ode(sys, steps).end, _rk4_run(sys, steps)[-1])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+@pytest.mark.parametrize("steps", [17, 1000])
+def test_grid_built_on_first_read_matches_a_grid_run(n, kind, steps):
+    sys = random_system(n, kind, 10 * n + steps)
+    prop, Y = solve_jacobi_ode(sys, steps), _rk4_run(sys, steps)
+    assert prop.J.shape == prop.Jprime.shape == (steps + 1, n, n)
+    assert np.array_equal(prop.J, Y[:, :n]) and np.array_equal(prop.Jprime, Y[:, n:])
+
+
+def test_end_state_beyond_float64_names_the_grid_s():
+    # a run whose end state is not finite raises the grid run's exact error
+    sys = jacobi_endomorphism(GeodesicData(ConstantCurvature(2, -1e4), 10.0))
+    with pytest.raises(IntegrationError) as grid:
+        _rk4_run(sys, 2048)
+    with pytest.raises(IntegrationError) as end:
+        solve_jacobi_ode(sys, 2048)
+    assert str(end.value) == str(grid.value) and " at s = " in str(end.value)
+
+
+def test_limit_predictions_read_no_grid(monkeypatch):
+    # both heat predictions read the end state alone: with a grid reader
+    # that raises they return the values they return with it
+    values = (heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0),
+              heat.antipodal_limit_via_Sxy(3, 1.0))
+
+    def no_grid(*args):
+        raise AssertionError("a limit prediction built the Jacobi grid")
+
+    monkeypatch.setattr(gelfand_yaglom, "_grid_states", no_grid)
+    assert (heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0),
+            heat.antipodal_limit_via_Sxy(3, 1.0)) == values
+
+
+def test_limit_prediction_traced_heap_peak():
+    # a constant system stores one block of prefix products, 32 (2n)^2
+    # floats at 1024 steps, and the end state: about 10 MiB at n = 100,
+    # where the whole 1025-state grid took 186 MiB
+    heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0)
+    tracemalloc.start()
+    try:
+        heat.nondegenerate_limit_prediction(ConstantCurvature(100, 1.0), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
 @pytest.mark.parametrize("steps", [16, 17, 1000, 1024, 4097])
 def test_one_increment_run_matches_callable_bit_for_bit(n, steps):
@@ -417,14 +485,16 @@ ANTIPODAL = ("--kappa", "1", "--r", "3.141592653589793", "--n", "3")
 def test_propagation_counts(monkeypatch, call, runs):
     # each determinant route runs one fine/coarse pair of the operator it
     # reports on, in one [J; J'] run each, and nothing for a free reference;
-    # a caller of solve_jacobi_ode, which carries no estimate, gets one run
+    # a caller of solve_jacobi_ode, which carries no estimate, gets one run;
+    # every run, grid or end state alone, makes its first sweep once
     calls = []
+    prefix_products = gelfand_yaglom._prefix_products
 
     def counted(*args):
         calls.append(args[1])
-        return _rk4_run(*args)
+        return prefix_products(*args)
 
-    monkeypatch.setattr(gelfand_yaglom, "_rk4_run", counted)
+    monkeypatch.setattr(gelfand_yaglom, "_prefix_products", counted)
     call()
     assert len(calls) == runs, calls
 

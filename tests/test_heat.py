@@ -21,6 +21,7 @@ from geodet import (
     antipodal_limit_via_Sxy,
     antipodal_sphere_limit_closed_form,
     euclidean_heat_kernel,
+    exp_jacobian_closed_form,
     heat_limit_validation,
     nondegenerate_limit_prediction,
     jacobi_endomorphism,
@@ -559,11 +560,13 @@ def test_heat_limit_validation_input_errors():
 
 
 @pytest.mark.parametrize(
-    "x", [np.nan, np.inf, 0.0, -1.0, "3", None], ids=["nan", "inf", "zero", "negative", "string", "none"]
+    "x", [np.nan, np.inf, 0.0, -1.0, "3", None, 10**400],
+    ids=["nan", "inf", "zero", "negative", "string", "none", "int-beyond-float64"],
 )
 def test_heat_times_and_radii_must_be_positive_and_finite(x):
     # t0 = nan ended in a ValueError from int(nan), t0 = inf in a RuntimeWarning
-    # traceback, and a NaN time made the kernels return nan
+    # traceback, a NaN time made the kernels return nan, and an int beyond
+    # float64 passed 0 < x < inf and ended in an OverflowError
     calls = [
         lambda: heat_limit_validation(3, 1.0, "nondegenerate", d=1.0, t0=x),
         lambda: heat_limit_validation(3, x, "antipodal"),
@@ -590,10 +593,18 @@ def test_heat_times_and_radii_must_be_positive_and_finite(x):
         (lambda: heat_limit_validation(2, "3", "antipodal"), "radius must be positive and finite, got '3'"),
         (lambda: sphere_heat_kernel(SphereSpectrum(2, 1.0, 50), 0.5, None),
          "time must be positive and finite, got None"),
+        (lambda: euclidean_heat_kernel(None, 2, 1.0), "distance must be >= 0, got None"),
+        (lambda: sphere_heat_kernel(SphereSpectrum(2, 1.0, 50), None, 0.2), "angle must be finite, got None"),
+        (lambda: heat_limit_validation(2, 1.0, "nondegenerate", d="1"), "need d > 0, got '1'"),
+        (lambda: exp_jacobian_closed_form(ConstantCurvature(2, 1.0), None),
+         "distance must be finite and >= 0, got None"),
+        (lambda: sphere_heat_kernel(SphereSpectrum(2, 1.0, 50), 0.5, 10**400),
+         "time must be positive and finite, got int beyond float64"),
     ],
 )
 def test_nan_angles_distances_and_non_numbers_are_named(call, message):
-    # each returned nan, or ended in a TypeError from a comparison
+    # each returned nan, or ended in a TypeError from a comparison or float(),
+    # or an int beyond float64 in an OverflowError
     with pytest.raises(DomainError) as info:
         call()
     assert type(info.value) is DomainError and str(info.value) == message
