@@ -52,7 +52,9 @@ _TAIL_ORDERS = 4  # powers of the eigenvalue decay kept in the analytic tail
 # level may span: hats cannot follow faster oscillation, and at 0.62 rad the
 # last two levels of V = -1e5 on [0, 1] agreed by accident
 PIECEWISE_PHASE_BOUND = 0.35
-_HAT_NODES = 4  # Gauss-Legendre nodes per segment: the only potential samples of a level
+# Gauss-Legendre nodes per segment of the finest piecewise level: a varying
+# potential's only samples, which every level whose N divides it reads
+_HAT_NODES = 4
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,12 @@ class Partition:
     times: tuple
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.times)
+        # any number passes here, NaN and inf included, for the checks below
+        message = "partition times must be numbers, got {}"
+        ts = tuple(
+            t if type(t) is float else float(check_real(t, lambda v: math.isnan(v) or True, message))
+            for t in self.times
+        )
         object.__setattr__(self, "times", ts)
         if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0:
             raise DomainError("partition must run from 0.0 to 1.0")
@@ -72,7 +79,7 @@ class Partition:
     @classmethod
     def uniform(cls, N: int) -> "Partition":
         count = check_count(N, 2, f"need an integer count of at least two segments, got {N!r}")
-        return cls(tuple(np.linspace(0.0, 1.0, count + 1)))
+        return cls(tuple(np.linspace(0.0, 1.0, count + 1).tolist()))
 
     @property
     def N(self) -> int:
@@ -92,15 +99,16 @@ class GalerkinMatrix:
     """Dense symmetric truncation of the Hessian form over the first K sine modes.
 
     :func:`assemble_hessian_fourier` builds it and also records ``mean``,
-    the average of V over [0, t] on its rule, and ``coupled``, the fibers
-    whose row or column of V is nonzero at some node; every other fiber is
-    a block of the identity.
+    the average of V over [0, t] on its rule, ``coupled``, the fibers
+    whose row or column of V is nonzero at some node (every other fiber is
+    a block of the identity), and ``samples`` (Q, n, n), V at the rule's nodes.
     """
 
     dimension: int
     entries: np.ndarray
     mean: np.ndarray = None
     coupled: np.ndarray = None
+    samples: np.ndarray = None
 
 
 @dataclass
@@ -110,7 +118,7 @@ class PiecewiseHessian:
     ``diag`` (N-1, n, n) and ``off`` (N-2, n, n) are the diagonal and upper
     off-diagonal blocks of B, off block j coupling interior nodes j and
     j + 1; ``a`` and ``c`` are the scalars of the hat stiffness D; and
-    ``samples`` (N, _HAT_NODES, n, n) holds V at the level's Gauss nodes.
+    ``samples`` (N, m, n, n) holds V at the m quadrature nodes of each segment.
     """
 
     dimension: int
@@ -268,7 +276,7 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
     M.flat[:: dim + 1] += 1.0
     mean = np.zeros((n, n))
     mean[i, j] = mean[j, i] = C[:, 0] / t
-    return GalerkinMatrix(dim, M, mean, coupled)
+    return GalerkinMatrix(dim, M, mean, coupled, Vq)
 
 
 def _fourier_levels(sys: JacobiSystem, schedule):
@@ -277,11 +285,17 @@ def _fourier_levels(sys: JacobiSystem, schedule):
     A constant V is diagonalized once: its eigenvalues v give the tail's
     c = v t^2/pi^2 and each level's factors 1 + v t^2/(pi^2 k^2).  A varying V
     is assembled once, at the finest level, the tail reads its mean matrix,
-    and each level diagonalizes its leading nK block on the coupled fibers
-    (an uncoupled fiber's eigenvalues 1 add 0 to log|det| and never decide
-    the kernel test).  ``deflated_matrix_determinant`` reads each level.  A
-    tail series in c/k^2 that diverges, (K + 1)^2 <= max|c| at the finest K,
-    raises DomainError before any level is diagonalized.
+    and the levels are the leading nK blocks of the assembly on its coupled
+    fibers (an uncoupled fiber's eigenvalues 1 add 0 to log|det| and never
+    decide the kernel test).  When ``_positivity_bound`` of the samples
+    exceeds KERNEL_GAP_FACTOR KERNEL_TOL, one Cholesky factor L of the
+    finest block gives every level: the blocks are k-major, so a level's
+    log det is 2 sum log L_ii over its leading rows, and interlacing keeps
+    every level's eigenvalues above the bound, so no level has a kernel.
+    Otherwise each level's block is diagonalized and read by
+    ``deflated_matrix_determinant``.  A tail series in c/k^2 that diverges,
+    (K + 1)^2 <= max|c| at the finest K, raises DomainError before any
+    level is factored.
     """
     schedule = _check_schedule(schedule, "mode counts", 1)
     n, t = sys.n, sys.t
@@ -301,9 +315,28 @@ def _fourier_levels(sys: JacobiSystem, schedule):
             f"the tail series diverges at {schedule[-1]} modes; "
             f"the finest level needs at least {int(np.sqrt(cmax))} modes"
         )
-    dets, kdims = zip(*(deflated_matrix_determinant(spectrum(K)) for K in schedule))
+    level = lambda K: deflated_matrix_determinant(spectrum(K))
+    if not sys.is_constant and _positivity_bound(G.samples, t) > KERNEL_GAP_FACTOR * KERNEL_TOL:
+        try:
+            logs = 2.0 * np.log(np.diagonal(np.linalg.cholesky(block)))
+            level = lambda K: ((1.0, float(np.sum(logs[: K * width]))), 0)
+        except np.linalg.LinAlgError:  # rounding beat the bound: diagonalize instead
+            pass
+    dets, kdims = zip(*(level(K) for K in schedule))
     levels = [(n * K, det, _tail_log_correction(c, K)) for K, det in zip(schedule, dets)]
     return levels, kdims
+
+
+def _positivity_bound(samples: np.ndarray, t: float) -> float:
+    """A lower bound of the eigenvalues of every mode truncation assembled from ``samples``.
+
+    On the span of sine modes on [0, t], ||u||_L2^2 <= (t/pi)^2 ||u||_H1^2,
+    and the assembled form pairs V only at the rule's nodes, where
+    mu = min(0, the Gershgorin bound of the symmetric part of each sample)
+    bounds it below; so id + P^{-1} V >= 1 + mu t^2/pi^2.
+    """
+    mu = float(np.min(_gershgorin_lower(0.5 * samples + 0.5 * samples.transpose(0, 2, 1))))
+    return 1.0 + min(mu, 0.0) * t**2 / np.pi**2
 
 
 def fredholm_det(sys: JacobiSystem, schedule) -> DeterminantEstimate:
@@ -421,6 +454,12 @@ def _hat_stiffness(deltas: np.ndarray):
     return inv[:-1] + inv[1:], -inv[1:-1]
 
 
+def _gershgorin_lower(V: np.ndarray) -> np.ndarray:
+    """The Gershgorin lower bound min_i (V_ii - sum_{j != i} |V_ij|) of each matrix of the stack ``V``."""
+    diag = np.diagonal(V, axis1=1, axis2=2)
+    return np.min(diag + np.abs(diag) - np.sum(np.abs(V), axis=2), axis=1)
+
+
 def _check_resolution(Vq: np.ndarray, t: float, N: int) -> None:
     """DomainError unless each of N segments on [0, t] spans at most
     PIECEWISE_PHASE_BOUND of the phase sqrt(-lambda_min(V)) at the samples ``Vq``.
@@ -429,10 +468,8 @@ def _check_resolution(Vq: np.ndarray, t: float, N: int) -> None:
     those that may break the bound are diagonalized.
     """
     V = Vq.reshape((-1,) + Vq.shape[-2:])
-    diag = np.diagonal(V, axis1=1, axis2=2)
-    lower = np.min(diag + np.abs(diag) - np.sum(np.abs(V), axis=2), axis=1)
     limit = -((PIECEWISE_PHASE_BOUND * N / t) ** 2)
-    suspects = V[lower < limit]
+    suspects = V[_gershgorin_lower(V) < limit]
     if not suspects.size:
         return
     lam = float(np.min(np.linalg.eigvalsh(suspects)))
@@ -525,29 +562,42 @@ def _hat_slogdet(a, c, diag: np.ndarray, off: np.ndarray):
     return sign, logdet
 
 
-def assemble_hessian_piecewise(sys: JacobiSystem, partition: Partition) -> PiecewiseHessian:
+def _hat_rule(sys: JacobiSystem, nodes: np.ndarray):
+    """The _HAT_NODES-point Gauss-Legendre rule on each segment of ``nodes`` and V
+    there: (points, weights) of shape (N, _HAT_NODES) and samples (N, _HAT_NODES, n, n)."""
+    sq, wq = composite_gauss(nodes, _HAT_NODES)
+    return sq, wq, sys.sample(sq.ravel()).reshape(sq.shape + (sys.n, sys.n))
+
+
+def assemble_hessian_piecewise(sys: JacobiSystem, partition: Partition, rule=None) -> PiecewiseHessian:
     """The Hessian form over the interior hats of ``partition``, scaled to [0, t].
 
     A _HAT_NODES-point Gauss-Legendre rule per segment samples the
     potential once per node, and the blocks of B and both trace integrals
     come from those samples.  The 4-point rule is exact for hat moments of
     a V of degree <= 5 on a segment, and its O(mesh^8) error sits far below
-    the O(mesh^4) error of the Richardson-extrapolated filtration.  The
-    traces are green_trace = int tr V s(t-s)/t and bump_trace =
-    int tr V h u(1-u), u the position of s in its segment of length h; their
-    difference is tr(D^{-1} B): with D^{-1} = G (x) I, G_jk =
-    s_min (t - s_max)/t, sum_jk G_jk phi_j phi_k = s(t-s)/t - h u(1-u), and
-    no product reaches t^2.  Fewer than two segments raise DomainError.
+    the O(mesh^4) error of the Richardson-extrapolated filtration.  A
+    ``rule`` (points, weights, samples) of shapes (N, m), (N, m) and
+    (N, m, n, n), m nodes on each of the N segments on [0, t], replaces that
+    rule and its samples: ``fredholm_det_piecewise`` passes the finest
+    level's, m = _HAT_NODES N_finest/N, which integrates the hat moments of
+    a segment on its subsegments.  The traces are green_trace = int tr V
+    s(t-s)/t and bump_trace = int tr V h u(1-u), u the position of s in its
+    segment of length h; their difference is tr(D^{-1} B): with D^{-1} =
+    G (x) I, G_jk = s_min (t - s_max)/t, sum_jk G_jk phi_j phi_k = s(t-s)/t
+    - h u(1-u), and no product reaches t^2.  Fewer than two segments, or a
+    rule of another segment count, raise DomainError.
     """
     if partition.N < 2:
         raise DomainError("need at least two segments")
     nodes = np.asarray(partition.times) * sys.t
-    sq, wq = composite_gauss(nodes, _HAT_NODES)  # (N, _HAT_NODES)
+    sq, wq, Vq = _hat_rule(sys, nodes) if rule is None else rule
+    if len(sq) != partition.N:
+        raise DomainError(f"the rule covers {len(sq)} segments, the partition {partition.N}")
     deltas = np.diff(nodes)
     t, lo, hi, h = nodes[-1], nodes[:-1, None], nodes[1:, None], deltas[:, None]
     up = (sq - lo) / h  # hat rising on the segment (its right node)
     down = (hi - sq) / h  # hat falling (its left node)
-    Vq = sys.sample(sq.ravel()).reshape(sq.shape + (sys.n, sys.n))
 
     def moment(f):
         return np.einsum("sq,sqij->sij", wq * f, Vq)
@@ -568,30 +618,53 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     """Fredholm determinant through the piecewise-linear filtration.
 
     ``schedule`` lists segment counts N (uniform partitions), and one call
-    of :func:`assemble_hessian_piecewise` builds each level.  Its raw
-    determinant det(D + B)/det(D), from block cyclic reduction of the hat
-    blocks in O(N n^3), is completed by the trace-defect factor
+    of :func:`assemble_hessian_piecewise` builds each level, coarsest first.
+    Its raw determinant det(D + B)/det(D), from block cyclic reduction of
+    the hat blocks in O(N n^3), is completed by the trace-defect factor
     exp(Tr_exact - Tr_discrete), which removes the first-order error of the
     hat space (both the unresolved tail and the per-mode stiffness bias),
     leaving O(mesh^2); the extrapolated value applies one mesh^2 Richardson
-    step when the schedule doubles.  Tr_discrete = tr(D^{-1} B) comes from
-    each level's samples, Tr_exact = int tr V(s) s(t-s)/t from the finest
-    level's, so each level samples the potential at _HAT_NODES N points and
-    nowhere else.  An exactly singular truncation raises
-    DegenerateOperatorError, and a finest level whose segments span more
-    than PIECEWISE_PHASE_BOUND rad of the phase sqrt(-lambda_min(V)) raises
+    step when the schedule doubles.  A varying potential is sampled once,
+    on the finest level's rule, and every level whose N divides the finest
+    reads those samples as a composite rule of _HAT_NODES N_finest/N nodes
+    per segment; a level that does not divide it, and every level of a
+    constant potential, samples its own rule.  Tr_discrete = tr(D^{-1} B)
+    comes from each level's rule, Tr_exact = int tr V(s) s(t-s)/t from the
+    finest, so a doubling schedule samples the potential at _HAT_NODES
+    N_finest points and nowhere else.  An exactly singular truncation
+    raises DegenerateOperatorError, and so does a value within its error
+    estimate of zero whose last two raw determinants share a sign and fall
+    at least as fast as the mesh (a k-dimensional kernel makes them fall
+    like mesh^(2k)); a finest level whose segments span more than
+    PIECEWISE_PHASE_BOUND rad of the phase sqrt(-lambda_min(V)) raises
     DomainError naming the segment count needed.
     """
     schedule = _check_schedule(schedule, "segment counts", 2)
+    finest = schedule[-1]
+    shared = None if sys.is_constant else _hat_rule(sys, np.asarray(Partition.uniform(finest).times) * sys.t)
     levels = []
     for N in schedule:
-        H = assemble_hessian_piecewise(sys, Partition.uniform(N))
-        if N == schedule[-1]:
+        rule = None
+        if shared is not None and finest % N == 0:
+            rule = tuple(x.reshape((N, -1) + x.shape[2:]) for x in shared)
+        H = assemble_hessian_piecewise(sys, Partition.uniform(N), rule=rule)
+        if N == finest:
             _check_resolution(H.samples, sys.t, N)
         levels.append((H.dimension, _hat_slogdet(H.a, H.c, H.diag, H.off), H))
     # H is now the finest level, whose rule gives Tr_exact
     levels = [(dim, det, H.green_trace - h.green_trace + h.bump_trace) for dim, det, h in levels]
-    return _estimate(levels, richardson=len(schedule) > 1 and schedule[-1] == 2 * schedule[-2])
+    est = _estimate(levels, richardson=len(schedule) > 1 and schedule[-1] == 2 * schedule[-2])
+    if len(schedule) > 1 and abs(est.extrapolated) <= est.error_estimate:
+        # a k-dimensional kernel makes the raw determinant fall like mesh^(2k);
+        # a coarse mesh alone leaves no such trend
+        (sign_c, log_c), (sign_f, log_f) = levels[-2][1], levels[-1][1]
+        if sign_c == sign_f and log_c - log_f >= math.log(finest / schedule[-2]):
+            raise DegenerateOperatorError(
+                f"the piecewise determinant {est.extrapolated:.3g} is within its error estimate "
+                f"{est.error_estimate:.3g} of zero and its levels fall toward zero; "
+                "call fredholm_det_deflated"
+            )
+    return est
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,12 @@ class GeodesicData:
 
 
 def _check_length(t) -> float:
-    """t as a float; DomainError unless t > 0 and t^2, the scale of every route, is a float64."""
-    t = float(t)
-    if not (t > 0 and t * t < np.inf):
-        raise DomainError(f"interval length must be positive with t^2 in float64, got {t}")
-    return t
+    """t as a float; DomainError unless t > 0 and t^2, the scale of every route, is a float64.
+
+    The square is taken of Python floats, where an overflow is inf without a warning.
+    """
+    message = "interval length must be positive with t^2 in float64, got {}"
+    return float(check_real(t, lambda v: v > 0 and float(v) * float(v) < math.inf, message))
 
 
 def _check_finite(V):

@@ -26,6 +26,7 @@ from geodet import (
     phi0_chain,
 )
 from geodet import galerkin
+from geodet.errors import signed_exp
 from geodet.galerkin import deflated_matrix_determinant
 from geodet.interval import mode_quadrature
 
@@ -188,6 +189,67 @@ def test_coupled_fiber_eigenvalues_keep_the_antipodal_kernel():
         assert np.sign(value) == sign_full
         assert abs(np.log(abs(value)) - log_full) < 1e-13
     assert fredholm_det_deflated(sys, (16, 32, 64)).kernel_dimension == 2
+
+
+def _spy_cholesky(monkeypatch):
+    """Count the Cholesky factorizations numpy runs while the test lasts."""
+    calls = []
+    factor = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return factor(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("schedule", [(16, 32, 64), (32, 64, 128), (1, 8, 128)])
+def test_certified_cholesky_levels_match_per_level_eigenvalues(n, schedule, monkeypatch):
+    # one factor of the finest coupled block gives every level; each level's
+    # log det agrees with the eigenvalues of its own leading block
+    manifold = SyntheticPotential(n + 1, varying_potential(n), 1.3)
+    synthetic = jacobi_endomorphism(GeodesicData(manifold, 1.3))
+    for sys in (JacobiSystem(n, 1.3, varying_potential(n)), synthetic):
+        G = assemble_hessian_fourier(sys, schedule[-1])
+        width = len(G.coupled)
+        assert galerkin._positivity_bound(G.samples, sys.t) > 1e-6
+        calls = _spy_cholesky(monkeypatch)
+        est = fredholm_det(sys, schedule)
+        assert calls == [(width * schedule[-1],) * 2]
+        keep = (sys.n * np.arange(schedule[-1])[:, None] + G.coupled).ravel()
+        for K, (dim, value) in zip(schedule, est.levels):
+            rows = keep[: K * width]
+            evals = np.linalg.eigvalsh(G.entries[np.ix_(rows, rows)])
+            (sign, log_abs), kdim = deflated_matrix_determinant(evals)
+            assert dim == sys.n * K and kdim == 0 and sign == 1.0 and value > 0
+            assert abs(np.log(value) - log_abs) <= 1e-13
+
+
+def test_positive_operator_without_certificate_diagonalizes_every_level(monkeypatch):
+    # -d^2/ds^2 - 12 s on [0, 1] is positive (lowest eigenvalue near pi^2 - 6),
+    # but the Gershgorin bound -12 of its samples certifies nothing: 1 - 12/pi^2 < 0
+    sys = JacobiSystem(1, 1.0, lambda s: np.array([[-12.0 * s]]))
+    schedule = (16, 32, 64)
+    G = assemble_hessian_fourier(sys, 64)
+    assert galerkin._positivity_bound(G.samples, 1.0) < 0
+    calls = _spy_cholesky(monkeypatch)
+    est = fredholm_det_deflated(sys, schedule)
+    assert calls == [] and est.kernel_dimension == 0
+    for K, (dim, value) in zip(schedule, est.levels):
+        (sign, log_abs), kdim = deflated_matrix_determinant(np.linalg.eigvalsh(G.entries[:K, :K]))
+        assert kdim == 0 and value == signed_exp(sign, log_abs)
+
+
+def test_positivity_bound_holds_below_every_level():
+    # the bound lies below the smallest eigenvalue of every leading block
+    for n in (2, 3, 4):
+        sys = JacobiSystem(n, 1.3, varying_potential(n))
+        G = assemble_hessian_fourier(sys, 32)
+        bound = galerkin._positivity_bound(G.samples, sys.t)
+        for K in (1, 8, 32):
+            assert bound <= np.linalg.eigvalsh(G.entries[: n * K, : n * K])[0]
 
 
 def test_assembled_matrix_is_symmetric():
@@ -577,8 +639,9 @@ def test_hat_blocks_constant_potential_are_mass_blocks():
 
 
 def test_piecewise_samples_potential_four_times_per_segment():
-    # each level samples at its own Gauss nodes, and the exact trace reads
-    # the finest level's samples: no other potential call
+    # the finest level's Gauss nodes are the only samples of a doubling
+    # schedule: every coarser level and the exact trace read them.  A level
+    # that does not divide the finest samples its own rule
     calls = []
 
     def pot(s):
@@ -586,9 +649,10 @@ def test_piecewise_samples_potential_four_times_per_segment():
         return np.array([[1.0 + np.sin(2 * s), 0.3], [0.3, 2.0 - s]])
 
     sys = JacobiSystem(2, 1.0, pot)
-    calls.clear()
-    fredholm_det_piecewise(sys, (32, 64, 128))
-    assert len(calls) == 4 * (32 + 64 + 128)
+    for schedule, count in (((32, 64, 128), 4 * 128), ((96, 128), 4 * (96 + 128))):
+        calls.clear()
+        fredholm_det_piecewise(sys, schedule)
+        assert len(calls) == count
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -597,8 +661,8 @@ def test_piecewise_builds_every_level_through_the_public_assembly(n, monkeypatch
     dims = []
     build = galerkin.assemble_hessian_piecewise
 
-    def counted(sys, partition):
-        H = build(sys, partition)
+    def counted(sys, partition, rule=None):
+        H = build(sys, partition, rule=rule)
         dims.append(H.dimension)
         return H
 
@@ -615,6 +679,27 @@ def test_piecewise_trace_does_not_alias():
     sys = JacobiSystem(1, 1.0, lambda s: np.array([[2.0 + 3.0 * np.sin(400.0 * s)]]))
     est = fredholm_det_piecewise(sys, (128, 256))
     assert abs(est.extrapolated - 1.3683153196) <= est.error_estimate
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_piecewise_antipodal_sphere_is_degenerate(n):
+    # the kernel of dimension n - 1 makes the raw levels fall like mesh^(2(n-1)),
+    # and the value lands within its estimate of zero: S^3 at (256, 512)
+    # returned -9.84e-12 +- 3.69e-11 with kernel_dimension 0
+    sys = sphere_system(1.0, PI, n)
+    for schedule in ((64, 128), (256, 512)):
+        with pytest.raises(DegenerateOperatorError, match="call fredholm_det_deflated"):
+            fredholm_det_piecewise(sys, schedule)
+    with pytest.raises(DegenerateOperatorError):
+        fredholm_det(sys, (64, 128))
+
+
+def test_piecewise_coarse_mesh_is_not_called_degenerate():
+    # V = -1e5 at (256, 1024) returns 0.00205 +- 0.00205 (the value is
+    # sin(316.2)/316.2 = 0.00278): the raw levels change sign, so no kernel
+    sys = JacobiSystem.constant([[-1e5]], 1.0)
+    est = fredholm_det_piecewise(sys, (256, 1024))
+    assert abs(est.extrapolated) <= est.error_estimate and est.kernel_dimension == 0
 
 
 def test_piecewise_singular_pivot_is_named():

@@ -476,6 +476,31 @@ _NOT_CONSTANT = "closed form requires a constant-curvature manifold"
             id="partition-nan",
         ),
         pytest.param(
+            lambda: Partition((0.0, "x", 1.0)),
+            "partition times must be numbers, got 'x'",
+            id="partition-string",
+        ),
+        pytest.param(
+            lambda: Partition((0.0, None, 1.0)),
+            "partition times must be numbers, got None",
+            id="partition-none",
+        ),
+        pytest.param(
+            lambda: Partition((0.0, "0.5", 1.0)),
+            "partition times must be numbers, got '0.5'",
+            id="partition-numeric-string",
+        ),
+        pytest.param(
+            lambda: JacobiSystem(1, None, [[1.0]]),
+            "interval length must be positive with t^2 in float64, got None",
+            id="length-none",
+        ),
+        pytest.param(
+            lambda: JacobiSystem(1, "2", [[1.0]]),
+            "interval length must be positive with t^2 in float64, got '2'",
+            id="length-string",
+        ),
+        pytest.param(
             lambda: GeodesicData(ConstantCurvature(3, 1.0), np.nan),
             "geodesic speed must be >= 0, got nan",
             id="speed-nan",
