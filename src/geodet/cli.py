@@ -5,6 +5,11 @@ flags overriding file values.  Every command emits one report in JSON, CSV
 or text with the fixed schema {command, inputs, value, error_estimate,
 route, series?}; errors surface as named error reports.  Exit codes:
 0 success, 1 module error (or failed validation records), 2 usage error.
+
+Each runner imports the route it calls, so a process loads only its
+command's modules: det-gy and det-zeta load geometry and gelfand_yaglom,
+heat-limit adds heat and interval, det-fredholm and eval-jacobian load
+galerkin and interval, and validate loads them all.
 """
 
 import csv as _csv
@@ -14,7 +19,6 @@ import json
 import math
 import sys
 
-from . import galerkin, gelfand_yaglom as gy, geometry, heat
 from .errors import GeodetError, UsageError
 
 __all__ = ["main", "build_report", "parse_config_text"]
@@ -67,45 +71,57 @@ _CONVERTERS = {
 
 
 def _geodesic(p):
-    return geometry.GeodesicData(geometry.ConstantCurvature(p["n"], p["kappa"]), p["r"])
+    from .geometry import ConstantCurvature, GeodesicData
+
+    return GeodesicData(ConstantCurvature(p["n"], p["kappa"]), p["r"])
 
 
 def _curved_system(p):
-    return geometry.jacobi_endomorphism(_geodesic(p))
+    from .geometry import jacobi_endomorphism
+
+    return jacobi_endomorphism(_geodesic(p))
 
 
 # each runner takes the parsed parameters and returns what its report holds
 # beyond them: (value, error_estimate, route, series or None, extra inputs)
 def _det_fredholm(p):
-    est = galerkin.fredholm_det(_curved_system(p), p["modes"])
+    from .galerkin import fredholm_det
+
+    est = fredholm_det(_curved_system(p), p["modes"])
     series = [[dim, val] for dim, val in est.levels]
     return est.extrapolated, est.error_estimate, "fredholm_fourier", series, {}
 
 
 def _det_gy(p):
-    z = gy._free_reference_ratio(_curved_system(p), p["steps"])
+    from .gelfand_yaglom import _free_reference_ratio
+
+    z = _free_reference_ratio(_curved_system(p), p["steps"])
     return z.value, z.error_estimate, "gelfand_yaglom", None, {}
 
 
 def _det_zeta(p):
+    from .gelfand_yaglom import zeta_det_dirichlet_laplacian, zeta_det_jacobi
+
     if p.get("laplacian"):
         if "kappa" in p or "r" in p:
             raise UsageError("det-zeta --laplacian takes no --kappa or --r")
         if "steps" in p:
             raise UsageError("det-zeta --laplacian takes no --steps: its determinant is a closed form")
-        z = gy.zeta_det_dirichlet_laplacian(p["t"], p["n"])
+        z = zeta_det_dirichlet_laplacian(p["t"], p["n"])
     else:
         if "kappa" not in p or "r" not in p:
             raise UsageError("det-zeta needs either --laplacian or --kappa and --r")
         if p["t"] != 1.0:
             raise UsageError("curved det-zeta is defined on the unit interval")
-        z = gy.zeta_det_jacobi(_curved_system(p), steps=p["steps"])
+        z = zeta_det_jacobi(_curved_system(p), steps=p["steps"])
     extra = {"excluded_zero_modes": z.excluded_zero_modes} if z.excluded_zero_modes else {}
     return z.value, z.error_estimate, z.route, None, extra
 
 
 def _heat_limit(p):
-    rep = heat.heat_limit_validation(
+    from .heat import heat_limit_validation
+
+    rep = heat_limit_validation(
         p["n"], p["radius"], p["case"], d=p.get("d"), t0=p["t0"], levels=p["levels"]
     )
     error = abs(rep.predicted - rep.extrapolated_oracle)
@@ -115,8 +131,9 @@ def _heat_limit(p):
 
 
 def _eval_jacobian(p):
-    g = _geodesic(p)
-    val = galerkin.evaluation_map_jacobian(g, galerkin.Partition.uniform(p["partition-N"]))
+    from .galerkin import Partition, evaluation_map_jacobian
+
+    val = evaluation_map_jacobian(_geodesic(p), Partition.uniform(p["partition-N"]))
     return val, None, "evaluation_map", None, {}
 
 
@@ -378,4 +395,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # run as ``python -m geodet.cli``: the validation suite imports this
+    # module by its name, and must find this copy rather than run a second
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

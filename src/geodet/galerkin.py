@@ -419,17 +419,29 @@ def hessian_trace(sys: JacobiSystem) -> float:
     return route_a
 
 
+_BERNOULLI_CHUNK = 2**15  # terms of bernoulli_cosine_sum computed per pass
+
+
 def bernoulli_cosine_sum(s: float, K: int) -> float:
     """Partial sum sum_{k<=K} cos(2 pi k s)/(pi^2 k^2).
 
     Converges to s^2 - s + 1/6 on [0, 1] (the quadratic Bernoulli
     polynomial), which is what makes the trace integrand s(1-s).  A
     non-finite s or a K that is no count >= 0 is a DomainError.
+
+    It holds one K-term array, filled 2^15 terms at a time: 8 MB at
+    K = 10^6, where the whole-array temporaries of the one-expression form
+    np.sum(np.cos(2 pi k s) / (pi^2 k^2)) take 23 MB.  Each term is that
+    form's expression and one np.sum adds them pairwise alike, so the
+    result is bit-identical to it.
     """
     K = check_count(K, 0, f"need K >= 0 terms, got {K}")
     check_real(s, math.isfinite, "s must be finite, got {}")
-    k = np.arange(1, K + 1, dtype=float)
-    return float(np.sum(np.cos(2.0 * np.pi * k * s) / (np.pi**2 * k**2)))
+    terms = np.empty(K)
+    for lo in range(0, K, _BERNOULLI_CHUNK):
+        k = np.arange(lo + 1, min(lo + _BERNOULLI_CHUNK, K) + 1, dtype=float)
+        terms[lo : lo + len(k)] = np.cos(2.0 * np.pi * k * s) / (np.pi**2 * k**2)
+    return float(np.sum(terms))
 
 
 # ---------------------------------------------------------------------------

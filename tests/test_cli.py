@@ -448,8 +448,8 @@ def test_det_gy_near_conjugate_is_not_degenerate(capsys):
     assert json.loads(out)["value"] == pytest.approx((math.sin(3.12) / 3.12) ** 3, rel=1e-9, abs=0.0)
 
 
-def run_python(code):
-    """Run code in a fresh interpreter that imports geodet from this tree; its stdout."""
+def run_interpreter(*args):
+    """Run a fresh interpreter that imports geodet from this tree; the finished process."""
     import os
     import subprocess
     import sys
@@ -458,14 +458,61 @@ def run_python(code):
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(geodet.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True, env=env
     )
-    return out.stdout.strip()
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports geodet from this tree; its stdout."""
+    return run_interpreter("-c", code).stdout.strip()
 
 
 def test_cli_import_leaves_scipy_out():
     assert run_python("import sys, geodet.cli; print('scipy' in sys.modules)") == "False"
+
+
+_ABSENT_FROM_GY = ["geodet.galerkin", "geodet.heat", "numpy.polynomial"]
+_ABSENT_FROM_GALERKIN = ["geodet.gelfand_yaglom", "geodet.heat"]
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["det-gy", "--kappa", "0.5", "--r", "1", "--n", "3"], _ABSENT_FROM_GY),
+        (["det-zeta", "--kappa", "0.5", "--r", "1", "--n", "3"], _ABSENT_FROM_GY),
+        (["det-zeta", "--laplacian", "--t", "1", "--n", "3"], _ABSENT_FROM_GY),
+        (["heat-limit", "--n", "3", "--radius", "1", "--case", "nondegenerate", "--d", "1"],
+         ["geodet.galerkin"]),
+        (["det-fredholm", "--kappa", "1", "--r", "1", "--n", "3", "--modes", "16,32"], _ABSENT_FROM_GALERKIN),
+        (["eval-jacobian", "--kappa", "1", "--r", "1", "--n", "3", "--partition-N", "8"], _ABSENT_FROM_GALERKIN),
+    ],
+    ids=["det-gy", "det-zeta", "det-zeta-laplacian", "heat-limit", "det-fredholm", "eval-jacobian"],
+)
+def test_command_imports_only_its_routes(argv, absent):
+    code = (
+        "import contextlib, io, sys, geodet.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = geodet.cli.main({argv!r})\n"
+        f"print(code, [name for name in {absent!r} if name in sys.modules])"
+    )
+    assert run_python(code) == "0 []"
+
+
+def test_package_import_loads_no_route():
+    code = "import sys, geodet; print(sorted(m for m in sys.modules if m.startswith(('geodet.', 'numpy'))))"
+    assert run_python(code) == "[]"
+
+
+def test_module_run_holds_one_copy_of_the_cli():
+    # the determinism record imports geodet.cli by name; run as
+    # ``python -m geodet.cli`` it must find the running module, not load a second
+    proc = run_interpreter(
+        "-X", "importtime", "-m", "geodet.cli", "validate", "--filter", "determinism"
+    )
+    assert json.loads(proc.stdout)["value"] == 0.0
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "geodet.validation" in imported and "geodet.cli" not in imported
 
 
 def test_cli_runs_without_mpmath():

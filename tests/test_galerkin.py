@@ -1,5 +1,7 @@
 """Galerkin truncations, tail corrections, deflation, and the partition layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -450,6 +452,32 @@ def test_trace_equals_minus_sixth_of_ricci():
 def test_bernoulli_cosine_series(s):
     val = bernoulli_cosine_sum(s, 10**6)
     assert abs(val - (s * s - s + 1.0 / 6.0)) < 1e-6
+
+
+def _bernoulli_one_expression(s, K):
+    k = np.arange(1, K + 1, dtype=float)
+    return float(np.sum(np.cos(2.0 * np.pi * k * s) / (np.pi**2 * k**2)))
+
+
+@pytest.mark.parametrize("K", [0, 1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 5, 10**6])
+def test_bernoulli_cosine_sum_matches_the_one_expression_form_bit_for_bit(K):
+    # the chunked fill computes each term as the one-expression form does,
+    # and one np.sum over the same K values sums them pairwise alike
+    for s in (0.0, 0.1, 0.3, 0.5, 0.7, 1.0, -2.3, 2.9):
+        assert bernoulli_cosine_sum(s, K).hex() == _bernoulli_one_expression(s, K).hex()
+
+
+def test_bernoulli_cosine_sum_traced_heap_peak():
+    # one 8 MB term array at K = 10^6 and chunk temporaries of 256 KB each:
+    # 8.4 MiB, where the one-expression form's temporaries take 22.9 MiB
+    bernoulli_cosine_sum(0.3, 100)
+    tracemalloc.start()
+    try:
+        bernoulli_cosine_sum(0.3, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf, "0.3"])
