@@ -59,13 +59,12 @@ _HOMES = {
     ), "galerkin"),
     **dict.fromkeys((
         "JacobiPropagation",
-        "ZetaDetValue",
         "gy_degenerate_ratio",
         "gy_ratio",
         "solve_jacobi_ode",
-        "zeta_det_dirichlet_laplacian",
         "zeta_det_jacobi",
     ), "gelfand_yaglom"),
+    **dict.fromkeys(("ZetaDetValue", "zeta_det_dirichlet_laplacian"), "zeta"),
     **dict.fromkeys((
         "HeatLimitReport",
         "SphereSpectrum",
@@ -77,7 +76,7 @@ _HOMES = {
         "sphere_heat_kernel",
     ), "heat"),
 }
-_SUBMODULES = ("errors", "geometry", "interval", "galerkin", "gelfand_yaglom", "heat")
+_SUBMODULES = ("errors", "geometry", "interval", "galerkin", "gelfand_yaglom", "heat", "zeta")
 
 # ``from geodet import *`` binds every public name and route module
 __all__ = [*_HOMES, *_SUBMODULES]

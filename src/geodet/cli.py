@@ -7,13 +7,12 @@ route, series?}; errors surface as named error reports.  Exit codes:
 0 success, 1 module error (or failed validation records), 2 usage error.
 
 Each runner imports the route it calls, so a process loads only its
-command's modules: det-gy and det-zeta load geometry and gelfand_yaglom,
+command's modules: det-gy and curved det-zeta load geometry and
+gelfand_yaglom, det-zeta --laplacian loads zeta alone and no numpy,
 heat-limit adds heat and interval, det-fredholm and eval-jacobian load
-galerkin and interval, and validate loads them all.
+galerkin and interval, and validate loads the routes its records read.
 """
 
-import csv as _csv
-import dataclasses
 import io
 import json
 import math
@@ -100,15 +99,17 @@ def _det_gy(p):
 
 
 def _det_zeta(p):
-    from .gelfand_yaglom import zeta_det_dirichlet_laplacian, zeta_det_jacobi
-
     if p.get("laplacian"):
+        from .zeta import zeta_det_dirichlet_laplacian
+
         if "kappa" in p or "r" in p:
             raise UsageError("det-zeta --laplacian takes no --kappa or --r")
         if "steps" in p:
             raise UsageError("det-zeta --laplacian takes no --steps: its determinant is a closed form")
         z = zeta_det_dirichlet_laplacian(p["t"], p["n"])
     else:
+        from .gelfand_yaglom import zeta_det_jacobi
+
         if "kappa" not in p or "r" not in p:
             raise UsageError("det-zeta needs either --laplacian or --kappa and --r")
         if p["t"] != 1.0:
@@ -138,6 +139,8 @@ def _eval_jacobian(p):
 
 
 def _validate(p):
+    import dataclasses
+
     from .validation import run_validation
 
     records = run_validation(p.get("filter"))
@@ -277,8 +280,10 @@ def build_report(params: dict) -> dict:
 
 
 def _render_csv(report: dict) -> str:
+    import csv
+
     buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     if "error" in report:
         writer.writerow(("command", "error", "message"))
         writer.writerow((report["command"], report["error"], report["message"]))

@@ -6,14 +6,14 @@ P_i = -d^2/ds^2 + V_i on [0, t],
 
     det_zeta(P_2) / det_zeta(P_1) = det J_2(t) / det J_1(t),
 
-and the free operator has the closed form det_zeta(-d^2/ds^2) = (2t)^n.
+and the free operator has the closed form det_zeta(-d^2/ds^2) = (2t)^n
+(:mod:`geodet.zeta`).
 When the operator has zero modes, det J(t) vanishes and the ratio is
 replaced by a boundary expression in J(t), J'(t) and int J^T J on the
 kernel of J(t); every run carries J and J' alone.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from .errors import (
     IntegrationError,
     NonpositiveOperatorError,
 )
-from .errors import check_count, check_normal, check_positive, signed_exp
+from .errors import check_count, signed_exp
 from .geometry import JacobiSystem
+from .zeta import ZetaDetValue, zeta_det_dirichlet_laplacian
 
 __all__ = [
     "JacobiPropagation",
@@ -83,16 +84,6 @@ class JacobiPropagation:
             "sji,sjk->sik", self.J, self.Jprime
         )
         return float(np.max(np.abs(W)))
-
-
-@dataclass
-class ZetaDetValue:
-    """A zeta-regularized determinant and the route that produced it."""
-
-    value: float
-    route: str  # "closed_form" | "gy_ratio" | "deflated"
-    excluded_zero_modes: int = 0
-    error_estimate: float = 0.0  # |value - value at steps // 2| / 15 on one route
 
 
 def _sample_potential(sys: JacobiSystem, steps: int) -> np.ndarray:
@@ -431,24 +422,6 @@ def gy_degenerate_ratio(
     sign_a, log_a = _fine_det(sys_deg, steps, "P")[0]
     sign1, log1 = _fine_det(sys_ref, steps, "reference", ratio=True)[0]
     return _exp_det(1.0, sign_a * sign1, log_a - log1, "det'_zeta(P_deg)/det_zeta(P_ref)")
-
-
-def zeta_det_dirichlet_laplacian(t: float, n: int) -> ZetaDetValue:
-    """Zeta determinant (2t)^n of the free Dirichlet operator on [0, t].
-
-    From the spectrum pi^2 k^2/t^2 with multiplicity n the spectral zeta
-    function is n (t/pi)^(2z) zeta_R(2z), and -zeta'(0) = n log(2t).  The
-    power rule det_zeta(P^m) = det_zeta(P)^m follows from
-    zeta_{P^m}(z) = zeta_P(mz).  A power outside the normal float64 range
-    raises DomainError.
-    """
-    check_positive(t, "interval length")
-    n = check_count(n, 1, f"fiber dimension must be >= 1, got {n}")
-    with np.errstate(over="ignore"):  # a float64 power gives inf where Python's raises
-        value = float(np.float64(2.0 * t) ** n)
-    flow = "overflows" if value > 1.0 else "underflows"
-    value = check_normal(value, f"(2t)^n = (2 * {t:.4g})^{n} {flow} float64")
-    return ZetaDetValue(value, "closed_form", 0)
 
 
 def zeta_det_jacobi(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> ZetaDetValue:

@@ -259,9 +259,12 @@ def _zonal_sum_float(spec: SphereSpectrum, theta: float, t: float):
 
 # exponent drop past which the Mehler integrand is left out
 _MEHLER_CUT = 50.0
-# jets are summed from the antipode while lambda delta <= 1 (lambda = pi/2t,
-# the rate of the leading image) ...
+# jets are summed from the antipode while lambda delta <= the reach (lambda =
+# pi/2t, the rate of the leading image): 1 up to S^8, and 3 above, where a jet
+# taken at delta itself just outside lambda delta = 1 lost digits (4e-11) ...
 _ANTIPODE_REACH = 1.0
+_ANTIPODE_REACH_HIGH = 3.0
+_REACH_DIM = 8
 # ... with this many orders beyond 2m: 1/24! and (1/(2 pi))^24 are below 1e-18;
 # the t-independent Mehler factor at the antipode is cached per jet order
 _ANTIPODE_TAIL = 24
@@ -270,7 +273,8 @@ _SINC_TERMS = 30
 # reach of the jets in dimension over the deep cells (t/R^2 < 0.12), against a
 # spectral sum carried 50 digits beyond its cancellation: 1e-12 relative to
 # S^32 at the antipode itself, where the jet is read at its centre (1.2e-12
-# at S^33); elsewhere 1e-12 to S^8, 4e-11 at S^9 and S^10, 2e-9 at S^11
+# at S^33); elsewhere 1e-12 to S^8, 1.1e-13 at S^9 and S^10 with the reach
+# of 3 (4e-11 with a reach of 1), 2e-9 at S^11
 _JET_DIM_AT_ANTIPODE = 32
 _JET_DIM = 10
 
@@ -423,7 +427,8 @@ def _closed_form_kernel(n: int, R: float, theta: float, t: float) -> float:
     if n > (_JET_DIM_AT_ANTIPODE if delta == 0.0 else _JET_DIM):
         raise DomainError(f"closed-form kernels reach S^{_JET_DIM} off the antipode "
                           f"and S^{_JET_DIM_AT_ANTIPODE} at it, got S^{n}")
-    if delta <= _ANTIPODE_REACH * 2.0 * t / np.pi:
+    reach = _ANTIPODE_REACH if n <= _REACH_DIM else _ANTIPODE_REACH_HIGH
+    if delta <= reach * 2.0 * t / np.pi:
         center, order = 0.0, 2 * m + (_ANTIPODE_TAIL if delta > 0 else 0)
     else:
         center, order = delta, m

@@ -7,10 +7,12 @@ with panels sized for the fastest oscillation keeps those integrals at
 machine precision.
 """
 
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from .errors import check_count, check_positive
 
 __all__ = ["gauss_legendre", "composite_gauss", "mode_quadrature", "mode_cosine_moments"]
 
@@ -21,9 +23,13 @@ _MAX_PHASE_PER_PANEL = 8.0
 _MIN_PANELS = 4  # at least 64 nodes, however smooth the integrand
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: 16.0 is checked, not served the rule of 16
 def gauss_legendre(order: int):
-    """Nodes and weights of the ``order``-point rule on [-1, 1], read-only: callers share them."""
+    """Nodes and weights of the ``order``-point rule on [-1, 1], read-only: callers share them.
+
+    An order that is no integer count of at least 1 raises DomainError.
+    """
+    order = check_count(order, 1, f"Gauss-Legendre order must be >= 1, got {order}")
     x, w = leggauss(order)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -45,8 +51,12 @@ def mode_quadrature(t: float, max_halfwaves: int):
     ~8 radians of the fastest oscillation, which keeps the 16-point rule
     at machine precision.
 
-    Returns (nodes, weights) on [0, t].
+    Returns (nodes, weights) on [0, t].  A t outside (0, inf), or a
+    ``max_halfwaves`` that is no integer count of at least 0, raises
+    DomainError.
     """
+    check_positive(t, "interval length")
+    max_halfwaves = check_count(max_halfwaves, 0, f"max_halfwaves must be >= 0, got {max_halfwaves}")
     total_phase = np.pi * max(1, max_halfwaves)
     panels = max(int(np.ceil(total_phase / _MAX_PHASE_PER_PANEL)), _MIN_PANELS)
     nodes, weights = composite_gauss(np.linspace(0.0, t, panels + 1), _PANEL_ORDER)

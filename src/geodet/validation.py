@@ -15,7 +15,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from . import galerkin, gelfand_yaglom as gy, geometry, heat
+import geodet  # each record reaches its route through the package, on first use
 
 __all__ = ["ValidationRecord", "run_validation"]
 
@@ -44,8 +44,8 @@ def _fmt(x: float) -> str:
 
 
 def _sphere_system(kappa: float, r: float, n: int):
-    return geometry.jacobi_endomorphism(
-        geometry.GeodesicData(geometry.ConstantCurvature(n, kappa), r)
+    return geodet.jacobi_endomorphism(
+        geodet.GeodesicData(geodet.ConstantCurvature(n, kappa), r)
     )
 
 
@@ -54,19 +54,19 @@ def _sphere_system(kappa: float, r: float, n: int):
 
 def _fourier_det(kappa, r, n):
     """The tail-completed Fourier determinant at MODE_SCHEDULE."""
-    return galerkin.fredholm_det(_sphere_system(kappa, r, n), MODE_SCHEDULE).extrapolated
+    return geodet.fredholm_det(_sphere_system(kappa, r, n), MODE_SCHEDULE).extrapolated
 
 
 def _deflated_det(n):
-    return galerkin.fredholm_det_deflated(_sphere_system(1.0, np.pi, n), schedule=(64, 128, 256))
+    return geodet.fredholm_det_deflated(_sphere_system(1.0, np.pi, n), schedule=(64, 128, 256))
 
 
 def _eval_scaling(kappa, r, n):
     """(fitted slope, Richardson c2) of log ev = c2 h^2 + O(h^3), h = 1/N."""
-    g = geometry.GeodesicData(geometry.ConstantCurvature(n, kappa), r)
+    g = geodet.GeodesicData(geodet.ConstantCurvature(n, kappa), r)
     Ns = (16, 32, 64, 128, 256)
     devs = {
-        N: galerkin.evaluation_map_jacobian(g, galerkin.Partition.uniform(N)) - 1.0 for N in Ns
+        N: geodet.evaluation_map_jacobian(g, geodet.Partition.uniform(N)) - 1.0 for N in Ns
     }
     logs = np.log([abs(devs[N]) for N in Ns])
     slope = float(np.polyfit(np.log([1.0 / N for N in Ns]), logs, 1)[0])
@@ -76,7 +76,7 @@ def _eval_scaling(kappa, r, n):
 
 def _piecewise_det(kappa, r, n, N):
     """The one-level piecewise determinant on N segments, tail-corrected."""
-    return galerkin.fredholm_det_piecewise(_sphere_system(kappa, r, n), (N,)).extrapolated
+    return geodet.fredholm_det_piecewise(_sphere_system(kappa, r, n), (N,)).extrapolated
 
 
 # --- checks; each returns (expected, computed, tolerance)
@@ -87,27 +87,27 @@ def _fourier_closed_form(fourier, kappa, r, n, expected):
 
 
 def _identity_chain(fourier, kappa, r, n):
-    free = geometry.JacobiSystem.constant(np.zeros((n, n)), 1.0)
-    ratio = gy.gy_ratio(free, _sphere_system(kappa, r, n), steps=1024)
+    free = geodet.JacobiSystem.constant(np.zeros((n, n)), 1.0)
+    ratio = geodet.gy_ratio(free, _sphere_system(kappa, r, n), steps=1024)
     return fourier(kappa, r, n), ratio, 1e-5
 
 
 def _zeta_chain(fourier, kappa, r, n):
-    z = gy.zeta_det_jacobi(_sphere_system(kappa, r, n), steps=1024)
+    z = geodet.zeta_det_jacobi(_sphere_system(kappa, r, n), steps=1024)
     return fourier(kappa, r, n), 2.0**-n * z.value, 1e-5
 
 
 def _zeta_closed_form():
-    return 8.0, gy.zeta_det_dirichlet_laplacian(1.0, 3).value, 0.0
+    return 8.0, geodet.zeta_det_dirichlet_laplacian(1.0, 3).value, 0.0
 
 
 def _trace_identity(kappa, r, n):
     expected = -(n - 1) * kappa * r * r / 6.0
-    return expected, galerkin.hessian_trace(_sphere_system(kappa, r, n)), 1e-8
+    return expected, geodet.hessian_trace(_sphere_system(kappa, r, n)), 1e-8
 
 
 def _bernoulli(s):
-    return s * s - s + 1.0 / 6.0, galerkin.bernoulli_cosine_sum(s, 10**6), 1e-6
+    return s * s - s + 1.0 / 6.0, geodet.bernoulli_cosine_sum(s, 10**6), 1e-6
 
 
 def _antipodal_deflated(deflated, n):
@@ -126,25 +126,25 @@ def _degenerate_scalar():
     log_partial = float(np.sum(np.log1p(-1.0 / k**2)))
     log_tail = float(np.log(K / (K + 1.0)))  # prod_{k>K} (1 - 1/k^2)
     oracle = np.exp(log_partial + log_tail) / np.pi**2
-    computed = gy.gy_degenerate_ratio(
-        geometry.JacobiSystem.constant([[-np.pi**2]], 1.0),
-        geometry.JacobiSystem.constant([[0.0]], 1.0),
+    computed = geodet.gy_degenerate_ratio(
+        geodet.JacobiSystem.constant([[-np.pi**2]], 1.0),
+        geodet.JacobiSystem.constant([[0.0]], 1.0),
     )
     return oracle, computed, 1e-8
 
 
 def _sxy(n, R):
-    expected = heat.antipodal_sphere_limit_closed_form(n, R)
-    return expected, heat.antipodal_limit_via_Sxy(n, R), 1e-8
+    expected = geodet.antipodal_sphere_limit_closed_form(n, R)
+    return expected, geodet.antipodal_limit_via_Sxy(n, R), 1e-8
 
 
 def _heat_oracle(n, case, d, expected, tol):
-    return expected, heat.heat_limit_validation(n, 1.0, case, d=d).extrapolated_oracle, tol
+    return expected, geodet.heat_limit_validation(n, 1.0, case, d=d).extrapolated_oracle, tol
 
 
 def _eval_flat():
-    g = geometry.GeodesicData(geometry.ConstantCurvature(2, 0.0), 1.3)
-    return 1.0, galerkin.evaluation_map_jacobian(g, galerkin.Partition.uniform(16)), 1e-12
+    g = geodet.GeodesicData(geodet.ConstantCurvature(2, 0.0), 1.3)
+    return 1.0, geodet.evaluation_map_jacobian(g, geodet.Partition.uniform(16)), 1e-12
 
 
 def _eval_slope(scaling, kappa, r, n):
@@ -168,38 +168,33 @@ def _filtration_monotone(fourier, piecewise, kappa, r, n):
 
 
 def _wronskian():
-    sys = geometry.JacobiSystem(
+    sys = geodet.JacobiSystem(
         2, 1.0, lambda s: np.array([[np.sin(2 * s), 0.4 * s], [0.4 * s, 1.0 - s]])
     )
-    return 0.0, gy.solve_jacobi_ode(sys, 512).wronskian_drift(), 1e-9
+    return 0.0, geodet.solve_jacobi_ode(sys, 512).wronskian_drift(), 1e-9
 
 
 def _rk4_order():
-    sys = geometry.JacobiSystem(
+    sys = geodet.JacobiSystem(
         1, 1.0, lambda s: np.array([[5.0 + 4.0 * np.sin(2 * np.pi * s)]])
     )
-    ref = gy.solve_jacobi_ode(sys, 16384).det_final()
-    e1 = abs(gy.solve_jacobi_ode(sys, 512).det_final() - ref)
-    e2 = abs(gy.solve_jacobi_ode(sys, 1024).det_final() - ref)
+    ref = geodet.solve_jacobi_ode(sys, 16384).det_final()
+    e1 = abs(geodet.solve_jacobi_ode(sys, 512).det_final() - ref)
+    e2 = abs(geodet.solve_jacobi_ode(sys, 1024).det_final() - ref)
     # window [12, 20] around the order-4 halving factor 16
     return 16.0, e1 / e2, 0.25
 
 
 def _chapman():
-    spec = heat.SphereSpectrum.for_time_range(1, 1.0, 0.15)
+    spec = geodet.SphereSpectrum.for_time_range(1, 1.0, 0.15)
     t, s = 0.2, 0.15
     theta = 0.9
     M = 512
     phis = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
-    vals = np.array(
-        [
-            heat.sphere_heat_kernel(spec, theta - phi, t)
-            * heat.sphere_heat_kernel(spec, phi, s)
-            for phi in phis
-        ]
-    )
+    kernel = geodet.sphere_heat_kernel
+    vals = np.array([kernel(spec, theta - phi, t) * kernel(spec, phi, s) for phi in phis])
     integral = float(np.sum(vals) * (2.0 * np.pi / M))  # R = 1 arc measure
-    return heat.sphere_heat_kernel(spec, theta, t + s), integral, 1e-8
+    return kernel(spec, theta, t + s), integral, 1e-8
 
 
 def _telescoping():

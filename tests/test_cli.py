@@ -474,6 +474,9 @@ def test_cli_import_leaves_scipy_out():
 
 _ABSENT_FROM_GY = ["geodet.galerkin", "geodet.heat", "numpy.polynomial"]
 _ABSENT_FROM_GALERKIN = ["geodet.gelfand_yaglom", "geodet.heat"]
+# the closed form (2t)^n is taken in Python floats, with no route module and no numpy
+_ABSENT_FROM_LAPLACIAN = ["numpy", "dataclasses", "inspect", "geodet.geometry", "geodet.gelfand_yaglom",
+                          "geodet.galerkin", "geodet.heat", "geodet.interval"]
 
 
 @pytest.mark.parametrize(
@@ -481,13 +484,16 @@ _ABSENT_FROM_GALERKIN = ["geodet.gelfand_yaglom", "geodet.heat"]
     [
         (["det-gy", "--kappa", "0.5", "--r", "1", "--n", "3"], _ABSENT_FROM_GY),
         (["det-zeta", "--kappa", "0.5", "--r", "1", "--n", "3"], _ABSENT_FROM_GY),
-        (["det-zeta", "--laplacian", "--t", "1", "--n", "3"], _ABSENT_FROM_GY),
+        (["det-zeta", "--laplacian", "--t", "1", "--n", "3"], _ABSENT_FROM_LAPLACIAN),
         (["heat-limit", "--n", "3", "--radius", "1", "--case", "nondegenerate", "--d", "1"],
          ["geodet.galerkin"]),
         (["det-fredholm", "--kappa", "1", "--r", "1", "--n", "3", "--modes", "16,32"], _ABSENT_FROM_GALERKIN),
         (["eval-jacobian", "--kappa", "1", "--r", "1", "--n", "3", "--partition-N", "8"], _ABSENT_FROM_GALERKIN),
+        (["validate", "--filter", "bernoulli-series"], _ABSENT_FROM_GALERKIN),
+        (["validate", "--filter", "zeta-laplacian"], ["geodet.galerkin", "geodet.heat"]),
     ],
-    ids=["det-gy", "det-zeta", "det-zeta-laplacian", "heat-limit", "det-fredholm", "eval-jacobian"],
+    ids=["det-gy", "det-zeta", "det-zeta-laplacian", "heat-limit", "det-fredholm", "eval-jacobian",
+         "validate-bernoulli", "validate-zeta-laplacian"],
 )
 def test_command_imports_only_its_routes(argv, absent):
     code = (

@@ -23,9 +23,10 @@ from geodet import (
     zeta_det_dirichlet_laplacian,
     zeta_det_jacobi,
 )
-from geodet import gelfand_yaglom, heat
+from geodet import gelfand_yaglom, heat, zeta
 from geodet.errors import check_positive
 from geodet.heat import SphereSpectrum, richardson_extrapolate
+from geodet.interval import gauss_legendre, mode_quadrature
 
 _SYS = JacobiSystem(2, 1.0, np.diag([1.0, -2.0]))
 
@@ -50,6 +51,8 @@ COUNTS = [
     ("euclidean_heat_kernel.n", lambda n: euclidean_heat_kernel(1.0, n, 0.5), 3),
     ("richardson_extrapolate.stages", lambda m: richardson_extrapolate([1.0, 2.0, 4.0], m), 2),
     ("bernoulli_cosine_sum.K", lambda K: bernoulli_cosine_sum(0.3, K), 100),
+    ("gauss_legendre.order", lambda k: len(gauss_legendre(k)[0]), 7),
+    ("mode_quadrature.max_halfwaves", lambda m: len(mode_quadrature(1.0, m)[0]), 40),
 ]
 
 
@@ -72,16 +75,19 @@ def test_counts_are_integers_or_named_domain_errors(call, good):
         (lambda: euclidean_heat_kernel(1.0, 0, 0.5), "dimension must be >= 1, got 0"),
         (lambda: richardson_extrapolate([1.0, 2.0], -1), "need stages >= 0, got -1"),
         (lambda: bernoulli_cosine_sum(0.3, -1), "need K >= 0 terms, got -1"),
+        (lambda: gauss_legendre(0), "Gauss-Legendre order must be >= 1, got 0"),
+        (lambda: mode_quadrature(1.0, -1), "max_halfwaves must be >= 0, got -1"),
     ],
 )
 def test_counts_below_their_least_are_named(call, message):
-    # stages = -1 returned its input, and a negative K an empty sum
+    # stages = -1 returned its input, a negative K an empty sum, order 0
+    # ended in numpy's ValueError and max_halfwaves = -1 in a rule for 1
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("module", [gelfand_yaglom, heat], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [gelfand_yaglom, heat, zeta], ids=lambda m: m.__name__)
 def test_ode_and_heat_routes_import_nothing_from_galerkin(module):
     # the Gel'fand-Yaglom and heat routes cross-check the Galerkin routes, so
     # they share no code with them: the float64 boundary lives in errors.py

@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import itertools
+import json
 import math
 import tracemalloc
 
@@ -869,6 +871,43 @@ def test_zeta_laplacian_below_normal_float64_is_a_domain_error(t, n):
     # (2t)^n is 0.0 or subnormal; this returned it as the value
     with pytest.raises(DomainError, match=r"\(2t\)\^n .* underflows float64"):
         zeta_det_dirichlet_laplacian(t, n)
+
+
+@pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
+def test_zeta_laplacian_with_n_beyond_float64_is_a_domain_error(t):
+    # the CLI ended in a raw OverflowError traceback: int too large to convert to float
+    message = "fiber dimension n must lie in float64, got int beyond float64"
+    with pytest.raises(DomainError) as info:
+        zeta_det_dirichlet_laplacian(t, 10**400)
+    assert str(info.value) == message
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["det-zeta", "--laplacian", "--t", str(t), "--n", "1" + "0" * 400])
+    assert code == 1
+    report = json.loads(out.getvalue())
+    assert (report["error"], report["message"]) == ("DomainError", message)
+
+
+def test_zeta_laplacian_matches_the_float64_power_bit_for_bit():
+    # the closed form is taken in Python floats, without numpy; it gives the
+    # bits of numpy's float64 power on a seeded grid, and its range errors
+    rng = np.random.default_rng(38)
+    cells = list(zip(10.0 ** rng.uniform(-5.0, 5.0, 3000), (10.0 ** rng.uniform(0.0, 6.0, 3000)).astype(int)))
+    cells += itertools.product((0.25, 0.5, 0.5000000000000001, 1.0, 3.0, 1e-300, 1e300),
+                               (1, 2, 3, 2**53 + 1, 2**62, 2**63, 2**70))
+    flows = []
+    for t, n in cells:
+        t, n = float(t), int(n)
+        with np.errstate(over="ignore"):
+            expected = float(np.float64(2.0 * t) ** n)
+        if 2.2250738585072014e-308 <= expected < math.inf:
+            assert zeta_det_dirichlet_laplacian(t, n).value == expected
+            continue
+        flows.append("overflows" if expected > 1.0 else "underflows")
+        with pytest.raises(DomainError) as info:
+            zeta_det_dirichlet_laplacian(t, n)
+        assert str(info.value) == f"(2t)^n = (2 * {t:.4g})^{n} {flows[-1]} float64"
+    assert 100 < flows.count("overflows") and 100 < flows.count("underflows") and len(flows) < 0.9 * len(cells)
 
 
 def test_zeta_laplacian_against_zeta_function_oracle():

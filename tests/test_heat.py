@@ -411,6 +411,18 @@ def test_deep_kernel_at_the_jets_reach_matches_mp_spectral_sum(n, theta, t):
     assert val == pytest.approx(spectral_sum_mp(n, 1.0, theta, t), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("t", [0.004, 0.008])
+def test_high_dimension_antipode_window_matches_mp_spectral_sum(n, t):
+    # S^9 and S^10 sum the jets from the antipode out to delta = 3 (2t/pi):
+    # with the window ending at 2t/pi, a jet taken at delta = 1.0001 (2t/pi)
+    # was 2.5e-11 (S^9, t = 0.008) and 4.1e-11 (S^10, t = 0.004) off
+    for edge_multiple in (1.0001, 1.1, 2.99, 3.03, 5.0):
+        theta = PI - edge_multiple * 2.0 * t / PI
+        val = sphere_heat_kernel(SphereSpectrum(n, 1.0, 8), theta, t)
+        assert val == pytest.approx(spectral_sum_mp(n, 1.0, theta, t), rel=1e-12, abs=0.0)
+
+
 def uncached_mehler_jet(center, theta, t, order, ks):
     # the Mehler jet with every factor rebuilt on each call, as before the
     # antipode factor was cached

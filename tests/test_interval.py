@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from geodet import interval
+from geodet import DomainError, interval
 from geodet.interval import composite_gauss, gauss_legendre, mode_cosine_moments, mode_quadrature
 
 PI = np.pi
@@ -59,6 +59,27 @@ def test_gauss_legendre_is_built_once_and_read_only(order):
     with pytest.raises(ValueError):
         x[0] = 0.0
     assert len(x) == len(w) == order
+
+
+def test_gauss_legendre_checks_its_order_on_cache_misses_only(monkeypatch):
+    # 16.0 is a key of its own, checked and refused, not served the rule of 16
+    gauss_legendre.cache_clear()
+    checked = []
+    monkeypatch.setattr(interval, "check_count", lambda order, *args: checked.append(order) or order)
+    for _ in range(3):
+        gauss_legendre(16)
+        gauss_legendre(23)
+    assert checked == [16, 23]
+    monkeypatch.undo()
+    with pytest.raises(DomainError, match="^16.0 is not an integer count"):
+        gauss_legendre(16.0)
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, np.nan, np.inf, None, "1.0"])
+def test_mode_quadrature_interval_length_is_positive_and_finite(t):
+    # t = -1 gave nodes on [-1, 0] and nan gave nan nodes
+    with pytest.raises(DomainError, match=r"^interval length must be positive and finite, got "):
+        mode_quadrature(t, 4)
 
 
 @pytest.mark.parametrize("order", [2, 8, 16])

@@ -27,13 +27,14 @@ SURFACE = {
         "JacobiPropagation", "ZetaDetValue", "gy_degenerate_ratio", "gy_ratio",
         "solve_jacobi_ode", "zeta_det_dirichlet_laplacian", "zeta_det_jacobi",
     ),
+    "zeta": ("ZetaDetValue", "zeta_det_dirichlet_laplacian"),
     "heat": (
         "HeatLimitReport", "SphereSpectrum", "antipodal_limit_via_Sxy",
         "antipodal_sphere_limit_closed_form", "euclidean_heat_kernel", "heat_limit_validation",
         "nondegenerate_limit_prediction", "sphere_heat_kernel",
     ),
 }
-SUBMODULES = ("errors", "geometry", "interval", "galerkin", "gelfand_yaglom", "heat")
+SUBMODULES = ("errors", "geometry", "interval", "galerkin", "gelfand_yaglom", "heat", "zeta")
 
 
 @pytest.mark.parametrize("home, name", [(home, name) for home, names in SURFACE.items() for name in names])
