@@ -24,18 +24,41 @@ class DomainError(GeodetError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-def check_count(value, least: int, message: str) -> int:
+class _Name(str):
+    """A message's name for a value; its repr is the name itself."""
+
+    __repr__ = str.__str__
+
+
+def printable(value):
+    """``value``, with an int too long to print (``sys.get_int_max_str_digits``) named by its size.
+
+    Inside a tuple too; a message template takes the result in ``{}`` or ``{!r}``.
+    """
+    if isinstance(value, tuple):
+        return tuple(map(printable, value))
+    try:
+        repr(value)
+    except ValueError:
+        return _Name(f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits")
+    return value
+
+
+def check_count(value, least: int, message: str, shown=None) -> int:
     """``value`` as an int (``operator.index``): a dimension, step or level count.
 
-    An integer below ``least`` raises DomainError(message); anything that is
-    no integer, a float even when integral, raises a DomainError naming it.
+    An integer below ``least`` raises DomainError; anything that is no
+    integer, a float even when integral, raises a DomainError naming it.
+    ``message`` is a ``str.format`` template, filled only then with
+    ``shown``, by default ``value``, through :func:`printable`.
     """
     try:
         count = operator.index(value)
     except TypeError:
-        raise DomainError(f"{value!r} is not an integer count: {message}") from None
+        text = message.format(printable(value if shown is None else shown))
+        raise DomainError(f"{value!r} is not an integer count: {text}") from None
     if count < least:
-        raise DomainError(message)
+        raise DomainError(message.format(printable(value if shown is None else shown)))
     return count
 
 

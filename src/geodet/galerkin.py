@@ -24,7 +24,7 @@ from .errors import (
     IllSeparatedKernelError,
     RouteDisagreementError,
 )
-from .errors import check_count, check_real, normal_exp, signed_exp
+from .errors import check_count, check_real, normal_exp, printable, signed_exp
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, _log_exp_jacobian
 from .interval import composite_gauss, mode_cosine_moments, mode_quadrature
 
@@ -78,7 +78,7 @@ class Partition:
 
     @classmethod
     def uniform(cls, N: int) -> "Partition":
-        count = check_count(N, 2, f"need an integer count of at least two segments, got {N!r}")
+        count = check_count(N, 2, "need an integer count of at least two segments, got {!r}")
         return cls(tuple(np.linspace(0.0, 1.0, count + 1).tolist()))
 
     @property
@@ -184,11 +184,11 @@ def _check_schedule(schedule, what: str, least: int) -> list:
         entries = tuple(schedule)
     except TypeError:  # a bare count or None is no list
         entries = None
-    got = repr(schedule) if entries is None else entries
-    message = f"schedule must be a nonempty increasing list of integer {what} >= {least}, got {got}"
-    counts = [check_count(v, least, message) for v in entries or ()]
+    got = schedule if entries is None else entries
+    message = f"schedule must be a nonempty increasing list of integer {what} >= {least}, got {{!r}}"
+    counts = [check_count(v, least, message, got) for v in entries or ()]
     if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
-        raise DomainError(message)
+        raise DomainError(message.format(printable(got)))
     return counts
 
 
@@ -435,7 +435,7 @@ def bernoulli_cosine_sum(s: float, K: int) -> float:
     form's expression and one np.sum adds them pairwise alike, so the
     result is bit-identical to it.
     """
-    K = check_count(K, 0, f"need K >= 0 terms, got {K}")
+    K = check_count(K, 0, "need K >= 0 terms, got {}")
     check_real(s, math.isfinite, "s must be finite, got {}")
     terms = np.empty(K)
     for lo in range(0, K, _BERNOULLI_CHUNK):

@@ -14,6 +14,7 @@ kernel of J(t); every run carries J and J' alone.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -188,17 +189,16 @@ def _grid_states(E: np.ndarray, steps: int, t: float) -> np.ndarray:
 def _end_state(E: np.ndarray, steps: int) -> np.ndarray:
     """[J(t); J'(t)] of the run with prefix products ``E``, shape (2n, n), without the grid.
 
-    Chains the block ends alone, S <- E_last S + S, one (2n, 2n) @ (2n, n)
-    product per block, the last block cut to its steps.  These are the
-    products and adds that give the grid's last row, bit for bit where BLAS
-    rounds a (2n, 2n) product as it rounds the same rows of the block's
-    (block 2n, 2n) product: on one thread of OpenBLAS's Haswell, Zen and
-    SkylakeX kernels for every n <= 8.  The AVX-512 (SkylakeX) kernel
-    rounds some larger shapes otherwise, and the end state's last bits can
-    differ from the grid's last row: at n = 9 and 11 for random dense
-    systems, and for sphere systems at some d from n = 20 on (n = 20, 25-28
-    and 33-36 up to n = 40).  No byte-pinned report or validation record is
-    at those n.  A state beyond float64 is not finite here;
+    The one J(t) and J'(t) of every reader: the determinants, the kernel
+    split and the heat predictions.  Chains the block ends alone,
+    S <- E_last S + S, one (2n, 2n) @ (2n, n) product per block, the last
+    block cut to its steps: the products and adds that give the grid's last
+    row, bit for bit where BLAS rounds a (2n, 2n) product as it rounds the
+    same rows of the block's (block 2n, 2n) product, on one thread of
+    OpenBLAS's Haswell, Zen and SkylakeX kernels for every n <= 8.  The
+    AVX-512 (SkylakeX) kernel rounds some larger shapes otherwise (n = 9 and
+    11 for random dense systems, some sphere d from n = 20 on), and no
+    report is pinned there.  A state beyond float64 is not finite here;
     :class:`JacobiPropagation` names it.
     """
     block, n = E.shape[1], E.shape[-1] // 2
@@ -209,29 +209,36 @@ def _end_state(E: np.ndarray, steps: int) -> np.ndarray:
     return S
 
 
-def _rk4_run(sys: JacobiSystem, steps: int, V=None) -> np.ndarray:
-    """Fixed-step RK4 of [J; J'] for J'' = V J, J(0) = 0, J'(0) = id.
+def _physical_memory() -> float:
+    """Bytes of physical memory by ``os.sysconf``; inf where it does not tell."""
+    try:
+        return max(os.sysconf("SC_PHYS_PAGES"), 0) * os.sysconf("SC_PAGE_SIZE") or math.inf
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
-    Returns [J; J'] at every grid point, shape (steps+1, 2n, n): the first
-    sweep :func:`_prefix_products`, read by :func:`_grid_states`.  ``V`` are
-    the half-grid samples of :func:`_sample_potential`, taken here when not
-    given.  Raises IntegrationError when J or J' leaves the float64 range.
-    The second solution K (K(0) = id, K'(0) = 0) is not propagated: for C
-    spanning ker J(t) and W the matching left singular vectors, the
-    Wronskians J^T J' - J'^T J = 0 and J'^T K - J^T K' = id give
-    J'(t) C = W W^T J'(t) C and W^T K(t) = (W^T J'(t) C)^{-T} C^T, so the
-    deflated |det A| = prod sig_perp det(C^T G C)/|det(W^T J'(t) C)| needs
-    J and J' alone (:func:`_gy_det`).
+
+def _propagate(sys: JacobiSystem, steps: int, V=None, grid: bool = False):
+    """(run, V): the RK4 run at ``steps``, a :class:`JacobiPropagation`, and its samples V.
+
+    Every run is built here.  ``V`` are the half-grid samples of
+    :func:`_sample_potential`, taken here unless given.  Before any array
+    is made, the bytes the run holds (the samples, the increments and, for
+    a caller that reads it, ``grid``, the grid) are compared with the
+    physical memory: a run that cannot fit raises DomainError.
     """
+    n, block = sys.n, math.isqrt(steps - 1) + 1
+    padded = -(-steps // block) * block
+    floats = (2 * steps + 1) * (1 if sys.is_constant else 1 + n * n)
+    floats += (block if sys.is_constant else padded) * 4 * n * n + grid * (padded + 1) * 2 * n * n
+    memory = _physical_memory()
+    if 8 * floats > memory:
+        raise DomainError(
+            f"{steps} steps need {8 * floats / 2**30:.3g} GiB for the run of [J; J'], "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
     if V is None:
         V = _sample_potential(sys, steps)
-    return _grid_states(_prefix_products(sys, steps, V), steps, sys.t)
-
-
-def _fine_samples(sys: JacobiSystem, steps: int):
-    """(steps, the half-grid samples of V) of a run at ``steps`` >= 16."""
-    steps = check_count(steps, 16, "need at least 16 steps")
-    return steps, _sample_potential(sys, steps)
+    return JacobiPropagation(_prefix_products(sys, steps, V), steps, sys.t), V
 
 
 def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPropagation:
@@ -241,31 +248,32 @@ def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPro
     built when read (:class:`JacobiPropagation`).  The step-halving error
     estimates live on the determinant routes (:class:`ZetaDetValue`).
     """
-    steps, V = _fine_samples(sys, steps)
-    return JacobiPropagation(_prefix_products(sys, steps, V), steps, sys.t)
+    return _propagate(sys, check_count(steps, 16, "need at least 16 steps"))[0]
 
 
-def _read_endpoint(Jt: np.ndarray, Jpt: np.ndarray, t: float, kdim: int = None):
-    """(sig, kdim, C, log|det(W^T J'(t) C)|), the kernel split of a Jacobi endpoint.
+def _read_endpoint(end: np.ndarray, t: float, kdim: int = None):
+    """(sig, kdim, C, log|det(W^T J'(t) C)|), the kernel split of the end state ``end``.
 
-    sig are the singular values of J(t), descending; C and W, its last kdim
-    right and left singular vectors, span ker J(t) and the complement of its
-    range.  Unless given (a coarse run keeps the fine run's route), kdim
-    counts the singular values below DEGENERACY_REL_TOL t.  A small det J(t)
-    alone is no zero mode: near a conjugate point of S^4 (n = 4, r = 3.12)
-    det J(1) = 3.3e-7 is a product of three singular values 0.0069, each
-    computed to full relative accuracy.  With no kernel C is None, the log
-    0.0, and a given kdim = 0 takes no SVD (sig None).
+    ``end`` is [J(t); J'(t)], shape (2n, n).  sig are the singular values
+    of J(t), descending; C and W, its last kdim right and left singular
+    vectors, span ker J(t) and the complement of its range.  Unless given
+    (a coarse run keeps the fine run's route), kdim counts the singular
+    values below DEGENERACY_REL_TOL t.  A small det J(t) alone is no zero
+    mode: near a conjugate point of S^4 (n = 4, r = 3.12) det J(1) = 3.3e-7
+    is a product of three singular values 0.0069, each computed to full
+    relative accuracy.  With no kernel C is None, the log 0.0, and a given
+    kdim = 0 takes no SVD (sig None).
     """
+    n = end.shape[1]
     sig = None
     if kdim is None:
-        sig = np.linalg.svd(Jt, compute_uv=False)
+        sig = np.linalg.svd(end[:n], compute_uv=False)
         kdim = int(np.count_nonzero(sig < DEGENERACY_REL_TOL * t))
     if not kdim:
         return sig, 0, None, 0.0
-    L, sig, Rt = np.linalg.svd(Jt)
+    L, sig, Rt = np.linalg.svd(end[:n])
     W, C = L[:, -kdim:], Rt[-kdim:].T
-    return sig, kdim, C, float(np.linalg.slogdet(W.T @ Jpt @ C)[1])
+    return sig, kdim, C, float(np.linalg.slogdet(W.T @ end[n:] @ C)[1])
 
 
 def _simpson_weights(num_points: int, h: float) -> np.ndarray:
@@ -282,15 +290,17 @@ def _simpson_weights(num_points: int, h: float) -> np.ndarray:
     return w
 
 
-def _gy_det(Y: np.ndarray, t: float, endpoint):
-    """(sign, log|det|) of det J(t) of the run ``Y``, or with a kernel of |det A|.
+def _gy_det(run: JacobiPropagation, t: float, endpoint):
+    """(sign, log|det|) of det J(t) of ``run``, or with a kernel of |det A|.
 
-    A has columns J(t) d_b on the complement of ker J(t) and -K(t) G c_a on
-    the kernel, G = int_0^t J^T J ds by Simpson's rule and K the second
-    fundamental solution (K(0) = id, K'(0) = 0); |det A| over det J_1(t) of
-    a positive reference operator is det'_zeta(P)/det_zeta(P_1).  With C and
-    W of the run's ``endpoint`` (:func:`_read_endpoint`) and J(t) C = 0,
-    the Wronskians of a symmetric V give
+    J(t) and J'(t) are the run's end state; the grid is read only for the
+    Gram at a kernel.  A has columns J(t) d_b on the complement of ker J(t)
+    and -K(t) G c_a on the kernel, G = int_0^t J^T J ds by Simpson's rule
+    and K the second fundamental solution (K(0) = id, K'(0) = 0), which no
+    run propagates; |det A| over det J_1(t) of a positive reference
+    operator is det'_zeta(P)/det_zeta(P_1).  With C and W of the run's
+    ``endpoint`` (:func:`_read_endpoint`) and J(t) C = 0, the Wronskians
+    J^T J' - J'^T J = 0 and J'^T K - J^T K' = id of a symmetric V give
 
         J(t)^T J'(t) C = J'(t)^T J(t) C = 0, so J'(t) C = W W^T J'(t) C,
         C^T = C^T (J'^T K - J^T K')(t) = (W^T J'(t) C)^T W^T K(t),
@@ -300,11 +310,11 @@ def _gy_det(Y: np.ndarray, t: float, endpoint):
     or det G/|det J'(t)| when the kernel fills every direction.
     """
     sig, kdim, C, log_wjc = endpoint
-    n = Y.shape[2]
-    J = Y[:, :n]
+    n = run.end.shape[1]
     if not kdim:
-        return tuple(map(float, np.linalg.slogdet(J[-1])))
-    w = _simpson_weights(len(Y), t / (len(Y) - 1))
+        return tuple(map(float, np.linalg.slogdet(run.end[:n])))
+    J = run.J
+    w = _simpson_weights(len(J), t / (len(J) - 1))
     gram = np.einsum("s,sji,sjk->ik", w, J, J)
     log_abs = np.sum(np.log(sig[: n - kdim])) + np.linalg.slogdet(C.T @ gram @ C)[1]
     return 1.0, float(log_abs - log_wjc)
@@ -327,29 +337,29 @@ def _fine_det(sys: JacobiSystem, steps: int, label: str, ratio: bool = False):
     """((sign, log|det|) of det J(t) or |det A|, kernel dim, V samples) at ``steps``.
 
     Every GY route decides by the kernel of :func:`_read_endpoint`.  det J
-    must be positive on (0, t), and at t too when J(t) has no kernel; at a
-    kernel the sign of det J(t) is rounding noise.  The signs come from
-    ``slogdet``, so a det J(s) beyond float64 keeps its sign.  A ``ratio``
-    operand, one side of det J_2(t)/det J_1(t), admits no kernel
-    (DegenerateOperatorError).  The state array dies with the call, so
-    callers hold one at a time.
+    must be positive on (0, t), read on the grid, and at t too when J(t)
+    has no kernel, read off the end state; at a kernel the sign of det J(t)
+    is rounding noise.  The signs come from ``slogdet``, so a det J(s)
+    beyond float64 keeps its sign.  A ``ratio`` operand, one side of
+    det J_2(t)/det J_1(t), admits no kernel (DegenerateOperatorError).  The
+    run dies with the call, so callers hold one at a time.
     """
-    steps, V = _fine_samples(sys, steps)
-    Y, n, t = _rk4_run(sys, steps, V), sys.n, sys.t
-    endpoint = _read_endpoint(Y[-1, :n], Y[-1, n:], t)
+    steps = check_count(steps, 16, "need at least 16 steps")
+    run, V = _propagate(sys, steps, grid=True)
+    endpoint = _read_endpoint(run.end, sys.t)
     sig, kdim = endpoint[:2]
-    signs = np.linalg.slogdet(Y[1:, :n])[0]
-    if np.any((signs[:-1] if kdim else signs) <= 0.0):
+    det = _gy_det(run, sys.t, endpoint)
+    if det[0] <= 0.0 or np.any(np.linalg.slogdet(run.J[1:-1])[0] <= 0.0):
         raise NonpositiveOperatorError(
             f"{label}: det J changes sign on (0, t]; operator not positive"
         )
     if ratio and kdim:
         raise DegenerateOperatorError(
             f"{label}: J(t) has the singular value {sig[-1]:.3g}, below the kernel "
-            f"threshold {DEGENERACY_REL_TOL * t:.3g}; the operator has zero "
+            f"threshold {DEGENERACY_REL_TOL * sys.t:.3g}; the operator has zero "
             "modes (use gy_degenerate_ratio, or det-zeta on the command line)"
         )
-    return _gy_det(Y, t, endpoint), kdim, V
+    return det, kdim, V
 
 
 def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale, name):
@@ -358,16 +368,17 @@ def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale,
     det is the GY determinant of the run at ``steps``; det and t^n divide
     as logs, so neither needs to lie in float64 on its own; the estimate is
     |value - coarse|/15, coarse the same expression at steps // 2 on the
-    route the fine run chose.  For even step counts the coarse half-grid is
-    every other fine sample (``np.linspace`` grids nest exactly), so the
-    potential is sampled once.  The value must be finite and nonzero, the
-    estimate finite (IntegrationError).
+    route the fine run chose, whose grid is built only at a kernel.  For
+    even step counts the coarse half-grid is every other fine sample
+    (``np.linspace`` grids nest exactly), so the potential is sampled once.
+    The value must be finite and nonzero, the estimate finite
+    (IntegrationError).
     """
     (sign, log_abs), kdim, V = _fine_det(sys, steps, label, ratio)
     log_tn = sys.n * math.log(sys.t)
     value = _exp_det(scale, sign, log_abs - log_tn, name)
-    Y = _rk4_run(sys, steps // 2, V[::2] if steps % 2 == 0 else None)
-    sign, log_abs = _gy_det(Y, sys.t, _read_endpoint(Y[-1, : sys.n], Y[-1, sys.n :], sys.t, kdim))
+    run = _propagate(sys, steps // 2, V[::2] if steps % 2 == 0 else None, grid=kdim > 0)[0]
+    sign, log_abs = _gy_det(run, sys.t, _read_endpoint(run.end, sys.t, kdim))
     estimate = abs(value - scale * signed_exp(sign, log_abs - log_tn)) / 15.0
     if not math.isfinite(estimate):
         raise IntegrationError(f"error estimate of {name} = {estimate} left the float64 range")

@@ -30,7 +30,7 @@ class ConstantCurvature:
     """Space form of dimension n and sectional curvature kappa."""
 
     def __init__(self, n: int, kappa: float):
-        self.n = check_count(n, 1, f"dimension must be >= 1, got {n}")
+        self.n = check_count(n, 1, "dimension must be >= 1, got {}")
         try:
             finite = math.isfinite(kappa)
         except (TypeError, OverflowError):  # a string or None, or an int beyond float64
@@ -122,7 +122,7 @@ class JacobiSystem:
     """
 
     def __init__(self, n: int, t: float, potential):
-        self.n = n = check_count(n, 1, f"fiber dimension must be >= 1, got {n}")
+        self.n = n = check_count(n, 1, "fiber dimension must be >= 1, got {}")
         self.t = _check_length(t)
         # a callable fills the block [lo:, lo:] of V with value_scale * func(arg_scale * s)
         self._lo, self._arg_scale, self._value_scale = 0, 1.0, 1.0

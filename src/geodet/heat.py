@@ -50,7 +50,7 @@ _MAX_SPHERE_DIM = 342
 
 def euclidean_heat_kernel(d: float, n: int, t: float) -> float:
     """Flat-space comparison kernel (4 pi t)^{-n/2} exp(-d^2/(4t)); 0.0 at d = inf."""
-    n = check_count(n, 1, f"dimension must be >= 1, got {n}")
+    n = check_count(n, 1, "dimension must be >= 1, got {}")
     check_positive(t, "time")
     check_real(d, lambda d: d >= 0, "distance must be >= 0, got {}")
     return float((4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-d * d / (4.0 * t)))
@@ -64,8 +64,8 @@ def _limit_prediction(sys: JacobiSystem, log_volume: float):
     the density integrated over the family of minimizers, partial or full.  Its one exit
     is a DomainError outside the normal float64 range.
     """
-    end = solve_jacobi_ode(sys, 1024).end  # the run's end state alone, no grid
-    sig, kdim, _, log_wjc = _read_endpoint(end[: sys.n], end[sys.n :], sys.t)
+    # the run's end state alone, no grid
+    sig, kdim, _, log_wjc = _read_endpoint(solve_jacobi_ode(sys, 1024).end, sys.t)
     log_value = log_volume + 0.5 * (log_wjc - float(np.sum(np.log(sig[: sys.n - kdim]))))
     return normal_exp(log_value, f"the limit prediction exp({log_value:.6g})"), sig, kdim
 
@@ -90,7 +90,7 @@ def sphere_surface_volume(m: int) -> float:
 
 def _check_sphere(n: int, R: float) -> int:
     """n, in the scope of every sphere computation: S^n(R) with 1 <= n <= 342 and R > 0."""
-    n = check_count(n, 1, f"dimension must be >= 1, got {n}")
+    n = check_count(n, 1, "dimension must be >= 1, got {}")
     if n > _MAX_SPHERE_DIM:
         raise OutOfScopeError(f"spheres above S^{_MAX_SPHERE_DIM} are out of scope, got S^{n}")
     check_positive(R, "radius")
@@ -478,7 +478,7 @@ def richardson_extrapolate(values, stages: int):
     values[j] corresponds to t_j = t_0 2^{-j}.  Stage m combines
     (2^m v_{j+1} - v_j)/(2^m - 1).  Returns the final table row.
     """
-    stages = check_count(stages, 0, f"need stages >= 0, got {stages}")
+    stages = check_count(stages, 0, "need stages >= 0, got {}")
     row = list(values)
     for m in range(1, stages + 1):
         factor = 2.0**m

@@ -29,7 +29,7 @@ def gauss_legendre(order: int):
 
     An order that is no integer count of at least 1 raises DomainError.
     """
-    order = check_count(order, 1, f"Gauss-Legendre order must be >= 1, got {order}")
+    order = check_count(order, 1, "Gauss-Legendre order must be >= 1, got {}")
     x, w = leggauss(order)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -56,7 +56,7 @@ def mode_quadrature(t: float, max_halfwaves: int):
     DomainError.
     """
     check_positive(t, "interval length")
-    max_halfwaves = check_count(max_halfwaves, 0, f"max_halfwaves must be >= 0, got {max_halfwaves}")
+    max_halfwaves = check_count(max_halfwaves, 0, "max_halfwaves must be >= 0, got {}")
     total_phase = np.pi * max(1, max_halfwaves)
     panels = max(int(np.ceil(total_phase / _MAX_PHASE_PER_PANEL)), _MIN_PANELS)
     nodes, weights = composite_gauss(np.linspace(0.0, t, panels + 1), _PANEL_ORDER)

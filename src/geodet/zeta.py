@@ -33,7 +33,7 @@ def zeta_det_dirichlet_laplacian(t: float, n: int) -> ZetaDetValue:
     or an n beyond float64, raises DomainError.
     """
     check_positive(t, "interval length")
-    n = check_count(n, 1, f"fiber dimension must be >= 1, got {n}")
+    n = check_count(n, 1, "fiber dimension must be >= 1, got {}")
     check_real(n, float, "fiber dimension n must lie in float64, got {}")
     try:  # C pow on float64, as numpy's power; an overflow is inf there
         value = (2.0 * float(t)) ** n

@@ -346,6 +346,24 @@ def test_reports_match_recorded_bytes(capsys, case):
     assert (code, out, err) == (rec["exit"], rec["stdout"], rec["stderr"])
 
 
+def test_pinned_jacobi_reports_stay_at_n_up_to_8():
+    # the end chain of a Jacobi run is bit-stable across the Haswell, Zen and
+    # AVX-512 BLAS kernels for n <= 8 only (gelfand_yaglom._end_state), so a
+    # pinned report with a value read off a run keeps to those n
+    def reads_a_run(argv):
+        command = argv[0]
+        if command == "det-gy":
+            return True
+        if command == "det-zeta":
+            return "--laplacian" not in argv
+        return command == "heat-limit" and argv[argv.index("--case") + 1] == "nondegenerate"
+
+    pinned = {case: rec["argv"] for case, rec in REPORTS.items() if rec["exit"] == 0 and reads_a_run(rec["argv"])}
+    assert {argv[0] for argv in pinned.values()} == {"det-gy", "det-zeta", "heat-limit"}
+    assert {case: int(argv[argv.index("--n") + 1]) for case, argv in pinned.items()
+            if int(argv[argv.index("--n") + 1]) > 8} == {}
+
+
 def test_build_report_deterministic_dict():
     params = {"command": "det-fredholm", "kappa": -1.0, "r": 1.0, "n": 2, "modes": [16, 32]}
     a = json.dumps(build_report(dict(params)), sort_keys=True)

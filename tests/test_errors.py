@@ -23,7 +23,7 @@ from geodet import (
     zeta_det_dirichlet_laplacian,
     zeta_det_jacobi,
 )
-from geodet import gelfand_yaglom, heat, zeta
+from geodet import galerkin, gelfand_yaglom, heat, zeta
 from geodet.errors import check_positive
 from geodet.heat import SphereSpectrum, richardson_extrapolate
 from geodet.interval import gauss_legendre, mode_quadrature
@@ -67,6 +67,10 @@ def test_counts_are_integers_or_named_domain_errors(call, good):
     for bad in (2.0, 2.5, "3", None):
         with pytest.raises(DomainError, match="^" + re.escape(f"{bad!r} is not an integer count: ")):
             call(bad)
+    # below every least and too long to print: still a DomainError, whose
+    # message, where it shows the count, names it by its size
+    with pytest.raises(DomainError):
+        call(-10**5000)
 
 
 @pytest.mark.parametrize(
@@ -77,11 +81,21 @@ def test_counts_are_integers_or_named_domain_errors(call, good):
         (lambda: bernoulli_cosine_sum(0.3, -1), "need K >= 0 terms, got -1"),
         (lambda: gauss_legendre(0), "Gauss-Legendre order must be >= 1, got 0"),
         (lambda: mode_quadrature(1.0, -1), "max_halfwaves must be >= 0, got -1"),
+        (lambda: Partition.uniform(np.int64(1)), "need an integer count of at least two segments, got np.int64(1)"),
+        (lambda: euclidean_heat_kernel(1.0, -10**5000, 0.5), "dimension must be >= 1, got a negative int of 16610 bits"),
+        (lambda: zeta_det_dirichlet_laplacian(1.0, 10**5000),
+         "fiber dimension n must lie in float64, got int beyond float64"),
+        (lambda: galerkin._check_schedule([8, 10**5000, 4], "mode counts", 1),
+         "schedule must be a nonempty increasing list of integer mode counts >= 1, got (8, an int of 16610 bits, 4)"),
+        (lambda: galerkin._check_schedule(-10**5000, "mode counts", 1),
+         "schedule must be a nonempty increasing list of integer mode counts >= 1, got a negative int of 16610 bits"),
     ],
 )
 def test_counts_below_their_least_are_named(call, message):
     # stages = -1 returned its input, a negative K an empty sum, order 0
-    # ended in numpy's ValueError and max_halfwaves = -1 in a rule for 1
+    # ended in numpy's ValueError and max_halfwaves = -1 in a rule for 1; a
+    # message formatted before its check ended in Python's ValueError for an
+    # int of more than 4300 digits
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message

@@ -29,7 +29,7 @@ from geodet import (
 )
 from geodet import gelfand_yaglom, heat
 from geodet.cli import main
-from geodet.gelfand_yaglom import _rk4_run, _sample_potential
+from geodet.gelfand_yaglom import _sample_potential
 
 PI = np.pi
 SINH1 = 1.1752011936438014  # sinh(1)
@@ -41,6 +41,13 @@ def scalar_system(c, t=1.0):
 
 def free_system(n, t=1.0):
     return JacobiSystem.constant(np.zeros((n, n)), t)
+
+
+def grid_run(sys, steps, V=None):
+    """[J; J'] at every grid point of one RK4 run, shape (steps+1, 2n, n): first sweep and grid reader."""
+    if V is None:
+        V = _sample_potential(sys, steps)
+    return gelfand_yaglom._grid_states(gelfand_yaglom._prefix_products(sys, steps, V), steps, sys.t)
 
 
 def catalog_like_system(n, seed=0, t=1.3):
@@ -226,7 +233,7 @@ def test_interval_splitting_composition():
     t = 1.3
     sys = JacobiSystem(2, t, pot)
     full = solve_jacobi_ode(sys, 4096)
-    Y1 = _rk4_run(JacobiSystem(2, t / 2, pot), 2048)
+    Y1 = grid_run(JacobiSystem(2, t / 2, pot), 2048)
     second = JacobiSystem(2, t / 2, lambda s: pot(s + t / 2))
     J, Jprime = stage_loop_rk4(_sample_potential(second, 2048), t / 2 / 2048, Y1[-1, :2], Y1[-1, 2:])
     assert np.max(np.abs(J[-1] - full.J[-1])) < 1e-9
@@ -242,7 +249,7 @@ def test_transfer_matrix_propagation_matches_stage_loop(n, kind, steps):
     # that are not squares leave a last block padded with identity steps
     sys = propagation_systems(n)[kind]
     V = _sample_potential(sys, steps)
-    Y = _rk4_run(sys, steps)
+    Y = grid_run(sys, steps)
     assert Y.shape == (steps + 1, 2 * n, n)
     Jref, Jpref = stage_loop_rk4(np.asarray(V), sys.t / steps, np.zeros((n, n)), np.eye(n))
     assert np.max(np.abs(Y[:, :n] - Jref)) <= 1e-13 * np.max(np.abs(Jref))
@@ -257,8 +264,8 @@ def test_constant_system_propagates_like_callable(n, steps):
     rng = np.random.default_rng(n * 10000 + steps)
     X = rng.standard_normal((n, n))
     M = X + X.T
-    U = _rk4_run(JacobiSystem.constant(M, 1.3), steps)
-    assert np.array_equal(U, _rk4_run(JacobiSystem(n, 1.3, lambda s: M), steps))
+    U = grid_run(JacobiSystem.constant(M, 1.3), steps)
+    assert np.array_equal(U, grid_run(JacobiSystem(n, 1.3, lambda s: M), steps))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -275,7 +282,7 @@ def test_one_product_per_block_matches_stacked_sweep(n, kind, steps):
         sys = JacobiSystem.constant(M, 1.3)
     else:
         sys = JacobiSystem(n, 1.3, lambda s: M + A * math.sin(3.0 * s))
-    assert np.array_equal(_rk4_run(sys, steps), stacked_sweep_rk4(sys, steps))
+    assert np.array_equal(grid_run(sys, steps), stacked_sweep_rk4(sys, steps))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -294,7 +301,7 @@ def test_uniform_block_sweep_matches_split_last_block(n, kind, steps):
     else:
         sys = JacobiSystem(n, 1.3, lambda s: M + A * math.sin(3.0 * s))
     V = _sample_potential(sys, steps)
-    assert np.array_equal(_rk4_run(sys, steps, V), split_last_block_rk4(sys, steps, V))
+    assert np.array_equal(grid_run(sys, steps, V), split_last_block_rk4(sys, steps, V))
 
 
 def test_last_block_product_has_the_rows_of_its_steps_only():
@@ -305,7 +312,7 @@ def test_last_block_product_has_the_rows_of_its_steps_only():
     X = np.random.default_rng(0).standard_normal((11, 11))
     sys = JacobiSystem.constant(X + X.T, 1.3)
     V = _sample_potential(sys, 2047)
-    assert np.array_equal(_rk4_run(sys, 2047, V), split_last_block_rk4(sys, 2047, V))
+    assert np.array_equal(grid_run(sys, 2047, V), split_last_block_rk4(sys, 2047, V))
 
 
 def random_system(n, kind, seed):
@@ -325,7 +332,7 @@ def test_end_state_is_the_grid_last_row_bit_for_bit(n, kind, steps):
     # with a padded last block (17, 1000, 2047, 4097 steps) and without; on
     # the AVX-512 kernel the (2n, 2n) products round otherwise from n = 9 on
     sys = random_system(n, kind, 100 * n + steps)
-    assert np.array_equal(solve_jacobi_ode(sys, steps).end, _rk4_run(sys, steps)[-1])
+    assert np.array_equal(solve_jacobi_ode(sys, steps).end, grid_run(sys, steps)[-1])
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -333,7 +340,7 @@ def test_end_state_is_the_grid_last_row_bit_for_bit(n, kind, steps):
 @pytest.mark.parametrize("steps", [17, 1000])
 def test_grid_built_on_first_read_matches_a_grid_run(n, kind, steps):
     sys = random_system(n, kind, 10 * n + steps)
-    prop, Y = solve_jacobi_ode(sys, steps), _rk4_run(sys, steps)
+    prop, Y = solve_jacobi_ode(sys, steps), grid_run(sys, steps)
     assert prop.J.shape == prop.Jprime.shape == (steps + 1, n, n)
     assert np.array_equal(prop.J, Y[:, :n]) and np.array_equal(prop.Jprime, Y[:, n:])
 
@@ -342,7 +349,7 @@ def test_end_state_beyond_float64_names_the_grid_s():
     # a run whose end state is not finite raises the grid run's exact error
     sys = jacobi_endomorphism(GeodesicData(ConstantCurvature(2, -1e4), 10.0))
     with pytest.raises(IntegrationError) as grid:
-        _rk4_run(sys, 2048)
+        grid_run(sys, 2048)
     with pytest.raises(IntegrationError) as end:
         solve_jacobi_ode(sys, 2048)
     assert str(end.value) == str(grid.value) and " at s = " in str(end.value)
@@ -385,8 +392,8 @@ def test_one_increment_run_matches_callable_bit_for_bit(n, steps):
     rng = np.random.default_rng(1000 * n + steps)
     X = rng.standard_normal((n, n))
     M = 0.5 * (X + X.T)
-    U = _rk4_run(JacobiSystem.constant(M, 0.9), steps)
-    assert np.array_equal(U, _rk4_run(JacobiSystem(n, 0.9, lambda s: M), steps))
+    U = grid_run(JacobiSystem.constant(M, 0.9), steps)
+    assert np.array_equal(U, grid_run(JacobiSystem(n, 0.9, lambda s: M), steps))
 
 
 @pytest.mark.parametrize("steps", [17, 1024, 4097])
@@ -402,8 +409,8 @@ def test_constant_system_builds_one_increment(monkeypatch, steps):
 
     monkeypatch.setattr(gelfand_yaglom, "_transfer_increments", recorded)
     M = np.array([[1.0, 0.2], [0.2, -0.5]])
-    _rk4_run(JacobiSystem.constant(M, 1.3), steps)
-    _rk4_run(JacobiSystem(2, 1.3, lambda s: M), steps)
+    grid_run(JacobiSystem.constant(M, 1.3), steps)
+    grid_run(JacobiSystem(2, 1.3, lambda s: M), steps)
     assert lengths == [3, 2 * steps + 1]
 
 
@@ -431,7 +438,7 @@ def test_blocked_product_error_against_extended_precision():
                     ref.append(u)
                 ref = np.array([np.array(r.tolist(), dtype=float) for r in ref])
             scale = np.max(np.abs(ref))
-            for name, U in (("blocked", _rk4_run(sys, steps, V)), ("loop", loop)):
+            for name, U in (("blocked", grid_run(sys, steps, V)), ("loop", loop)):
                 worst[name] = max(worst[name], np.max(np.abs(U - ref)) / scale)
     assert worst["blocked"] <= worst["loop"]
     assert worst["blocked"] < 4e-15
@@ -444,7 +451,7 @@ def test_sample_once_error_estimate_equals_two_runs(steps):
     n, t = sys.n, sys.t
     free = float((2.0 * t) ** n)
     fine, coarse = (
-        free * float(np.linalg.det(_rk4_run(sys, m)[-1, :n])) / t**n for m in (steps, steps // 2)
+        free * float(np.linalg.det(grid_run(sys, m)[-1, :n])) / t**n for m in (steps, steps // 2)
     )
     z = zeta_det_jacobi(sys, steps)
     assert z.value == fine
@@ -517,6 +524,90 @@ def test_cli_determinants_share_one_step_halving_path(monkeypatch, argv):
     monkeypatch.setattr(gelfand_yaglom, "_step_halving", counted)
     assert run_cli_quietly(*argv) == 0
     assert calls == ["P2" if argv[0] == "det-gy" else "P"]
+
+
+@pytest.mark.parametrize(
+    "call, grids",
+    [
+        (lambda: run_cli_quietly("det-gy", *CURVED), 1),
+        (lambda: zeta_det_jacobi(catalog_like_system(3)), 1),
+        (lambda: gelfand_yaglom._free_reference_ratio(catalog_like_system(3), 2048), 1),
+        (lambda: zeta_det_jacobi(antipodal_system()), 2),
+        (lambda: gy_ratio(free_system(3), catalog_like_system(3, t=1.0)), 2),
+    ],
+    ids=["cli-det-gy", "zeta_det_jacobi-ratio", "free_reference_ratio", "zeta_det_jacobi-deflated", "gy_ratio"],
+)
+def test_grid_counts(monkeypatch, call, grids):
+    # a fine run builds its grid for the sign test over (0, t]; a coarse run
+    # builds one only at a kernel, for the Gram, and reads J(t) off its end
+    calls = []
+    grid_states = gelfand_yaglom._grid_states
+
+    def counted(E, steps, t):
+        calls.append(steps)
+        return grid_states(E, steps, t)
+
+    monkeypatch.setattr(gelfand_yaglom, "_grid_states", counted)
+    call()
+    assert len(calls) == grids, calls
+
+
+@pytest.mark.parametrize(
+    "call, factor",
+    [
+        (lambda: zeta_det_jacobi(catalog_like_system(3)), 8.0),
+        (lambda: gelfand_yaglom._free_reference_ratio(catalog_like_system(3), 2048), 8.0),
+        (lambda: zeta_det_jacobi(antipodal_system()), 2.0),
+        (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), 0.25),
+    ],
+    ids=["zeta_det_jacobi-ratio", "free_reference_ratio", "zeta_det_jacobi-deflated", "gy_degenerate_ratio"],
+)
+def test_determinants_read_j_at_t_from_the_end_state(monkeypatch, call, factor):
+    # every run, fine or coarse, reads J(t) once, from _end_state: doubling
+    # J(t) there scales det J(t) by 2^n and a deflated |det A| by 2^(n - kdim),
+    # in the value and in the step-halving estimate alike
+    before = call()
+    ends = []
+    end_state = gelfand_yaglom._end_state
+
+    def doubled(E, steps):
+        S = end_state(E, steps)
+        ends.append(steps)
+        S[: S.shape[1]] *= 2.0
+        return S
+
+    monkeypatch.setattr(gelfand_yaglom, "_end_state", doubled)
+    after = call()
+    if isinstance(before, float):  # two fine runs, no estimate
+        assert ends == [2048, 2048]
+        assert after == pytest.approx(factor * before, rel=1e-9)
+        return
+    assert ends == [2048, 1024]
+    assert after.value == pytest.approx(factor * before.value, rel=1e-9)
+    # the estimate is a difference of close values, each moved by rounding
+    assert after.error_estimate == pytest.approx(factor * before.error_estimate, rel=1e-2)
+
+
+HUGE_STEPS = 10**11  # arrays of terabytes: refused before any is made
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: solve_jacobi_ode(catalog_like_system(2), HUGE_STEPS),
+     lambda: zeta_det_jacobi(catalog_like_system(2), HUGE_STEPS)],
+    ids=["solve_jacobi_ode", "zeta_det_jacobi"],
+)
+def test_step_count_beyond_memory_is_a_domain_error(call):
+    with pytest.raises(DomainError, match=f"^{HUGE_STEPS} steps need .* GiB for the run"):
+        call()
+
+
+def test_cli_step_count_beyond_memory_is_a_domain_error(capsys):
+    # this asked numpy for 1.46 TiB and ended in a MemoryError traceback
+    code = main(["det-gy", *CURVED, "--steps", str(HUGE_STEPS)])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["error"]) == (1, "DomainError")
+    assert report["message"].startswith(f"{HUGE_STEPS} steps need ")
 
 
 def test_free_reference_ratio_beyond_float64_power_is_its_value():
@@ -845,10 +936,10 @@ def test_deflated_det_matches_second_solution_formula(make, kdim):
     # |det A| read off J'(t) on the kernel equals the same matrix built from
     # the propagated second solution K(t)
     sys = make()
-    Y = _rk4_run(sys, 2048)
-    endpoint = gelfand_yaglom._read_endpoint(Y[-1, : sys.n], Y[-1, sys.n :], sys.t)
+    run = gelfand_yaglom._propagate(sys, 2048)[0]
+    endpoint = gelfand_yaglom._read_endpoint(run.end, sys.t)
     assert endpoint[1] == kdim
-    log_abs = gelfand_yaglom._gy_det(Y, sys.t, endpoint)[1]
+    log_abs = gelfand_yaglom._gy_det(run, sys.t, endpoint)[1]
     assert math.exp(log_abs) == pytest.approx(k_based_deflated_det(sys, 2048, kdim), rel=1e-10)
 
 
