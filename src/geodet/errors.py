@@ -4,8 +4,10 @@ Every error surfaced by the CLI is one of these; reports carry the class
 name, never a bare traceback.
 """
 
+import functools
 import math
 import operator
+import os
 import sys
 
 # logs of the smallest normal and of the largest float64 number
@@ -60,6 +62,33 @@ def check_count(value, least: int, message: str, shown=None) -> int:
     if count < least:
         raise DomainError(message.format(printable(value if shown is None else shown)))
     return count
+
+
+@functools.cache
+def physical_memory() -> float:
+    """Bytes of physical memory by ``os.sysconf``, read once; inf where it does not tell."""
+    try:
+        return max(os.sysconf("SC_PHYS_PAGES"), 0) * os.sysconf("SC_PAGE_SIZE") or math.inf
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def check_memory(floats: int, message: str, shown) -> None:
+    """DomainError when ``floats`` float64 numbers exceed the physical memory.
+
+    Called before the arrays that a count implies are made.  ``message`` is
+    a ``str.format`` template, filled only then with ``shown`` (the count)
+    through :func:`printable` and the size they need, in GiB or, beyond
+    float64, as a power of two; the physical memory follows it.
+    """
+    memory = physical_memory()
+    if 8 * floats > memory:
+        try:
+            size = f"{8 * floats / 2**30:.3g} GiB"
+        except OverflowError:  # an int quotient beyond float64
+            size = f"2^{(8 * floats).bit_length() - 1} bytes or more"
+        text = message.format(printable(shown), size)
+        raise DomainError(f"{text}, more than the {memory / 2**30:.3g} GiB of physical memory")
 
 
 def check_real(value, ok, message: str):

@@ -24,7 +24,7 @@ from .errors import (
     IllSeparatedKernelError,
     RouteDisagreementError,
 )
-from .errors import check_count, check_real, normal_exp, printable, signed_exp
+from .errors import check_count, check_memory, check_real, normal_exp, printable, signed_exp
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, _log_exp_jacobian
 from .interval import composite_gauss, mode_cosine_moments, mode_quadrature
 
@@ -79,6 +79,7 @@ class Partition:
     @classmethod
     def uniform(cls, N: int) -> "Partition":
         count = check_count(N, 2, "need an integer count of at least two segments, got {!r}")
+        check_memory(count + 1, "{} segments need {} for the partition times", count)
         return cls(tuple(np.linspace(0.0, 1.0, count + 1).tolist()))
 
     @property

@@ -14,7 +14,6 @@ kernel of J(t); every run carries J and J' alone.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
     IntegrationError,
     NonpositiveOperatorError,
 )
-from .errors import check_count, signed_exp
+from .errors import check_count, check_memory, signed_exp
 from .geometry import JacobiSystem
 from .zeta import ZetaDetValue, zeta_det_dirichlet_laplacian
 
@@ -42,30 +41,35 @@ __all__ = [
 # zero modes); every route decides degeneracy by this one test
 DEGENERACY_REL_TOL = 1e-6
 DEFAULT_STEPS = 2048
+# the increments of one group of consecutive blocks, all that a run holds of
+# its products at once (one block at least): 256 KiB
+GROUP_BYTES = 2**18
 
 
 class JacobiPropagation:
     """The fundamental solution (J, J') of J'' = V J from one RK4 run.
 
     ``end`` is the end state [J(t); J'(t)], shape (2n, n), chained over the
-    block ends alone (:func:`_end_state`).  ``J`` and ``Jprime``, shape
-    (steps+1, n, n), are built from the run's stored prefix products the
-    first time either is read (:func:`_grid_states`), with no resampling of
-    V, and the prefix products are dropped then; a caller that reads the end
-    state alone never holds the grid.  A run whose end state leaves float64
-    builds the grid at once and raises its IntegrationError, which names the
-    first s beyond float64.
+    block ends alone by the run's sweep (:func:`_end_state`); with
+    ``sign_test`` the same sweep sets ``positive``, whether det J(s) > 0 at
+    every grid point of (0, t), else None.  The run keeps its half-grid
+    samples, not its products: ``J`` and ``Jprime``, shape (steps+1, n, n),
+    are built by a second sweep the first time either is read
+    (:func:`_grid_states`), with no resampling of V, and the samples are
+    dropped then; a caller that reads the end state alone never holds the
+    grid.  A run whose end state leaves float64 builds the grid at once and
+    raises its IntegrationError, which names the first s beyond float64.
     """
 
-    def __init__(self, E: np.ndarray, steps: int, t: float):
-        self._E, self._steps, self._t, self._grid = E, steps, t, None
-        self.end = _end_state(E, steps)
+    def __init__(self, sys: JacobiSystem, steps: int, V: np.ndarray, sign_test: bool = False):
+        self._sys, self._steps, self._V, self._grid = sys, steps, V, None
+        self.end, self.positive = _end_state(sys, steps, V, sign_test)
         if not np.isfinite(self.end).all():  # the grid names the s where the run left float64
             self.end = self._states()[-1]
 
     def _states(self) -> np.ndarray:
         if self._grid is None:
-            self._grid, self._E = _grid_states(self._E, self._steps, self._t), None
+            self._grid, self._V = _grid_states(self._sys, self._steps, self._V), None
         return self._grid
 
     @property
@@ -95,20 +99,21 @@ def _sample_potential(sys: JacobiSystem, steps: int) -> np.ndarray:
 def _transfer_increments(V: np.ndarray, h: float, block: int) -> np.ndarray:
     """RK4 step increments D_m with (y, z)_{m+1} = (I + D_m) (y, z)_m for y'' = V y.
 
-    ``V`` holds the half-grid samples; with a = V(s_m), b = V(s_m + h/2) and
-    c = V(s_m + h), one classical RK4 step of the first-order system
-    (y, z)' = [[0, I], [V, 0]] (y, z) has the transfer matrix I + D_m with
+    ``V`` holds the half-grid samples of the steps; with a = V(s_m),
+    b = V(s_m + h/2) and c = V(s_m + h), one classical RK4 step of the
+    first-order system (y, z)' = [[0, I], [V, 0]] (y, z) has the transfer
+    matrix I + D_m with
 
         D_yy = h^2/6 (a + 2b) + h^4/24 ba     D_yz = h I + h^3/6 b
         D_zy = h/6 (a + 4b + c) + h^3/12 (ba + cb)
         D_zz = h^2/6 (2b + c) + h^4/24 cb,
 
-    built for all steps at once and returned in blocks of ``block`` steps,
-    shape (blocks, block, 2n, 2n); the last block is padded with zero
-    increments (identity steps), whose grid rows :func:`_grid_states`
-    slices off.  The identity is kept out: rounding I + O(h^2) would drop
-    the low bits of the increment in the same direction at every step of a
-    smooth potential, an error that grows linearly with the step count.
+    built for all these steps at once and returned in blocks of ``block``
+    steps, shape (blocks, block, 2n, 2n); the last block is padded with
+    zero increments (identity steps), whose states no reader maps.  The
+    identity is kept out: rounding I + O(h^2) would drop the low bits of
+    the increment in the same direction at every step of a smooth
+    potential, an error that grows linearly with the step count.
     """
     a, b, c = V[0:-1:2], V[1::2], V[2::2]
     steps, n = b.shape[0], b.shape[1]
@@ -121,131 +126,166 @@ def _transfer_increments(V: np.ndarray, h: float, block: int) -> np.ndarray:
     return D.reshape(-1, block, 2 * n, 2 * n)
 
 
-def _prefix_products(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:
-    """The first sweep of an RK4 run: block-local prefix products of its steps.
+def _prefix_products(E: np.ndarray) -> np.ndarray:
+    """The block-local prefix products of the increments ``E``, made in place.
 
-    The product of the step matrices I + D_m is a two-level blocked prefix
-    product over blocks of about sqrt(steps) steps, so a run takes about
-    2 sqrt(steps) array operations instead of two per step.  This sweep
-    turns each block's increments, all blocks at once, into the block-local
-    prefix products with the identity kept out,
-
-        E_j = (I + D_j) (I + E_{j-1}) - I = D_j + E_{j-1} + D_j E_{j-1},
-
-    shape (blocks, block, 2n, 2n); :func:`_grid_states` and
-    :func:`_end_state` read them.  ``V`` are the half-grid samples of
-    :func:`_sample_potential`.  A constant system has the same increment at
-    every step, so it builds one, from the first 3 samples, copies it across
-    one block and sweeps that block, shape (1, block, 2n, 2n), and every
-    block reuses it; the run is bit-identical to one that builds all
-    increments, since both make the same products.
+    E_j = (I + D_j) (I + E_{j-1}) - I = D_j + E_{j-1} + D_j E_{j-1}, the
+    identity kept out, for all blocks of ``E``, shape (blocks, block, 2n,
+    2n), at once.
     """
-    block = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)): 64 at 4096 steps
-    h = np.float64(sys.t) / steps
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by the readers, as is h^4 = inf
-        if sys.is_constant:
-            E = _transfer_increments(V[:3], h, 1).repeat(block, axis=1)
-        else:
-            E = _transfer_increments(V, h, block)
-        tmp = np.empty((len(E), 2 * sys.n, 2 * sys.n))
-        by_step = list(E.swapaxes(0, 1))  # E_j of all blocks, for each j
-        for prev, cur in zip(by_step, by_step[1:]):
-            np.matmul(cur, prev, out=tmp)
-            tmp += prev
-            cur += tmp
+    tmp = np.empty((len(E),) + E.shape[2:])
+    by_step = list(E.swapaxes(0, 1))  # E_j of all blocks, for each j
+    for prev, cur in zip(by_step, by_step[1:]):
+        np.matmul(cur, prev, out=tmp)
+        tmp += prev
+        cur += tmp
     return E
 
 
-def _grid_states(E: np.ndarray, steps: int, t: float) -> np.ndarray:
-    """[J; J'] at every grid point of the run with prefix products ``E``, shape (steps+1, 2n, n).
+def _blocking(sys: JacobiSystem, steps: int):
+    """(block, blocks, group) of a run: steps per block, blocks, blocks per group."""
+    block = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)): 64 at 4096 steps
+    return block, -(-steps // block), max(1, GROUP_BYTES // (32 * block * sys.n * sys.n))
 
-    One loop over every block maps the block's start state S through its
-    prefix products, Y = S + E_j S, by one (block 2n, 2n) @ (2n, n) product
-    cut to the block's steps; its last state gets S at once and starts the
-    next block, and the other rows get theirs in one add after the loop.
-    Raises IntegrationError, naming the first s, when J or J' leaves the
-    float64 range.
+
+def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray):
+    """The products of one RK4 run at ``steps``: each block's prefix products, one group at a time.
+
+    The product of the step matrices I + D_m is a two-level blocked prefix
+    product over blocks of about sqrt(steps) steps, so a run takes about
+    2 sqrt(steps) array operations instead of two per step.  The sweep
+    takes a group of consecutive blocks at a time, as many as keep the
+    group's increments within GROUP_BYTES (one block at least), builds
+    their increments from the half-grid samples ``V`` of
+    :func:`_sample_potential` and yields the block-local prefix products
+    of the group's blocks (:func:`_prefix_products`), one (block, 2n, 2n)
+    array for each, for the run's readers (:func:`_end_state`,
+    :func:`_grid_states`) to map each block's start state.  A constant
+    system has the same increment at every step, so it builds one, from
+    the first 3 samples, copies it across one block and sweeps that block
+    once; every block of every group is that block.  The run is
+    bit-identical to one that builds all increments at once, since both
+    make the same products.  The caller holds the errstate: overflow is
+    reported by the readers, as is h^4 = inf.
     """
-    block, n = E.shape[1], E.shape[-1] // 2
-    blocks = -(-steps // block)
+    block, blocks, group = _blocking(sys, steps)
+    h = np.float64(sys.t) / steps
+    if sys.is_constant:
+        E = _prefix_products(_transfer_increments(V[:3], h, 1).repeat(block, axis=1))
+    for b in range(0, blocks, group):
+        g = min(group, blocks - b)
+        if sys.is_constant:
+            yield [E[0]] * g
+        else:  # the samples of the group's steps, its ends shared with its neighbours
+            samples = V[2 * b * block : 2 * min((b + g) * block, steps) + 1]
+            yield _prefix_products(_transfer_increments(samples, h, block))
+
+
+def _block_states(E: np.ndarray, S: np.ndarray, out: np.ndarray) -> None:
+    """``out`` <- S + E_j S, the states of a block's k steps from its start state ``S``.
+
+    One (k 2n, 2n) @ (2n, n) product of the block's prefix products ``E``
+    cut to its k = len(out) steps, then one add.
+    """
+    n = S.shape[1]
+    np.matmul(E.reshape(-1, 2 * n)[: 2 * n * len(out)], S, out=out.reshape(-1, n))
+    out += S
+
+
+def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, sign_test: bool = False):
+    """(end, positive): [J(t); J'(t)] of the run at ``steps``, shape (2n, n), without the grid.
+
+    The one J(t) and J'(t) of every reader: the determinants, the kernel
+    split and the heat predictions.  One sweep (:func:`_sweep`) chains the
+    block ends alone, S <- E_last S + S, one (2n, 2n) @ (2n, n) product per
+    block, the last block cut to its steps: the products and adds that give
+    the grid's last row, bit for bit where BLAS rounds a (2n, 2n) product
+    as it rounds the same rows of the block's (block 2n, 2n) product, on
+    one thread of OpenBLAS's Haswell, Zen and SkylakeX kernels for every
+    n <= 8.  The AVX-512 (SkylakeX) kernel rounds some larger shapes
+    otherwise (n = 9 and 11 for random dense systems, some sphere d from
+    n = 20 on), and no report is pinned there.  A state beyond float64 is
+    not finite here; :class:`JacobiPropagation` names it.
+
+    With ``sign_test`` the same sweep maps each block's start state through
+    all its prefix products, as the grid reader does (:func:`_block_states`),
+    into one group's states, and reduces them to the signs of det J(s) by
+    ``slogdet``, so a det J(s) beyond float64 keeps its sign: ``positive``
+    tells whether det J(s) > 0 at every grid point of (0, t), and once it
+    is False no further state is mapped.  Without the test it is None.
+    """
+    block, _, group = _blocking(sys, steps)
+    n, b = sys.n, 0
+    S = np.eye(2 * n, n, -n)
+    positive = states = None
+    if sign_test:
+        positive, states = True, np.empty((group * block, 2 * n, n))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by JacobiPropagation
+        for E in _sweep(sys, steps, V):
+            first = b * block  # the grid row that starts the group
+            for Eb in E:
+                k = min(block, steps - b * block)
+                if positive:
+                    _block_states(Eb, S, states[b * block - first :][:k])
+                S = Eb[k - 1] @ S + S
+                b += 1
+            if positive:  # the group's states in (0, t): s = t is the end state's
+                inside = states[: min(b * block, steps - 1) - first, :n]
+                positive = bool(np.all(np.linalg.slogdet(inside)[0] > 0.0))
+    return S, positive
+
+
+def _grid_states(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:
+    """[J; J'] at every grid point of the run at ``steps``, shape (steps+1, 2n, n).
+
+    A sweep of the run (:func:`_sweep`) that maps every block's start state
+    through its prefix products straight into the grid
+    (:func:`_block_states`); the block's last state starts the next block.
+    The grid's bytes are compared with the physical memory before it is
+    made (DomainError).  Raises IntegrationError, naming the first s, when
+    J or J' leaves the float64 range.
+    """
+    block, n, b = _blocking(sys, steps)[0], sys.n, 0
+    check_memory((steps + 1) * 2 * n * n, "{} steps need {} for the grid of [J; J']", steps)
+    Y = np.empty((steps + 1, 2 * n, n))
+    Y[0] = np.eye(2 * n, n, -n)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        # room for whole blocks; the rows past steps get no product and are sliced off
-        Y = np.zeros((blocks * block + 1, 2 * n, n))
-        Y[0] = np.eye(2 * n, n, -n)
-        rows = Y[1:].reshape(blocks, block * 2 * n, n)
-        E = E.reshape(len(E), block * 2 * n, 2 * n)
-        for b in range(blocks):
-            S, m = Y[b * block], 2 * n * (steps - b * block)  # the slices clip m to the block
-            np.matmul(E[b % len(E), :m], S, out=rows[b, :m])
-            Y[(b + 1) * block] += S  # the block's last state starts the next block
-        Y[1:].reshape(blocks, block, 2 * n, n)[:, :-1] += Y[:-1:block, None]  # the rest, at once
-        Y = Y[: steps + 1]
+        for E in _sweep(sys, steps, V):
+            for Eb in E:
+                k = min(block, steps - b * block)
+                _block_states(Eb, Y[b * block], Y[b * block + 1 : b * block + 1 + k])
+                b += 1
     if not np.isfinite(Y).all():
-        s = t * np.argmin(np.isfinite(Y).all(axis=(1, 2))) / steps
-        raise IntegrationError(f"J or J' left the float64 range at s = {s:.4g} of t = {t:.4g}")
+        s = sys.t * np.argmin(np.isfinite(Y).all(axis=(1, 2))) / steps
+        raise IntegrationError(f"J or J' left the float64 range at s = {s:.4g} of t = {sys.t:.4g}")
     return Y
 
 
-def _end_state(E: np.ndarray, steps: int) -> np.ndarray:
-    """[J(t); J'(t)] of the run with prefix products ``E``, shape (2n, n), without the grid.
-
-    The one J(t) and J'(t) of every reader: the determinants, the kernel
-    split and the heat predictions.  Chains the block ends alone,
-    S <- E_last S + S, one (2n, 2n) @ (2n, n) product per block, the last
-    block cut to its steps: the products and adds that give the grid's last
-    row, bit for bit where BLAS rounds a (2n, 2n) product as it rounds the
-    same rows of the block's (block 2n, 2n) product, on one thread of
-    OpenBLAS's Haswell, Zen and SkylakeX kernels for every n <= 8.  The
-    AVX-512 (SkylakeX) kernel rounds some larger shapes otherwise (n = 9 and
-    11 for random dense systems, some sphere d from n = 20 on), and no
-    report is pinned there.  A state beyond float64 is not finite here;
-    :class:`JacobiPropagation` names it.
-    """
-    block, n = E.shape[1], E.shape[-1] // 2
-    S = np.eye(2 * n, n, -n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(-(-steps // block)):
-            S = E[b % len(E), min(block, steps - b * block) - 1] @ S + S
-    return S
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory by ``os.sysconf``; inf where it does not tell."""
-    try:
-        return max(os.sysconf("SC_PHYS_PAGES"), 0) * os.sysconf("SC_PAGE_SIZE") or math.inf
-    except (AttributeError, ValueError, OSError):
-        return math.inf
-
-
-def _propagate(sys: JacobiSystem, steps: int, V=None, grid: bool = False):
+def _propagate(sys: JacobiSystem, steps: int, V=None, sign_test: bool = False):
     """(run, V): the RK4 run at ``steps``, a :class:`JacobiPropagation`, and its samples V.
 
     Every run is built here.  ``V`` are the half-grid samples of
     :func:`_sample_potential`, taken here unless given.  Before any array
-    is made, the bytes the run holds (the samples, the increments and, for
-    a caller that reads it, ``grid``, the grid) are compared with the
-    physical memory: a run that cannot fit raises DomainError.
+    is made, the bytes the run holds (the samples, and one group's
+    increments and, for the ``sign_test``, its states) are compared with
+    the physical memory: a run that cannot fit raises DomainError.  A grid
+    is compared when it is built (:func:`_grid_states`).
     """
-    n, block = sys.n, math.isqrt(steps - 1) + 1
-    padded = -(-steps // block) * block
+    n = sys.n
+    block, blocks, group = _blocking(sys, steps)
     floats = (2 * steps + 1) * (1 if sys.is_constant else 1 + n * n)
-    floats += (block if sys.is_constant else padded) * 4 * n * n + grid * (padded + 1) * 2 * n * n
-    memory = _physical_memory()
-    if 8 * floats > memory:
-        raise DomainError(
-            f"{steps} steps need {8 * floats / 2**30:.3g} GiB for the run of [J; J'], "
-            f"more than the {memory / 2**30:.3g} GiB of physical memory"
-        )
+    floats += min(group, blocks) * block * (4 + 2 * sign_test) * n * n
+    check_memory(floats, "{} steps need {} for the run of [J; J']", steps)
     if V is None:
         V = _sample_potential(sys, steps)
-    return JacobiPropagation(_prefix_products(sys, steps, V), steps, sys.t), V
+    return JacobiPropagation(sys, steps, V, sign_test), V
 
 
 def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPropagation:
     """Propagate J'' = V J, J(0) = 0, J'(0) = id with fixed-step RK4.
 
-    One run at ``steps``: its first sweep and the end state; the grid is
-    built when read (:class:`JacobiPropagation`).  The step-halving error
+    One run at ``steps``: one sweep for its end state; the grid is built
+    by a second when read (:class:`JacobiPropagation`).  The step-halving error
     estimates live on the determinant routes (:class:`ZetaDetValue`).
     """
     return _propagate(sys, check_count(steps, 16, "need at least 16 steps"))[0]
@@ -345,11 +385,11 @@ def _fine_det(sys: JacobiSystem, steps: int, label: str, ratio: bool = False):
     run dies with the call, so callers hold one at a time.
     """
     steps = check_count(steps, 16, "need at least 16 steps")
-    run, V = _propagate(sys, steps, grid=True)
+    run, V = _propagate(sys, steps, sign_test=True)
     endpoint = _read_endpoint(run.end, sys.t)
     sig, kdim = endpoint[:2]
     det = _gy_det(run, sys.t, endpoint)
-    if det[0] <= 0.0 or np.any(np.linalg.slogdet(run.J[1:-1])[0] <= 0.0):
+    if det[0] <= 0.0 or not run.positive:
         raise NonpositiveOperatorError(
             f"{label}: det J changes sign on (0, t]; operator not positive"
         )
@@ -377,7 +417,7 @@ def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale,
     (sign, log_abs), kdim, V = _fine_det(sys, steps, label, ratio)
     log_tn = sys.n * math.log(sys.t)
     value = _exp_det(scale, sign, log_abs - log_tn, name)
-    run = _propagate(sys, steps // 2, V[::2] if steps % 2 == 0 else None, grid=kdim > 0)[0]
+    run = _propagate(sys, steps // 2, V[::2] if steps % 2 == 0 else None)[0]
     sign, log_abs = _gy_det(run, sys.t, _read_endpoint(run.end, sys.t, kdim))
     estimate = abs(value - scale * signed_exp(sign, log_abs - log_tn)) / 15.0
     if not math.isfinite(estimate):

@@ -12,7 +12,16 @@ import math
 
 import numpy as np
 
-from .errors import ConjugatePointError, DomainError, IntegrationError, check_count, check_normal, check_real
+from .errors import (
+    ConjugatePointError,
+    DomainError,
+    IntegrationError,
+    check_count,
+    check_memory,
+    check_normal,
+    check_real,
+    printable,
+)
 
 __all__ = [
     "ConstantCurvature",
@@ -45,7 +54,7 @@ class ConstantCurvature:
         return np.pi / np.sqrt(self.kappa) if self.kappa > 0 else np.inf
 
     def __repr__(self):
-        return f"ConstantCurvature(n={self.n}, kappa={self.kappa})"
+        return f"ConstantCurvature(n={printable(self.n)}, kappa={self.kappa})"
 
 
 class SyntheticPotential:
@@ -57,7 +66,7 @@ class SyntheticPotential:
     """
 
     def __init__(self, n: int, potential, t: float):
-        self.n = check_count(n, 2, "synthetic manifolds need dimension >= 2")
+        self.n = _check_fiber(check_count(n, 2, "synthetic manifolds need dimension >= 2"))
         self.t = _check_length(t)
         self.potential = potential
         # V(u) = t^2 pot(t u) on the orthogonal block of the unit interval;
@@ -106,6 +115,12 @@ def _check_length(t) -> float:
     return float(check_real(t, lambda v: v > 0 and float(v) * float(v) < math.inf, message))
 
 
+def _check_fiber(n: int) -> int:
+    """n, unless one n x n float64 matrix exceeds the physical memory (DomainError naming n)."""
+    check_memory(n * n, "a fiber dimension of {} needs {} for one n x n matrix", n)
+    return n
+
+
 def _check_finite(V):
     if not np.isfinite(V).all():
         raise IntegrationError("potential produced non-finite samples")
@@ -122,7 +137,7 @@ class JacobiSystem:
     """
 
     def __init__(self, n: int, t: float, potential):
-        self.n = n = check_count(n, 1, "fiber dimension must be >= 1, got {}")
+        self.n = n = _check_fiber(check_count(n, 1, "fiber dimension must be >= 1, got {}"))
         self.t = _check_length(t)
         # a callable fills the block [lo:, lo:] of V with value_scale * func(arg_scale * s)
         self._lo, self._arg_scale, self._value_scale = 0, 1.0, 1.0
@@ -221,7 +236,7 @@ def jacobi_endomorphism(g: GeodesicData) -> JacobiSystem:
     m = g.manifold
     r = g.speed
     if isinstance(m, ConstantCurvature):
-        mat = np.zeros((m.n, m.n))
+        mat = np.zeros((_check_fiber(m.n), m.n))
         if m.n > 1:
             mat[1:, 1:] = -m.kappa * r * r * np.eye(m.n - 1)
         return JacobiSystem(m.n, 1.0, mat)

@@ -23,7 +23,7 @@ from .errors import (
     InsufficientDegreeError,
     OutOfScopeError,
 )
-from .errors import LOG_MAX, LOG_TINY, check_count, check_normal, check_positive, check_real, normal_exp
+from .errors import LOG_MAX, LOG_TINY, check_count, check_normal, check_positive, check_real, normal_exp, printable
 from .errors import signed_exp
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, jacobi_endomorphism
 from .gelfand_yaglom import _read_endpoint, solve_jacobi_ode
@@ -92,7 +92,7 @@ def _check_sphere(n: int, R: float) -> int:
     """n, in the scope of every sphere computation: S^n(R) with 1 <= n <= 342 and R > 0."""
     n = check_count(n, 1, "dimension must be >= 1, got {}")
     if n > _MAX_SPHERE_DIM:
-        raise OutOfScopeError(f"spheres above S^{_MAX_SPHERE_DIM} are out of scope, got S^{n}")
+        raise OutOfScopeError(f"spheres above S^{_MAX_SPHERE_DIM} are out of scope, got S^{printable(n)}")
     check_positive(R, "radius")
     # the float64 sum divides by R^2 and by the volume vol(S^n) R^n, and the degree sizing squares pi R
     log_r = math.log(R)

@@ -9,6 +9,7 @@ import pytest
 from geodet import (
     ConstantCurvature,
     DomainError,
+    GeodesicData,
     JacobiSystem,
     Partition,
     SyntheticPotential,
@@ -18,13 +19,14 @@ from geodet import (
     euclidean_heat_kernel,
     gy_ratio,
     heat_limit_validation,
+    jacobi_endomorphism,
     solve_jacobi_ode,
     sphere_heat_kernel,
     zeta_det_dirichlet_laplacian,
     zeta_det_jacobi,
 )
-from geodet import galerkin, gelfand_yaglom, heat, zeta
-from geodet.errors import check_positive
+from geodet import errors, galerkin, gelfand_yaglom, heat, zeta
+from geodet.errors import OutOfScopeError, check_memory, check_positive
 from geodet.heat import SphereSpectrum, richardson_extrapolate
 from geodet.interval import gauss_legendre, mode_quadrature
 
@@ -123,3 +125,56 @@ def test_check_positive_names_an_int_beyond_float64_by_its_type(value):
     with pytest.raises(DomainError) as info:
         check_positive(value, "time")
     assert str(info.value) == "time must be positive and finite, got int beyond float64"
+
+
+HUGE = 10**5000  # no array of this many floats can be made; a count that could be is never probed
+ONE_MATRIX = re.escape("a fiber dimension of an int of 16610 bits needs 2^33222 bytes or more for one n x n matrix")
+
+
+@pytest.mark.parametrize(
+    "call, pattern",
+    [
+        (lambda: jacobi_endomorphism(GeodesicData(ConstantCurvature(HUGE, 1.0), 1.0)), ONE_MATRIX),
+        (lambda: SyntheticPotential(HUGE, lambda s: np.eye(2), 1.0), ONE_MATRIX),
+        (lambda: JacobiSystem(HUGE, 1.0, [[1.0]]), ONE_MATRIX),
+        (lambda: Partition.uniform(HUGE),
+         re.escape("an int of 16610 bits segments need 2^16612 bytes or more for the partition times")),
+    ],
+    ids=["jacobi_endomorphism", "SyntheticPotential", "JacobiSystem", "Partition.uniform"],
+)
+def test_counts_beyond_memory_are_named_domain_errors(call, pattern):
+    # each ended in Python's or numpy's ValueError: a count too long to
+    # print in a message, or an array no float64 buffer can hold
+    with pytest.raises(DomainError, match="^" + pattern + ", more than the .* GiB of physical memory$"):
+        call()
+
+
+def test_huge_dimension_repr_names_it():
+    assert repr(ConstantCurvature(HUGE, 1.0)) == "ConstantCurvature(n=an int of 16610 bits, kappa=1.0)"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: heat_limit_validation(HUGE, 1.0, "antipodal"), lambda: SphereSpectrum(HUGE, 1.0, 10),
+     lambda: antipodal_sphere_limit_closed_form(HUGE, 1.0)],
+    ids=["heat_limit_validation", "SphereSpectrum", "antipodal_sphere_limit_closed_form"],
+)
+def test_sphere_beyond_scope_names_a_huge_dimension(call):
+    with pytest.raises(OutOfScopeError) as info:
+        call()
+    assert str(info.value) == "spheres above S^342 are out of scope, got S^an int of 16610 bits"
+
+
+def test_check_memory_names_the_count_and_both_sizes(monkeypatch):
+    monkeypatch.setattr(errors, "physical_memory", lambda: 2.0**30)
+    check_memory(2**27, "{} floats need {}", 2**27)  # 1 GiB fits
+    with pytest.raises(DomainError) as info:
+        check_memory(3 * 2**26, "{} floats need {}", 3 * 2**26)
+    assert str(info.value) == "201326592 floats need 1.5 GiB, more than the 1 GiB of physical memory"
+    with pytest.raises(DomainError) as info:
+        check_memory(HUGE, "{} floats need {}", HUGE)
+    assert str(info.value) == (
+        "an int of 16610 bits floats need 2^16612 bytes or more, more than the 1 GiB of physical memory"
+    )
+    monkeypatch.setattr(errors, "physical_memory", lambda: float("inf"))
+    check_memory(HUGE, "{} floats need {}", HUGE)  # where the memory is not told, nothing is refused

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -44,10 +45,10 @@ def free_system(n, t=1.0):
 
 
 def grid_run(sys, steps, V=None):
-    """[J; J'] at every grid point of one RK4 run, shape (steps+1, 2n, n): first sweep and grid reader."""
+    """[J; J'] at every grid point of one RK4 run, shape (steps+1, 2n, n): the grid reader's sweep."""
     if V is None:
         V = _sample_potential(sys, steps)
-    return gelfand_yaglom._grid_states(gelfand_yaglom._prefix_products(sys, steps, V), steps, sys.t)
+    return gelfand_yaglom._grid_states(sys, steps, V)
 
 
 def catalog_like_system(n, seed=0, t=1.3):
@@ -383,6 +384,71 @@ def test_limit_prediction_traced_heap_peak():
     assert peak <= 32 * 2**20
 
 
+def test_determinant_traced_heap_peak():
+    # a determinant's run holds its half-grid samples, 1.05 MB at n = 4 and
+    # 4096 steps, one group of increments (GROUP_BYTES) and, on the fine
+    # run, one group's states for the sign test; with every block's
+    # increments and the grid for the sign test the peak was 5.8 MB
+    sys1, sys2 = catalog_like_system(4, seed=1), catalog_like_system(4, seed=2)
+    for call in (lambda: zeta_det_jacobi(sys1, 4096), lambda: gy_ratio(sys1, sys2, 4096)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+@pytest.mark.parametrize("steps", [17, 1000, 4097])
+@pytest.mark.parametrize("scale", [1.0, 20.0, 60.0])
+def test_grouped_sign_test_reads_the_grid_states(n, kind, steps, scale):
+    # the sign test reduces one group's states at a time; it finds what the
+    # signs of det J(s) on the grid's rows inside (0, t) show, for operators
+    # with conjugate points (larger scales) and without
+    rng = np.random.default_rng(10 * n + steps)
+    X, A = rng.standard_normal((2, n, n))
+    M, A = scale * (X + X.T), scale * 0.5 * (A + A.T)
+    if kind == "constant":
+        sys = JacobiSystem.constant(M, 1.3)
+    else:
+        sys = JacobiSystem(n, 1.3, lambda s: M + A * math.sin(3.0 * s))
+    run = gelfand_yaglom._propagate(sys, steps, sign_test=True)[0]
+    assert run.positive is bool(np.all(np.linalg.slogdet(grid_run(sys, steps)[1:-1, :n])[0] > 0.0))
+
+
+@pytest.mark.parametrize("where", ["last-group", "group-boundary"])
+def test_sign_test_finds_a_conjugate_point_in_any_group(where):
+    # V = -c^2 has det J(s) = sin(cs)/c, negative just past s = pi/c.  At
+    # 20000 steps a scalar run sweeps three groups.  A conjugate point in
+    # the last group turns det J(t) negative too; one on the first group's
+    # last grid point has its second, 2 pi/c, on the second group's last,
+    # so det J(t) > 0 and only the states inside (0, t) change sign.  V = c^2
+    # next to each is positive
+    steps = 20000
+    block, blocks, group = gelfand_yaglom._blocking(scalar_system(1.0), steps)
+    assert -(-blocks // group) == 3
+    if where == "last-group":
+        first = (blocks - 1) // group * group * block  # the grid row that starts the last group
+        s = (first + steps) / 2 / steps
+    else:
+        s = group * block / steps
+    c = PI / s
+    assert (math.sin(c) > 0.0) is (where == "group-boundary")
+    for V, positive in ((-c * c, False), (c * c, True)):
+        sys = scalar_system(V)
+        assert gelfand_yaglom._propagate(sys, steps, sign_test=True)[0].positive is positive
+        for route in (lambda: zeta_det_jacobi(sys, steps), lambda: gy_ratio(free_system(1), sys, steps)):
+            if positive:
+                route()
+                continue
+            with pytest.raises(NonpositiveOperatorError):
+                route()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
 @pytest.mark.parametrize("steps", [16, 17, 1000, 1024, 4097])
 def test_one_increment_run_matches_callable_bit_for_bit(n, steps):
@@ -396,22 +462,30 @@ def test_one_increment_run_matches_callable_bit_for_bit(n, steps):
     assert np.array_equal(U, grid_run(JacobiSystem(n, 0.9, lambda s: M), steps))
 
 
-@pytest.mark.parametrize("steps", [17, 1024, 4097])
+@pytest.mark.parametrize("steps", [17, 1024, 4097, 20000])
 def test_constant_system_builds_one_increment(monkeypatch, steps):
     # a constant system builds the increment of one step, from 3 half-grid
-    # samples; a callable one builds all of them
-    lengths = []
+    # samples; a callable one builds all of them, one group of blocks at a
+    # time, each group's increments within GROUP_BYTES, and the groups'
+    # samples meet end to end
+    built = []
     transfer_increments = gelfand_yaglom._transfer_increments
 
     def recorded(V, h, block):
-        lengths.append(len(V))
-        return transfer_increments(V, h, block)
+        D = transfer_increments(V, h, block)
+        built.append((len(V), D.nbytes))
+        return D
 
     monkeypatch.setattr(gelfand_yaglom, "_transfer_increments", recorded)
     M = np.array([[1.0, 0.2], [0.2, -0.5]])
     grid_run(JacobiSystem.constant(M, 1.3), steps)
+    assert built == [(3, 128)]
+    built.clear()
     grid_run(JacobiSystem(2, 1.3, lambda s: M), steps)
-    assert lengths == [3, 2 * steps + 1]
+    assert sum(length - 1 for length, _ in built) == 2 * steps
+    assert all(nbytes <= gelfand_yaglom.GROUP_BYTES for _, nbytes in built)
+    _, blocks, group = gelfand_yaglom._blocking(JacobiSystem(2, 1.3, lambda s: M), steps)
+    assert len(built) == -(-blocks // group) and (steps < 4000) == (len(built) == 1)
 
 
 def test_blocked_product_error_against_extended_precision():
@@ -472,18 +546,18 @@ ANTIPODAL = ("--kappa", "1", "--r", "3.141592653589793", "--n", "3")
 
 
 @pytest.mark.parametrize(
-    "call, runs",
+    "call, sign_tests",
     [
-        (lambda: run_cli_quietly("det-gy", *CURVED), 2),
-        (lambda: run_cli_quietly("det-zeta", *CURVED), 2),
-        (lambda: run_cli_quietly("det-zeta", *ANTIPODAL), 2),
-        (lambda: gy_ratio(free_system(3), catalog_like_system(3, t=1.0)), 2),
-        (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), 2),
-        (lambda: zeta_det_jacobi(catalog_like_system(3)), 2),
-        (lambda: zeta_det_jacobi(antipodal_system()), 2),
-        (lambda: solve_jacobi_ode(catalog_like_system(3)), 1),
-        (lambda: heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0), 1),
-        (lambda: heat.antipodal_limit_via_Sxy(3, 1.0), 1),
+        (lambda: run_cli_quietly("det-gy", *CURVED), (True, False)),
+        (lambda: run_cli_quietly("det-zeta", *CURVED), (True, False)),
+        (lambda: run_cli_quietly("det-zeta", *ANTIPODAL), (True, False)),
+        (lambda: gy_ratio(free_system(3), catalog_like_system(3, t=1.0)), (True, True)),
+        (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), (True, True)),
+        (lambda: zeta_det_jacobi(catalog_like_system(3)), (True, False)),
+        (lambda: zeta_det_jacobi(antipodal_system()), (True, False)),
+        (lambda: solve_jacobi_ode(catalog_like_system(3)), (False,)),
+        (lambda: heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0), (False,)),
+        (lambda: heat.antipodal_limit_via_Sxy(3, 1.0), (False,)),
     ],
     ids=[
         "cli-det-gy", "cli-det-zeta", "cli-det-zeta-antipodal", "gy_ratio",
@@ -491,21 +565,24 @@ ANTIPODAL = ("--kappa", "1", "--r", "3.141592653589793", "--n", "3")
         "solve_jacobi_ode", "nondegenerate_limit_prediction", "antipodal_limit_via_Sxy",
     ],
 )
-def test_propagation_counts(monkeypatch, call, runs):
+def test_propagation_counts(monkeypatch, call, sign_tests):
     # each determinant route runs one fine/coarse pair of the operator it
     # reports on, in one [J; J'] run each, and nothing for a free reference;
-    # a caller of solve_jacobi_ode, which carries no estimate, gets one run;
-    # every run, grid or end state alone, makes its first sweep once
+    # a ratio runs each operand once; a caller of solve_jacobi_ode, which
+    # carries no estimate, gets one run.  Every run sweeps its end state
+    # once, a fine run with its sign test over (0, t), a coarse one without
     calls = []
-    prefix_products = gelfand_yaglom._prefix_products
+    end_state = gelfand_yaglom._end_state
 
-    def counted(*args):
-        calls.append(args[1])
-        return prefix_products(*args)
+    def counted(sys, steps, V, sign_test=False):
+        calls.append((steps, sign_test))
+        return end_state(sys, steps, V, sign_test)
 
-    monkeypatch.setattr(gelfand_yaglom, "_prefix_products", counted)
+    monkeypatch.setattr(gelfand_yaglom, "_end_state", counted)
     call()
-    assert len(calls) == runs, calls
+    assert tuple(test for _, test in calls) == sign_tests, calls
+    if sign_tests == (True, False):  # a fine/coarse pair
+        assert calls[1][0] == calls[0][0] // 2
 
 
 @pytest.mark.parametrize(
@@ -527,29 +604,40 @@ def test_cli_determinants_share_one_step_halving_path(monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "call, grids",
+    "call, grids, sweeps",
     [
-        (lambda: run_cli_quietly("det-gy", *CURVED), 1),
-        (lambda: zeta_det_jacobi(catalog_like_system(3)), 1),
-        (lambda: gelfand_yaglom._free_reference_ratio(catalog_like_system(3), 2048), 1),
-        (lambda: zeta_det_jacobi(antipodal_system()), 2),
-        (lambda: gy_ratio(free_system(3), catalog_like_system(3, t=1.0)), 2),
+        (lambda: run_cli_quietly("det-gy", *CURVED), 0, 2),
+        (lambda: zeta_det_jacobi(catalog_like_system(3)), 0, 2),
+        (lambda: gelfand_yaglom._free_reference_ratio(catalog_like_system(3), 2048), 0, 2),
+        (lambda: zeta_det_jacobi(antipodal_system()), 2, 4),
+        (lambda: gy_ratio(free_system(3), catalog_like_system(3, t=1.0)), 0, 2),
+        (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), 1, 3),
+        (lambda: heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0), 0, 1),
     ],
-    ids=["cli-det-gy", "zeta_det_jacobi-ratio", "free_reference_ratio", "zeta_det_jacobi-deflated", "gy_ratio"],
+    ids=["cli-det-gy", "zeta_det_jacobi-ratio", "free_reference_ratio", "zeta_det_jacobi-deflated",
+         "gy_ratio", "gy_degenerate_ratio", "nondegenerate_limit_prediction"],
 )
-def test_grid_counts(monkeypatch, call, grids):
-    # a fine run builds its grid for the sign test over (0, t]; a coarse run
-    # builds one only at a kernel, for the Gram, and reads J(t) off its end
-    calls = []
-    grid_states = gelfand_yaglom._grid_states
+def test_grid_counts(monkeypatch, call, grids, sweeps):
+    # no run builds a grid without a kernel: the sign test over (0, t)
+    # rides on the fine run's end-state sweep; at a kernel the fine and the
+    # coarse run each sweep once more, for the Gram.  Every sweep is an
+    # end-state sweep or a grid
+    calls, swept = [], []
+    grid_states, sweep = gelfand_yaglom._grid_states, gelfand_yaglom._sweep
 
-    def counted(E, steps, t):
+    def counted(sys, steps, V):
         calls.append(steps)
-        return grid_states(E, steps, t)
+        return grid_states(sys, steps, V)
+
+    def counted_sweep(sys, steps, V):
+        swept.append(steps)
+        return sweep(sys, steps, V)
 
     monkeypatch.setattr(gelfand_yaglom, "_grid_states", counted)
+    monkeypatch.setattr(gelfand_yaglom, "_sweep", counted_sweep)
     call()
     assert len(calls) == grids, calls
+    assert len(swept) == sweeps, swept
 
 
 @pytest.mark.parametrize(
@@ -563,18 +651,19 @@ def test_grid_counts(monkeypatch, call, grids):
     ids=["zeta_det_jacobi-ratio", "free_reference_ratio", "zeta_det_jacobi-deflated", "gy_degenerate_ratio"],
 )
 def test_determinants_read_j_at_t_from_the_end_state(monkeypatch, call, factor):
-    # every run, fine or coarse, reads J(t) once, from _end_state: doubling
-    # J(t) there scales det J(t) by 2^n and a deflated |det A| by 2^(n - kdim),
-    # in the value and in the step-halving estimate alike
+    # every run, fine or coarse, reads J(t) once, from the end chain of
+    # _end_state: doubling J(t) there scales det J(t) by 2^n and a deflated
+    # |det A| by 2^(n - kdim), in the value and in the step-halving estimate
+    # alike; the sign test, which reads the states inside (0, t), is unmoved
     before = call()
     ends = []
     end_state = gelfand_yaglom._end_state
 
-    def doubled(E, steps):
-        S = end_state(E, steps)
+    def doubled(sys, steps, V, sign_test=False):
+        S, positive = end_state(sys, steps, V, sign_test)
         ends.append(steps)
         S[: S.shape[1]] *= 2.0
-        return S
+        return S, positive
 
     monkeypatch.setattr(gelfand_yaglom, "_end_state", doubled)
     after = call()
@@ -599,6 +688,21 @@ HUGE_STEPS = 10**11  # arrays of terabytes: refused before any is made
 )
 def test_step_count_beyond_memory_is_a_domain_error(call):
     with pytest.raises(DomainError, match=f"^{HUGE_STEPS} steps need .* GiB for the run"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: solve_jacobi_ode(scalar_system(1.0), 10**5000),
+     lambda: zeta_det_jacobi(catalog_like_system(2), 10**5000)],
+    ids=["solve_jacobi_ode", "zeta_det_jacobi"],
+)
+def test_step_count_too_long_to_print_is_named(call):
+    # the guard's message named the count with str(), which Python refuses
+    # beyond 4300 digits, and sized it by an int quotient beyond float64
+    pattern = re.escape("an int of 16610 bits steps need 2^") + r"\d+"
+    pattern += re.escape(" bytes or more for the run of [J; J'], more than the ")
+    with pytest.raises(DomainError, match="^" + pattern):
         call()
 
 
