@@ -91,6 +91,18 @@ def check_memory(floats: int, message: str, shown) -> None:
         raise DomainError(f"{text}, more than the {memory / 2**30:.3g} GiB of physical memory")
 
 
+def check_float_count(count: int, message: str) -> None:
+    """DomainError unless the int ``count`` converts to float64, as a power or quotient does.
+
+    ``message`` is a ``str.format`` template, filled only then with ``count``
+    through :func:`printable`.
+    """
+    try:
+        float(count)
+    except OverflowError:
+        raise DomainError(message.format(printable(count))) from None
+
+
 def check_real(value, ok, message: str):
     """``value`` if it is a number for which ``ok(value)`` holds, else DomainError.
 

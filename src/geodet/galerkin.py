@@ -253,11 +253,14 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
     composite Gauss-Legendre rule sized for the k + l oscillation, and one
     FFT gives every moment of the coupled fiber pairs i <= j; for a constant
     potential that reproduces the block-diagonal I + V t^2/(pi^2 k^2).
-    A K that is not an integer >= 1 raises DomainError.
+    A K that is not an integer >= 1, or whose (nK)^2 entries exceed the
+    physical memory, raises DomainError.
     """
     K = _check_schedule((K,), "mode counts", 1)[0]
     n, t = sys.n, sys.t
     dim = n * K
+    message = f"{{}} modes need {{}} for the Galerkin matrix of fiber dimension {n}"
+    check_memory(dim * dim, message, K)
     nodes, weights = mode_quadrature(t, 2 * K)
     Vq = sys.sample(nodes)  # (Q, n, n)
     # a fiber whose row and column of V vanish at every node (the tangent
@@ -296,11 +299,14 @@ def _fourier_levels(sys: JacobiSystem, schedule):
     Otherwise each level's block is diagonalized and read by
     ``deflated_matrix_determinant``.  A tail series in c/k^2 that diverges,
     (K + 1)^2 <= max|c| at the finest K, raises DomainError before any
-    level is factored.
+    level is factored, as does a finest level whose n K spectrum (constant V)
+    or (n K)^2 entries exceed the physical memory.
     """
     schedule = _check_schedule(schedule, "mode counts", 1)
     n, t = sys.n, sys.t
     if sys.is_constant:
+        finest = schedule[-1]
+        check_memory(n * finest, "{} modes need {} for the spectrum of the finest level", finest)
         v = np.linalg.eigvalsh(sys(0.0))
         spectrum = lambda K: 1.0 + np.outer(v, t**2 / (np.pi**2 * np.arange(1, K + 1) ** 2)).ravel()
     else:

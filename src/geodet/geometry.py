@@ -17,6 +17,7 @@ from .errors import (
     DomainError,
     IntegrationError,
     check_count,
+    check_float_count,
     check_memory,
     check_normal,
     check_real,
@@ -246,9 +247,13 @@ def jacobi_endomorphism(g: GeodesicData) -> JacobiSystem:
 
 
 def _segment_phase(m: ConstantCurvature, d: float) -> float:
-    """sqrt(|kappa|) d, after the manifold, distance and conjugate-point checks."""
+    """sqrt(|kappa|) d, after the manifold, dimension, distance and conjugate-point checks.
+
+    The dimension must lie in float64, as n - 1 is the power of sin x/x.
+    """
     if not isinstance(m, ConstantCurvature):
         raise DomainError("closed form requires a constant-curvature manifold")
+    check_float_count(m.n, "dimension {} lies beyond float64")
     check_real(d, lambda d: d >= 0 and math.isfinite(d), "distance must be finite and >= 0, got {}")
     if d >= m.conjugate_distance:
         raise ConjugatePointError(f"d={d} reaches the conjugate distance pi/sqrt(kappa)")

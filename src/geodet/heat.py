@@ -24,7 +24,7 @@ from .errors import (
     OutOfScopeError,
 )
 from .errors import LOG_MAX, LOG_TINY, check_count, check_normal, check_positive, check_real, normal_exp, printable
-from .errors import signed_exp
+from .errors import check_float_count, signed_exp
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, jacobi_endomorphism
 from .gelfand_yaglom import _read_endpoint, solve_jacobi_ode
 from .interval import gauss_legendre
@@ -49,8 +49,12 @@ _FLOAT64_CANCEL_DIGITS = 9.0
 _MAX_SPHERE_DIM = 342
 
 def euclidean_heat_kernel(d: float, n: int, t: float) -> float:
-    """Flat-space comparison kernel (4 pi t)^{-n/2} exp(-d^2/(4t)); 0.0 at d = inf."""
+    """Flat-space comparison kernel (4 pi t)^{-n/2} exp(-d^2/(4t)); 0.0 at d = inf.
+
+    An n beyond float64 raises DomainError.
+    """
     n = check_count(n, 1, "dimension must be >= 1, got {}")
+    check_float_count(n, "dimension {} lies beyond float64")
     check_positive(t, "time")
     check_real(d, lambda d: d >= 0, "distance must be >= 0, got {}")
     return float((4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-d * d / (4.0 * t)))

@@ -5,15 +5,16 @@ pinned tolerance; a record passes iff |expected - computed| is at most
 tolerance * max(1, |expected|).  Window checks (a fitted mesh-scaling
 slope, a step-halving factor) use the same inequality with the window
 center as the expected value and the tolerance spanning the window.
+The record tables hold Python floats, so numpy loads with the first
+record that reads a route or imports it itself.
 """
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass
 from functools import cache, partial
-
-import numpy as np
 
 import geodet  # each record reaches its route through the package, on first use
 
@@ -58,11 +59,13 @@ def _fourier_det(kappa, r, n):
 
 
 def _deflated_det(n):
-    return geodet.fredholm_det_deflated(_sphere_system(1.0, np.pi, n), schedule=(64, 128, 256))
+    return geodet.fredholm_det_deflated(_sphere_system(1.0, math.pi, n), schedule=(64, 128, 256))
 
 
 def _eval_scaling(kappa, r, n):
     """(fitted slope, Richardson c2) of log ev = c2 h^2 + O(h^3), h = 1/N."""
+    import numpy as np
+
     g = geodet.GeodesicData(geodet.ConstantCurvature(n, kappa), r)
     Ns = (16, 32, 64, 128, 256)
     devs = {
@@ -87,7 +90,7 @@ def _fourier_closed_form(fourier, kappa, r, n, expected):
 
 
 def _identity_chain(fourier, kappa, r, n):
-    free = geodet.JacobiSystem.constant(np.zeros((n, n)), 1.0)
+    free = geodet.JacobiSystem.constant([[0.0] * n] * n, 1.0)
     ratio = geodet.gy_ratio(free, _sphere_system(kappa, r, n), steps=1024)
     return fourier(kappa, r, n), ratio, 1e-5
 
@@ -121,6 +124,8 @@ def _antipodal_kernel_dim(deflated, n):
 def _degenerate_scalar():
     """The degenerate ODE route against the truncated eigenvalue-product
     oracle with its telescoped tail."""
+    import numpy as np
+
     K = 10**6
     k = np.arange(2, K + 1, dtype=float)
     log_partial = float(np.sum(np.log1p(-1.0 / k**2)))
@@ -168,6 +173,8 @@ def _filtration_monotone(fourier, piecewise, kappa, r, n):
 
 
 def _wronskian():
+    import numpy as np
+
     sys = geodet.JacobiSystem(
         2, 1.0, lambda s: np.array([[np.sin(2 * s), 0.4 * s], [0.4 * s, 1.0 - s]])
     )
@@ -175,6 +182,8 @@ def _wronskian():
 
 
 def _rk4_order():
+    import numpy as np
+
     sys = geodet.JacobiSystem(
         1, 1.0, lambda s: np.array([[5.0 + 4.0 * np.sin(2 * np.pi * s)]])
     )
@@ -186,6 +195,8 @@ def _rk4_order():
 
 
 def _chapman():
+    import numpy as np
+
     spec = geodet.SphereSpectrum.for_time_range(1, 1.0, 0.15)
     t, s = 0.2, 0.15
     theta = 0.9
@@ -198,6 +209,8 @@ def _chapman():
 
 
 def _telescoping():
+    import numpy as np
+
     K = 1000
     k = np.arange(2, K + 1, dtype=float)
     partial_product = float(np.exp(np.sum(np.log1p(-1.0 / k**2))))
@@ -210,7 +223,7 @@ def _determinism():
     config = {
         "command": "det-fredholm",
         "kappa": 1.0,
-        "r": float(np.pi / 2),
+        "r": math.pi / 2,
         "n": 3,
         "modes": [64, 128],
     }
@@ -233,10 +246,10 @@ def _checks():
 
     # constant-curvature Fredholm determinants (criteria 1, 2)
     yield "fredholm-sphere-kappa1-rhalfpi-n3", partial(
-        _fourier_closed_form, fourier, 1.0, np.pi / 2, 3, (2.0 / np.pi) ** 2
+        _fourier_closed_form, fourier, 1.0, math.pi / 2, 3, (2.0 / math.pi) ** 2
     )
     yield "fredholm-hyperbolic-kappa-1-r1-n2", partial(
-        _fourier_closed_form, fourier, -1.0, 1.0, 2, np.sinh(1.0)
+        _fourier_closed_form, fourier, -1.0, 1.0, 2, math.sinh(1.0)
     )
 
     # identity chain: Galerkin = ODE ratio = closed form (criterion 3),
@@ -269,16 +282,16 @@ def _checks():
 
     # heat kernel oracle confirmation (criterion 9)
     yield "antipodal-S2-coefficient", partial(
-        _heat_oracle, 2, "antipodal", None, 2.0 * np.pi**2, 0.01
+        _heat_oracle, 2, "antipodal", None, 2.0 * math.pi**2, 0.01
     )
     yield "nondegenerate-S3-halfpi", partial(
-        _heat_oracle, 3, "nondegenerate", np.pi / 2, np.pi / 2.0, 0.005
+        _heat_oracle, 3, "nondegenerate", math.pi / 2, math.pi / 2.0, 0.005
     )
 
     # evaluation-map Jacobian (criterion 10):
     # log ev = c2 h^2 + O(h^3), c2 = -(n-1) kappa^2 r^4 / 144
     yield "eval-jacobian-flat-exact", _eval_flat
-    for kappa, r, n in ((1.0, np.pi / 2, 2), (-1.0, 1.0, 3), (0.5, 1.5, 4)):
+    for kappa, r, n in ((1.0, math.pi / 2, 2), (-1.0, 1.0, 3), (0.5, 1.5, 4)):
         tag = f"kappa{_fmt(kappa)}-n{n}"
         yield f"eval-jacobian-mesh2-slope-{tag}", partial(_eval_slope, scaling, kappa, r, n)
         yield f"eval-jacobian-mesh2-coefficient-{tag}", partial(
@@ -286,7 +299,7 @@ def _checks():
         )
 
     # filtration independence (criterion 11)
-    for kappa, r, n in ((1.0, np.pi / 2, 3), (-1.0, 1.0, 2), (0.3, 1.0, 2)):
+    for kappa, r, n in ((1.0, math.pi / 2, 3), (-1.0, 1.0, 2), (0.3, 1.0, 2)):
         tag = f"kappa{_fmt(kappa)}-n{n}"
         yield f"filtration-agreement-{tag}", partial(
             _filtration_agreement, fourier, piecewise, kappa, r, n

@@ -17,9 +17,12 @@ from geodet import (
     antipodal_sphere_limit_closed_form,
     bernoulli_cosine_sum,
     euclidean_heat_kernel,
+    exp_jacobian_closed_form,
+    fredholm_det,
     gy_ratio,
     heat_limit_validation,
     jacobi_endomorphism,
+    phi0_chain,
     solve_jacobi_ode,
     sphere_heat_kernel,
     zeta_det_dirichlet_laplacian,
@@ -139,14 +142,33 @@ ONE_MATRIX = re.escape("a fiber dimension of an int of 16610 bits needs 2^33222 
         (lambda: JacobiSystem(HUGE, 1.0, [[1.0]]), ONE_MATRIX),
         (lambda: Partition.uniform(HUGE),
          re.escape("an int of 16610 bits segments need 2^16612 bytes or more for the partition times")),
+        (lambda: fredholm_det(JacobiSystem.constant([[1.0]], 1.0), (HUGE,)),
+         re.escape("an int of 16610 bits modes need 2^16612 bytes or more for the spectrum of the finest level")),
+        (lambda: fredholm_det(JacobiSystem(1, 1.0, lambda s: 1.0 + s), (HUGE,)),
+         re.escape("an int of 16610 bits modes need 2^33222 bytes or more for the Galerkin matrix of fiber dimension 1")),
     ],
-    ids=["jacobi_endomorphism", "SyntheticPotential", "JacobiSystem", "Partition.uniform"],
+    ids=["jacobi_endomorphism", "SyntheticPotential", "JacobiSystem", "Partition.uniform",
+         "fredholm_det.constant", "fredholm_det.varying"],
 )
 def test_counts_beyond_memory_are_named_domain_errors(call, pattern):
     # each ended in Python's or numpy's ValueError: a count too long to
     # print in a message, or an array no float64 buffer can hold
     with pytest.raises(DomainError, match="^" + pattern + ", more than the .* GiB of physical memory$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: euclidean_heat_kernel(1.0, HUGE, 1.0),
+     lambda: exp_jacobian_closed_form(ConstantCurvature(HUGE, 1.0), 1.0),
+     lambda: phi0_chain(ConstantCurvature(HUGE, -1.0), 1.0, Partition.uniform(4))],
+    ids=["euclidean_heat_kernel", "exp_jacobian_closed_form", "phi0_chain"],
+)
+def test_dimension_beyond_float64_is_a_domain_error(call):
+    # n enters these as a float64 power and ended in Python's OverflowError
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == "dimension an int of 16610 bits lies beyond float64"
 
 
 def test_huge_dimension_repr_names_it():

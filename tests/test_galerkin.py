@@ -27,7 +27,7 @@ from geodet import (
     jacobi_endomorphism,
     phi0_chain,
 )
-from geodet import galerkin
+from geodet import galerkin, interval
 from geodet.errors import signed_exp
 from geodet.galerkin import deflated_matrix_determinant
 from geodet.interval import mode_quadrature
@@ -109,7 +109,7 @@ def test_varying_potential_matches_refined_quadrature():
     amp = np.sqrt(2.0) / (PI * ks)
     S = np.sin(PI * np.outer(ks, nodes)) * amp[:, None]
     oracle = np.eye(K) + (S * (weights * nodes)[None, :]) @ S.T
-    assert np.max(np.abs(M - oracle)) < 1e-10
+    assert np.max(np.abs(M - oracle)) <= 1e-15 * np.max(np.abs(oracle))
 
 
 def varying_potential(n):
@@ -131,6 +131,27 @@ def sparse_potential(s):
 
 ASSEMBLY_CASES = {f"dense-n{n}": (n, varying_potential(n)) for n in (1, 2, 3, 4)}
 ASSEMBLY_CASES["sparse-n4"] = (4, sparse_potential)
+
+
+def catalog_like_potential(t, n=3):
+    """A + B sin(2 pi s/t) + C s/t, the shape of the catalog's varying potentials."""
+    rng = np.random.default_rng(7)
+    A, B, C = (0.5 * (X + X.T) for X in rng.normal(size=(3, n, n)))
+    return lambda s: A + B * np.sin(2.0 * PI * s / t) + C * (s / t)
+
+
+@pytest.mark.parametrize("K", [32, 128, 256])
+@pytest.mark.parametrize("case", ["dense-n3", "sparse-n4", "catalog-n3"])
+def test_fourier_assembly_matches_a_rule_refined_four_times(case, K, monkeypatch):
+    # the panels span up to 16 rad of the fastest half-wave; a quarter of
+    # that moves no entry beyond rounding (at 32 rad they move by up to 2e-13)
+    t = 1.3
+    n, potential = (3, catalog_like_potential(t)) if case == "catalog-n3" else ASSEMBLY_CASES[case]
+    sys = JacobiSystem(n, t, potential)
+    M = assemble_hessian_fourier(sys, K).entries
+    monkeypatch.setattr(interval, "_MAX_PHASE_PER_PANEL", interval._MAX_PHASE_PER_PANEL // 4)
+    refined = assemble_hessian_fourier(sys, K).entries
+    assert np.max(np.abs(M - refined)) <= 1e-15 * np.max(np.abs(refined))
 
 
 @pytest.mark.parametrize("K", [1, 7, 24])
@@ -664,6 +685,37 @@ def test_hat_blocks_constant_potential_are_mass_blocks():
     off_ref = (deltas[1:-1] / 6.0)[:, None, None] * V
     assert np.max(np.abs(diag - diag_ref)) <= 1e-14 * np.max(np.abs(diag_ref))
     assert np.max(np.abs(off - off_ref)) <= 1e-14 * np.max(np.abs(off_ref))
+
+
+def test_fourier_filtration_samples_the_potential_once_per_node():
+    # the finest assembly's rule is the only sampling: 16 ceil(256 pi/16) =
+    # 816 calls at K = 128, where 8 rad panels took 1616
+    calls = []
+
+    def pot(s):
+        calls.append(s)
+        return np.array([[1.0 + np.sin(2 * s), 0.3], [0.3, 2.0 - s]])
+
+    sys = JacobiSystem(2, 1.0, pot)
+    calls.clear()  # the symmetry checks of the constructor
+    fredholm_det(sys, (32, 64, 128))
+    assert len(calls) == len(mode_quadrature(1.0, 256)[0]) <= 1000
+
+
+@pytest.mark.parametrize(
+    "call, pattern",
+    [(lambda: fredholm_det(JacobiSystem(1, 1.0, lambda s: 1.0 + s), (10**12,)),
+      "1000000000000 modes need .* GiB for the Galerkin matrix of fiber dimension 1"),
+     (lambda: assemble_hessian_fourier(JacobiSystem(1, 1.0, lambda s: 1.0 + s), 10**12),
+      "1000000000000 modes need .* GiB for the Galerkin matrix of fiber dimension 1"),
+     (lambda: fredholm_det(JacobiSystem.constant([[1.0]], 1.0), (10**12,)),
+      "1000000000000 modes need .* GiB for the spectrum of the finest level")],
+    ids=["fredholm_det", "assemble_hessian_fourier", "fredholm_det-constant"],
+)
+def test_mode_count_beyond_memory_is_a_domain_error(call, pattern):
+    # a varying V ended in numpy's MemoryError on the rule's 2.9 TiB of nodes
+    with pytest.raises(DomainError, match=f"^{pattern}, more than the .* GiB of physical memory$"):
+        call()
 
 
 def test_piecewise_samples_potential_four_times_per_segment():

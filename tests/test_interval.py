@@ -128,6 +128,49 @@ def test_mode_cosine_moments_match_direct_sums(t, halfwaves, M):
     assert np.array_equal(mode_cosine_moments(fw, m[::-2]), moments[:, ::-2])
 
 
+def _rule_errors(phase):
+    """Largest errors of the float64 rule on cos(w x) and x sin(w x) over [-1, 1], 0 < w <= phase/2.
+
+    The sums run in mpmath on the rule's float64 nodes and weights, so the
+    rule's own rounding counts and that of a platform's cos does not.
+    """
+    import mpmath as mp
+
+    x, w = gauss_legendre(interval._PANEL_ORDER)
+    with mp.workdps(40):
+        X, W = [mp.mpf(float(v)) for v in x], [mp.mpf(float(v)) for v in w]
+        cos_err = sin_err = 0.0
+        for om in np.linspace(0.0, phase / 2.0, 161)[1:]:
+            om = mp.mpf(float(om))
+            rule_cos = mp.fsum(wi * mp.cos(om * xi) for wi, xi in zip(W, X))
+            rule_sin = mp.fsum(wi * xi * mp.sin(om * xi) for wi, xi in zip(W, X))
+            exact_cos = 2 * mp.sin(om) / om
+            exact_sin = 2 * (mp.sin(om) / om**2 - mp.cos(om) / om)
+            cos_err = max(cos_err, float(abs(rule_cos - exact_cos)))
+            sin_err = max(sin_err, float(abs(rule_sin - exact_sin)))
+    return cos_err, sin_err
+
+
+def test_panel_phase_keeps_the_rule_at_machine_precision():
+    # the rule's rounding floor is 1.1e-15 on [-1, 1] at every phase, so the
+    # bound is 1e-15 per unit length; the error is 1.1e-15 (cos) and 0.9e-15
+    # (x sin) at 16 rad, 2.3e-15 at 17 and 1.7e-14 at 18
+    bound = 2 * 1e-15
+    assert max(_rule_errors(interval._MAX_PHASE_PER_PANEL)) <= bound
+    assert max(_rule_errors(interval._MAX_PHASE_PER_PANEL + 2)) > bound  # and a wider panel fails it
+
+
+@pytest.mark.parametrize(
+    "halfwaves, count",
+    [(10**13, "10000000000000"), (10**400, "1" + "0" * 400), (10**5000, "an int of 16610 bits")],
+    ids=["1e13", "1e400", "1e5000"],
+)
+def test_mode_quadrature_beyond_memory_is_a_domain_error(halfwaves, count):
+    # 10**13 ended in numpy's MemoryError, 10**400 in an OverflowError of pi h
+    with pytest.raises(DomainError, match=f"^{count} half-waves need .* for the rule's nodes and weights, more than"):
+        mode_quadrature(1.0, halfwaves)
+
+
 def test_only_interval_builds_gauss_legendre_rules():
     # one module owns the rules; the tests' own leggauss calls are independent references
     src = pathlib.Path(interval.__file__).parent
