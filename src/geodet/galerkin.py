@@ -99,17 +99,30 @@ class Partition:
 class GalerkinMatrix:
     """Dense symmetric truncation of the Hessian form over the first K sine modes.
 
-    :func:`assemble_hessian_fourier` builds it and also records ``mean``,
-    the average of V over [0, t] on its rule, ``coupled``, the fibers
-    whose row or column of V is nonzero at some node (every other fiber is
-    a block of the identity), and ``samples`` (Q, n, n), V at the rule's nodes.
+    :func:`assemble_hessian_fourier` builds it.  ``coupled`` lists the
+    fibers whose row or column of V is nonzero at some node; every other
+    fiber is a block of the identity, so only ``block`` (Kw, Kw), the
+    k-major matrix on the w coupled fibers, is stored.  ``mean`` is the
+    average of V over [0, t] on the rule, and ``samples`` (Q, n, n) holds V
+    at the rule's nodes.
     """
 
     dimension: int
-    entries: np.ndarray
-    mean: np.ndarray = None
-    coupled: np.ndarray = None
-    samples: np.ndarray = None
+    block: np.ndarray
+    mean: np.ndarray
+    coupled: np.ndarray
+    samples: np.ndarray
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The whole (nK, nK) matrix in k-major ordering: ``block`` embedded in the identity."""
+        M = np.eye(self.dimension)
+        width = len(self.coupled)
+        if width:
+            K = len(self.block) // width
+            keep = (self.dimension // K * np.arange(K)[:, None] + self.coupled).ravel()
+            M[np.ix_(keep, keep)] = self.block
+        return M
 
 
 @dataclass
@@ -253,8 +266,10 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
     composite Gauss-Legendre rule sized for the k + l oscillation, and one
     FFT gives every moment of the coupled fiber pairs i <= j; for a constant
     potential that reproduces the block-diagonal I + V t^2/(pi^2 k^2).
-    A K that is not an integer >= 1, or whose (nK)^2 entries exceed the
-    physical memory, raises DomainError.
+    Only the (Kw, Kw) block of the w coupled fibers is filled; the whole
+    matrix is never made unless ``entries`` is read.  A K that is not an
+    integer >= 1, or whose (nK)^2 entries exceed the physical memory,
+    raises DomainError.
     """
     K = _check_schedule((K,), "mode counts", 1)[0]
     n, t = sys.n, sys.t
@@ -267,20 +282,22 @@ def assemble_hessian_fourier(sys: JacobiSystem, K: int) -> GalerkinMatrix:
     # fiber of synthetic systems) is a block of the identity
     nonzero = Vq.any(axis=0)
     coupled = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    i, j = (coupled[r] for r in np.triu_indices(len(coupled)))  # pairs i <= j
+    width = len(coupled)
+    a, b = np.triu_indices(width)  # pairs a <= b of coupled fibers
+    i, j = coupled[a], coupled[b]
     C = mode_cosine_moments(weights * (0.5 * (Vq[:, i, j] + Vq[:, j, i])).T, np.arange(2 * K + 1))
     # C(|k - l|) and C(k + l) as K x K windows onto each pair's moments
     folded = np.concatenate([C[:, K - 1 : 0 : -1], C[:, :K]], 1)  # C(|m|), m = 1-K..K-1
     toeplitz = sliding_window_view(folded, K, 1)[:, ::-1]
     hankel = sliding_window_view(C[:, 2:], K, 1)
     amp = np.sqrt(2.0 * t) / (np.pi * np.arange(1, K + 1))
-    W = np.zeros((K, n, K, n))
-    W[:, i, :, j] = W[:, j, :, i] = 0.5 * np.outer(amp, amp) * (toeplitz - hankel)
-    M = W.reshape(dim, dim)
-    M.flat[:: dim + 1] += 1.0
+    W = np.zeros((K, width, K, width))
+    W[:, a, :, b] = W[:, b, :, a] = 0.5 * np.outer(amp, amp) * (toeplitz - hankel)
+    block = W.reshape(K * width, K * width)
+    block.flat[:: K * width + 1] += 1.0
     mean = np.zeros((n, n))
     mean[i, j] = mean[j, i] = C[:, 0] / t
-    return GalerkinMatrix(dim, M, mean, coupled, Vq)
+    return GalerkinMatrix(dim, block, mean, coupled, Vq)
 
 
 def _fourier_levels(sys: JacobiSystem, schedule):
@@ -289,11 +306,11 @@ def _fourier_levels(sys: JacobiSystem, schedule):
     A constant V is diagonalized once: its eigenvalues v give the tail's
     c = v t^2/pi^2 and each level's factors 1 + v t^2/(pi^2 k^2).  A varying V
     is assembled once, at the finest level, the tail reads its mean matrix,
-    and the levels are the leading nK blocks of the assembly on its coupled
-    fibers (an uncoupled fiber's eigenvalues 1 add 0 to log|det| and never
+    and the levels are the leading Kw rows of its coupled block
+    (an uncoupled fiber's eigenvalues 1 add 0 to log|det| and never
     decide the kernel test).  When ``_positivity_bound`` of the samples
     exceeds KERNEL_GAP_FACTOR KERNEL_TOL, one Cholesky factor L of the
-    finest block gives every level: the blocks are k-major, so a level's
+    finest block gives every level: the block is k-major, so a level's
     log det is 2 sum log L_ii over its leading rows, and interlacing keeps
     every level's eigenvalues above the bound, so no level has a kernel.
     Otherwise each level's block is diagonalized and read by
@@ -312,8 +329,7 @@ def _fourier_levels(sys: JacobiSystem, schedule):
     else:
         G = assemble_hessian_fourier(sys, schedule[-1])
         v = np.linalg.eigvalsh(G.mean)
-        keep = (n * np.arange(schedule[-1])[:, None] + G.coupled).ravel()  # k-major
-        block, width = G.entries[np.ix_(keep, keep)], len(G.coupled)
+        block, width = G.block, len(G.coupled)
         spectrum = lambda K: np.linalg.eigvalsh(block[: K * width, : K * width])
     c = v * t**2 / np.pi**2
     cmax = float(np.max(np.abs(c)))

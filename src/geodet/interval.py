@@ -4,11 +4,15 @@ The Fourier filtration integrates the potential against products of sine
 modes sin(pi k s/t) sin(pi l s/t), that is, against the half-wave cosines
 cos(pi m s/t) with m = |k - l| and k + l; a composite Gauss-Legendre rule
 with panels sized for the fastest oscillation keeps those integrals at
-machine precision.  The 16-point rule's error on cos(w x) and x sin(w x)
-over [-1, 1], a panel of phase 2w, stays at its rounding floor of about
-1.1e-15 up to 16 rad and leaves it from 17 rad on (2.3e-15 at 17 rad,
-1.7e-14 at 18), so a panel spans up to 16 rad: mode_quadrature takes
-16 ceil(pi h/16), about pi h, nodes for h half-waves.
+machine precision.  Its size is set by the accuracy of the weights, not by
+the panel phase: numpy's leggauss weights are 7.0e-15, 5.8e-14 and 1.3e-12
+relative off at orders 16, 32 and 64, and with weights recomputed from the
+Legendre recurrence (gauss_legendre) the 32-point rule's error on cos(w x)
+and x sin(w x) over [-1, 1], a panel of phase 2w, is 7.1e-16 at 58 rad
+and 2.3e-15 at 60, where numpy's weights leave 2.4e-15 at every phase.  So
+a panel spans up to 58 rad: mode_quadrature takes 32 ceil(pi h/58), about
+0.55 pi h, nodes for h half-waves, where the 16-point rule on 16 rad panels
+took about pi h.
 """
 
 import math
@@ -17,25 +21,43 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import check_count, check_memory, check_positive
+from .errors import DomainError, check_count, check_memory, check_positive, printable
 
 __all__ = ["gauss_legendre", "composite_gauss", "mode_quadrature", "mode_cosine_moments"]
 
 # the largest phase per panel at which the rule of this order holds
 # oscillatory integrands at machine precision (see the module docstring)
-_PANEL_ORDER = 16
-_MAX_PHASE_PER_PANEL = 16  # radians
-_MIN_PANELS = 4  # at least 64 nodes, however smooth the integrand
+_PANEL_ORDER = 32
+_MAX_PHASE_PER_PANEL = 58  # radians
+_MIN_PANELS = 2  # at least 64 nodes, however smooth the integrand
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 16.0 is checked, not served the rule of 16
 def gauss_legendre(order: int):
     """Nodes and weights of the ``order``-point rule on [-1, 1], read-only: callers share them.
 
-    An order that is no integer count of at least 1 raises DomainError.
+    The nodes are numpy's leggauss nodes, within 1 ulp of the correctly
+    rounded roots.  The weights are recomputed at them as
+    2/((1 - x^2) P_n'(x)^2), P_n' from the three-term recurrence,
+    symmetrized and scaled to sum to 2 (exactly so at the orders 4, 16, 32
+    and 64, within 2 ulp up to 256): 5.0e-16, 2.1e-15, 5.2e-15 and 9.2e-14
+    relative off at orders 4, 16, 32 and 64, where leggauss's own are
+    7.0e-15, 5.8e-14 and 1.3e-12 off at 16, 32 and 64.  An order that
+    is no integer count of at least 1 raises DomainError, as does one whose
+    order^2 companion matrix (leggauss finds the nodes as its eigenvalues)
+    exceeds the physical memory.
     """
     order = check_count(order, 1, "Gauss-Legendre order must be >= 1, got {}")
-    x, w = leggauss(order)
+    check_memory(order * order, "Gauss-Legendre order {} needs {} for its companion matrix", order)
+    x, _ = leggauss(order)
+    p0, p1 = np.ones_like(x), x.copy()  # P_{k-1} and P_k, up to k = order
+    for k in range(2, order + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    s = 1.0 - x * x
+    derivative = order * (p0 - x * p1) / s
+    w = 2.0 / (s * derivative * derivative)
+    w = 0.5 * (w + w[::-1])
+    w *= 2.0 / np.sum(w)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -53,8 +75,8 @@ def mode_quadrature(t: float, max_halfwaves: int):
 
     ``max_halfwaves`` is the largest combined frequency k + k' appearing in
     the integrand.  Panels are sized so the phase per panel stays at most
-    16 radians of the fastest oscillation, where the 16-point rule is still
-    at machine precision: 16 ceil(pi max_halfwaves/16) nodes, at least 64.
+    58 radians of the fastest oscillation, where the 32-point rule is still
+    at machine precision: 32 ceil(pi max_halfwaves/58) nodes, at least 64.
 
     Returns (nodes, weights) on [0, t].  A t outside (0, inf), or a
     ``max_halfwaves`` that is no integer count of at least 0, raises
@@ -62,7 +84,7 @@ def mode_quadrature(t: float, max_halfwaves: int):
     """
     check_positive(t, "interval length")
     max_halfwaves = check_count(max_halfwaves, 0, "max_halfwaves must be >= 0, got {}")
-    # ceil(pi h/16) in integers, on the float64 pi: pi h itself overflows for
+    # ceil(pi h/58) in integers, on the float64 pi: pi h itself overflows for
     # the largest h, which check_memory then names
     pi_num, pi_den = math.pi.as_integer_ratio()
     panels = max(-(-pi_num * max(1, max_halfwaves) // (pi_den * _MAX_PHASE_PER_PANEL)), _MIN_PANELS)
@@ -79,9 +101,17 @@ def mode_cosine_moments(fw: np.ndarray, m: np.ndarray) -> np.ndarray:
     stack integrands along its leading axes; the moments take the last axis.
     The rule's panels are uniform, s = p t/P + u, so one FFT over p,
     zero-padded to 2P, and a phase in the offsets u give every m at once;
-    only the phases of the requested m are formed.
+    only the phases of the requested m are formed.  A last axis that is no
+    whole positive number of panels, or indices that are no integers, raise
+    DomainError.
     """
-    panels = fw.shape[-1] // _PANEL_ORDER
+    panels, rest = divmod(fw.shape[-1], _PANEL_ORDER)
+    if rest or not panels:
+        raise DomainError(f"{fw.shape[-1]} nodes are no whole number of {_PANEL_ORDER}-point panels")
+    m = np.asarray(m)
+    if m.dtype.kind not in "iu":
+        shown = printable(m.ravel().tolist()[0]) if m.size else f"an empty {m.dtype} array"
+        raise DomainError(f"cosine-moment indices must form an integer array, got {shown}")
     f = fw.reshape(fw.shape[:-1] + (panels, _PANEL_ORDER))
     u = (gauss_legendre(_PANEL_ORDER)[0] + 1.0) / (2.0 * panels)  # offsets, in units of t
     # sum_p f_p exp(-i pi m p/P)

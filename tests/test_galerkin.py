@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from geodet import (
     ConstantCurvature,
@@ -30,7 +31,7 @@ from geodet import (
 from geodet import galerkin, interval
 from geodet.errors import signed_exp
 from geodet.galerkin import deflated_matrix_determinant
-from geodet.interval import mode_quadrature
+from geodet.interval import mode_cosine_moments, mode_quadrature
 
 PI = np.pi
 
@@ -143,8 +144,9 @@ def catalog_like_potential(t, n=3):
 @pytest.mark.parametrize("K", [32, 128, 256])
 @pytest.mark.parametrize("case", ["dense-n3", "sparse-n4", "catalog-n3"])
 def test_fourier_assembly_matches_a_rule_refined_four_times(case, K, monkeypatch):
-    # the panels span up to 16 rad of the fastest half-wave; a quarter of
-    # that moves no entry beyond rounding (at 32 rad they move by up to 2e-13)
+    # the panels span up to 58 rad of the fastest half-wave; a quarter of
+    # that (14 rad) moves no entry beyond rounding (at 88 rad they move by up
+    # to 7e-14, at 116 rad by up to 3e-7)
     t = 1.3
     n, potential = (3, catalog_like_potential(t)) if case == "catalog-n3" else ASSEMBLY_CASES[case]
     sys = JacobiSystem(n, t, potential)
@@ -175,6 +177,61 @@ def test_fourier_moment_assembly_matches_einsum(case, K):
     # the tail's mean matrix is the rule's average of the same samples
     mean = np.einsum("q,qij->ij", weights, Vq) / t
     assert np.max(np.abs(G.mean - 0.5 * (mean + mean.T))) < 1e-14
+
+
+def _whole_matrix(sys, K, coupled):
+    """The (nK)^2 matrix filled on every fiber, zeros off the coupled pairs, from the same moments."""
+    n, t = sys.n, sys.t
+    nodes, weights = mode_quadrature(t, 2 * K)
+    Vq = sys.sample(nodes)
+    i, j = (coupled[r] for r in np.triu_indices(len(coupled)))
+    C = mode_cosine_moments(weights * (0.5 * (Vq[:, i, j] + Vq[:, j, i])).T, np.arange(2 * K + 1))
+    folded = np.concatenate([C[:, K - 1 : 0 : -1], C[:, :K]], 1)
+    toeplitz = sliding_window_view(folded, K, 1)[:, ::-1]
+    hankel = sliding_window_view(C[:, 2:], K, 1)
+    amp = np.sqrt(2.0 * t) / (PI * np.arange(1, K + 1))
+    W = np.zeros((K, n, K, n))
+    W[:, i, :, j] = W[:, j, :, i] = 0.5 * np.outer(amp, amp) * (toeplitz - hankel)
+    M = W.reshape(n * K, n * K)
+    M.flat[:: n * K + 1] += 1.0
+    return M
+
+
+@pytest.mark.parametrize("K", [7, 128])
+@pytest.mark.parametrize("case", ["dense-n3", "sparse-n4", "catalog-n3", "synthetic-n4"])
+def test_coupled_block_is_the_whole_matrix_on_the_coupled_fibers(case, K):
+    # the block holds, bit for bit, the rows and columns of the coupled fibers
+    # of the whole matrix, and entries embeds it back in the identity
+    t = 1.3
+    if case == "synthetic-n4":
+        manifold = SyntheticPotential(4, varying_potential(3), t)
+        sys = jacobi_endomorphism(GeodesicData(manifold, t))
+    else:
+        n, potential = (3, catalog_like_potential(t)) if case == "catalog-n3" else ASSEMBLY_CASES[case]
+        sys = JacobiSystem(n, t, potential)
+    G = assemble_hessian_fourier(sys, K)
+    width = 3 if case in ("sparse-n4", "synthetic-n4") else sys.n
+    assert len(G.coupled) == width and G.block.shape == (K * width, K * width)
+    M = _whole_matrix(sys, K, G.coupled)
+    keep = (sys.n * np.arange(K)[:, None] + G.coupled).ravel()
+    assert np.array_equal(G.block, M[np.ix_(keep, keep)])
+    assert np.array_equal(G.entries, M)
+
+
+def test_fredholm_det_holds_no_whole_matrix():
+    # n = 4 with one uncoupled fiber: the coupled block at K = 256 is 4.5 MiB
+    # and the peak 11.2 MiB, where filling the (nK)^2 matrix (8 MiB) and
+    # gathering the block from it took 17.2 MiB
+    manifold = SyntheticPotential(4, varying_potential(3), 1.3)
+    sys = jacobi_endomorphism(GeodesicData(manifold, 1.3))
+    fredholm_det(sys, (8,))  # the rules are built once per process
+    tracemalloc.start()
+    try:
+        fredholm_det(sys, (64, 128, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 2**20
 
 
 def _full_block_determinant(G, n, K):
@@ -688,8 +745,8 @@ def test_hat_blocks_constant_potential_are_mass_blocks():
 
 
 def test_fourier_filtration_samples_the_potential_once_per_node():
-    # the finest assembly's rule is the only sampling: 16 ceil(256 pi/16) =
-    # 816 calls at K = 128, where 8 rad panels took 1616
+    # the finest assembly's rule is the only sampling: 32 ceil(256 pi/58) =
+    # 448 calls at K = 128, where 16-point panels of 16 rad took 816 and of 8 rad 1616
     calls = []
 
     def pot(s):
@@ -699,7 +756,7 @@ def test_fourier_filtration_samples_the_potential_once_per_node():
     sys = JacobiSystem(2, 1.0, pot)
     calls.clear()  # the symmetry checks of the constructor
     fredholm_det(sys, (32, 64, 128))
-    assert len(calls) == len(mode_quadrature(1.0, 256)[0]) <= 1000
+    assert len(calls) == len(mode_quadrature(1.0, 256)[0]) == 448
 
 
 @pytest.mark.parametrize(

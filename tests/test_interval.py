@@ -98,11 +98,60 @@ def test_composite_gauss_exact_on_nonuniform_partition(order):
 
 @pytest.mark.parametrize("t, halfwaves", [(1.0, 16), (0.37, 64), (2.5, 1024)])
 def test_mode_quadrature_is_composite_gauss_on_uniform_panels(t, halfwaves):
+    order = interval._PANEL_ORDER
     nodes, weights = mode_quadrature(t, halfwaves)
-    panels = len(nodes) // 16
-    ref_nodes, ref_weights = composite_gauss(np.linspace(0.0, t, panels + 1), 16)
+    panels = len(nodes) // order
+    ref_nodes, ref_weights = composite_gauss(np.linspace(0.0, t, panels + 1), order)
     assert np.array_equal(nodes, ref_nodes.ravel())
     assert np.array_equal(weights, ref_weights.ravel())
+
+
+@pytest.mark.parametrize("K, panels", [(8, 2), (64, 7), (128, 14), (256, 28), (512, 56)])
+def test_mode_quadrature_panel_counts(K, panels):
+    # K modes need 2K half-waves: P = ceil(2 pi K/58), at least 2; every FFT
+    # length 2P of the moments is 7-smooth, where 16 rad panels had P = 101 at K = 256
+    nodes, weights = mode_quadrature(1.0, 2 * K)
+    assert len(nodes) == len(weights) == panels * interval._PANEL_ORDER
+
+
+def _reference_weights(order, x):
+    """The weights of the ``order``-point rule in 40 digits, at the roots refined from ``x``."""
+    import mpmath as mp
+
+    def legendre(r):  # P_n(r) and P_n'(r)
+        p0, p1 = mp.mpf(1), r
+        for k in range(2, order + 1):
+            p0, p1 = p1, ((2 * k - 1) * r * p1 - (k - 1) * p0) / k
+        return p1, order * (p0 - r * p1) / (1 - r * r)
+
+    weights = []
+    with mp.workdps(40):
+        for start in x:
+            r = mp.mpf(float(start))
+            for _ in range(3):  # Newton steps from a float64 root
+                p, dp = legendre(r)
+                r -= p / dp
+            dp = legendre(r)[1]
+            weights.append(2 / ((1 - r * r) * dp * dp))
+    return weights
+
+
+@pytest.mark.parametrize("order, bound", [(4, 5e-15), (16, 5e-15), (32, 1e-14), (64, 2e-13)])
+def test_gauss_legendre_weights_match_a_40_digit_reference(order, bound):
+    # weights recomputed from the Legendre recurrence are 5.0e-16, 2.1e-15,
+    # 5.2e-15 and 9.2e-14 off; numpy's leggauss weights, 7.0e-15, 5.8e-14 and
+    # 1.3e-12 off at 16, 32 and 64, fail the same bounds
+    x, w = gauss_legendre(order)
+    ref = _reference_weights(order, x)
+
+    def error(weights):
+        return max(float(abs((float(v) - r) / r)) for v, r in zip(weights, ref))
+
+    assert error(w) <= bound
+    if order > 4:
+        assert error(np.polynomial.legendre.leggauss(order)[1]) > bound
+    assert np.array_equal(w, w[::-1])
+    assert np.sum(w) == 2.0  # the orders geodet's rules use sum to 2 exactly
 
 
 @pytest.mark.parametrize(
@@ -152,9 +201,9 @@ def _rule_errors(phase):
 
 
 def test_panel_phase_keeps_the_rule_at_machine_precision():
-    # the rule's rounding floor is 1.1e-15 on [-1, 1] at every phase, so the
-    # bound is 1e-15 per unit length; the error is 1.1e-15 (cos) and 0.9e-15
-    # (x sin) at 16 rad, 2.3e-15 at 17 and 1.7e-14 at 18
+    # the bound is 1e-15 per unit length of [-1, 1]; the 32-point rule's error
+    # is 7.1e-16 at 58 rad and 2.3e-15 at 60, while with numpy's leggauss
+    # weights it is 2.4e-15 at every phase, so those weights would fail the bound
     bound = 2 * 1e-15
     assert max(_rule_errors(interval._MAX_PHASE_PER_PANEL)) <= bound
     assert max(_rule_errors(interval._MAX_PHASE_PER_PANEL + 2)) > bound  # and a wider panel fails it
@@ -169,6 +218,30 @@ def test_mode_quadrature_beyond_memory_is_a_domain_error(halfwaves, count):
     # 10**13 ended in numpy's MemoryError, 10**400 in an OverflowError of pi h
     with pytest.raises(DomainError, match=f"^{count} half-waves need .* for the rule's nodes and weights, more than"):
         mode_quadrature(1.0, halfwaves)
+
+
+@pytest.mark.parametrize("order, count", [(10**7, "10000000"), (10**400, "1" + "0" * 400)], ids=["1e7", "1e400"])
+def test_gauss_legendre_beyond_memory_is_a_domain_error(order, count):
+    # 10**5 ended in numpy's MemoryError on a 74.5 GiB companion matrix, 10**400 in an OverflowError
+    with pytest.raises(DomainError, match=f"^Gauss-Legendre order {count} needs .* for its companion matrix, more than"):
+        gauss_legendre(order)
+
+
+@pytest.mark.parametrize("length", [17, 8, 0, 3 * interval._PANEL_ORDER + 1])
+def test_mode_cosine_moments_need_whole_panels(length):
+    # a length that is no whole number of panels ended in numpy's "cannot reshape"
+    with pytest.raises(DomainError, match=f"^{length} nodes are no whole number of {interval._PANEL_ORDER}-point panels$"):
+        mode_cosine_moments(np.ones((2, length)), np.arange(3))
+
+
+@pytest.mark.parametrize(
+    "m, shown", [([1.5], "1.5"), (np.array([2.0, 3.0]), "2.0"), ([], "an empty float64 array")]
+)
+def test_mode_cosine_moments_need_integer_indices(m, shown):
+    # a float index ended in numpy's IndexError
+    fw = mode_quadrature(1.0, 16)[1]
+    with pytest.raises(DomainError, match=f"^cosine-moment indices must form an integer array, got {shown}$"):
+        mode_cosine_moments(fw, m)
 
 
 def test_only_interval_builds_gauss_legendre_rules():
