@@ -49,23 +49,21 @@ GROUP_BYTES = 2**18
 class JacobiPropagation:
     """The fundamental solution (J, J') of J'' = V J from one RK4 run.
 
-    ``end`` is the end state [J(t); J'(t)], shape (2n, n), chained over the
-    block ends alone by the run's sweep (:func:`_end_state`); with
-    ``sign_test`` the same sweep sets ``positive``, whether det J(s) > 0 at
-    every grid point of (0, t), else None.  The run keeps its half-grid
-    samples, not its products: ``J`` and ``Jprime``, shape (steps+1, n, n),
-    are built by a second sweep the first time either is read
-    (:func:`_grid_states`), with no resampling of V, and the samples are
-    dropped then; a caller that reads the end state alone never holds the
-    grid.  A run whose end state leaves float64 builds the grid at once and
-    raises its IntegrationError, which names the first s beyond float64.
+    ``end`` is the end state [J(t); J'(t)], shape (2n, n), from the run's
+    one reader (:func:`_end_state`); with ``sign_test`` the same sweep sets
+    ``positive``, whether det J(s) > 0 at every grid point of (0, t), else
+    None.  The run keeps its half-grid samples, not its products: ``J`` and
+    ``Jprime``, shape (steps+1, n, n), are swept from them when first read
+    (:func:`_grid_states`), which drops them.  An end state beyond float64
+    raises the grid's IntegrationError, its row sought a group at a time.
     """
 
     def __init__(self, sys: JacobiSystem, steps: int, V: np.ndarray, sign_test: bool = False):
         self._sys, self._steps, self._V, self._grid = sys, steps, V, None
-        self.end, self.positive = _end_state(sys, steps, V, sign_test)
-        if not np.isfinite(self.end).all():  # the grid names the s where the run left float64
-            self.end = self._states()[-1]
+        self.end, stop = _end_state(sys, steps, V, test=_positive if sign_test else None)
+        self.positive = stop is None if sign_test else None
+        if not np.isfinite(self.end).all():  # s = t if no grid row before it left float64
+            raise _beyond_float64(sys, steps, _end_state(sys, steps, V, test=_finite)[1] or steps)
 
     def _states(self) -> np.ndarray:
         if self._grid is None:
@@ -92,8 +90,9 @@ class JacobiPropagation:
 
 
 def _sample_potential(sys: JacobiSystem, steps: int) -> np.ndarray:
-    """V at the 2*steps+1 half-grid points needed by the RK4 stages."""
-    return sys.sample(np.linspace(0.0, sys.t, 2 * steps + 1))
+    """V at the 2*steps+1 half-grid points needed by the RK4 stages; a constant V makes no grid."""
+    count = 2 * steps + 1  # a constant V is one broadcast matrix, whatever the points
+    return sys.sample(np.broadcast_to(0.0, count) if sys.is_constant else np.linspace(0.0, sys.t, count))
 
 
 def _transfer_increments(V: np.ndarray, h: float, block: int) -> np.ndarray:
@@ -145,28 +144,25 @@ def _prefix_products(E: np.ndarray) -> np.ndarray:
 def _blocking(sys: JacobiSystem, steps: int):
     """(block, blocks, group) of a run: steps per block, blocks, blocks per group."""
     block = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)): 64 at 4096 steps
-    return block, -(-steps // block), max(1, GROUP_BYTES // (32 * block * sys.n * sys.n))
+    blocks = -(-steps // block)
+    return block, blocks, min(blocks, max(1, GROUP_BYTES // (32 * block * sys.n * sys.n)))
 
 
 def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray):
     """The products of one RK4 run at ``steps``: each block's prefix products, one group at a time.
 
     The product of the step matrices I + D_m is a two-level blocked prefix
-    product over blocks of about sqrt(steps) steps, so a run takes about
-    2 sqrt(steps) array operations instead of two per step.  The sweep
-    takes a group of consecutive blocks at a time, as many as keep the
-    group's increments within GROUP_BYTES (one block at least), builds
-    their increments from the half-grid samples ``V`` of
-    :func:`_sample_potential` and yields the block-local prefix products
-    of the group's blocks (:func:`_prefix_products`), one (block, 2n, 2n)
-    array for each, for the run's readers (:func:`_end_state`,
-    :func:`_grid_states`) to map each block's start state.  A constant
-    system has the same increment at every step, so it builds one, from
-    the first 3 samples, copies it across one block and sweeps that block
-    once; every block of every group is that block.  The run is
-    bit-identical to one that builds all increments at once, since both
-    make the same products.  The caller holds the errstate: overflow is
-    reported by the readers, as is h^4 = inf.
+    product over blocks of about sqrt(steps) steps: about 2 sqrt(steps)
+    array operations instead of two per step.  A group holds as many
+    consecutive blocks as keep its increments within GROUP_BYTES (one at
+    least); the sweep builds them from the half-grid samples ``V`` of
+    :func:`_sample_potential` and yields the group's block-local prefix
+    products (:func:`_prefix_products`), one (block, 2n, 2n) array per
+    block.  A constant system builds one increment, from the first 3
+    samples, copies it across one block and sweeps that block once; every
+    block is that block.  Both runs are bit-identical to one that builds
+    all increments at once.  The reader (:func:`_end_state`) holds the
+    errstate; overflow, and h^4 = inf, are reported by its callers.
     """
     block, blocks, group = _blocking(sys, steps)
     h = np.float64(sys.t) / steps
@@ -181,83 +177,77 @@ def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray):
             yield _prefix_products(_transfer_increments(samples, h, block))
 
 
-def _block_states(E: np.ndarray, S: np.ndarray, out: np.ndarray) -> None:
-    """``out`` <- S + E_j S, the states of a block's k steps from its start state ``S``.
-
-    One (k 2n, 2n) @ (2n, n) product of the block's prefix products ``E``
-    cut to its k = len(out) steps, then one add.
-    """
-    n = S.shape[1]
-    np.matmul(E.reshape(-1, 2 * n)[: 2 * n * len(out)], S, out=out.reshape(-1, n))
-    out += S
+def _positive(states: np.ndarray) -> np.ndarray:
+    """Whether det J(s) > 0 at each of the ``states`` [J; J'], by ``slogdet``'s sign."""
+    return np.linalg.slogdet(states[:, : states.shape[2]])[0] > 0.0
 
 
-def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, sign_test: bool = False):
-    """(end, positive): [J(t); J'(t)] of the run at ``steps``, shape (2n, n), without the grid.
+def _finite(states: np.ndarray) -> np.ndarray:
+    """Whether each of the ``states`` lies in the float64 range."""
+    return np.isfinite(states).all(axis=(1, 2))
 
-    The one J(t) and J'(t) of every reader: the determinants, the kernel
-    split and the heat predictions.  One sweep (:func:`_sweep`) chains the
-    block ends alone, S <- E_last S + S, one (2n, 2n) @ (2n, n) product per
-    block, the last block cut to its steps: the products and adds that give
-    the grid's last row, bit for bit where BLAS rounds a (2n, 2n) product
-    as it rounds the same rows of the block's (block 2n, 2n) product, on
-    one thread of OpenBLAS's Haswell, Zen and SkylakeX kernels for every
-    n <= 8.  The AVX-512 (SkylakeX) kernel rounds some larger shapes
-    otherwise (n = 9 and 11 for random dense systems, some sphere d from
-    n = 20 on), and no report is pinned there.  A state beyond float64 is
-    not finite here; :class:`JacobiPropagation` names it.
 
-    With ``sign_test`` the same sweep maps each block's start state through
-    all its prefix products, as the grid reader does (:func:`_block_states`),
-    into one group's states, and reduces them to the signs of det J(s) by
-    ``slogdet``, so a det J(s) beyond float64 keeps its sign: ``positive``
-    tells whether det J(s) > 0 at every grid point of (0, t), and once it
-    is False no further state is mapped.  Without the test it is None.
+def _beyond_float64(sys: JacobiSystem, steps: int, row: int) -> IntegrationError:
+    """The error of the run at ``steps`` whose first grid row beyond float64 is ``row``."""
+    s = sys.t * row / steps
+    return IntegrationError(f"J or J' left the float64 range at s = {s:.4g} of t = {sys.t:.4g}")
+
+
+def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, rows=None, test=None):
+    """(end, stop): [J(t); J'(t)] of the run at ``steps``, shape (2n, n), and the row ``test`` failed at.
+
+    The one reader of a run.  Its sweep (:func:`_sweep`) chains the block
+    ends, S <- E_last S + S, one (2n, 2n) @ (2n, n) product per block cut
+    to its steps: the grid's last row bit for bit where BLAS rounds a
+    (2n, 2n) product as the same rows of a (block 2n, 2n) one, as one
+    thread of OpenBLAS's Haswell, Zen and SkylakeX kernels does for n <= 8
+    (AVX-512 differs at n = 9, 11 and some sphere d from n = 20; no report
+    is pinned there).  The same sweep maps each block's k states
+    S_0 + E_j S_0, by one (k 2n, 2n) @ (2n, n) product and one add from the
+    last state mapped, into ``rows``: the grid after s = 0, whose last row
+    is then ``end``, or, with a ``test``, one group's rows made here.
+    ``test`` (:func:`_positive`, :func:`_finite`) tells which of a group's
+    states in (0, t) hold; ``stop`` is the grid row of the first that does
+    not, after which nothing is mapped, else None.
     """
     block, _, group = _blocking(sys, steps)
-    n, b = sys.n, 0
-    S = np.eye(2 * n, n, -n)
-    positive = states = None
-    if sign_test:
-        positive, states = True, np.empty((group * block, 2 * n, n))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by JacobiPropagation
+    n, b, stop, grid = sys.n, 0, None, rows is not None
+    S = start = np.eye(2 * n, n, -n)
+    if test is not None:
+        rows = np.empty((group * block, 2 * n, n))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the callers
         for E in _sweep(sys, steps, V):
-            first = b * block  # the grid row that starts the group
+            first = b * block  # the step that starts the group
             for Eb in E:
                 k = min(block, steps - b * block)
-                if positive:
-                    _block_states(Eb, S, states[b * block - first :][:k])
-                S = Eb[k - 1] @ S + S
+                if rows is not None:  # the block's place in the grid, or in its group's rows
+                    out = rows[b * block % len(rows) :][:k]
+                    np.matmul(Eb.reshape(-1, 2 * n)[: 2 * n * k], start, out=out.reshape(-1, n))
+                    out += start
+                    start = out[-1].copy()  # the next group's rows may overwrite it
+                S = start if grid else Eb[k - 1] @ S + S  # a grid ends in its last row
                 b += 1
-            if positive:  # the group's states in (0, t): s = t is the end state's
-                inside = states[: min(b * block, steps - 1) - first, :n]
-                positive = bool(np.all(np.linalg.slogdet(inside)[0] > 0.0))
-    return S, positive
+            if test is not None:
+                holds = test(rows[: min(b * block, steps - 1) - first])
+                if not holds.all():
+                    stop, rows, test = first + 1 + int(np.argmin(holds)), None, None
+    return S, stop
 
 
 def _grid_states(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:
     """[J; J'] at every grid point of the run at ``steps``, shape (steps+1, 2n, n).
 
-    A sweep of the run (:func:`_sweep`) that maps every block's start state
-    through its prefix products straight into the grid
-    (:func:`_block_states`); the block's last state starts the next block.
-    The grid's bytes are compared with the physical memory before it is
-    made (DomainError).  Raises IntegrationError, naming the first s, when
-    J or J' leaves the float64 range.
+    Mapped by the run's reader (:func:`_end_state`).  The grid's bytes are
+    compared with the physical memory before it is made (DomainError); J
+    or J' beyond float64 raises IntegrationError, naming the first s.
     """
-    block, n, b = _blocking(sys, steps)[0], sys.n, 0
+    n = sys.n
     check_memory((steps + 1) * 2 * n * n, "{} steps need {} for the grid of [J; J']", steps)
     Y = np.empty((steps + 1, 2 * n, n))
     Y[0] = np.eye(2 * n, n, -n)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for E in _sweep(sys, steps, V):
-            for Eb in E:
-                k = min(block, steps - b * block)
-                _block_states(Eb, Y[b * block], Y[b * block + 1 : b * block + 1 + k])
-                b += 1
+    _end_state(sys, steps, V, Y[1:])
     if not np.isfinite(Y).all():
-        s = sys.t * np.argmin(np.isfinite(Y).all(axis=(1, 2))) / steps
-        raise IntegrationError(f"J or J' left the float64 range at s = {s:.4g} of t = {sys.t:.4g}")
+        raise _beyond_float64(sys, steps, int(np.argmin(_finite(Y))))
     return Y
 
 
@@ -266,15 +256,15 @@ def _propagate(sys: JacobiSystem, steps: int, V=None, sign_test: bool = False):
 
     Every run is built here.  ``V`` are the half-grid samples of
     :func:`_sample_potential`, taken here unless given.  Before any array
-    is made, the bytes the run holds (the samples, and one group's
-    increments and, for the ``sign_test``, its states) are compared with
-    the physical memory: a run that cannot fit raises DomainError.  A grid
-    is compared when it is built (:func:`_grid_states`).
+    is made, the bytes the run holds (the samples, one group's increments
+    and one group's states, for the sign test or the search beyond float64)
+    are compared with the physical memory: a run that cannot fit raises
+    DomainError.  A grid is compared when it is built (:func:`_grid_states`).
     """
     n = sys.n
-    block, blocks, group = _blocking(sys, steps)
+    block, _, group = _blocking(sys, steps)
     floats = (2 * steps + 1) * (1 if sys.is_constant else 1 + n * n)
-    floats += min(group, blocks) * block * (4 + 2 * sign_test) * n * n
+    floats += group * block * 6 * n * n
     check_memory(floats, "{} steps need {} for the run of [J; J']", steps)
     if V is None:
         V = _sample_potential(sys, steps)
@@ -284,9 +274,9 @@ def _propagate(sys: JacobiSystem, steps: int, V=None, sign_test: bool = False):
 def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPropagation:
     """Propagate J'' = V J, J(0) = 0, J'(0) = id with fixed-step RK4.
 
-    One run at ``steps``: one sweep for its end state; the grid is built
-    by a second when read (:class:`JacobiPropagation`).  The step-halving error
-    estimates live on the determinant routes (:class:`ZetaDetValue`).
+    One run at ``steps``: one sweep for its end state, a second for the grid
+    when read (:class:`JacobiPropagation`).  The step-halving error estimates
+    live on the determinant routes (:class:`ZetaDetValue`).
     """
     return _propagate(sys, check_count(steps, 16, "need at least 16 steps"))[0]
 

@@ -101,9 +101,9 @@ def mode_cosine_moments(fw: np.ndarray, m: np.ndarray) -> np.ndarray:
     stack integrands along its leading axes; the moments take the last axis.
     The rule's panels are uniform, s = p t/P + u, so one FFT over p,
     zero-padded to 2P, and a phase in the offsets u give every m at once;
-    only the phases of the requested m are formed.  A last axis that is no
-    whole positive number of panels, or indices that are no integers, raise
-    DomainError.
+    only the phases of the requested m are formed, once per panel count
+    and index set.  A last axis that is no whole positive number of
+    panels, or indices that are no integers, raise DomainError.
     """
     panels, rest = divmod(fw.shape[-1], _PANEL_ORDER)
     if rest or not panels:
@@ -113,8 +113,17 @@ def mode_cosine_moments(fw: np.ndarray, m: np.ndarray) -> np.ndarray:
         shown = printable(m.ravel().tolist()[0]) if m.size else f"an empty {m.dtype} array"
         raise DomainError(f"cosine-moment indices must form an integer array, got {shown}")
     f = fw.reshape(fw.shape[:-1] + (panels, _PANEL_ORDER))
-    u = (gauss_legendre(_PANEL_ORDER)[0] + 1.0) / (2.0 * panels)  # offsets, in units of t
     # sum_p f_p exp(-i pi m p/P)
     F = np.fft.fft(f, n=2 * panels, axis=-2)[..., m % (2 * panels), :]
-    phase = np.pi * np.outer(m, u)
-    return np.sum(F.real * np.cos(phase) + F.imag * np.sin(phase), axis=-1)  # Re F exp(-i phase)
+    cos, sin = _phase_table(panels, m.astype(np.float64).tobytes())
+    return np.sum(F.real * cos + F.imag * sin, axis=-1)  # Re F exp(-i phase)
+
+
+@lru_cache(maxsize=16)
+def _phase_table(panels: int, m: bytes):
+    """Read-only cos and sin of pi m u for the indices ``m`` (float64 bytes), shared by callers."""
+    u = (gauss_legendre(_PANEL_ORDER)[0] + 1.0) / (2.0 * panels)  # offsets, in units of t
+    phase = np.pi * np.outer(np.frombuffer(m), u)
+    cos, sin = np.cos(phase), np.sin(phase)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin

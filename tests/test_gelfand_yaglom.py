@@ -28,7 +28,7 @@ from geodet import (
     zeta_det_dirichlet_laplacian,
     zeta_det_jacobi,
 )
-from geodet import gelfand_yaglom, heat
+from geodet import errors, gelfand_yaglom, heat
 from geodet.cli import main
 from geodet.gelfand_yaglom import _sample_potential
 
@@ -356,6 +356,52 @@ def test_end_state_beyond_float64_names_the_grid_s():
     assert str(end.value) == str(grid.value) and " at s = " in str(end.value)
 
 
+@pytest.mark.parametrize("c", [4000.0, 1420.0, 850.0], ids=["first-group", "second-group", "last-group"])
+def test_end_state_beyond_float64_in_any_group_names_the_grid_s(c):
+    # J' = cosh(c s) leaves float64 at c s = 710.5; at 20000 steps a scalar
+    # run sweeps three groups, and the run finds the grid's first row beyond
+    # float64 in the group that holds it, with the grid's exact error
+    sys, steps = scalar_system(c * c), 20000
+    _, blocks, group = gelfand_yaglom._blocking(sys, steps)
+    assert -(-blocks // group) == 3
+    with pytest.raises(IntegrationError) as grid:
+        grid_run(sys, steps)
+    with pytest.raises(IntegrationError) as end:
+        solve_jacobi_ode(sys, steps)
+    assert str(end.value) == str(grid.value)
+    s = float(str(end.value).split(" at s = ")[1].split()[0])
+    assert s == pytest.approx(710.5 / c, abs=1e-3)
+
+
+def test_end_state_beyond_float64_builds_no_grid(monkeypatch):
+    # the run names the first row beyond float64 one group at a time, so it
+    # needs no grid: with 500 kB of physical memory the run (453 kB with a
+    # group of states) fits and the 4097-state grid (590 kB) does not, and
+    # a run that built the grid for its error ended in the grid's DomainError
+    sys = jacobi_endomorphism(GeodesicData(ConstantCurvature(3, -6e5), 1.0))
+    with pytest.raises(IntegrationError) as grid:
+        grid_run(sys, 4096)
+    monkeypatch.setattr(errors, "physical_memory", lambda: 500e3)
+    with pytest.raises(IntegrationError) as end:
+        solve_jacobi_ode(sys, 4096)
+    assert str(end.value) == str(grid.value) and " at s = 0.9172 " in str(end.value)
+
+
+def test_constant_run_traced_heap_peak():
+    # a constant system's samples are one broadcast matrix, so its run
+    # allocates no half-grid of points: the 524288-step run of det-gy
+    # --kappa 1 --r 1 --n 3 peaked at 8 MiB for its linspace, now 0.31 MiB
+    sys = jacobi_endomorphism(GeodesicData(ConstantCurvature(3, 1.0), 1.0))
+    solve_jacobi_ode(sys, 2**19)
+    tracemalloc.start()
+    try:
+        solve_jacobi_ode(sys, 2**19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 def test_limit_predictions_read_no_grid(monkeypatch):
     # both heat predictions read the end state alone: with a grid reader
     # that raises they return the values they return with it
@@ -545,19 +591,26 @@ CURVED = ("--kappa", "0.5", "--r", "1", "--n", "3")
 ANTIPODAL = ("--kappa", "1", "--r", "3.141592653589793", "--n", "3")
 
 
+def reader_mode(rows, test):
+    """The mode of a call of the run's one reader, gelfand_yaglom._end_state."""
+    if test is not None:
+        return {gelfand_yaglom._positive: "sign", gelfand_yaglom._finite: "finite"}[test]
+    return "end" if rows is None else "grid"
+
+
 @pytest.mark.parametrize(
-    "call, sign_tests",
+    "call, modes",
     [
-        (lambda: run_cli_quietly("det-gy", *CURVED), (True, False)),
-        (lambda: run_cli_quietly("det-zeta", *CURVED), (True, False)),
-        (lambda: run_cli_quietly("det-zeta", *ANTIPODAL), (True, False)),
-        (lambda: gy_ratio(free_system(3), catalog_like_system(3, t=1.0)), (True, True)),
-        (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), (True, True)),
-        (lambda: zeta_det_jacobi(catalog_like_system(3)), (True, False)),
-        (lambda: zeta_det_jacobi(antipodal_system()), (True, False)),
-        (lambda: solve_jacobi_ode(catalog_like_system(3)), (False,)),
-        (lambda: heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0), (False,)),
-        (lambda: heat.antipodal_limit_via_Sxy(3, 1.0), (False,)),
+        (lambda: run_cli_quietly("det-gy", *CURVED), ("sign", "end")),
+        (lambda: run_cli_quietly("det-zeta", *CURVED), ("sign", "end")),
+        (lambda: run_cli_quietly("det-zeta", *ANTIPODAL), ("sign", "grid", "end", "grid")),
+        (lambda: gy_ratio(free_system(3), catalog_like_system(3, t=1.0)), ("sign", "sign")),
+        (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), ("sign", "grid", "sign")),
+        (lambda: zeta_det_jacobi(catalog_like_system(3)), ("sign", "end")),
+        (lambda: zeta_det_jacobi(antipodal_system()), ("sign", "grid", "end", "grid")),
+        (lambda: solve_jacobi_ode(catalog_like_system(3)), ("end",)),
+        (lambda: heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0), ("end",)),
+        (lambda: heat.antipodal_limit_via_Sxy(3, 1.0), ("end",)),
     ],
     ids=[
         "cli-det-gy", "cli-det-zeta", "cli-det-zeta-antipodal", "gy_ratio",
@@ -565,24 +618,26 @@ ANTIPODAL = ("--kappa", "1", "--r", "3.141592653589793", "--n", "3")
         "solve_jacobi_ode", "nondegenerate_limit_prediction", "antipodal_limit_via_Sxy",
     ],
 )
-def test_propagation_counts(monkeypatch, call, sign_tests):
+def test_propagation_counts(monkeypatch, call, modes):
     # each determinant route runs one fine/coarse pair of the operator it
     # reports on, in one [J; J'] run each, and nothing for a free reference;
     # a ratio runs each operand once; a caller of solve_jacobi_ode, which
-    # carries no estimate, gets one run.  Every run sweeps its end state
-    # once, a fine run with its sign test over (0, t), a coarse one without
+    # carries no estimate, gets one run.  Every run reads its end state
+    # once, a fine run with its sign test over (0, t), a coarse one by the
+    # end chain alone, and a run at a kernel maps its grid once more
     calls = []
     end_state = gelfand_yaglom._end_state
 
-    def counted(sys, steps, V, sign_test=False):
-        calls.append((steps, sign_test))
-        return end_state(sys, steps, V, sign_test)
+    def counted(sys, steps, V, rows=None, test=None):
+        calls.append((steps, reader_mode(rows, test)))
+        return end_state(sys, steps, V, rows, test)
 
     monkeypatch.setattr(gelfand_yaglom, "_end_state", counted)
     call()
-    assert tuple(test for _, test in calls) == sign_tests, calls
-    if sign_tests == (True, False):  # a fine/coarse pair
-        assert calls[1][0] == calls[0][0] // 2
+    assert tuple(mode for _, mode in calls) == modes, calls
+    if modes[0] == "sign" and "end" in modes:  # a fine/coarse pair
+        runs = [steps for steps, mode in calls if mode != "grid"]
+        assert runs == [runs[0], runs[0] // 2]
 
 
 @pytest.mark.parametrize(
@@ -654,16 +709,18 @@ def test_determinants_read_j_at_t_from_the_end_state(monkeypatch, call, factor):
     # every run, fine or coarse, reads J(t) once, from the end chain of
     # _end_state: doubling J(t) there scales det J(t) by 2^n and a deflated
     # |det A| by 2^(n - kdim), in the value and in the step-halving estimate
-    # alike; the sign test, which reads the states inside (0, t), is unmoved
+    # alike; the sign test, which reads the states inside (0, t), and the
+    # grid of the Gram are unmoved
     before = call()
     ends = []
     end_state = gelfand_yaglom._end_state
 
-    def doubled(sys, steps, V, sign_test=False):
-        S, positive = end_state(sys, steps, V, sign_test)
-        ends.append(steps)
-        S[: S.shape[1]] *= 2.0
-        return S, positive
+    def doubled(sys, steps, V, rows=None, test=None):
+        S, stop = end_state(sys, steps, V, rows, test)
+        if reader_mode(rows, test) != "grid":
+            ends.append(steps)
+            S[: S.shape[1]] *= 2.0
+        return S, stop
 
     monkeypatch.setattr(gelfand_yaglom, "_end_state", doubled)
     after = call()

@@ -177,6 +177,32 @@ def test_mode_cosine_moments_match_direct_sums(t, halfwaves, M):
     assert np.array_equal(mode_cosine_moments(fw, m[::-2]), moments[:, ::-2])
 
 
+def uncached_cosine_moments(fw, m):
+    """mode_cosine_moments with its phase table formed on every call."""
+    panels = fw.shape[-1] // 32
+    F = np.fft.fft(fw.reshape(fw.shape[:-1] + (panels, 32)), n=2 * panels, axis=-2)[..., m % (2 * panels), :]
+    phase = PI * np.outer(m, (gauss_legendre(32)[0] + 1.0) / (2.0 * panels))
+    return np.sum(F.real * np.cos(phase) + F.imag * np.sin(phase), axis=-1)
+
+
+@pytest.mark.parametrize("K", [8, 64, 128, 512])
+@pytest.mark.parametrize("indices", ["fourier", "hessian-trace"])
+def test_cached_phase_table_keeps_the_moments_bit_for_bit(K, indices):
+    # the cos/sin table depends on the panel count and the indices alone; the
+    # moments read from the cache equal the formula formed afresh, bit for
+    # bit, on a second call too, for fredholm_det's m = 0..2K and
+    # hessian_trace's even m = 2..2K, and the shared table is read-only
+    nodes, weights = mode_quadrature(1.3, 2 * K)
+    u = nodes / 1.3
+    fw = weights * np.stack([np.exp(u) * np.sin(5.0 * u), 1.0 + u**3, np.cos(11.0 * u)])
+    m = np.arange(2 * K + 1) if indices == "fourier" else np.arange(2, 2 * K + 1, 2)
+    expected = uncached_cosine_moments(fw, m)
+    assert np.array_equal(mode_cosine_moments(fw, m), expected)
+    assert np.array_equal(mode_cosine_moments(fw, m), expected)
+    cos, sin = interval._phase_table(len(nodes) // 32, m.astype(np.float64).tobytes())
+    assert not cos.flags.writeable and not sin.flags.writeable
+
+
 def _rule_errors(phase):
     """Largest errors of the float64 rule on cos(w x) and x sin(w x) over [-1, 1], 0 < w <= phase/2.
 
