@@ -47,23 +47,33 @@ GROUP_BYTES = 2**18
 
 
 class JacobiPropagation:
-    """The fundamental solution (J, J') of J'' = V J from one RK4 run.
+    """The fundamental solution (J, J') of J'' = V J from one RK4 run at ``steps``.
 
-    ``end`` is the end state [J(t); J'(t)], shape (2n, n), from the run's
-    one reader (:func:`_end_state`); with ``sign_test`` the same sweep sets
-    ``positive``, whether det J(s) > 0 at every grid point of (0, t), else
-    None.  The run keeps its half-grid samples, not its products: ``J`` and
-    ``Jprime``, shape (steps+1, n, n), are swept from them when first read
-    (:func:`_grid_states`), which drops them.  An end state beyond float64
-    raises the grid's IntegrationError, its row sought a group at a time.
+    Every run is built here, from the half-grid samples ``V`` of
+    :func:`_sample_potential`, taken unless given, once the bytes it holds
+    (the samples, one group's increments and one group's states) are found
+    to fit the physical memory (else DomainError).  ``end`` is [J(t); J'(t)],
+    shape (2n, n), of the run's one sweep (:func:`_end_state`), which feeds
+    its states to ``readers``; beyond float64 it raises the grid's
+    IntegrationError, its row sought by one more sweep.  ``J`` and
+    ``Jprime``, shape (steps+1, n, n), are swept from the samples when
+    first read (:func:`_grid_states`), which drops them.
     """
 
-    def __init__(self, sys: JacobiSystem, steps: int, V: np.ndarray, sign_test: bool = False):
+    def __init__(self, sys: JacobiSystem, steps: int, V=None, *readers):
+        n = sys.n
+        block, _, group = _blocking(sys, steps)
+        floats = (2 * steps + 1) * (1 if sys.is_constant else 1 + n * n)
+        floats += group * block * 6 * n * n
+        check_memory(floats, "{} steps need {} for the run of [J; J']", steps)
+        if V is None:
+            V = _sample_potential(sys, steps)
         self._sys, self._steps, self._V, self._grid = sys, steps, V, None
-        self.end, stop = _end_state(sys, steps, V, test=_positive if sign_test else None)
-        self.positive = stop is None if sign_test else None
-        if not np.isfinite(self.end).all():  # s = t if no grid row before it left float64
-            raise _beyond_float64(sys, steps, _end_state(sys, steps, V, test=_finite)[1] or steps)
+        self.end = _end_state(sys, steps, V, *readers)
+        if not np.isfinite(self.end).all():
+            search = _FirstFailure(_finite, steps)
+            _end_state(sys, steps, V, search)  # s = t if no grid row before it left float64
+            raise _beyond_float64(sys, steps, search.row or steps)
 
     def _states(self) -> np.ndarray:
         if self._grid is None:
@@ -83,10 +93,8 @@ class JacobiPropagation:
 
     def wronskian_drift(self) -> float:
         """max_s ||J'^T J - J^T J'||; zero for symmetric potentials."""
-        W = np.einsum("sji,sjk->sik", self.Jprime, self.J) - np.einsum(
-            "sji,sjk->sik", self.J, self.Jprime
-        )
-        return float(np.max(np.abs(W)))
+        W = np.einsum("sji,sjk->sik", self.Jprime, self.J)  # J'^T J; J^T J' is its transpose
+        return float(np.max(np.abs(W - W.swapaxes(1, 2))))
 
 
 def _sample_potential(sys: JacobiSystem, steps: int) -> np.ndarray:
@@ -109,7 +117,7 @@ def _transfer_increments(V: np.ndarray, h: float, block: int) -> np.ndarray:
 
     built for all these steps at once and returned in blocks of ``block``
     steps, shape (blocks, block, 2n, 2n); the last block is padded with
-    zero increments (identity steps), whose states no reader maps.  The
+    zero increments (identity steps), whose states are never mapped.  The
     identity is kept out: rounding I + O(h^2) would drop the low bits of
     the increment in the same direction at every step of a smooth
     potential, an error that grows linearly with the step count.
@@ -161,7 +169,7 @@ def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray):
     block.  A constant system builds one increment, from the first 3
     samples, copies it across one block and sweeps that block once; every
     block is that block.  Both runs are bit-identical to one that builds
-    all increments at once.  The reader (:func:`_end_state`) holds the
+    all increments at once.  The consumer (:func:`_end_state`) holds the
     errstate; overflow, and h^4 = inf, are reported by its callers.
     """
     block, blocks, group = _blocking(sys, steps)
@@ -177,14 +185,40 @@ def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray):
             yield _prefix_products(_transfer_increments(samples, h, block))
 
 
-def _positive(states: np.ndarray) -> np.ndarray:
-    """Whether det J(s) > 0 at each of the ``states`` [J; J'], by ``slogdet``'s sign."""
-    return np.linalg.slogdet(states[:, : states.shape[2]])[0] > 0.0
-
-
 def _finite(states: np.ndarray) -> np.ndarray:
     """Whether each of the ``states`` lies in the float64 range."""
     return np.isfinite(states).all(axis=(1, 2))
+
+
+class _FirstFailure:
+    """Reader of ``row``, the first grid row in (0, t) whose state fails ``test``, else None; it stops the mapping there."""
+
+    def __init__(self, test, steps: int):
+        self.test, self.steps, self.row = test, steps, None
+
+    def __call__(self, row: int, states: np.ndarray) -> bool:
+        lead = int(row == 0)  # J(0) = 0 is no state of (0, t)
+        holds = self.test(states[lead : self.steps - row])
+        if not holds.all():
+            self.row = row + lead + int(np.argmin(holds))
+        return self.row is not None
+
+
+class _SimpsonGram:
+    """Reader of ``gram``, G = int_0^t J^T J ds by composite Simpson; an odd interval count closes with the 3/8 rule."""
+
+    def __init__(self, t: float, steps: int):
+        self.t, self.steps, self.gram = t, steps, 0.0
+
+    def __call__(self, row: int, states: np.ndarray) -> None:
+        m, h = self.steps, self.t / self.steps
+        e = m - 3 * (m % 2)  # end of the Simpson part; the 3/8 rule takes the rest
+        r = np.arange(row, row + len(states))
+        w = np.where((r == 0) | (r == e), 1.0, np.where(r < e, 2.0 + 2.0 * (r % 2), 0.0)) * h / 3.0
+        if e < m:
+            w[r >= e] += np.array([1.0, 3.0, 3.0, 1.0])[r[r >= e] - e] * (3.0 * h / 8.0)
+        J = states[:, : states.shape[2]]
+        self.gram = self.gram + np.einsum("s,sji,sjk->ik", w, J, J)  # a one-group run: the grid's sum
 
 
 def _beyond_float64(sys: JacobiSystem, steps: int, row: int) -> IntegrationError:
@@ -193,92 +227,69 @@ def _beyond_float64(sys: JacobiSystem, steps: int, row: int) -> IntegrationError
     return IntegrationError(f"J or J' left the float64 range at s = {s:.4g} of t = {sys.t:.4g}")
 
 
-def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, rows=None, test=None):
-    """(end, stop): [J(t); J'(t)] of the run at ``steps``, shape (2n, n), and the row ``test`` failed at.
+def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, *readers) -> np.ndarray:
+    """[J(t); J'(t)] of the run at ``steps``, shape (2n, n); its states go to ``readers``.
 
-    The one reader of a run.  Its sweep (:func:`_sweep`) chains the block
-    ends, S <- E_last S + S, one (2n, 2n) @ (2n, n) product per block cut
-    to its steps: the grid's last row bit for bit where BLAS rounds a
-    (2n, 2n) product as the same rows of a (block 2n, 2n) one, as one
-    thread of OpenBLAS's Haswell, Zen and SkylakeX kernels does for n <= 8
-    (AVX-512 differs at n = 9, 11 and some sphere d from n = 20; no report
-    is pinned there).  The same sweep maps each block's k states
-    S_0 + E_j S_0, by one (k 2n, 2n) @ (2n, n) product and one add from the
-    last state mapped, into ``rows``: the grid after s = 0, whose last row
-    is then ``end``, or, with a ``test``, one group's rows made here.
-    ``test`` (:func:`_positive`, :func:`_finite`) tells which of a group's
-    states in (0, t) hold; ``stop`` is the grid row of the first that does
-    not, after which nothing is mapped, else None.
+    The one sweep of a run (:func:`_sweep`).  It chains the block ends,
+    S <- E_last S + S, one (2n, 2n) @ (2n, n) product per block cut to its
+    steps: the grid's last row bit for bit for n <= 8 on OpenBLAS's
+    Haswell, Zen and SkylakeX kernels (README).  While a reader is
+    attached, it maps each block's k states S_0 + E_j S_0 into one group's
+    rows, by one (k 2n, 2n) @ (2n, n) product and one add from the last
+    state mapped, as the grid's states, and calls ``reader(row, states)``
+    with each group's states, ``row`` the grid row of the first (J(0) for
+    the first group).  A reader that returns true stops the mapping.
     """
     block, _, group = _blocking(sys, steps)
-    n, b, stop, grid = sys.n, 0, None, rows is not None
-    S = start = np.eye(2 * n, n, -n)
-    if test is not None:
-        rows = np.empty((group * block, 2 * n, n))
+    n, b = sys.n, 0
+    S = np.eye(2 * n, n, -n)
+    if readers:  # rows[0] holds the state before the group
+        rows = np.empty((group * block + 1, 2 * n, n))
+        rows[0] = S
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the callers
         for E in _sweep(sys, steps, V):
-            first = b * block  # the step that starts the group
+            first = b * block  # the grid row of rows[0]
             for Eb in E:
-                k = min(block, steps - b * block)
-                if rows is not None:  # the block's place in the grid, or in its group's rows
-                    out = rows[b * block % len(rows) :][:k]
-                    np.matmul(Eb.reshape(-1, 2 * n)[: 2 * n * k], start, out=out.reshape(-1, n))
-                    out += start
-                    start = out[-1].copy()  # the next group's rows may overwrite it
-                S = start if grid else Eb[k - 1] @ S + S  # a grid ends in its last row
+                k, j = min(block, steps - b * block), b * block - first
+                if readers:
+                    out = rows[j + 1 : j + 1 + k]
+                    np.matmul(Eb.reshape(-1, 2 * n)[: 2 * n * k], rows[j], out=out.reshape(-1, n))
+                    out += rows[j]
+                S = Eb[k - 1] @ S + S
                 b += 1
-            if test is not None:
-                holds = test(rows[: min(b * block, steps - 1) - first])
-                if not holds.all():
-                    stop, rows, test = first + 1 + int(np.argmin(holds)), None, None
-    return S, stop
+            if readers:
+                count, lead = min(b * block, steps) - first, int(first > 0)
+                if any(reader(first + lead, rows[lead : count + 1]) for reader in readers):
+                    readers = ()
+                rows[0] = rows[count]
+    return S
 
 
 def _grid_states(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:
     """[J; J'] at every grid point of the run at ``steps``, shape (steps+1, 2n, n).
 
-    Mapped by the run's reader (:func:`_end_state`).  The grid's bytes are
-    compared with the physical memory before it is made (DomainError); J
-    or J' beyond float64 raises IntegrationError, naming the first s.
+    A reader of the run's sweep (:func:`_end_state`) copies each group's
+    states into it.  Its bytes are compared with the physical memory before
+    it is made (DomainError); J or J' beyond float64 raises IntegrationError.
     """
     n = sys.n
     check_memory((steps + 1) * 2 * n * n, "{} steps need {} for the grid of [J; J']", steps)
     Y = np.empty((steps + 1, 2 * n, n))
-    Y[0] = np.eye(2 * n, n, -n)
-    _end_state(sys, steps, V, Y[1:])
+    _end_state(sys, steps, V, lambda row, states: np.copyto(Y[row : row + len(states)], states))
     if not np.isfinite(Y).all():
         raise _beyond_float64(sys, steps, int(np.argmin(_finite(Y))))
     return Y
-
-
-def _propagate(sys: JacobiSystem, steps: int, V=None, sign_test: bool = False):
-    """(run, V): the RK4 run at ``steps``, a :class:`JacobiPropagation`, and its samples V.
-
-    Every run is built here.  ``V`` are the half-grid samples of
-    :func:`_sample_potential`, taken here unless given.  Before any array
-    is made, the bytes the run holds (the samples, one group's increments
-    and one group's states, for the sign test or the search beyond float64)
-    are compared with the physical memory: a run that cannot fit raises
-    DomainError.  A grid is compared when it is built (:func:`_grid_states`).
-    """
-    n = sys.n
-    block, _, group = _blocking(sys, steps)
-    floats = (2 * steps + 1) * (1 if sys.is_constant else 1 + n * n)
-    floats += group * block * 6 * n * n
-    check_memory(floats, "{} steps need {} for the run of [J; J']", steps)
-    if V is None:
-        V = _sample_potential(sys, steps)
-    return JacobiPropagation(sys, steps, V, sign_test), V
 
 
 def solve_jacobi_ode(sys: JacobiSystem, steps: int = DEFAULT_STEPS) -> JacobiPropagation:
     """Propagate J'' = V J, J(0) = 0, J'(0) = id with fixed-step RK4.
 
     One run at ``steps``: one sweep for its end state, a second for the grid
-    when read (:class:`JacobiPropagation`).  The step-halving error estimates
-    live on the determinant routes (:class:`ZetaDetValue`).
+    when ``J`` or ``Jprime`` is read (:class:`JacobiPropagation`).  The
+    step-halving error estimates live on the determinant routes
+    (:class:`ZetaDetValue`).
     """
-    return _propagate(sys, check_count(steps, 16, "need at least 16 steps"))[0]
+    return JacobiPropagation(sys, check_count(steps, 16, "need at least 16 steps"))
 
 
 def _read_endpoint(end: np.ndarray, t: float, kdim: int = None):
@@ -306,31 +317,18 @@ def _read_endpoint(end: np.ndarray, t: float, kdim: int = None):
     return sig, kdim, C, float(np.linalg.slogdet(W.T @ end[n:] @ C)[1])
 
 
-def _simpson_weights(num_points: int, h: float) -> np.ndarray:
-    """Composite Simpson weights; an odd interval count closes with the 3/8 rule."""
-    m = num_points - 1
-    e = m - 3 * (m % 2)  # end of the Simpson part; the 3/8 rule takes the rest
-    w = np.zeros(num_points)
-    w[: e + 1] = 1.0
-    w[1:e:2] = 4.0
-    w[2:e:2] = 2.0
-    w = w * h / 3.0
-    if e < m:
-        w[e:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
-    return w
+def _gy_det(end: np.ndarray, endpoint, gram):
+    """(sign, log|det|) of det J(t) of the end state ``end``, or with a kernel of |det A|.
 
-
-def _gy_det(run: JacobiPropagation, t: float, endpoint):
-    """(sign, log|det|) of det J(t) of ``run``, or with a kernel of |det A|.
-
-    J(t) and J'(t) are the run's end state; the grid is read only for the
-    Gram at a kernel.  A has columns J(t) d_b on the complement of ker J(t)
-    and -K(t) G c_a on the kernel, G = int_0^t J^T J ds by Simpson's rule
-    and K the second fundamental solution (K(0) = id, K'(0) = 0), which no
-    run propagates; |det A| over det J_1(t) of a positive reference
-    operator is det'_zeta(P)/det_zeta(P_1).  With C and W of the run's
-    ``endpoint`` (:func:`_read_endpoint`) and J(t) C = 0, the Wronskians
-    J^T J' - J'^T J = 0 and J'^T K - J^T K' = id of a symmetric V give
+    ``end`` is [J(t); J'(t)] of a run and ``gram`` its Simpson Gram
+    G = int_0^t J^T J ds (:class:`_SimpsonGram`), read only at a kernel.
+    A has columns J(t) d_b on the complement of ker J(t) and -K(t) G c_a on
+    the kernel, K the second fundamental solution (K(0) = id, K'(0) = 0),
+    which no run propagates; |det A| over det J_1(t) of a positive
+    reference operator is det'_zeta(P)/det_zeta(P_1).  With C and W of the
+    run's ``endpoint`` (:func:`_read_endpoint`) and J(t) C = 0, the
+    Wronskians J^T J' - J'^T J = 0 and J'^T K - J^T K' = id of a symmetric
+    V give
 
         J(t)^T J'(t) C = J'(t)^T J(t) C = 0, so J'(t) C = W W^T J'(t) C,
         C^T = C^T (J'^T K - J^T K')(t) = (W^T J'(t) C)^T W^T K(t),
@@ -340,12 +338,9 @@ def _gy_det(run: JacobiPropagation, t: float, endpoint):
     or det G/|det J'(t)| when the kernel fills every direction.
     """
     sig, kdim, C, log_wjc = endpoint
-    n = run.end.shape[1]
+    n = end.shape[1]
     if not kdim:
-        return tuple(map(float, np.linalg.slogdet(run.end[:n])))
-    J = run.J
-    w = _simpson_weights(len(J), t / (len(J) - 1))
-    gram = np.einsum("s,sji,sjk->ik", w, J, J)
+        return tuple(map(float, np.linalg.slogdet(end[:n])))
     log_abs = np.sum(np.log(sig[: n - kdim])) + np.linalg.slogdet(C.T @ gram @ C)[1]
     return 1.0, float(log_abs - log_wjc)
 
@@ -367,29 +362,31 @@ def _fine_det(sys: JacobiSystem, steps: int, label: str, ratio: bool = False):
     """((sign, log|det|) of det J(t) or |det A|, kernel dim, V samples) at ``steps``.
 
     Every GY route decides by the kernel of :func:`_read_endpoint`.  det J
-    must be positive on (0, t), read on the grid, and at t too when J(t)
-    has no kernel, read off the end state; at a kernel the sign of det J(t)
-    is rounding noise.  The signs come from ``slogdet``, so a det J(s)
-    beyond float64 keeps its sign.  A ``ratio`` operand, one side of
-    det J_2(t)/det J_1(t), admits no kernel (DegenerateOperatorError).  The
-    run dies with the call, so callers hold one at a time.
+    must be positive on (0, t), tested by a reader of the run's one sweep,
+    and at t too when J(t) has no kernel, read off the end state; at a
+    kernel the sign of det J(t) is rounding noise.  The signs come from
+    ``slogdet``, so a det J(s) beyond float64 keeps its sign.  The sweep
+    sums the Gram too, except for a ``ratio`` operand, one side of
+    det J_2(t)/det J_1(t), which admits no kernel (DegenerateOperatorError).
+    The run dies with the call, so callers hold one at a time.
     """
     steps = check_count(steps, 16, "need at least 16 steps")
-    run, V = _propagate(sys, steps, sign_test=True)
+    sign = _FirstFailure(lambda states: np.linalg.slogdet(states[:, : sys.n])[0] > 0.0, steps)
+    gram = _SimpsonGram(sys.t, steps)
+    run = JacobiPropagation(sys, steps, None, sign, *(() if ratio else (gram,)))
     endpoint = _read_endpoint(run.end, sys.t)
     sig, kdim = endpoint[:2]
-    det = _gy_det(run, sys.t, endpoint)
-    if det[0] <= 0.0 or not run.positive:
-        raise NonpositiveOperatorError(
-            f"{label}: det J changes sign on (0, t]; operator not positive"
-        )
-    if ratio and kdim:
+    if sign.row is None and ratio and kdim:
         raise DegenerateOperatorError(
             f"{label}: J(t) has the singular value {sig[-1]:.3g}, below the kernel "
             f"threshold {DEGENERACY_REL_TOL * sys.t:.3g}; the operator has zero "
             "modes (use gy_degenerate_ratio, or det-zeta on the command line)"
         )
-    return det, kdim, V
+    if sign.row is not None or (det := _gy_det(run.end, endpoint, gram.gram))[0] <= 0.0:
+        raise NonpositiveOperatorError(
+            f"{label}: det J changes sign on (0, t]; operator not positive"
+        )
+    return det, kdim, run._V
 
 
 def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale, name):
@@ -398,7 +395,7 @@ def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale,
     det is the GY determinant of the run at ``steps``; det and t^n divide
     as logs, so neither needs to lie in float64 on its own; the estimate is
     |value - coarse|/15, coarse the same expression at steps // 2 on the
-    route the fine run chose, whose grid is built only at a kernel.  For
+    route the fine run chose, which sums the Gram only at a kernel.  For
     even step counts the coarse half-grid is every other fine sample
     (``np.linspace`` grids nest exactly), so the potential is sampled once.
     The value must be finite and nonzero, the estimate finite
@@ -407,8 +404,9 @@ def _step_halving(sys: JacobiSystem, steps: int, label: str, ratio: bool, scale,
     (sign, log_abs), kdim, V = _fine_det(sys, steps, label, ratio)
     log_tn = sys.n * math.log(sys.t)
     value = _exp_det(scale, sign, log_abs - log_tn, name)
-    run = _propagate(sys, steps // 2, V[::2] if steps % 2 == 0 else None)[0]
-    sign, log_abs = _gy_det(run, sys.t, _read_endpoint(run.end, sys.t, kdim))
+    gram = _SimpsonGram(sys.t, steps // 2)
+    run = JacobiPropagation(sys, steps // 2, V[::2] if steps % 2 == 0 else None, *((gram,) if kdim else ()))
+    sign, log_abs = _gy_det(run.end, _read_endpoint(run.end, sys.t, kdim), gram.gram)
     estimate = abs(value - scale * signed_exp(sign, log_abs - log_tn)) / 15.0
     if not math.isfinite(estimate):
         raise IntegrationError(f"error estimate of {name} = {estimate} left the float64 range")

@@ -402,6 +402,21 @@ def test_constant_run_traced_heap_peak():
     assert peak <= 2**20
 
 
+def test_kernel_run_traced_heap_peak():
+    # the Gram at a kernel is summed a group at a time in the run's one
+    # sweep: zeta_det_jacobi at the S^3 antipode at 2^19 steps held the
+    # 2^19 + 1 states of the grid for it, 75 MB, and peaks now at 0.4 MiB
+    sys = antipodal_system()
+    zeta_det_jacobi(sys, 2**19)
+    tracemalloc.start()
+    try:
+        zeta_det_jacobi(sys, 2**19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 def test_limit_predictions_read_no_grid(monkeypatch):
     # both heat predictions read the end state alone: with a grid reader
     # that raises they return the values they return with it
@@ -452,9 +467,11 @@ def test_determinant_traced_heap_peak():
 @pytest.mark.parametrize("steps", [17, 1000, 4097])
 @pytest.mark.parametrize("scale", [1.0, 20.0, 60.0])
 def test_grouped_sign_test_reads_the_grid_states(n, kind, steps, scale):
-    # the sign test reduces one group's states at a time; it finds what the
-    # signs of det J(s) on the grid's rows inside (0, t) show, for operators
-    # with conjugate points (larger scales) and without
+    # the first-failing-row reader sees one group's states at a time; it
+    # finds the first grid row inside (0, t) where det J(s) <= 0, for
+    # operators with conjugate points (larger scales) and without, and a
+    # determinant route is nonpositive exactly where the grid shows a sign
+    # change on (0, t]
     rng = np.random.default_rng(10 * n + steps)
     X, A = rng.standard_normal((2, n, n))
     M, A = scale * (X + X.T), scale * 0.5 * (A + A.T)
@@ -462,8 +479,15 @@ def test_grouped_sign_test_reads_the_grid_states(n, kind, steps, scale):
         sys = JacobiSystem.constant(M, 1.3)
     else:
         sys = JacobiSystem(n, 1.3, lambda s: M + A * math.sin(3.0 * s))
-    run = gelfand_yaglom._propagate(sys, steps, sign_test=True)[0]
-    assert run.positive is bool(np.all(np.linalg.slogdet(grid_run(sys, steps)[1:-1, :n])[0] > 0.0))
+    sign = gelfand_yaglom._FirstFailure(lambda states: np.linalg.slogdet(states[:, :n])[0] > 0.0, steps)
+    gelfand_yaglom.JacobiPropagation(sys, steps, None, sign)
+    holds = np.linalg.slogdet(grid_run(sys, steps)[:, :n])[0] > 0.0
+    assert sign.row == (None if holds[1:-1].all() else 1 + int(np.argmin(holds[1:-1])))
+    if holds[1:].all():
+        gelfand_yaglom._fine_det(sys, steps, "P")
+    else:
+        with pytest.raises(NonpositiveOperatorError):
+            gelfand_yaglom._fine_det(sys, steps, "P")
 
 
 @pytest.mark.parametrize("where", ["last-group", "group-boundary"])
@@ -486,7 +510,10 @@ def test_sign_test_finds_a_conjugate_point_in_any_group(where):
     assert (math.sin(c) > 0.0) is (where == "group-boundary")
     for V, positive in ((-c * c, False), (c * c, True)):
         sys = scalar_system(V)
-        assert gelfand_yaglom._propagate(sys, steps, sign_test=True)[0].positive is positive
+        sign = gelfand_yaglom._FirstFailure(lambda states: states[:, 0, 0] > 0.0, steps)
+        gelfand_yaglom.JacobiPropagation(sys, steps, None, sign)
+        # the first row past the conjugate point at row s steps
+        assert sign.row is None if positive else abs(sign.row - s * steps) <= 1
         for route in (lambda: zeta_det_jacobi(sys, steps), lambda: gy_ratio(free_system(1), sys, steps)):
             if positive:
                 route()
@@ -591,23 +618,26 @@ CURVED = ("--kappa", "0.5", "--r", "1", "--n", "3")
 ANTIPODAL = ("--kappa", "1", "--r", "3.141592653589793", "--n", "3")
 
 
-def reader_mode(rows, test):
-    """The mode of a call of the run's one reader, gelfand_yaglom._end_state."""
-    if test is not None:
-        return {gelfand_yaglom._positive: "sign", gelfand_yaglom._finite: "finite"}[test]
-    return "end" if rows is None else "grid"
+def reader_mode(readers):
+    """The readers of a call of a run's one sweep, gelfand_yaglom._end_state: "end" for none."""
+    def kind(reader):
+        if isinstance(reader, gelfand_yaglom._FirstFailure):
+            return "finite" if reader.test is gelfand_yaglom._finite else "sign"
+        return "gram" if isinstance(reader, gelfand_yaglom._SimpsonGram) else "grid"
+
+    return "+".join(map(kind, readers)) or "end"
 
 
 @pytest.mark.parametrize(
     "call, modes",
     [
         (lambda: run_cli_quietly("det-gy", *CURVED), ("sign", "end")),
-        (lambda: run_cli_quietly("det-zeta", *CURVED), ("sign", "end")),
-        (lambda: run_cli_quietly("det-zeta", *ANTIPODAL), ("sign", "grid", "end", "grid")),
+        (lambda: run_cli_quietly("det-zeta", *CURVED), ("sign+gram", "end")),
+        (lambda: run_cli_quietly("det-zeta", *ANTIPODAL), ("sign+gram", "gram")),
         (lambda: gy_ratio(free_system(3), catalog_like_system(3, t=1.0)), ("sign", "sign")),
-        (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), ("sign", "grid", "sign")),
-        (lambda: zeta_det_jacobi(catalog_like_system(3)), ("sign", "end")),
-        (lambda: zeta_det_jacobi(antipodal_system()), ("sign", "grid", "end", "grid")),
+        (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), ("sign+gram", "sign")),
+        (lambda: zeta_det_jacobi(catalog_like_system(3)), ("sign+gram", "end")),
+        (lambda: zeta_det_jacobi(antipodal_system()), ("sign+gram", "gram")),
         (lambda: solve_jacobi_ode(catalog_like_system(3)), ("end",)),
         (lambda: heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0), ("end",)),
         (lambda: heat.antipodal_limit_via_Sxy(3, 1.0), ("end",)),
@@ -622,22 +652,22 @@ def test_propagation_counts(monkeypatch, call, modes):
     # each determinant route runs one fine/coarse pair of the operator it
     # reports on, in one [J; J'] run each, and nothing for a free reference;
     # a ratio runs each operand once; a caller of solve_jacobi_ode, which
-    # carries no estimate, gets one run.  Every run reads its end state
-    # once, a fine run with its sign test over (0, t), a coarse one by the
-    # end chain alone, and a run at a kernel maps its grid once more
+    # carries no estimate, gets one run.  Every run sweeps once: a fine run
+    # with its sign test over (0, t) and, where a kernel is admitted, the
+    # Gram; a coarse run with the Gram at a kernel, else by the end chain
+    # alone
     calls = []
     end_state = gelfand_yaglom._end_state
 
-    def counted(sys, steps, V, rows=None, test=None):
-        calls.append((steps, reader_mode(rows, test)))
-        return end_state(sys, steps, V, rows, test)
+    def counted(sys, steps, V, *readers):
+        calls.append((steps, reader_mode(readers)))
+        return end_state(sys, steps, V, *readers)
 
     monkeypatch.setattr(gelfand_yaglom, "_end_state", counted)
     call()
     assert tuple(mode for _, mode in calls) == modes, calls
-    if modes[0] == "sign" and "end" in modes:  # a fine/coarse pair
-        runs = [steps for steps, mode in calls if mode != "grid"]
-        assert runs == [runs[0], runs[0] // 2]
+    if modes[0].startswith("sign") and not modes[1].startswith("sign"):  # a fine/coarse pair
+        assert [steps for steps, _ in calls] == [calls[0][0], calls[0][0] // 2]
 
 
 @pytest.mark.parametrize(
@@ -664,19 +694,21 @@ def test_cli_determinants_share_one_step_halving_path(monkeypatch, argv):
         (lambda: run_cli_quietly("det-gy", *CURVED), 0, 2),
         (lambda: zeta_det_jacobi(catalog_like_system(3)), 0, 2),
         (lambda: gelfand_yaglom._free_reference_ratio(catalog_like_system(3), 2048), 0, 2),
-        (lambda: zeta_det_jacobi(antipodal_system()), 2, 4),
+        (lambda: zeta_det_jacobi(antipodal_system()), 0, 2),
+        (lambda: run_cli_quietly("det-zeta", *ANTIPODAL), 0, 2),
         (lambda: gy_ratio(free_system(3), catalog_like_system(3, t=1.0)), 0, 2),
-        (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), 1, 3),
+        (lambda: gy_degenerate_ratio(antipodal_system(), free_system(3)), 0, 2),
         (lambda: heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0), 0, 1),
+        (lambda: solve_jacobi_ode(catalog_like_system(3)).J, 1, 2),
     ],
     ids=["cli-det-gy", "zeta_det_jacobi-ratio", "free_reference_ratio", "zeta_det_jacobi-deflated",
-         "gy_ratio", "gy_degenerate_ratio", "nondegenerate_limit_prediction"],
+         "cli-det-zeta-antipodal", "gy_ratio", "gy_degenerate_ratio", "nondegenerate_limit_prediction",
+         "solve_jacobi_ode-J"],
 )
 def test_grid_counts(monkeypatch, call, grids, sweeps):
-    # no run builds a grid without a kernel: the sign test over (0, t)
-    # rides on the fine run's end-state sweep; at a kernel the fine and the
-    # coarse run each sweep once more, for the Gram.  Every sweep is an
-    # end-state sweep or a grid
+    # no determinant route builds a grid, with a kernel or without: the
+    # sign test over (0, t) and the Gram ride on each run's one sweep.  Only
+    # a caller that reads J sweeps once more, for the grid
     calls, swept = [], []
     grid_states, sweep = gelfand_yaglom._grid_states, gelfand_yaglom._sweep
 
@@ -709,18 +741,17 @@ def test_determinants_read_j_at_t_from_the_end_state(monkeypatch, call, factor):
     # every run, fine or coarse, reads J(t) once, from the end chain of
     # _end_state: doubling J(t) there scales det J(t) by 2^n and a deflated
     # |det A| by 2^(n - kdim), in the value and in the step-halving estimate
-    # alike; the sign test, which reads the states inside (0, t), and the
-    # grid of the Gram are unmoved
+    # alike; the readers, the sign test over (0, t) and the Gram, see the
+    # mapped states and are unmoved
     before = call()
     ends = []
     end_state = gelfand_yaglom._end_state
 
-    def doubled(sys, steps, V, rows=None, test=None):
-        S, stop = end_state(sys, steps, V, rows, test)
-        if reader_mode(rows, test) != "grid":
-            ends.append(steps)
-            S[: S.shape[1]] *= 2.0
-        return S, stop
+    def doubled(sys, steps, V, *readers):
+        S = end_state(sys, steps, V, *readers)
+        ends.append(steps)
+        S[: S.shape[1]] *= 2.0
+        return S
 
     monkeypatch.setattr(gelfand_yaglom, "_end_state", doubled)
     after = call()
@@ -1051,6 +1082,46 @@ def rotated_zero_mode_system(a):
     return JacobiSystem(3, 1.0, pot)
 
 
+def simpson_weights(num_points, h):
+    """Reference: composite Simpson weights of a whole grid; an odd interval count closes with the 3/8 rule."""
+    m = num_points - 1
+    e = m - 3 * (m % 2)  # end of the Simpson part; the 3/8 rule takes the rest
+    w = np.zeros(num_points)
+    w[: e + 1] = 1.0
+    w[1:e:2] = 4.0
+    w[2:e:2] = 2.0
+    w = w * h / 3.0
+    if e < m:
+        w[e:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
+    return w
+
+
+@pytest.mark.parametrize(
+    "make, steps",
+    [(lambda n=n, kind=kind: random_system(n, kind, 7 * n), steps)
+     for n in range(1, 9) for kind in ("constant", "callable") for steps in (16, 17, 2048, 4097)]
+    + [(lambda: scalar_system(1.0), 20000), (lambda: scalar_system(1.0), 20001)],
+)
+def test_running_gram_matches_the_grid_sum(make, steps):
+    # the Gram reader weights each group's states by their grid rows; it
+    # matches the Simpson sum over the whole grid to 1e-13, with the 3/8
+    # close (odd counts) in the last group or split across the last two
+    # (n = 8 at 4097 steps: one-block groups, the last of 2 rows), and bit
+    # for bit in a run of one group, which sums in the grid's order
+    sys = make()
+    n = sys.n
+    gram = gelfand_yaglom._SimpsonGram(sys.t, steps)
+    gelfand_yaglom.JacobiPropagation(sys, steps, None, gram)
+    J = grid_run(sys, steps)[:, :n]
+    ref = np.einsum("s,sji,sjk->ik", simpson_weights(steps + 1, sys.t / steps), J, J)
+    assert np.max(np.abs(gram.gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+    _, blocks, group = gelfand_yaglom._blocking(sys, steps)
+    if blocks <= group:
+        assert np.array_equal(gram.gram, ref)
+    if steps >= 20000:
+        assert -(-blocks // group) == 3
+
+
 def k_based_deflated_det(sys, steps, kdim):
     """|det A|, A = [J(t) C_perp, -K(t) G C], from a stage-loop run of the 2n x 2n identity."""
     n = sys.n
@@ -1058,7 +1129,7 @@ def k_based_deflated_det(sys, steps, kdim):
     Y, _ = stage_loop_rk4(np.asarray(_sample_potential(sys, steps)), sys.t / steps, eye[:n], eye[n:])
     K, J = Y[:, :, :n], Y[:, :, n:]
     Rt = np.linalg.svd(J[-1])[2]
-    w = gelfand_yaglom._simpson_weights(steps + 1, sys.t / steps)
+    w = simpson_weights(steps + 1, sys.t / steps)
     G = np.einsum("s,sji,sjk->ik", w, J, J)
     A = np.hstack((J[-1] @ Rt[: n - kdim].T, -K[-1] @ G @ Rt[n - kdim :].T))
     return abs(float(np.linalg.det(A)))
@@ -1097,10 +1168,11 @@ def test_deflated_det_matches_second_solution_formula(make, kdim):
     # |det A| read off J'(t) on the kernel equals the same matrix built from
     # the propagated second solution K(t)
     sys = make()
-    run = gelfand_yaglom._propagate(sys, 2048)[0]
+    gram = gelfand_yaglom._SimpsonGram(sys.t, 2048)
+    run = gelfand_yaglom.JacobiPropagation(sys, 2048, None, gram)
     endpoint = gelfand_yaglom._read_endpoint(run.end, sys.t)
     assert endpoint[1] == kdim
-    log_abs = gelfand_yaglom._gy_det(run, sys.t, endpoint)[1]
+    log_abs = gelfand_yaglom._gy_det(run.end, endpoint, gram.gram)[1]
     assert math.exp(log_abs) == pytest.approx(k_based_deflated_det(sys, 2048, kdim), rel=1e-10)
 
 
