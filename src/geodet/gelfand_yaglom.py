@@ -57,7 +57,11 @@ class JacobiPropagation:
     its states to ``readers``; beyond float64 it raises the grid's
     IntegrationError, its row sought by one more sweep.  ``J`` and
     ``Jprime``, shape (steps+1, n, n), are swept from the samples when
-    first read (:func:`_grid_states`), which drops them.
+    first read (:func:`_grid_states`), which drops them.  A callable
+    system's run sweeps its steps in sequence; a constant system's takes
+    the powers of its one step by doubling (:func:`_sweep`), within
+    2.8e-15 of the closed form at 65536 steps where the sequential sweep
+    was 3.0e-14 off.
     """
 
     def __init__(self, sys: JacobiSystem, steps: int, V=None, *readers):
@@ -115,21 +119,36 @@ def _transfer_increments(V: np.ndarray, h: float, block: int) -> np.ndarray:
         D_zy = h/6 (a + 4b + c) + h^3/12 (ba + cb)
         D_zz = h^2/6 (2b + c) + h^4/24 cb,
 
-    built for all these steps at once and returned in blocks of ``block``
-    steps, shape (blocks, block, 2n, 2n); the last block is padded with
-    zero increments (identity steps), whose states are never mapped.  The
-    identity is kept out: rounding I + O(h^2) would drop the low bits of
-    the increment in the same direction at every step of a smooth
-    potential, an error that grows linearly with the step count.
+    built for all these steps at once, each quadrant in one reused buffer,
+    and returned in blocks of ``block`` steps, shape (blocks, block, 2n,
+    2n); the last block is padded with zero increments (identity steps),
+    whose states are never mapped.  The identity is kept out: rounding
+    I + O(h^2) would drop the low bits of the increment in the same
+    direction at every step of a smooth potential, an error that grows
+    linearly with the step count.
     """
     a, b, c = V[0:-1:2], V[1::2], V[2::2]
     steps, n = b.shape[0], b.shape[1]
     ba, cb = b @ a, c @ b
     D = np.zeros((-(-steps // block) * block, 2 * n, 2 * n))
-    D[:steps, :n, :n] = (h * h / 6.0) * (a + 2.0 * b) + (h**4 / 24.0) * ba
-    D[:steps, :n, n:] = h * np.eye(n) + (h**3 / 6.0) * b
-    D[:steps, n:, :n] = (h / 6.0) * (a + 4.0 * b + c) + (h**3 / 12.0) * (ba + cb)
-    D[:steps, n:, n:] = (h * h / 6.0) * (2.0 * b + c) + (h**4 / 24.0) * cb
+    q, tmp = np.empty_like(b), np.empty_like(b)  # each quadrant is made in q, then copied in
+    for quadrant, end, cross in ((D[:steps, :n, :n], a, ba), (D[:steps, n:, n:], c, cb)):
+        np.multiply(b, 2.0, out=q)  # h^2/6 (end + 2b) + h^4/24 cross
+        q += end
+        q *= h * h / 6.0
+        q += np.multiply(cross, h**4 / 24.0, out=tmp)
+        quadrant[...] = q
+    np.multiply(b, h**3 / 6.0, out=q)
+    q += h * np.eye(n)
+    D[:steps, :n, n:] = q
+    np.multiply(b, 4.0, out=q)
+    q += a
+    q += c
+    q *= h / 6.0
+    ba += cb
+    ba *= h**3 / 12.0
+    q += ba
+    D[:steps, n:, :n] = q
     return D.reshape(-1, block, 2 * n, 2 * n)
 
 
@@ -149,6 +168,60 @@ def _prefix_products(E: np.ndarray) -> np.ndarray:
     return E
 
 
+def _compose(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+    """(I + A)(I + B) - I = A + (B + A B), the identity kept out, into ``out``; ``B`` may be a stack."""
+    out = np.matmul(A, B, out=out)
+    out += B
+    out += A
+    return out
+
+
+def _powers(D: np.ndarray, count: int) -> np.ndarray:
+    """E_j = (I + D)^j - I for j = 1..count, shape (count, 2n, 2n), by doubling.
+
+    Round m = 1, 2, 4, ... makes E_{m+j} = (I + E_m)(I + E_j) - I for
+    j = 1..min(m, count - m) in one batched product (:func:`_compose`):
+    ceil(log2 count) rounds, and each E_j is a product of at most
+    2 log2 j rounded factors, where a step-by-step prefix takes j.
+    """
+    E = np.empty((count,) + D.shape)
+    E[0], m = D, 1
+    while m < count:
+        size = min(m, count - m)
+        _compose(E[m - 1], E[:size], E[m : m + size])
+        m *= 2
+    return E
+
+
+def _block_starts(F: np.ndarray, S0: np.ndarray, count: int, mapped: bool) -> np.ndarray:
+    """S_b = (I + F)^b S0 for b = 0..count-1, shape (count, 2n, n), by doubling; unless ``mapped``, S_{count-1} alone.
+
+    Round m = 1, 2, 4, ... makes S_{m+b} = S_b + F_m S_b for b < min(m,
+    count - m) in one batched product, F_m = (I + F)^m - I squared between
+    rounds (:func:`_compose`).  The last start alone applies I + F_m for
+    the set bits m of count - 1, lowest first: the products and adds that
+    make it in the batched rounds, so it has the same bits, and the run
+    holds no other start.
+    """
+    if not mapped:
+        S, b = S0, count - 1
+        while b:
+            if b & 1:
+                S = F @ S + S
+            b >>= 1
+            F = _compose(F, F) if b else F
+        return S
+    S = np.empty((count,) + S0.shape)
+    S[0], m = S0, 1
+    while m < count:
+        size = min(m, count - m)
+        np.matmul(F, S[:size], out=S[m : m + size])
+        S[m : m + size] += S[:size]
+        m *= 2
+        F = _compose(F, F) if m < count else F
+    return S
+
+
 def _blocking(sys: JacobiSystem, steps: int):
     """(block, blocks, group) of a run: steps per block, blocks, blocks per group."""
     block = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)): 64 at 4096 steps
@@ -156,33 +229,46 @@ def _blocking(sys: JacobiSystem, steps: int):
     return block, blocks, min(blocks, max(1, GROUP_BYTES // (32 * block * sys.n * sys.n)))
 
 
-def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray):
-    """The products of one RK4 run at ``steps``: each block's prefix products, one group at a time.
+def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray, mapped: bool = True):
+    """The blocks of one RK4 run at ``steps``, yielded one group at a time.
 
     The product of the step matrices I + D_m is a two-level blocked prefix
-    product over blocks of about sqrt(steps) steps: about 2 sqrt(steps)
-    array operations instead of two per step.  A group holds as many
-    consecutive blocks as keep its increments within GROUP_BYTES (one at
-    least); the sweep builds them from the half-grid samples ``V`` of
-    :func:`_sample_potential` and yields the group's block-local prefix
-    products (:func:`_prefix_products`), one (block, 2n, 2n) array per
-    block.  A constant system builds one increment, from the first 3
-    samples, copies it across one block and sweeps that block once; every
-    block is that block.  Both runs are bit-identical to one that builds
-    all increments at once.  The consumer (:func:`_end_state`) holds the
-    errstate; overflow, and h^4 = inf, are reported by its callers.
+    product over blocks of about sqrt(steps) steps.  Each group comes as a
+    list of its blocks' (E, S): E the block-local prefix products
+    E_j = (I + D_k)...(I + D_1) - I of its k steps, shape (k, 2n, 2n), and
+    S the block's start state, or None where it is the state the block
+    before ends in.  A group holds as many consecutive blocks as keep a
+    callable system's increments within GROUP_BYTES (one at least).
+
+    A callable system sweeps its steps in sequence: each group's increments
+    are built from the half-grid samples ``V`` of :func:`_sample_potential`
+    and turned into prefix products step by step (:func:`_prefix_products`),
+    and only the first block has a start, [0; I].  A constant system builds
+    one increment D, from the first 3 samples, and takes its powers by
+    doubling: every block's E_j = (I + D)^j - I (:func:`_powers`) and the
+    starts S_b = (I + E_block)^b [0; I] (:func:`_block_starts`), each in
+    about log2 sqrt(steps) batched rounds.  Unless ``mapped`` it yields its
+    last block alone, all an end state needs.  The consumer
+    (:func:`_end_state`) holds the errstate; overflow, and h^4 = inf, are
+    reported by its callers.
     """
     block, blocks, group = _blocking(sys, steps)
     h = np.float64(sys.t) / steps
+    S0 = np.eye(2 * sys.n, sys.n, -sys.n)
+    cut = lambda b, E: E[: min(block, steps - b * block)]  # the block's own steps
     if sys.is_constant:
-        E = _prefix_products(_transfer_increments(V[:3], h, 1).repeat(block, axis=1))
+        E = _powers(_transfer_increments(V[:3], h, 1)[0, 0], block)
+        starts = _block_starts(E[-1], S0, blocks, mapped)
+        if not mapped:
+            yield [(cut(blocks - 1, E), starts)]
+        for b in range(0, blocks if mapped else 0, group):
+            yield [(cut(c, E), starts[c]) for c in range(b, min(b + group, blocks))]
+        return
     for b in range(0, blocks, group):
         g = min(group, blocks - b)
-        if sys.is_constant:
-            yield [E[0]] * g
-        else:  # the samples of the group's steps, its ends shared with its neighbours
-            samples = V[2 * b * block : 2 * min((b + g) * block, steps) + 1]
-            yield _prefix_products(_transfer_increments(samples, h, block))
+        samples = V[2 * b * block : 2 * min((b + g) * block, steps) + 1]  # ends shared with the neighbours
+        E = _prefix_products(_transfer_increments(samples, h, block))
+        yield [(cut(c, Eb), None if c else S0) for c, Eb in enumerate(E, b)]
 
 
 def _finite(states: np.ndarray) -> np.ndarray:
@@ -230,39 +316,42 @@ def _beyond_float64(sys: JacobiSystem, steps: int, row: int) -> IntegrationError
 def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, *readers) -> np.ndarray:
     """[J(t); J'(t)] of the run at ``steps``, shape (2n, n); its states go to ``readers``.
 
-    The one sweep of a run (:func:`_sweep`).  It chains the block ends,
-    S <- E_last S + S, one (2n, 2n) @ (2n, n) product per block cut to its
-    steps: the grid's last row bit for bit for n <= 8 on OpenBLAS's
-    Haswell, Zen and SkylakeX kernels (README).  While a reader is
-    attached, it maps each block's k states S_0 + E_j S_0 into one group's
-    rows, by one (k 2n, 2n) @ (2n, n) product and one add from the last
-    state mapped, as the grid's states, and calls ``reader(row, states)``
-    with each group's states, ``row`` the grid row of the first (J(0) for
-    the first group).  A reader that returns true stops the mapping.
+    The one sweep of a run (:func:`_sweep`).  Each block's start S is the
+    one the sweep gives, else the end of the block before, E_k S + S of
+    its last product, the chain of a callable system's run; the end state
+    is E_k S + S of the last block, one (2n, 2n) @ (2n, n) product: the
+    grid's last row bit for bit for n <= 8 on OpenBLAS's Haswell, Zen and
+    SkylakeX kernels (README).  While a reader is attached, it maps each
+    block's k states S + E_j S into one group's rows, by one
+    (k 2n, 2n) @ (2n, n) product and one add from the block's given start,
+    else from the last state mapped, as the grid's states, and calls
+    ``reader(row, states)`` with each group's states, ``row`` the grid row
+    of the first (J(0) for the first group).  A reader that returns true
+    stops the mapping.
     """
     block, _, group = _blocking(sys, steps)
-    n, b = sys.n, 0
-    S = np.eye(2 * n, n, -n)
+    n, row = sys.n, 0
     if readers:  # rows[0] holds the state before the group
         rows = np.empty((group * block + 1, 2 * n, n))
-        rows[0] = S
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the callers
-        for E in _sweep(sys, steps, V):
-            first = b * block  # the grid row of rows[0]
-            for Eb in E:
-                k, j = min(block, steps - b * block), b * block - first
+        for blocks in _sweep(sys, steps, V, bool(readers)):
+            first = row  # the grid row of rows[0]
+            for E, start in blocks:
+                S = last @ S + S if start is None else start
                 if readers:
-                    out = rows[j + 1 : j + 1 + k]
-                    np.matmul(Eb.reshape(-1, 2 * n)[: 2 * n * k], rows[j], out=out.reshape(-1, n))
+                    j = row - first
+                    if start is not None:
+                        rows[j] = start
+                    out = rows[j + 1 : j + 1 + len(E)]
+                    np.matmul(E.reshape(-1, 2 * n), rows[j], out=out.reshape(-1, n))
                     out += rows[j]
-                S = Eb[k - 1] @ S + S
-                b += 1
+                last, row = E[-1], row + len(E)
             if readers:
-                count, lead = min(b * block, steps) - first, int(first > 0)
-                if any(reader(first + lead, rows[lead : count + 1]) for reader in readers):
+                lead = int(first > 0)
+                if any(reader(first + lead, rows[lead : row - first + 1]) for reader in readers):
                     readers = ()
-                rows[0] = rows[count]
-    return S
+                rows[0] = rows[row - first]
+        return last @ S + S
 
 
 def _grid_states(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .errors import (
     InsufficientDegreeError,
     OutOfScopeError,
 )
-from .errors import LOG_MAX, LOG_TINY, check_count, check_normal, check_positive, check_real, normal_exp, printable
+from .errors import LOG_MAX, LOG_TINY, check_count, check_positive, check_real, normal_exp, printable
 from .errors import check_float_count, signed_exp
 from .geometry import ConstantCurvature, GeodesicData, JacobiSystem, jacobi_endomorphism
 from .gelfand_yaglom import _read_endpoint, solve_jacobi_ode
@@ -117,11 +117,12 @@ def _check_antipodal_scope(n: int, R: float) -> int:
 def antipodal_sphere_limit_closed_form(n: int, R: float) -> float:
     """Antipodal limit 2 pi^(3n/2 - 1) R^(n-1) / Gamma(n/2) on the n-sphere.
 
-    A product outside the normal float64 range is a DomainError.
+    The factors are summed as logs, so none needs to lie in float64 on its
+    own; a limit outside the normal float64 range is a DomainError.
     """
     n = _check_antipodal_scope(n, R)
-    value = float(2.0 * np.pi ** (1.5 * n - 1.0) * R ** (n - 1) / math.gamma(n / 2.0))
-    return check_normal(value, f"the antipodal limit of S^{n}(R = {R}) lies outside float64")
+    log_value = math.log(2.0) + (1.5 * n - 1.0) * math.log(np.pi) + (n - 1) * math.log(R) - math.lgamma(n / 2.0)
+    return normal_exp(log_value, f"the antipodal limit of S^{n}(R = {R})")
 
 
 def antipodal_limit_via_Sxy(n: int, R: float) -> float:

@@ -257,50 +257,86 @@ def test_transfer_matrix_propagation_matches_stage_loop(n, kind, steps):
     assert np.max(np.abs(Y[:, n:] - Jpref)) <= 1e-13 * np.max(np.abs(Jpref))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
-@pytest.mark.parametrize("steps", [16, 17, 100, 1023, 1024, 4097])
-def test_constant_system_propagates_like_callable(n, steps):
-    # a constant matrix and a callable returning it give the same run bit for
-    # bit, at odd step counts, with a padded last block and at square counts
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
+@pytest.mark.parametrize("steps", [16, 17, 100, 1000, 1023, 1024, 4097])
+def test_constant_run_matches_callable_run_to_rounding(n, steps):
+    # a constant matrix takes its powers by doubling, a callable returning it
+    # sweeps its steps in sequence: the same RK4 map, so every grid row
+    # agrees to rounding, within 1e-14 of its largest entry (2.0e-15 at
+    # most over these runs), at odd step counts, with a padded last block
+    # and at square counts
     rng = np.random.default_rng(n * 10000 + steps)
     X = rng.standard_normal((n, n))
     M = X + X.T
     U = grid_run(JacobiSystem.constant(M, 1.3), steps)
-    assert np.array_equal(U, grid_run(JacobiSystem(n, 1.3, lambda s: M), steps))
+    W = grid_run(JacobiSystem(n, 1.3, lambda s: M), steps)
+    assert np.all(np.abs(U - W).max(axis=(1, 2)) <= 1e-14 * np.abs(W).max(axis=(1, 2)))
+
+
+def exact_rows(D, steps):
+    """[J; J'] at every grid point of the steps I + D from [0; I], at 40 digits: the exact powers of the float64 D."""
+    import mpmath as mp
+
+    n = D.shape[1] // 2
+    with mp.workdps(40):
+        D = np.array([[mp.mpf(float(x)) for x in row] for row in D], dtype=object)
+        S = np.array([[mp.mpf(float(x)) for x in row] for row in np.eye(2 * n, n, -n)], dtype=object)
+        rows = [S]
+        for _ in range(steps):
+            S = S + D.dot(S)
+            rows.append(S)
+        return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "n, steps, shift, scale",
+    [(1, 20000, -30.0, 0.3), (1, 4097, 30.0, 0.3), (2, 4097, -60.0, 0.3), (2, 1000, -200.0, 0.3),
+     (2, 2047, 0.0, 3.0), (3, 17, 0.0, 1.0), (3, 300, 0.0, 1.0), (4, 300, 0.0, 2.0)],
+)
+def test_constant_grid_rows_are_powers_of_the_increment(n, steps, shift, scale):
+    # a constant run's grid row j is (I + D)^j [0; I] of its one float64
+    # increment D, a product of O(log2 j) rounded factors: within
+    # 2 (1 + log2 j)(1 + w s_j) eps of the row's largest entry, w^2 the
+    # largest |eigenvalue| of V, so w s_j is the phase or growth exponent
+    # the row has reached (the worst over these runs is 0.61 of the bound;
+    # the step-by-step prefix it replaced reached 1.5 of it)
+    X = np.random.default_rng(steps + n).standard_normal((n, n))
+    sys = JacobiSystem.constant(shift * np.eye(n) + scale * (X + X.T), 1.3)
+    V = _sample_potential(sys, steps)
+    exact = exact_rows(gelfand_yaglom._transfer_increments(V[:3], np.float64(sys.t) / steps, 1)[0, 0], steps)
+    err = np.abs(grid_run(sys, steps, V) - exact).max(axis=(1, 2))
+    j = np.arange(steps + 1)
+    w = math.sqrt(np.abs(np.linalg.eigvalsh(V[0])).max())
+    bound = 2.0 * (1.0 + np.log2(np.maximum(j, 1))) * (1.0 + w * sys.t * j / steps) * np.finfo(float).eps
+    assert np.all(err <= bound * np.abs(exact).max(axis=(1, 2)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("kind", ["constant", "callable"])
 @pytest.mark.parametrize("steps", [16, 17, 1000, 1024, 4097])
-def test_one_product_per_block_matches_stacked_sweep(n, kind, steps):
+def test_one_product_per_block_matches_stacked_sweep(n, steps):
     # the second sweep maps a block by one (rows 2n, 2n) @ (2n, n) product;
-    # every state is bit-identical to the stacked per-step products, at n = 1
-    # (a matrix-vector kernel), with a padded last block and at square counts
+    # every state of a callable system's sequential sweep is bit-identical
+    # to the stacked per-step products, at n = 1 (a matrix-vector kernel),
+    # with a padded last block and at square counts
     rng = np.random.default_rng(100 * n + steps)
     X, A = rng.standard_normal((2, n, n))
     M, A = X + X.T, 0.5 * (A + A.T)
-    if kind == "constant":
-        sys = JacobiSystem.constant(M, 1.3)
-    else:
-        sys = JacobiSystem(n, 1.3, lambda s: M + A * math.sin(3.0 * s))
+    sys = JacobiSystem(n, 1.3, lambda s: M + A * math.sin(3.0 * s))
     assert np.array_equal(grid_run(sys, steps), stacked_sweep_rk4(sys, steps))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-@pytest.mark.parametrize("kind", ["constant", "callable"])
 @pytest.mark.parametrize("steps", [16, 17, 100, 1000, 1024, 2047, 2048, 4096, 4097])
-def test_uniform_block_sweep_matches_split_last_block(n, kind, steps):
+def test_uniform_block_sweep_matches_split_last_block(n, steps):
     # the second sweep runs one loop over every block, the last one cut to
-    # its steps, and one add for the rows inside the blocks; every state is
-    # bit-identical to the sweep that treated the last block apart, with a
-    # padded last block (17, 1000, 2047, 2048, 4097 steps) and without
+    # its steps, and one add for the rows inside the blocks; every state of
+    # a callable system's sequential sweep is bit-identical to the sweep
+    # that treated the last block apart, with a padded last block (17,
+    # 1000, 2047, 2048, 4097 steps) and without
     rng = np.random.default_rng(1000 * n + steps)
     X, A = rng.standard_normal((2, n, n))
     M, A = X + X.T, 0.5 * (A + A.T)
-    if kind == "constant":
-        sys = JacobiSystem.constant(M, 1.3)
-    else:
-        sys = JacobiSystem(n, 1.3, lambda s: M + A * math.sin(3.0 * s))
+    sys = JacobiSystem(n, 1.3, lambda s: M + A * math.sin(3.0 * s))
     V = _sample_potential(sys, steps)
     assert np.array_equal(grid_run(sys, steps, V), split_last_block_rk4(sys, steps, V))
 
@@ -309,9 +345,10 @@ def test_last_block_product_has_the_rows_of_its_steps_only():
     # at 2047 steps (blocks of 46, the last with 23 steps) a product over the
     # whole padded last block, 1012 rows instead of 506, changes one entry of
     # J'(t) of this n = 11 system in its last bit on OpenBLAS's AVX-512
-    # (SkylakeX) kernel; Haswell and Zen give the same bits for both shapes
+    # (SkylakeX) kernel; Haswell and Zen give the same bits for both shapes.
+    # The matrix is a callable's, whose run sweeps its steps in sequence
     X = np.random.default_rng(0).standard_normal((11, 11))
-    sys = JacobiSystem.constant(X + X.T, 1.3)
+    sys = JacobiSystem(11, 1.3, lambda s: X + X.T)
     V = _sample_potential(sys, 2047)
     assert np.array_equal(grid_run(sys, 2047, V), split_last_block_rk4(sys, 2047, V))
 
@@ -522,19 +559,6 @@ def test_sign_test_finds_a_conjugate_point_in_any_group(where):
                 route()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 11])
-@pytest.mark.parametrize("steps", [16, 17, 1000, 1024, 4097])
-def test_one_increment_run_matches_callable_bit_for_bit(n, steps):
-    # a constant system copies one step's increment across the block; a
-    # callable returning the same matrix builds every increment, and both
-    # sweeps make the same products, so the runs agree bit for bit
-    rng = np.random.default_rng(1000 * n + steps)
-    X = rng.standard_normal((n, n))
-    M = 0.5 * (X + X.T)
-    U = grid_run(JacobiSystem.constant(M, 0.9), steps)
-    assert np.array_equal(U, grid_run(JacobiSystem(n, 0.9, lambda s: M), steps))
-
-
 @pytest.mark.parametrize("steps", [17, 1024, 4097, 20000])
 def test_constant_system_builds_one_increment(monkeypatch, steps):
     # a constant system builds the increment of one step, from 3 half-grid
@@ -716,9 +740,9 @@ def test_grid_counts(monkeypatch, call, grids, sweeps):
         calls.append(steps)
         return grid_states(sys, steps, V)
 
-    def counted_sweep(sys, steps, V):
+    def counted_sweep(sys, steps, *args):
         swept.append(steps)
-        return sweep(sys, steps, V)
+        return sweep(sys, steps, *args)
 
     monkeypatch.setattr(gelfand_yaglom, "_grid_states", counted)
     monkeypatch.setattr(gelfand_yaglom, "_sweep", counted_sweep)
@@ -810,6 +834,29 @@ def test_free_reference_ratio_beyond_float64_power_is_its_value():
     z = gelfand_yaglom._free_reference_ratio(sys, 2048)
     assert z.value == pytest.approx((math.sin(3.1) / 3.1) ** 5, rel=1e-10, abs=0.0)
     assert 0.0 < z.error_estimate < 1e-10
+
+
+@pytest.mark.parametrize(
+    "steps, kappas, radii, dims",
+    [(65536, range(-4, 3), (0.5, 1.0, 1.5), range(2, 6)), (524288, (-4, -2, 2), (1.0, 1.5), (2, 5))],
+    ids=["65536", "524288"],
+)
+def test_free_reference_ratio_at_fine_steps_matches_closed_form(steps, kappas, radii, dims):
+    # det-gy's det J(1) on S^n or H^n is ((sin x or sinh x)/x)^(n-1), x^2 = |kappa| r^2,
+    # and RK4's error is below 1e-20 at these step counts: a constant run's
+    # powers by doubling keep it within 3e-15 (at most 2.8e-15 and 1.9e-15),
+    # where a step-by-step prefix was off by up to 3.0e-14 and 5.0e-14
+    import mpmath as mp
+
+    for kappa, r, n in itertools.product(kappas, radii, dims):
+        sys = jacobi_endomorphism(GeodesicData(ConstantCurvature(n, float(kappa)), r))
+        value = gelfand_yaglom._free_reference_ratio(sys, steps).value
+        with mp.workdps(40):
+            c = mp.mpf(sys.sample(np.zeros(1))[0, -1, -1])  # -kappa r^2 of the float64 system
+            x = mp.sqrt(abs(c))
+            factor = 1 if c == 0 else (mp.sinh(x) if c > 0 else mp.sin(x)) / x
+            exact = float(factor ** (n - 1))
+        assert abs(value - exact) <= 3e-15 * exact, (kappa, r, n)
 
 
 def test_deflated_error_estimate_stays_on_route():
