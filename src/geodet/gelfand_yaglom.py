@@ -193,6 +193,25 @@ def _powers(D: np.ndarray, count: int) -> np.ndarray:
     return E
 
 
+def _powers_at(D: np.ndarray, *exponents: int) -> list:
+    """E_j = (I + D)^j - I for each j of ``exponents``, bit for bit as :func:`_powers` makes it.
+
+    :func:`_powers` makes E_j = (I + E_m)(I + E_{j-m}) - I, m the highest
+    power of two below j, and E_{2m} from E_m alone; so E_j composes the
+    squarings E_m for the set bits m of j, lowest first.  Only the current
+    squaring and one product per exponent are held.
+    """
+    out, square, bit = [None] * len(exponents), D, 1
+    while True:
+        for i, j in enumerate(exponents):
+            if j & bit:
+                out[i] = square if out[i] is None else _compose(square, out[i])
+        bit *= 2
+        if bit > max(exponents):
+            return out
+        square = _compose(square, square)
+
+
 def _block_starts(F: np.ndarray, S0: np.ndarray, count: int, mapped: bool) -> np.ndarray:
     """S_b = (I + F)^b S0 for b = 0..count-1, shape (count, 2n, n), by doubling; unless ``mapped``, S_{count-1} alone.
 
@@ -207,7 +226,9 @@ def _block_starts(F: np.ndarray, S0: np.ndarray, count: int, mapped: bool) -> np
         S, b = S0, count - 1
         while b:
             if b & 1:
-                S = F @ S + S
+                FS = F @ S
+                FS += S
+                S = FS
             b >>= 1
             F = _compose(F, F) if b else F
         return S
@@ -248,7 +269,8 @@ def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray, mapped: bool = True):
     doubling: every block's E_j = (I + D)^j - I (:func:`_powers`) and the
     starts S_b = (I + E_block)^b [0; I] (:func:`_block_starts`), each in
     about log2 sqrt(steps) batched rounds.  Unless ``mapped`` it yields its
-    last block alone, all an end state needs.  The consumer
+    last block alone, as its last product E_k and start, all an end state
+    needs, from the squarings alone (:func:`_powers_at`).  The consumer
     (:func:`_end_state`) holds the errstate; overflow, and h^4 = inf, are
     reported by its callers.
     """
@@ -257,11 +279,14 @@ def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray, mapped: bool = True):
     S0 = np.eye(2 * sys.n, sys.n, -sys.n)
     cut = lambda b, E: E[: min(block, steps - b * block)]  # the block's own steps
     if sys.is_constant:
-        E = _powers(_transfer_increments(V[:3], h, 1)[0, 0], block)
-        starts = _block_starts(E[-1], S0, blocks, mapped)
-        if not mapped:
-            yield [(cut(blocks - 1, E), starts)]
-        for b in range(0, blocks if mapped else 0, group):
+        D = _transfer_increments(V[:3], h, 1)[0, 0]
+        if not mapped:  # E_k of the last block's k steps, and E_block
+            last, full = _powers_at(D, steps - (blocks - 1) * block, block)
+            yield [(last[None], _block_starts(full, S0, blocks, False))]
+            return
+        E = _powers(D, block)
+        starts = _block_starts(E[-1], S0, blocks, True)
+        for b in range(0, blocks, group):
             yield [(cut(c, E), starts[c]) for c in range(b, min(b + group, blocks))]
         return
     for b in range(0, blocks, group):

@@ -469,9 +469,10 @@ def test_limit_predictions_read_no_grid(monkeypatch):
 
 
 def test_limit_prediction_traced_heap_peak():
-    # a constant system stores one block of prefix products, 32 (2n)^2
-    # floats at 1024 steps, and the end state: about 10 MiB at n = 100,
-    # where the whole 1025-state grid took 186 MiB
+    # a constant system's run without a reader holds the squarings of its
+    # one step, a few (2n)^2 floats, and the end state: 1.6 MiB at n = 100,
+    # where one block of prefix products took about 10 MiB and the whole
+    # 1025-state grid 186 MiB
     heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0)
     tracemalloc.start()
     try:
