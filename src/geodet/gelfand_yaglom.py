@@ -226,9 +226,7 @@ def _block_starts(F: np.ndarray, S0: np.ndarray, count: int, mapped: bool) -> np
         S, b = S0, count - 1
         while b:
             if b & 1:
-                FS = F @ S
-                FS += S
-                S = FS
+                S = F @ S + S
             b >>= 1
             F = _compose(F, F) if b else F
         return S
