@@ -23,7 +23,7 @@ from .errors import (
     IntegrationError,
     NonpositiveOperatorError,
 )
-from .errors import check_count, check_memory, signed_exp
+from .errors import LOG_MAX, check_count, check_memory, signed_exp
 from .geometry import JacobiSystem
 from .zeta import ZetaDetValue, zeta_det_dirichlet_laplacian
 
@@ -59,9 +59,9 @@ class JacobiPropagation:
     ``Jprime``, shape (steps+1, n, n), are swept from the samples when
     first read (:func:`_grid_states`), which drops them.  A callable
     system's run sweeps its steps in sequence; a constant system's takes
-    the powers of its one step by doubling (:func:`_sweep`), within
-    2.8e-15 of the closed form at 65536 steps where the sequential sweep
-    was 3.0e-14 off.
+    the powers of its one step and its block starts by doubling
+    (:func:`_doubling`, :func:`_sweep`), within 2.8e-15 of the closed form
+    at 65536 steps where the sequential sweep was 3.0e-14 off.
     """
 
     def __init__(self, sys: JacobiSystem, steps: int, V=None, *readers):
@@ -168,77 +168,57 @@ def _prefix_products(E: np.ndarray) -> np.ndarray:
     return E
 
 
+def _advance(F: np.ndarray, X: np.ndarray, out=None) -> np.ndarray:
+    """(I + F) X = X + F X, into ``out``: one step of the states ``X``, which may be a stack."""
+    out = np.matmul(F, X, out=out)
+    out += X
+    return out
+
+
 def _compose(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     """(I + A)(I + B) - I = A + (B + A B), the identity kept out, into ``out``; ``B`` may be a stack."""
-    out = np.matmul(A, B, out=out)
-    out += B
+    out = _advance(A, B, out)
     out += A
     return out
 
 
-def _powers(D: np.ndarray, count: int) -> np.ndarray:
-    """E_j = (I + D)^j - I for j = 1..count, shape (count, 2n, 2n), by doubling.
+def _doubling(step, F: np.ndarray, X0: np.ndarray, count: int) -> np.ndarray:
+    """X_b, I + F applied b times to ``X0`` by ``step``, for b = 0..count-1, by doubling.
 
-    Round m = 1, 2, 4, ... makes E_{m+j} = (I + E_m)(I + E_j) - I for
-    j = 1..min(m, count - m) in one batched product (:func:`_compose`):
-    ceil(log2 count) rounds, and each E_j is a product of at most
-    2 log2 j rounded factors, where a step-by-step prefix takes j.
+    ``step`` is :func:`_advance` for states, X_b = (I + F)^b X0, or
+    :func:`_compose` for powers, X_b = (I + F)^b (I + X0) - I.  Round
+    m = 1, 2, 4, ... makes X_{m+b} = step(F_m, X_b) for b < min(m, count - m)
+    in one batched product, F_m = (I + F)^m - I squared between rounds:
+    ceil(log2 count) rounds, and each X_b is a product of at most 2 log2 b
+    rounded factors, where a step-by-step chain takes b.
     """
-    E = np.empty((count,) + D.shape)
-    E[0], m = D, 1
+    X = np.empty((count,) + X0.shape)
+    X[0], m = X0, 1
     while m < count:
         size = min(m, count - m)
-        _compose(E[m - 1], E[:size], E[m : m + size])
-        m *= 2
-    return E
-
-
-def _powers_at(D: np.ndarray, *exponents: int) -> list:
-    """E_j = (I + D)^j - I for each j of ``exponents``, bit for bit as :func:`_powers` makes it.
-
-    :func:`_powers` makes E_j = (I + E_m)(I + E_{j-m}) - I, m the highest
-    power of two below j, and E_{2m} from E_m alone; so E_j composes the
-    squarings E_m for the set bits m of j, lowest first.  Only the current
-    squaring and one product per exponent are held.
-    """
-    out, square, bit = [None] * len(exponents), D, 1
-    while True:
-        for i, j in enumerate(exponents):
-            if j & bit:
-                out[i] = square if out[i] is None else _compose(square, out[i])
-        bit *= 2
-        if bit > max(exponents):
-            return out
-        square = _compose(square, square)
-
-
-def _block_starts(F: np.ndarray, S0: np.ndarray, count: int, mapped: bool) -> np.ndarray:
-    """S_b = (I + F)^b S0 for b = 0..count-1, shape (count, 2n, n), by doubling; unless ``mapped``, S_{count-1} alone.
-
-    Round m = 1, 2, 4, ... makes S_{m+b} = S_b + F_m S_b for b < min(m,
-    count - m) in one batched product, F_m = (I + F)^m - I squared between
-    rounds (:func:`_compose`).  The last start alone applies I + F_m for
-    the set bits m of count - 1, lowest first: the products and adds that
-    make it in the batched rounds, so it has the same bits, and the run
-    holds no other start.
-    """
-    if not mapped:
-        S, b = S0, count - 1
-        while b:
-            if b & 1:
-                S = F @ S + S
-            b >>= 1
-            F = _compose(F, F) if b else F
-        return S
-    S = np.empty((count,) + S0.shape)
-    S[0], m = S0, 1
-    while m < count:
-        size = min(m, count - m)
-        np.matmul(F, S[:size], out=S[m : m + size])
-        S[m : m + size] += S[:size]
+        step(F, X[:size], X[m : m + size])
         m *= 2
         F = _compose(F, F) if m < count else F
-    return S
+    return X
+
+
+def _doubling_last(step, F: np.ndarray, X0, count: int) -> np.ndarray:
+    """X_{count-1} of :func:`_doubling` alone, bit for bit, from the squarings F_m.
+
+    The batched rounds make X_b = step(F_m, X_{b-m}), m the highest power
+    of two up to b, so X_b applies F_m for the set bits m of b, lowest
+    first: here the same products and adds, holding only the current
+    squaring.  ``X0`` None takes the first of them as it is: for powers,
+    ``_doubling_last(_compose, D, None, j + 1)`` is E_j = (I + D)^j - I as
+    ``_doubling(_compose, D, D, j)[j - 1]`` makes it, in fewer products.
+    """
+    X, b = X0, count - 1
+    while b:
+        if b & 1:
+            X = F if X is None else step(F, X)
+        b >>= 1
+        F = _compose(F, F) if b else F
+    return X
 
 
 def _blocking(sys: JacobiSystem, steps: int):
@@ -263,12 +243,16 @@ def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray, mapped: bool = True):
     are built from the half-grid samples ``V`` of :func:`_sample_potential`
     and turned into prefix products step by step (:func:`_prefix_products`),
     and only the first block has a start, [0; I].  A constant system builds
-    one increment D, from the first 3 samples, and takes its powers by
-    doubling: every block's E_j = (I + D)^j - I (:func:`_powers`) and the
-    starts S_b = (I + E_block)^b [0; I] (:func:`_block_starts`), each in
-    about log2 sqrt(steps) batched rounds.  Unless ``mapped`` it yields its
-    last block alone, as its last product E_k and start, all an end state
-    needs, from the squarings alone (:func:`_powers_at`).  The consumer
+    one increment D, from the first 3 samples, and takes every block's
+    E_j = (I + D)^j - I and the starts S_b = (I + E_block)^b [0; I] by
+    doubling (:func:`_doubling`), each in about log2 sqrt(steps) batched
+    rounds.  Unless ``mapped`` it yields its last block alone, as its last
+    product E_k and start, all an end state needs, from the squarings
+    alone (:func:`_doubling_last`).  Where the run may come near float64's
+    end, sqrt(rho) t + log(rho)/2 > LOG_MAX with rho = |V|_F, the starts
+    are doubled in [J; J'/c], c = 2^p about sqrt(rho): E_block's J' rows,
+    up to sqrt(rho) times the states they map, would overflow first, and a
+    power of two scales without rounding.  The consumer
     (:func:`_end_state`) holds the errstate; overflow, and h^4 = inf, are
     reported by its callers.
     """
@@ -278,12 +262,23 @@ def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray, mapped: bool = True):
     cut = lambda b, E: E[: min(block, steps - b * block)]  # the block's own steps
     if sys.is_constant:
         D = _transfer_increments(V[:3], h, 1)[0, 0]
-        if not mapped:  # E_k of the last block's k steps, and E_block
-            last, full = _powers_at(D, steps - (blocks - 1) * block, block)
-            yield [(last[None], _block_starts(full, S0, blocks, False))]
+        if mapped:
+            E = _doubling(_compose, D, D, block)
+            full = E[-1]
+        else:  # E_block, and E_k of the last block's k steps where k < block
+            full = _doubling_last(_compose, D, None, block + 1)
+            k = steps - (blocks - 1) * block
+            E = (full if k == block else _doubling_last(_compose, D, None, k + 1))[None]
+        double = _doubling if mapped else _doubling_last
+        rho = math.sqrt(float(np.vdot(V[0], V[0])))  # |V|_F, at least V's largest |eigenvalue|
+        if rho <= 1.0 or math.sqrt(rho) * sys.t + 0.5 * math.log(rho) <= LOG_MAX:
+            starts = double(_advance, full, S0, blocks)
+        else:  # rows scaled by w = [1; 1/c]
+            w = np.repeat([1.0, 2.0 ** -(math.frexp(rho)[1] // 2)], sys.n)[:, None]
+            starts = double(_advance, w * full / w.T, w * S0, blocks) / w
+        if not mapped:
+            yield [(E, starts)]
             return
-        E = _powers(D, block)
-        starts = _block_starts(E[-1], S0, blocks, True)
         for b in range(0, blocks, group):
             yield [(cut(c, E), starts[c]) for c in range(b, min(b + group, blocks))]
         return
@@ -341,16 +336,16 @@ def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, *readers) -> np.nda
 
     The one sweep of a run (:func:`_sweep`).  Each block's start S is the
     one the sweep gives, else the end of the block before, E_k S + S of
-    its last product, the chain of a callable system's run; the end state
-    is E_k S + S of the last block, one (2n, 2n) @ (2n, n) product: the
-    grid's last row bit for bit for n <= 8 on OpenBLAS's Haswell, Zen and
-    SkylakeX kernels (README).  While a reader is attached, it maps each
-    block's k states S + E_j S into one group's rows, by one
-    (k 2n, 2n) @ (2n, n) product and one add from the block's given start,
-    else from the last state mapped, as the grid's states, and calls
-    ``reader(row, states)`` with each group's states, ``row`` the grid row
-    of the first (J(0) for the first group).  A reader that returns true
-    stops the mapping.
+    its last product (:func:`_advance`), the chain of a callable system's
+    run; the end state is E_k S + S of the last block, one (2n, 2n) @
+    (2n, n) product: the grid's last row bit for bit for n <= 8 on
+    OpenBLAS's Haswell, Zen and SkylakeX kernels (README).  While a
+    reader is attached, it maps each block's k states S + E_j S into one
+    group's rows, by one (k 2n, 2n) @ (2n, n) product and one add from
+    the block's given start, else from the last state mapped, as the
+    grid's states, and calls ``reader(row, states)`` with each group's
+    states, ``row`` the grid row of the first (J(0) for the first group).
+    A reader that returns true stops the mapping.
     """
     block, _, group = _blocking(sys, steps)
     n, row = sys.n, 0
@@ -360,7 +355,7 @@ def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, *readers) -> np.nda
         for blocks in _sweep(sys, steps, V, bool(readers)):
             first = row  # the grid row of rows[0]
             for E, start in blocks:
-                S = last @ S + S if start is None else start
+                S = _advance(last, S) if start is None else start
                 if readers:
                     j = row - first
                     if start is not None:
@@ -374,7 +369,7 @@ def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, *readers) -> np.nda
                 if any(reader(first + lead, rows[lead : row - first + 1]) for reader in readers):
                     readers = ()
                 rows[0] = rows[row - first]
-        return last @ S + S
+        return _advance(last, S)
 
 
 def _grid_states(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:

@@ -69,6 +69,8 @@ class SyntheticPotential:
     def __init__(self, n: int, potential, t: float):
         self.n = _check_fiber(check_count(n, 2, "synthetic manifolds need dimension >= 2"))
         self.t = _check_length(t)
+        if not callable(potential):
+            raise DomainError(f"a synthetic potential must be a callable of s, got {potential!r}")
         self.potential = potential
         # V(u) = t^2 pot(t u) on the orthogonal block of the unit interval;
         # building it checks the block's shape and symmetry
@@ -122,6 +124,20 @@ def _check_fiber(n: int) -> int:
     return n
 
 
+def _real_array(potential) -> np.ndarray:
+    """A constant potential as a float64 array; DomainError naming it unless its entries are real numbers.
+
+    A string, numeric or not, None, a ragged nesting or a complex entry is none.
+    """
+    try:
+        mat = np.asarray(potential)
+    except ValueError:  # a ragged nesting
+        mat = None
+    if mat is None or mat.dtype.kind not in "biuf":
+        raise DomainError(f"potential must be a real matrix or a callable of s, got {potential!r}")
+    return mat.astype(float)
+
+
 def _check_finite(V):
     if not np.isfinite(V).all():
         raise IntegrationError("potential produced non-finite samples")
@@ -146,7 +162,7 @@ class JacobiSystem:
             self._func = potential
             self._const = None
         else:
-            mat = np.array(potential, dtype=float)
+            mat = _real_array(potential)
             if mat.shape == () and n == 1:
                 mat = mat.reshape(1, 1)
             if mat.shape != (n, n):
@@ -167,7 +183,7 @@ class JacobiSystem:
 
     @classmethod
     def constant(cls, matrix, t: float) -> "JacobiSystem":
-        mat = np.atleast_2d(np.asarray(matrix, dtype=float))
+        mat = np.atleast_2d(_real_array(matrix))
         return cls(mat.shape[0], t, mat)
 
     @property

@@ -390,6 +390,37 @@ def test_end_state_is_the_grid_last_row_bit_for_bit(n, kind, steps):
     assert np.array_equal(solve_jacobi_ode(sys, steps).end, grid_run(sys, steps)[-1])
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_doubling_last_is_the_last_doubling_row_bit_for_bit(n):
+    # a run without a reader takes its last power and start from the
+    # squarings alone; they are the batched rounds' last rows bit for bit,
+    # for powers (_compose) and states (_advance), and E_j from None at
+    # j + 1 is the j-th power of the batched rounds from D
+    sys = random_system(n, "constant", n)
+    D = gelfand_yaglom._transfer_increments(_sample_potential(sys, 3)[:3], np.float64(sys.t) / 1000, 1)[0, 0]
+    F, S0 = gelfand_yaglom._doubling_last(gelfand_yaglom._compose, D, None, 33), np.eye(2 * n, n, -n)
+    for count in range(1, 71):
+        for step, G, X0 in ((gelfand_yaglom._compose, D, D), (gelfand_yaglom._advance, F, S0)):
+            last = gelfand_yaglom._doubling_last(step, G, X0, count)
+            assert np.array_equal(last, gelfand_yaglom._doubling(step, G, X0, count)[-1])
+        power = gelfand_yaglom._doubling_last(gelfand_yaglom._compose, D, None, count + 1)
+        assert np.array_equal(power, gelfand_yaglom._doubling(gelfand_yaglom._compose, D, D, count)[-1])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_constant_run_near_float64_end_matches_the_callable_run(n):
+    # E_block's J' rows are about w times the states they map, so near
+    # float64's end the block starts are doubled in [J; J'/c], c = 2^p:
+    # these runs end within log w of 1.8e308 and raised IntegrationError
+    # ("at s = 0.9922") where the sequential sweep of the same V returns
+    w, rot = 709.7, np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    V = np.array([[w * w]]) if n == 1 else rot @ np.diag([w * w, 40.0]) @ rot.T  # coupled at n = 2
+    end = solve_jacobi_ode(JacobiSystem.constant(V, 1.0), 16641).end
+    sequential = solve_jacobi_ode(JacobiSystem(n, 1.0, lambda s: V), 16641).end
+    assert np.abs(sequential).max() > 7e307
+    assert np.abs(end - sequential).max() <= 1e-12 * np.abs(sequential).max()
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize("kind", ["constant", "callable"])
 @pytest.mark.parametrize("steps", [17, 1000])
@@ -488,8 +519,8 @@ def test_limit_predictions_read_no_grid(monkeypatch):
 def test_limit_prediction_traced_heap_peak():
     # a constant system's run without a reader holds the squarings of its
     # one step, a few (2n)^2 floats, and the end state: 1.6 MiB at n = 100,
-    # where one block of prefix products took about 10 MiB and the whole
-    # 1025-state grid 186 MiB
+    # where one block of 32 powers takes about 10 MiB, the batched starts
+    # 5 MiB and the whole 1025-state grid 186 MiB
     heat.nondegenerate_limit_prediction(ConstantCurvature(3, 1.0), 1.0)
     tracemalloc.start()
     try:
@@ -497,7 +528,7 @@ def test_limit_prediction_traced_heap_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert peak <= 4 * 2**20
 
 
 def test_determinant_traced_heap_peak():

@@ -515,6 +515,31 @@ _NOT_CONSTANT = "closed form requires a constant-curvature manifold"
             "geodesic speed must be >= 0, got '3'",
             id="speed-string",
         ),
+        pytest.param(
+            lambda: JacobiSystem(1, 1.0, "x"),
+            "potential must be a real matrix or a callable of s, got 'x'",
+            id="potential-string",
+        ),
+        pytest.param(
+            lambda: JacobiSystem(1, 1.0, "2.0"),
+            "potential must be a real matrix or a callable of s, got '2.0'",
+            id="potential-numeric-string",
+        ),
+        pytest.param(
+            lambda: JacobiSystem(1, 1.0, None),
+            "potential must be a real matrix or a callable of s, got None",
+            id="potential-none",
+        ),
+        pytest.param(
+            lambda: JacobiSystem.constant([[1, 2], [3]], 1.0),
+            "potential must be a real matrix or a callable of s, got [[1, 2], [3]]",
+            id="potential-ragged",
+        ),
+        pytest.param(
+            lambda: SyntheticPotential(2, "x", 1.0),
+            "a synthetic potential must be a callable of s, got 'x'",
+            id="synthetic-potential-string",
+        ),
         pytest.param(lambda: ConstantCurvature(3, "3"), "curvature must be finite", id="kappa-string"),
         pytest.param(lambda: ConstantCurvature(3, None), "curvature must be finite", id="kappa-none"),
     ],
