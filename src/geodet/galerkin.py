@@ -659,29 +659,26 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     exp(Tr_exact - Tr_discrete), which removes the first-order error of the
     hat space (both the unresolved tail and the per-mode stiffness bias),
     leaving O(mesh^2); the extrapolated value applies one mesh^2 Richardson
-    step when the schedule doubles.  A varying potential is sampled once,
-    on the finest level's rule, and every level whose N divides the finest
-    reads those samples as a composite rule of _HAT_NODES N_finest/N nodes
-    per segment; a level that does not divide it, and every level of a
-    constant potential, samples its own rule.  Tr_discrete = tr(D^{-1} B)
-    comes from each level's rule, Tr_exact = int tr V(s) s(t-s)/t from the
-    finest, so a doubling schedule samples the potential at _HAT_NODES
-    N_finest points and nowhere else.  An exactly singular truncation
-    raises DegenerateOperatorError, and so does a value within its error
-    estimate of zero whose last two raw determinants share a sign and fall
-    at least as fast as the mesh (a k-dimensional kernel makes them fall
-    like mesh^(2k)); a finest level whose segments span more than
-    PIECEWISE_PHASE_BOUND rad of the phase sqrt(-lambda_min(V)) raises
-    DomainError naming the segment count needed.
+    step when the schedule doubles.  The potential is sampled once, on the
+    finest level's rule, and every level whose N divides the finest reads
+    those samples as a composite rule of _HAT_NODES N_finest/N nodes per
+    segment; a level that does not divide it samples its own rule.
+    Tr_discrete = tr(D^{-1} B) comes from each level's rule, Tr_exact =
+    int tr V(s) s(t-s)/t from the finest, so a doubling schedule samples
+    the potential at _HAT_NODES N_finest points and nowhere else.  An
+    exactly singular truncation raises DegenerateOperatorError, and so does
+    a value within its error estimate of zero whose last two raw
+    determinants share a sign and fall at least as fast as the mesh (a
+    k-dimensional kernel makes them fall like mesh^(2k)); a finest level
+    whose segments span more than PIECEWISE_PHASE_BOUND rad of the phase
+    sqrt(-lambda_min(V)) raises DomainError naming the segment count needed.
     """
     schedule = _check_schedule(schedule, "segment counts", 2)
     finest = schedule[-1]
-    shared = None if sys.is_constant else _hat_rule(sys, np.asarray(Partition.uniform(finest).times) * sys.t)
+    shared = _hat_rule(sys, np.asarray(Partition.uniform(finest).times) * sys.t)
     levels = []
     for N in schedule:
-        rule = None
-        if shared is not None and finest % N == 0:
-            rule = tuple(x.reshape((N, -1) + x.shape[2:]) for x in shared)
+        rule = tuple(x.reshape((N, -1) + x.shape[2:]) for x in shared) if finest % N == 0 else None
         H = assemble_hessian_piecewise(sys, Partition.uniform(N), rule=rule)
         if N == finest:
             _check_resolution(H.samples, sys.t, N)

@@ -49,6 +49,10 @@ GROUP_BYTES = 2**18
 class JacobiPropagation:
     """The fundamental solution (J, J') of J'' = V J from one RK4 run at ``steps``.
 
+    ``steps`` is an integer >= 1 (DomainError naming it otherwise); the
+    public routes ask for at least 16, and their step-halving estimates run
+    here at ``steps // 2``.
+
     Every run is built here, from the half-grid samples ``V`` of
     :func:`_sample_potential`, taken unless given, once the bytes it holds
     (the samples, one group's increments and one group's states) are found
@@ -65,8 +69,12 @@ class JacobiPropagation:
     """
 
     def __init__(self, sys: JacobiSystem, steps: int, V=None, *readers):
+        steps = check_count(steps, 1, "need at least one step, got {}")
         n = sys.n
         block, _, group = _blocking(sys, steps)
+        # a constant run holds none of its 2*steps+1 points, but counting
+        # them keeps the bytes in step with the time: 10**11 steps, whose
+        # blocks alone fit, are a DomainError here, not an hours-long sweep
         floats = (2 * steps + 1) * (1 if sys.is_constant else 1 + n * n)
         floats += group * block * 6 * n * n
         check_memory(floats, "{} steps need {} for the run of [J; J']", steps)

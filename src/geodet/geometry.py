@@ -41,13 +41,7 @@ class ConstantCurvature:
 
     def __init__(self, n: int, kappa: float):
         self.n = check_count(n, 1, "dimension must be >= 1, got {}")
-        try:
-            finite = math.isfinite(kappa)
-        except (TypeError, OverflowError):  # a string or None, or an int beyond float64
-            finite = False
-        if not finite:
-            raise DomainError("curvature must be finite")
-        self.kappa = float(kappa)
+        self.kappa = float(check_real(kappa, math.isfinite, "curvature must be finite"))
 
     @property
     def conjugate_distance(self) -> float:
@@ -84,13 +78,9 @@ class GeodesicData:
     """A constant-speed geodesic on [0, 1] with speed r = d(x, y)."""
 
     def __init__(self, manifold, speed: float):
-        try:
-            valid = speed >= 0  # False for NaN
-            speed = float(speed)
-        except TypeError:
-            valid, speed = False, repr(speed)
-        if not valid:
-            raise DomainError(f"geodesic speed must be >= 0, got {speed}")
+        # v >= 0 is False for NaN, and float(v) raises for an int beyond float64
+        message = "geodesic speed must be >= 0, got {}"
+        speed = float(check_real(speed, lambda v: v >= 0 and float(v) >= 0, message))
         if isinstance(manifold, ConstantCurvature):
             # minimizers on the sphere do not pass the antipode
             if speed > manifold.conjugate_distance + 1e-12:
@@ -218,7 +208,7 @@ class JacobiSystem:
                     raise DomainError(
                         f"potential sample at {p:g}: block must be {shape}, got {np.shape(v)}"
                     )
-        except ValueError as exc:  # a sample of another shape, or the potential's own
+        except (TypeError, ValueError) as exc:  # a wrong-shaped or non-numeric sample, or the call's own
             raise DomainError(f"potential sample at {p:g}: {exc}") from None
         block *= self._value_scale
         _check_finite(out)

@@ -486,6 +486,47 @@ def run_python(code):
     return run_interpreter("-c", code).stdout.strip()
 
 
+# runs the CLI in a child of its own and prints that child's peak RSS in
+# KiB; RUSAGE_CHILDREN keeps the maximum over all children, so each command
+# is measured from a fresh spawner
+_PEAK_KIB = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run([sys.executable, '-m', 'geodet.cli', *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+_HEAT_LIMIT = ["heat-limit", "--radius", "1", "--case", "nondegenerate", "--d", "1", "--format", "json"]
+_DET_GY = ["det-gy", "--kappa", "1", "--r", "1", "--n", "3"]
+_DET_ZETA_ANTIPODAL = ["det-zeta", "--kappa", "1", "--r", "3.141592653589793", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "base, argv, bound_mb",
+    [
+        # a heat-limit prediction reads only the end state of its Jacobi run,
+        # and a constant run without a reader holds only the squarings of its
+        # one step: about 7 MB above n = 2, where the 1025-state grid it held
+        # before peaked near 790 MB
+        (_HEAT_LIMIT + ["--n", "2"], _HEAT_LIMIT + ["--n", "200"], 20.0),
+        # a determinant's run sweeps its blocks and tests the sign of det J a
+        # group at a time, and a constant run makes no half-grid of points:
+        # at most 0.4 MB above the default steps, where the point grid stood 6.6 MB
+        (_DET_GY, _DET_GY + ["--steps", "524288"], 2.0),
+        # at a kernel the same sweep sums the Simpson Gram a group at a time:
+        # at most 0.3 MB above the default steps, where the grid stood 80.7 MB
+        (_DET_ZETA_ANTIPODAL, _DET_ZETA_ANTIPODAL + ["--steps", "524288"], 2.0),
+        # the Bernoulli series check sums 10^6 terms from one term array filled
+        # in chunks: about 8.5 MB above a command that loads numpy but no Galerkin
+        # or heat module, where whole-array temporaries stood 23 MB above
+        (["det-gy", "--kappa", "0", "--r", "1", "--n", "2"], ["validate", "--filter", "bernoulli-series"], 10.4),
+    ],
+    ids=["heat-limit-n200", "det-gy-524288-steps", "det-zeta-antipodal-524288-steps", "bernoulli-series"],
+)
+def test_peak_memory_above_a_smaller_command(base, argv, bound_mb):
+    base_kib, kib = (int(run_interpreter("-c", _PEAK_KIB, *command).stdout) for command in (base, argv))
+    gap_mb = (kib - base_kib) / 1024
+    assert gap_mb <= bound_mb
+
+
 def test_cli_import_leaves_scipy_out():
     assert run_python("import sys, geodet.cli; print('scipy' in sys.modules)") == "False"
 

@@ -1400,10 +1400,21 @@ def test_identity_chain_full():
             assert abs(galerkin_val - other) < 1e-5
 
 
+def _one_run(steps):
+    return gelfand_yaglom.JacobiPropagation(JacobiSystem.constant([[1.0]], 1.0), steps)
+
+
+# the step counts ended in ValueError from isqrt or in TypeError
 @pytest.mark.parametrize(
     "call, message",
-    [(lambda: zeta_det_dirichlet_laplacian(1.0, 0), "fiber dimension must be >= 1, got 0")],
-    ids=["free-determinant-n0"],
+    [
+        (lambda: zeta_det_dirichlet_laplacian(1.0, 0), "fiber dimension must be >= 1, got 0"),
+        (lambda: _one_run(0), "need at least one step, got 0"),
+        (lambda: _one_run(-3), "need at least one step, got -3"),
+        (lambda: _one_run(1.5), "1.5 is not an integer count: need at least one step, got 1.5"),
+        (lambda: _one_run("8"), "'8' is not an integer count: need at least one step, got 8"),
+    ],
+    ids=["free-determinant-n0", "run-steps-0", "run-steps-negative", "run-steps-float", "run-steps-string"],
 )
 def test_input_guards_are_named_domain_errors(call, message):
     with pytest.raises(DomainError) as info:

@@ -542,6 +542,23 @@ _NOT_CONSTANT = "closed form requires a constant-curvature manifold"
         ),
         pytest.param(lambda: ConstantCurvature(3, "3"), "curvature must be finite", id="kappa-string"),
         pytest.param(lambda: ConstantCurvature(3, None), "curvature must be finite", id="kappa-none"),
+        # ended in OverflowError from float()
+        pytest.param(
+            lambda: GeodesicData(ConstantCurvature(2, 0.0), 10**400),
+            "geodesic speed must be >= 0, got int beyond float64",
+            id="speed-int-beyond-float64",
+        ),
+        # a potential that takes no argument ended in a bare TypeError
+        pytest.param(
+            lambda: JacobiSystem(1, 1.0, lambda: 1.0),
+            "potential sample at 0: <lambda>.<locals>.<lambda>() takes 0 positional arguments but 1 was given",
+            id="potential-arity",
+        ),
+        pytest.param(
+            lambda: SyntheticPotential(2, lambda: 1.0, 1.0),
+            "potential sample at 0: <lambda>.<locals>.<lambda>() takes 0 positional arguments but 1 was given",
+            id="synthetic-potential-arity",
+        ),
     ],
 )
 def test_input_guards_are_named_domain_errors(call, message):
