@@ -675,11 +675,12 @@ def fredholm_det_piecewise(sys: JacobiSystem, schedule) -> DeterminantEstimate:
     """
     schedule = _check_schedule(schedule, "segment counts", 2)
     finest = schedule[-1]
-    shared = _hat_rule(sys, np.asarray(Partition.uniform(finest).times) * sys.t)
+    partitions = [Partition.uniform(N) for N in schedule]
+    shared = _hat_rule(sys, np.asarray(partitions[-1].times) * sys.t)
     levels = []
-    for N in schedule:
+    for N, partition in zip(schedule, partitions):
         rule = tuple(x.reshape((N, -1) + x.shape[2:]) for x in shared) if finest % N == 0 else None
-        H = assemble_hessian_piecewise(sys, Partition.uniform(N), rule=rule)
+        H = assemble_hessian_piecewise(sys, partition, rule=rule)
         if N == finest:
             _check_resolution(H.samples, sys.t, N)
         levels.append((H.dimension, _hat_slogdet(H.a, H.c, H.diag, H.off), H))

@@ -23,7 +23,7 @@ from .errors import (
     IntegrationError,
     NonpositiveOperatorError,
 )
-from .errors import LOG_MAX, check_count, check_memory, signed_exp
+from .errors import check_count, check_memory, signed_exp
 from .geometry import JacobiSystem
 from .zeta import ZetaDetValue, zeta_det_dirichlet_laplacian
 
@@ -256,13 +256,13 @@ def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray, mapped: bool = True):
     doubling (:func:`_doubling`), each in about log2 sqrt(steps) batched
     rounds.  Unless ``mapped`` it yields its last block alone, as its last
     product E_k and start, all an end state needs, from the squarings
-    alone (:func:`_doubling_last`).  Where the run may come near float64's
-    end, sqrt(rho) t + log(rho)/2 > LOG_MAX with rho = |V|_F, the starts
-    are doubled in [J; J'/c], c = 2^p about sqrt(rho): E_block's J' rows,
-    up to sqrt(rho) times the states they map, would overflow first, and a
-    power of two scales without rounding.  The consumer
-    (:func:`_end_state`) holds the errstate; overflow, and h^4 = inf, are
-    reported by its callers.
+    alone (:func:`_doubling_last`).  The starts are doubled in the rows
+    [J; J'/c], c = 2^(e // 2) of rho = |V|_F = m 2^e (c = 1 at V = 0):
+    E_block's J' rows, up to sqrt(rho) times the states they map, would
+    overflow first near float64's end, and a power of two scales without
+    rounding while no entry falls below float64's normal range.  The
+    consumer (:func:`_end_state`) holds the errstate; overflow, and h^4 =
+    inf, are reported by its callers.
     """
     block, blocks, group = _blocking(sys, steps)
     h = np.float64(sys.t) / steps
@@ -279,11 +279,8 @@ def _sweep(sys: JacobiSystem, steps: int, V: np.ndarray, mapped: bool = True):
             E = (full if k == block else _doubling_last(_compose, D, None, k + 1))[None]
         double = _doubling if mapped else _doubling_last
         rho = math.sqrt(float(np.vdot(V[0], V[0])))  # |V|_F, at least V's largest |eigenvalue|
-        if rho <= 1.0 or math.sqrt(rho) * sys.t + 0.5 * math.log(rho) <= LOG_MAX:
-            starts = double(_advance, full, S0, blocks)
-        else:  # rows scaled by w = [1; 1/c]
-            w = np.repeat([1.0, 2.0 ** -(math.frexp(rho)[1] // 2)], sys.n)[:, None]
-            starts = double(_advance, w * full / w.T, w * S0, blocks) / w
+        w = np.repeat([1.0, 2.0 ** -(math.frexp(rho)[1] // 2)], sys.n)[:, None]  # rows [J; J'/c]
+        starts = double(_advance, w * full / w.T, w * S0, blocks) / w
         if not mapped:
             yield [(E, starts)]
             return
@@ -303,21 +300,20 @@ def _finite(states: np.ndarray) -> np.ndarray:
 
 
 class _FirstFailure:
-    """Reader of ``row``, the first grid row in (0, t) whose state fails ``test``, else None; it stops the mapping there."""
+    """Reader of ``row``, the first grid row 1..steps-1 of (0, t) whose state fails ``test``, else None; it stops the mapping there."""
 
     def __init__(self, test, steps: int):
         self.test, self.steps, self.row = test, steps, None
 
     def __call__(self, row: int, states: np.ndarray) -> bool:
-        lead = int(row == 0)  # J(0) = 0 is no state of (0, t)
-        holds = self.test(states[lead : self.steps - row])
+        holds = self.test(states[: self.steps - row])
         if not holds.all():
-            self.row = row + lead + int(np.argmin(holds))
+            self.row = row + int(np.argmin(holds))
         return self.row is not None
 
 
 class _SimpsonGram:
-    """Reader of ``gram``, G = int_0^t J^T J ds by composite Simpson; an odd interval count closes with the 3/8 rule."""
+    """Reader of ``gram``, G = int_0^t J^T J ds, by composite Simpson on rows 1..steps (J(0) = 0) and 3/8 at an odd count."""
 
     def __init__(self, t: float, steps: int):
         self.t, self.steps, self.gram = t, steps, 0.0
@@ -326,7 +322,7 @@ class _SimpsonGram:
         m, h = self.steps, self.t / self.steps
         e = m - 3 * (m % 2)  # end of the Simpson part; the 3/8 rule takes the rest
         r = np.arange(row, row + len(states))
-        w = np.where((r == 0) | (r == e), 1.0, np.where(r < e, 2.0 + 2.0 * (r % 2), 0.0)) * h / 3.0
+        w = np.where(r == e, 1.0, np.where(r < e, 2.0 + 2.0 * (r % 2), 0.0)) * h / 3.0
         if e < m:
             w[r >= e] += np.array([1.0, 3.0, 3.0, 1.0])[r[r >= e] - e] * (3.0 * h / 8.0)
         J = states[:, : states.shape[2]]
@@ -352,8 +348,9 @@ def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, *readers) -> np.nda
     group's rows, by one (k 2n, 2n) @ (2n, n) product and one add from
     the block's given start, else from the last state mapped, as the
     grid's states, and calls ``reader(row, states)`` with each group's
-    states, ``row`` the grid row of the first (J(0) for the first group).
-    A reader that returns true stops the mapping.
+    states, ``row`` the grid row of the first: rows 1..steps, the states
+    of (0, t], each once and in order.  A reader that returns true stops
+    the mapping.
     """
     block, _, group = _blocking(sys, steps)
     n, row = sys.n, 0
@@ -373,8 +370,7 @@ def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, *readers) -> np.nda
                     out += rows[j]
                 last, row = E[-1], row + len(E)
             if readers:
-                lead = int(first > 0)
-                if any(reader(first + lead, rows[lead : row - first + 1]) for reader in readers):
+                if any(reader(first + 1, rows[1 : row - first + 1]) for reader in readers):
                     readers = ()
                 rows[0] = rows[row - first]
         return _advance(last, S)
@@ -383,13 +379,15 @@ def _end_state(sys: JacobiSystem, steps: int, V: np.ndarray, *readers) -> np.nda
 def _grid_states(sys: JacobiSystem, steps: int, V: np.ndarray) -> np.ndarray:
     """[J; J'] at every grid point of the run at ``steps``, shape (steps+1, 2n, n).
 
-    A reader of the run's sweep (:func:`_end_state`) copies each group's
-    states into it.  Its bytes are compared with the physical memory before
-    it is made (DomainError); J or J' beyond float64 raises IntegrationError.
+    Row 0 is [0; I], and a reader of the run's sweep (:func:`_end_state`)
+    copies each group's states into rows 1..steps.  Its bytes are compared
+    with the physical memory before it is made (DomainError); J or J'
+    beyond float64 raises IntegrationError.
     """
     n = sys.n
     check_memory((steps + 1) * 2 * n * n, "{} steps need {} for the grid of [J; J']", steps)
     Y = np.empty((steps + 1, 2 * n, n))
+    Y[0] = np.eye(2 * n, n, -n)
     _end_state(sys, steps, V, lambda row, states: np.copyto(Y[row : row + len(states)], states))
     if not np.isfinite(Y).all():
         raise _beyond_float64(sys, steps, int(np.argmin(_finite(Y))))

@@ -79,8 +79,8 @@ class GeodesicData:
 
     def __init__(self, manifold, speed: float):
         # v >= 0 is False for NaN, and float(v) raises for an int beyond float64
-        message = "geodesic speed must be >= 0, got {}"
-        speed = float(check_real(speed, lambda v: v >= 0 and float(v) >= 0, message))
+        speed = check_real(speed, lambda v: v >= 0, "geodesic speed must be >= 0, got {}")
+        speed = float(check_real(speed, lambda v: float(v) >= 0, "geodesic speed must lie in float64, got {}"))
         if isinstance(manifold, ConstantCurvature):
             # minimizers on the sphere do not pass the antipode
             if speed > manifold.conjugate_distance + 1e-12:

@@ -407,12 +407,35 @@ def test_doubling_last_is_the_last_doubling_row_bit_for_bit(n):
         assert np.array_equal(power, gelfand_yaglom._doubling(gelfand_yaglom._compose, D, D, count)[-1])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("rho", [0.0, 1e-300, 1e-3, 1.0, 1e6, 709.7**2])
+def test_block_starts_scale_exactly(n, rho):
+    # a constant run doubles its block starts in the rows [J; J'/c], c a
+    # power of two about sqrt(rho), rho = |V|_F (c = 1 at V = 0), and
+    # divides them back; a power of two scales without rounding, so the
+    # starts of the mapped and the unmapped sweep are the unscaled
+    # doubling's bit for bit, signed zeros included, from V = 0 to starts
+    # of 9.2e297 (n = 1, the largest rho)
+    X = np.random.default_rng(n).standard_normal((n, n))
+    U = (X + X.T) / np.linalg.norm(X + X.T)
+    sys, steps = JacobiSystem.constant(rho * U, min(1.0, 709.7 / math.sqrt(rho or 1.0))), 1024
+    V = _sample_potential(sys, steps)
+    block, blocks, _ = gelfand_yaglom._blocking(sys, steps)
+    D = gelfand_yaglom._transfer_increments(V[:3], np.float64(sys.t) / steps, 1)[0, 0]
+    full = gelfand_yaglom._doubling_last(gelfand_yaglom._compose, D, None, block + 1)
+    starts = gelfand_yaglom._doubling(gelfand_yaglom._advance, full, np.eye(2 * n, n, -n), blocks)
+    assert np.isfinite(starts).all()
+    mapped = np.array([start for group in gelfand_yaglom._sweep(sys, steps, V) for _, start in group])
+    [(_, last)] = next(gelfand_yaglom._sweep(sys, steps, V, False))
+    assert mapped.tobytes() == starts.tobytes() and last.tobytes() == starts[-1].tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_constant_run_near_float64_end_matches_the_callable_run(n):
-    # E_block's J' rows are about w times the states they map, so near
-    # float64's end the block starts are doubled in [J; J'/c], c = 2^p:
-    # these runs end within log w of 1.8e308 and raised IntegrationError
-    # ("at s = 0.9922") where the sequential sweep of the same V returns
+    # E_block's J' rows are about w times the states they map, so the
+    # block starts are doubled in [J; J'/c], c = 2^p: these runs end
+    # within log w of 1.8e308 and raised IntegrationError ("at s =
+    # 0.9922") where the sequential sweep of the same V returns
     w, rot = 709.7, np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
     V = np.array([[w * w]]) if n == 1 else rot @ np.diag([w * w, 40.0]) @ rot.T  # coupled at n = 2
     end = solve_jacobi_ode(JacobiSystem.constant(V, 1.0), 16641).end
@@ -606,6 +629,23 @@ def test_sign_test_finds_a_conjugate_point_in_any_group(where):
                 continue
             with pytest.raises(NonpositiveOperatorError):
                 route()
+
+
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+@pytest.mark.parametrize("n, steps, groups", [(1, 1000, 1), (1, 20000, 3), (3, 4097, 5)])
+def test_readers_see_rows_1_to_steps(kind, n, steps, groups):
+    # J(0) = 0 is no state of (0, t]: a reader gets the grid rows 1..steps,
+    # each once and in order, one group at a time, in a run of one group
+    # and of several
+    sys = random_system(n, kind, n + steps)
+    _, blocks, group = gelfand_yaglom._blocking(sys, steps)
+    assert -(-blocks // group) == groups
+    seen = []
+    gelfand_yaglom.JacobiPropagation(sys, steps, None, lambda row, states: seen.append((row, states.copy())))
+    rows = [row for row, _ in seen]
+    assert len(seen) == groups and rows[0] == 1
+    assert [row + len(states) for row, states in seen] == rows[1:] + [steps + 1]
+    assert np.array_equal(np.concatenate([states for _, states in seen]), grid_run(sys, steps)[1:])
 
 
 @pytest.mark.parametrize("steps", [17, 1024, 4097, 20000])

@@ -545,7 +545,7 @@ _NOT_CONSTANT = "closed form requires a constant-curvature manifold"
         # ended in OverflowError from float()
         pytest.param(
             lambda: GeodesicData(ConstantCurvature(2, 0.0), 10**400),
-            "geodesic speed must be >= 0, got int beyond float64",
+            "geodesic speed must lie in float64, got int beyond float64",
             id="speed-int-beyond-float64",
         ),
         # a potential that takes no argument ended in a bare TypeError
